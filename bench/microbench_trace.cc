@@ -12,7 +12,14 @@
  *     fetch/decode/eval entirely, so (c) should beat (b) on delivered
  *     events/sec; the `replay_speedup` metric is (b)/(c) wall time.
  *
- *  2. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
+ *  2. Fused vs separate replay: the three FastTrack configurations
+ *     runOptFt analyzes per testing input — full, hybrid, and
+ *     optimistic with its invariant checker — replayed as three
+ *     attachment groups of one decode pass versus three separate
+ *     replays.  Results are identical (checked); `fused_speedup` is
+ *     separate/fused wall time.
+ *
+ *  3. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
  *     runOptSlice (Figure 6 workloads) with useTraceReplay off vs on.
  *     Results are byte-identical by construction (pinned by
  *     trace_replay_parity_test); what changes is interpreter work.
@@ -22,7 +29,9 @@
  *     optimistic, plus rollbacks), the replay path exactly once, so
  *     the ratio must be >= 2 (the PR's acceptance bar) and is
  *     architecturally >= 3 on the FastTrack side.  `e2e_speedup` is
- *     the matching wall-clock ratio.
+ *     the matching wall-clock ratio; its OptFT mean is reported
+ *     against the 2x bar of the replay-decode roadmap item (a report,
+ *     not a gate).
  *
  * OHA_BENCH_SMOKE=1 shrinks corpora and repetitions for CI smoke
  * runs.  JSON: BENCH_microbench_trace.json.
@@ -32,11 +41,13 @@
 
 #include <cstdlib>
 
+#include "analysis/race_detector.h"
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
+#include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
-#include "support/thread_pool.h"
+#include "profile/profiler.h"
 #include "workloads/workloads.h"
 
 using namespace oha;
@@ -200,76 +211,102 @@ main()
 
     std::printf("%s\n", table.str().c_str());
 
-    // ---- Sharded replay: one capture, N decode workers --------------
-    // Each shard decodes the full stream but owns a disjoint obj-id
-    // partition, so the useful throughput axis is aggregate decoded
-    // events/sec across workers (shards x stream events / wall time).
-    // The 4-shard series must clear 2x the 1-shard series on the
-    // largest corpus (the PR acceptance bar).
+    // ---- Fused vs separate replay: one decode, three configurations -
+    // The per-input shape of runOptFt's reference pass: full, hybrid
+    // and optimistic (+ checker) FastTrack over one capture.
+    TextTable fusedTable({"workload", "separate ms", "fused ms",
+                          "fused speedup"});
+    std::vector<double> fusedSpeedups;
+    for (const std::string &name : raceNames) {
+        const auto workload =
+            workloads::makeRaceWorkload(name, profileRuns, 1);
+        const ir::Module &module = *workload.module;
+        prof::ProfilingCampaign campaign(module, {});
+        campaign.addRunsUntilConverged(workload.profilingSet, profileRuns,
+                                       6);
+        const inv::InvariantSet &invariants = campaign.invariants();
+        const auto sound = analysis::runStaticRaceDetector(module, nullptr);
+        const auto predicated =
+            analysis::runStaticRaceDetector(module, &invariants);
+        const exec::InstrumentationPlan plans[] = {
+            dyn::fullFastTrackPlan(module),
+            dyn::hybridFastTrackPlan(module, sound.racyAccesses),
+            dyn::optimisticFastTrackPlan(module, predicated.racyAccesses,
+                                         invariants)};
+        dyn::CheckerConfig checkerConfig;
+        checkerConfig.callContexts = false;
+        const exec::RecordedTrace trace =
+            exec::recordRun(module, workload.testingSet.front());
+
+        // Replays the three configurations, fused or one pass each;
+        // returns the summed race count (the cross-check) and adds up
+        // events decoded.
+        std::uint64_t decoded = 0;
+        auto replay = [&](bool fused) {
+            dyn::FastTrack tools[3];
+            dyn::InvariantChecker checker(module, invariants,
+                                          checkerConfig);
+            std::vector<exec::RunResult> results;
+            if (fused) {
+                exec::TraceReplayer replayer(module, trace);
+                for (std::size_t c = 0; c < 3; ++c) {
+                    const auto group = c == 0 ? 0 : replayer.addGroup();
+                    replayer.attach(group, &tools[c], &plans[c]);
+                }
+                checker.setControl(&replayer.control(2));
+                replayer.attach(2, &checker, &checker.plan());
+                results = replayer.runGroups();
+                decoded = results[0].totalEvents.total();
+            } else {
+                decoded = 0;
+                for (std::size_t c = 0; c < 3; ++c) {
+                    exec::TraceReplayer replayer(module, trace);
+                    replayer.attach(&tools[c], &plans[c]);
+                    if (c == 2) {
+                        checker.setControl(&replayer);
+                        replayer.attach(&checker, &checker.plan());
+                    }
+                    results.push_back(replayer.run());
+                    decoded += results.back().totalEvents.total();
+                }
+            }
+            std::uint64_t races = 0;
+            for (std::size_t c = 0; c < 3; ++c)
+                races += tools[c].races().size() + results[c].steps;
+            return races;
+        };
+        if (replay(true) != replay(false))
+            std::abort(); // fused and separate replays must agree
+        const Sample separate = measure(kReps, [&] {
+            replay(false);
+            return decoded;
+        });
+        const Sample fused = measure(kReps, [&] {
+            replay(true);
+            return decoded;
+        });
+        row(name, "separate-replay-x3", separate);
+        row(name, "fused-replay-x3", fused);
+        const double speedup =
+            fused.bestMs > 0 ? separate.bestMs / fused.bestMs : 0;
+        json.metric(name, "fasttrack", "fused_speedup", speedup);
+        fusedSpeedups.push_back(speedup);
+        fusedTable.addRow({name, fmtDouble(separate.bestMs, 2),
+                           fmtDouble(fused.bestMs, 2),
+                           fmtDouble(speedup, 2)});
+    }
+    std::printf("%s\n", fusedTable.str().c_str());
+    std::printf("mean fused-replay speedup (3 configurations): %.2fx\n\n",
+                bench::mean(fusedSpeedups));
+    json.metric("aggregate", "fasttrack", "mean_fused_speedup",
+                bench::mean(fusedSpeedups));
+
     if (!largestName.empty()) {
         const auto workload = workloads::makeRaceWorkload(largestName, 1, 1);
         const ir::Module &module = *workload.module;
         const auto &input = workload.testingSet.front();
         const auto plan = dyn::fullFastTrackPlan(module);
         const exec::RecordedTrace trace = exec::recordRun(module, input);
-        const std::uint64_t streamEvents = trace.result.totalEvents.total();
-
-        TextTable shardTable({"workload", "shards", "wall ms",
-                              "decoded events", "agg events/sec"});
-        double baseEps = 0;
-        double eps4 = 0;
-        for (const std::uint32_t shards : {1u, 2u, 4u}) {
-            const Sample sample = measure(kReps, [&] {
-                support::runBatch(
-                    shards,
-                    [&](std::size_t s) {
-                        dyn::FastTrack tool;
-                        exec::TraceReplayer replayer(module, trace);
-                        if (shards > 1) {
-                            tool.setShardFilter(
-                                static_cast<std::uint32_t>(s), shards);
-                            replayer.setShardFilter(
-                                static_cast<std::uint32_t>(s), shards);
-                        }
-                        replayer.attach(&tool, &plan);
-                        const auto result = replayer.run();
-                        if (tool.races().size() > 1u << 20)
-                            std::abort();
-                        return result.steps;
-                    },
-                    shards);
-                return std::uint64_t(shards) * streamEvents;
-            });
-            const double eps = sample.eventsPerSec();
-            if (shards == 1)
-                baseEps = eps;
-            if (shards == 4)
-                eps4 = eps;
-            shardTable.addRow({largestName, std::to_string(shards),
-                               fmtDouble(sample.bestMs, 2),
-                               std::to_string(sample.events),
-                               fmtDouble(eps / 1e6, 2) + "M"});
-            const std::string variant =
-                "sharded-replay-" + std::to_string(shards);
-            json.add(largestName, variant, sample.bestMs, sample.events);
-            json.metric(largestName, "fasttrack",
-                        "sharded_agg_events_per_sec_" +
-                            std::to_string(shards),
-                        eps);
-            if (shards > 1)
-                json.metric(largestName, "fasttrack",
-                            "sharded_speedup_" + std::to_string(shards),
-                            baseEps > 0 ? eps / baseEps : 0);
-        }
-        std::printf("%s\n", shardTable.str().c_str());
-        const double shardSpeedup = baseEps > 0 ? eps4 / baseEps : 0;
-        std::printf("4-shard aggregate decode throughput: %.2fx of "
-                    "serial\n\n",
-                    shardSpeedup);
-        if (shardSpeedup < 2.0) {
-            std::printf("WARNING: 4-shard aggregate events/sec below the "
-                        "2x acceptance bar\n");
-        }
 
         // ---- Segmented spill capture + mmap-backed replay -----------
         // Force the largest capture through the spill path (~8
@@ -321,6 +358,7 @@ main()
     TextTable pipeTable({"workload", "pipeline", "direct ms", "replay ms",
                          "interp-step ratio", "e2e speedup"});
     std::vector<double> stepRatios;
+    std::vector<double> optFtE2e;
 
     for (const std::string &name : raceNames) {
         const auto workload =
@@ -349,6 +387,7 @@ main()
                                ? directMs.bestMs / replayMs.bestMs
                                : 0;
         stepRatios.push_back(ratio);
+        optFtE2e.push_back(e2e);
         pipeTable.addRow({name, "optft", fmtDouble(directMs.bestMs, 1),
                           fmtDouble(replayMs.bestMs, 1),
                           fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
@@ -410,6 +449,13 @@ main()
         std::printf("WARNING: interpreter-work reduction below the 2x "
                     "acceptance bar\n");
     }
+    // Replay-decode roadmap bar: OptFT end to end at least 2x faster
+    // on the replay path.  Reported only; timing on shared hosts is
+    // too noisy to gate on.
+    const double meanE2e = bench::mean(optFtE2e);
+    std::printf("mean optft e2e speedup: %.2fx (roadmap bar 2x: %s)\n",
+                meanE2e, meanE2e >= 2.0 ? "met" : "not met");
+    json.metric("aggregate", "optft", "mean_e2e_speedup", meanE2e);
 
     json.write();
     return 0;

@@ -4,12 +4,16 @@
 #   ci/run.sh            # plain RelWithDebInfo build + full test suite
 #   ci/run.sh sanitize   # AddressSanitizer build, tests under OHA_THREADS=4
 #   ci/run.sh tsan       # ThreadSanitizer build, tests under OHA_THREADS=4
+#   ci/run.sh ubsan      # UndefinedBehaviorSanitizer build, tests under
+#                        # OHA_THREADS=4; the first report fails the job
 #   ci/run.sh bench      # build + run the wall-time microbenchmarks,
 #                        # leaving BENCH_*.json in the repo root
 #   ci/run.sh bench-release
 #                        # Release (-O2, no asserts) build + smoke run of
 #                        # the trace capture/replay microbenchmark
-#                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus)
+#                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus),
+#                        # then the repository benchmark's own checks
+#                        # (perfbench/test.py)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
 #                        # recovery tests under OHA_FAULT_SEED 1..3,
 #                        # each at OHA_THREADS=1 and 4 (seeded faults
@@ -25,8 +29,9 @@
 #                        # leaving BENCH_service_throughput.json
 #
 # All test jobs run the same ctest suite; the sanitizer jobs exist to
-# catch memory errors and data races in the parallel static-phase and
-# run-batching paths, so they force a multi-threaded worker pool.
+# catch memory errors, data races and undefined behavior in the
+# parallel static-phase and run-batching paths, so they force a
+# multi-threaded worker pool.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +61,16 @@ tsan)
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
         -j "$jobs"
     ;;
+ubsan)
+    build_dir=build-ci-ubsan
+    # OHA_SANITIZE=undefined builds with -fno-sanitize-recover, so the
+    # first report aborts the test process and fails the job.
+    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DOHA_SANITIZE=undefined
+    cmake --build "$build_dir" -j "$jobs"
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 OHA_THREADS=4 \
+        ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+    ;;
 bench)
     build_dir=build-ci
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -70,9 +85,9 @@ bench-release)
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
         microbench_incremental microbench_static
     # Force a low segment threshold so the smoke run exercises the
-    # segmented spill-to-disk capture path and the sharded-replay
-    # series end to end (BENCH_microbench_trace.json is uploaded as
-    # an artifact by the workflow).
+    # segmented spill-to-disk capture path and the fused-vs-separate
+    # replay series end to end (BENCH_microbench_trace.json is
+    # uploaded as an artifact by the workflow).
     OHA_BENCH_SMOKE=1 OHA_TRACE_SEGMENT_BYTES=8192 \
         "$build_dir"/bench/microbench_trace
     # Incremental re-analysis smoke: parity between the patched and
@@ -85,6 +100,11 @@ bench-release)
     # even in smoke mode; the 2x scaling bar is a warning here.  The
     # workflow uploads BENCH_microbench_static.json.
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_static
+    # The repository benchmark's own checks: its reference digests
+    # (computed on the direct path) still match, and every workload's
+    # traced run passes and repeats its exact counts — so the fused
+    # replay path is held to the direct-path digests.
+    python3 perfbench/test.py
     ;;
 faults)
     build_dir=build-ci
@@ -118,16 +138,16 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), and the segmented-trace /
-    # sharded-replay paths whose captures and spill files are shared
-    # across concurrent replays.
+    # (including the torture test), and the segmented-trace / fused-
+    # replay paths whose captures and spill files are shared across
+    # concurrent replays.
     # WavefrontParallel and RunBatch cover the wavefront-parallel
     # Andersen solver and the chunked batch primitive it fans out on.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
     # request shards, and the crash-recovery sweep.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|ShardedReplayParity|ShardedPipeline|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|WavefrontParallel|RunBatch|Snapshot'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|WavefrontParallel|RunBatch|Snapshot'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every
@@ -135,8 +155,8 @@ service)
     OHA_BENCH_SMOKE=1 OHA_THREADS=4 "$build_dir"/bench/service_throughput
     ;;
 *)
-    echo "unknown job '$job' (expected: plain | sanitize | tsan | bench |" \
-        "bench-release | faults | service)" >&2
+    echo "unknown job '$job' (expected: plain | sanitize | tsan | ubsan |" \
+        "bench | bench-release | faults | service)" >&2
     exit 2
     ;;
 esac

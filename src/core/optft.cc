@@ -20,7 +20,7 @@ namespace {
 
 using RacePairs = std::set<std::pair<InstrId, InstrId>>;
 
-/** Run one execution with a FastTrack tool under @p plan. */
+/** Outcome of one FastTrack configuration (optionally checked). */
 struct FtRun
 {
     exec::RunResult result;
@@ -31,12 +31,30 @@ struct FtRun
     bool violated = false;
 };
 
+/** Read one configuration's outcome off its run, its FastTrack tool
+ *  (attached first) and its checker (attached second, if any). */
+FtRun
+collectFtRun(exec::RunResult result, const dyn::FastTrack &tool,
+             const dyn::InvariantChecker *checker)
+{
+    FtRun out;
+    out.result = std::move(result);
+    out.races = tool.racePairs();
+    out.ftDelivered = out.result.delivered[0];
+    if (checker) {
+        out.checkerDelivered = out.result.delivered[1];
+        out.slowChecks = checker->slowContextChecks();
+        out.violated = checker->violated();
+    }
+    return out;
+}
+
+/** Run one execution with a FastTrack tool under @p plan. */
 FtRun
 runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
              const exec::InstrumentationPlan &plan,
              dyn::InvariantChecker *checker = nullptr)
 {
-    FtRun out;
     dyn::FastTrack tool;
     exec::Interpreter interp(module, config);
     interp.attach(&tool, &plan);
@@ -44,106 +62,45 @@ runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
         checker->setControl(&interp);
         interp.attach(checker, &checker->plan());
     }
-    out.result = interp.run();
-    out.races = tool.racePairs();
-    out.ftDelivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
-    }
-    return out;
+    return collectFtRun(interp.run(), tool, checker);
 }
 
-/** Same analysis, driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many).  Byte-identical results. */
-FtRun
-replayFastTrack(const ir::Module &module, const exec::RecordedTrace &trace,
-                const exec::InstrumentationPlan &plan,
-                dyn::InvariantChecker *checker = nullptr)
+/** One FastTrack configuration of a fused replay: its plan and, for
+ *  a speculative configuration, the invariant checker guarding it. */
+struct FtConfig
 {
-    FtRun out;
-    dyn::FastTrack tool;
-    exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&replayer);
-        replayer.attach(checker, &checker->plan());
-    }
-    out.result = replayer.run();
-    out.races = tool.racePairs();
-    out.ftDelivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
-    }
-    return out;
-}
+    const exec::InstrumentationPlan *plan;
+    dyn::InvariantChecker *checker = nullptr;
+};
 
 /**
- * Sharded replay of one FastTrack analysis: @p numShards workers each
- * decode the full stream but analyze only their slice of shadow
- * memory (obj % numShards); sync/spawn/join and thread-lifecycle
- * events are broadcast to every shard, so all shards maintain
- * identical vector clocks and each memory cell is checked by exactly
- * one.  The merged result is byte-identical to replayFastTrack():
- * races are the deterministic union of the disjoint per-shard sets,
- * stream-level fields (status, steps, outputs, totalEvents) are
- * shard-invariant, and delivered Load/Store counts sum across the
- * partition back to the serial counts.  Checker-attached (optimistic)
- * replays cannot shard — the checker's abort must see every access in
- * stream order — so only the full/hybrid reference evaluations take
- * this path.
+ * The same analyses driven from a recorded trace instead of a live
+ * interpreter (record-once/analyze-many), all in one decode pass:
+ * each configuration is its own attachment group, so a checker's
+ * abort stops only its own configuration.  Every FtRun is
+ * byte-identical to a live run of that configuration alone.
  */
-FtRun
-replayFastTrackSharded(const ir::Module &module,
-                       const exec::RecordedTrace &trace,
-                       const exec::InstrumentationPlan &plan,
-                       std::uint32_t numShards, std::size_t threads)
+std::vector<FtRun>
+replayFastTracks(const ir::Module &module, const exec::RecordedTrace &trace,
+                 const std::vector<FtConfig> &configs)
 {
-    if (numShards <= 1)
-        return replayFastTrack(module, trace, plan);
-
-    struct ShardOut
-    {
-        exec::RunResult result;
-        std::set<dyn::RaceReport> races;
-    };
-    const std::vector<ShardOut> shards = support::runBatch(
-        numShards,
-        [&](std::size_t s) {
-            ShardOut out;
-            dyn::FastTrack tool;
-            tool.setShardFilter(static_cast<std::uint32_t>(s), numShards);
-            exec::TraceReplayer replayer(module, trace);
-            replayer.setShardFilter(static_cast<std::uint32_t>(s),
-                                    numShards);
-            replayer.attach(&tool, &plan);
-            out.result = replayer.run();
-            out.races = tool.races();
-            return out;
-        },
-        threads);
-
-    std::vector<std::set<dyn::RaceReport>> raceSets;
-    raceSets.reserve(shards.size());
-    for (const ShardOut &shard : shards)
-        raceSets.push_back(shard.races);
-    const std::set<dyn::RaceReport> merged = dyn::mergeShardRaces(raceSets);
-
-    FtRun out;
-    out.result = shards[0].result;
-    exec::EventCounts &delivered = out.result.delivered[0];
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        delivered[exec::EventClass::Load] +=
-            shards[s].result.delivered[0][exec::EventClass::Load];
-        delivered[exec::EventClass::Store] +=
-            shards[s].result.delivered[0][exec::EventClass::Store];
+    exec::TraceReplayer replayer(module, trace);
+    std::vector<dyn::FastTrack> tools(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const exec::TraceReplayer::GroupId group =
+            c == 0 ? 0 : replayer.addGroup();
+        replayer.attach(group, &tools[c], configs[c].plan);
+        if (dyn::InvariantChecker *checker = configs[c].checker) {
+            checker->setControl(&replayer.control(group));
+            replayer.attach(group, checker, &checker->plan());
+        }
     }
-    out.ftDelivered = delivered;
-    for (const dyn::RaceReport &race : merged)
-        out.races.insert({race.first, race.second});
+    std::vector<exec::RunResult> results = replayer.runGroups();
+    std::vector<FtRun> out;
+    out.reserve(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        out.push_back(collectFtRun(std::move(results[c]), tools[c],
+                                   configs[c].checker));
     return out;
 }
 
@@ -262,23 +219,35 @@ calibrateLockElision(const ir::Module &module,
     OHA_ASSERT(!traces || traces->size() >= runs,
                "calibration traces must cover the calibration runs");
 
-    // Each calibration execution comes either from a live run or — in
-    // record-once mode — from replaying the input's recorded trace,
-    // so every round of the elision loop reuses the same captures.
-    auto calibRaces = [&](std::size_t i,
-                          const exec::InstrumentationPlan &plan) {
-        if (traces)
-            return replayFastTrack(module, *(*traces)[i], plan).races;
-        return runFastTrack(module, workload.profilingSet[i], plan).races;
-    };
+    // Each calibration execution comes either from live runs or — in
+    // record-once mode — from one replay of the input's recorded
+    // trace that drives every requested plan, so every round of the
+    // elision loop reuses the same captures.
+    auto calibRaces =
+        [&](std::size_t i,
+            const std::vector<const exec::InstrumentationPlan *> &plans) {
+            std::vector<RacePairs> races;
+            if (traces) {
+                std::vector<FtConfig> configs;
+                for (const exec::InstrumentationPlan *plan : plans)
+                    configs.push_back({plan});
+                for (FtRun &run :
+                     replayFastTracks(module, *(*traces)[i], configs))
+                    races.push_back(std::move(run.races));
+            } else {
+                for (const exec::InstrumentationPlan *plan : plans)
+                    races.push_back(
+                        runFastTrack(module, workload.profilingSet[i],
+                                     *plan)
+                            .races);
+            }
+            return races;
+        };
 
     // The sound reference races are loop-invariant (the plan never
-    // changes across rounds): compute them once, batched.
-    const std::vector<RacePairs> soundRaces = support::runBatch(
-        runs,
-        [&](std::size_t i) { return calibRaces(i, soundPlan); },
-        threads);
-
+    // changes across rounds): the first round computes them alongside
+    // its trial, in the same pass over each input.
+    std::vector<RacePairs> soundRaces;
     while (!candidates.empty()) {
         inv::InvariantSet trial = invariants;
         trial.elidableLockSites =
@@ -288,10 +257,20 @@ calibrateLockElision(const ir::Module &module,
                                          trial);
 
         // Validate every calibration trial of this round concurrently.
-        const std::vector<RacePairs> optRaces = support::runBatch(
+        const bool firstRound = soundRaces.size() < runs;
+        std::vector<std::vector<RacePairs>> roundRaces = support::runBatch(
             runs,
-            [&](std::size_t i) { return calibRaces(i, optPlan); },
+            [&](std::size_t i) {
+                return firstRound ? calibRaces(i, {&soundPlan, &optPlan})
+                                  : calibRaces(i, {&optPlan});
+            },
             threads);
+        std::vector<RacePairs> optRaces;
+        for (std::vector<RacePairs> &races : roundRaces) {
+            if (firstRound)
+                soundRaces.push_back(std::move(races.front()));
+            optRaces.push_back(std::move(races.back()));
+        }
 
         std::set<InstrId> falseRaceFuncs;
         bool mismatch = false;
@@ -543,30 +522,76 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         FtRun full;
         FtRun hybrid;
     };
-    const auto replayShards = static_cast<std::uint32_t>(
-        config.replayShards != 0
-            ? std::min<std::size_t>(config.replayShards, 64)
-            : support::envSizeBytes("OHA_REPLAY_SHARDS", 1, 1, 64));
-    const std::vector<RefEval> refs = support::runBatch(
-        numTests,
-        [&](std::size_t i) {
-            RefEval ref;
-            if (config.useTraceReplay) {
-                ref.full = replayFastTrackSharded(module, *traces[i],
-                                                  fullPlan, replayShards,
-                                                  config.threads);
-                ref.hybrid = replayFastTrackSharded(module, *traces[i],
-                                                    hybridPlan, replayShards,
-                                                    config.threads);
+    struct OptEval
+    {
+        FtRun optimistic;
+        bool rolledBack = false;
+        bool degraded = false;
+        dyn::Violation violation;
+    };
+    // Judge one optimistic run under the current invariants.
+    auto judge = [&](FtRun run, const dyn::InvariantChecker &checker) {
+        OptEval eval;
+        eval.optimistic = std::move(run);
+        if (optFtShouldRollBack(eval.optimistic.violated,
+                                !eval.optimistic.races.empty(),
+                                !invariants.elidableLockSites.empty())) {
+            eval.rolledBack = true;
+            if (checker.violated()) {
+                eval.violation = checker.violation();
             } else {
-                ref.full = runFastTrack(module, workload.testingSet[i],
-                                        fullPlan);
+                eval.violation.family = dyn::ViolationFamily::ElidedLockRace;
+            }
+        }
+        return eval;
+    };
+
+    // In record-once mode each input's capture is decoded once for the
+    // references and the first adaptive round together: full, hybrid
+    // and optimistic FastTrack (with its checker) are three attachment
+    // groups of one replay, so the checker's abort truncates only the
+    // optimistic configuration.
+    std::vector<RefEval> refs(numTests);
+    std::vector<OptEval> firstRound;
+    if (config.useTraceReplay) {
+        struct FusedEval
+        {
+            RefEval ref;
+            OptEval opt;
+        };
+        std::vector<FusedEval> fused = support::runBatch(
+            numTests,
+            [&](std::size_t i) {
+                dyn::InvariantChecker checker(module, invariants,
+                                              checkerConfig);
+                std::vector<FtRun> runs = replayFastTracks(
+                    module, *traces[i],
+                    {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
+                FusedEval eval;
+                eval.ref.full = std::move(runs[0]);
+                eval.ref.hybrid = std::move(runs[1]);
+                eval.opt = judge(std::move(runs[2]), checker);
+                return eval;
+            },
+            config.threads);
+        firstRound.reserve(numTests);
+        for (std::size_t i = 0; i < numTests; ++i) {
+            refs[i] = std::move(fused[i].ref);
+            firstRound.push_back(std::move(fused[i].opt));
+        }
+    } else {
+        refs = support::runBatch(
+            numTests,
+            [&](std::size_t i) {
+                RefEval ref;
+                ref.full =
+                    runFastTrack(module, workload.testingSet[i], fullPlan);
                 ref.hybrid = runFastTrack(module, workload.testingSet[i],
                                           hybridPlan);
-            }
-            return ref;
-        },
-        config.threads);
+                return ref;
+            },
+            config.threads);
+    }
 
     // Speculative runs, in adaptive rounds.  Each round batch-runs
     // the remaining inputs under the current optimistic plan, then
@@ -579,13 +604,9 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // discarded, not folded).  A circuit breaker degrades the
     // remaining corpus to the sound hybrid configuration when the
     // repair budget or the observed misspeculation rate is exceeded.
-    struct OptEval
-    {
-        FtRun optimistic;
-        bool rolledBack = false;
-        bool degraded = false;
-        dyn::Violation violation;
-    };
+    // In record-once mode the first round came out of the fused
+    // reference pass; later rounds replay only the optimistic
+    // configuration.
     std::vector<OptEval> opts(numTests);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -606,34 +627,26 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             break;
         }
         const std::size_t start = next;
-        const std::vector<OptEval> round = support::runBatch(
-            numTests - start,
-            [&](std::size_t k) {
-                const std::size_t i = start + k;
-                OptEval eval;
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                eval.optimistic =
-                    config.useTraceReplay
-                        ? replayFastTrack(module, *traces[i], optPlan,
-                                          &checker)
-                        : runFastTrack(module, workload.testingSet[i],
-                                       optPlan, &checker);
-                if (optFtShouldRollBack(
-                        eval.optimistic.violated,
-                        !eval.optimistic.races.empty(),
-                        !invariants.elidableLockSites.empty())) {
-                    eval.rolledBack = true;
-                    if (checker.violated()) {
-                        eval.violation = checker.violation();
-                    } else {
-                        eval.violation.family =
-                            dyn::ViolationFamily::ElidedLockRace;
-                    }
-                }
-                return eval;
-            },
-            config.threads);
+        const std::vector<OptEval> round =
+            start == 0 && config.useTraceReplay
+                ? std::move(firstRound)
+                : support::runBatch(
+                      numTests - start,
+                      [&](std::size_t k) {
+                          const std::size_t i = start + k;
+                          dyn::InvariantChecker checker(module, invariants,
+                                                        checkerConfig);
+                          FtRun run =
+                              config.useTraceReplay
+                                  ? std::move(replayFastTracks(
+                                        module, *traces[i],
+                                        {{&optPlan, &checker}})[0])
+                                  : runFastTrack(module,
+                                                 workload.testingSet[i],
+                                                 optPlan, &checker);
+                          return judge(std::move(run), checker);
+                      },
+                      config.threads);
 
         next = numTests;
         for (std::size_t k = 0; k < round.size(); ++k) {

@@ -62,21 +62,12 @@ struct OptFtConfig
      *  calibration) input once with a TraceRecorder, then drive the
      *  full/hybrid/optimistic FastTrack configurations — and the
      *  rollback re-analysis — from TraceReplayer instead of
-     *  re-interpreting.  All reported results are byte-identical to
-     *  the direct path; only interpretedSteps/replayedEvents (and
+     *  re-interpreting.  The full, hybrid and first optimistic
+     *  configurations share one decode pass per input (replay
+     *  groups).  All reported results are byte-identical to the
+     *  direct path; only interpretedSteps/replayedEvents (and
      *  wall-clock time) differ. */
     bool useTraceReplay = true;
-    /** With useTraceReplay: shard count for the no-checker reference
-     *  replays (full + hybrid FastTrack).  Each of N workers decodes
-     *  the whole capture but analyzes only its obj-id slice of shadow
-     *  memory; sync events broadcast to all shards and the per-shard
-     *  race sets merge deterministically, so results are
-     *  byte-identical to serial replay at any value.  0 = the
-     *  OHA_REPLAY_SHARDS env var (validated + clamped to [1, 64];
-     *  default 1 = serial).  Checker-attached optimistic replays
-     *  always run serially — the checker's abort point must observe
-     *  every access in stream order. */
-    std::size_t replayShards = 0;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
      *  privately.  Captures are value-keyed on (module, exec config),

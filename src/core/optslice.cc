@@ -13,7 +13,6 @@
 #include "exec/trace_cache.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
-#include "support/env.h"
 #include "support/thread_pool.h"
 
 namespace oha::core {
@@ -260,26 +259,25 @@ struct GiriRun
     std::uint64_t missingDeps = 0;
 };
 
+/** Read one endpoint's slicing outcome off its tool; @p result is
+ *  the tool's group result, narrowed to the tool's own delivery
+ *  counts (the checker's, if any, are @p checkerDelivered). */
 GiriRun
-runGiri(const ir::Module &module, const exec::ExecConfig &config,
-        const exec::InstrumentationPlan &plan,
-        const std::vector<InstrId> &endpoints,
-        dyn::InvariantChecker *checker = nullptr)
+collectGiriRun(const exec::RunResult &result,
+               const exec::EventCounts &delivered,
+               const dyn::GiriSlicer &tool, InstrId endpoint,
+               const dyn::InvariantChecker *checker,
+               const exec::EventCounts &checkerDelivered)
 {
     GiriRun out;
-    dyn::GiriSlicer tool(module);
-    exec::Interpreter interp(module, config);
-    interp.attach(&tool, &plan);
+    out.result = result;
+    out.result.delivered = {delivered};
+    if (checker)
+        out.result.delivered.push_back(checkerDelivered);
+    out.slices[endpoint] = tool.slice(endpoint);
+    out.delivered = delivered;
     if (checker) {
-        checker->setControl(&interp);
-        interp.attach(checker, &checker->plan());
-    }
-    out.result = interp.run();
-    for (InstrId endpoint : endpoints)
-        out.slices[endpoint] = tool.slice(endpoint);
-    out.delivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
+        out.checkerDelivered = checkerDelivered;
         out.slowChecks = checker->slowContextChecks();
         out.violated = checker->violated();
     }
@@ -287,34 +285,42 @@ runGiri(const ir::Module &module, const exec::ExecConfig &config,
     return out;
 }
 
+/** Run one execution with a Giri tool under @p plan, slicing back
+ *  from @p endpoint. */
+GiriRun
+runGiri(const ir::Module &module, const exec::ExecConfig &config,
+        const exec::InstrumentationPlan &plan, InstrId endpoint,
+        dyn::InvariantChecker *checker = nullptr)
+{
+    dyn::GiriSlicer tool(module);
+    exec::Interpreter interp(module, config);
+    interp.attach(&tool, &plan);
+    if (checker) {
+        checker->setControl(&interp);
+        interp.attach(checker, &checker->plan());
+    }
+    const exec::RunResult result = interp.run();
+    return collectGiriRun(result, result.delivered[0], tool, endpoint,
+                          checker, checker ? result.delivered[1]
+                                           : exec::EventCounts{});
+}
+
 /** Same slicing run, driven from a recorded trace instead of a live
  *  interpreter (record-once/analyze-many).  Byte-identical results.
  *  The trace is read-only, so many tasks may replay it concurrently. */
 GiriRun
 replayGiri(const ir::Module &module, const exec::RecordedTrace &trace,
-           const exec::InstrumentationPlan &plan,
-           const std::vector<InstrId> &endpoints,
-           dyn::InvariantChecker *checker = nullptr)
+           const exec::InstrumentationPlan &plan, InstrId endpoint,
+           dyn::InvariantChecker *checker)
 {
-    GiriRun out;
     dyn::GiriSlicer tool(module);
     exec::TraceReplayer replayer(module, trace);
     replayer.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&replayer);
-        replayer.attach(checker, &checker->plan());
-    }
-    out.result = replayer.run();
-    for (InstrId endpoint : endpoints)
-        out.slices[endpoint] = tool.slice(endpoint);
-    out.delivered = out.result.delivered[0];
-    if (checker) {
-        out.checkerDelivered = out.result.delivered[1];
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
-    }
-    out.missingDeps = tool.missingDependencies();
-    return out;
+    checker->setControl(&replayer);
+    replayer.attach(checker, &checker->plan());
+    const exec::RunResult result = replayer.run();
+    return collectGiriRun(result, result.delivered[0], tool, endpoint,
+                          checker, result.delivered[1]);
 }
 
 } // namespace
@@ -496,35 +502,112 @@ runOptSlice(const workloads::Workload &workload,
     // front; each reference doubles as the deterministic rollback
     // re-analysis and as the degraded configuration once the circuit
     // breaker trips.
-    const std::size_t tasks =
-        workload.testingSet.size() * endpoints.size();
-    // Replay-only batches may run wider than OHA_THREADS: the tasks
-    // share one immutable capture read-only (axis (a) of sharded
-    // replay), so OHA_REPLAY_SHARDS raises the floor here while
-    // interpreter-bound phases keep the configured width.
-    const std::size_t replayWorkers =
-        config.useTraceReplay
-            ? std::max<std::size_t>(
-                  support::configuredThreads(config.threads),
-                  config.replayShards != 0
-                      ? std::min<std::size_t>(config.replayShards, 64)
-                      : support::envSizeBytes("OHA_REPLAY_SHARDS", 1, 1, 64))
-            : config.threads;
-    const std::vector<GiriRun> refs = support::runBatch(
-        tasks,
-        [&](std::size_t task) {
-            const std::size_t e = task % endpoints.size();
-            const std::vector<InstrId> target = {endpoints[e]};
-            if (config.useTraceReplay) {
-                return replayGiri(module,
-                                  *traces[task / endpoints.size()],
-                                  hybridPlans[e], target);
+    const std::size_t numEndpoints = endpoints.size();
+    const std::size_t tasks = workload.testingSet.size() * numEndpoints;
+    struct OptEval
+    {
+        GiriRun optimistic;
+        bool rolledBack = false;
+        bool degraded = false;
+        dyn::Violation violation;
+    };
+    auto judge = [](GiriRun run, const dyn::InvariantChecker &checker) {
+        OptEval eval;
+        eval.optimistic = std::move(run);
+        if (eval.optimistic.violated) {
+            eval.rolledBack = true;
+            eval.violation = checker.violation();
+        }
+        return eval;
+    };
+
+    // In record-once mode each input's capture is decoded once for
+    // the references and the first adaptive round together: the
+    // endpoints' hybrid Giri tools stay in group 0, and one group
+    // holds every endpoint's optimistic Giri tool plus a single
+    // checker.  The checker depends only on the invariants, so its
+    // verdict and truncation point are those of every per-endpoint
+    // optimistic run; the group result is field-identical to each.
+    std::vector<GiriRun> refs;
+    std::vector<OptEval> firstRound;
+    if (config.useTraceReplay) {
+        refs.reserve(tasks);
+        firstRound.reserve(tasks);
+        // Two tools per endpoint plus the checker must fit one
+        // replay's dispatch masks; wider endpoint sets take several
+        // passes.
+        constexpr std::size_t kEndpointsPerPass =
+            (exec::TraceReplayer::kMaxAttachments - 1) / 2;
+        const std::size_t passes =
+            (numEndpoints + kEndpointsPerPass - 1) / kEndpointsPerPass;
+        std::vector<std::vector<std::pair<GiriRun, OptEval>>> jobs =
+            support::runBatch(
+                workload.testingSet.size() * passes,
+                [&](std::size_t job) {
+                    const std::size_t input = job / passes;
+                    const std::size_t first =
+                        job % passes * kEndpointsPerPass;
+                    const std::size_t count =
+                        std::min(kEndpointsPerPass, numEndpoints - first);
+                    exec::TraceReplayer replayer(module, *traces[input]);
+                    std::vector<std::unique_ptr<dyn::GiriSlicer>> hybrid,
+                        opt;
+                    for (std::size_t e = 0; e < count; ++e) {
+                        hybrid.push_back(
+                            std::make_unique<dyn::GiriSlicer>(module));
+                        replayer.attach(hybrid.back().get(),
+                                        &hybridPlans[first + e]);
+                    }
+                    const exec::TraceReplayer::GroupId optGroup =
+                        replayer.addGroup();
+                    dyn::InvariantChecker checker(module, invariants,
+                                                  checkerConfig);
+                    for (std::size_t e = 0; e < count; ++e) {
+                        opt.push_back(
+                            std::make_unique<dyn::GiriSlicer>(module));
+                        replayer.attach(optGroup, opt.back().get(),
+                                        &optPlans[first + e]);
+                    }
+                    checker.setControl(&replayer.control(optGroup));
+                    replayer.attach(optGroup, &checker, &checker.plan());
+                    const std::vector<exec::RunResult> results =
+                        replayer.runGroups();
+                    std::vector<std::pair<GiriRun, OptEval>> out;
+                    for (std::size_t e = 0; e < count; ++e) {
+                        const InstrId endpoint = endpoints[first + e];
+                        out.emplace_back(
+                            collectGiriRun(results[0],
+                                           results[0].delivered[e],
+                                           *hybrid[e], endpoint, nullptr,
+                                           {}),
+                            judge(collectGiriRun(
+                                      results[1], results[1].delivered[e],
+                                      *opt[e], endpoint, &checker,
+                                      results[1].delivered[count]),
+                                  checker));
+                    }
+                    return out;
+                },
+                config.threads);
+        // Jobs run input-major, passes in endpoint order: appending
+        // their runs in job order yields task order.
+        for (auto &job : jobs) {
+            for (auto &[ref, opt] : job) {
+                refs.push_back(std::move(ref));
+                firstRound.push_back(std::move(opt));
             }
-            return runGiri(module,
-                           workload.testingSet[task / endpoints.size()],
-                           hybridPlans[e], target);
-        },
-        replayWorkers);
+        }
+    } else {
+        refs = support::runBatch(
+            tasks,
+            [&](std::size_t task) {
+                const std::size_t e = task % numEndpoints;
+                return runGiri(module,
+                               workload.testingSet[task / numEndpoints],
+                               hybridPlans[e], endpoints[e]);
+            },
+            config.threads);
+    }
 
     // Speculative runs, in adaptive rounds (same repair loop as
     // runOptFt): batch the remaining tasks under the current
@@ -533,14 +616,8 @@ runOptSlice(const workloads::Workload &workload,
     // points-to + slicing phase through the memo caches, rebuild the
     // per-endpoint plans, and restart at the following task.  Later
     // same-round evaluations are discarded, so results equal the
-    // serial repair loop at any thread count.
-    struct OptEval
-    {
-        GiriRun optimistic;
-        bool rolledBack = false;
-        bool degraded = false;
-        dyn::Violation violation;
-    };
+    // serial repair loop at any thread count.  In record-once mode the
+    // first round came out of the fused reference pass.
     std::vector<OptEval> opts(tasks);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -560,31 +637,29 @@ runOptSlice(const workloads::Workload &workload,
             break;
         }
         const std::size_t start = next;
-        const std::vector<OptEval> round = support::runBatch(
-            tasks - start,
-            [&](std::size_t k) {
-                const std::size_t task = start + k;
-                const std::size_t e = task % endpoints.size();
-                const std::vector<InstrId> target = {endpoints[e]};
-                OptEval eval;
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                eval.optimistic =
-                    config.useTraceReplay
-                        ? replayGiri(module,
-                                     *traces[task / endpoints.size()],
-                                     optPlans[e], target, &checker)
-                        : runGiri(module,
-                                  workload
-                                      .testingSet[task / endpoints.size()],
-                                  optPlans[e], target, &checker);
-                if (eval.optimistic.violated) {
-                    eval.rolledBack = true;
-                    eval.violation = checker.violation();
-                }
-                return eval;
-            },
-            config.threads);
+        const std::vector<OptEval> round =
+            start == 0 && config.useTraceReplay
+                ? std::move(firstRound)
+                : support::runBatch(
+                      tasks - start,
+                      [&](std::size_t k) {
+                          const std::size_t task = start + k;
+                          const std::size_t input = task / numEndpoints;
+                          const std::size_t e = task % numEndpoints;
+                          dyn::InvariantChecker checker(module, invariants,
+                                                        checkerConfig);
+                          GiriRun run =
+                              config.useTraceReplay
+                                  ? replayGiri(module, *traces[input],
+                                               optPlans[e], endpoints[e],
+                                               &checker)
+                                  : runGiri(module,
+                                            workload.testingSet[input],
+                                            optPlans[e], endpoints[e],
+                                            &checker);
+                          return judge(std::move(run), checker);
+                      },
+                      config.threads);
 
         next = tasks;
         for (std::size_t k = 0; k < round.size(); ++k) {

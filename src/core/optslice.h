@@ -58,21 +58,12 @@ struct OptSliceConfig
     /** Record-once/analyze-many: execute each testing input once with
      *  a TraceRecorder, then drive every per-endpoint hybrid and
      *  optimistic Giri configuration — and the rollback re-analysis —
-     *  from TraceReplayer.  All reported results are byte-identical
-     *  to the direct path; only interpretedSteps/replayedEvents (and
+     *  from TraceReplayer.  Every endpoint's hybrid and first
+     *  optimistic configuration share one decode pass per input
+     *  (replay groups).  All reported results are byte-identical to
+     *  the direct path; only interpretedSteps/replayedEvents (and
      *  wall-clock time) differ. */
     bool useTraceReplay = true;
-    /** With useTraceReplay: minimum worker width for the reference
-     *  replay batch.  Giri slices per (input, endpoint) task rather
-     *  than per address range, so replay parallelism here is axis (a)
-     *  of sharded replay — many independent tasks reading one
-     *  immutable capture concurrently; this floor lets
-     *  OHA_REPLAY_SHARDS widen those batches beyond OHA_THREADS
-     *  without touching interpreter-bound phases.  0 = the
-     *  OHA_REPLAY_SHARDS env var (validated + clamped to [1, 64];
-     *  default 1 = no widening).  Results are index-merged, hence
-     *  identical at any width. */
-    std::size_t replayShards = 0;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
      *  privately — see OptFtConfig::cacheTraceCaptures. */

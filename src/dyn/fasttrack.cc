@@ -137,15 +137,10 @@ FastTrack::onEvent(const exec::EventCtx &ctx)
 {
     switch (ctx.instr->op) {
       case ir::Opcode::Load:
-        // Shard filter: memory accesses are analyzed only by the
-        // owning shard; everything below (sync, join) mutates
-        // thread/lock clocks and runs on every shard.
-        if (ownsObject(ctx.obj))
-            read(ctx.tid, ctx);
+        read(ctx.tid, ctx);
         break;
       case ir::Opcode::Store:
-        if (ownsObject(ctx.obj))
-            write(ctx.tid, ctx);
+        write(ctx.tid, ctx);
         break;
       case ir::Opcode::Lock:
         // Acquire: thread learns everything released at this lock.
@@ -175,15 +170,6 @@ FastTrack::racePairs() const
     for (const RaceReport &race : races_)
         pairs.insert({race.first, race.second});
     return pairs;
-}
-
-std::set<RaceReport>
-mergeShardRaces(const std::vector<std::set<RaceReport>> &shardRaces)
-{
-    std::set<RaceReport> merged;
-    for (const std::set<RaceReport> &shard : shardRaces)
-        merged.insert(shard.begin(), shard.end());
-    return merged;
 }
 
 } // namespace oha::dyn

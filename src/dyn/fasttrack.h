@@ -51,25 +51,6 @@ class FastTrack : public exec::Tool
     /** All distinct races observed (instruction pairs + location). */
     const std::set<RaceReport> &races() const { return races_; }
 
-    /**
-     * Restrict memory-access analysis to one shard of shadow memory:
-     * Load/Store events for objects with obj % numShards != shard
-     * are dropped at delivery.  Sync, spawn/join and thread-lifecycle
-     * events are always processed, so every shard maintains the full
-     * thread/lock vector-clock state — accesses to an owned object
-     * see exactly the clocks a serial detector would, which makes the
-     * union of per-shard race sets equal the serial race set (each
-     * (obj, off) is owned by exactly one shard).  No-op at
-     * numShards <= 1 (the default).
-     */
-    void
-    setShardFilter(std::uint32_t shard, std::uint32_t numShards)
-    {
-        OHA_ASSERT(numShards >= 1 && shard < numShards);
-        shard_ = shard;
-        numShards_ = numShards;
-    }
-
     /** Distinct racing instruction pairs (order-normalized). */
     std::set<std::pair<InstrId, InstrId>> racePairs() const;
 
@@ -124,14 +105,6 @@ class FastTrack : public exec::Tool
     void write(ThreadId tid, const exec::EventCtx &ctx);
     void report(InstrId prev, InstrId cur, const exec::EventCtx &ctx);
 
-    bool
-    ownsObject(exec::ObjectId obj) const
-    {
-        return numShards_ <= 1 || obj % numShards_ == shard_;
-    }
-
-    std::uint32_t shard_ = 0;
-    std::uint32_t numShards_ = 1;
     std::vector<VectorClock> threads_;
     /** Lock release clocks, dense by object id (objects are heap
      *  indices, so the table is as compact as the heap itself). */
@@ -141,17 +114,5 @@ class FastTrack : public exec::Tool
     std::set<RaceReport> races_;
     std::uint64_t readSlowPathUpdates_ = 0;
 };
-
-/**
- * Deterministic merge of per-shard race sets from a sharded replay.
- * Each shard owns a disjoint slice of shadow memory, so the shard
- * sets are disjoint-by-location and their union under RaceReport's
- * total order (first, second, obj, off — instruction pairs are
- * recorded epoch-ordered and normalized by the detector) reproduces
- * the serial detector's race set byte-for-byte, independent of shard
- * count and completion order.
- */
-std::set<RaceReport>
-mergeShardRaces(const std::vector<std::set<RaceReport>> &shardRaces);
 
 } // namespace oha::dyn

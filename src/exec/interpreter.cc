@@ -307,7 +307,7 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
         auto fire = [&] {
             ++totalEvents_.counts[static_cast<std::size_t>(cls)];
             if (recorder_)
-                recorder_->recordEvent(cls, tid, ins, ctx);
+                recorder_->recordEvent(tid, ins, ctx);
             if (evMask)
                 fireEvent(ctx, evMask, cls);
         };
@@ -377,7 +377,10 @@ Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
             const Value &base = pointerOperand(ins.a);
             const std::int64_t field =
                 ins.b != ir::kNoReg ? regRead(fr, ins.b).num : ins.imm;
-            const std::int64_t off = static_cast<std::int64_t>(base.off) + field;
+            std::int64_t off;
+            if (__builtin_add_overflow(static_cast<std::int64_t>(base.off),
+                                       field, &off))
+                guestError("pointer offset out of range");
             if (off < 0)
                 guestError("negative pointer offset");
             reg(fr, ins.dest) =

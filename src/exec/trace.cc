@@ -19,8 +19,8 @@ namespace oha::exec {
 namespace {
 
 // Global mmap accounting: tests assert that replaying a spilled
-// capture keeps peak resident trace bytes O(segment size × shards)
-// rather than O(trace size).
+// capture keeps peak resident trace bytes O(segment size × concurrent
+// replays) rather than O(trace size).
 std::atomic<std::size_t> g_mappedNow{0};
 std::atomic<std::size_t> g_mappedPeak{0};
 
@@ -176,15 +176,10 @@ bool
 SpillFile::append(const void *data, std::size_t len,
                   std::uint64_t &offsetOut)
 {
-    const std::uint64_t rollback = size_;
-    static constexpr std::uint8_t zeros[8] = {};
-    const auto pad = static_cast<std::size_t>((8 - size_ % 8) % 8);
-    bool ok = pad == 0 || writeAll(zeros, pad);
     const std::uint64_t start = size_;
-    ok = ok && writeAll(static_cast<const std::uint8_t *>(data), len);
-    if (!ok) {
-        if (::ftruncate(fd_, static_cast<::off_t>(rollback)) == 0)
-            size_ = rollback;
+    if (!writeAll(static_cast<const std::uint8_t *>(data), len)) {
+        if (::ftruncate(fd_, static_cast<::off_t>(start)) == 0)
+            size_ = start;
         return false;
     }
     offsetOut = start;
@@ -228,7 +223,6 @@ TraceStore::closeOpenSegment()
     Segment segment;
     segment.header = openHeader_;
     segment.header.bytes = bytes;
-    segment.header.leanEntries = openLean_.size();
     if (captureValues_)
         segment.header.flags |= SegmentHeader::kFlagHasValues;
 
@@ -263,30 +257,11 @@ TraceStore::closeOpenSegment()
         residentClosed_ += bytes;
         ++spillStats_.ramFallbackSegments;
     }
-    // The sidecar index spills with its segment; on failure it stays
-    // in RAM like the stream bytes would.
-    bool leanOnDisk = false;
-    if (onDisk && !openLean_.empty()) {
-        leanOnDisk = file_->append(openLean_.data(),
-                                   openLean_.size() * sizeof(LeanEvent),
-                                   segment.leanFileOffset);
-        if (!leanOnDisk) {
-            // Same dying-disk response as the stream bytes: keep what
-            // is already spilled, stop issuing further disk writes.
-            spillFailed_ = true;
-            spillStats_.lastErrno = file_->lastErrno();
-        }
-    }
-    if (!leanOnDisk && !openLean_.empty()) {
-        leanResident_ += openLean_.size() * sizeof(LeanEvent);
-        segment.lean = std::move(openLean_);
-    }
     totalBytes_ += bytes;
     segments_.push_back(std::move(segment));
 
     open_ = TraceBuffer();
     openHeader_ = SegmentHeader{};
-    openLean_.clear();
 }
 
 void
@@ -304,20 +279,14 @@ TraceStore::finish()
         Segment segment;
         segment.header = openHeader_;
         segment.header.bytes = bytes;
-        segment.header.leanEntries = openLean_.size();
         if (captureValues_)
             segment.header.flags |= SegmentHeader::kFlagHasValues;
         segment.buffer = std::make_unique<TraceBuffer>(std::move(open_));
         residentClosed_ += bytes;
-        if (!openLean_.empty()) {
-            leanResident_ += openLean_.size() * sizeof(LeanEvent);
-            segment.lean = std::move(openLean_);
-        }
         totalBytes_ += bytes;
         segments_.push_back(std::move(segment));
         open_ = TraceBuffer();
         openHeader_ = SegmentHeader{};
-        openLean_.clear();
     }
     finished_ = true;
 }
@@ -344,30 +313,6 @@ TraceStore::cursor(std::size_t i) const
         cursor.keepAlive_ = std::move(mapping);
     }
     return cursor;
-}
-
-TraceStore::LeanIndexView
-TraceStore::leanIndex(std::size_t i) const
-{
-    OHA_ASSERT(i < segments_.size());
-    const Segment &segment = segments_[i];
-    LeanIndexView view;
-    view.count = static_cast<std::size_t>(segment.header.leanEntries);
-    if (view.count == 0)
-        return view;
-    if (!segment.lean.empty()) {
-        view.data = segment.lean.data();
-        return view;
-    }
-    auto mapping = file_->map(segment.leanFileOffset,
-                              view.count * sizeof(LeanEvent));
-    OHA_ASSERT(mapping, "cannot map spilled trace sidecar index");
-    // append() aligned leanFileOffset to 8 bytes and the mapping base
-    // is page-aligned, so the head-slack-adjusted pointer satisfies
-    // alignof(LeanEvent).
-    view.data = reinterpret_cast<const LeanEvent *>(mapping->data());
-    view.keepAlive = std::move(mapping);
-    return view;
 }
 
 // ------------------------------------------------------------- persistence
@@ -397,8 +342,8 @@ namespace {
 // Capture meta encoding, shared between the capture-file meta block
 // and the snapshot-embedded blob form.  Bump when any serialized
 // field changes; readers reject other versions (recompute, don't
-// guess).
-constexpr std::uint32_t kTraceMetaVersion = 1;
+// guess).  Version 2 dropped the per-segment sidecar index.
+constexpr std::uint32_t kTraceMetaVersion = 2;
 
 void
 serializeRunResult(support::ByteWriter &out, const RunResult &result)
@@ -486,7 +431,6 @@ serializeSegmentHeader(support::ByteWriter &out, const SegmentHeader &header)
     out.u64(header.firstInstr);
     out.u64(header.lastInstr);
     out.u64(header.bytes);
-    out.u64(header.leanEntries);
     out.u8(header.flags);
 }
 
@@ -499,7 +443,6 @@ deserializeSegmentHeader(support::ByteReader &in, SegmentHeader &header)
     const std::uint64_t firstInstr = in.u64();
     const std::uint64_t lastInstr = in.u64();
     header.bytes = in.u64();
-    header.leanEntries = in.u64();
     header.flags = in.u8();
     if (firstInstr > kNoInstr || lastInstr > kNoInstr)
         return false;
@@ -553,8 +496,8 @@ deserializeTraceMeta(support::ByteReader &in, TraceMeta &meta)
     const std::uint64_t numSegments = in.u64();
     if (!deserializeRunResult(in, meta.result))
         return false;
-    // 57 bytes per serialized header.
-    if (numSegments > in.remaining() / 57)
+    // 49 bytes per serialized header.
+    if (numSegments > in.remaining() / 49)
         return false;
     meta.headers.resize(static_cast<std::size_t>(numSegments));
     std::uint64_t stepSum = 0;
@@ -591,7 +534,6 @@ persistTrace(const RecordedTrace &trace, const std::string &path,
     writer.addBlock(meta.data());
 
     for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        const TraceStore::Segment &segment = store.segments_[i];
         writer.beginBlock();
         const bool ok = store.forEachSegmentBytes(
             i, [&](const std::uint8_t *data, std::size_t len) {
@@ -605,30 +547,6 @@ persistTrace(const RecordedTrace &trace, const std::string &path,
             OHA_WARN("trace persist to %s failed: segment %zu unmappable",
                      path.c_str(), i);
             return false;
-        }
-        // Sidecar block (possibly empty) — keeps a fixed
-        // 1 + 2*segments block layout the loader can validate.
-        if (!segment.lean.empty()) {
-            writer.addBlock(segment.lean.data(),
-                            segment.lean.size() * sizeof(LeanEvent));
-        } else if (segment.header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(segment.header.leanEntries) *
-                sizeof(LeanEvent);
-            auto mapping =
-                store.file_->map(segment.leanFileOffset, leanBytes);
-            if (!mapping) {
-                if (errorOut)
-                    *errorOut = path + ": cannot map spilled sidecar " +
-                                std::to_string(i);
-                OHA_WARN("trace persist to %s failed: sidecar %zu "
-                         "unmappable",
-                         path.c_str(), i);
-                return false;
-            }
-            writer.addBlock(mapping->data(), leanBytes);
-        } else {
-            writer.addBlock(nullptr, 0);
         }
     }
 
@@ -673,19 +591,14 @@ loadTrace(const std::string &path, std::string *errorOut)
     TraceMeta meta;
     if (!deserializeTraceMeta(metaIn, meta) || metaIn.remaining() != 0)
         return reject("corrupt meta block");
-    if (reader->numBlocks() != 1 + 2 * meta.headers.size())
+    if (reader->numBlocks() != 1 + meta.headers.size())
         return reject("block count does not match segment table");
 
-    // Cross-check every segment/sidecar block length against the
-    // header table before adopting anything.
+    // Cross-check every segment block length against the header table
+    // before adopting anything.
     for (std::size_t i = 0; i < meta.headers.size(); ++i) {
-        const SegmentHeader &header = meta.headers[i];
-        if (reader->blockLength(1 + 2 * i) != header.bytes)
+        if (reader->blockLength(1 + i) != meta.headers[i].bytes)
             return reject("segment " + std::to_string(i) +
-                          " length mismatch");
-        if (reader->blockLength(2 + 2 * i) !=
-            header.leanEntries * sizeof(LeanEvent))
-            return reject("sidecar " + std::to_string(i) +
                           " length mismatch");
     }
 
@@ -698,11 +611,10 @@ loadTrace(const std::string &path, std::string *errorOut)
     TraceStore store(options);
 
     const std::uint64_t fileSize = reader->fileSize();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> offsets;
+    std::vector<std::uint64_t> offsets;
     offsets.reserve(meta.headers.size());
     for (std::size_t i = 0; i < meta.headers.size(); ++i)
-        offsets.push_back({reader->blockOffset(1 + 2 * i),
-                           reader->blockOffset(2 + 2 * i)});
+        offsets.push_back(reader->blockOffset(1 + i));
     store.file_ = SpillFile::adoptReadOnly(reader->releaseFd(), fileSize);
 
     for (std::size_t i = 0; i < meta.headers.size(); ++i) {
@@ -711,8 +623,7 @@ loadTrace(const std::string &path, std::string *errorOut)
         // Every loaded segment replays through an mmap window of the
         // capture file, whether or not it was spilled at record time.
         segment.header.flags |= SegmentHeader::kFlagSpilled;
-        segment.fileOffset = offsets[i].first;
-        segment.leanFileOffset = offsets[i].second;
+        segment.fileOffset = offsets[i];
         store.totalBytes_ +=
             static_cast<std::size_t>(segment.header.bytes);
         ++store.spillStats_.spilledSegments;
@@ -730,13 +641,6 @@ loadTrace(const std::string &path, std::string *errorOut)
                                   segment.header.bytes)))
             return reject("segment " + std::to_string(i) +
                           " unmappable");
-        if (segment.header.leanEntries > 0 &&
-            !store.file_->map(segment.leanFileOffset,
-                              static_cast<std::size_t>(
-                                  segment.header.leanEntries) *
-                                  sizeof(LeanEvent)))
-            return reject("sidecar " + std::to_string(i) +
-                          " unmappable");
     }
 
     trace->events = std::move(store);
@@ -753,26 +657,12 @@ serializeRecordedTrace(const RecordedTrace &trace, support::ByteWriter &out)
                            return store.header(i);
                        });
     for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        const TraceStore::Segment &segment = store.segments_[i];
-        bool ok = store.forEachSegmentBytes(
+        const bool ok = store.forEachSegmentBytes(
             i, [&](const std::uint8_t *data, std::size_t len) {
                 out.bytes(data, len);
             });
         if (!ok)
             return false;
-        if (!segment.lean.empty()) {
-            out.bytes(segment.lean.data(),
-                      segment.lean.size() * sizeof(LeanEvent));
-        } else if (segment.header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(segment.header.leanEntries) *
-                sizeof(LeanEvent);
-            auto mapping =
-                store.file_->map(segment.leanFileOffset, leanBytes);
-            if (!mapping)
-                return false;
-            out.bytes(mapping->data(), leanBytes);
-        }
     }
     return true;
 }
@@ -783,10 +673,10 @@ deserializeRecordedTrace(support::ByteReader &in)
     TraceMeta meta;
     if (!deserializeTraceMeta(in, meta))
         return nullptr;
-    // The remaining payload must hold every segment + sidecar.
+    // The remaining payload must hold every segment.
     std::uint64_t needed = 0;
     for (const SegmentHeader &header : meta.headers)
-        needed += header.bytes + header.leanEntries * sizeof(LeanEvent);
+        needed += header.bytes;
     if (needed > in.remaining())
         return nullptr;
 
@@ -846,31 +736,6 @@ deserializeRecordedTrace(support::ByteReader &in)
             if (wasSpilled)
                 ++store.spillStats_.ramFallbackSegments;
         }
-
-        if (header.leanEntries > 0) {
-            const std::size_t leanBytes =
-                static_cast<std::size_t>(header.leanEntries) *
-                sizeof(LeanEvent);
-            const std::uint8_t *leanPayload = in.bytes(leanBytes);
-            if (!leanPayload)
-                return nullptr;
-            bool leanOnDisk = false;
-            if (onDisk) {
-                leanOnDisk = store.file_->append(
-                    leanPayload, leanBytes, segment.leanFileOffset);
-                if (!leanOnDisk) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno =
-                        store.file_->lastErrno();
-                }
-            }
-            if (!leanOnDisk) {
-                segment.lean.resize(
-                    static_cast<std::size_t>(header.leanEntries));
-                std::memcpy(segment.lean.data(), leanPayload, leanBytes);
-                store.leanResident_ += leanBytes;
-            }
-        }
         store.totalBytes_ += bytes;
         store.segments_.push_back(std::move(segment));
     }
@@ -904,56 +769,123 @@ recordRun(const ir::Module &module, const ExecConfig &config,
 
 // ------------------------------------------------------------------ replay
 
+/** One attachment group's abort control, plus the result frozen when
+ *  the replay stops the group at an instruction boundary. */
+class TraceReplayer::Group final : public ExecutionControl
+{
+  public:
+    explicit Group(bool *abortPending) : abortPending_(abortPending) {}
+    Group(const Group &) = delete;
+    Group &operator=(const Group &) = delete;
+
+    void
+    requestAbort(std::string reason) override
+    {
+        if (!abortRequested) {
+            abortRequested = true;
+            abortReason = std::move(reason);
+            *abortPending_ = true;
+        }
+    }
+
+    void
+    requestAbort(std::string reason, const AbortMetadata &meta) override
+    {
+        if (!abortRequested) {
+            abortMeta = meta;
+            requestAbort(std::move(reason));
+        }
+    }
+
+    bool abortRequested = false;
+    std::string abortReason;
+    AbortMetadata abortMeta;
+    /** Dispatch-mask bits of this group's attachments. */
+    std::uint64_t bits = 0;
+    bool stopped = false;
+    /** Valid once stopped; outputs are filled in at the end. */
+    RunResult result;
+    std::size_t outputsAtStop = 0;
+
+  private:
+    bool *abortPending_;
+};
+
+TraceReplayer::TraceReplayer(const ir::Module &module,
+                             const RecordedTrace &trace)
+    : module_(module), trace_(trace)
+{
+    addGroup();
+}
+
+TraceReplayer::~TraceReplayer() = default;
+
+TraceReplayer::GroupId
+TraceReplayer::addGroup()
+{
+    groups_.push_back(std::make_unique<Group>(&abortPending_));
+    return groups_.size() - 1;
+}
+
+void
+TraceReplayer::attach(GroupId group, Tool *tool,
+                      const InstrumentationPlan *plan)
+{
+    OHA_ASSERT(tool && plan && group < groups_.size());
+    OHA_ASSERT(attachments_.size() < kMaxAttachments,
+               "dispatch masks hold at most 64 attachments");
+    attachments_.push_back({tool, plan, group});
+}
+
+ExecutionControl &
+TraceReplayer::control(GroupId group)
+{
+    OHA_ASSERT(group < groups_.size());
+    return *groups_[group];
+}
+
 void
 TraceReplayer::requestAbort(std::string reason)
 {
-    if (!abortRequested_) {
-        abortRequested_ = true;
-        abortReason_ = std::move(reason);
-    }
+    groups_[0]->requestAbort(std::move(reason));
 }
 
 void
 TraceReplayer::requestAbort(std::string reason, const AbortMetadata &meta)
 {
-    if (!abortRequested_) {
-        abortMeta_ = meta;
-        requestAbort(std::move(reason));
-    }
+    groups_[0]->requestAbort(std::move(reason), meta);
 }
 
-RunResult
-TraceReplayer::run()
+std::vector<RunResult>
+TraceReplayer::runGroups()
 {
-    if (numShards_ > 1 && shard_ != 0)
-        return runLeanShard();
-
-    RunResult result;
-    result.delivered.assign(attachments_.size(), EventCounts{});
-
-    // Same per-site dispatch snapshot as Interpreter::run(): low byte
-    // = attachment cover bits, high byte = event class.
+    // Same per-site dispatch snapshot as Interpreter::run(), widened
+    // to one bit per attachment across all groups.
+    struct Site
+    {
+        std::uint64_t mask;
+        EventClass cls;
+    };
     const std::size_t numInstrs = module_.numInstrs();
     const std::size_t numBlocks = module_.numBlocks();
-    OHA_ASSERT(attachments_.size() <= 8,
-               "dispatch masks hold at most 8 attachments");
-    std::vector<std::uint16_t> dispatch(numInstrs);
-    for (InstrId id = 0; id < numInstrs; ++id) {
-        dispatch[id] = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(eventClassOf(module_.instr(id).op))
-            << 8);
-    }
-    std::vector<std::uint8_t> blockMask(numBlocks, 0);
+    std::vector<Site> dispatch(numInstrs);
+    for (InstrId id = 0; id < numInstrs; ++id)
+        dispatch[id] = {0, eventClassOf(module_.instr(id).op)};
+    std::vector<std::uint64_t> blockMask(numBlocks, 0);
+    std::uint64_t liveMask = 0;
     for (std::size_t i = 0; i < attachments_.size(); ++i) {
         const InstrumentationPlan &plan = *attachments_[i].plan;
-        const auto bit = static_cast<std::uint16_t>(1u << i);
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        liveMask |= bit;
+        groups_[attachments_[i].group]->bits |= bit;
         for (InstrId id = 0; id < numInstrs; ++id)
             if (plan.coversInstr(id))
-                dispatch[id] |= bit;
+                dispatch[id].mask |= bit;
         for (BlockId id = 0; id < numBlocks; ++id)
             if (plan.coversBlock(id))
-                blockMask[id] |= static_cast<std::uint8_t>(1u << i);
+                blockMask[id] |= bit;
     }
+    std::vector<EventCounts> delivered(attachments_.size());
 
     // Shadow call stacks: the interpreter assigns frame ids globally
     // sequentially from 1 (main's root first), and the record stream
@@ -968,15 +900,46 @@ TraceReplayer::run()
     std::uint64_t nextFrameId = 1;
 
     const TraceStore &store = trace_.events;
+    EventCounts totalEvents;
+    std::vector<std::pair<InstrId, std::int64_t>> outputs;
     std::uint64_t stepsStarted = 0;
     std::uint32_t numThreads = 0;
-    bool truncated = false;
+    std::size_t liveGroups = groups_.size();
+
+    // Freeze every group with a pending abort at the current
+    // instruction boundary — exactly where a standalone replay of the
+    // group would stop — and drop its tools from every dispatch path.
+    const auto stopAbortedGroups = [&] {
+        abortPending_ = false;
+        for (const std::unique_ptr<Group> &group : groups_) {
+            if (group->stopped || !group->abortRequested)
+                continue;
+            group->stopped = true;
+            --liveGroups;
+            RunResult &result = group->result;
+            result.status = RunResult::Status::Aborted;
+            result.abortReason = group->abortReason;
+            result.abortMeta = group->abortMeta;
+            result.steps = stepsStarted;
+            result.totalEvents = totalEvents;
+            result.numThreads = numThreads;
+            group->outputsAtStop = outputs.size();
+            if (group->bits == 0)
+                continue;
+            liveMask &= ~group->bits;
+            for (Site &site : dispatch)
+                site.mask &= ~group->bits;
+            for (std::uint64_t &mask : blockMask)
+                mask &= ~group->bits;
+        }
+    };
 
     // Segments decode standalone (delta chains restart per segment);
     // a spilled segment is mapped only while its cursor lives, so
     // peak resident trace bytes track the segment size, not the
     // trace size.
-    for (std::size_t seg = 0; seg < store.numSegments() && !truncated;
+    bool allStopped = false;
+    for (std::size_t seg = 0; seg < store.numSegments() && !allStopped;
          ++seg) {
         const bool hasValues =
             store.header(seg).flags & SegmentHeader::kFlagHasValues;
@@ -991,11 +954,15 @@ TraceReplayer::run()
             // Step flag: this record begins a new guest instruction.
             // A live run honours an abort at the next instruction
             // boundary (the aborting instruction completes all its
-            // deliveries); stopping here reproduces that exactly.
+            // deliveries); stopping the group here reproduces that
+            // exactly.
             if (header & 4) {
-                if (abortRequested_) {
-                    truncated = true;
-                    break;
+                if (abortPending_) {
+                    stopAbortedGroups();
+                    if (liveGroups == 0) {
+                        allStopped = true;
+                        break;
+                    }
                 }
                 ++stepsStarted;
             }
@@ -1008,10 +975,9 @@ TraceReplayer::run()
                 prevInstr += reader.zigzag();
                 const auto id = static_cast<InstrId>(prevInstr);
                 const ir::Instruction &ins = module_.instr(id);
-                const std::uint16_t disp = dispatch[id];
-                auto evMask = static_cast<std::uint8_t>(disp & 0xff);
-                const auto cls = static_cast<EventClass>(disp >> 8);
-                ++result.totalEvents[cls];
+                const Site &site = dispatch[id];
+                const EventClass cls = site.cls;
+                ++totalEvents[cls];
 
                 // Decode the payload into locals first: most records
                 // are not covered by any attached plan, and for those
@@ -1032,12 +998,6 @@ TraceReplayer::run()
                     off = static_cast<std::uint32_t>(reader.varint());
                     if (hasValues)
                         value = decodeTraceValue(reader);
-                    // Shard filter: a non-owned access still advances
-                    // the stream/delta state and the totals above,
-                    // but skips context construction and delivery —
-                    // the owning shard is the one that analyzes it.
-                    if (numShards_ > 1 && !ownsObject(obj))
-                        evMask = 0;
                     break;
                   case ir::Opcode::Lock:
                   case ir::Opcode::Unlock:
@@ -1056,13 +1016,13 @@ TraceReplayer::run()
                     otherTid = static_cast<ThreadId>(reader.varint());
                     break;
                   case ir::Opcode::Output:
-                    result.outputs.push_back({ins.id, reader.zigzag()});
+                    outputs.push_back({ins.id, reader.zigzag()});
                     break;
                   default:
                     break;
                 }
 
-                if (evMask) {
+                if (site.mask) {
                     std::vector<SimFrame> &stack = stacks[tid];
                     EventCtx ctx;
                     ctx.tid = tid;
@@ -1090,11 +1050,11 @@ TraceReplayer::run()
                       default:
                         break;
                     }
-                    for (std::uint8_t mask = evMask; mask;
-                         mask &= static_cast<std::uint8_t>(mask - 1)) {
-                        const unsigned i =
+                    for (std::uint64_t mask = site.mask; mask;
+                         mask &= mask - 1) {
+                        const auto i =
                             static_cast<unsigned>(std::countr_zero(mask));
-                        ++result.delivered[i][cls];
+                        ++delivered[i][cls];
                         attachments_[i].tool->onEvent(ctx);
                     }
                 }
@@ -1113,12 +1073,12 @@ TraceReplayer::run()
               case TraceRecorder::kBlockEnter: {
                 prevBlock += reader.zigzag();
                 const auto block = static_cast<BlockId>(prevBlock);
-                ++result.totalEvents[EventClass::BlockEnter];
-                for (std::uint8_t mask = blockMask[block]; mask;
-                     mask &= static_cast<std::uint8_t>(mask - 1)) {
-                    const unsigned i =
+                ++totalEvents[EventClass::BlockEnter];
+                for (std::uint64_t mask = blockMask[block]; mask;
+                     mask &= mask - 1) {
+                    const auto i =
                         static_cast<unsigned>(std::countr_zero(mask));
-                    ++result.delivered[i][EventClass::BlockEnter];
+                    ++delivered[i][EventClass::BlockEnter];
                     attachments_[i].tool->onBlockEnter(tid, block);
                 }
                 break;
@@ -1134,140 +1094,54 @@ TraceReplayer::run()
                     stacks.resize(tid + 1);
                 stacks[tid].push_back({nextFrameId++, nullptr});
                 ++numThreads;
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadStart(tid, parent, spawnSite);
+                for (std::uint64_t mask = liveMask; mask; mask &= mask - 1)
+                    attachments_[std::countr_zero(mask)]
+                        .tool->onThreadStart(tid, parent, spawnSite);
                 break;
               }
               case TraceRecorder::kThreadFinish: {
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadFinish(tid);
+                for (std::uint64_t mask = liveMask; mask; mask &= mask - 1)
+                    attachments_[std::countr_zero(mask)]
+                        .tool->onThreadFinish(tid);
                 break;
               }
             }
         }
     }
+    // An abort requested by the stream's last instruction has no
+    // further boundary to stop at: the group ends aborted, with every
+    // step counted.
+    if (abortPending_)
+        stopAbortedGroups();
 
-    result.numThreads = numThreads;
-    if (abortRequested_) {
-        // Aborted mid-replay (whether or not records remained): a
-        // live run would finish the aborting instruction and stop at
-        // the top of the scheduler loop with exactly this step count.
-        (void)truncated;
-        result.status = RunResult::Status::Aborted;
-        result.abortReason = abortReason_;
-        result.abortMeta = abortMeta_;
-        result.steps = stepsStarted;
-    } else {
-        result.status = trace_.result.status;
-        result.abortReason = trace_.result.abortReason;
-        result.abortMeta = trace_.result.abortMeta;
-        result.steps = trace_.result.steps;
-        result.schedule = trace_.result.schedule;
-        OHA_ASSERT(stepsStarted == trace_.result.steps,
-                   "trace step flags diverge from recorded step count");
-    }
-    return result;
-}
-
-RunResult
-TraceReplayer::runLeanShard()
-{
-    // Worker decode for shards > 0 (shard 0 runs the full loop): the
-    // aggregate throughput of an N-shard replay is bounded by how
-    // cheaply the N-1 extra workers can reach their partition's
-    // events.  Workers therefore never touch the encoded stream at
-    // all — they walk the pre-decoded LeanEvent sidecar the recorder
-    // captured per segment, so a worker costs O(access + sync
-    // events) instead of O(stream bytes).  See the class comment for
-    // the reduced-RunResult contract.
-    RunResult result;
-    result.delivered.assign(attachments_.size(), EventCounts{});
-
-    // Lean shards replay only sidecar classes; a plan covering
-    // anything else (calls, rets, blocks, outputs) belongs on the
-    // primary.
-    for (const Attachment &attachment : attachments_) {
-        for (InstrId id = 0; id < module_.numInstrs(); ++id) {
-            if (!attachment.plan->coversInstr(id))
-                continue;
-            switch (module_.instr(id).op) {
-              case ir::Opcode::Load:
-              case ir::Opcode::Store:
-              case ir::Opcode::Lock:
-              case ir::Opcode::Unlock:
-              case ir::Opcode::Spawn:
-              case ir::Opcode::Join:
-                break;
-              default:
-                OHA_ASSERT(false, "plan covering a non-sidecar "
-                                  "instruction on a lean worker shard");
-            }
+    std::vector<RunResult> results;
+    results.reserve(groups_.size());
+    for (const std::unique_ptr<Group> &group : groups_) {
+        RunResult result;
+        if (group->stopped) {
+            result = std::move(group->result);
+            result.outputs.assign(outputs.begin(),
+                                  outputs.begin() +
+                                      static_cast<std::ptrdiff_t>(
+                                          group->outputsAtStop));
+        } else {
+            OHA_ASSERT(stepsStarted == trace_.result.steps,
+                       "trace step flags diverge from recorded step count");
+            result.status = trace_.result.status;
+            result.abortReason = trace_.result.abortReason;
+            result.abortMeta = trace_.result.abortMeta;
+            result.steps = trace_.result.steps;
+            result.schedule = trace_.result.schedule;
+            result.totalEvents = totalEvents;
+            result.numThreads = numThreads;
+            result.outputs = outputs;
         }
-        for (BlockId id = 0; id < module_.numBlocks(); ++id)
-            OHA_ASSERT(!attachment.plan->coversBlock(id),
-                       "block-covering plan on a lean worker shard");
+        for (std::size_t i = 0; i < attachments_.size(); ++i)
+            if (groups_[attachments_[i].group] == group)
+                result.delivered.push_back(delivered[i]);
+        results.push_back(std::move(result));
     }
-
-    const TraceStore &store = trace_.events;
-    std::uint32_t numThreads = 0;
-    for (std::size_t seg = 0; seg < store.numSegments(); ++seg) {
-        const TraceStore::LeanIndexView index = store.leanIndex(seg);
-        for (std::size_t i = 0; i < index.count; ++i) {
-            const LeanEvent &event = index.data[i];
-            switch (event.cls) {
-              case LeanEvent::kThreadStartCls: {
-                ++numThreads;
-                const InstrId site =
-                    event.off == 0
-                        ? kNoInstr
-                        : static_cast<InstrId>(event.off - 1);
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadStart(
-                        event.tid, static_cast<ThreadId>(event.aux),
-                        site);
-                break;
-              }
-              case LeanEvent::kThreadFinishCls:
-                for (const Attachment &attachment : attachments_)
-                    attachment.tool->onThreadFinish(event.tid);
-                break;
-              default: {
-                const auto cls = static_cast<EventClass>(event.cls);
-                if ((cls == EventClass::Load ||
-                     cls == EventClass::Store) &&
-                    !ownsObject(event.obj))
-                    break;
-                const ir::Instruction &ins = module_.instr(event.instr);
-                EventCtx ctx;
-                ctx.tid = event.tid;
-                ctx.instr = &ins;
-                ctx.obj = event.obj;
-                ctx.off = event.off;
-                ctx.otherTid = static_cast<ThreadId>(event.aux);
-                ctx.calleeResolved = ins.callee;
-                for (std::size_t a = 0; a < attachments_.size(); ++a) {
-                    if (!attachments_[a].plan->coversInstr(event.instr))
-                        continue;
-                    ++result.delivered[a][cls];
-                    attachments_[a].tool->onEvent(ctx);
-                }
-                break;
-              }
-            }
-        }
-    }
-
-    // The sidecar carries no step flags, so a mid-replay abort has no
-    // step boundary to stop at; aborting tools (invariant checkers)
-    // belong on the primary shard.
-    OHA_ASSERT(!abortRequested_,
-               "aborting tool attached to a lean worker shard");
-    result.numThreads = numThreads;
-    result.status = trace_.result.status;
-    result.abortReason = trace_.result.abortReason;
-    result.abortMeta = trace_.result.abortMeta;
-    result.steps = trace_.result.steps;
-    return result;
+    return results;
 }
 
 // ----------------------------------------------------------------- testing

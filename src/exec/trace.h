@@ -26,8 +26,7 @@
  * read-only mmap windows — one segment mapped at a time per replay —
  * so peak resident trace bytes are O(segment size × concurrent
  * replays), not O(trace size).  Segments are immutable after close:
- * any number of replays (different tools, different shards) may read
- * one capture concurrently.
+ * any number of replays may read one capture concurrently.
  *
  * Encoding (varint/zigzag-delta, one record per fired event):
  *
@@ -74,7 +73,9 @@
  *
  * Replay fidelity: delivered events, ordering, per-tool counts, step
  * counts, outputs and abort semantics are byte-identical to a live
- * run of the same tools under the same plans.
+ * run of the same tools under the same plans.  One replay pass can
+ * drive several attachment groups at once (see TraceReplayer), so a
+ * capture is decoded once however many configurations analyze it.
  */
 
 #pragma once
@@ -208,7 +209,6 @@ struct SegmentHeader
     InstrId firstInstr = kNoInstr; ///< first instr-event site (or kNoInstr)
     InstrId lastInstr = kNoInstr;  ///< last instr-event site (or kNoInstr)
     std::uint64_t bytes = 0;     ///< encoded payload length
-    std::uint64_t leanEntries = 0; ///< sidecar LeanEvent count
     std::uint8_t flags = 0;
 
     /** Load/Store records carry a trailing value payload. */
@@ -216,37 +216,6 @@ struct SegmentHeader
     /** Segment lives in the spill file, not in RAM. */
     static constexpr std::uint8_t kFlagSpilled = 2;
 };
-
-/**
- * One pre-decoded sidecar entry for the lean worker decode of a
- * sharded replay.  The recorder appends these alongside the encoded
- * stream for exactly the event classes a race-detection worker
- * consumes — Load/Store accesses, Lock/Unlock, Spawn/Join, and
- * thread lifecycle — at the moment it already holds the decoded
- * fields, so capture cost is one 24-byte store per relevant event.
- * Worker shards then replay from this index in O(relevant events)
- * instead of decoding the full stream; value payloads are
- * deliberately omitted (no sync/race tool reads them — tools that do
- * attach to the full-fidelity primary shard).
- */
-struct LeanEvent
-{
-    InstrId instr = kNoInstr; ///< event site; kNoInstr for lifecycle
-    ObjectId obj = 0;         ///< access/lock object (else 0)
-    /** Access/lock offset; for ThreadStart, spawnSite + 1 (0 = none). */
-    std::uint32_t off = 0;
-    ThreadId tid = 0;
-    /** Spawn/Join: other tid; ThreadStart: parent tid. */
-    std::uint32_t aux = 0;
-    /** EventClass, or one of the lifecycle markers below. */
-    std::uint8_t cls = 0;
-    std::uint8_t pad_[3] = {0, 0, 0};
-
-    static constexpr std::uint8_t kThreadStartCls = 0xfe;
-    static constexpr std::uint8_t kThreadFinishCls = 0xff;
-};
-static_assert(sizeof(LeanEvent) == 24 && alignof(LeanEvent) == 4,
-              "LeanEvent layout is an on-disk format");
 
 /**
  * Unlinked on-disk overflow file shared by all spilled segments of
@@ -306,10 +275,8 @@ class SpillFile
     /** errno of the most recent failed write/create (0 = none). */
     int lastErrno() const { return lastErrno_; }
 
-    /** Append @p len raw bytes, first padding the file to an 8-byte
-     *  offset so mmap'd LeanEvent arrays land naturally aligned
-     *  (page-aligned mapping base + 8-aligned head slack).  Same
-     *  failure contract as the buffer overload. */
+    /** Append @p len raw bytes (re-spilling a restored segment).
+     *  Same failure contract as the buffer overload. */
     bool append(const void *data, std::size_t len,
                 std::uint64_t &offsetOut);
 
@@ -510,10 +477,6 @@ class TraceStore
         openHeader_.lastInstr = id;
     }
 
-    /** Append one pre-decoded sidecar entry for the record just
-     *  encoded into the open segment (see LeanEvent). */
-    void noteLean(const LeanEvent &event) { openLean_.push_back(event); }
-
     /** Should the open segment close?  Checked at record boundaries
      *  only, so segments close between records, never inside one. */
     bool openOverThreshold() const
@@ -545,18 +508,6 @@ class TraceStore
      *  segments are mapped for the cursor's lifetime; in-RAM
      *  segments borrow the store's arena. */
     SegmentCursor cursor(std::size_t i) const;
-
-    /** Borrowed view over one segment's sidecar index (possibly
-     *  empty).  Spilled sidecars are mapped for the view's
-     *  lifetime. */
-    struct LeanIndexView
-    {
-        const LeanEvent *data = nullptr;
-        std::size_t count = 0;
-        std::shared_ptr<const SpillFile::Mapping> keepAlive;
-    };
-
-    LeanIndexView leanIndex(std::size_t i) const;
 
     /** Did any segment reach the overflow file? */
     bool spilled() const { return file_ != nullptr; }
@@ -590,14 +541,6 @@ class TraceStore
     std::size_t segmentBytesThreshold() const { return segmentBytes_; }
     bool capturesValues() const { return captureValues_; }
 
-    /** Sidecar-index bytes held in RAM (open segment + unspilled
-     *  closed segments); the stream-byte twin of residentBytes(). */
-    std::size_t
-    leanResidentBytes() const
-    {
-        return openLean_.size() * sizeof(LeanEvent) + leanResident_;
-    }
-
   private:
     friend bool persistTrace(const RecordedTrace &, const std::string &,
                              std::string *);
@@ -615,10 +558,6 @@ class TraceStore
          *  valid). */
         std::unique_ptr<TraceBuffer> buffer;
         std::uint64_t fileOffset = 0;
-        /** In-RAM sidecar; empty when spilled (then leanFileOffset
-         *  is valid) or when the segment has no relevant events. */
-        std::vector<LeanEvent> lean;
-        std::uint64_t leanFileOffset = 0;
     };
 
     /** Visit segment @p i's encoded payload bytes in stream order
@@ -635,12 +574,10 @@ class TraceStore
     bool spillFailed_ = false; ///< warn once, then keep RAM fallback
     TraceBuffer open_;
     SegmentHeader openHeader_;
-    std::vector<LeanEvent> openLean_;
     std::vector<Segment> segments_;
     std::shared_ptr<SpillFile> file_;
     std::size_t totalBytes_ = 0;
     std::size_t residentClosed_ = 0;
-    std::size_t leanResident_ = 0;
     SpillStats spillStats_;
 };
 
@@ -689,7 +626,7 @@ class TraceRecorder
     /** Record one fired event.  @p ctx is consulted only when
      *  opHasPayload(ins.op) — it may be uninitialized otherwise. */
     void
-    recordEvent(EventClass cls, ThreadId tid, const ir::Instruction &ins,
+    recordEvent(ThreadId tid, const ir::Instruction &ins,
                 const EventCtx &ctx)
     {
         TraceBuffer &out = store_.open();
@@ -705,16 +642,12 @@ class TraceRecorder
             out.putVarint(ctx.off);
             if (store_.capturesValues())
                 encodeTraceValue(out, ctx.value);
-            store_.noteLean({id, ctx.obj, ctx.off, tid, 0,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::Lock:
           case ir::Opcode::Unlock:
             out.putZigzag(std::int64_t{ctx.obj} - prevObj_);
             prevObj_ = ctx.obj;
             out.putVarint(ctx.off);
-            store_.noteLean({id, ctx.obj, ctx.off, tid, 0,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::ICall:
             out.putVarint(ctx.calleeResolved);
@@ -722,8 +655,6 @@ class TraceRecorder
           case ir::Opcode::Spawn:
           case ir::Opcode::Join:
             out.putVarint(ctx.otherTid);
-            store_.noteLean({id, 0, 0, tid, ctx.otherTid,
-                             static_cast<std::uint8_t>(cls)});
             break;
           case ir::Opcode::Output:
             out.putZigzag(Interpreter::encodeValue(ctx.value));
@@ -753,12 +684,6 @@ class TraceRecorder
         out.putVarint(parent);
         out.putVarint(spawnSite == kNoInstr ? 0
                                             : std::uint64_t{spawnSite} + 1);
-        store_.noteLean(
-            {kNoInstr, 0,
-             spawnSite == kNoInstr
-                 ? 0
-                 : static_cast<std::uint32_t>(spawnSite) + 1,
-             tid, parent, LeanEvent::kThreadStartCls});
         endRecord(tid, step);
     }
 
@@ -766,8 +691,6 @@ class TraceRecorder
     recordThreadFinish(ThreadId tid)
     {
         const bool step = putHeader(store_.open(), kThreadFinish, tid);
-        store_.noteLean(
-            {kNoInstr, 0, 0, tid, 0, LeanEvent::kThreadFinishCls});
         endRecord(tid, step);
     }
 
@@ -846,7 +769,7 @@ struct RecordedTrace
 /**
  * Persist a finished capture to @p path as a checksummed, atomically
  * published file (support::DurableWriter, kind Capture): segment
- * payloads and LeanEvent sidecars as raw blocks plus a meta block
+ * payloads as raw blocks plus a meta block
  * carrying the SegmentHeader table and the RunResult.  False (with
  * @p errorOut and a warning) on any I/O failure — the previously
  * published file, if any, is untouched.
@@ -904,99 +827,82 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
  * status — including Aborted/StepLimit when the *recording* itself
  * was truncated.
  *
- * Sharded replay: setShardFilter(s, n) makes this replayer deliver
- * Load/Store events only for objects owned by shard s of n
- * (ownership = object id mod n); all other event classes — sync,
- * spawn/join, thread lifecycle, call/ret, block enters — are
- * delivered to every shard, so per-shard tools observe identical
- * thread/lock state and each memory location is analyzed by exactly
- * one shard.
- *
- * Shard 0 is the primary: its run() is a full replay (complete
- * RunResult — totalEvents, outputs, frame ids in every EventCtx)
- * with only the Load/Store filter applied.  Shards > 0 replay from
- * the per-segment LeanEvent sidecar index the recorder captured
- * alongside the stream: a worker never touches the encoded bytes at
- * all, it walks an array of pre-decoded access/sync events and
- * filters to its partition, so its cost is O(relevant events) rather
- * than O(stream bytes) and the marginal cost of an extra shard is
- * far below a full replay.  Lean results carry steps, numThreads,
- * status and `delivered` (owned deliveries only — per-shard
- * delivered Load/Store counts still sum to the serial run's); their
- * totalEvents/outputs are empty, delivered EventCtx frame fields are
- * zero, and Load/Store values are empty even for value-capturing
- * traces — none of which FastTrack-style tools read.  Worker-shard
- * plans must cover only sidecar classes (Load/Store, Lock/Unlock,
- * Spawn/Join); tools needing calls, rets, blocks, outputs or values
- * attach to the primary.  Consumers wanting the stream-level result
- * read it from shard 0 (core::replayFastTrackSharded does exactly
- * that).
+ * Attachment groups: one pass over the capture can drive several
+ * independent analysis configurations.  Each group has its own
+ * ExecutionControl (control(group)) and its own RunResult, so an
+ * abort requested through one group's control stops only that group:
+ * at the next instruction boundary the group's result is frozen —
+ * status, steps, totalEvents, outputs, numThreads and its tools'
+ * `delivered` counts — and its tools are dropped from the dispatch
+ * masks and the thread lifecycle callbacks.  Every group's result is
+ * field-identical to a standalone replay of that group's attachments
+ * alone; the pass ends early once every group has stopped.  Group 0
+ * always exists: attach(tool, plan) joins it, and the replayer's own
+ * requestAbort is group 0's control, so single-configuration callers
+ * never see groups at all.
  */
 class TraceReplayer : public ExecutionControl
 {
   public:
-    TraceReplayer(const ir::Module &module, const RecordedTrace &trace)
-        : module_(module), trace_(trace)
-    {
-    }
+    using GroupId = std::size_t;
 
-    /** Attach a tool filtered by @p plan (same contract as
+    /** Attachments one replay can drive (the width of the per-site
+     *  dispatch masks), across all groups. */
+    static constexpr std::size_t kMaxAttachments = 64;
+
+    TraceReplayer(const ir::Module &module, const RecordedTrace &trace);
+    ~TraceReplayer() override;
+    TraceReplayer(const TraceReplayer &) = delete;
+    TraceReplayer &operator=(const TraceReplayer &) = delete;
+
+    /** Attach a tool to group 0, filtered by @p plan (same contract as
      *  Interpreter::attach). */
-    void
-    attach(Tool *tool, const InstrumentationPlan *plan)
+    void attach(Tool *tool, const InstrumentationPlan *plan)
     {
-        OHA_ASSERT(tool && plan);
-        attachments_.push_back({tool, plan});
+        attach(0, tool, plan);
     }
 
-    /** Deliver Load/Store only for objects with
-     *  obj % numShards == shard (no-op when numShards <= 1). */
-    void
-    setShardFilter(std::uint32_t shard, std::uint32_t numShards)
-    {
-        OHA_ASSERT(numShards >= 1 && shard < numShards);
-        shard_ = shard;
-        numShards_ = numShards;
-        // Power-of-two shard counts take the mask fast path.
-        shardMask_ = (numShards & (numShards - 1)) == 0 ? numShards - 1 : 0;
-    }
+    /** Open a new, empty attachment group. */
+    GroupId addGroup();
 
-    /** Replay the recorded stream through the attached tools.
-     *  Dispatches to the lean worker decode for shards > 0. */
-    RunResult run();
+    /** Attach a tool to @p group.  Tools are notified in attachment
+     *  order across all groups; a group's `delivered` vector lists
+     *  its own tools in the order they were attached. */
+    void attach(GroupId group, Tool *tool, const InstrumentationPlan *plan);
+
+    /** The abort control of @p group; group 0's is equivalent to
+     *  the replayer's own requestAbort. */
+    ExecutionControl &control(GroupId group);
+
+    /** Replay the recorded stream through every group; returns group
+     *  0's result. */
+    RunResult run() { return std::move(runGroups().front()); }
+
+    /** Replay the recorded stream through every group; one result per
+     *  group, indexed by GroupId. */
+    std::vector<RunResult> runGroups();
 
     void requestAbort(std::string reason) override;
     void requestAbort(std::string reason,
                       const AbortMetadata &meta) override;
 
   private:
+    class Group;
+
     struct Attachment
     {
         Tool *tool;
         const InstrumentationPlan *plan;
+        GroupId group;
     };
-
-    bool
-    ownsObject(ObjectId obj) const
-    {
-        return shardMask_ ? (obj & shardMask_) == shard_
-                          : obj % numShards_ == shard_;
-    }
-
-    /** Lean decode for non-primary shards (see class comment). */
-    RunResult runLeanShard();
 
     const ir::Module &module_;
     const RecordedTrace &trace_;
     std::vector<Attachment> attachments_;
-
-    std::uint32_t shard_ = 0;
-    std::uint32_t numShards_ = 1;
-    std::uint32_t shardMask_ = 0;
-
-    bool abortRequested_ = false;
-    std::string abortReason_;
-    AbortMetadata abortMeta_;
+    std::vector<std::unique_ptr<Group>> groups_;
+    /** Set by any group's control; cleared once the replay loop has
+     *  stopped the aborting groups at an instruction boundary. */
+    bool abortPending_ = false;
 };
 
 namespace testing {

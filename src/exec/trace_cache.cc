@@ -97,8 +97,7 @@ byteSizeEstimate(const RecordedTrace &trace)
     // overflow file and cost only their index entry here — replays
     // page them in through transient mmap windows, so a cached
     // billion-event capture does not evict the whole budget.
-    return sizeof(trace) + trace.events.residentBytes() +
-           trace.events.leanResidentBytes() + 64 * 1024 +
+    return sizeof(trace) + trace.events.residentBytes() + 64 * 1024 +
            trace.events.numSegments() * (sizeof(SegmentHeader) + 64) +
            result.abortReason.capacity() +
            result.outputs.capacity() *

@@ -169,21 +169,31 @@ const char *opcodeName(Opcode op);
 /** Printable symbol for @p kind ("+", "<=", ...). */
 const char *binopName(BinOpKind kind);
 
-/** Evaluate a binary operator on two 64-bit values (div/mod by 0 = 0).
+/** Evaluate a binary operator on two 64-bit values.  Guest arithmetic
+ *  is total: Add/Sub/Mul/Shl wrap modulo 2^64, div/mod by 0 give 0,
+ *  and INT64_MIN / -1 gives INT64_MIN (mod: 0) instead of trapping.
  *  Inline: this sits under the interpreter's most common opcode. */
 inline std::int64_t
 evalBinOp(BinOpKind kind, std::int64_t lhs, std::int64_t rhs)
 {
+    const auto ulhs = static_cast<std::uint64_t>(lhs);
+    const auto urhs = static_cast<std::uint64_t>(rhs);
     switch (kind) {
-      case BinOpKind::Add: return lhs + rhs;
-      case BinOpKind::Sub: return lhs - rhs;
-      case BinOpKind::Mul: return lhs * rhs;
-      case BinOpKind::Div: return rhs == 0 ? 0 : lhs / rhs;
-      case BinOpKind::Mod: return rhs == 0 ? 0 : lhs % rhs;
+      case BinOpKind::Add: return static_cast<std::int64_t>(ulhs + urhs);
+      case BinOpKind::Sub: return static_cast<std::int64_t>(ulhs - urhs);
+      case BinOpKind::Mul: return static_cast<std::int64_t>(ulhs * urhs);
+      case BinOpKind::Div:
+        if (rhs == 0)
+            return 0;
+        if (rhs == -1)
+            return static_cast<std::int64_t>(0 - ulhs);
+        return lhs / rhs;
+      case BinOpKind::Mod: return rhs == 0 || rhs == -1 ? 0 : lhs % rhs;
       case BinOpKind::And: return lhs & rhs;
       case BinOpKind::Or: return lhs | rhs;
       case BinOpKind::Xor: return lhs ^ rhs;
-      case BinOpKind::Shl: return lhs << (rhs & 63);
+      case BinOpKind::Shl:
+        return static_cast<std::int64_t>(ulhs << (rhs & 63));
       case BinOpKind::Shr:
         return static_cast<std::int64_t>(
             static_cast<std::uint64_t>(lhs) >> (rhs & 63));

@@ -33,7 +33,7 @@
  *
  * Block payload offsets are 8-aligned by construction (32-byte
  * header, 16-byte block headers, padded payloads), so an mmap of a
- * block lands a naturally-aligned LeanEvent array.
+ * block lands naturally aligned.
  *
  * I/O fault injection: every syscall these writers (and
  * exec::SpillFile) issue goes through the armable wrappers below, so

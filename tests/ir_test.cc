@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "ir/cfg.h"
 #include "ir/printer.h"
@@ -118,6 +120,26 @@ TEST(IrInstruction, EvalBinOp)
     EXPECT_EQ(evalBinOp(BinOpKind::Lt, 1, 2), 1);
     EXPECT_EQ(evalBinOp(BinOpKind::Ge, 1, 2), 0);
     EXPECT_EQ(evalBinOp(BinOpKind::Xor, 6, 3), 5);
+}
+
+TEST(IrInstruction, EvalBinOpWrapsAndNeverTraps)
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    // Add/Sub/Mul/Shl wrap modulo 2^64 like the unsigned machine ops.
+    EXPECT_EQ(evalBinOp(BinOpKind::Add, kMax, 1), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Sub, kMin, 1), kMax);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mul, kMax, kMax), 1);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mul, kMin, -1), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Shl, -1, 63), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Shl, 1, 64), 1); // amount is mod 64
+    // The one signed quotient that does not fit: defined, not SIGFPE.
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, kMin, -1), kMin);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, kMin, -1), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, 7, -1), -7);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, 7, -1), 0);
+    EXPECT_EQ(evalBinOp(BinOpKind::Div, -7, 2), -3);
+    EXPECT_EQ(evalBinOp(BinOpKind::Mod, -7, 2), -1);
 }
 
 Module *

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "exec/interpreter.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -33,6 +36,45 @@ func main() {
     ASSERT_TRUE(result.finished());
     ASSERT_EQ(result.outputs.size(), 1u);
     EXPECT_EQ(result.outputs[0].second, 42);
+}
+
+TEST(IrParser, OverflowingArithmeticIsDefinedNotATrap)
+{
+    // Textual IR is untrusted input: INT64_MIN / -1 must not kill the
+    // host with SIGFPE, and overflow wraps instead of being UB.
+    const auto module = parseModule(R"(
+func main() {
+  entry:
+    r0 = -9223372036854775808
+    r1 = -1
+    r2 = r0 / r1
+    output r2
+    r3 = r0 % r1
+    output r3
+    r4 = 9223372036854775807
+    r5 = 1
+    r6 = r4 + r5
+    output r6
+    r7 = r0 - r5
+    output r7
+    r8 = r4 * r4
+    output r8
+    r9 = 63
+    r10 = r1 << r9
+    output r10
+    ret
+}
+)");
+    exec::Interpreter interp(*module, {});
+    const auto result = interp.run();
+    ASSERT_TRUE(result.finished());
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    std::vector<std::int64_t> values;
+    for (const auto &[instr, value] : result.outputs)
+        values.push_back(value);
+    EXPECT_EQ(values, (std::vector<std::int64_t>{kMin, 0, kMin, kMax, 1,
+                                                 kMin}));
 }
 
 TEST(IrParser, ParsesGlobalsAndMemory)

@@ -57,16 +57,14 @@ TEST(TraceCodec, PayloadFreeEncodingIsByteStable)
     recorder.beginStep();
     ctx.obj = 3;
     ctx.off = 2;
-    recorder.recordEvent(exec::EventClass::Load, 0,
-                         instrOf(5, ir::Opcode::Load), ctx);
+    recorder.recordEvent(0, instrOf(5, ir::Opcode::Load), ctx);
 
     recorder.recordBlockEnter(1, 7);
 
     recorder.beginStep();
     ctx.obj = 3;
     ctx.off = 4;
-    recorder.recordEvent(exec::EventClass::Store, 1,
-                         instrOf(6, ir::Opcode::Store), ctx);
+    recorder.recordEvent(1, instrOf(6, ir::Opcode::Store), ctx);
 
     recorder.recordThreadFinish(1);
 
@@ -144,8 +142,7 @@ TEST(TraceCodec, ValuePayloadRoundTripsAllKinds)
         ctx.obj = 1;
         ctx.off = 0;
         ctx.value = value;
-        recorder.recordEvent(exec::EventClass::Load, 0,
-                             instrOf(id++, ir::Opcode::Load), ctx);
+        recorder.recordEvent(0, instrOf(id++, ir::Opcode::Load), ctx);
     }
     const exec::TraceStore store = recorder.take();
     ASSERT_EQ(store.numSegments(), 1u);

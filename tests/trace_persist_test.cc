@@ -199,8 +199,8 @@ TEST_F(TracePersistTest, PersistReloadReplaysExactly)
 
 TEST_F(TracePersistTest, RamOnlyCaptureRoundTrips)
 {
-    // No segment threshold: single in-RAM segment, no sidecars on
-    // disk — the other shape of the block layout.
+    // No segment threshold: a single in-RAM segment — the other
+    // shape of the block layout.
     const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
     const exec::RecordedTrace trace =
         exec::recordRun(*workload.module, workload.testingSet.front());
@@ -282,8 +282,7 @@ TEST_F(TracePersistTest, PersistFaultSweepFailsGracefully)
 TEST_F(TracePersistTest, CorruptionSweepRejectsOrReplaysIdentically)
 {
     // A small single-segment capture keeps the byte-exhaustive sweep
-    // cheap while still covering header, meta, payload and sidecar
-    // offsets.
+    // cheap while still covering header, meta and payload offsets.
     const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
     const exec::RecordedTrace trace =
         exec::recordRun(*workload.module, workload.testingSet.front());

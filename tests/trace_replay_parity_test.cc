@@ -10,18 +10,26 @@
  * worker threads), excluding only the interpretedSteps/replayedEvents
  * counters whose divergence is the optimization itself.
  *
+ * Fused replay: one pass driving several attachment groups must give
+ * every group the result of a standalone replay of that group, at any
+ * abort point, including when every group aborts early.
+ *
  * Also covers the capture/replay edge cases: recordings truncated by
- * an abort or a step limit, and empty testing sets; plus the OptFT
+ * an abort or a step limit, empty testing sets, and captures or
+ * snapshots persisted in an older format; plus the OptFT
  * rollback-trigger contract (optFtShouldRollBack).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/optft.h"
 #include "core/optslice.h"
@@ -31,7 +39,11 @@
 #include "dyn/plans.h"
 #include "exec/trace.h"
 #include "ir/builder.h"
+#include "ir/parser.h"
 #include "profile/profiler.h"
+#include "service/snapshot.h"
+#include "support/durable_file.h"
+#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -516,133 +528,395 @@ TEST(PipelineParity, OptSliceReplayMatchesDirectAt1And4Threads)
     }
 }
 
-/** Deterministic byte serialization of a race-report set: the
- *  "byte-identical" in the sharded-merge contract is literal. */
-std::vector<std::uint8_t>
-raceBytes(const std::set<dyn::RaceReport> &races)
+/** A slicing workload with @p outputs Output endpoints; testing
+ *  inputs with a nonzero word take a block profiling never saw, so
+ *  their optimistic runs abort and roll back. */
+workloads::Workload
+manyOutputWorkload(std::size_t outputs)
 {
-    std::vector<std::uint8_t> bytes;
-    const auto put64 = [&bytes](std::uint64_t value) {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    };
-    for (const dyn::RaceReport &race : races) {
-        put64(race.first);
-        put64(race.second);
-        put64(race.obj);
-        put64(race.off);
+    std::string text = "global cell[" + std::to_string(outputs) +
+                       "]\n\nfunc main() {\n  entry:\n"
+                       "    r0 = input[0]\n    r1 = &cell\n"
+                       "    condbr r0, cold, warm\n  cold:\n"
+                       "    r2 = 13\n    *r1 = r2\n    br warm\n  warm:\n";
+    ir::Reg next = 3;
+    for (std::size_t k = 0; k < outputs; ++k) {
+        const std::string addr = "r" + std::to_string(next++);
+        const std::string num = "r" + std::to_string(next++);
+        const std::string sum = "r" + std::to_string(next++);
+        const std::string val = "r" + std::to_string(next++);
+        text += "    " + addr + " = &r1[" + std::to_string(k) + "]\n" +
+                "    " + num + " = " + std::to_string(k) + "\n" +
+                "    " + sum + " = " + num + " + r0\n" +
+                "    *" + addr + " = " + sum + "\n" +
+                "    " + val + " = *" + addr + "\n" +
+                "    output " + val + "\n";
     }
-    return bytes;
+    text += "    ret\n}\n";
+
+    workloads::Workload workload;
+    workload.name = "many-outputs";
+    workload.module = ir::parseModule(text);
+    auto input = [](std::int64_t word) {
+        exec::ExecConfig config;
+        config.input = {word};
+        return config;
+    };
+    for (std::int64_t word : {0, 0, 0})
+        workload.profilingSet.push_back(input(word));
+    for (std::int64_t word : {0, 1, 0, 2})
+        workload.testingSet.push_back(input(word));
+    return workload;
 }
 
-TEST(ShardedReplayParity, MergedShardRacesByteIdenticalToSerial)
+TEST(PipelineParity, OptSliceFusedReplayBeyondEightAttachments)
 {
-    // Every (obj, off) cell is owned by exactly one shard and sync
-    // operations broadcast to all shards, so the merged per-shard race
-    // sets must serialize to exactly the serial replay's bytes — for
-    // power-of-two and non-power-of-two shard counts alike.
-    std::size_t racyCaptures = 0;
-    for (const auto &name : workloads::raceWorkloadNames()) {
-        const auto workload = workloads::makeRaceWorkload(name, 2, 3);
+    // maxEndpoints = 5: nginx has four outputs, so its fused slice
+    // replay carries 4 hybrid + 4 optimistic Giri tools + 1 checker =
+    // 9 attachments, past the old 8-wide dispatch masks; go is
+    // under-profiled and rolls back.  The synthetic 40-endpoint
+    // workload needs two fused passes per input (81 attachments) and
+    // rolls back too.
+    struct Case
+    {
+        workloads::Workload workload;
+        std::size_t maxEndpoints;
+        std::size_t endpoints;
+    };
+    std::vector<Case> cases;
+    cases.push_back({workloads::makeSliceWorkload("nginx", 4, 6), 5, 4});
+    cases.push_back({workloads::makeSliceWorkload("go", 4, 6), 5, 3});
+    cases.push_back({manyOutputWorkload(40), 40, 40});
+    for (const Case &c : cases) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            core::OptSliceConfig direct;
+            direct.useTraceReplay = false;
+            direct.threads = threads;
+            direct.maxEndpoints = c.maxEndpoints;
+            direct.minSliceSize = 0;
+            core::OptSliceConfig replay = direct;
+            replay.useTraceReplay = true;
+
+            const auto a = core::runOptSlice(c.workload, direct);
+            const auto b = core::runOptSlice(c.workload, replay);
+            const std::string label = c.workload.name + " @" +
+                                      std::to_string(threads) + "t";
+            ASSERT_EQ(b.endpoints, c.endpoints) << label;
+            expectEqual(a, b, label);
+            EXPECT_TRUE(b.sliceResultsMatch) << label;
+            if (c.workload.name != "nginx")
+                EXPECT_GT(b.misSpeculations, 0u) << label;
+        }
+    }
+}
+
+/** Requests an abort through its control on its @p k-th event. */
+class AbortAtEvent : public exec::Tool
+{
+  public:
+    explicit AbortAtEvent(std::uint64_t k) : k_(k) {}
+
+    void setControl(exec::ExecutionControl *control) { control_ = control; }
+
+    void
+    onEvent(const exec::EventCtx &ctx) override
+    {
+        if (++seen_ == k_)
+            control_->requestAbort("abort at event " + std::to_string(k_),
+                                   {7, ctx.instr->id, 0, k_, ctx.tid});
+    }
+
+  private:
+    std::uint64_t k_;
+    std::uint64_t seen_ = 0;
+    exec::ExecutionControl *control_ = nullptr;
+};
+
+/** One attachment group of a fused replay: FastTrack under @p plan,
+ *  optionally followed by a tool aborting at its abortAt-th event
+ *  (0 = no abort). */
+struct GroupSpec
+{
+    const exec::InstrumentationPlan *plan;
+    std::uint64_t abortAt = 0;
+};
+
+struct GroupOutcome
+{
+    exec::RunResult result;
+    std::set<std::pair<InstrId, InstrId>> races;
+};
+
+void
+expectEqual(const GroupOutcome &separate, const GroupOutcome &fused,
+            const std::string &label)
+{
+    const exec::RunResult &a = separate.result;
+    const exec::RunResult &b = fused.result;
+    EXPECT_EQ(a.status, b.status) << label;
+    EXPECT_EQ(a.abortReason, b.abortReason) << label;
+    EXPECT_EQ(a.abortMeta, b.abortMeta) << label;
+    EXPECT_EQ(a.outputs, b.outputs) << label;
+    EXPECT_EQ(a.steps, b.steps) << label;
+    EXPECT_EQ(eventVec(a.totalEvents), eventVec(b.totalEvents)) << label;
+    ASSERT_EQ(a.delivered.size(), b.delivered.size()) << label;
+    for (std::size_t i = 0; i < a.delivered.size(); ++i)
+        EXPECT_EQ(eventVec(a.delivered[i]), eventVec(b.delivered[i]))
+            << label << " tool " << i;
+    EXPECT_EQ(a.numThreads, b.numThreads) << label;
+    EXPECT_EQ(a.schedule, b.schedule) << label;
+    EXPECT_EQ(separate.races, fused.races) << label;
+}
+
+/** Replay @p trace once with every spec as its own group (fused), or
+ *  once per spec (separate); one outcome per spec either way. */
+std::vector<GroupOutcome>
+replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
+             const std::vector<GroupSpec> &specs, bool fused)
+{
+    std::vector<dyn::FastTrack> tools(specs.size());
+    std::vector<AbortAtEvent> aborters;
+    for (const GroupSpec &spec : specs)
+        aborters.emplace_back(spec.abortAt);
+    const exec::InstrumentationPlan all =
+        exec::InstrumentationPlan::all(module);
+
+    std::vector<exec::RunResult> results;
+    auto attachSpec = [&](exec::TraceReplayer &replayer, std::size_t g,
+                          exec::TraceReplayer::GroupId group) {
+        replayer.attach(group, &tools[g], specs[g].plan);
+        if (specs[g].abortAt != 0) {
+            aborters[g].setControl(&replayer.control(group));
+            replayer.attach(group, &aborters[g], &all);
+        }
+    };
+    if (fused) {
+        exec::TraceReplayer replayer(module, trace);
+        for (std::size_t g = 0; g < specs.size(); ++g)
+            attachSpec(replayer, g, g == 0 ? 0 : replayer.addGroup());
+        results = replayer.runGroups();
+    } else {
+        for (std::size_t g = 0; g < specs.size(); ++g) {
+            exec::TraceReplayer replayer(module, trace);
+            attachSpec(replayer, g, 0);
+            results.push_back(replayer.run());
+        }
+    }
+    std::vector<GroupOutcome> out(specs.size());
+    for (std::size_t g = 0; g < specs.size(); ++g) {
+        out[g].result = std::move(results[g]);
+        out[g].races = tools[g].racePairs();
+    }
+    return out;
+}
+
+/** Sets an environment variable for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv() { unsetenv(name_); }
+
+  private:
+    const char *name_;
+};
+
+TEST(FusedReplay, GroupsMatchSeparateReplaysAtEveryAbortPoint)
+{
+    // Per group, one fused pass must equal a standalone replay of
+    // that group: aborts on the first, a middle and the last event,
+    // groups that never abort, and every group aborting early — over
+    // many-segment captures, with the fused replays of one capture
+    // running concurrently at 1 and 4 workers.
+    const ScopedEnv smallSegments("OHA_TRACE_SEGMENT_BYTES", "4096");
+    std::size_t spilledCaptures = 0;
+    for (const char *name : {"raytracer", "pmd", "lusearch"}) {
+        const auto workload = workloads::makeRaceWorkload(name, 1, 2);
         const ir::Module &module = *workload.module;
-        const auto plan = dyn::fullFastTrackPlan(module);
+        const auto fullPlan = dyn::fullFastTrackPlan(module);
+        const auto none = exec::InstrumentationPlan::none(module);
         for (const exec::ExecConfig &config : workload.testingSet) {
             const exec::RecordedTrace trace =
                 exec::recordRun(module, config);
-
-            dyn::FastTrack serialTool;
-            exec::TraceReplayer serialReplay(module, trace);
-            serialReplay.attach(&serialTool, &plan);
-            const exec::RunResult serialResult = serialReplay.run();
-            racyCaptures += !serialTool.races().empty();
-
-            for (const std::uint32_t shards : {2u, 3u, 4u}) {
-                const std::string label = name + " x" +
-                                          std::to_string(shards);
-                std::vector<std::set<dyn::RaceReport>> shardRaces;
-                std::uint64_t loads = 0;
-                std::uint64_t stores = 0;
-                for (std::uint32_t s = 0; s < shards; ++s) {
-                    dyn::FastTrack tool;
-                    tool.setShardFilter(s, shards);
-                    exec::TraceReplayer replayer(module, trace);
-                    replayer.setShardFilter(s, shards);
-                    replayer.attach(&tool, &plan);
-                    const exec::RunResult result = replayer.run();
-                    shardRaces.push_back(tool.races());
-                    loads += result.delivered[0][exec::EventClass::Load];
-                    stores +=
-                        result.delivered[0][exec::EventClass::Store];
-                    // Every shard walks the full stream, so steps and
-                    // thread counts are shard-invariant; the complete
-                    // stream-level result (outputs, totalEvents) is
-                    // the primary shard's contract only — workers run
-                    // the lean decode.
-                    EXPECT_EQ(result.steps, serialResult.steps) << label;
-                    EXPECT_EQ(result.numThreads, serialResult.numThreads)
-                        << label;
-                    if (s == 0) {
-                        EXPECT_EQ(result.outputs, serialResult.outputs)
-                            << label;
-                        EXPECT_EQ(eventVec(result.totalEvents),
-                                  eventVec(serialResult.totalEvents))
-                            << label;
-                    }
+            spilledCaptures += trace.events.numSegments() > 1;
+            const std::uint64_t steps = trace.result.steps;
+            const std::uint64_t events =
+                trace.result.totalEvents.total() -
+                trace.result.totalEvents[exec::EventClass::BlockEnter];
+            const std::vector<std::vector<GroupSpec>> scenarios = {
+                // Aborts on the first, a middle and the last event
+                // beside a group that runs to the end.
+                {{&fullPlan}, {&fullPlan, 1}, {&fullPlan, events / 2},
+                 {&fullPlan, events}},
+                // Every group aborts early, group 0 included.
+                {{&fullPlan, events / 3}, {&none, events / 4},
+                 {&fullPlan, 2}, {&fullPlan, events / 3}},
+            };
+            for (const std::size_t threads :
+                 {std::size_t{1}, std::size_t{4}}) {
+                const auto fused = support::runBatch(
+                    scenarios.size(),
+                    [&](std::size_t s) {
+                        return replayGroups(module, trace, scenarios[s],
+                                            true);
+                    },
+                    threads);
+                for (std::size_t s = 0; s < scenarios.size(); ++s) {
+                    const auto separate =
+                        replayGroups(module, trace, scenarios[s], false);
+                    for (std::size_t g = 0; g < separate.size(); ++g)
+                        expectEqual(separate[g], fused[s][g],
+                                    std::string(name) + " scenario " +
+                                        std::to_string(s) + " group " +
+                                        std::to_string(g) + " @" +
+                                        std::to_string(threads) + "t");
                 }
-                const std::set<dyn::RaceReport> merged =
-                    dyn::mergeShardRaces(shardRaces);
-                EXPECT_EQ(raceBytes(merged), raceBytes(serialTool.races()))
-                    << label;
-                // Delivered accesses partition exactly across shards.
-                EXPECT_EQ(loads,
-                          serialResult.delivered[0][exec::EventClass::Load])
-                    << label;
-                EXPECT_EQ(stores,
-                          serialResult.delivered[0][exec::EventClass::Store])
-                    << label;
+                // The aborting groups really were truncated, and the
+                // abort on the last step still counts every step.
+                EXPECT_EQ(fused[0][0].result.status,
+                          exec::RunResult::Status::Finished);
+                EXPECT_LT(fused[0][1].result.steps, steps / 100);
+                EXPECT_EQ(fused[0][3].result.status,
+                          exec::RunResult::Status::Aborted);
+                EXPECT_EQ(fused[0][3].result.steps, steps);
+                for (const GroupOutcome &group : fused[1]) {
+                    EXPECT_EQ(group.result.status,
+                              exec::RunResult::Status::Aborted);
+                    EXPECT_LT(group.result.steps, steps / 2) << name;
+                }
             }
         }
     }
-    EXPECT_GT(racyCaptures, 0u)
-        << "no capture raced; the merge check is vacuous";
+    EXPECT_GT(spilledCaptures, 0u) << "no capture spanned two segments";
 }
 
-TEST(ShardedPipeline, OptFtResultsInvariantUnderReplayShards)
+TEST(FusedReplay, AbortOnASegmentLastStep)
 {
-    // Sharding is a throughput knob, never a semantics knob: the whole
-    // OptFT result must be field-identical at any shard count, whether
-    // configured programmatically or via OHA_REPLAY_SHARDS.
-    const auto workload = workloads::makeRaceWorkload("raytracer", 8, 4);
-    core::OptFtConfig base;
-    base.useTraceReplay = true;
-    base.threads = 1;
-    const auto reference = core::runOptFt(workload, base);
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-        core::OptFtConfig sharded = base;
-        sharded.replayShards = shards;
-        const auto result = core::runOptFt(workload, sharded);
-        expectEqual(reference, result,
-                    "replayShards=" + std::to_string(shards));
+    // The abort lands in the last step of segment 0, so the group
+    // stops at the first record of the next segment.
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    const ir::Module &module = *workload.module;
+    const exec::ExecConfig &config = workload.testingSet.front();
+    const auto fullPlan = dyn::fullFastTrackPlan(module);
+    const exec::RecordedTrace whole = exec::recordRun(module, config);
+    const std::uint64_t k = whole.result.totalEvents[exec::EventClass::Load];
+    const std::uint64_t step =
+        replayGroups(module, whole, {{&fullPlan, k}}, false)[0]
+            .result.steps;
+    exec::TraceStoreOptions options;
+    options.segmentBytes =
+        exec::testing::byteOffsetAfterStep(module, whole.events, step);
+    const exec::RecordedTrace trace =
+        exec::recordRun(module, config, options);
+    ASSERT_GT(trace.events.numSegments(), 1u);
+    ASSERT_EQ(trace.events.header(0).steps, step);
+
+    const std::vector<GroupSpec> specs = {
+        {&fullPlan}, {&fullPlan, k}, {&fullPlan, k + 1}};
+    const auto fused = replayGroups(module, trace, specs, true);
+    const auto separate = replayGroups(module, trace, specs, false);
+    for (std::size_t g = 0; g < specs.size(); ++g)
+        expectEqual(separate[g], fused[g],
+                    "segment-last group " + std::to_string(g));
+    EXPECT_EQ(fused[1].result.steps, step);
+
+    // A live run of the same tools stops at the same boundary.
+    dyn::FastTrack tool;
+    AbortAtEvent aborter(k);
+    const auto all = exec::InstrumentationPlan::all(module);
+    exec::Interpreter interp(module, config);
+    interp.attach(&tool, &fullPlan);
+    aborter.setControl(&interp);
+    interp.attach(&aborter, &all);
+    GroupOutcome live;
+    live.result = interp.run();
+    live.races = tool.racePairs();
+    expectEqual(live, fused[1], "segment-last vs live");
+}
+
+/** @p bytes with its leading u32 (the capture meta version) set to
+ *  @p version. */
+std::string
+withVersion(std::string bytes, std::uint32_t version)
+{
+    support::ByteWriter out;
+    out.u32(version);
+    bytes.replace(0, out.data().size(), out.data());
+    return bytes;
+}
+
+TEST(TraceReplayEdge, OldFormatCaptureAndSnapshotAreRejected)
+{
+    // Captures and snapshot entries written before the sidecar index
+    // was dropped carry meta version 1; both load paths must reject
+    // them cleanly, so they are recomputed rather than misread.
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    const exec::RecordedTrace trace =
+        exec::recordRun(*workload.module, workload.testingSet.front());
+    const std::string dir = ::testing::TempDir();
+    const std::string tag = std::to_string(::getpid());
+
+    // Persisted capture: rewrite a current file with its meta block
+    // stamped as version 1.
+    const std::string current = dir + "/oha-current-" + tag + ".capture";
+    const std::string old = dir + "/oha-v1-" + tag + ".capture";
+    ASSERT_TRUE(exec::persistTrace(trace, current));
+    ASSERT_TRUE(exec::loadTrace(current));
+    {
+        auto reader = support::DurableReader::open(
+            current, support::kDurableKindCapture);
+        ASSERT_TRUE(reader);
+        support::DurableWriter writer(old, support::kDurableKindCapture);
+        for (std::size_t b = 0; b < reader->numBlocks(); ++b) {
+            std::string block;
+            ASSERT_TRUE(reader->readBlock(b, block));
+            writer.addBlock(b == 0 ? withVersion(block, 1) : block);
+        }
+        ASSERT_TRUE(writer.commit());
     }
-    ASSERT_EQ(setenv("OHA_REPLAY_SHARDS", "3", 1), 0);
-    const auto viaEnv = core::runOptFt(workload, base);
-    unsetenv("OHA_REPLAY_SHARDS");
-    expectEqual(reference, viaEnv, "OHA_REPLAY_SHARDS=3");
-}
+    std::string error;
+    EXPECT_FALSE(exec::loadTrace(old, &error));
+    EXPECT_NE(error.find("corrupt meta block"), std::string::npos) << error;
 
-TEST(ShardedPipeline, OptSliceResultsInvariantUnderReplayShards)
-{
-    // Axis (a): OptSlice replayShards widens the reference replay
-    // batch (index-merged), so results are identical at any width.
-    const auto workload = workloads::makeSliceWorkload("zlib", 4, 6);
-    core::OptSliceConfig base;
-    base.useTraceReplay = true;
-    base.threads = 1;
-    const auto reference = core::runOptSlice(workload, base);
-    core::OptSliceConfig sharded = base;
-    sharded.replayShards = 4;
-    const auto result = core::runOptSlice(workload, sharded);
-    expectEqual(reference, result, "optslice replayShards=4");
+    // Snapshot: one trace entry whose embedded capture is version 1.
+    // The container verifies; the entry alone is rejected.
+    support::ByteWriter blob;
+    ASSERT_TRUE(exec::serializeRecordedTrace(trace, blob));
+    const std::string oldBlob = withVersion(blob.data(), 1);
+    {
+        support::ByteReader in(blob.data());
+        EXPECT_TRUE(exec::deserializeRecordedTrace(in));
+        support::ByteReader oldIn(oldBlob);
+        EXPECT_FALSE(exec::deserializeRecordedTrace(oldIn));
+    }
+    const std::string snapshot = dir + "/oha-v1-" + tag + ".snapshot";
+    {
+        support::DurableWriter writer(snapshot,
+                                      support::kDurableKindSnapshot);
+        support::ByteWriter meta;
+        meta.u32(1); // snapshot container version
+        meta.u64(1); // one entry
+        writer.addBlock(meta.data());
+        support::ByteWriter entry;
+        entry.u8(1); // trace entry
+        for (int i = 0; i < 4; ++i)
+            entry.u64(0); // module + config fingerprints
+        entry.bytes(oldBlob.data(), oldBlob.size());
+        writer.addBlock(entry.data());
+        ASSERT_TRUE(writer.commit());
+    }
+    const service::SnapshotStats before = service::snapshotStats();
+    EXPECT_TRUE(service::loadSnapshot(snapshot, &error)) << error;
+    const service::SnapshotStats after = service::snapshotStats();
+    EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
+    EXPECT_EQ(after.entriesRestored, before.entriesRestored);
+
+    std::remove(current.c_str());
+    std::remove(old.c_str());
+    std::remove(snapshot.c_str());
 }
 
 } // namespace

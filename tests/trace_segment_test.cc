@@ -376,27 +376,26 @@ TEST(SegmentedCapture, ReplayMappedBytesBoundedBySegmentTimesShards)
     EXPECT_GT(serialPeak, 0u);
     EXPECT_LE(serialPeak, perReplayBound);
 
-    // Four concurrent sharded replays of the same capture: the bound
-    // scales with the replay count, never with the trace size.
-    constexpr std::uint32_t kShards = 4;
+    // Four concurrent replays of the same capture, each driving two
+    // attachment groups: the bound scales with the replay count —
+    // never with the group count or the trace size.
+    constexpr std::size_t kReplays = 4;
     exec::testing::resetMappedTraceBytesPeak();
     support::runBatch(
-        kShards,
-        [&](std::size_t s) {
-            dyn::FastTrack tool;
-            tool.setShardFilter(static_cast<std::uint32_t>(s), kShards);
+        kReplays,
+        [&](std::size_t r) {
+            dyn::FastTrack full, other;
             exec::TraceReplayer replayer(module, trace);
-            replayer.setShardFilter(static_cast<std::uint32_t>(s),
-                                    kShards);
-            replayer.attach(&tool, &plan);
-            replayer.run();
-            return s;
+            replayer.attach(&full, &plan);
+            replayer.attach(replayer.addGroup(), &other, &plan);
+            replayer.runGroups();
+            return r;
         },
-        kShards);
-    const std::size_t shardedPeak = exec::testing::mappedTraceBytesPeak();
-    EXPECT_GT(shardedPeak, 0u);
-    EXPECT_LE(shardedPeak, kShards * perReplayBound);
-    EXPECT_LT(kShards * perReplayBound, trace.events.sizeBytes())
+        kReplays);
+    const std::size_t concurrentPeak = exec::testing::mappedTraceBytesPeak();
+    EXPECT_GT(concurrentPeak, 0u);
+    EXPECT_LE(concurrentPeak, kReplays * perReplayBound);
+    EXPECT_LT(kReplays * perReplayBound, trace.events.sizeBytes())
         << "trace too small for the bound to be meaningful";
     EXPECT_EQ(exec::testing::mappedTraceBytesNow(), 0u);
 }
