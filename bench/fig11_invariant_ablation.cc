@@ -29,7 +29,6 @@ sliceSizeWith(const ir::Module &module,
     analysis::AndersenOptions aopts;
     aopts.invariants = invariants;
     aopts.contextSensitive = tryContextSensitive;
-    aopts.maxContexts = 4000;
     analysis::AndersenResult pts = analysis::runAndersen(module, aopts);
     bool cs = tryContextSensitive;
     if (!pts.completed) {

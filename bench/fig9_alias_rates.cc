@@ -61,16 +61,6 @@ main()
                 double(stats.hits));
     json.metric("aggregate", "static-memo", "cache_misses",
                 double(stats.misses));
-    // Wavefront-solver shape over the whole figure (misses only —
-    // cache hits run no solver).
-    json.metric("aggregate", "solver", "solver_solves",
-                double(stats.solverSolves));
-    json.metric("aggregate", "solver", "solver_waves",
-                double(stats.solverWaves));
-    json.metric("aggregate", "solver", "solver_cycle_merges",
-                double(stats.solverCycleMerges));
-    json.metric("aggregate", "solver", "solver_wave_imbalance",
-                stats.solverMaxWaveImbalance);
 
     std::printf("%s\n", table.str().c_str());
     std::printf("(alias rate = probability a random load/store pair "
@@ -78,12 +68,6 @@ main()
     std::printf("static-memo cache: %llu hits, %llu misses\n",
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses));
-    std::printf("wavefront solver: %llu solves, %llu waves, "
-                "%llu cycle merges, max wave imbalance %.3f\n",
-                static_cast<unsigned long long>(stats.solverSolves),
-                static_cast<unsigned long long>(stats.solverWaves),
-                static_cast<unsigned long long>(stats.solverCycleMerges),
-                stats.solverMaxWaveImbalance);
     json.write();
     return 0;
 }

@@ -111,6 +111,9 @@ BM_AndersenCs(benchmark::State &state)
     const auto &workload = sliceWorkload();
     analysis::AndersenOptions options;
     options.contextSensitive = true;
+    // Above the pipelines' default budget, so redis's 8,307-context
+    // CS solve completes instead of aborting.
+    options.maxContexts = 20000;
     for (auto _ : state) {
         const auto result =
             analysis::runAndersen(*workload.module, options);

@@ -26,23 +26,14 @@
  *                 cache is reset per repetition, so each rep measures
  *                 a cold sweep, not a warmed-over one.
  *
- * A third series measures the wavefront-parallel solver's thread
- * scaling: from-scratch solves of a propagation-dominated
- * dispatch-surface module (the suite workloads solve in under 2 ms,
- * where per-solve fixed costs drown any parallel win; this one is
- * built with 2048 registered objects so per-wave set unions dominate)
- * at solver-thread counts 1, 2 and 4, reported as solver-threads-N.
- * The 4-thread solve must be >= 2x faster than 1-thread — the PR's
- * acceptance bar, enforced only on hosts with >= 4 hardware threads
- * (the JSON's hardware_concurrency field says which regime a recorded
- * run was in) — and all three must report identical work units (the
- * solver is deterministic; only wall time may change).
+ * Both static-phase shapes run the pipeline's budgets: the CS
+ * points-to attempts at the default context budget
+ * (analysis::kDefaultMaxContexts, CI fallback on overflow) and every
+ * static slice at core::OptSliceConfig::sliceWorkBudget.
  *
  * Each measurement is best-of-N; BENCH_microbench_static.json carries
  * the samples plus the aggregate end-to-end speedup.
- * OHA_BENCH_SMOKE=1 (CI) shrinks repetitions and downgrades a missed
- * scaling bar to a warning — shared-runner timing is too noisy to
- * gate on — but never relaxes the work-unit parity assert.
+ * OHA_BENCH_SMOKE=1 (CI) shrinks repetitions.
  */
 
 #include "bench_common.h"
@@ -52,12 +43,16 @@
 #include "analysis/andersen_cache.h"
 #include "analysis/race_detector.h"
 #include "analysis/slicer.h"
+#include "core/optslice.h"
 #include "profile/profiler.h"
 #include "workloads/workloads.h"
 
 using namespace oha;
 
 namespace {
+
+constexpr std::uint64_t kSliceWorkBudget =
+    core::OptSliceConfig::sliceWorkBudget;
 
 bool
 smokeMode()
@@ -169,10 +164,11 @@ racePhaseOnce(const workloads::Workload &workload,
  * The OptSlice static phase across a calibration sweep: per sweep
  * point, sound CS and predicated CS points-to (CI fallback on budget
  * overflow), the CI ranking solve, and a sound + predicated slice
- * from every Output.  Pre solves and slices everything from scratch
- * at every point on the reference solver; post routes points-to AND
- * slice sets through the memo (the ranking CI is served from the
- * sound CS solve's pre-pass, converged points reuse stored slices).
+ * from every Output, all at the pipeline's budgets.  Pre solves and
+ * slices everything from scratch at every point on the reference
+ * solver; post routes points-to AND slice sets through the memo (the
+ * ranking CI is served from the sound CS solve's pre-pass, converged
+ * points reuse stored slices).
  */
 std::uint64_t
 slicePhaseOnce(const workloads::Workload &workload,
@@ -192,6 +188,7 @@ slicePhaseOnce(const workloads::Workload &workload,
                                   const inv::InvariantSet *inv) {
             analysis::SlicerOptions options;
             options.invariants = inv;
+            options.maxWork = kSliceWorkBudget;
             const analysis::StaticSlicer slicer(module, pts, options);
             for (InstrId endpoint : endpoints)
                 units += slicer.slice(endpoint).workUnits;
@@ -201,12 +198,12 @@ slicePhaseOnce(const workloads::Workload &workload,
                                 bool pickedCs) {
             const auto slices = analysis::sliceSetMemo(
                 workload.module, inv,
-                analysis::SlicerOptions().maxWork ^
-                    (pickedCs ? 1ull << 63 : 0),
+                kSliceWorkBudget ^ (pickedCs ? 1ull << 63 : 0),
                 endpoints, [&]() {
                     analysis::SliceSetResult out;
                     analysis::SlicerOptions options;
                     options.invariants = inv;
+                    options.maxWork = kSliceWorkBudget;
                     const analysis::StaticSlicer slicer(module, pts,
                                                         options);
                     const auto results = support::runBatch(
@@ -346,74 +343,15 @@ main()
         postMs += post.bestMs;
     }
 
-    // Wavefront thread scaling on the propagation-dominated module.
-    // Solves run from scratch (no memo) so every sample pays the full
-    // propagation; work units must not move with the thread count.
-    const std::shared_ptr<const ir::Module> dispatch =
-        workloads::makeDispatchSurfaceModule(smokeMode() ? 120 : 300, 32,
-                                             64);
-    double threadMs[3] = {0, 0, 0};
-    std::uint64_t threadUnits[3] = {0, 0, 0};
-    const std::uint32_t threadCounts[3] = {1, 2, 4};
-    for (int t = 0; t < 3; ++t) {
-        const Sample sample = measure([&] {
-            analysis::AndersenOptions options;
-            options.solverThreads = threadCounts[t];
-            return analysis::runAndersen(*dispatch, options).workUnits;
-        });
-        char variant[32];
-        std::snprintf(variant, sizeof variant, "solver-threads-%u",
-                      threadCounts[t]);
-        row("dispatch-surface", variant, sample);
-        threadMs[t] = sample.bestMs;
-        threadUnits[t] = sample.events;
-    }
-    if (threadUnits[1] != threadUnits[0] ||
-        threadUnits[2] != threadUnits[0]) {
-        std::printf("FAIL: solver work units vary with thread count "
-                    "(%llu / %llu / %llu)\n",
-                    static_cast<unsigned long long>(threadUnits[0]),
-                    static_cast<unsigned long long>(threadUnits[1]),
-                    static_cast<unsigned long long>(threadUnits[2]));
-        return 1;
-    }
-    const double scaling4 =
-        threadMs[2] > 0 ? threadMs[0] / threadMs[2] : 0;
-
     const double speedup = postMs > 0 ? preMs / postMs : 0;
     std::printf("%s\n", table.str().c_str());
     std::printf("end-to-end static phase: pre %.1f ms, post %.1f ms, "
                 "speedup %.2fx\n",
                 preMs, postMs, speedup);
-    std::printf("wavefront scaling (dispatch-surface): 1t %.1f ms, "
-                "2t %.1f ms, 4t %.1f ms, 4-thread speedup %.2fx\n",
-                threadMs[0], threadMs[1], threadMs[2], scaling4);
     json.metric("aggregate", "static-phase", "pre_ms", preMs);
     json.metric("aggregate", "static-phase", "post_ms", postMs);
     json.metric("aggregate", "static-phase", "speedup", speedup);
-    json.metric("aggregate", "solver-threads", "speedup_4t", scaling4);
 
     json.write();
-
-    if (scaling4 < 2.0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        if (smokeMode()) {
-            std::printf("WARNING: 4-thread solver speedup %.2fx below "
-                        "the 2x bar (ignored in smoke mode)\n",
-                        scaling4);
-        } else if (hw < 4) {
-            // 4 workers timesliced on < 4 cores cannot beat 1 worker;
-            // the determinism asserts above still ran at full value.
-            std::printf("WARNING: 4-thread solver speedup %.2fx below "
-                        "the 2x bar (host has only %u hardware "
-                        "threads; bar needs >= 4)\n",
-                        scaling4, hw);
-        } else {
-            std::printf("FAIL: 4-thread solver speedup %.2fx below the "
-                        "2x bar\n",
-                        scaling4);
-            return 1;
-        }
-    }
     return 0;
 }

@@ -95,10 +95,9 @@ bench-release)
     # speedup bar is a warning here (shared-runner timing).  The
     # workflow uploads BENCH_microbench_incremental.json.
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_incremental
-    # Static-phase smoke, including the solver-threads-{1,2,4} wavefront
-    # scaling series: work-unit parity across thread counts is asserted
-    # even in smoke mode; the 2x scaling bar is a warning here.  The
-    # workflow uploads BENCH_microbench_static.json.
+    # Static-phase smoke: solver and static-phase series at the
+    # pipeline's context and slice-work budgets.  The workflow uploads
+    # BENCH_microbench_static.json.
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_static
     # The repository benchmark's own checks: its reference digests
     # (computed on the direct path) still match, and every workload's
@@ -141,13 +140,12 @@ service)
     # (including the torture test), and the segmented-trace / fused-
     # replay paths whose captures and spill files are shared across
     # concurrent replays.
-    # WavefrontParallel and RunBatch cover the wavefront-parallel
-    # Andersen solver and the chunked batch primitive it fans out on.
+    # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
     # request shards, and the crash-recovery sweep.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|WavefrontParallel|RunBatch|Snapshot'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|RunBatch|Snapshot'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "analysis/constraint_diff.h"
-#include "support/thread_pool.h"
 #include "support/union_find.h"
 
 namespace oha::analysis {
@@ -229,7 +228,6 @@ class AndersenSolver
     void solve();
     void solveWavefront();
     void rebuildSchedule();
-    std::size_t effectiveSolverThreads() const;
     void resolveIcallTarget(const IcallCons &icall, CellId cell);
     AndersenResult assembleResult();
 
@@ -282,9 +280,9 @@ class AndersenSolver
     std::uint64_t workUnits_ = 0;
     bool budgetExceeded_ = false;
 
-    // -- wavefront delta-propagation state (unused when
+    // -- leveled delta-propagation state (unused when
     //    referenceSolver) ---------------------------------------------
-    /** Whether to run the wavefront delta solver (production) or the
+    /** Whether to run the leveled delta solver (production) or the
      *  FIFO full-propagation reference path. */
     bool useDelta_ = true;
     /** Bits added to pts_[u] since u last fired. */
@@ -299,48 +297,7 @@ class AndersenSolver
     /** A merge or a level-order-violating new edge invalidated
      *  level_; rebuildSchedule() clears it. */
     bool graphDirty_ = true;
-    /** Lazily created wave pool — tiny solves never spawn threads. */
-    std::unique_ptr<support::ThreadPool> pool_;
-    // Wave-shape counters, surfaced via AndersenResult and the
-    // process-wide SolverStats accumulator.
-    std::uint64_t waves_ = 0;
-    std::uint64_t cycleMerges_ = 0;
-    double waveImbalance_ = 0.0;
 };
-
-namespace {
-
-/** Process-wide SolverStats accumulator (andersenSolverStats()). */
-struct GlobalSolverStats
-{
-    std::mutex mutex;
-    SolverStats value;
-};
-
-GlobalSolverStats &
-globalSolverStats()
-{
-    static GlobalSolverStats stats;
-    return stats;
-}
-
-} // namespace
-
-SolverStats
-andersenSolverStats()
-{
-    GlobalSolverStats &g = globalSolverStats();
-    std::lock_guard<std::mutex> lock(g.mutex);
-    return g.value;
-}
-
-void
-resetAndersenSolverStats()
-{
-    GlobalSolverStats &g = globalSolverStats();
-    std::lock_guard<std::mutex> lock(g.mutex);
-    g.value = SolverStats{};
-}
 
 bool
 AndersenSolver::blockLive(BlockId block) const
@@ -768,8 +725,8 @@ AndersenSolver::mergeNodes(std::uint32_t a, std::uint32_t b)
     // Deterministic representative: the minimum member id survives.
     // Cycle-collapse outcomes are then a pure function of the graph —
     // independent of merge discovery order and union-find rank
-    // evolution — which is what lets parallel and serial wave solves
-    // agree on node naming byte for byte.
+    // evolution — so node naming, and with it the wave order, never
+    // depends on how a cycle was found.
     const std::uint32_t keep = std::min(a, b);
     const std::uint32_t drop = keep == a ? b : a;
     uf_.mergeInto(keep, drop);
@@ -1010,11 +967,8 @@ AndersenSolver::collapseSccs()
                     // Collapse to the minimum member id (mergeNodes
                     // keeps the smaller representative, so any merge
                     // order lands on the same survivor).
-                    if (scc.size() > 1) {
-                        cycleMerges_ += scc.size() - 1;
-                        for (std::size_t i = 1; i < scc.size(); ++i)
-                            mergeNodes(scc[0], scc[i]);
-                    }
+                    for (std::size_t i = 1; i < scc.size(); ++i)
+                        mergeNodes(scc[0], scc[i]);
                 }
                 dfs.pop_back();
                 if (!dfs.empty()) {
@@ -1114,17 +1068,6 @@ AndersenSolver::solve()
     }
 }
 
-std::size_t
-AndersenSolver::effectiveSolverThreads() const
-{
-    if (options_.solverThreads > 0) {
-        return support::clampCount("solverThreads",
-                                   options_.solverThreads, 1,
-                                   support::maxSaneThreads());
-    }
-    return support::configuredThreads();
-}
-
 void
 AndersenSolver::rebuildSchedule()
 {
@@ -1176,16 +1119,14 @@ AndersenSolver::rebuildSchedule()
 void
 AndersenSolver::solveWavefront()
 {
-    // Wavefront-parallel difference propagation.  Ready nodes are
-    // grouped by topological level of the condensed copy DAG and the
-    // minimum level fires as one wave: because every copy edge climbs
-    // strictly in level, no firing node is another's copy target, so
-    // each target's unions and each firer's gep shifts run as
-    // exclusive-writer tasks on the pool.  All shared-state mutation
-    // (new edges, icall linkage, delta consumption, counters) happens
-    // serially between waves in node-id order — results are therefore
-    // byte-identical for any thread count, grain, or task shuffle,
-    // and match the reference solver's fixpoint.
+    // Leveled difference propagation.  Ready nodes are grouped by
+    // topological level of the condensed copy DAG and the minimum
+    // level fires as one wave.  Every copy edge climbs strictly in
+    // level, so no firing node is another's copy target: the wave's
+    // deltas stay frozen while its targets absorb them.  The wave
+    // order is a pure function of the graph, which keeps workUnits —
+    // and the modeled static-phase costs derived from them —
+    // deterministic; the fixpoint matches the reference solver's.
     if (!seeded_) {
         seeded_ = true;
         for (std::uint32_t u = 0; u < numNodes_; ++u) {
@@ -1196,28 +1137,10 @@ AndersenSolver::solveWavefront()
         }
     }
 
-    const std::size_t threads = effectiveSolverThreads();
-    // Waves narrower than this run inline: spawning/waking workers
-    // costs more than the unions they would share.
-    constexpr std::size_t kParallelCutoff = 32;
-
-    std::uint64_t shuffleState = options_.waveShuffleSeed;
-    auto nextRand = [&shuffleState] {
-        shuffleState ^= shuffleState << 13;
-        shuffleState ^= shuffleState >> 7;
-        shuffleState ^= shuffleState << 17;
-        return shuffleState;
-    };
-
     // Per-wave scratch, hoisted so capacity persists across waves.
     std::vector<char> activeMark(numNodes_, 0);
-    std::vector<std::uint32_t> active, batch, targets, taskOrder;
-    std::vector<std::vector<std::uint32_t>> pulls(numNodes_);
-    std::vector<char> targetChanged;
+    std::vector<std::uint32_t> active, batch;
     std::vector<SparseBitSet> firedDelta;
-    std::vector<std::vector<std::pair<std::uint32_t, SparseBitSet>>>
-        gepOuts;
-    std::vector<std::uint32_t> gepFirers;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> newEdges;
     std::vector<std::vector<std::uint32_t>> matPulls(numNodes_);
     std::vector<std::uint32_t> matTargets;
@@ -1254,54 +1177,38 @@ AndersenSolver::solveWavefront()
             else
                 push(u); // deeper levels wait for a later wave
         }
-        ++waves_;
-        waveImbalance_ =
-            std::max(waveImbalance_, static_cast<double>(active.size()) /
-                                         static_cast<double>(batch.size()));
 
-        // Pull lists: for every copy target of the batch, the ordered
-        // list of firing predecessors whose deltas it absorbs.  Built
-        // serially in batch id order, so each target's update sequence
-        // is fixed regardless of how tasks land on threads.
-        targets.clear();
+        // Copy edges, in batch id order.  Targets sit at deeper
+        // levels, so every union reads a firing delta no earlier
+        // union of this wave has touched.
         for (std::uint32_t u : batch) {
             succs_[u].forEach([&](std::uint32_t v) {
                 v = find(v);
                 if (v == u)
                     return;
-                if (pulls[v].empty())
-                    targets.push_back(v);
-                pulls[v].push_back(u);
+                ++workUnits_;
+                if (pts_[v].unionWithDiff(delta_[u], delta_[v]))
+                    push(v);
             });
         }
-        gepFirers.clear();
-        for (std::uint32_t u : batch) {
-            if (!gepCons_[u].empty())
-                gepFirers.push_back(u);
-        }
 
-        // Parallel phase: one task per copy target (exclusive writer
-        // of its pts/delta) plus one per gep-bearing firer (writes
-        // only its private output).  Reads — the batch's frozen
-        // deltas and the memory model — are untouched until apply.
-        const std::size_t numTasks = targets.size() + gepFirers.size();
-        targetChanged.assign(targets.size(), 0);
-        gepOuts.assign(gepFirers.size(), {});
-        auto runTask = [&](std::size_t t) {
-            if (t < targets.size()) {
-                const std::uint32_t v = targets[t];
-                bool gained = false;
-                for (std::uint32_t p : pulls[v])
-                    gained |= pts_[v].unionWithDiff(delta_[p], delta_[v]);
-                targetChanged[t] = gained;
-                return 0;
-            }
-            const std::size_t g = t - targets.size();
-            const std::uint32_t u = gepFirers[g];
-            gepOuts[g].reserve(gepCons_[u].size());
+        // Apply the remaining constraints in batch order.  The batch's
+        // deltas are consumed first: anything the loop adds back —
+        // gep results, full-set transfer along a new edge — is a
+        // fresh gain that re-queues its node.
+        firedDelta.resize(batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            firedDelta[i].clear();
+            firedDelta[i].swap(delta_[batch[i]]);
+        }
+        newEdges.clear();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const std::uint32_t u = batch[i];
+            const SparseBitSet &d = firedDelta[i];
+            ++workUnits_;
             for (const GepCons &gep : gepCons_[u]) {
                 SparseBitSet shifted;
-                delta_[u].forEach([&](CellId cell) {
+                d.forEach([&](CellId cell) {
                     if (memory_.isFunctionCell(cell)) {
                         shifted.insert(cell);
                         return;
@@ -1318,67 +1225,13 @@ AndersenSolver::solveWavefront()
                             shifted.insert(target);
                     }
                 });
-                gepOuts[g].emplace_back(gep.dest, std::move(shifted));
+                const std::uint32_t dest = find(gep.dest);
+                ++workUnits_;
+                if (pts_[dest].unionWithDiff(shifted, delta_[dest]))
+                    push(dest);
             }
-            return 0;
-        };
-
-        taskOrder.resize(numTasks);
-        for (std::size_t i = 0; i < numTasks; ++i)
-            taskOrder[i] = static_cast<std::uint32_t>(i);
-        if (options_.waveShuffleSeed != 0) {
-            for (std::size_t i = numTasks; i > 1; --i) {
-                std::swap(taskOrder[i - 1],
-                          taskOrder[nextRand() % i]);
-            }
-        }
-        if (threads > 1 && numTasks >= kParallelCutoff) {
-            if (!pool_)
-                pool_ = std::make_unique<support::ThreadPool>(threads);
-            const std::size_t grain = std::max<std::size_t>(
-                1, numTasks / (pool_->numThreads() * 4));
-            support::runBatchOn(
-                *pool_, numTasks,
-                [&](std::size_t i) { return runTask(taskOrder[i]); },
-                grain);
-        } else {
-            for (std::size_t i = 0; i < numTasks; ++i)
-                runTask(taskOrder[i]);
-        }
-
-        // Serial apply, in deterministic order.  The batch's deltas
-        // are consumed first: anything the apply loops add back —
-        // gep results, full-set transfer along a new edge — is a
-        // fresh gain that re-queues its node.
-        firedDelta.resize(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            firedDelta[i].clear();
-            firedDelta[i].swap(delta_[batch[i]]);
-        }
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-            workUnits_ += pulls[targets[t]].size();
-            pulls[targets[t]].clear();
-            if (targetChanged[t])
-                push(targets[t]);
-        }
-        std::size_t gepIdx = 0;
-        newEdges.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const std::uint32_t u = batch[i];
-            const SparseBitSet &d = firedDelta[i];
-            ++workUnits_;
-            if (!gepCons_[u].empty()) {
-                for (auto &[destRaw, shifted] : gepOuts[gepIdx++]) {
-                    const std::uint32_t dest = find(destRaw);
-                    ++workUnits_;
-                    if (pts_[dest].unionWithDiff(shifted, delta_[dest]))
-                        push(dest);
-                }
-            }
-            // Load/store constraints materialize copy edges.  Record
-            // them here; the expensive part — carrying each new
-            // source's full set across its edge — is staged below so
-            // it can fan out.
+            // Load/store constraints materialize copy edges; record
+            // them for the frozen-source transfer below.
             for (std::uint32_t dst : loadCons_[u])
                 d.forEach([&](CellId cell) {
                     newEdges.emplace_back(cell, dst);
@@ -1395,9 +1248,9 @@ AndersenSolver::solveWavefront()
         }
 
         // Deduplicate the recorded edges into the copy graph and
-        // group the genuinely new ones by destination — all serial,
-        // in recording order, so the grouping (and the workUnits
-        // count) is a pure function of the batch.
+        // group the genuinely new ones by destination, in recording
+        // order, so the grouping (and the workUnits count) is a pure
+        // function of the batch.
         matTargets.clear();
         for (const auto &[fromRaw, toRaw] : newEdges) {
             const std::uint32_t from = find(fromRaw);
@@ -1415,28 +1268,14 @@ AndersenSolver::solveWavefront()
         }
 
         // A new edge must carry its source's full current set — the
-        // destination has seen none of it.  Sources are frozen during
-        // this stage (nothing writes pts_), so each destination's
-        // union runs as an exclusive-writer task over a private
-        // output set; the gained bits merge serially below.
+        // destination has seen none of it.  Every source is read
+        // before any destination is written (a node may be both), and
+        // the gained bits merge in destination order.
         matOuts.resize(matTargets.size());
-        auto matTask = [&](std::size_t i) {
-            SparseBitSet &outSet = matOuts[i];
-            outSet.clear();
+        for (std::size_t i = 0; i < matTargets.size(); ++i) {
+            matOuts[i].clear();
             for (std::uint32_t f : matPulls[matTargets[i]])
-                outSet.unionWith(pts_[f]);
-            return 0;
-        };
-        if (threads > 1 && matTargets.size() >= kParallelCutoff) {
-            if (!pool_)
-                pool_ = std::make_unique<support::ThreadPool>(threads);
-            const std::size_t grain = std::max<std::size_t>(
-                1, matTargets.size() / (pool_->numThreads() * 4));
-            support::runBatchOn(*pool_, matTargets.size(), matTask,
-                                grain);
-        } else {
-            for (std::size_t i = 0; i < matTargets.size(); ++i)
-                matTask(i);
+                matOuts[i].unionWith(pts_[f]);
         }
         for (std::size_t i = 0; i < matTargets.size(); ++i) {
             const std::uint32_t to = matTargets[i];
@@ -1474,18 +1313,6 @@ AndersenSolver::assembleResult()
     result.callEdges_ = std::move(callEdges_);
     result.regBase_ = std::move(regBase_);
     result.workUnits = workUnits_;
-    result.solverWaves = waves_;
-    result.solverCycleMerges = cycleMerges_;
-    result.solverWaveImbalance = waveImbalance_;
-    if (useDelta_) {
-        GlobalSolverStats &g = globalSolverStats();
-        std::lock_guard<std::mutex> lock(g.mutex);
-        ++g.value.solves;
-        g.value.waves += waves_;
-        g.value.cycleMerges += cycleMerges_;
-        g.value.maxWaveImbalance =
-            std::max(g.value.maxWaveImbalance, waveImbalance_);
-    }
     result.repr_.resize(numNodes_);
     for (std::uint32_t u = 0; u < numNodes_; ++u)
         result.repr_[u] = uf_.find(u);

@@ -50,6 +50,15 @@ struct ContextInstance
     bool fallback = false;
 };
 
+/**
+ * The one CS context budget: the default of AndersenOptions::maxContexts
+ * and the budget of the pipelines' "most accurate analysis that will
+ * run" pick (Table 2).  Solves that share it share memo cache keys, so
+ * the CI pre-pass of a sound CS solve is the CI solve every other
+ * caller asks for.
+ */
+inline constexpr std::uint32_t kDefaultMaxContexts = 4000;
+
 /** Analysis configuration. */
 struct AndersenOptions
 {
@@ -61,7 +70,7 @@ struct AndersenOptions
     /** Collapse copy-graph SCCs periodically while solving. */
     bool cycleCollapse = true;
     /** CS context budget; exceeding it aborts the analysis. */
-    std::uint32_t maxContexts = 20000;
+    std::uint32_t maxContexts = kDefaultMaxContexts;
     std::uint32_t maxContextDepth = 64;
     /**
      * Run the pre-overhaul solver: FIFO worklist, full points-to
@@ -73,43 +82,7 @@ struct AndersenOptions
      * it.
      */
     bool referenceSolver = false;
-    /**
-     * Worker-thread count for the wavefront-parallel solve; 0 = the
-     * OHA_THREADS pool size (support::configuredThreads()).  The
-     * solver is deterministic by construction — results are
-     * byte-identical at every value — so this knob (like
-     * waveShuffleSeed) is deliberately excluded from the static memo
-     * cache key.
-     */
-    std::uint32_t solverThreads = 0;
-    /**
-     * Nonzero: deterministically permute the order wave tasks are
-     * handed to the worker pool.  Purely a verification aid — the
-     * parity suite uses it to prove that task/chunk layout cannot
-     * leak into results.
-     */
-    std::uint64_t waveShuffleSeed = 0;
 };
-
-/**
- * Process-wide wavefront-solver counters, accumulated across every
- * completed delta-mode solve since the last reset (the reference
- * solver contributes nothing).  Surfaced through the andersen_cache
- * stats and the fig9 bench; reset together with the static caches.
- */
-struct SolverStats
-{
-    std::uint64_t solves = 0;
-    std::uint64_t waves = 0;
-    std::uint64_t cycleMerges = 0;
-    /** Max over all waves of ready-nodes / fired-nodes (1.0 = every
-     *  ready node fired in its wave; higher = level order serialized
-     *  more of the ready work). */
-    double maxWaveImbalance = 0.0;
-};
-
-SolverStats andersenSolverStats();
-void resetAndersenSolverStats();
 
 /** Result of a points-to run. */
 class AndersenResult
@@ -130,13 +103,6 @@ class AndersenResult
 
     /** Solver effort in abstract units (for Table 1/2 modelling). */
     std::uint64_t workUnits = 0;
-
-    /** Wavefront-solver shape for this solve (delta mode only): level
-     *  batches fired, online cycle merges, and the max ready-to-fired
-     *  ratio across waves (see SolverStats::maxWaveImbalance). */
-    std::uint64_t solverWaves = 0;
-    std::uint64_t solverCycleMerges = 0;
-    double solverWaveImbalance = 0.0;
 
     /** Points-to set of register @p reg of context instance @p ctx. */
     const SparseBitSet &pts(std::uint32_t ctx, ir::Reg reg) const;

@@ -23,10 +23,7 @@ using service::Fingerprint;
 using service::LruList;
 using service::SharedCache;
 
-/** Solver options packed into a comparable key.  solverThreads and
- *  waveShuffleSeed are deliberately excluded: the wavefront solver is
- *  deterministic across both, so results computed at any thread count
- *  or shuffle seed are interchangeable cache entries. */
+/** Solver options packed into a comparable key. */
 std::uint64_t
 optionsKey(const AndersenOptions &options)
 {
@@ -450,8 +447,7 @@ runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
 
 std::shared_ptr<const StaticRaceResult>
 runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
-                          const inv::InvariantSet *invariants,
-                          std::uint32_t solverThreads)
+                          const inv::InvariantSet *invariants)
 {
     OHA_ASSERT(module && module->finalized());
 
@@ -521,13 +517,12 @@ runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
         patch.diff = &diff;
         result = std::make_shared<const StaticRaceResult>(
             runStaticRaceDetectorIncremental(module, invariants, patch,
-                                             &patched, solverThreads));
+                                             &patched));
         break;
     }
     if (!result)
         result = std::make_shared<const StaticRaceResult>(
-            runStaticRaceDetector(*module, invariants, module, false,
-                                  solverThreads));
+            runStaticRaceDetector(*module, invariants, module));
     const std::size_t bytes = byteSizeEstimate(*result);
     std::lock_guard<std::mutex> lock(sc.mutex());
     if (patched)
@@ -732,11 +727,6 @@ andersenCacheStats()
     out.entries = stats.entries;
     out.bytesCached = stats.bytesCached;
     out.byteBudget = stats.byteBudget;
-    const SolverStats solver = andersenSolverStats();
-    out.solverSolves = solver.solves;
-    out.solverWaves = solver.waves;
-    out.solverCycleMerges = solver.cycleMerges;
-    out.solverMaxWaveImbalance = solver.maxWaveImbalance;
     return out;
 }
 
@@ -759,7 +749,6 @@ resetAndersenCache()
     // and registration takes the spine mutex.
     section();
     SharedCache::instance().reset();
-    resetAndersenSolverStats();
 }
 
 } // namespace oha::analysis

@@ -75,14 +75,6 @@ struct AndersenCacheStats
     std::size_t entries = 0;
     std::size_t bytesCached = 0;
     std::size_t byteBudget = 0;
-    /** Wavefront-solver shape since the last reset (a copy of
-     *  analysis::andersenSolverStats(); solver work happens only on
-     *  misses, so reading them alongside hit rates shows what the
-     *  cache actually saved). */
-    std::uint64_t solverSolves = 0;
-    std::uint64_t solverWaves = 0;
-    std::uint64_t solverCycleMerges = 0;
-    double solverMaxWaveImbalance = 0.0;
 };
 
 /**
@@ -114,14 +106,11 @@ runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
  * sweeps whose invariant sets have converged skip the detector
  * entirely.  The stored workUnits are the deterministic cost of the
  * one real computation, so modeled static-phase costs are identical
- * with or without hits.  @p solverThreads feeds
- * AndersenOptions::solverThreads on misses; it is not part of the
- * cache key (results are byte-identical at every value).
+ * with or without hits.
  */
 std::shared_ptr<const StaticRaceResult>
 runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
-                          const inv::InvariantSet *invariants,
-                          std::uint32_t solverThreads = 0);
+                          const inv::InvariantSet *invariants);
 
 /** Static slices over a fixed endpoint list at one analysis level
  *  (OptSlice phase 3), in memoizable form. */

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <memory>
 #include <tuple>
-
-#include "support/thread_pool.h"
 
 namespace oha::analysis {
 
@@ -460,30 +457,11 @@ nodeTaintClosure(const ir::Module &module, const AndersenResult &pts,
         return *(it - 1);
     };
 
-    // Flat view of the distinct load-pointer sets so a frontier
-    // round's membership probes can index them as parallel tasks.
-    // (The map's pointer-keyed order is arbitrary, but marking is
-    // idempotent, so the reachable set does not depend on it.)
-    std::vector<std::pair<const SparseBitSet *,
-                          const std::vector<std::uint32_t> *>>
-        loadProbes;
-    loadProbes.reserve(loadsBySet.size());
-    for (const auto &[set, dests] : loadsBySet)
-        loadProbes.push_back({set, &dests});
-
-    // Frontier rounds instead of node-at-a-time BFS.  The expensive
-    // step — probing every distinct load-pointer set for membership
-    // of each newly tainted cell — reads only immutable hash-consed
-    // sets, so one round's probes fan out over worker threads with a
-    // private hit flag per set.  Everything that mutates (edge
-    // materialization, marking, pushing) stays serial, and BFS
-    // reachability is round-order independent, so the closure is
-    // byte-identical to the serial walk at any thread count.
-    std::unique_ptr<support::ThreadPool> pool;
-    const std::size_t probeThreads = support::configuredThreads();
-    constexpr std::size_t kParallelProbeCutoff = 16;
+    // Frontier rounds instead of node-at-a-time BFS, so each distinct
+    // load-pointer set is probed once per round for all newly tainted
+    // cells.  BFS reachability is round-order independent, and marking
+    // is idempotent, so the map's pointer-keyed order does not matter.
     std::vector<std::uint32_t> frontier, frontierCells;
-    std::vector<char> probeHit;
     while (!queue.empty()) {
         frontier.assign(queue.begin(), queue.end());
         queue.clear();
@@ -492,38 +470,20 @@ nodeTaintClosure(const ir::Module &module, const AndersenResult &pts,
             if (u < numCells)
                 frontierCells.push_back(u);
             else
-                materialize(ctxOfNode(u)); // serial: grows out[]
+                materialize(ctxOfNode(u)); // grows out[]
         }
-        if (!frontierCells.empty() && !loadProbes.empty()) {
+        if (!frontierCells.empty()) {
             // Cell out-edges: every load whose pointer's final set
             // contains a tainted frontier cell reads from it.
-            probeHit.assign(loadProbes.size(), 0);
-            auto probe = [&](std::size_t i) {
-                const SparseBitSet &set = *loadProbes[i].first;
-                for (std::uint32_t cell : frontierCells)
-                    if (set.contains(cell)) {
-                        probeHit[i] = 1;
+            for (const auto &[set, dests] : loadsBySet) {
+                for (std::uint32_t cell : frontierCells) {
+                    if (set->contains(cell)) {
+                        for (std::uint32_t dest : dests)
+                            push(dest);
                         break;
                     }
-                return 0;
-            };
-            if (probeThreads > 1 &&
-                loadProbes.size() >= kParallelProbeCutoff) {
-                if (!pool)
-                    pool = std::make_unique<support::ThreadPool>(
-                        probeThreads);
-                support::runBatchOn(
-                    *pool, loadProbes.size(), probe,
-                    std::max<std::size_t>(
-                        1, loadProbes.size() / (probeThreads * 4)));
-            } else {
-                for (std::size_t i = 0; i < loadProbes.size(); ++i)
-                    probe(i);
+                }
             }
-            for (std::size_t i = 0; i < loadProbes.size(); ++i)
-                if (probeHit[i])
-                    for (std::uint32_t dest : *loadProbes[i].second)
-                        push(dest);
         }
         for (std::uint32_t u : frontier)
             for (std::uint32_t v : out[u])

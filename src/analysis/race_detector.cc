@@ -121,7 +121,7 @@ StaticRaceResult
 runStaticRaceDetector(const ir::Module &module,
                       const inv::InvariantSet *invariants,
                       const std::shared_ptr<const ir::Module> &shared,
-                      bool referenceSolver, std::uint32_t solverThreads)
+                      bool referenceSolver)
 {
     OHA_ASSERT(!shared || shared.get() == &module,
                "shared must alias module");
@@ -130,7 +130,6 @@ runStaticRaceDetector(const ir::Module &module,
     AndersenOptions ptsOptions;
     ptsOptions.invariants = invariants;
     ptsOptions.referenceSolver = referenceSolver;
-    ptsOptions.solverThreads = solverThreads;
     std::shared_ptr<const AndersenResult> memoized;
     if (shared)
         memoized = runAndersenMemo(shared, ptsOptions);
@@ -283,8 +282,7 @@ StaticRaceResult
 runStaticRaceDetectorIncremental(
     const std::shared_ptr<const ir::Module> &module,
     const inv::InvariantSet *invariants,
-    const RaceIncrementalInput &input, bool *usedIncremental,
-    std::uint32_t solverThreads)
+    const RaceIncrementalInput &input, bool *usedIncremental)
 {
     bool localUsed = false;
     if (!usedIncremental)
@@ -299,8 +297,7 @@ runStaticRaceDetectorIncremental(
     const inv::InvariantSet *baseInv = input.baseInvariants.get();
 
     auto fallback = [&] {
-        return runStaticRaceDetector(next, invariants, module, false,
-                                     solverThreads);
+        return runStaticRaceDetector(next, invariants, module);
     };
     if (!diff.usable)
         return fallback();
@@ -310,12 +307,10 @@ runStaticRaceDetectorIncremental(
     // warm hit whenever the base detector's solve is still cached.
     AndersenOptions nextOptions;
     nextOptions.invariants = invariants;
-    nextOptions.solverThreads = solverThreads;
     const std::shared_ptr<const AndersenResult> nextPts =
         runAndersenMemo(module, nextOptions);
     AndersenOptions baseOptions;
     baseOptions.invariants = baseInv;
-    baseOptions.solverThreads = solverThreads;
     const std::shared_ptr<const AndersenResult> basePts =
         runAndersenMemo(input.baseModule, baseOptions);
     if (!nextPts->completed || !basePts->completed)

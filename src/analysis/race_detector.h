@@ -74,17 +74,13 @@ byteSizeEstimate(const StaticRaceResult &result)
  * @param referenceSolver run the points-to phase on the pre-overhaul
  *        solver (AndersenOptions::referenceSolver); exists for the
  *        delta-solver parity test.
- * @param solverThreads wavefront-solver worker count (0 = the
- *        OHA_THREADS pool size); results are byte-identical at every
- *        value (AndersenOptions::solverThreads).
  */
 StaticRaceResult
 runStaticRaceDetector(const ir::Module &module,
                       const inv::InvariantSet *invariants,
                       const std::shared_ptr<const ir::Module> &shared =
                           nullptr,
-                      bool referenceSolver = false,
-                      std::uint32_t solverThreads = 0);
+                      bool referenceSolver = false);
 
 struct ConstraintDiff; // analysis/constraint_diff.h
 
@@ -118,7 +114,6 @@ struct RaceIncrementalInput
 StaticRaceResult runStaticRaceDetectorIncremental(
     const std::shared_ptr<const ir::Module> &module,
     const inv::InvariantSet *invariants,
-    const RaceIncrementalInput &input, bool *usedIncremental = nullptr,
-    std::uint32_t solverThreads = 0);
+    const RaceIncrementalInput &input, bool *usedIncremental = nullptr);
 
 } // namespace oha::analysis

@@ -183,7 +183,6 @@ calibrateLockElision(const ir::Module &module,
                      const analysis::StaticRaceResult &predicated,
                      const workloads::Workload &workload,
                      std::size_t calibrationRuns, std::size_t threads,
-                     std::uint32_t solverThreads,
                      const std::vector<
                          std::shared_ptr<const exec::RecordedTrace>>
                          *traces)
@@ -193,7 +192,6 @@ calibrateLockElision(const ir::Module &module,
     // detector just solved, so the memo cache serves it back for free.
     analysis::AndersenOptions aopts;
     aopts.invariants = &invariants;
-    aopts.solverThreads = solverThreads;
     const std::shared_ptr<const analysis::AndersenResult> andersenSp =
         analysis::runAndersenMemo(workload.module, aopts);
     const analysis::AndersenResult &andersen = *andersenSp;
@@ -328,15 +326,13 @@ calibrateLockElision(const ir::Module &module,
 std::set<InstrId>
 refilterElidableLocks(const std::shared_ptr<const ir::Module> &moduleSp,
                       const inv::InvariantSet &invariants,
-                      const analysis::StaticRaceResult &predicated,
-                      std::uint32_t solverThreads)
+                      const analysis::StaticRaceResult &predicated)
 {
     if (invariants.elidableLockSites.empty())
         return {};
     const ir::Module &module = *moduleSp;
     analysis::AndersenOptions aopts;
     aopts.invariants = &invariants;
-    aopts.solverThreads = solverThreads;
     const std::shared_ptr<const analysis::AndersenResult> andersenSp =
         analysis::runAndersenMemo(moduleSp, aopts);
     const analysis::AndersenResult &andersen = *andersenSp;
@@ -420,8 +416,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         2,
         [&](std::size_t i) {
             return analysis::runStaticRaceDetectorMemo(
-                workload.module, i == 0 ? nullptr : &invariants,
-                config.solverThreads);
+                workload.module, i == 0 ? nullptr : &invariants);
         },
         config.threads);
     const analysis::StaticRaceResult &sound = *detectors[0];
@@ -463,8 +458,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     }
     std::uint64_t calibrationSteps = 0;
     invariants.elidableLockSites = calibrateLockElision(
-        module, invariants, predicated, workload, calibRuns,
-        config.threads, config.solverThreads,
+        module, invariants, predicated, workload, calibRuns, config.threads,
         config.useTraceReplay ? &calibTraces : nullptr);
     result.elidedLockSites = invariants.elidableLockSites.size();
     // Calibration executions count as profiling cost.  The recording
@@ -677,14 +671,12 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                     // repairs of converging sets are incremental in
                     // practice.
                     predicatedSp = analysis::runStaticRaceDetectorMemo(
-                        workload.module, &invariants,
-                        config.solverThreads);
+                        workload.module, &invariants);
                     result.repredStaticSeconds +=
                         double(predicatedSp->workUnits) /
                         cost.staticUnitsPerSecond * cost.offlineScale;
                     invariants.elidableLockSites = refilterElidableLocks(
-                        workload.module, invariants, *predicatedSp,
-                        config.solverThreads);
+                        workload.module, invariants, *predicatedSp);
                 }
                 optPlan = dyn::optimisticFastTrackPlan(
                     module, predicatedSp->racyAccesses, invariants);

@@ -53,11 +53,6 @@ struct OptFtConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** Worker threads for each wavefront-parallel Andersen solve
-     *  inside the static phase; 0 = the OHA_THREADS pool size.  The
-     *  solver is deterministic, so results are byte-identical at any
-     *  value (AndersenOptions::solverThreads). */
-    std::uint32_t solverThreads = 0;
     /** Record-once/analyze-many: execute each testing (and
      *  calibration) input once with a TraceRecorder, then drive the
      *  full/hybrid/optimistic FastTrack configurations — and the

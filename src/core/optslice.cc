@@ -38,8 +38,6 @@ pickAndersen(const std::shared_ptr<const ir::Module> &module,
     analysis::AndersenOptions options;
     options.contextSensitive = true;
     options.invariants = invariants;
-    options.maxContexts = config.csContextBudget;
-    options.solverThreads = config.solverThreads;
 
     PickedAndersen picked;
     picked.result = analysis::runAndersenMemo(module, options);
@@ -133,7 +131,6 @@ computeAllSlices(const std::shared_ptr<const ir::Module> &module,
         if (pickedCs) {
             analysis::AndersenOptions ciOptions;
             ciOptions.invariants = invariants;
-            ciOptions.solverThreads = config.solverThreads;
             const std::shared_ptr<const analysis::AndersenResult> ciPts =
                 analysis::runAndersenMemo(module, ciOptions);
             out.workUnits += ciPts->workUnits;
@@ -175,7 +172,6 @@ computeAllSlices(const std::shared_ptr<const ir::Module> &module,
         analysis::AndersenOptions baseOptions;
         baseOptions.contextSensitive = pickedCs;
         baseOptions.invariants = base.invariants.get();
-        baseOptions.solverThreads = config.solverThreads;
         const std::shared_ptr<const analysis::AndersenResult> basePts =
             analysis::runAndersenMemo(base.module, baseOptions);
         if (!basePts->completed || !picked.completed)

@@ -39,10 +39,13 @@ struct OptSliceConfig
     /** Non-trivial endpoint threshold (instructions in sound slice). */
     std::size_t minSliceSize = 25;
     std::size_t maxEndpoints = 3;
-    /** Context budget for the CS points-to attempt. */
-    std::uint32_t csContextBudget = 4000;
+    /** Context budget of the CS points-to attempt: a read-only name
+     *  for analysis::kDefaultMaxContexts, the default every Andersen
+     *  solve of the pipeline runs at. */
+    static constexpr std::uint32_t csContextBudget =
+        analysis::kDefaultMaxContexts;
     /** Work budget for one static slice. */
-    std::uint64_t sliceWorkBudget = 3'000'000;
+    static constexpr std::uint64_t sliceWorkBudget = 3'000'000;
     /** >1 enables aggressive likely-unreachable code (Section 2.1). */
     std::uint64_t aggressiveLucMinVisits = 0;
     /** Worker threads for batched runs (profiling and test
@@ -50,11 +53,6 @@ struct OptSliceConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** Worker threads for each wavefront-parallel Andersen solve
-     *  inside the static phase; 0 = the OHA_THREADS pool size.  The
-     *  solver is deterministic, so results are byte-identical at any
-     *  value (AndersenOptions::solverThreads). */
-    std::uint32_t solverThreads = 0;
     /** Record-once/analyze-many: execute each testing input once with
      *  a TraceRecorder, then drive every per-endpoint hybrid and
      *  optimistic Giri configuration — and the rollback re-analysis —

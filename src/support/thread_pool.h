@@ -223,78 +223,4 @@ runBatch(std::size_t count, Fn &&fn, std::size_t threads = 0)
     return results;
 }
 
-/**
- * Execute jobs fn(0) .. fn(count - 1) on an existing @p pool,
- * submitting one queue task per chunk of up to @p grain consecutive
- * indices instead of one per item — a thousand-element batch of
- * microsecond jobs costs ~count/grain queue round-trips rather than
- * count.  Results are still collected by index, so outputs are
- * byte-identical to the serial loop for any pool size or grain.
- * Degenerates to the inline loop when the pool has one worker or the
- * batch fits in a single chunk.
- *
- * The pool must be otherwise idle: completion is detected with
- * pool.wait(), which blocks until the pool's whole queue drains.
- */
-template <typename Fn>
-auto
-runBatchOn(ThreadPool &pool, std::size_t count, Fn &&fn,
-           std::size_t grain = 1)
-    -> std::vector<decltype(fn(std::size_t{}))>
-{
-    using Result = decltype(fn(std::size_t{}));
-    std::vector<Result> results(count);
-    const std::size_t step = std::max<std::size_t>(grain, 1);
-    if (pool.numThreads() <= 1 || count <= step) {
-        for (std::size_t i = 0; i < count; ++i)
-            results[i] = fn(i);
-        return results;
-    }
-
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-    for (std::size_t begin = 0; begin < count; begin += step) {
-        const std::size_t end = std::min(begin + step, count);
-        pool.submit(
-            [&results, &fn, &errorMutex, &firstError, begin, end] {
-                try {
-                    for (std::size_t i = begin; i < end; ++i)
-                        results[i] = fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errorMutex);
-                    if (!firstError)
-                        firstError = std::current_exception();
-                }
-            });
-    }
-    pool.wait();
-    if (firstError)
-        std::rethrow_exception(firstError);
-    return results;
-}
-
-/**
- * Chunked overload of runBatch(): like the per-item form above but
- * one queue task per @p grain consecutive indices, on a transient
- * pool of configuredThreads(@p threads) workers.  See runBatchOn().
- */
-template <typename Fn>
-auto
-runBatch(std::size_t count, Fn &&fn, std::size_t threads,
-         std::size_t grain)
-    -> std::vector<decltype(fn(std::size_t{}))>
-{
-    using Result = decltype(fn(std::size_t{}));
-    const std::size_t numThreads =
-        std::min(configuredThreads(threads), count);
-    if (numThreads <= 1) {
-        std::vector<Result> results(count);
-        for (std::size_t i = 0; i < count; ++i)
-            results[i] = fn(i);
-        return results;
-    }
-    ThreadPool pool(numThreads);
-    return runBatchOn(pool, count, fn, grain);
-}
-
 } // namespace oha::support

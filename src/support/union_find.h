@@ -74,9 +74,9 @@ class UnionFind
      * Merge with a caller-chosen representative: @p drop's set joins
      * @p keep's, and @p keep stays the representative.  Both must
      * already be representatives.  Used where the surviving id is
-     * semantically significant (the wavefront solver collapses cycles
-     * to the minimum member id so parallel and serial solves agree on
-     * node naming); plain merge() picks by rank instead.
+     * semantically significant (the Andersen solver collapses cycles
+     * to the minimum member id so node naming is independent of
+     * discovery order); plain merge() picks by rank instead.
      */
     void
     mergeInto(std::uint32_t keep, std::uint32_t drop)

@@ -65,8 +65,11 @@ TEST(AndersenCs, CsRefinesCiNeverWidens)
     const ir::Module &module = *workload.module;
 
     const auto ci = runAndersen(module, {});
+    // redis's sound CS solve clones 8,307 contexts: above the
+    // pipelines' default budget, so pin one that lets it complete.
     AndersenOptions csOptions;
     csOptions.contextSensitive = true;
+    csOptions.maxContexts = 20000;
     const auto cs = runAndersen(module, csOptions);
     ASSERT_TRUE(cs.completed);
 

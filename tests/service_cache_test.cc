@@ -18,6 +18,7 @@
 
 #include "analysis/andersen_cache.h"
 #include "analysis/constraint_diff.h"
+#include "core/optslice.h"
 #include "exec/trace_cache.h"
 #include "ir/builder.h"
 #include "service/lru.h"
@@ -326,6 +327,52 @@ TEST(SharedCache, InsertFromBeforeAResetIsDropped)
     });
     EXPECT_EQ(calls, 2);
     (void)second;
+}
+
+// ---------------------------------------------------------------------
+// One context budget
+// ---------------------------------------------------------------------
+
+TEST(SharedCache, SoundCsSolveCachesTheDefaultCiSolve)
+{
+    // A sound CS solve at the pipeline's budget memoizes its CI
+    // pre-pass under the default options, so a later default CI
+    // request (OptSlice's endpoint ranking) is served, not re-solved.
+    CacheGuard guard;
+    const auto workload = workloads::makeSliceWorkload("nginx", 1, 1);
+    analysis::AndersenOptions cs;
+    cs.contextSensitive = true;
+    cs.maxContexts = core::OptSliceConfig{}.csContextBudget;
+    ASSERT_TRUE(analysis::runAndersenMemo(workload.module, cs)->completed);
+
+    const auto before = analysis::andersenCacheStats();
+    analysis::runAndersenMemo(workload.module, {});
+    const auto after = analysis::andersenCacheStats();
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(SharedCache, ColdOptSliceSolvesTheCiPrePassOnce)
+{
+    // Cold runOptSlice on nginx: three Andersen solves (sound CI
+    // pre-pass, sound CS, predicated CS) and two slice sets (sound,
+    // predicated) miss; endpoint ranking hits the pre-pass.  Trace,
+    // profile and recovery caching stay off so only static results
+    // are counted.
+    CacheGuard guard;
+    const auto workload = workloads::makeSliceWorkload("nginx", 4, 1);
+    core::OptSliceConfig config;
+    config.threads = 1;
+    config.cacheTraceCaptures = false;
+    config.cacheProfileObservations = false;
+    config.adaptiveRecovery = false;
+    const core::OptSliceResult result = core::runOptSlice(workload, config);
+    ASSERT_TRUE(result.soundPts.contextSensitive);
+    ASSERT_TRUE(result.optPts.contextSensitive);
+
+    const auto stats = analysis::andersenCacheStats();
+    EXPECT_EQ(stats.misses, 3u + 2u);
+    EXPECT_EQ(stats.hits, 1u);
 }
 
 // ---------------------------------------------------------------------

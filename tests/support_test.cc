@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <set>
 #include <vector>
@@ -320,52 +319,6 @@ TEST(EnvSizeBytes, ValidationContract)
               1u << 30);
 
     unsetenv(name);
-}
-
-TEST(RunBatch, ChunkedOverloadCoversAllItemsInOrder)
-{
-    // One queue task per `grain` consecutive indices.  Every grain —
-    // dividing the count, straddling it, and exceeding it — must call
-    // fn exactly once per index and return results in index order.
-    constexpr std::size_t kCount = 101;
-    for (const std::size_t grain :
-         {std::size_t{1}, std::size_t{3}, std::size_t{17},
-          std::size_t{64}, std::size_t{1000}}) {
-        std::atomic<std::size_t> calls{0};
-        const auto results = support::runBatch(
-            kCount,
-            [&](std::size_t i) {
-                calls.fetch_add(1, std::memory_order_relaxed);
-                return 2 * i + 1;
-            },
-            4, grain);
-        ASSERT_EQ(results.size(), kCount) << "grain " << grain;
-        EXPECT_EQ(calls.load(), kCount) << "grain " << grain;
-        for (std::size_t i = 0; i < kCount; ++i)
-            ASSERT_EQ(results[i], 2 * i + 1)
-                << "grain " << grain << " index " << i;
-    }
-}
-
-TEST(RunBatch, RunBatchOnReusesACallerOwnedPool)
-{
-    // The pool-reusing form must behave like the transient-pool form
-    // round after round (the wavefront solver leans on this).
-    support::ThreadPool pool(4);
-    for (int round = 0; round < 3; ++round) {
-        std::atomic<std::size_t> calls{0};
-        const auto results = support::runBatchOn(
-            pool, 50,
-            [&](std::size_t i) {
-                calls.fetch_add(1, std::memory_order_relaxed);
-                return static_cast<int>(i) + round;
-            },
-            8);
-        ASSERT_EQ(results.size(), 50u);
-        EXPECT_EQ(calls.load(), 50u);
-        for (std::size_t i = 0; i < 50; ++i)
-            ASSERT_EQ(results[i], static_cast<int>(i) + round);
-    }
 }
 
 TEST(ConfiguredThreads, SharesTheEnvValidationContract)
