@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the substrate components:
  * interpreter throughput, FastTrack per-event cost, Giri trace
- * appends, Andersen solving, static slicing and invariant checking.
+ * appends, Andersen solving, static slicing, invariant checking and
+ * profiling runs.
  * These are wall-clock measurements of THIS implementation (not paper
  * reproductions) — useful for tracking regressions in the library
  * itself.
@@ -18,6 +19,7 @@
 #include "dyn/giri.h"
 #include "dyn/plans.h"
 #include "profile/profiler.h"
+#include "profile/profilers.h"
 #include "workloads/workloads.h"
 
 using namespace oha;
@@ -151,19 +153,57 @@ BM_StaticSlice(benchmark::State &state)
 }
 BENCHMARK(BM_StaticSlice);
 
+/**
+ * One profiled run on the race (arg 0) or slice (arg 1, with call
+ * contexts) workload.  Items are interpreter steps, so ns/step
+ * compares directly with BM_InterpreterPlain.  BM_ProfilingRun is the
+ * campaign's path (the observer under its narrow plan, built once per
+ * campaign); BM_ProfilingRunAllSites attaches the same observer under
+ * InstrumentationPlan::all, so the ratio of the two is the cost of
+ * instrumenting sites the observer never reads.
+ */
+void
+profilingRun(benchmark::State &state, bool allSites)
+{
+    const bool slice = state.range(0) != 0;
+    const workloads::Workload &workload =
+        slice ? sliceWorkload() : raceWorkload();
+    const ir::Module &module = *workload.module;
+    prof::ProfileOptions options;
+    options.callContexts = slice;
+    const prof::ProfilingCampaign campaign(module, options);
+    const exec::InstrumentationPlan all =
+        exec::InstrumentationPlan::all(module);
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        prof::RunObservations run;
+        if (allSites) {
+            prof::RunObserver observer(slice);
+            exec::Interpreter interp(module, workload.profilingSet.front());
+            interp.attach(&observer, &all);
+            run = observer.takeObservations(interp.run());
+        } else {
+            run = campaign.observeRun(workload.profilingSet.front());
+        }
+        steps += run.steps;
+        benchmark::DoNotOptimize(run.blockCounts.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+
 void
 BM_ProfilingRun(benchmark::State &state)
 {
-    const auto &workload = sliceWorkload();
-    for (auto _ : state) {
-        prof::ProfileOptions options;
-        options.callContexts = true;
-        prof::ProfilingCampaign campaign(*workload.module, options);
-        campaign.addRun(workload.profilingSet.front());
-        benchmark::DoNotOptimize(campaign.invariants().factCount());
-    }
+    profilingRun(state, false);
 }
-BENCHMARK(BM_ProfilingRun);
+BENCHMARK(BM_ProfilingRun)->ArgName("slice")->Arg(0)->Arg(1);
+
+void
+BM_ProfilingRunAllSites(benchmark::State &state)
+{
+    profilingRun(state, true);
+}
+BENCHMARK(BM_ProfilingRunAllSites)->ArgName("slice")->Arg(0)->Arg(1);
 
 /**
  * Console reporter that additionally captures every benchmark's

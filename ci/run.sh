@@ -143,9 +143,12 @@ service)
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
-    # request shards, and the crash-recovery sweep.
+    # request shards, and the crash-recovery sweep.  FaultInjector and
+    # Profiler cover the profiling observer and the fault injector,
+    # which reads and fills the shared observation cache from request
+    # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|RunBatch|Snapshot'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

@@ -398,13 +398,16 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // ---- Phase 1b: optional fault injection ---------------------------
     // Perturb the profiled invariants so the testing corpus provably
     // mis-speculates — exercises the rollback/demotion/circuit-breaker
-    // machinery below on demand (tests, CI seed sweeps).
+    // machinery below on demand (tests, CI seed sweeps).  The corpus
+    // is observed through the campaign's observer, so with cached
+    // observations a warm request does not re-profile it.
     if (config.faultSeed != 0) {
         dyn::FaultInjectorOptions injectOptions;
         injectOptions.seed = config.faultSeed;
         const dyn::FaultInjector injector(module, injectOptions);
+        OHA_ASSERT(injector.wantsCallContexts() == profOptions.callContexts);
         result.injectedFaults =
-            injector.inject(invariants, workload.testingSet);
+            injector.inject(invariants, workload.testingSet, observer);
     }
 
     // ---- Phase 2: static analyses -------------------------------------

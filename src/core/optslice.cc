@@ -360,7 +360,9 @@ runOptSlice(const workloads::Workload &workload,
     // mis-speculates (tests, CI seed sweeps).  Only the families the
     // OptSlice checker configuration watches are injectable here: lock
     // and spawn invariants are race-detection machinery the slicing
-    // checker never arms (guardingLocks/singletonThreads below).
+    // checker never arms (guardingLocks/singletonThreads below).  The
+    // corpus is observed through the campaign's observer, as in
+    // runOptFt.
     if (config.faultSeed != 0) {
         dyn::FaultInjectorOptions injectOptions;
         injectOptions.seed = config.faultSeed;
@@ -368,8 +370,9 @@ runOptSlice(const workloads::Workload &workload,
                                   dyn::ViolationFamily::CalleeSet,
                                   dyn::ViolationFamily::CallContext};
         const dyn::FaultInjector injector(module, injectOptions);
+        OHA_ASSERT(injector.wantsCallContexts() == profOptions.callContexts);
         result.injectedFaults =
-            injector.inject(invariants, workload.testingSet);
+            injector.inject(invariants, workload.testingSet, observer);
     }
 
     // ---- Phase 2: static analyses --------------------------------------

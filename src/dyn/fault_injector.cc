@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -112,7 +113,8 @@ struct CorpusObservations
 
 CorpusObservations
 observeCorpus(const ir::Module &module, bool wantContexts,
-              const std::vector<exec::ExecConfig> &corpus)
+              const std::vector<exec::ExecConfig> &corpus,
+              const prof::Observer &observe)
 {
     prof::ProfileOptions options;
     options.callContexts = wantContexts;
@@ -121,7 +123,11 @@ observeCorpus(const ir::Module &module, bool wantContexts,
 
     CorpusObservations out;
     for (const exec::ExecConfig &input : corpus) {
-        const prof::RunObservations run = campaign.observeRun(input);
+        const std::shared_ptr<const prof::RunObservations> observed =
+            observe ? observe(input)
+                    : std::make_shared<const prof::RunObservations>(
+                          campaign.observeRun(input));
+        const prof::RunObservations &run = *observed;
         for (const auto &[block, count] : run.blockCounts)
             if (count > 0)
                 out.blocks.insert(block);
@@ -172,15 +178,20 @@ pick(const std::vector<T> &candidates, Rng &rng)
 
 } // namespace
 
+bool
+FaultInjector::wantsCallContexts() const
+{
+    return std::find(options_.families.begin(), options_.families.end(),
+                     ViolationFamily::CallContext) != options_.families.end();
+}
+
 std::vector<FaultInjection>
 FaultInjector::inject(inv::InvariantSet &invariants,
-                      const std::vector<exec::ExecConfig> &corpus) const
+                      const std::vector<exec::ExecConfig> &corpus,
+                      const prof::Observer &observe) const
 {
-    const bool wantContexts =
-        std::find(options_.families.begin(), options_.families.end(),
-                  ViolationFamily::CallContext) != options_.families.end();
     const CorpusObservations seen =
-        observeCorpus(module_, wantContexts, corpus);
+        observeCorpus(module_, wantsCallContexts(), corpus, observe);
 
     Rng rng(options_.seed);
     std::vector<FaultInjection> applied;

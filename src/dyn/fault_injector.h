@@ -15,11 +15,12 @@
  *  - SingletonSpawn: assert spawn-once for a site the corpus spawns
  *    from more than once.
  *
- * Candidates come from profiling-instrumented observation runs of the
- * corpus itself, so every injected fault is guaranteed to be detected
- * by the InvariantChecker on some corpus input.  Selection is driven
- * by a seeded support::Rng (OHA_FAULT_SEED in CI), so sweeps are
- * reproducible and independent of thread count.
+ * Candidates come from profiled observation runs of the corpus
+ * itself (live, or served by the campaign's observer), so every
+ * injected fault is guaranteed to be detected by the InvariantChecker
+ * on some corpus input.  Selection is driven by a seeded support::Rng
+ * (OHA_FAULT_SEED in CI), so sweeps are reproducible and independent
+ * of thread count.
  *
  * A second fault domain targets the durability layer: the persist
  * paths (support/durable_file.h) issue every syscall through armable
@@ -39,6 +40,7 @@
 #include "dyn/violation.h"
 #include "exec/interpreter.h"
 #include "invariants/invariant_set.h"
+#include "profile/profiler.h"
 #include "support/durable_file.h"
 
 namespace oha::dyn {
@@ -52,6 +54,8 @@ struct FaultInjection
     std::uint64_t detail = 0;   ///< family-specific (e.g. dropped callee)
 
     std::string describe() const;
+
+    bool operator==(const FaultInjection &other) const = default;
 };
 
 struct FaultInjectorOptions
@@ -139,12 +143,26 @@ class FaultInjector
   public:
     FaultInjector(const ir::Module &module, FaultInjectorOptions options);
 
-    /** Observe @p corpus under profiling instrumentation, then apply
-     *  one perturbation per requested family to @p invariants.
-     *  Returns the injections actually applied. */
+    /**
+     * Observe @p corpus, one profiled run per input in corpus order,
+     * then apply one perturbation per requested family to
+     * @p invariants.  Returns the injections actually applied.
+     *
+     * @p observe, when set, is the source of each input's
+     * observations — typically the profiling campaign's own observer
+     * (e.g. the shared observation cache), so a warm request does not
+     * re-profile its corpus.  It must record call contexts exactly
+     * when wantsCallContexts() does; unset, the corpus is profiled
+     * live with that setting.
+     */
     std::vector<FaultInjection>
     inject(inv::InvariantSet &invariants,
-           const std::vector<exec::ExecConfig> &corpus) const;
+           const std::vector<exec::ExecConfig> &corpus,
+           const prof::Observer &observe = {}) const;
+
+    /** Whether the CallContext family is requested, i.e. whether the
+     *  corpus observations must carry call contexts. */
+    bool wantsCallContexts() const;
 
   private:
     const ir::Module &module_;

@@ -9,13 +9,14 @@ namespace oha::prof {
 
 ProfilingCampaign::ProfilingCampaign(const ir::Module &module,
                                      ProfileOptions options)
-    : module_(module), options_(options)
+    : module_(module), options_(options),
+      plan_(observerPlan(module, options.callContexts))
 {
     invariants_.numBlocks = static_cast<std::uint32_t>(module.numBlocks());
     invariants_.hasCallContexts = options.callContexts;
 }
 
-void
+bool
 ProfilingCampaign::mergeLockObservations(
     const std::vector<std::pair<InstrId, std::vector<exec::ObjectId>>>
         &objects)
@@ -24,7 +25,10 @@ ProfilingCampaign::mergeLockObservations(
     // sites locked exactly one object and it was the same one; it is
     // violated if either site locked several objects or the two
     // singleton objects differ.  Reflexive pairs (a, a) capture
-    // "site always locks a single object".
+    // "site always locks a single object".  mustAliasLocks stays
+    // candidates minus violated, updated only where a pair is new to
+    // either set.
+    bool changed = false;
     for (std::size_t a = 0; a < objects.size(); ++a) {
         for (std::size_t b = a; b < objects.size(); ++b) {
             const auto pair =
@@ -32,17 +36,16 @@ ProfilingCampaign::mergeLockObservations(
             const bool bothSingle = objects[a].second.size() == 1 &&
                                     objects[b].second.size() == 1;
             if (bothSingle &&
-                objects[a].second.front() == objects[b].second.front())
-                lockCandidates_.insert(pair);
-            else
-                lockViolated_.insert(pair);
+                objects[a].second.front() == objects[b].second.front()) {
+                if (lockCandidates_.insert(pair).second &&
+                    !lockViolated_.count(pair))
+                    changed |= invariants_.mustAliasLocks.insert(pair).second;
+            } else if (lockViolated_.insert(pair).second) {
+                changed |= invariants_.mustAliasLocks.erase(pair) != 0;
+            }
         }
     }
-
-    invariants_.mustAliasLocks.clear();
-    for (const auto &pair : lockCandidates_)
-        if (!lockViolated_.count(pair))
-            invariants_.mustAliasLocks.insert(pair);
+    return changed;
 }
 
 inv::InvariantSet
@@ -60,36 +63,72 @@ ProfilingCampaign::invariantsWithAggressiveLuc(
 }
 
 RunObservations
-ProfilingCampaign::observeRun(const exec::ExecConfig &config) const
+RunObserver::takeObservations(const exec::RunResult &result)
 {
-    BlockCountProfiler blocks;
-    CalleeSetProfiler callees;
-    CallContextProfiler contexts;
-    LockObjectProfiler locks;
-    SpawnCountProfiler spawns;
-
-    exec::Interpreter interp(module_, config);
-    const exec::InstrumentationPlan plan =
-        exec::InstrumentationPlan::all(module_);
-    interp.attach(&blocks, &plan);
-    interp.attach(&callees, &plan);
-    if (options_.callContexts)
-        interp.attach(&contexts, &plan);
-    interp.attach(&locks, &plan);
-    interp.attach(&spawns, &plan);
-
-    const exec::RunResult result = interp.run();
-
     RunObservations run;
-    run.blockCounts = blocks.flatCounts();
-    run.calleeSets = callees.flatCallees();
-    if (options_.callContexts)
-        run.callContexts = contexts.contexts();
-    run.lockObjects = locks.flatObjects();
-    run.spawnCounts = spawns.flatCounts();
+    for (std::size_t block = 0; block < blockCounts_.size(); ++block)
+        if (blockCounts_[block])
+            run.blockCounts.push_back(
+                {static_cast<BlockId>(block), blockCounts_[block]});
+
+    run.calleeSets.reserve(callees_.size());
+    callees_.forEach(
+        [&](std::uint64_t site, const std::vector<FuncId> &funcs) {
+            run.calleeSets.push_back({static_cast<InstrId>(site), funcs});
+        });
+    std::sort(run.calleeSets.begin(), run.calleeSets.end());
+
+    run.callContexts = std::move(contexts_);
+
+    run.lockObjects.reserve(objects_.size());
+    objects_.forEach(
+        [&](std::uint64_t site, const std::vector<exec::ObjectId> &objs) {
+            run.lockObjects.push_back({static_cast<InstrId>(site), objs});
+        });
+    std::sort(run.lockObjects.begin(), run.lockObjects.end());
+
+    run.spawnCounts.reserve(spawns_.size());
+    spawns_.forEach([&](std::uint64_t site, std::uint64_t count) {
+        run.spawnCounts.push_back({static_cast<InstrId>(site), count});
+    });
+    std::sort(run.spawnCounts.begin(), run.spawnCounts.end());
+
     run.steps = result.steps;
     run.status = result.status;
     return run;
+}
+
+exec::InstrumentationPlan
+observerPlan(const ir::Module &module, bool callContexts)
+{
+    exec::InstrumentationPlan plan = exec::InstrumentationPlan::none(module);
+    for (BlockId block = 0; block < module.numBlocks(); ++block)
+        plan.setBlock(block, true);
+    for (InstrId id = 0; id < module.numInstrs(); ++id) {
+        switch (module.instr(id).op) {
+          case ir::Opcode::ICall:
+          case ir::Opcode::Lock:
+          case ir::Opcode::Spawn:
+            plan.setInstr(id, true);
+            break;
+          case ir::Opcode::Call:
+          case ir::Opcode::Ret:
+            plan.setInstr(id, callContexts);
+            break;
+          default:
+            break;
+        }
+    }
+    return plan;
+}
+
+RunObservations
+ProfilingCampaign::observeRun(const exec::ExecConfig &config) const
+{
+    RunObserver observer(options_.callContexts);
+    exec::Interpreter interp(module_, config);
+    interp.attach(&observer, &plan_);
+    return observer.takeObservations(interp.run());
 }
 
 bool
@@ -100,41 +139,48 @@ ProfilingCampaign::mergeRun(const RunObservations &run)
                  static_cast<int>(run.status));
     }
 
-    const std::size_t before = invariants_.factCount();
-    const auto beforeLocks = invariants_.mustAliasLocks;
-    const auto beforeSingleton = invariants_.singletonSpawnSites;
-
     profiledSteps_ += run.steps;
     ++numRuns_;
 
-    // Reachable-style invariants: union.
+    // Reachable-style invariants: union.  Change is detected from the
+    // insert results, and only newly inserted contexts are hashed.
+    bool changed = false;
     for (const auto &[block, count] : run.blockCounts) {
-        invariants_.visitedBlocks.insert(block);
+        changed |= invariants_.visitedBlocks.insert(block);
         blockCounts_[block] += count;
     }
-    for (const auto &[site, funcs] : run.calleeSets)
-        invariants_.calleeSets[site].insert(funcs.begin(), funcs.end());
+    for (const auto &[site, funcs] : run.calleeSets) {
+        std::set<FuncId> &known = invariants_.calleeSets[site];
+        for (FuncId func : funcs)
+            changed |= known.insert(func).second;
+    }
     if (options_.callContexts) {
-        for (const auto &context : run.callContexts)
-            invariants_.callContexts.insert(context);
-        invariants_.rehashContexts();
+        for (const auto &context : run.callContexts) {
+            if (invariants_.callContexts.insert(context).second) {
+                invariants_.contextHashes.insert(inv::contextHash(context));
+                changed = true;
+            }
+        }
     }
 
     // Constraint-style invariants: survive only if never violated.
-    mergeLockObservations(run.lockObjects);
+    changed |= mergeLockObservations(run.lockObjects);
 
+    // A site is a singleton while its maximum per-run spawn count is
+    // exactly one.
     for (const auto &[site, count] : run.spawnCounts) {
         auto &maxCount = maxSpawnCounts_[site];
+        const bool wasSingleton = maxCount == 1;
         maxCount = std::max(maxCount, count);
+        if (wasSingleton != (maxCount == 1)) {
+            if (wasSingleton)
+                invariants_.singletonSpawnSites.erase(site);
+            else
+                invariants_.singletonSpawnSites.insert(site);
+            changed = true;
+        }
     }
-    invariants_.singletonSpawnSites.clear();
-    for (const auto &[site, maxCount] : maxSpawnCounts_)
-        if (maxCount == 1)
-            invariants_.singletonSpawnSites.insert(site);
-
-    return invariants_.factCount() != before ||
-           invariants_.mustAliasLocks != beforeLocks ||
-           invariants_.singletonSpawnSites != beforeSingleton;
+    return changed;
 }
 
 bool

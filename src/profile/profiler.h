@@ -48,7 +48,7 @@ struct RunObservations
     // Keyed observations are flat vectors sorted by key (inner sets
     // are sorted-unique vectors): same iteration order the merge
     // loops saw with std::map/std::set, minus the per-node
-    // allocations on the fully-instrumented profiling hot path.
+    // allocations on the profiling hot path.
     std::vector<std::pair<BlockId, std::uint64_t>> blockCounts;
     std::vector<std::pair<InstrId, std::vector<FuncId>>> calleeSets;
     std::set<inv::CallContext> callContexts;
@@ -76,8 +76,8 @@ class ProfilingCampaign
     ProfilingCampaign(const ir::Module &module, ProfileOptions options);
 
     /**
-     * Execute the program on @p config with full profiling
-     * instrumentation and merge the observations.
+     * Execute the program on @p config under the campaign's observer
+     * plan (profilers.h) and merge the observations.
      * @return true if the merged invariant set changed.
      */
     bool addRun(const exec::ExecConfig &config);
@@ -128,12 +128,15 @@ class ProfilingCampaign
     std::size_t numRuns() const { return numRuns_; }
 
   private:
-    void mergeLockObservations(
+    /** @return true if mustAliasLocks changed. */
+    bool mergeLockObservations(
         const std::vector<std::pair<InstrId, std::vector<exec::ObjectId>>>
             &objects);
 
     const ir::Module &module_;
     ProfileOptions options_;
+    /** observerPlan(module_, options_.callContexts), built once. */
+    exec::InstrumentationPlan plan_;
     inv::InvariantSet invariants_;
 
     /** Candidate and violated must-alias lock pairs across runs. */

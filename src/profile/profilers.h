@@ -1,132 +1,91 @@
 /**
  * @file
- * Per-invariant profiling passes (Sections 4.2 and 5.2).
+ * The per-run profiling tool (Sections 4.2 and 5.2) and the narrow
+ * plan it runs under.
  *
- * Each profiler is an interpreter Tool run with full instrumentation;
- * it observes one kind of program behaviour during a single execution
- * and exposes the raw observations.  ProfilingCampaign (profiler.h)
- * merges observations across runs into an InvariantSet.
+ * RunObserver is one interpreter Tool that records, during a single
+ * execution, every behaviour a likely invariant is learned from:
+ *  - block visit counts (likely-unreachable code);
+ *  - the targets of each indirect call (likely callee sets);
+ *  - every distinct call stack, as a chain of call-site ids
+ *    (likely-unused call contexts; OptSlice only);
+ *  - the dynamic objects locked at each lock site (likely guarding
+ *    locks);
+ *  - the threads created at each spawn site (likely singleton
+ *    threads).
+ * ProfilingCampaign (profiler.h) merges the runs' observations into
+ * an InvariantSet.
  *
- * Profiling runs everything fully instrumented, so these callbacks
- * are the hottest tool code in phase 1.  The per-event state is kept
- * in dense vectors (block counts) and open-addressed FlatMaps (keyed
- * observations) instead of node-based std::map/std::set; observations
- * are emitted as sorted flat vectors, which is exactly the key order
- * the campaign's merge loops relied on with std::map.
+ * The tool reads block entries and ICall, Lock and Spawn events
+ * (plus Call and Ret when recording contexts) and nothing else, so
+ * observerPlan() covers exactly those sites.  Every other site —
+ * loads, stores, arithmetic, branches, the bulk of the steps — takes
+ * the interpreter's uninstrumented path, which builds no event
+ * context and calls no tool.  Thread starts reach every attachment
+ * whatever its plan, so the per-thread stacks still reset.  The
+ * observations are therefore exactly those of the same tool with
+ * every site instrumented, at close to the plain interpreter's cost.
+ *
+ * Per-event state is kept in dense vectors (block counts, stacks)
+ * and open-addressed FlatMaps (keyed observations); observations are
+ * emitted as sorted flat vectors, the key order the campaign's merge
+ * loops rely on.
  */
 
 #pragma once
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "exec/event.h"
 #include "invariants/invariant_set.h"
+#include "profile/profiler.h"
 #include "support/flat_map.h"
 
 namespace oha::prof {
 
-/** Counts executions of each basic block (likely-unreachable code). */
-class BlockCountProfiler : public exec::Tool
+/** Records everything one profiled run contributes to a campaign. */
+class RunObserver : public exec::Tool
 {
   public:
+    /** Context recording cap, shared with the runtime checker's
+     *  exemption: deeper stacks are not recorded. */
+    static constexpr std::size_t kMaxDepth = inv::kMaxContextDepth;
+
+    explicit RunObserver(bool callContexts) : callContexts_(callContexts)
+    {
+    }
+
     void
     onBlockEnter(ThreadId, BlockId block) override
     {
-        if (block >= counts_.size())
-            counts_.resize(std::size_t{block} + 1, 0);
-        ++counts_[block];
+        if (block >= blockCounts_.size())
+            blockCounts_.resize(std::size_t{block} + 1, 0);
+        ++blockCounts_[block];
     }
-
-    /** Dense counts indexed by block id (may be shorter than the
-     *  module's block count; trailing never-entered blocks are
-     *  simply absent). */
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-
-    /** Sorted (block, count) pairs over entered blocks only. */
-    std::vector<std::pair<BlockId, std::uint64_t>>
-    flatCounts() const
-    {
-        std::vector<std::pair<BlockId, std::uint64_t>> out;
-        for (std::size_t block = 0; block < counts_.size(); ++block)
-            if (counts_[block])
-                out.push_back({static_cast<BlockId>(block),
-                               counts_[block]});
-        return out;
-    }
-
-  private:
-    std::vector<std::uint64_t> counts_;
-};
-
-/** Records observed targets of each indirect call (likely callee sets). */
-class CalleeSetProfiler : public exec::Tool
-{
-  public:
-    void
-    onEvent(const exec::EventCtx &ctx) override
-    {
-        if (ctx.instr->op != ir::Opcode::ICall)
-            return;
-        // Callee sets are tiny (a handful of targets), so a sorted
-        // vector beats a node-based set on both insert and merge.
-        std::vector<FuncId> &funcs = callees_[ctx.instr->id];
-        const auto it = std::lower_bound(funcs.begin(), funcs.end(),
-                                         ctx.calleeResolved);
-        if (it == funcs.end() || *it != ctx.calleeResolved)
-            funcs.insert(it, ctx.calleeResolved);
-    }
-
-    /** (site, sorted-unique callees) pairs, sorted by site. */
-    std::vector<std::pair<InstrId, std::vector<FuncId>>>
-    flatCallees() const
-    {
-        std::vector<std::pair<InstrId, std::vector<FuncId>>> out;
-        out.reserve(callees_.size());
-        callees_.forEach(
-            [&](std::uint64_t site, const std::vector<FuncId> &funcs) {
-                out.push_back({static_cast<InstrId>(site), funcs});
-            });
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
-  private:
-    support::FlatMap<std::vector<FuncId>> callees_;
-};
-
-/**
- * Records every distinct call stack, as a chain of call-site ids
- * (likely-unused call contexts).  Stacks deeper than kMaxDepth are
- * not recorded (and the matching runtime check skips them too).
- */
-class CallContextProfiler : public exec::Tool
-{
-  public:
-    /** Recording cap, shared with the runtime checker's exemption. */
-    static constexpr std::size_t kMaxDepth = inv::kMaxContextDepth;
 
     void
     onEvent(const exec::EventCtx &ctx) override
     {
         switch (ctx.instr->op) {
+          case ir::Opcode::ICall:
+            insertSorted(callees_[ctx.instr->id], ctx.calleeResolved);
+            pushContext(ctx);
+            break;
           case ir::Opcode::Call:
-          case ir::Opcode::ICall: {
-            auto &stack = stacks_[ctx.tid];
-            stack.push_back(ctx.instr->id);
-            if (stack.size() <= kMaxDepth)
-                contexts_.insert(stack);
+            pushContext(ctx);
             break;
-          }
-          case ir::Opcode::Ret: {
-            auto &stack = stacks_[ctx.tid];
-            if (!stack.empty())
-                stack.pop_back();
+          case ir::Opcode::Ret:
+            if (callContexts_ && !stack(ctx.tid).empty())
+                stack(ctx.tid).pop_back();
             break;
-          }
+          case ir::Opcode::Lock:
+            insertSorted(objects_[ctx.instr->id], ctx.obj);
+            break;
+          case ir::Opcode::Spawn:
+            ++spawns_[ctx.instr->id];
+            break;
           default:
             break;
         }
@@ -135,77 +94,63 @@ class CallContextProfiler : public exec::Tool
     void
     onThreadStart(ThreadId tid, ThreadId, InstrId) override
     {
-        stacks_[tid].clear();
+        if (callContexts_)
+            stack(tid).clear();
     }
 
-    const std::set<inv::CallContext> &contexts() const { return contexts_; }
+    /** Move the run's observations out, stamped with @p result's step
+     *  count and status.  Call once, after the run. */
+    RunObservations takeObservations(const exec::RunResult &result);
 
   private:
-    std::unordered_map<ThreadId, inv::CallContext> stacks_;
-    std::set<inv::CallContext> contexts_;
-};
-
-/** Records the dynamic objects locked at each lock site
- *  (likely guarding locks). */
-class LockObjectProfiler : public exec::Tool
-{
-  public:
-    void
-    onEvent(const exec::EventCtx &ctx) override
+    /** Callee and lock-object sets are tiny (a handful of entries),
+     *  so a sorted vector beats a node-based set on insert and
+     *  merge. */
+    template <typename T>
+    static void
+    insertSorted(std::vector<T> &values, T value)
     {
-        if (ctx.instr->op != ir::Opcode::Lock)
+        const auto it = std::lower_bound(values.begin(), values.end(), value);
+        if (it == values.end() || *it != value)
+            values.insert(it, value);
+    }
+
+    inv::CallContext &
+    stack(ThreadId tid)
+    {
+        if (tid >= stacks_.size())
+            stacks_.resize(std::size_t{tid} + 1);
+        return stacks_[tid];
+    }
+
+    void
+    pushContext(const exec::EventCtx &ctx)
+    {
+        if (!callContexts_)
             return;
-        std::vector<exec::ObjectId> &objs = objects_[ctx.instr->id];
-        const auto it =
-            std::lower_bound(objs.begin(), objs.end(), ctx.obj);
-        if (it == objs.end() || *it != ctx.obj)
-            objs.insert(it, ctx.obj);
+        inv::CallContext &chain = stack(ctx.tid);
+        chain.push_back(ctx.instr->id);
+        if (chain.size() <= kMaxDepth)
+            contexts_.insert(chain);
     }
 
-    /** (site, sorted-unique objects) pairs, sorted by site. */
-    std::vector<std::pair<InstrId, std::vector<exec::ObjectId>>>
-    flatObjects() const
-    {
-        std::vector<std::pair<InstrId, std::vector<exec::ObjectId>>> out;
-        out.reserve(objects_.size());
-        objects_.forEach([&](std::uint64_t site,
-                             const std::vector<exec::ObjectId> &objs) {
-            out.push_back({static_cast<InstrId>(site), objs});
-        });
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
-  private:
+    bool callContexts_;
+    /** Dense visit counts indexed by block id. */
+    std::vector<std::uint64_t> blockCounts_;
+    support::FlatMap<std::vector<FuncId>> callees_;
+    /** Per-thread call-site chain, indexed by thread id. */
+    std::vector<inv::CallContext> stacks_;
+    std::set<inv::CallContext> contexts_;
     support::FlatMap<std::vector<exec::ObjectId>> objects_;
+    support::FlatMap<std::uint64_t> spawns_;
 };
 
-/** Counts threads created at each spawn site (likely singleton thread). */
-class SpawnCountProfiler : public exec::Tool
-{
-  public:
-    void
-    onEvent(const exec::EventCtx &ctx) override
-    {
-        if (ctx.instr->op == ir::Opcode::Spawn)
-            ++counts_[ctx.instr->id];
-    }
-
-    /** (site, count) pairs, sorted by site. */
-    std::vector<std::pair<InstrId, std::uint64_t>>
-    flatCounts() const
-    {
-        std::vector<std::pair<InstrId, std::uint64_t>> out;
-        out.reserve(counts_.size());
-        counts_.forEach([&](std::uint64_t site, std::uint64_t count) {
-            out.push_back({static_cast<InstrId>(site), count});
-        });
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
-  private:
-    support::FlatMap<std::uint64_t> counts_;
-};
+/**
+ * The sites RunObserver reads: every block, every ICall, Lock and
+ * Spawn, and — with @p callContexts — every Call and Ret.  Built once
+ * per campaign.
+ */
+exec::InstrumentationPlan observerPlan(const ir::Module &module,
+                                       bool callContexts);
 
 } // namespace oha::prof

@@ -8,17 +8,23 @@
  * injection.
  */
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "analysis/andersen_cache.h"
 #include "core/optft.h"
 #include "core/optslice.h"
 #include "dyn/fault_injector.h"
 #include "dyn/invariant_checker.h"
 #include "exec/trace.h"
 #include "ir/builder.h"
+#include "profile/observation_cache.h"
 #include "profile/profiler.h"
+#include "service/shared_cache.h"
+#include "workloads/workloads.h"
 
 namespace oha::dyn {
 namespace {
@@ -226,6 +232,113 @@ TEST(FaultInjector, EnvSeedParsing)
         setenv("OHA_FAULT_SEED", saved.c_str(), 1);
     else
         unsetenv("OHA_FAULT_SEED");
+}
+
+std::vector<std::string>
+allWorkloadNames()
+{
+    std::vector<std::string> names = workloads::raceWorkloadNames();
+    const auto &slice = workloads::sliceWorkloadNames();
+    names.insert(names.end(), slice.begin(), slice.end());
+    return names;
+}
+
+workloads::Workload
+smallWorkload(const std::string &name)
+{
+    const auto &race = workloads::raceWorkloadNames();
+    return std::find(race.begin(), race.end(), name) != race.end()
+               ? workloads::makeRaceWorkload(name, 10, 6)
+               : workloads::makeSliceWorkload(name, 10, 6);
+}
+
+/** The injector configuration runOptFt / runOptSlice use. */
+FaultInjectorOptions
+pipelineInjectorOptions(const workloads::Workload &workload,
+                        std::uint64_t seed)
+{
+    FaultInjectorOptions options;
+    options.seed = seed;
+    if (!workload.race)
+        options.families = {ViolationFamily::UnreachableBlock,
+                            ViolationFamily::CalleeSet,
+                            ViolationFamily::CallContext};
+    return options;
+}
+
+/** The pipelines' observer with cached profile observations. */
+prof::Observer
+memoObserver(const workloads::Workload &workload, bool callContexts)
+{
+    prof::ProfileOptions options;
+    options.callContexts = callContexts;
+    return [module = workload.module, options](const exec::ExecConfig &in) {
+        return prof::observeRunMemo(module, options, in);
+    };
+}
+
+/** Empties the process-wide cache on entry and exit. */
+struct CacheReset
+{
+    CacheReset() { analysis::resetAndersenCache(); }
+    ~CacheReset() { analysis::resetAndersenCache(); }
+};
+
+TEST(FaultInjector, MemoBackedInjectionMatchesLive)
+{
+    const CacheReset reset;
+    std::size_t injected = 0;
+    for (const std::string &name : allWorkloadNames()) {
+        const auto workload = smallWorkload(name);
+        const inv::InvariantSet profiledSet = profiled(
+            *workload.module, workload.profilingSet, !workload.race);
+        for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            const FaultInjector injector(
+                *workload.module, pipelineInjectorOptions(workload, seed));
+            inv::InvariantSet live = profiledSet;
+            inv::InvariantSet memo = profiledSet;
+            const auto liveFaults = injector.inject(live, workload.testingSet);
+            const auto memoFaults = injector.inject(
+                memo, workload.testingSet,
+                memoObserver(workload, injector.wantsCallContexts()));
+            const std::string where = name + " seed " + std::to_string(seed);
+            EXPECT_EQ(liveFaults, memoFaults) << where;
+            EXPECT_EQ(live, memo) << where;
+            EXPECT_EQ(live.contextHashes, memo.contextHashes) << where;
+            injected += liveFaults.size();
+        }
+    }
+    EXPECT_GT(injected, 0u);
+}
+
+TEST(FaultInjector, RepeatOnFreshModulesIsServedFromTheObservationCache)
+{
+    for (const std::string &name : allWorkloadNames()) {
+        const CacheReset reset;
+        const auto first = smallWorkload(name);
+        const FaultInjector injector(*first.module,
+                                     pipelineInjectorOptions(first, 1));
+        const bool contexts = injector.wantsCallContexts();
+        inv::InvariantSet invariants =
+            profiled(*first.module, first.profilingSet, contexts);
+        const inv::InvariantSet profiledSet = invariants;
+        const auto firstFaults = injector.inject(
+            invariants, first.testingSet, memoObserver(first, contexts));
+
+        // Same program and corpus, freshly built module objects.
+        const auto again = smallWorkload(name);
+        const FaultInjector repeat(*again.module,
+                                   pipelineInjectorOptions(again, 1));
+        inv::InvariantSet repeated = profiledSet;
+        const auto before = service::SharedCache::instance().stats();
+        const auto againFaults = repeat.inject(repeated, again.testingSet,
+                                               memoObserver(again, contexts));
+        const auto after = service::SharedCache::instance().stats();
+        EXPECT_EQ(after.hits - before.hits, again.testingSet.size()) << name;
+        EXPECT_EQ(after.misses, before.misses) << name;
+        EXPECT_EQ(againFaults, firstFaults) << name;
+        EXPECT_EQ(repeated, invariants) << name;
+    }
 }
 
 /** The CI fault sweep (ci/run.sh faults) varies OHA_FAULT_SEED; the

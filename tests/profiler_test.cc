@@ -1,16 +1,21 @@
 /**
  * @file
- * Tests for the likely-invariant profilers and the multi-run merging
- * campaign (Sections 4.2 / 5.2): union semantics for reachable-style
- * invariants, never-violated semantics for constraint-style ones,
- * and convergence behaviour.
+ * Tests for the likely-invariant profiling tool and the multi-run
+ * merging campaign (Sections 4.2 / 5.2): union semantics for
+ * reachable-style invariants, never-violated semantics for
+ * constraint-style ones, convergence behaviour, and parity of the
+ * narrow observer plan with full instrumentation.
  */
+
+#include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "profile/profiler.h"
 #include "profile/profilers.h"
 #include "ir/builder.h"
+#include "workloads/workloads.h"
 
 namespace oha::prof {
 namespace {
@@ -237,6 +242,17 @@ TEST(Profiler, ProfiledStepsAccumulate)
     EXPECT_EQ(campaign.profiledSteps(), 2 * once);
 }
 
+/** Run @p module once with a RunObserver attached under @p plan. */
+RunObservations
+observeUnder(const Module &module, const exec::InstrumentationPlan &plan,
+             bool callContexts, const exec::ExecConfig &config = {})
+{
+    RunObserver observer(callContexts);
+    exec::Interpreter interp(module, config);
+    interp.attach(&observer, &plan);
+    return observer.takeObservations(interp.run());
+}
+
 TEST(Profiler, CallContextsRecordedWithPrefixes)
 {
     // a -> b -> c: the context set must contain [a], [a,b] chains.
@@ -255,16 +271,23 @@ TEST(Profiler, CallContextsRecordedWithPrefixes)
     b.ret();
     module.finalize();
 
+    const RunObservations run = observeUnder(
+        module, observerPlan(module, /*callContexts=*/true), true);
+    ASSERT_EQ(run.callContexts.size(), 3u); // [m], [m,a], [m,a,b]
+    std::set<std::size_t> depths;
+    for (const auto &context : run.callContexts)
+        depths.insert(context.size());
+    EXPECT_EQ(depths, (std::set<std::size_t>{1, 2, 3}));
+    // Without contexts the observer keeps no stacks at all.
+    EXPECT_TRUE(observeUnder(module, exec::InstrumentationPlan::all(module),
+                             false)
+                    .callContexts.empty());
+
     ProfileOptions options;
     options.callContexts = true;
     ProfilingCampaign campaign(module, options);
     campaign.addRun({});
-    const auto &contexts = campaign.invariants().callContexts;
-    ASSERT_EQ(contexts.size(), 3u); // [m], [m,a], [m,a,b]
-    std::set<std::size_t> depths;
-    for (const auto &context : contexts)
-        depths.insert(context.size());
-    EXPECT_EQ(depths, (std::set<std::size_t>{1, 2, 3}));
+    EXPECT_EQ(campaign.invariants().callContexts, run.callContexts);
     EXPECT_EQ(campaign.invariants().contextHashes.size(), 3u);
 }
 
@@ -289,16 +312,181 @@ TEST(Profiler, BlockCountsMatchExecution)
     b.ret();
     module.finalize();
 
-    BlockCountProfiler profiler;
-    exec::Interpreter interp(module, {});
-    const auto plan = exec::InstrumentationPlan::all(module);
-    interp.attach(&profiler, &plan);
-    ASSERT_TRUE(interp.run().finished());
-    EXPECT_EQ(profiler.counts().at(loop->id()), 6u);
-    EXPECT_EQ(profiler.counts().at(body->id()), 5u);
-    EXPECT_EQ(profiler.counts().at(exit->id()), 1u);
-    EXPECT_EQ(profiler.counts().at(main->entry()->id()), 1u);
+    const RunObservations run =
+        observeUnder(module, observerPlan(module, false), false);
+    ASSERT_EQ(run.status, exec::RunResult::Status::Finished);
+    const std::map<BlockId, std::uint64_t> counts(run.blockCounts.begin(),
+                                                  run.blockCounts.end());
+    EXPECT_EQ(counts.at(loop->id()), 6u);
+    EXPECT_EQ(counts.at(body->id()), 5u);
+    EXPECT_EQ(counts.at(exit->id()), 1u);
+    EXPECT_EQ(counts.at(main->entry()->id()), 1u);
 }
+
+/** The campaign's merge rules restated from scratch over every run
+ *  so far: unions, candidates minus violated lock pairs, and spawn
+ *  sites whose largest per-run count is one. */
+inv::InvariantSet
+referenceMerge(const Module &module, const std::vector<RunObservations> &runs)
+{
+    inv::InvariantSet merged;
+    merged.numBlocks = static_cast<std::uint32_t>(module.numBlocks());
+    merged.hasCallContexts = true;
+    std::set<std::pair<InstrId, InstrId>> candidates, violated;
+    std::map<InstrId, std::uint64_t> maxSpawns;
+    for (const RunObservations &run : runs) {
+        for (const auto &[block, count] : run.blockCounts)
+            merged.visitedBlocks.insert(block);
+        for (const auto &[site, funcs] : run.calleeSets)
+            merged.calleeSets[site].insert(funcs.begin(), funcs.end());
+        merged.callContexts.insert(run.callContexts.begin(),
+                                   run.callContexts.end());
+        const auto &locks = run.lockObjects;
+        for (std::size_t a = 0; a < locks.size(); ++a)
+            for (std::size_t b = a; b < locks.size(); ++b) {
+                const bool same = locks[a].second.size() == 1 &&
+                                  locks[a].second == locks[b].second;
+                (same ? candidates : violated)
+                    .insert({locks[a].first, locks[b].first});
+            }
+        for (const auto &[site, count] : run.spawnCounts)
+            maxSpawns[site] = std::max(maxSpawns[site], count);
+    }
+    merged.rehashContexts();
+    for (const auto &pair : candidates)
+        if (!violated.count(pair))
+            merged.mustAliasLocks.insert(pair);
+    for (const auto &[site, count] : maxSpawns)
+        if (count == 1)
+            merged.singletonSpawnSites.insert(site);
+    return merged;
+}
+
+TEST(Profiler, IncrementalMergeMatchesTheReferenceMerge)
+{
+    // mergeRun updates the merged sets in place; after every run they
+    // must equal the from-scratch merge, and the change flag must say
+    // exactly whether anything moved.
+    ProfiledProgram prog;
+    build(prog);
+    const std::vector<exec::ExecConfig> inputs = {
+        input(0, 0, 0, 1), input(0, 0, 0, 1), input(1, 1, 0, 1),
+        input(0, 0, 1, 1), input(0, 0, 0, 3), input(1, 0, 1, 1),
+        input(0, 1, 0, 0), input(0, 0, 0, 1)};
+    ProfileOptions options;
+    options.callContexts = true;
+    ProfilingCampaign campaign(prog.module, options);
+    std::vector<RunObservations> runs;
+    for (const exec::ExecConfig &config : inputs) {
+        const inv::InvariantSet before = campaign.invariants();
+        runs.push_back(campaign.observeRun(config));
+        const bool changed = campaign.mergeRun(runs.back());
+        const inv::InvariantSet &merged = campaign.invariants();
+        const inv::InvariantSet reference = referenceMerge(prog.module, runs);
+        EXPECT_EQ(merged, reference) << "after run " << runs.size();
+        EXPECT_EQ(merged.contextHashes, reference.contextHashes);
+        EXPECT_EQ(changed, !(before == merged)) << "run " << runs.size();
+    }
+}
+
+std::vector<std::string>
+allWorkloadNames()
+{
+    std::vector<std::string> names = workloads::raceWorkloadNames();
+    const auto &slice = workloads::sliceWorkloadNames();
+    names.insert(names.end(), slice.begin(), slice.end());
+    return names;
+}
+
+workloads::Workload
+makeWorkload(const std::string &name, std::size_t profileRuns = 48,
+             std::size_t testRuns = 24)
+{
+    const auto &race = workloads::raceWorkloadNames();
+    return std::find(race.begin(), race.end(), name) != race.end()
+               ? workloads::makeRaceWorkload(name, profileRuns, testRuns)
+               : workloads::makeSliceWorkload(name, profileRuns, testRuns);
+}
+
+TEST(Profiler, ObserverPlanCoversOnlyTheSitesTheObserverReads)
+{
+    for (const bool callContexts : {false, true}) {
+        for (const std::string &name : allWorkloadNames()) {
+            const auto workload = makeWorkload(name, 1, 1);
+            const Module &module = *workload.module;
+            const auto plan = observerPlan(module, callContexts);
+            EXPECT_EQ(plan.numBlockSites(), module.numBlocks()) << name;
+            for (BlockId block = 0; block < module.numBlocks(); ++block)
+                EXPECT_TRUE(plan.coversBlock(block));
+            for (InstrId id = 0; id < module.numInstrs(); ++id) {
+                // Loads, stores, arithmetic and branches — everything
+                // else — stay uninstrumented.
+                switch (module.instr(id).op) {
+                  case ir::Opcode::ICall:
+                  case ir::Opcode::Lock:
+                  case ir::Opcode::Spawn:
+                    EXPECT_TRUE(plan.coversInstr(id)) << name;
+                    break;
+                  case ir::Opcode::Call:
+                  case ir::Opcode::Ret:
+                    EXPECT_EQ(plan.coversInstr(id), callContexts) << name;
+                    break;
+                  default:
+                    EXPECT_FALSE(plan.coversInstr(id)) << name;
+                    break;
+                }
+            }
+        }
+    }
+}
+
+void
+expectSameObservations(const RunObservations &narrow,
+                       const RunObservations &full, const std::string &where)
+{
+    EXPECT_EQ(narrow.blockCounts, full.blockCounts) << where;
+    EXPECT_EQ(narrow.calleeSets, full.calleeSets) << where;
+    EXPECT_EQ(narrow.callContexts, full.callContexts) << where;
+    EXPECT_EQ(narrow.lockObjects, full.lockObjects) << where;
+    EXPECT_EQ(narrow.spawnCounts, full.spawnCounts) << where;
+    EXPECT_EQ(narrow.steps, full.steps) << where;
+    EXPECT_EQ(narrow.status, full.status) << where;
+}
+
+class ProfilerParity : public ::testing::TestWithParam<std::string>
+{};
+
+/** observeRun (the narrow observer plan) sees exactly what the same
+ *  tool sees under full instrumentation, on the first ten profiling
+ *  inputs and every testing input, with and without contexts. */
+TEST_P(ProfilerParity, ObserverPlanMatchesAllSites)
+{
+    const std::string &name = GetParam();
+    const auto workload = makeWorkload(name);
+    const Module &module = *workload.module;
+    std::vector<exec::ExecConfig> inputs(
+        workload.profilingSet.begin(),
+        workload.profilingSet.begin() +
+            std::min<std::size_t>(10, workload.profilingSet.size()));
+    inputs.insert(inputs.end(), workload.testingSet.begin(),
+                  workload.testingSet.end());
+    const auto all = exec::InstrumentationPlan::all(module);
+    for (const bool callContexts : {false, true}) {
+        ProfileOptions options;
+        options.callContexts = callContexts;
+        const ProfilingCampaign campaign(module, options);
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            expectSameObservations(
+                campaign.observeRun(inputs[i]),
+                observeUnder(module, all, callContexts, inputs[i]),
+                name + " input " + std::to_string(i) +
+                    (callContexts ? " with contexts" : ""));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, ProfilerParity,
+                         ::testing::ValuesIn(allWorkloadNames()),
+                         [](const auto &info) { return info.param; });
 
 } // namespace
 } // namespace oha::prof
