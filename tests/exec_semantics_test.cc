@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "exec/interpreter.h"
+#include "guest_fault.h"
 #include "ir/builder.h"
 
 namespace oha::exec {
@@ -84,7 +87,7 @@ TEST(ExecSemantics, ArithmeticOnPointerFaults)
     b.output(b.add(buf, b.constInt(1))); // pointer + int: fault
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "arithmetic on non-scalar values", 2);
 }
 
 TEST(ExecSemantics, DeepRecursionWorks)
@@ -122,7 +125,7 @@ TEST(ExecSemantics, IcallArityMismatchFaults)
     b.icall(b.funcAddr(unary), {}); // zero args to a unary function
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "indirect call arity mismatch", 1);
 }
 
 TEST(ExecSemantics, IcallThroughNonFunctionFaults)
@@ -133,7 +136,7 @@ TEST(ExecSemantics, IcallThroughNonFunctionFaults)
     b.icall(b.constInt(7), {});
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "indirect call through non-function value", 1);
 }
 
 TEST(ExecSemantics, UnlockWithoutHoldFaults)
@@ -145,7 +148,7 @@ TEST(ExecSemantics, UnlockWithoutHoldFaults)
     b.unlock(b.globalAddr(m));
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "unlock of lock not held", 1);
 }
 
 TEST(ExecSemantics, RecursiveLockFaults)
@@ -158,7 +161,7 @@ TEST(ExecSemantics, RecursiveLockFaults)
     b.lock(b.globalAddr(m));
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "recursive lock acquisition", 3);
 }
 
 TEST(ExecSemantics, JoinOfNonThreadFaults)
@@ -169,7 +172,7 @@ TEST(ExecSemantics, JoinOfNonThreadFaults)
     b.join(b.constInt(0));
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "join of non-thread value", 1);
 }
 
 TEST(ExecSemantics, NegativeGepFaults)
@@ -181,7 +184,32 @@ TEST(ExecSemantics, NegativeGepFaults)
     b.gep(buf, -1);
     b.ret();
     module.finalize();
-    EXPECT_EQ(run(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "negative pointer offset", 1);
+}
+
+TEST(ExecSemantics, GepOverflowFaults)
+{
+    // off + field overflows int64: rejected before the sign check.
+    Module module;
+    IRBuilder b(module);
+    b.createFunction("main", 0);
+    const Reg buf = b.alloc(2);
+    b.gep(b.gep(buf, 1), INT64_MAX);
+    b.ret();
+    module.finalize();
+    expectGuestFault(module, "pointer offset out of range", 2);
+}
+
+TEST(ExecSemantics, DynamicGepOverflowFaults)
+{
+    Module module;
+    IRBuilder b(module);
+    b.createFunction("main", 0);
+    const Reg buf = b.gep(b.alloc(2), 1);
+    b.gepDyn(buf, b.constInt(INT64_MAX));
+    b.ret();
+    module.finalize();
+    expectGuestFault(module, "pointer offset out of range", 3);
 }
 
 TEST(ExecSemantics, EventClassMapping)

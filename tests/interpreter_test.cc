@@ -10,6 +10,7 @@
 #include <map>
 
 #include "exec/interpreter.h"
+#include "guest_fault.h"
 #include "ir/builder.h"
 
 namespace oha::exec {
@@ -374,8 +375,7 @@ TEST(Interpreter, GuestFaultOnBadDeref)
     b.ret();
     module.finalize();
 
-    const RunResult result = runPlain(module);
-    EXPECT_EQ(result.status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "dereference of non-pointer value", 1);
 }
 
 TEST(Interpreter, GuestFaultOnOutOfBounds)
@@ -388,7 +388,7 @@ TEST(Interpreter, GuestFaultOnOutOfBounds)
     b.ret();
     module.finalize();
 
-    EXPECT_EQ(runPlain(module).status, RunResult::Status::RuntimeError);
+    expectGuestFault(module, "out-of-bounds memory access", 2);
 }
 
 TEST(Interpreter, DeadlockDetected)
