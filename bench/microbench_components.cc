@@ -18,6 +18,7 @@
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
 #include "dyn/plans.h"
+#include "exec/trace.h"
 #include "profile/profiler.h"
 #include "profile/profilers.h"
 #include "workloads/workloads.h"
@@ -42,21 +43,68 @@ sliceWorkload()
     return workload;
 }
 
-void
-BM_InterpreterPlain(benchmark::State &state)
+/** Every race (false) or slice (true) workload, built once. */
+const std::vector<workloads::Workload> &
+corpus(bool slice)
 {
-    const auto &workload = raceWorkload();
+    static const auto build = [](bool sliceSuite) {
+        std::vector<workloads::Workload> all;
+        const auto &names = sliceSuite ? workloads::sliceWorkloadNames()
+                                       : workloads::raceWorkloadNames();
+        for (const std::string &name : names)
+            all.push_back(sliceSuite ? workloads::makeSliceWorkload(name)
+                                     : workloads::makeRaceWorkload(name));
+        return all;
+    };
+    static const std::vector<workloads::Workload> race = build(false);
+    static const std::vector<workloads::Workload> sliceCorpus = build(true);
+    return slice ? sliceCorpus : race;
+}
+
+/**
+ * The interpreter floor: every testing input of every race (arg 0)
+ * or slice (arg 1) workload, run plain or recorded.  Items are
+ * interpreter steps, so the two series read directly as ns/step and
+ * their ratio is the cost of trace capture.
+ */
+void
+corpusRun(benchmark::State &state, bool record)
+{
+    const auto &workloads = corpus(state.range(0) != 0);
     std::uint64_t steps = 0;
     for (auto _ : state) {
-        exec::Interpreter interp(*workload.module,
-                                 workload.testingSet.front());
-        const auto result = interp.run();
-        steps += result.steps;
-        benchmark::DoNotOptimize(result.steps);
+        for (const workloads::Workload &workload : workloads) {
+            for (const exec::ExecConfig &config : workload.testingSet) {
+                if (record) {
+                    const exec::RecordedTrace trace =
+                        exec::recordRun(*workload.module, config);
+                    steps += trace.result.steps;
+                    benchmark::DoNotOptimize(trace.events.sizeBytes());
+                } else {
+                    exec::Interpreter interp(*workload.module, config);
+                    const auto result = interp.run();
+                    steps += result.steps;
+                    benchmark::DoNotOptimize(result.steps);
+                }
+            }
+        }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
-BENCHMARK(BM_InterpreterPlain);
+
+void
+BM_InterpreterPlain(benchmark::State &state)
+{
+    corpusRun(state, false);
+}
+BENCHMARK(BM_InterpreterPlain)->ArgName("slice")->Arg(0)->Arg(1);
+
+void
+BM_RecordRun(benchmark::State &state)
+{
+    corpusRun(state, true);
+}
+BENCHMARK(BM_RecordRun)->ArgName("slice")->Arg(0)->Arg(1);
 
 void
 BM_FastTrackFullInstrumentation(benchmark::State &state)

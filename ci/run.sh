@@ -12,7 +12,9 @@
 #                        # Release (-O2, no asserts) build + smoke run of
 #                        # the trace capture/replay microbenchmark
 #                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus),
-#                        # then the repository benchmark's own checks
+#                        # the interpreter per-step probes (plain,
+#                        # recorded and profiled ns/step), then the
+#                        # repository benchmark's own checks
 #                        # (perfbench/test.py)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
 #                        # recovery tests under OHA_FAULT_SEED 1..3,
@@ -83,7 +85,7 @@ bench-release)
     build_dir=build-ci-release
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
-        microbench_incremental microbench_static
+        microbench_incremental microbench_static microbench_components
     # Force a low segment threshold so the smoke run exercises the
     # segmented spill-to-disk capture path and the fused-vs-separate
     # replay series end to end (BENCH_microbench_trace.json is
@@ -99,6 +101,12 @@ bench-release)
     # pipeline's context and slice-work budgets.  The workflow uploads
     # BENCH_microbench_static.json.
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_static
+    # Interpreter floor: plain, recorded and profiled runs over every
+    # race (slice:0) and slice (slice:1) workload's inputs, items =
+    # steps, so the recorded/plain and profiled/plain ns/step ratios
+    # are tracked.  Leaves BENCH_microbench_components.json.
+    "$build_dir"/bench/microbench_components \
+        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun'
     # The repository benchmark's own checks: its reference digests
     # (computed on the direct path) still match, and every workload's
     # traced run passes and repeats its exact counts — so the fused

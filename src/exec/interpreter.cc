@@ -1,7 +1,7 @@
 #include "exec/interpreter.h"
 
+#include <algorithm>
 #include <bit>
-#include <new>
 #include <utility>
 
 #include "exec/trace.h"
@@ -10,11 +10,31 @@ namespace oha::exec {
 
 namespace {
 
-/** Internal exception used to unwind on guest program faults. */
-struct GuestFault
+using ir::BinOpKind;
+using ir::Op;
+
+constexpr const char *kNonPointer = "dereference of non-pointer value";
+constexpr const char *kOutOfBounds = "out-of-bounds memory access";
+
+/** dst = lhs K rhs; false when the operands fault.  Scalars take the
+ *  fast path; Eq/Ne also compare non-scalars structurally. */
+template <BinOpKind K>
+inline bool
+binop(Value &dst, const Value &lhs, const Value &rhs)
 {
-    std::string message;
-};
+    std::int64_t result;
+    if (lhs.kind == ValueKind::Scalar && rhs.kind == ValueKind::Scalar) {
+        result = ir::evalBinOp(K, lhs.num, rhs.num);
+    } else if constexpr (K == BinOpKind::Eq) {
+        result = lhs == rhs;
+    } else if constexpr (K == BinOpKind::Ne) {
+        result = !(lhs == rhs);
+    } else {
+        return false;
+    }
+    dst = Value::scalar(result);
+    return true;
+}
 
 } // namespace
 
@@ -38,10 +58,9 @@ eventClassOf(ir::Opcode op)
 }
 
 Interpreter::Interpreter(const ir::Module &module, ExecConfig config)
-    : module_(module), config_(std::move(config)),
-      rng_(config_.scheduleSeed)
+    : module_(module), decoded_(module.decoded()),
+      config_(std::move(config)), rng_(config_.scheduleSeed)
 {
-    OHA_ASSERT(module.finalized(), "interpreter requires finalized module");
 }
 
 void
@@ -85,27 +104,6 @@ Interpreter::allocObject(InstrId site, std::uint32_t cells)
     return obj;
 }
 
-Value &
-Interpreter::reg(Frame &frame, ir::Reg r)
-{
-    // In bounds by construction: verifyModule (run by finalize(),
-    // which the constructor requires) rejects any register index
-    // >= numRegs(), and frames allocate exactly numRegs() slots.
-    return frame.regs[r];
-}
-
-const Value &
-Interpreter::regRead(Frame &frame, ir::Reg r)
-{
-    return frame.regs[r];
-}
-
-void
-Interpreter::guestError(const std::string &message)
-{
-    throw GuestFault{message};
-}
-
 void
 Interpreter::requestAbort(std::string reason)
 {
@@ -127,26 +125,19 @@ Interpreter::requestAbort(std::string reason, const AbortMetadata &meta)
 void
 Interpreter::buildDispatchTables()
 {
-    const std::size_t numInstrs = module_.numInstrs();
-    const std::size_t numBlocks = module_.numBlocks();
     OHA_ASSERT(attachments_.size() <= 8,
                "dispatch masks hold at most 8 attachments");
-    dispatch_.resize(numInstrs);
-    for (InstrId id = 0; id < numInstrs; ++id) {
-        dispatch_[id] = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(eventClassOf(module_.instr(id).op))
-            << 8);
-    }
-    blockMask_.assign(numBlocks, 0);
+    instrMask_.assign(module_.numInstrs(), 0);
+    blockMask_.assign(module_.numBlocks(), 0);
     for (std::size_t i = 0; i < attachments_.size(); ++i) {
         const InstrumentationPlan &plan = *attachments_[i].plan;
-        const auto bit = static_cast<std::uint16_t>(1u << i);
-        for (InstrId id = 0; id < numInstrs; ++id)
+        const auto bit = static_cast<std::uint8_t>(1u << i);
+        for (InstrId id = 0; id < instrMask_.size(); ++id)
             if (plan.coversInstr(id))
-                dispatch_[id] |= bit;
-        for (BlockId id = 0; id < numBlocks; ++id)
+                instrMask_[id] |= bit;
+        for (BlockId id = 0; id < blockMask_.size(); ++id)
             if (plan.coversBlock(id))
-                blockMask_[id] |= static_cast<std::uint8_t>(1u << i);
+                blockMask_[id] |= bit;
     }
 }
 
@@ -164,10 +155,7 @@ Interpreter::fireEvent(const EventCtx &ctx, std::uint8_t mask,
 void
 Interpreter::fireBlockEnter(ThreadId tid, BlockId block)
 {
-    ++totalEvents_[EventClass::BlockEnter];
-    if (recorder_)
-        recorder_->recordBlockEnter(tid, block);
-    std::uint8_t mask = blockMask_[block];
+    std::uint8_t mask = blockMask_.empty() ? 0 : blockMask_[block];
     for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         ++delivered_[i][EventClass::BlockEnter];
@@ -175,407 +163,495 @@ Interpreter::fireBlockEnter(ThreadId tid, BlockId block)
     }
 }
 
-void
-Interpreter::enterBlock(ThreadCtx &thread, const ir::BasicBlock *block)
+Interpreter::Frame &
+Interpreter::pushFrame(ThreadCtx &thread, const ir::DecodedFunction &func,
+                       std::uint32_t numArgs, InstrId callSite)
 {
-    Frame &frame = thread.stack.back();
-    frame.block = block;
-    frame.ip = 0;
-    fireBlockEnter(thread.tid, block->id());
-}
-
-void
-Interpreter::pushFrame(ThreadCtx &thread, const ir::Function *func,
-                       const std::vector<Value> &args,
-                       const ir::Instruction *callSite)
-{
-    Frame frame;
-    frame.func = func;
-    frame.regs.assign(func->numRegs(), Value{});
-    for (std::size_t i = 0; i < args.size(); ++i)
-        frame.regs[i] = args[i];
-    frame.callSite = callSite;
-    frame.frameId = nextFrameId_++;
-    thread.stack.push_back(std::move(frame));
-    enterBlock(thread, func->entry());
-}
-
-void
-Interpreter::popFrame(ThreadCtx &thread, const Value &retVal)
-{
-    const Frame done = std::move(thread.stack.back());
-    thread.stack.pop_back();
-    if (thread.stack.empty()) {
-        // Thread root returned: the thread is finished.
-        thread.retVal = retVal;
-        thread.state = ThreadState::Finished;
-        if (recorder_)
-            recorder_->recordThreadFinish(thread.tid);
-        for (auto &attachment : attachments_)
-            attachment.tool->onThreadFinish(thread.tid);
-        // Wake joiners.
-        for (auto &other : threads_) {
-            if (other.state == ThreadState::BlockedOnJoin &&
-                other.waitTid == thread.tid) {
-                other.state = ThreadState::Runnable;
-            }
-        }
-        return;
-    }
-    Frame &caller = thread.stack.back();
-    if (done.callSite && done.callSite->dest != ir::kNoReg)
-        reg(caller, done.callSite->dest) = retVal;
+    // In bounds by construction: verifyModule (run by finalize())
+    // rejects any register index >= numRegs(), and each window holds
+    // exactly numRegs() slots.
+    const std::uint32_t base =
+        thread.frames.empty() ? 0 : thread.frames.back().regEnd;
+    const std::uint32_t end = base + func.numRegs;
+    if (thread.regs.size() < end)
+        thread.regs.resize(std::max<std::size_t>(end, 2 * thread.regs.size()));
+    std::fill(thread.regs.begin() + base + numArgs, thread.regs.begin() + end,
+              Value{});
+    thread.frames.push_back(
+        {nextFrameId_++, base, end, func.entry.pc, callSite});
+    return thread.frames.back();
 }
 
 ThreadId
-Interpreter::spawnThread(const ir::Function *func,
-                         const std::vector<Value> &args, InstrId spawnSite,
-                         ThreadId parent)
+Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
+                         std::uint32_t numArgs, InstrId spawnSite,
+                         ThreadId parent, bool step)
 {
     const ThreadId tid = static_cast<ThreadId>(threads_.size());
     threads_.emplace_back();
     ThreadCtx &thread = threads_.back();
     thread.tid = tid;
     thread.spawnSite = spawnSite;
-    if (recorder_)
-        recorder_->recordThreadStart(tid, parent, spawnSite);
+
+    TraceRecorder::Writer rec;
+    if (recorder_) {
+        rec = recorder_->open(tid);
+        rec.threadStart(step, parent, spawnSite);
+    }
     for (auto &attachment : attachments_)
         attachment.tool->onThreadStart(tid, parent, spawnSite);
-    pushFrame(thread, func, args, nullptr);
+
+    const ir::DecodedFunction &entry = decoded_.functions[func];
+    const Frame &frame = pushFrame(thread, entry, numArgs, kNoInstr);
+    if (numArgs != 0) {
+        const ThreadCtx &creator = threads_[parent];
+        const Value *src = creator.regs.data() + creator.frames.back().regBase;
+        Value *dst = thread.regs.data() + frame.regBase;
+        for (std::uint32_t i = 0; i < numArgs; ++i)
+            dst[i] = src[argRegs[i]];
+    }
+
+    ++totalEvents_[EventClass::BlockEnter];
+    if (recorder_) {
+        rec.blockEnter(false, entry.entry.block);
+        recorder_->commit(rec);
+    }
+    fireBlockEnter(tid, entry.entry.block);
     return tid;
 }
 
-void
-Interpreter::runQuantum(std::uint32_t pick, std::uint64_t quantum)
+template <bool kRecord, bool kTools>
+const char *
+Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
 {
-    using ir::Opcode;
+    const ir::DecodedOp *const ops = decoded_.ops.data();
+    const ir::Reg *const argRegs = decoded_.args.data();
 
-    for (std::uint64_t q = 0; q < quantum; ++q) {
-        // Re-fetched every iteration: Spawn reallocates threads_ and
-        // Call/Ret reallocate the frame stack.
-        ThreadCtx &thread = threads_[pick];
-        if (thread.state != ThreadState::Runnable)
-            return;
-        if (steps_ >= config_.maxSteps || abortRequested_)
-            return;
+    // Re-derived only after the ops that can move them: Call/ICall
+    // and Ret (frame stack, register stack) and Spawn (threads_).
+    ThreadCtx *thread = &threads_[tid];
+    Frame *frame = &thread->frames.back();
+    Value *regs = thread->regs.data() + frame->regBase;
+    InstrId pc = frame->pc;
 
-        // Instruction-boundary marker for trace capture: the next
-        // recorded event carries the step flag, so replay can
-        // reconstruct step counts and abort boundaries.
-        if (recorder_)
-            recorder_->beginStep();
+    const std::uint64_t budget =
+        std::min(quantum, config_.maxSteps - steps_);
+    std::uint64_t left = budget;
+    // Per-class event counts.  Other is derived when the quantum
+    // ends: every step either fires exactly one event of its class or
+    // is a branch, and the loop's block entries are its branches plus
+    // its calls.
+    EventCounts counts;
+    const char *fault = nullptr;
+    // A tool ran during this step, so the abort flag may have moved.
+    bool toolsRan = false;
 
-        Frame &fr = thread.stack.back();
-        // ip stays in range because every block ends in a terminator
-        // (verifyModule) and terminators replace the block instead of
-        // advancing ip.
-        const ir::Instruction &ins = fr.block->instructions()[fr.ip];
-        const ThreadId tid = thread.tid;
+    TraceRecorder::Writer rec;
+    if constexpr (kRecord)
+        rec = recorder_->open(tid);
 
-        // One 16-bit dispatch load: low byte says which attachments
-        // cover this site, high byte is the precomputed event class.
-        // When no tool covers the site the event context is never
-        // populated and no tool loop runs — eliding a check really
-        // does cost nothing, as the paper's speedup model assumes
-        // (Section 2.3).
-        const std::uint16_t disp = dispatch_[ins.id];
-        const auto evMask = static_cast<std::uint8_t>(disp & 0xff);
-        const auto cls = static_cast<EventClass>(disp >> 8);
-
-        // The context stays uninitialized on uninstrumented sites:
-        // zero-filling ~80 bytes per instruction is measurable on the
-        // interpreter floor, so construction is deferred into the
-        // wantCtx branch via a union.  A recorder captures every
-        // event regardless of plan coverage, but reads context fields
-        // only for payload-carrying opcodes, so payload-free records
-        // (the bulk of the stream) skip construction too.
-        const bool wantCtx =
-            evMask != 0 ||
-            (recorder_ != nullptr && TraceRecorder::opHasPayload(ins.op));
-        union CtxSlot
-        {
-            CtxSlot() {}
-            EventCtx ctx;
-        } slot;
-        EventCtx &ctx = slot.ctx;
-        if (wantCtx) {
-            new (&slot.ctx) EventCtx();
-            ctx.tid = tid;
-            ctx.instr = &ins;
-            ctx.frameId = fr.frameId;
+    // Deliver the event of the op at `site` to every covering tool;
+    // `fill` sets the opcode-specific context fields.  No context is
+    // built for a site no tool covers: eliding a check really does
+    // cost nothing, as the paper's speedup model assumes (Section
+    // 2.3).
+    auto deliver = [&](InstrId site, EventClass cls, auto &&fill) {
+        if constexpr (kTools) {
+            const std::uint8_t mask = instrMask_[site];
+            if (mask != 0) {
+                EventCtx ctx;
+                ctx.tid = tid;
+                ctx.instr = &module_.instr(site);
+                ctx.frameId = frame->frameId;
+                fill(ctx);
+                fireEvent(ctx, mask, cls);
+                toolsRan = true;
+            }
         }
-        auto fire = [&] {
-            ++totalEvents_.counts[static_cast<std::size_t>(cls)];
-            if (recorder_)
-                recorder_->recordEvent(tid, ins, ctx);
-            if (evMask)
-                fireEvent(ctx, evMask, cls);
-        };
-
-        auto pointerOperand = [&](ir::Reg r) -> const Value & {
-            const Value &value = regRead(fr, r);
-            if (!value.isPointer())
-                guestError("dereference of non-pointer value");
-            return value;
-        };
-        auto checkBounds = [&](const Value &ptr) {
-            if (ptr.obj >= heap_.size() ||
-                ptr.off >= heap_[ptr.obj].cells.size()) {
-                guestError("out-of-bounds memory access");
+    };
+    auto enterBlock = [&](bool step, BlockId block) {
+        ++counts[EventClass::BlockEnter];
+        if constexpr (kRecord)
+            rec.blockEnter(step, block);
+        if constexpr (kTools) {
+            if (blockMask_[block] != 0) {
+                fireBlockEnter(tid, block);
+                toolsRan = true;
             }
-        };
+        }
+    };
+    auto noFields = [](EventCtx &) {};
+    // The heap cell `ptr` addresses, or null with `fault` set.
+    auto heapCell = [&](const Value &ptr) -> Value * {
+        if (!ptr.isPointer()) {
+            fault = kNonPointer;
+            return nullptr;
+        }
+        if (ptr.obj >= heap_.size() ||
+            ptr.off >= heap_[ptr.obj].cells.size()) {
+            fault = kOutOfBounds;
+            return nullptr;
+        }
+        return &heap_[ptr.obj].cells[ptr.off];
+    };
 
-        switch (ins.op) {
-          case Opcode::Alloc: {
-            const ObjectId obj =
-                allocObject(ins.id, static_cast<std::uint32_t>(ins.imm));
-            reg(fr, ins.dest) = Value::pointer(obj, 0);
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::ConstInt:
-            reg(fr, ins.dest) = Value::scalar(ins.imm);
-            ++fr.ip;
-            fire();
-            break;
-          case Opcode::Assign:
-            reg(fr, ins.dest) = regRead(fr, ins.a);
-            ++fr.ip;
-            fire();
-            break;
-          case Opcode::BinOp: {
-            const Value &lhs = regRead(fr, ins.a);
-            const Value &rhs = regRead(fr, ins.b);
-            std::int64_t result;
-            if (lhs.isScalar() && rhs.isScalar()) {
-                result = ir::evalBinOp(ins.binop, lhs.num, rhs.num);
-            } else if (ins.binop == ir::BinOpKind::Eq) {
-                result = lhs == rhs;
-            } else if (ins.binop == ir::BinOpKind::Ne) {
-                result = !(lhs == rhs);
-            } else {
-                guestError("arithmetic on non-scalar values");
-            }
-            reg(fr, ins.dest) = Value::scalar(result);
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::GlobalAddr:
+    while (left != 0) {
+        const ir::DecodedOp &op = ops[pc];
+        switch (op.op) {
+#define OHA_BINOP(KIND)                                                   \
+          case Op::KIND:                                                  \
+            if (!binop<BinOpKind::KIND>(regs[op.dest], regs[op.a],        \
+                                        regs[op.b])) {                    \
+                fault = "arithmetic on non-scalar values";                \
+                goto out;                                                 \
+            }                                                             \
+            goto other;
+          OHA_BINOP(Add)
+          OHA_BINOP(Sub)
+          OHA_BINOP(Mul)
+          OHA_BINOP(Div)
+          OHA_BINOP(Mod)
+          OHA_BINOP(And)
+          OHA_BINOP(Or)
+          OHA_BINOP(Xor)
+          OHA_BINOP(Shl)
+          OHA_BINOP(Shr)
+          OHA_BINOP(Lt)
+          OHA_BINOP(Le)
+          OHA_BINOP(Gt)
+          OHA_BINOP(Ge)
+          OHA_BINOP(Eq)
+          OHA_BINOP(Ne)
+#undef OHA_BINOP
+          case Op::Alloc:
+            regs[op.dest] = Value::pointer(
+                allocObject(pc, static_cast<std::uint32_t>(op.imm)), 0);
+            goto other;
+          case Op::ConstInt:
+            regs[op.dest] = Value::scalar(op.imm);
+            goto other;
+          case Op::Assign:
+            regs[op.dest] = regs[op.a];
+            goto other;
+          case Op::GlobalAddr:
             // Globals occupy object ids [0, numGlobals) by construction.
-            reg(fr, ins.dest) = Value::pointer(ins.globalId, 0);
-            ++fr.ip;
-            fire();
-            break;
-          case Opcode::FuncAddr:
-            reg(fr, ins.dest) = Value::funcPtr(ins.callee);
-            ++fr.ip;
-            fire();
-            break;
-          case Opcode::Gep: {
-            const Value &base = pointerOperand(ins.a);
+            regs[op.dest] = Value::pointer(op.index, 0);
+            goto other;
+          case Op::FuncAddr:
+            regs[op.dest] = Value::funcPtr(op.index);
+            goto other;
+          case Op::GepImm:
+          case Op::GepReg: {
+            const Value &base = regs[op.a];
+            if (!base.isPointer()) {
+                fault = kNonPointer;
+                goto out;
+            }
+            // A register index is read as .num whatever its kind.
             const std::int64_t field =
-                ins.b != ir::kNoReg ? regRead(fr, ins.b).num : ins.imm;
+                op.op == Op::GepReg ? regs[op.b].num : op.imm;
             std::int64_t off;
             if (__builtin_add_overflow(static_cast<std::int64_t>(base.off),
-                                       field, &off))
-                guestError("pointer offset out of range");
-            if (off < 0)
-                guestError("negative pointer offset");
-            reg(fr, ins.dest) =
+                                       field, &off)) {
+                fault = "pointer offset out of range";
+                goto out;
+            }
+            if (off < 0) {
+                fault = "negative pointer offset";
+                goto out;
+            }
+            regs[op.dest] =
                 Value::pointer(base.obj, static_cast<std::uint32_t>(off));
-            ++fr.ip;
-            fire();
-            break;
+            goto other;
           }
-          case Opcode::Load: {
-            const Value ptr = pointerOperand(ins.a);
-            checkBounds(ptr);
-            const Value value = heap_[ptr.obj].cells[ptr.off];
-            reg(fr, ins.dest) = value;
-            if (wantCtx) {
-                ctx.obj = ptr.obj;
-                ctx.off = ptr.off;
-                ctx.value = value;
-            }
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::Store: {
-            const Value ptr = pointerOperand(ins.a);
-            checkBounds(ptr);
-            const Value value = regRead(fr, ins.b);
-            heap_[ptr.obj].cells[ptr.off] = value;
-            if (wantCtx) {
-                ctx.obj = ptr.obj;
-                ctx.off = ptr.off;
-                ctx.value = value;
-            }
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::Call:
-          case Opcode::ICall: {
-            const ir::Function *callee;
-            if (ins.op == Opcode::Call) {
-                callee = module_.function(ins.callee);
-            } else {
-                const Value &fp = regRead(fr, ins.a);
-                if (!fp.isFuncPtr())
-                    guestError("indirect call through non-function value");
-                callee = module_.function(fp.idx);
-                if (callee->numParams() != ins.args.size())
-                    guestError("indirect call arity mismatch");
-            }
-            std::vector<Value> args;
-            args.reserve(ins.args.size());
-            for (ir::Reg r : ins.args)
-                args.push_back(regRead(fr, r));
-            if (wantCtx)
-                ctx.calleeResolved = callee->id();
-            ++fr.ip;
-            // pushFrame may reallocate the frame stack; fr is dead after.
-            pushFrame(thread, callee, args, &ins);
-            if (wantCtx)
-                ctx.frame2 = thread.stack.back().frameId;
-            fire();
-            break;
-          }
-          case Opcode::Ret: {
-            const Value retVal = ins.a != ir::kNoReg ? regRead(fr, ins.a)
-                                                     : Value::scalar(0);
-            if (wantCtx) {
-                if (thread.stack.size() > 1) {
-                    ctx.frame2 = thread.stack[thread.stack.size() - 2].frameId;
-                    ctx.callInstr = fr.callSite;
-                }
-                ctx.value = retVal;
-            }
-            fire();
-            popFrame(thread, retVal);
-            break;
-          }
-          case Opcode::Br:
-            enterBlock(thread, module_.block(ins.target));
-            break;
-          case Opcode::CondBr: {
-            const bool taken = regRead(fr, ins.a).truthy();
-            enterBlock(thread,
-                       module_.block(taken ? ins.target : ins.target2));
-            break;
-          }
-          case Opcode::Lock: {
-            const Value ptr = pointerOperand(ins.a);
-            checkBounds(ptr);
-            const std::uint32_t owner = lockOwner_[ptr.obj];
-            if (owner == tid + 1)
-                guestError("recursive lock acquisition");
-            if (owner != 0) {
-                thread.state = ThreadState::BlockedOnLock;
-                thread.waitObj = ptr.obj;
-                return;
-            }
-            lockOwner_[ptr.obj] = tid + 1;
-            if (wantCtx) {
-                ctx.obj = ptr.obj;
-                ctx.off = ptr.off;
-            }
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::Unlock: {
-            const Value ptr = pointerOperand(ins.a);
-            checkBounds(ptr);
-            if (lockOwner_[ptr.obj] != tid + 1)
-                guestError("unlock of lock not held");
-            if (wantCtx) {
-                ctx.obj = ptr.obj;
-                ctx.off = ptr.off;
-            }
-            ++fr.ip;
-            fire();
-            lockOwner_[ptr.obj] = 0;
-            for (auto &other : threads_) {
-                if (other.state == ThreadState::BlockedOnLock &&
-                    other.waitObj == ptr.obj) {
-                    other.state = ThreadState::Runnable;
-                }
-            }
-            break;
-          }
-          case Opcode::Spawn: {
-            const ir::Function *callee = module_.function(ins.callee);
-            std::vector<Value> args;
-            args.reserve(ins.args.size());
-            for (ir::Reg r : ins.args)
-                args.push_back(regRead(fr, r));
-            const ir::Reg dest = ins.dest;
-            const std::uint64_t callerFrame = fr.frameId;
-            ++fr.ip;
-            // spawnThread reallocates threads_; all references die here.
-            const ThreadId child = spawnThread(callee, args, ins.id, tid);
-            ThreadCtx &self = threads_[tid];
-            reg(self.stack.back(), dest) = Value::thread(child);
-            if (wantCtx) {
-                ctx.frameId = callerFrame;
-                ctx.otherTid = child;
-                ctx.frame2 = threads_[child].stack.back().frameId;
-            }
-            fire();
-            break;
-          }
-          case Opcode::Join: {
-            const Value &handle = regRead(fr, ins.a);
-            if (!handle.isThread())
-                guestError("join of non-thread value");
-            ThreadCtx &target = threads_[handle.idx];
-            if (target.state != ThreadState::Finished) {
-                thread.state = ThreadState::BlockedOnJoin;
-                thread.waitTid = handle.idx;
-                return;
-            }
-            if (ins.dest != ir::kNoReg)
-                reg(fr, ins.dest) = target.retVal;
-            if (wantCtx) {
-                ctx.otherTid = handle.idx;
-                ctx.value = target.retVal;
-            }
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::Output: {
-            const Value value = regRead(fr, ins.a);
-            outputs_.push_back({ins.id, encodeValue(value)});
-            if (wantCtx)
-                ctx.value = value;
-            ++fr.ip;
-            fire();
-            break;
-          }
-          case Opcode::Input: {
-            std::int64_t index = ins.imm;
-            if (ins.b != ir::kNoReg)
-                index += regRead(fr, ins.b).num;
+          case Op::Input: {
+            std::int64_t index = op.imm;
+            if (op.b != ir::kNoReg)
+                index += regs[op.b].num;
             std::int64_t value = 0;
             if (!config_.input.empty()) {
-                const std::int64_t n =
-                    static_cast<std::int64_t>(config_.input.size());
+                const auto n = static_cast<std::int64_t>(config_.input.size());
                 value = config_.input[static_cast<std::size_t>(
                     ((index % n) + n) % n)];
             }
-            reg(fr, ins.dest) = Value::scalar(value);
-            ++fr.ip;
-            fire();
-            break;
+            regs[op.dest] = Value::scalar(value);
+            goto other;
+          }
+          case Op::Load: {
+            Value *cell = heapCell(regs[op.a]);
+            if (!cell)
+                goto out;
+            const Value value = *cell;
+            const ObjectId obj = regs[op.a].obj;
+            const std::uint32_t off = regs[op.a].off;
+            regs[op.dest] = value;
+            ++counts[EventClass::Load];
+            if constexpr (kRecord)
+                rec.memAccess(true, pc, obj, off, value);
+            deliver(pc, EventClass::Load, [&](EventCtx &ctx) {
+                ctx.obj = obj;
+                ctx.off = off;
+                ctx.value = value;
+            });
+            ++pc;
+            goto next;
+          }
+          case Op::Store: {
+            Value *cell = heapCell(regs[op.a]);
+            if (!cell)
+                goto out;
+            const Value value = regs[op.b];
+            const ObjectId obj = regs[op.a].obj;
+            const std::uint32_t off = regs[op.a].off;
+            *cell = value;
+            ++counts[EventClass::Store];
+            if constexpr (kRecord)
+                rec.memAccess(true, pc, obj, off, value);
+            deliver(pc, EventClass::Store, [&](EventCtx &ctx) {
+                ctx.obj = obj;
+                ctx.off = off;
+                ctx.value = value;
+            });
+            ++pc;
+            goto next;
+          }
+          case Op::Call:
+          case Op::ICall: {
+            FuncId callee = op.call.callee;
+            if (op.op == Op::ICall) {
+                const Value &target = regs[op.a];
+                if (!target.isFuncPtr()) {
+                    fault = "indirect call through non-function value";
+                    goto out;
+                }
+                callee = target.idx;
+                if (decoded_.functions[callee].numParams !=
+                    op.call.argCount) {
+                    fault = "indirect call arity mismatch";
+                    goto out;
+                }
+            }
+            const ir::DecodedFunction &func = decoded_.functions[callee];
+            const InstrId site = pc;
+            const std::uint64_t callerFrameId = frame->frameId;
+            const std::uint32_t callerBase = frame->regBase;
+            frame->pc = pc + 1;
+            frame = &pushFrame(*thread, func, op.call.argCount, site);
+            Value *const stack = thread->regs.data();
+            regs = stack + frame->regBase;
+            const ir::Reg *args = argRegs + op.call.argBegin;
+            for (std::uint32_t i = 0; i < op.call.argCount; ++i)
+                regs[i] = stack[callerBase + args[i]];
+            pc = func.entry.pc;
+            // The callee's entry is the step's first record; the Call
+            // event follows it.
+            enterBlock(true, func.entry.block);
+            ++counts[EventClass::Call];
+            if constexpr (kRecord) {
+                if (op.op == Op::ICall)
+                    rec.icall(false, site, callee);
+                else
+                    rec.instr(false, site);
+            }
+            deliver(site, EventClass::Call, [&](EventCtx &ctx) {
+                ctx.frameId = callerFrameId;
+                ctx.calleeResolved = callee;
+                ctx.frame2 = frame->frameId;
+            });
+            goto next;
+          }
+          case Op::Ret: {
+            const Value retVal =
+                op.a != ir::kNoReg ? regs[op.a] : Value::scalar(0);
+            ++counts[EventClass::Ret];
+            if constexpr (kRecord)
+                rec.instr(true, pc);
+            deliver(pc, EventClass::Ret, [&](EventCtx &ctx) {
+                const std::size_t depth = thread->frames.size();
+                if (depth > 1) {
+                    ctx.frame2 = thread->frames[depth - 2].frameId;
+                    ctx.callInstr = &module_.instr(frame->callSite);
+                }
+                ctx.value = retVal;
+            });
+            const InstrId callSite = frame->callSite;
+            thread->frames.pop_back();
+            if (thread->frames.empty()) {
+                // Thread root returned: the thread is finished.
+                thread->retVal = retVal;
+                thread->state = ThreadState::Finished;
+                if constexpr (kRecord)
+                    rec.threadFinish(false);
+                if constexpr (kTools) {
+                    for (auto &attachment : attachments_)
+                        attachment.tool->onThreadFinish(tid);
+                }
+                for (auto &other : threads_) {
+                    if (other.state == ThreadState::BlockedOnJoin &&
+                        other.waitTid == tid) {
+                        other.state = ThreadState::Runnable;
+                    }
+                }
+                --left;
+                goto out;
+            }
+            frame = &thread->frames.back();
+            regs = thread->regs.data() + frame->regBase;
+            if (ops[callSite].dest != ir::kNoReg)
+                regs[ops[callSite].dest] = retVal;
+            pc = frame->pc;
+            goto next;
+          }
+          case Op::Br:
+            pc = op.targets[0].pc;
+            enterBlock(true, op.targets[0].block);
+            goto next;
+          case Op::CondBr: {
+            const ir::DecodedTarget &target =
+                op.targets[regs[op.a].truthy() ? 0 : 1];
+            pc = target.pc;
+            enterBlock(true, target.block);
+            goto next;
+          }
+          case Op::Lock:
+          case Op::Unlock: {
+            if (!heapCell(regs[op.a]))
+                goto out;
+            const ObjectId obj = regs[op.a].obj;
+            const std::uint32_t off = regs[op.a].off;
+            const bool lock = op.op == Op::Lock;
+            const std::uint32_t owner = lockOwner_[obj];
+            if (lock) {
+                if (owner == tid + 1) {
+                    fault = "recursive lock acquisition";
+                    goto out;
+                }
+                if (owner != 0) {
+                    // Blocked: not a step; the Lock reruns when woken.
+                    thread->state = ThreadState::BlockedOnLock;
+                    thread->waitObj = obj;
+                    goto out;
+                }
+                lockOwner_[obj] = tid + 1;
+            } else if (owner != tid + 1) {
+                fault = "unlock of lock not held";
+                goto out;
+            }
+            const EventClass cls =
+                lock ? EventClass::Lock : EventClass::Unlock;
+            ++counts[cls];
+            if constexpr (kRecord)
+                rec.lockOp(true, pc, obj, off);
+            deliver(pc, cls, [&](EventCtx &ctx) {
+                ctx.obj = obj;
+                ctx.off = off;
+            });
+            ++pc;
+            if (!lock) {
+                lockOwner_[obj] = 0;
+                for (auto &other : threads_) {
+                    if (other.state == ThreadState::BlockedOnLock &&
+                        other.waitObj == obj) {
+                        other.state = ThreadState::Runnable;
+                    }
+                }
+            }
+            goto next;
+          }
+          case Op::Spawn: {
+            const InstrId site = pc;
+            const std::uint64_t callerFrameId = frame->frameId;
+            frame->pc = pc + 1;
+            if constexpr (kRecord)
+                recorder_->commit(rec);
+            const ThreadId child =
+                spawnThread(op.call.callee, argRegs + op.call.argBegin,
+                            op.call.argCount, site, tid, true);
+            if constexpr (kRecord)
+                rec = recorder_->open(tid);
+            toolsRan = kTools;
+            thread = &threads_[tid];
+            frame = &thread->frames.back();
+            regs = thread->regs.data() + frame->regBase;
+            if (op.dest != ir::kNoReg)
+                regs[op.dest] = Value::thread(child);
+            ++counts[EventClass::Spawn];
+            if constexpr (kRecord)
+                rec.threadOp(false, site, child);
+            deliver(site, EventClass::Spawn, [&](EventCtx &ctx) {
+                ctx.frameId = callerFrameId;
+                ctx.otherTid = child;
+                ctx.frame2 = threads_[child].frames.back().frameId;
+            });
+            pc = site + 1;
+            goto next;
+          }
+          case Op::Join: {
+            const Value &handle = regs[op.a];
+            if (!handle.isThread()) {
+                fault = "join of non-thread value";
+                goto out;
+            }
+            const ThreadId joined = handle.idx;
+            if (threads_[joined].state != ThreadState::Finished) {
+                thread->state = ThreadState::BlockedOnJoin;
+                thread->waitTid = joined;
+                goto out;
+            }
+            const Value value = threads_[joined].retVal;
+            if (op.dest != ir::kNoReg)
+                regs[op.dest] = value;
+            ++counts[EventClass::Join];
+            if constexpr (kRecord)
+                rec.threadOp(true, pc, joined);
+            deliver(pc, EventClass::Join, [&](EventCtx &ctx) {
+                ctx.otherTid = joined;
+                ctx.value = value;
+            });
+            ++pc;
+            goto next;
+          }
+          case Op::Output: {
+            const Value value = regs[op.a];
+            const std::int64_t encoded = encodeValue(value);
+            outputs_.push_back({pc, encoded});
+            ++counts[EventClass::Output];
+            if constexpr (kRecord)
+                rec.output(true, pc, encoded);
+            deliver(pc, EventClass::Output,
+                    [&](EventCtx &ctx) { ctx.value = value; });
+            ++pc;
+            goto next;
           }
         }
-        ++steps_;
+      other:
+        // The op fired an event of class Other and falls through.
+        if constexpr (kRecord)
+            rec.instr(true, pc);
+        deliver(pc, EventClass::Other, noFields);
+        ++pc;
+      next:
+        --left;
+        if constexpr (kTools) {
+            if (toolsRan) {
+                toolsRan = false;
+                if (abortRequested_)
+                    break;
+            }
+        }
     }
+
+out:
+    if (!thread->frames.empty())
+        frame->pc = pc;
+    const std::uint64_t executed = budget - left;
+    steps_ += executed;
+    counts[EventClass::Other] =
+        executed - (counts.total() - counts[EventClass::Call]);
+    totalEvents_.add(counts);
+    if constexpr (kRecord)
+        recorder_->commit(rec);
+    return fault;
 }
 
 RunResult
@@ -583,9 +659,15 @@ Interpreter::run()
 {
     RunResult result;
 
-    // Snapshot the attachments' plans into flat per-site dispatch
-    // masks; from here on coverage is one byte load per event.
-    buildDispatchTables();
+    if (!attachments_.empty())
+        buildDispatchTables();
+    const char *(Interpreter::*runQuantumFn)(ThreadId, std::uint64_t) =
+        recorder_ ? (attachments_.empty()
+                         ? &Interpreter::runQuantum<true, false>
+                         : &Interpreter::runQuantum<true, true>)
+                  : (attachments_.empty()
+                         ? &Interpreter::runQuantum<false, false>
+                         : &Interpreter::runQuantum<false, true>);
 
     // Globals become heap objects [0, numGlobals) so GlobalAddr can
     // use the global id directly as the object id.
@@ -595,70 +677,68 @@ Interpreter::run()
     const ir::Function *mainFunc = module_.entryFunction();
     if (mainFunc->numParams() != 0)
         OHA_FATAL("main() must take no parameters");
+    spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0, false);
 
-    try {
-        spawnThread(mainFunc, {}, kNoInstr, 0);
-
-        std::vector<std::uint32_t> runnable;
-        while (true) {
-            if (abortRequested_) {
-                result.status = RunResult::Status::Aborted;
-                result.abortReason = abortReason_;
-                result.abortMeta = abortMeta_;
-                break;
-            }
-            if (steps_ >= config_.maxSteps) {
-                result.status = RunResult::Status::StepLimit;
-                break;
-            }
-
-            runnable.clear();
-            bool anyLive = false;
-            for (std::uint32_t i = 0; i < threads_.size(); ++i) {
-                if (threads_[i].state == ThreadState::Runnable)
-                    runnable.push_back(i);
-                if (threads_[i].state != ThreadState::Finished)
-                    anyLive = true;
-            }
-            if (runnable.empty()) {
-                result.status = anyLive ? RunResult::Status::Deadlock
-                                        : RunResult::Status::Finished;
-                if (anyLive)
-                    result.abortReason = "deadlock: all live threads blocked";
-                break;
-            }
-
-            std::uint32_t pick;
-            std::uint64_t quantum;
-            if (scheduleCursor_ < config_.replaySchedule.size()) {
-                // Replay mode: take the recorded decision verbatim.
-                const ScheduleStep &step =
-                    config_.replaySchedule[scheduleCursor_++];
-                pick = step.thread;
-                quantum = step.quantum;
-                if (pick >= threads_.size() ||
-                    threads_[pick].state != ThreadState::Runnable) {
-                    OHA_FATAL("schedule replay diverged: thread %u not "
-                              "runnable",
-                              pick);
-                }
-            } else {
-                pick = static_cast<std::uint32_t>(
-                    runnable[rng_.below(runnable.size())]);
-                quantum = config_.minQuantum +
-                          rng_.below(config_.maxQuantum -
-                                     config_.minQuantum + 1);
-            }
-            if (config_.recordSchedule) {
-                schedule_.push_back(
-                    {pick, static_cast<std::uint32_t>(quantum)});
-            }
-
-            runQuantum(pick, quantum);
+    std::vector<std::uint32_t> runnable;
+    while (true) {
+        if (abortRequested_) {
+            result.status = RunResult::Status::Aborted;
+            result.abortReason = abortReason_;
+            result.abortMeta = abortMeta_;
+            break;
         }
-    } catch (const GuestFault &fault) {
-        result.status = RunResult::Status::RuntimeError;
-        result.abortReason = fault.message;
+        if (steps_ >= config_.maxSteps) {
+            result.status = RunResult::Status::StepLimit;
+            break;
+        }
+
+        runnable.clear();
+        bool anyLive = false;
+        for (std::uint32_t i = 0; i < threads_.size(); ++i) {
+            if (threads_[i].state == ThreadState::Runnable)
+                runnable.push_back(i);
+            if (threads_[i].state != ThreadState::Finished)
+                anyLive = true;
+        }
+        if (runnable.empty()) {
+            result.status = anyLive ? RunResult::Status::Deadlock
+                                    : RunResult::Status::Finished;
+            if (anyLive)
+                result.abortReason = "deadlock: all live threads blocked";
+            break;
+        }
+
+        std::uint32_t pick;
+        std::uint64_t quantum;
+        if (scheduleCursor_ < config_.replaySchedule.size()) {
+            // Replay mode: take the recorded decision verbatim.
+            const ScheduleStep &step =
+                config_.replaySchedule[scheduleCursor_++];
+            pick = step.thread;
+            quantum = step.quantum;
+            if (pick >= threads_.size() ||
+                threads_[pick].state != ThreadState::Runnable) {
+                OHA_FATAL("schedule replay diverged: thread %u not "
+                          "runnable",
+                          pick);
+            }
+        } else {
+            pick = static_cast<std::uint32_t>(
+                runnable[rng_.below(runnable.size())]);
+            quantum = config_.minQuantum +
+                      rng_.below(config_.maxQuantum -
+                                 config_.minQuantum + 1);
+        }
+        if (config_.recordSchedule) {
+            schedule_.push_back(
+                {pick, static_cast<std::uint32_t>(quantum)});
+        }
+
+        if (const char *fault = (this->*runQuantumFn)(pick, quantum)) {
+            result.status = RunResult::Status::RuntimeError;
+            result.abortReason = fault;
+            break;
+        }
     }
 
     result.outputs = std::move(outputs_);

@@ -135,14 +135,19 @@ class Interpreter : public ExecutionControl
     static std::int64_t encodeValue(const Value &value);
 
   private:
+    /** One activation.  Its registers are the window
+     *  [regBase, regEnd) of the thread's register stack. */
     struct Frame
     {
-        const ir::Function *func = nullptr;
-        const ir::BasicBlock *block = nullptr;
-        std::size_t ip = 0;
-        std::vector<Value> regs;
-        const ir::Instruction *callSite = nullptr;
         std::uint64_t frameId = 0;
+        std::uint32_t regBase = 0;
+        std::uint32_t regEnd = 0;
+        /** Next op to run; current only while the frame is not the
+         *  one executing (the loop keeps the live pc in a local). */
+        InstrId pc = kNoInstr;
+        /** The Call/ICall that pushed the frame; kNoInstr for a
+         *  thread's root frame. */
+        InstrId callSite = kNoInstr;
     };
 
     enum class ThreadState : std::uint8_t
@@ -154,7 +159,10 @@ class Interpreter : public ExecutionControl
     {
         ThreadId tid = 0;
         ThreadState state = ThreadState::Runnable;
-        std::vector<Frame> stack;
+        std::vector<Frame> frames;
+        /** Register stack shared by all frames; grows, never shrinks,
+         *  so calls and returns allocate nothing once warm. */
+        std::vector<Value> regs;
         ObjectId waitObj = 0;
         ThreadId waitTid = 0;
         Value retVal;
@@ -173,49 +181,47 @@ class Interpreter : public ExecutionControl
         const InstrumentationPlan *plan;
     };
 
-    /** Execute up to @p quantum instructions of thread @p pick,
-     *  stopping early when it blocks, finishes, aborts, or hits the
-     *  step limit.  The whole scheduling slice runs in one call so the
-     *  per-instruction path has no function-call overhead. */
-    void runQuantum(std::uint32_t pick, std::uint64_t quantum);
+    /** Execute up to @p quantum instructions of thread @p tid,
+     *  stopping early when it blocks, finishes, faults, aborts, or
+     *  hits the step limit.  Specialized on whether a recorder and
+     *  tools are attached, so a plain run carries no instrumentation
+     *  test at all.  Returns the guest-fault message, or null. */
+    template <bool kRecord, bool kTools>
+    const char *runQuantum(ThreadId tid, std::uint64_t quantum);
 
-    void enterBlock(ThreadCtx &thread, const ir::BasicBlock *block);
-    void pushFrame(ThreadCtx &thread, const ir::Function *func,
-                   const std::vector<Value> &args,
-                   const ir::Instruction *callSite);
-    void popFrame(ThreadCtx &thread, const Value &retVal);
-    ThreadId spawnThread(const ir::Function *func,
-                         const std::vector<Value> &args, InstrId spawnSite,
-                         ThreadId parent);
+    /** Push a frame for @p func on @p thread with a zeroed register
+     *  window, except for the first @p numArgs slots, which the
+     *  caller fills.  May grow the thread's register stack. */
+    Frame &pushFrame(ThreadCtx &thread, const ir::DecodedFunction &func,
+                     std::uint32_t numArgs, InstrId callSite);
 
-    /** Merge the attachments' plans into the per-site dispatch words
-     *  (bit i = attachment i) and precompute per-instruction event
-     *  classes.  Called once when run() starts; afterwards the
-     *  per-event dispatch is one 16-bit load. */
+    /** Create a thread running @p func with the arguments @p argRegs
+     *  of @p parent's current frame; records and announces it and its
+     *  entry block.  Its ThreadStart is the first record of the
+     *  spawning step, so it takes the step flag @p step. */
+    ThreadId spawnThread(FuncId func, const ir::Reg *argRegs,
+                         std::uint32_t numArgs, InstrId spawnSite,
+                         ThreadId parent, bool step);
+
+    /** Merge the attachments' plans into per-site masks (bit i =
+     *  attachment i).  Built only when tools are attached. */
     void buildDispatchTables();
 
-    void fireEvent(const EventCtx &ctx, std::uint8_t mask,
-                   EventClass cls);
+    void fireEvent(const EventCtx &ctx, std::uint8_t mask, EventClass cls);
     void fireBlockEnter(ThreadId tid, BlockId block);
-
-    Value &reg(Frame &frame, ir::Reg r);
-    const Value &regRead(Frame &frame, ir::Reg r);
-    [[noreturn]] void guestError(const std::string &message);
 
     ObjectId allocObject(InstrId site, std::uint32_t cells);
 
     const ir::Module &module_;
+    const ir::DecodedModule &decoded_;
     ExecConfig config_;
     Rng rng_;
 
     std::vector<Attachment> attachments_;
     TraceRecorder *recorder_ = nullptr;
-    /** Per-instruction dispatch word: low byte is the OR of attachment
-     *  cover bits (bit i set iff attachment i's plan covers the site;
-     *  0 = no tool listens and the event path is skipped wholesale),
-     *  high byte the precomputed EventClass.  One load serves both the
-     *  coverage test and the event-class accounting. */
-    std::vector<std::uint16_t> dispatch_;
+    /** Per-instruction and per-block OR of attachment cover bits;
+     *  0 = no tool listens and the event path is skipped wholesale. */
+    std::vector<std::uint8_t> instrMask_;
     std::vector<std::uint8_t> blockMask_;
     std::vector<ThreadCtx> threads_;
     std::vector<HeapObject> heap_;
@@ -233,8 +239,6 @@ class Interpreter : public ExecutionControl
     bool abortRequested_ = false;
     std::string abortReason_;
     AbortMetadata abortMeta_;
-    bool guestFault_ = false;
-    std::string faultReason_;
 };
 
 } // namespace oha::exec

@@ -748,6 +748,103 @@ deserializeRecordedTrace(support::ByteReader &in)
 
 // ----------------------------------------------------------------- capture
 
+namespace {
+
+/** Id of the first instr event among one writer's records in
+ *  [in, end), or kNoInstr; @p prevInstr is the delta base they were
+ *  encoded against. */
+InstrId
+firstInstrIn(const std::uint8_t *in, const std::uint8_t *end, bool escaped,
+             std::int64_t prevInstr)
+{
+    auto varint = [&in] {
+        std::uint64_t value = 0;
+        for (unsigned shift = 0;; shift += 7) {
+            const std::uint8_t byte = *in++;
+            value |= (std::uint64_t{byte} & 0x7f) << shift;
+            if (!(byte & 0x80))
+                return value;
+        }
+    };
+    while (in < end) {
+        const std::uint8_t header = *in++;
+        if (escaped)
+            varint();
+        switch (header & 3) {
+          case TraceRecorder::kInstrEvent: {
+            const std::uint64_t raw = varint();
+            return static_cast<InstrId>(
+                prevInstr + (static_cast<std::int64_t>(raw >> 1) ^
+                             -static_cast<std::int64_t>(raw & 1)));
+          }
+          case TraceRecorder::kBlockEnter:
+            varint();
+            break;
+          case TraceRecorder::kThreadStart:
+            varint();
+            varint();
+            break;
+          default: // thread finish: no payload
+            break;
+        }
+    }
+    return kNoInstr;
+}
+
+} // namespace
+
+void
+TraceRecorder::commit(Writer writer)
+{
+    store_.open().setCursor(writer.ptr_);
+    if (writer.ptr_ != writerStart_) {
+        SegmentHeader &header = store_.openHeader();
+        header.records += writer.tally_ & 0xffffffffu;
+        header.steps += writer.tally_ >> 32;
+        header.tidBitmap |= std::uint64_t{1}
+                            << (writerTid_ < 63 ? writerTid_ : 63);
+        if (header.firstInstr == kNoInstr) {
+            header.firstInstr = firstInstrIn(
+                writerStart_, writer.ptr_,
+                writer.tidBits_ == kTidEscape << 3, prevInstr_);
+        }
+        if (header.firstInstr != kNoInstr)
+            header.lastInstr = static_cast<InstrId>(writer.prevInstr_);
+    }
+    prevInstr_ = writer.prevInstr_;
+    prevObj_ = writer.prevObj_;
+    prevBlock_ = writer.prevBlock_;
+}
+
+void
+TraceRecorder::prepare()
+{
+    TraceBuffer &buffer = store_.open();
+    std::uint8_t *cursor = buffer.room(kMaxRecordBytes);
+    // Stop writers for the out-of-line path either when the next
+    // record might not fit in the chunk or exactly when the segment
+    // reaches its threshold, whichever comes first.
+    const auto chunkRoom =
+        static_cast<std::size_t>(buffer.chunkEnd() - cursor) -
+        kMaxRecordBytes;
+    const std::size_t size = buffer.sizeBytes();
+    const std::size_t threshold = store_.segmentBytesThreshold();
+    const std::size_t toThreshold = threshold > size ? threshold - size : 0;
+    limit_ = cursor + std::min(chunkRoom, toThreshold);
+}
+
+void
+TraceRecorder::overflow()
+{
+    if (store_.openOverThreshold()) {
+        store_.closeOpenSegment();
+        prevInstr_ = 0;
+        prevObj_ = 0;
+        prevBlock_ = 0;
+    }
+    prepare();
+}
+
 RecordedTrace
 recordRun(const ir::Module &module, const ExecConfig &config)
 {

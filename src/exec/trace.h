@@ -98,8 +98,10 @@ class ByteReader;
 
 namespace oha::exec {
 
-/** Arena-backed append-only byte stream with varint/zigzag codec.
- *  One TraceBuffer holds one (open or closed-in-RAM) segment. */
+/** Arena-backed append-only byte stream.  One TraceBuffer holds one
+ *  (open or closed-in-RAM) segment.  The stream is the concatenation
+ *  of its chunks' used bytes; a chunk may end short when the recorder
+ *  asks for contiguous room (room()). */
 class TraceBuffer
 {
   public:
@@ -107,34 +109,6 @@ class TraceBuffer
 
     TraceBuffer(TraceBuffer &&) = default;
     TraceBuffer &operator=(TraceBuffer &&) = default;
-
-    void
-    putByte(std::uint8_t byte)
-    {
-        // Hot path: one pointer compare + store.  Chunk allocations
-        // only every kChunkBytes bytes.
-        if (wptr_ == wend_)
-            newChunk();
-        *wptr_++ = byte;
-        ++bytes_;
-    }
-
-    void
-    putVarint(std::uint64_t value)
-    {
-        while (value >= 0x80) {
-            putByte(static_cast<std::uint8_t>(value) | 0x80);
-            value >>= 7;
-        }
-        putByte(static_cast<std::uint8_t>(value));
-    }
-
-    void
-    putZigzag(std::int64_t value)
-    {
-        putVarint((static_cast<std::uint64_t>(value) << 1) ^
-                  static_cast<std::uint64_t>(value >> 63));
-    }
 
     /** Bulk append (persistence loaders refilling a segment). */
     void
@@ -150,12 +124,36 @@ class TraceBuffer
             wptr_ += n;
             bytes += n;
             len -= n;
-            bytes_ += n;
         }
     }
 
+    /** At least @p n contiguous writable bytes at the cursor, starting
+     *  a fresh chunk when the current one is shorter (its unused tail
+     *  is not part of the stream).  Returns the cursor. */
+    std::uint8_t *
+    room(std::size_t n)
+    {
+        if (static_cast<std::size_t>(wend_ - wptr_) < n)
+            newChunk();
+        return wptr_;
+    }
+
+    std::uint8_t *cursor() const { return wptr_; }
+
+    /** End of the chunk the cursor is in. */
+    std::uint8_t *chunkEnd() const { return wend_; }
+
+    /** Advance the cursor past bytes written directly after room(). */
+    void setCursor(std::uint8_t *cursor) { wptr_ = cursor; }
+
     /** Payload bytes written so far. */
-    std::size_t sizeBytes() const { return bytes_; }
+    std::size_t
+    sizeBytes() const
+    {
+        return filled_ + static_cast<std::size_t>(
+                             wptr_ - (chunks_.empty() ? wptr_
+                                                      : chunks_.back().data));
+    }
 
     /** Visit the written bytes as contiguous (pointer, length) spans
      *  in stream order.  The buffer must not be appended to while the
@@ -166,12 +164,32 @@ class TraceBuffer
     {
         for (std::size_t i = 0; i < chunks_.size(); ++i) {
             const Chunk &chunk = chunks_[i];
-            const std::uint8_t *end = i + 1 == chunks_.size()
-                                          ? wptr_
-                                          : chunk.data + chunk.size;
-            if (end != chunk.data)
-                fn(chunk.data, static_cast<std::size_t>(end - chunk.data));
+            const std::size_t len =
+                i + 1 == chunks_.size()
+                    ? static_cast<std::size_t>(wptr_ - chunk.data)
+                    : chunk.size;
+            if (len != 0)
+                fn(chunk.data, len);
         }
+    }
+
+    static std::uint64_t
+    zigzag(std::int64_t value)
+    {
+        return (static_cast<std::uint64_t>(value) << 1) ^
+               static_cast<std::uint64_t>(value >> 63);
+    }
+
+    /** Raw varint store for callers that hold room() bytes. */
+    static std::uint8_t *
+    writeVarint(std::uint8_t *out, std::uint64_t value)
+    {
+        while (value >= 0x80) {
+            *out++ = static_cast<std::uint8_t>(value) | 0x80;
+            value >>= 7;
+        }
+        *out++ = static_cast<std::uint8_t>(value);
+        return out;
     }
 
   private:
@@ -180,14 +198,19 @@ class TraceBuffer
     struct Chunk
     {
         std::uint8_t *data;
-        std::size_t size;
+        std::size_t size; ///< used bytes, once the chunk is not the last
     };
 
     void
     newChunk()
     {
+        if (!chunks_.empty()) {
+            chunks_.back().size =
+                static_cast<std::size_t>(wptr_ - chunks_.back().data);
+            filled_ += chunks_.back().size;
+        }
         chunks_.push_back(
-            {arena_->allocateArray<std::uint8_t>(kChunkBytes), kChunkBytes});
+            {arena_->allocateArray<std::uint8_t>(kChunkBytes), 0});
         wptr_ = chunks_.back().data;
         wend_ = wptr_ + kChunkBytes;
     }
@@ -196,7 +219,7 @@ class TraceBuffer
     std::vector<Chunk> chunks_;
     std::uint8_t *wptr_ = nullptr; ///< write cursor in the last chunk
     std::uint8_t *wend_ = nullptr; ///< end of the last chunk
-    std::size_t bytes_ = 0;
+    std::size_t filled_ = 0;       ///< used bytes of all earlier chunks
 };
 
 /** Per-segment index entry, filled during capture so replay can skip
@@ -298,7 +321,7 @@ class SpillFile
     int lastErrno_ = 0;
 };
 
-/** Sequential decoder over one segment's byte spans (arena chunks
+/** Sequential decoder over one segment's byte spans (buffer chunks
  *  for in-RAM segments, a single mmap window for spilled ones).  The
  *  owning TraceStore must outlive the cursor; the cursor itself keeps
  *  the mmap window alive.  Concurrent cursors over one segment are
@@ -378,28 +401,8 @@ class SegmentCursor
     std::size_t before_ = 0;
 };
 
-/** Encode @p value as a trace value payload (kind byte +
- *  kind-dependent varints). */
-inline void
-encodeTraceValue(TraceBuffer &out, const Value &value)
-{
-    out.putByte(static_cast<std::uint8_t>(value.kind));
-    switch (value.kind) {
-      case ValueKind::Scalar:
-        out.putZigzag(value.num);
-        break;
-      case ValueKind::Pointer:
-        out.putVarint(value.obj);
-        out.putVarint(value.off);
-        break;
-      case ValueKind::FuncPtr:
-      case ValueKind::Thread:
-        out.putVarint(value.idx);
-        break;
-    }
-}
-
-/** Inverse of encodeTraceValue. */
+/** Decode a trace value payload (kind byte + kind-dependent
+ *  varints, as TraceRecorder::Writer writes it). */
 inline Value
 decodeTraceValue(SegmentCursor &in)
 {
@@ -459,23 +462,9 @@ class TraceStore
     /** The open segment's byte stream. */
     TraceBuffer &open() { return open_; }
 
-    /** Account one appended record in the open segment's header. */
-    void
-    noteRecord(ThreadId tid, bool step)
-    {
-        ++openHeader_.records;
-        openHeader_.steps += step;
-        openHeader_.tidBitmap |= std::uint64_t{1} << (tid < 63 ? tid : 63);
-    }
-
-    /** Account one instr-event site in the open segment's header. */
-    void
-    noteInstr(InstrId id)
-    {
-        if (openHeader_.firstInstr == kNoInstr)
-            openHeader_.firstInstr = id;
-        openHeader_.lastInstr = id;
-    }
+    /** The open segment's header; the recorder folds its record
+     *  counts in whenever it syncs. */
+    SegmentHeader &openHeader() { return openHeader_; }
 
     /** Should the open segment close?  Checked at record boundaries
      *  only, so segments close between records, never inside one. */
@@ -506,7 +495,7 @@ class TraceStore
 
     /** Decoder positioned at the start of segment @p i.  Spilled
      *  segments are mapped for the cursor's lifetime; in-RAM
-     *  segments borrow the store's arena. */
+     *  segments borrow the store's chunks. */
     SegmentCursor cursor(std::size_t i) const;
 
     /** Did any segment reach the overflow file? */
@@ -583,116 +572,254 @@ class TraceStore
 
 /**
  * Interpreter-native recording sink (not a Tool: it sees every event
- * unconditionally, before plan filtering, with the full context).
- * Attach with Interpreter::setRecorder before run().
+ * unconditionally, before plan filtering).  Attach with
+ * Interpreter::setRecorder before run().
+ *
+ * Records are appended through a Writer: a small by-value cursor over
+ * one thread's records, which the interpreter keeps in locals for a
+ * whole scheduling quantum.  A typed call writes one record straight
+ * into the open segment's chunk and bumps one tally; the segment
+ * header (record and step counts, tid bitmap, first/last instruction)
+ * is only brought up to date when the writer syncs — commit(), or the
+ * out-of-line overflow path when a chunk fills or the segment crosses
+ * its threshold.  The threshold is still tested after every record,
+ * so segments close at exactly the record boundaries they always did.
  */
 class TraceRecorder
 {
   public:
-    TraceRecorder() = default;
+    TraceRecorder() : TraceRecorder(TraceStoreOptions{}) {}
     explicit TraceRecorder(const TraceStoreOptions &options)
         : store_(options)
     {
     }
 
-    /** Mark the start of one guest instruction; the next record
-     *  carries the step flag.  Idempotent, so an instruction that
-     *  blocks without executing (Lock/Join) leaves the flag pending
-     *  for the instruction that actually fires next. */
-    void beginStep() { pendingStep_ = true; }
-
-    /** Does recording @p op read payload fields out of the EventCtx?
-     *  The interpreter skips context construction entirely for
-     *  payload-free records (the bulk of the stream), so recording
-     *  costs little more than the header + instr-delta encode. */
-    static constexpr bool
-    opHasPayload(ir::Opcode op)
+    /**
+     * Append cursor for one thread's records.  `step` marks the first
+     * record of an executed guest instruction (header bit 2), which
+     * the replayer counts to rebuild step numbers and abort
+     * boundaries.  Valid until the next commit() or open() on its
+     * recorder; writers pass by value throughout, so one held in a
+     * caller's locals can live in registers.
+     */
+    class Writer
     {
-        switch (op) {
-          case ir::Opcode::Load:
-          case ir::Opcode::Store:
-          case ir::Opcode::Lock:
-          case ir::Opcode::Unlock:
-          case ir::Opcode::ICall:
-          case ir::Opcode::Spawn:
-          case ir::Opcode::Join:
-          case ir::Opcode::Output:
-            return true;
-          default:
-            return false;
+      public:
+        /** A payload-free instr event. */
+        void
+        instr(bool step, InstrId id)
+        {
+            end(instrHeader(step, id), step);
         }
-    }
 
-    /** Record one fired event.  @p ctx is consulted only when
-     *  opHasPayload(ins.op) — it may be uninitialized otherwise. */
-    void
-    recordEvent(ThreadId tid, const ir::Instruction &ins,
-                const EventCtx &ctx)
-    {
-        TraceBuffer &out = store_.open();
-        const bool step = putHeader(out, kInstrEvent, tid);
-        const InstrId id = ins.id;
-        out.putZigzag(std::int64_t{id} - prevInstr_);
-        prevInstr_ = id;
-        switch (ins.op) {
-          case ir::Opcode::Load:
-          case ir::Opcode::Store:
-            out.putZigzag(std::int64_t{ctx.obj} - prevObj_);
-            prevObj_ = ctx.obj;
-            out.putVarint(ctx.off);
-            if (store_.capturesValues())
-                encodeTraceValue(out, ctx.value);
-            break;
-          case ir::Opcode::Lock:
-          case ir::Opcode::Unlock:
-            out.putZigzag(std::int64_t{ctx.obj} - prevObj_);
-            prevObj_ = ctx.obj;
-            out.putVarint(ctx.off);
-            break;
-          case ir::Opcode::ICall:
-            out.putVarint(ctx.calleeResolved);
-            break;
-          case ir::Opcode::Spawn:
-          case ir::Opcode::Join:
-            out.putVarint(ctx.otherTid);
-            break;
-          case ir::Opcode::Output:
-            out.putZigzag(Interpreter::encodeValue(ctx.value));
-            break;
-          default:
-            break;
+        /** Load/Store: resolved address, plus the value when the
+         *  capture records values. */
+        void
+        memAccess(bool step, InstrId id, ObjectId obj, std::uint32_t off,
+                  const Value &value)
+        {
+            std::uint8_t *out = address(instrHeader(step, id), obj, off);
+            if (owner_->store_.capturesValues())
+                out = putValue(out, value);
+            end(out, step);
         }
-        store_.noteInstr(id);
-        endRecord(tid, step);
+
+        /** Lock/Unlock: the resolved lock address. */
+        void
+        lockOp(bool step, InstrId id, ObjectId obj, std::uint32_t off)
+        {
+            end(address(instrHeader(step, id), obj, off), step);
+        }
+
+        /** ICall: the resolved callee. */
+        void
+        icall(bool step, InstrId id, FuncId callee)
+        {
+            end(TraceBuffer::writeVarint(instrHeader(step, id), callee),
+                step);
+        }
+
+        /** Spawn/Join: the child / joined thread. */
+        void
+        threadOp(bool step, InstrId id, ThreadId other)
+        {
+            end(TraceBuffer::writeVarint(instrHeader(step, id), other),
+                step);
+        }
+
+        /** Output: the emitted value, as Interpreter::encodeValue. */
+        void
+        output(bool step, InstrId id, std::int64_t encoded)
+        {
+            end(TraceBuffer::writeVarint(instrHeader(step, id),
+                                         TraceBuffer::zigzag(encoded)),
+                step);
+        }
+
+        void
+        blockEnter(bool step, BlockId block)
+        {
+            const std::int64_t delta = std::int64_t{block} - prevBlock_;
+            prevBlock_ = block;
+            end(headerAndDelta(kBlockEnter, step, delta), step);
+        }
+
+        void
+        threadStart(bool step, ThreadId parent, InstrId spawnSite)
+        {
+            std::uint8_t *out = header(kThreadStart, step);
+            out = TraceBuffer::writeVarint(out, parent);
+            out = TraceBuffer::writeVarint(
+                out, spawnSite == kNoInstr ? 0
+                                           : std::uint64_t{spawnSite} + 1);
+            end(out, step);
+        }
+
+        void
+        threadFinish(bool step)
+        {
+            end(header(kThreadFinish, step), step);
+        }
+
+      private:
+        friend class TraceRecorder;
+
+        /** Tally increments: records in the low half, step-flagged
+         *  records in the high half, so one add counts both. */
+        static constexpr std::uint64_t kRecord = 1;
+        static constexpr std::uint64_t kStepRecord = 1 + (1ull << 32);
+
+        std::uint8_t
+        headerByte(std::uint8_t kind, bool step) const
+        {
+            return static_cast<std::uint8_t>(kind | (step ? 4 : 0) |
+                                             tidBits_);
+        }
+
+        std::uint8_t *
+        header(std::uint8_t kind, bool step)
+        {
+            std::uint8_t *out = ptr_;
+            *out++ = headerByte(kind, step);
+            if (tidBits_ == kTidEscape << 3)
+                out = TraceBuffer::writeVarint(out, owner_->writerTid_);
+            return out;
+        }
+
+        /** Header plus a zigzag delta.  The common record — an
+         *  unescaped tid and a delta whose zigzag form fits one byte
+         *  — is stored as two bytes without the varint loop. */
+        std::uint8_t *
+        headerAndDelta(std::uint8_t kind, bool step, std::int64_t delta)
+        {
+            const std::uint64_t zigzag = TraceBuffer::zigzag(delta);
+            if ((zigzag >> 1) < shortDelta_) {
+                ptr_[0] = headerByte(kind, step);
+                ptr_[1] = static_cast<std::uint8_t>(zigzag);
+                return ptr_ + 2;
+            }
+            return TraceBuffer::writeVarint(header(kind, step), zigzag);
+        }
+
+        std::uint8_t *
+        instrHeader(bool step, InstrId id)
+        {
+            const std::int64_t delta = std::int64_t{id} - prevInstr_;
+            prevInstr_ = id;
+            // Most instruction deltas are small and forward (the next
+            // op of the block), zigzagging to the byte 2 * delta.
+            if (static_cast<std::uint64_t>(delta) < shortDelta_) {
+                ptr_[0] = headerByte(kInstrEvent, step);
+                ptr_[1] = static_cast<std::uint8_t>(delta << 1);
+                return ptr_ + 2;
+            }
+            return headerAndDelta(kInstrEvent, step, delta);
+        }
+
+        std::uint8_t *
+        address(std::uint8_t *out, ObjectId obj, std::uint32_t off)
+        {
+            out = TraceBuffer::writeVarint(
+                out, TraceBuffer::zigzag(std::int64_t{obj} - prevObj_));
+            prevObj_ = obj;
+            return TraceBuffer::writeVarint(out, off);
+        }
+
+        static std::uint8_t *
+        putValue(std::uint8_t *out, const Value &value)
+        {
+            *out++ = static_cast<std::uint8_t>(value.kind);
+            switch (value.kind) {
+              case ValueKind::Scalar:
+                return TraceBuffer::writeVarint(out,
+                                                TraceBuffer::zigzag(value.num));
+              case ValueKind::Pointer:
+                out = TraceBuffer::writeVarint(out, value.obj);
+                return TraceBuffer::writeVarint(out, value.off);
+              case ValueKind::FuncPtr:
+              case ValueKind::Thread:
+                return TraceBuffer::writeVarint(out, value.idx);
+            }
+            return out;
+        }
+
+        /** Close one record: tally it, then take the out-of-line path
+         *  when the chunk is nearly full or the segment is due to
+         *  close. */
+        void
+        end(std::uint8_t *out, bool step)
+        {
+            ptr_ = out;
+            tally_ += step ? kStepRecord : kRecord;
+            if (ptr_ >= limit_) {
+                owner_->commit(*this);
+                owner_->overflow();
+                owner_->resume(*this);
+            }
+        }
+
+        // Every field is a full word: GCC will not split into
+        // registers a struct whose copies cover a partial tail word.
+        TraceRecorder *owner_ = nullptr;
+        std::uint8_t *ptr_ = nullptr;
+        /** ptr_ >= limit_: fewer than kMaxRecordBytes left in the
+         *  chunk, or the segment reached its threshold. */
+        std::uint8_t *limit_ = nullptr;
+        std::int64_t prevInstr_ = 0;
+        std::int64_t prevObj_ = 0;
+        std::int64_t prevBlock_ = 0;
+        std::uint64_t tally_ = 0;
+        /** tid << 3, or the escape marker when the tid follows as a
+         *  varint. */
+        std::uint64_t tidBits_ = 0;
+        /** Deltas whose zigzag form fits one byte, |delta| below
+         *  this, take the two-byte store: 64, or 0 for an escaped
+         *  tid, whose header is longer. */
+        std::uint64_t shortDelta_ = 0;
+    };
+
+    /** A writer for @p tid's records, positioned at the end of the
+     *  stream.  Inline, like resume(), so a writer's address never
+     *  leaves the function that holds it, which can then keep it in
+     *  registers. */
+    Writer
+    open(ThreadId tid)
+    {
+        if (!limit_)
+            prepare();
+        Writer writer;
+        writer.owner_ = this;
+        writerTid_ = tid;
+        const bool escaped = tid >= kTidEscape;
+        writer.tidBits_ = (escaped ? kTidEscape : tid) << 3;
+        writer.shortDelta_ = escaped ? 0 : 64;
+        resume(writer);
+        return writer;
     }
 
-    void
-    recordBlockEnter(ThreadId tid, BlockId block)
-    {
-        TraceBuffer &out = store_.open();
-        const bool step = putHeader(out, kBlockEnter, tid);
-        out.putZigzag(std::int64_t{block} - prevBlock_);
-        prevBlock_ = block;
-        endRecord(tid, step);
-    }
-
-    void
-    recordThreadStart(ThreadId tid, ThreadId parent, InstrId spawnSite)
-    {
-        TraceBuffer &out = store_.open();
-        const bool step = putHeader(out, kThreadStart, tid);
-        out.putVarint(parent);
-        out.putVarint(spawnSite == kNoInstr ? 0
-                                            : std::uint64_t{spawnSite} + 1);
-        endRecord(tid, step);
-    }
-
-    void
-    recordThreadFinish(ThreadId tid)
-    {
-        const bool step = putHeader(store_.open(), kThreadFinish, tid);
-        endRecord(tid, step);
-    }
+    /** Fold @p writer's records into the recorder.  The writer is
+     *  spent; open() a new one to continue. */
+    void commit(Writer writer);
 
     /** Finish and move the segmented store out (recorder is spent
      *  afterwards). */
@@ -710,45 +837,38 @@ class TraceRecorder
     static constexpr std::uint8_t kThreadFinish = 3;
     /** Header tid field value meaning "varint tid follows". */
     static constexpr std::uint8_t kTidEscape = 31;
+    /** Upper bound on one encoded record (Load with an escaped tid,
+     *  maximal deltas and a value payload is 42 bytes). */
+    static constexpr std::size_t kMaxRecordBytes = 64;
 
   private:
-    bool
-    putHeader(TraceBuffer &out, std::uint8_t kind, ThreadId tid)
+    /** Position @p writer at the end of the stream. */
+    void
+    resume(Writer &writer)
     {
-        std::uint8_t header = kind;
-        const bool step = pendingStep_;
-        if (step) {
-            header |= 4;
-            pendingStep_ = false;
-        }
-        if (tid < kTidEscape) {
-            out.putByte(header | static_cast<std::uint8_t>(tid << 3));
-        } else {
-            out.putByte(header |
-                        static_cast<std::uint8_t>(kTidEscape << 3));
-            out.putVarint(tid);
-        }
-        return step;
+        writer.ptr_ = writerStart_ = store_.open().cursor();
+        writer.limit_ = limit_;
+        writer.prevInstr_ = prevInstr_;
+        writer.prevObj_ = prevObj_;
+        writer.prevBlock_ = prevBlock_;
+        writer.tally_ = 0;
     }
 
-    /** Per-record bookkeeping + spill check.  Runs after the record
-     *  is fully encoded, so segments close only at record
-     *  boundaries; the delta chains restart with the new segment so
-     *  it decodes standalone. */
-    void
-    endRecord(ThreadId tid, bool step)
-    {
-        store_.noteRecord(tid, step);
-        if (store_.openOverThreshold()) {
-            store_.closeOpenSegment();
-            prevInstr_ = 0;
-            prevObj_ = 0;
-            prevBlock_ = 0;
-        }
-    }
+    /** After a commit at the writer's limit: close the segment if it
+     *  crossed the threshold (restarting the delta chains so the next
+     *  one decodes standalone) and make room for the next record. */
+    void overflow();
+
+    /** Make room for one record at the cursor and recompute limit_. */
+    void prepare();
 
     TraceStore store_;
-    bool pendingStep_ = false;
+    /** The writers' limit at the current cursor (see Writer). */
+    std::uint8_t *limit_ = nullptr;
+    /** The open writer's thread, and where its records begin (all of
+     *  them sit in one chunk, up to its cursor). */
+    ThreadId writerTid_ = 0;
+    std::uint8_t *writerStart_ = nullptr;
     std::int64_t prevInstr_ = 0;
     std::int64_t prevObj_ = 0;
     std::int64_t prevBlock_ = 0;

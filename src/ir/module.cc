@@ -72,6 +72,7 @@ Module::finalize()
 
     finalized_ = true;
     verifyModule(*this);
+    decoded_ = decodeModule(*this);
 
     funcFps_.clear();
     funcFps_.reserve(funcs_.size());

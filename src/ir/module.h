@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/decoded.h"
 #include "ir/function.h"
 #include "support/common.h"
 
@@ -153,6 +154,14 @@ class Module
         return funcs_[id].get();
     }
 
+    /** The interpreter's op table (available after finalize()). */
+    const DecodedModule &
+    decoded() const
+    {
+        OHA_ASSERT(finalized_);
+        return decoded_;
+    }
+
     /**
      * Dual hash of the function's canonical text (available after
      * finalize()).  The canonical text is reprint-stable: it names
@@ -177,6 +186,7 @@ class Module
     std::vector<const Instruction *> instrById_;
     std::vector<BasicBlock *> blockById_;
     std::vector<FunctionFingerprint> funcFps_;
+    DecodedModule decoded_;
 };
 
 /**

@@ -35,38 +35,20 @@ allBytes(const exec::TraceStore &store)
     return bytes;
 }
 
-ir::Instruction
-instrOf(InstrId id, ir::Opcode op)
-{
-    ir::Instruction ins;
-    ins.id = id;
-    ins.op = op;
-    return ins;
-}
-
 TEST(TraceCodec, PayloadFreeEncodingIsByteStable)
 {
     // A scripted record sequence with hand-computed expected bytes:
     // any codec change that is not strictly additive breaks this.
     exec::TraceRecorder recorder;
-    exec::EventCtx ctx;
-
-    recorder.beginStep();
-    recorder.recordThreadStart(0, 0, kNoInstr);
-
-    recorder.beginStep();
-    ctx.obj = 3;
-    ctx.off = 2;
-    recorder.recordEvent(0, instrOf(5, ir::Opcode::Load), ctx);
-
-    recorder.recordBlockEnter(1, 7);
-
-    recorder.beginStep();
-    ctx.obj = 3;
-    ctx.off = 4;
-    recorder.recordEvent(1, instrOf(6, ir::Opcode::Store), ctx);
-
-    recorder.recordThreadFinish(1);
+    exec::TraceRecorder::Writer main = recorder.open(0);
+    main.threadStart(true, 0, kNoInstr);
+    main.memAccess(true, 5, 3, 2, exec::Value{});
+    recorder.commit(main);
+    exec::TraceRecorder::Writer child = recorder.open(1);
+    child.blockEnter(false, 7);
+    child.memAccess(true, 6, 3, 4, exec::Value{});
+    child.threadFinish(false);
+    recorder.commit(child);
 
     const exec::TraceStore store = recorder.take();
     const std::vector<std::uint8_t> expected = {
@@ -102,8 +84,11 @@ TEST(TraceCodec, EscapeTidRoundTrips)
     // itself and must be escaped; 300 needs a multi-byte varint.
     const ThreadId tids[] = {30, 31, 32, 300};
     exec::TraceRecorder recorder;
-    for (const ThreadId tid : tids)
-        recorder.recordThreadFinish(tid);
+    for (const ThreadId tid : tids) {
+        exec::TraceRecorder::Writer writer = recorder.open(tid);
+        writer.threadFinish(false);
+        recorder.commit(writer);
+    }
     const exec::TraceStore store = recorder.take();
 
     // 30 -> 1 header byte; 31 and 32 -> header + 1 varint byte;
@@ -135,15 +120,11 @@ TEST(TraceCodec, ValuePayloadRoundTripsAllKinds)
     exec::TraceStoreOptions options;
     options.captureValues = true;
     exec::TraceRecorder recorder(options);
-    exec::EventCtx ctx;
+    exec::TraceRecorder::Writer writer = recorder.open(0);
     InstrId id = 10;
-    for (const exec::Value &value : values) {
-        recorder.beginStep();
-        ctx.obj = 1;
-        ctx.off = 0;
-        ctx.value = value;
-        recorder.recordEvent(0, instrOf(id++, ir::Opcode::Load), ctx);
-    }
+    for (const exec::Value &value : values)
+        writer.memAccess(true, id++, 1, 0, value);
+    recorder.commit(writer);
     const exec::TraceStore store = recorder.take();
     ASSERT_EQ(store.numSegments(), 1u);
     EXPECT_TRUE(store.header(0).flags & exec::SegmentHeader::kFlagHasValues);
