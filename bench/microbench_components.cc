@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the substrate components:
  * interpreter throughput, FastTrack per-event cost, Giri trace
- * appends, Andersen solving, static slicing, invariant checking and
- * profiling runs.
+ * appends, Andersen solving, static slicing, invariant checking,
+ * profiling runs and fault-seeded pipeline recovery.
  * These are wall-clock measurements of THIS implementation (not paper
  * reproductions) — useful for tracking regressions in the library
  * itself.
@@ -14,6 +14,8 @@
 #include "bench_common.h"
 
 #include "analysis/race_detector.h"
+#include "core/optft.h"
+#include "core/optslice.h"
 #include "analysis/slicer.h"
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
@@ -252,6 +254,50 @@ BM_ProfilingRunAllSites(benchmark::State &state)
     profilingRun(state, true);
 }
 BENCHMARK(BM_ProfilingRunAllSites)->ArgName("slice")->Arg(0)->Arg(1);
+
+/**
+ * Recovery under faults: OptFT over every race program (arg 0) or
+ * OptSlice over every slice program (arg 1), serial, with fault seed 7
+ * so the testing corpus mis-speculates and the adaptive repair rounds
+ * run.  One untimed pass warms the static, profile and capture caches
+ * first, as in a warm daemon request, so replay, the tools and
+ * recovery carry the time.  Items are pipeline ops.
+ */
+void
+BM_FaultedPipeline(benchmark::State &state)
+{
+    const bool slice = state.range(0) != 0;
+    const auto &workloads = corpus(slice);
+    auto pass = [&] {
+        for (const workloads::Workload &workload : workloads) {
+            if (slice) {
+                core::OptSliceConfig config;
+                config.threads = 1;
+                config.faultSeed = 7;
+                benchmark::DoNotOptimize(
+                    core::runOptSlice(workload, config).misSpeculations);
+            } else {
+                core::OptFtConfig config;
+                config.threads = 1;
+                config.faultSeed = 7;
+                benchmark::DoNotOptimize(
+                    core::runOptFt(workload, config).misSpeculations);
+            }
+        }
+    };
+    pass();
+    std::int64_t ops = 0;
+    for (auto _ : state) {
+        pass();
+        ops += static_cast<std::int64_t>(workloads.size());
+    }
+    state.SetItemsProcessed(ops);
+}
+BENCHMARK(BM_FaultedPipeline)
+    ->ArgName("slice")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Console reporter that additionally captures every benchmark's

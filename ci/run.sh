@@ -17,7 +17,8 @@
 #                        # repository benchmark's own checks
 #                        # (perfbench/test.py)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
-#                        # recovery tests under OHA_FAULT_SEED 1..3,
+#                        # recovery tests and the union-graph oracle
+#                        # (GiriUnion) under OHA_FAULT_SEED 1..3,
 #                        # each at OHA_THREADS=1 and 4 (seeded faults
 #                        # must repair identically at any thread count),
 #                        # then the I/O fault domain — persist-path
@@ -104,9 +105,11 @@ bench-release)
     # Interpreter floor: plain, recorded and profiled runs over every
     # race (slice:0) and slice (slice:1) workload's inputs, items =
     # steps, so the recorded/plain and profiled/plain ns/step ratios
-    # are tracked.  Leaves BENCH_microbench_components.json.
+    # are tracked.  Recovery: warm, serial, fault-seeded OptFT
+    # (slice:0) and OptSlice (slice:1) over every program, items =
+    # ops.  Leaves BENCH_microbench_components.json.
     "$build_dir"/bench/microbench_components \
-        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun'
+        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FaultedPipeline'
     # The repository benchmark's own checks: its reference digests
     # (computed on the direct path) still match, and every workload's
     # traced run passes and repeats its exact counts — so the fused
@@ -123,7 +126,7 @@ faults)
                 "OHA_THREADS=$threads ==="
             OHA_FAULT_SEED="$seed" OHA_THREADS="$threads" \
                 ctest --test-dir "$build_dir" --output-on-failure \
-                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation'
+                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation|GiriUnion'
         done
     done
     # I/O fault domain: every durable-file, capture-persist and

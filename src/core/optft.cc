@@ -590,17 +590,19 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             config.threads);
     }
 
-    // Speculative runs, in adaptive rounds.  Each round batch-runs
-    // the remaining inputs under the current optimistic plan, then
+    // Speculative runs, in adaptive rounds.  Each round runs the
+    // remaining inputs in order under the current optimistic plan and
+    // starts no input past the first rollback (runBatchUntil), then
     // scans the outcomes serially in input-index order.  At the first
     // rollback the round stops: the lying invariant is demoted, the
     // predicated static phase re-runs through the memo cache, the
     // plan is rebuilt, and the next round restarts at the following
     // input — so results are exactly those of the serial repair loop
-    // at any thread count (later same-round evaluations are
-    // discarded, not folded).  A circuit breaker degrades the
-    // remaining corpus to the sound hybrid configuration when the
-    // repair budget or the observed misspeculation rate is exceeded.
+    // at any thread count (evaluations a parallel round started past
+    // the rollback are discarded, not folded).  A circuit breaker
+    // degrades the remaining corpus to the sound hybrid configuration
+    // when the repair budget or the observed misspeculation rate is
+    // exceeded.
     // In record-once mode the first round came out of the fused
     // reference pass; later rounds replay only the optimistic
     // configuration.
@@ -627,7 +629,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         const std::vector<OptEval> round =
             start == 0 && config.useTraceReplay
                 ? std::move(firstRound)
-                : support::runBatch(
+                : support::runBatchUntil(
                       numTests - start,
                       [&](std::size_t k) {
                           const std::size_t i = start + k;
@@ -642,6 +644,9 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                                                  workload.testingSet[i],
                                                  optPlan, &checker);
                           return judge(std::move(run), checker);
+                      },
+                      [&](const OptEval &eval) {
+                          return config.adaptiveRecovery && eval.rolledBack;
                       },
                       config.threads);
 

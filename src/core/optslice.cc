@@ -1,6 +1,7 @@
 #include "core/optslice.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "analysis/andersen_cache.h"
@@ -244,79 +245,76 @@ computeAllSlices(const std::shared_ptr<const ir::Module> &module,
                                   endpoints, compute, incremental);
 }
 
+/** One endpoint's slicing outcome under one configuration. */
 struct GiriRun
 {
+    /** The run of the endpoint's replay group (shared by every
+     *  endpoint read off the same graph). */
     exec::RunResult result;
-    std::map<InstrId, std::set<InstrId>> slices;
+    std::set<InstrId> slice;
+    /** The slice reached entries outside the endpoint's own plan. */
+    bool escaped = false;
     exec::EventCounts delivered;
     exec::EventCounts checkerDelivered;
     std::uint64_t slowChecks = 0;
     bool violated = false;
-    std::uint64_t missingDeps = 0;
 };
 
-/** Read one endpoint's slicing outcome off its tool; @p result is
- *  the tool's group result, narrowed to the tool's own delivery
- *  counts (the checker's, if any, are @p checkerDelivered). */
-GiriRun
-collectGiriRun(const exec::RunResult &result,
-               const exec::EventCounts &delivered,
-               const dyn::GiriSlicer &tool, InstrId endpoint,
-               const dyn::InvariantChecker *checker,
-               const exec::EventCounts &checkerDelivered)
+/** The union of @p plans[first..]: one Giri graph attached under it
+ *  serves every endpoint from @p first on. */
+exec::InstrumentationPlan
+unionPlan(const ir::Module &module,
+          const std::vector<exec::InstrumentationPlan> &plans,
+          std::size_t first)
 {
-    GiriRun out;
-    out.result = result;
-    out.result.delivered = {delivered};
-    if (checker)
-        out.result.delivered.push_back(checkerDelivered);
-    out.slices[endpoint] = tool.slice(endpoint);
-    out.delivered = delivered;
-    if (checker) {
-        out.checkerDelivered = checkerDelivered;
-        out.slowChecks = checker->slowContextChecks();
-        out.violated = checker->violated();
+    auto plan = exec::InstrumentationPlan::none(module);
+    for (InstrId id = 0; id < module.numInstrs(); ++id) {
+        for (std::size_t e = first; e < plans.size(); ++e) {
+            if (plans[e].coversInstr(id)) {
+                plan.setInstr(id, true);
+                break;
+            }
+        }
     }
-    out.missingDeps = tool.missingDependencies();
+    return plan;
+}
+
+/**
+ * Read endpoints [@p first, E) off @p graph, built under the union of
+ * their @p plans: each endpoint's slice is the closure from its Output
+ * entries, and its delivered counts are the entries its own plan
+ * covers.  The optimistic graph shares its group with @p checker; the
+ * hybrid graph has none, and since a sound slice is closed on every
+ * execution, an escape from a hybrid plan is a static-analysis bug.
+ */
+std::vector<GiriRun>
+readUnionGraph(const exec::RunResult &result, const dyn::GiriSlicer &graph,
+               const std::vector<InstrId> &endpoints,
+               const std::vector<exec::InstrumentationPlan> &plans,
+               std::size_t first, const dyn::InvariantChecker *checker)
+{
+    std::vector<const exec::InstrumentationPlan *> own;
+    for (std::size_t e = first; e < plans.size(); ++e)
+        own.push_back(&plans[e]);
+    const std::vector<exec::EventCounts> delivered = graph.entriesUnder(own);
+    std::vector<GiriRun> out(own.size());
+    for (std::size_t k = 0; k < own.size(); ++k) {
+        GiriRun &run = out[k];
+        run.result = result;
+        dyn::GiriSlicer::EndpointSlice slice =
+            graph.slice(endpoints[first + k], *own[k]);
+        OHA_ASSERT(checker || slice.escapes == 0,
+                   "a sound slice plan is not dynamically closed");
+        run.slice = std::move(slice.instrs);
+        run.escaped = slice.escapes != 0;
+        run.delivered = delivered[k];
+        if (checker) {
+            run.checkerDelivered = result.delivered.back();
+            run.slowChecks = checker->slowContextChecks();
+            run.violated = checker->violated();
+        }
+    }
     return out;
-}
-
-/** Run one execution with a Giri tool under @p plan, slicing back
- *  from @p endpoint. */
-GiriRun
-runGiri(const ir::Module &module, const exec::ExecConfig &config,
-        const exec::InstrumentationPlan &plan, InstrId endpoint,
-        dyn::InvariantChecker *checker = nullptr)
-{
-    dyn::GiriSlicer tool(module);
-    exec::Interpreter interp(module, config);
-    interp.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&interp);
-        interp.attach(checker, &checker->plan());
-    }
-    const exec::RunResult result = interp.run();
-    return collectGiriRun(result, result.delivered[0], tool, endpoint,
-                          checker, checker ? result.delivered[1]
-                                           : exec::EventCounts{});
-}
-
-/** Same slicing run, driven from a recorded trace instead of a live
- *  interpreter (record-once/analyze-many).  Byte-identical results.
- *  The trace is read-only, so many tasks may replay it concurrently. */
-GiriRun
-replayGiri(const ir::Module &module, const exec::RecordedTrace &trace,
-           const exec::InstrumentationPlan &plan, InstrId endpoint,
-           dyn::InvariantChecker *checker)
-{
-    dyn::GiriSlicer tool(module);
-    exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
-    checker->setControl(&replayer);
-    replayer.attach(checker, &checker->plan());
-    const exec::RunResult result = replayer.run();
-    return collectGiriRun(result, result.delivered[0], tool, endpoint,
-                          checker, result.delivered[1]);
 }
 
 } // namespace
@@ -461,8 +459,11 @@ runOptSlice(const workloads::Workload &workload,
         optSizeSum += double(optSlices.slices[e].size());
     }
     result.endpoints = endpoints.size();
-    result.soundSliceSize = soundSizeSum / double(endpoints.size());
-    result.optSliceSize = optSizeSum / double(endpoints.size());
+    // A module without Output has no endpoint: report empty slices.
+    if (!endpoints.empty()) {
+        result.soundSliceSize = soundSizeSum / double(endpoints.size());
+        result.optSliceSize = optSizeSum / double(endpoints.size());
+    }
 
     result.soundAliasRate =
         soundPts.result->aliasRate(module, &invariants);
@@ -476,8 +477,8 @@ runOptSlice(const workloads::Workload &workload,
 
     // Record-once mode: capture every testing input's trace exactly
     // once, up front.  The traces are immutable afterwards, so the
-    // per-(input, endpoint) tasks below replay them concurrently
-    // without synchronization.  With cacheTraceCaptures the captures
+    // per-input jobs below replay them concurrently without
+    // synchronization.  With cacheTraceCaptures the captures
     // come from (and feed) the shared cross-request cache, so a warm
     // service request skips even the one recording execution.
     std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
@@ -495,14 +496,18 @@ runOptSlice(const workloads::Workload &workload,
             config.threads);
     }
 
-    // Every (testing input, endpoint) pair is an independent slicing
-    // task, ordered input-major.  The hybrid references do not depend
-    // on the speculative plans, so they are evaluated once per task up
-    // front; each reference doubles as the deterministic rollback
+    // Every (testing input, endpoint) pair is a slicing task, ordered
+    // input-major.  An input's endpoints share one Giri graph per
+    // configuration, attached under the union of their plans; each
+    // endpoint's slice and delivered counts are read off it against
+    // its own plan (readUnionGraph).  The hybrid references do not
+    // depend on the speculative plans, so they are evaluated once per
+    // input up front; each doubles as the deterministic rollback
     // re-analysis and as the degraded configuration once the circuit
     // breaker trips.
+    const std::size_t numInputs = workload.testingSet.size();
     const std::size_t numEndpoints = endpoints.size();
-    const std::size_t tasks = workload.testingSet.size() * numEndpoints;
+    const std::size_t tasks = numInputs * numEndpoints;
     struct OptEval
     {
         GiriRun optimistic;
@@ -510,113 +515,123 @@ runOptSlice(const workloads::Workload &workload,
         bool degraded = false;
         dyn::Violation violation;
     };
-    auto judge = [](GiriRun run, const dyn::InvariantChecker &checker) {
-        OptEval eval;
-        eval.optimistic = std::move(run);
-        if (eval.optimistic.violated) {
-            eval.rolledBack = true;
-            eval.violation = checker.violation();
-        }
-        return eval;
-    };
-
-    // In record-once mode each input's capture is decoded once for
-    // the references and the first adaptive round together: the
-    // endpoints' hybrid Giri tools stay in group 0, and one group
-    // holds every endpoint's optimistic Giri tool plus a single
-    // checker.  The checker depends only on the invariants, so its
-    // verdict and truncation point are those of every per-endpoint
-    // optimistic run; the group result is field-identical to each.
-    std::vector<GiriRun> refs;
-    std::vector<OptEval> firstRound;
-    if (config.useTraceReplay) {
-        refs.reserve(tasks);
-        firstRound.reserve(tasks);
-        // Two tools per endpoint plus the checker must fit one
-        // replay's dispatch masks; wider endpoint sets take several
-        // passes.
-        constexpr std::size_t kEndpointsPerPass =
-            (exec::TraceReplayer::kMaxAttachments - 1) / 2;
-        const std::size_t passes =
-            (numEndpoints + kEndpointsPerPass - 1) / kEndpointsPerPass;
-        std::vector<std::vector<std::pair<GiriRun, OptEval>>> jobs =
-            support::runBatch(
-                workload.testingSet.size() * passes,
-                [&](std::size_t job) {
-                    const std::size_t input = job / passes;
-                    const std::size_t first =
-                        job % passes * kEndpointsPerPass;
-                    const std::size_t count =
-                        std::min(kEndpointsPerPass, numEndpoints - first);
-                    exec::TraceReplayer replayer(module, *traces[input]);
-                    std::vector<std::unique_ptr<dyn::GiriSlicer>> hybrid,
-                        opt;
-                    for (std::size_t e = 0; e < count; ++e) {
-                        hybrid.push_back(
-                            std::make_unique<dyn::GiriSlicer>(module));
-                        replayer.attach(hybrid.back().get(),
-                                        &hybridPlans[first + e]);
-                    }
-                    const exec::TraceReplayer::GroupId optGroup =
-                        replayer.addGroup();
-                    dyn::InvariantChecker checker(module, invariants,
-                                                  checkerConfig);
-                    for (std::size_t e = 0; e < count; ++e) {
-                        opt.push_back(
-                            std::make_unique<dyn::GiriSlicer>(module));
-                        replayer.attach(optGroup, opt.back().get(),
-                                        &optPlans[first + e]);
-                    }
-                    checker.setControl(&replayer.control(optGroup));
-                    replayer.attach(optGroup, &checker, &checker.plan());
-                    const std::vector<exec::RunResult> results =
-                        replayer.runGroups();
-                    std::vector<std::pair<GiriRun, OptEval>> out;
-                    for (std::size_t e = 0; e < count; ++e) {
-                        const InstrId endpoint = endpoints[first + e];
-                        out.emplace_back(
-                            collectGiriRun(results[0],
-                                           results[0].delivered[e],
-                                           *hybrid[e], endpoint, nullptr,
-                                           {}),
-                            judge(collectGiriRun(
-                                      results[1], results[1].delivered[e],
-                                      *opt[e], endpoint, &checker,
-                                      results[1].delivered[count]),
-                                  checker));
-                    }
-                    return out;
-                },
-                config.threads);
-        // Jobs run input-major, passes in endpoint order: appending
-        // their runs in job order yields task order.
-        for (auto &job : jobs) {
-            for (auto &[ref, opt] : job) {
-                refs.push_back(std::move(ref));
-                firstRound.push_back(std::move(opt));
+    // Judge endpoints [first, E) off one optimistic union graph.  The
+    // checker depends only on the invariants, so every endpoint
+    // shares its verdict.
+    auto judge = [&](const exec::RunResult &run,
+                     const dyn::GiriSlicer &graph, std::size_t first,
+                     const dyn::InvariantChecker &checker) {
+        std::vector<OptEval> evals;
+        for (GiriRun &endpoint : readUnionGraph(run, graph, endpoints,
+                                                optPlans, first, &checker)) {
+            OptEval &eval = evals.emplace_back();
+            eval.optimistic = std::move(endpoint);
+            if (eval.optimistic.violated) {
+                eval.rolledBack = true;
+                eval.violation = checker.violation();
             }
         }
-    } else {
-        refs = support::runBatch(
-            tasks,
-            [&](std::size_t task) {
-                const std::size_t e = task % numEndpoints;
-                return runGiri(module,
-                               workload.testingSet[task / numEndpoints],
-                               hybridPlans[e], endpoints[e]);
+        return evals;
+    };
+
+    // One execution of @p input through @p graph under @p plan (and
+    // @p checker, if any): a replay of its capture in record-once
+    // mode, a live run otherwise.
+    auto execute = [&](std::size_t input, const exec::InstrumentationPlan &plan,
+                       dyn::GiriSlicer &graph,
+                       dyn::InvariantChecker *checker) {
+        auto drive = [&](auto &source) {
+            source.attach(&graph, &plan);
+            if (checker) {
+                checker->setControl(&source);
+                source.attach(checker, &checker->plan());
+            }
+            return source.run();
+        };
+        if (config.useTraceReplay) {
+            exec::TraceReplayer replayer(module, *traces[input]);
+            return drive(replayer);
+        }
+        exec::Interpreter interp(module, workload.testingSet[input]);
+        return drive(interp);
+    };
+    // One optimistic evaluation of endpoints [first, E) of @p input
+    // under @p plan, the union of their current optimistic plans.
+    auto evaluateOptimistic = [&](std::size_t input, std::size_t first,
+                                  const exec::InstrumentationPlan &plan) {
+        dyn::GiriSlicer graph(module);
+        dyn::InvariantChecker checker(module, invariants, checkerConfig);
+        const exec::RunResult run = execute(input, plan, graph, &checker);
+        return judge(run, graph, first, checker);
+    };
+
+    // In record-once mode each input's capture is decoded once for the
+    // references and the first adaptive round together: group 0 holds
+    // the hybrid graph, a second group the optimistic graph and the
+    // checker, whose abort truncates only its own group.
+    const exec::InstrumentationPlan hybridUnion =
+        unionPlan(module, hybridPlans, 0);
+    const std::size_t refJobs = numEndpoints == 0 ? 0 : numInputs;
+    std::vector<GiriRun> refs;
+    refs.reserve(tasks);
+    std::vector<std::vector<OptEval>> firstRound;
+    if (config.useTraceReplay) {
+        const exec::InstrumentationPlan optUnion =
+            unionPlan(module, optPlans, 0);
+        auto fused = support::runBatch(
+            refJobs,
+            [&](std::size_t input) {
+                exec::TraceReplayer replayer(module, *traces[input]);
+                dyn::GiriSlicer hybrid(module);
+                replayer.attach(&hybrid, &hybridUnion);
+                const exec::TraceReplayer::GroupId optGroup =
+                    replayer.addGroup();
+                dyn::GiriSlicer opt(module);
+                dyn::InvariantChecker checker(module, invariants,
+                                              checkerConfig);
+                replayer.attach(optGroup, &opt, &optUnion);
+                checker.setControl(&replayer.control(optGroup));
+                replayer.attach(optGroup, &checker, &checker.plan());
+                const std::vector<exec::RunResult> results =
+                    replayer.runGroups();
+                return std::pair{readUnionGraph(results[0], hybrid,
+                                                endpoints, hybridPlans, 0,
+                                                nullptr),
+                                 judge(results[1], opt, 0, checker)};
             },
             config.threads);
+        for (auto &[ref, opt] : fused) {
+            std::move(ref.begin(), ref.end(), std::back_inserter(refs));
+            firstRound.push_back(std::move(opt));
+        }
+    } else {
+        auto perInput = support::runBatch(
+            refJobs,
+            [&](std::size_t input) {
+                dyn::GiriSlicer graph(module);
+                const exec::RunResult run =
+                    execute(input, hybridUnion, graph, nullptr);
+                return readUnionGraph(run, graph, endpoints, hybridPlans, 0,
+                                      nullptr);
+            },
+            config.threads);
+        for (auto &ref : perInput) {
+            result.interpretedSteps += ref.front().result.steps;
+            std::move(ref.begin(), ref.end(), std::back_inserter(refs));
+        }
     }
 
     // Speculative runs, in adaptive rounds (same repair loop as
-    // runOptFt): batch the remaining tasks under the current
-    // optimistic plans, scan serially in task order, and at the first
-    // rollback demote the lying invariant, re-run the predicated
-    // points-to + slicing phase through the memo caches, rebuild the
-    // per-endpoint plans, and restart at the following task.  Later
-    // same-round evaluations are discarded, so results equal the
-    // serial repair loop at any thread count.  In record-once mode the
-    // first round came out of the fused reference pass.
+    // runOptFt).  A round evaluates the remaining inputs in order under
+    // the current optimistic plans, starting at the task after the
+    // last repair, and starts no input past the first rollback
+    // (runBatchUntil).  The outcomes are scanned serially in task
+    // order; at the first rollback the lying invariant is demoted, the
+    // predicated points-to + slicing phase re-runs through the memo
+    // caches, the per-endpoint plans are rebuilt, and the next round
+    // restarts at the following task — so results equal the serial
+    // repair loop at any thread count.  In record-once mode the first
+    // round came out of the fused reference pass.
     std::vector<OptEval> opts(tasks);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -625,6 +640,8 @@ runOptSlice(const workloads::Workload &workload,
     bool degraded = false;
     std::size_t next = 0;
     while (next < tasks) {
+        const std::size_t firstInput = next / numEndpoints;
+        const std::size_t firstEndpoint = next % numEndpoints;
         if (degraded) {
             // Sound fallback: the rest of the corpus runs the hybrid
             // plans (no speculation, no checker).  By determinism that
@@ -633,79 +650,97 @@ runOptSlice(const workloads::Workload &workload,
                 opts[task].optimistic = refs[task];
                 opts[task].degraded = true;
             }
+            if (!config.useTraceReplay) {
+                for (std::size_t input = firstInput; input < numInputs;
+                     ++input)
+                    result.interpretedSteps +=
+                        refs[input * numEndpoints].result.steps;
+            }
             break;
         }
-        const std::size_t start = next;
-        const std::vector<OptEval> round =
-            start == 0 && config.useTraceReplay
-                ? std::move(firstRound)
-                : support::runBatch(
-                      tasks - start,
-                      [&](std::size_t k) {
-                          const std::size_t task = start + k;
-                          const std::size_t input = task / numEndpoints;
-                          const std::size_t e = task % numEndpoints;
-                          dyn::InvariantChecker checker(module, invariants,
-                                                        checkerConfig);
-                          GiriRun run =
-                              config.useTraceReplay
-                                  ? replayGiri(module, *traces[input],
-                                               optPlans[e], endpoints[e],
-                                               &checker)
-                                  : runGiri(module,
-                                            workload.testingSet[input],
-                                            optPlans[e], endpoints[e],
-                                            &checker);
-                          return judge(std::move(run), checker);
-                      },
-                      config.threads);
+        std::vector<std::vector<OptEval>> round;
+        if (next == 0 && config.useTraceReplay) {
+            round = std::move(firstRound);
+        } else {
+            const exec::InstrumentationPlan optUnion =
+                unionPlan(module, optPlans, 0);
+            round = support::runBatchUntil(
+                numInputs - firstInput,
+                [&](std::size_t k) {
+                    if (k == 0 && firstEndpoint != 0)
+                        return evaluateOptimistic(
+                            firstInput, firstEndpoint,
+                            unionPlan(module, optPlans, firstEndpoint));
+                    return evaluateOptimistic(firstInput + k, 0, optUnion);
+                },
+                [&](const std::vector<OptEval> &evals) {
+                    return config.adaptiveRecovery &&
+                           evals.front().rolledBack;
+                },
+                config.threads);
+        }
 
         next = tasks;
-        for (std::size_t k = 0; k < round.size(); ++k) {
-            const std::size_t task = start + k;
-            opts[task] = round[k];
-            if (!opts[task].rolledBack)
-                continue;
-            ++rollbacksSeen;
-            if (!config.adaptiveRecovery)
-                continue; // historical behavior: plans never change
-            const dyn::Violation &violation = opts[task].violation;
-            if (breaker.tripped(result.repredications, rollbacksSeen,
-                                task + 1)) {
-                degraded = true;
-                result.circuitBroken = true;
-            } else if (!invariants.demote(violation)) {
-                // Defensive: an unrepairable violation must degrade
-                // rather than spin.
-                degraded = true;
-                result.circuitBroken = true;
-            } else {
-                result.demotions.push_back(violation);
-                ++result.repredications;
-                // Re-predicate points-to and slicing on the repaired
-                // invariants; both routes are memoized, so repeated
-                // repairs of converging sets are incremental.
-                const PickedAndersen repredPts =
-                    pickAndersen(moduleSp, &invariants, config);
-                const std::shared_ptr<const analysis::SliceSetResult>
-                    repredSlices = computeAllSlices(
-                        moduleSp, endpoints, &invariants, config,
-                        *repredPts.result,
-                        repredPts.pick.contextSensitive);
-                result.repredStaticSeconds +=
-                    repredPts.pick.seconds +
-                    double(repredSlices->workUnits) /
-                        cost.staticUnitsPerSecond * cost.offlineScale;
-                for (std::size_t e = 0; e < endpoints.size(); ++e) {
-                    optPlans[e] =
-                        repredSlices->complete
-                            ? dyn::sliceGiriPlan(module,
-                                                 repredSlices->slices[e])
-                            : dyn::fullGiriPlan(module);
-                }
+        for (std::size_t k = 0; k < round.size() && next == tasks; ++k) {
+            const std::size_t input = firstInput + k;
+            const std::size_t first = k == 0 ? firstEndpoint : 0;
+            if (!config.useTraceReplay) {
+                // The direct path interprets each kept optimistic run,
+                // and a rollback re-executes the input under the hybrid
+                // plans, as the cost model prices it.
+                result.interpretedSteps +=
+                    round[k].front().optimistic.result.steps;
+                if (round[k].front().rolledBack)
+                    result.interpretedSteps +=
+                        refs[input * numEndpoints].result.steps;
             }
-            next = task + 1; // discard this round's later evaluations
-            break;
+            for (std::size_t j = 0; j < round[k].size(); ++j) {
+                const std::size_t task = input * numEndpoints + first + j;
+                opts[task] = std::move(round[k][j]);
+                if (!opts[task].rolledBack)
+                    continue;
+                ++rollbacksSeen;
+                if (!config.adaptiveRecovery)
+                    continue; // historical behavior: plans never change
+                const dyn::Violation &violation = opts[task].violation;
+                if (breaker.tripped(result.repredications, rollbacksSeen,
+                                    task + 1)) {
+                    degraded = true;
+                    result.circuitBroken = true;
+                } else if (!invariants.demote(violation)) {
+                    // Defensive: an unrepairable violation must degrade
+                    // rather than spin.
+                    degraded = true;
+                    result.circuitBroken = true;
+                } else {
+                    result.demotions.push_back(violation);
+                    ++result.repredications;
+                    // Re-predicate points-to and slicing on the
+                    // repaired invariants; both routes are memoized,
+                    // so repeated repairs of converging sets are
+                    // incremental.
+                    const PickedAndersen repredPts =
+                        pickAndersen(moduleSp, &invariants, config);
+                    const std::shared_ptr<const analysis::SliceSetResult>
+                        repredSlices = computeAllSlices(
+                            moduleSp, endpoints, &invariants, config,
+                            *repredPts.result,
+                            repredPts.pick.contextSensitive);
+                    result.repredStaticSeconds +=
+                        repredPts.pick.seconds +
+                        double(repredSlices->workUnits) /
+                            cost.staticUnitsPerSecond * cost.offlineScale;
+                    for (std::size_t e = 0; e < endpoints.size(); ++e) {
+                        optPlans[e] =
+                            repredSlices->complete
+                                ? dyn::sliceGiriPlan(module,
+                                                     repredSlices->slices[e])
+                                : dyn::fullGiriPlan(module);
+                    }
+                }
+                next = task + 1; // discard this round's later evaluations
+                break;
+            }
         }
     }
 
@@ -728,8 +763,6 @@ runOptSlice(const workloads::Workload &workload,
                                        opt.optimistic.delivered,
                                        &opt.optimistic.checkerDelivered,
                                        opt.optimistic.slowChecks);
-        const std::map<InstrId, std::set<InstrId>> &finalSlices =
-            opt.rolledBack ? hybrid.slices : opt.optimistic.slices;
         if (opt.rolledBack) {
             ++result.misSpeculations;
             // Roll back: deterministic re-analysis under the sound
@@ -749,16 +782,15 @@ runOptSlice(const workloads::Workload &workload,
             result.replayedEvents +=
                 hybrid.result.totalEvents.total() +
                 opt.optimistic.result.totalEvents.total();
-        } else {
-            result.interpretedSteps += hybrid.result.steps +
-                                       opt.optimistic.result.steps;
-            if (opt.rolledBack)
-                result.interpretedSteps += hybrid.result.steps;
         }
 
         // Soundness: the recovered optimistic slice must equal the
-        // traditional hybrid slice.
-        if (finalSlices != hybrid.slices)
+        // traditional hybrid slice.  A run that kept its speculation
+        // must also have read a closed slice off its union graph: an
+        // escape means the predicated slice was not closed although
+        // no invariant failed.
+        if (!opt.rolledBack && (opt.optimistic.escaped ||
+                                opt.optimistic.slice != hybrid.slice))
             result.sliceResultsMatch = false;
     }
 

@@ -54,13 +54,14 @@ struct OptSliceConfig
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
     /** Record-once/analyze-many: execute each testing input once with
-     *  a TraceRecorder, then drive every per-endpoint hybrid and
-     *  optimistic Giri configuration — and the rollback re-analysis —
-     *  from TraceReplayer.  Every endpoint's hybrid and first
-     *  optimistic configuration share one decode pass per input
-     *  (replay groups).  All reported results are byte-identical to
-     *  the direct path; only interpretedSteps/replayedEvents (and
-     *  wall-clock time) differ. */
+     *  a TraceRecorder, then drive the hybrid and optimistic Giri
+     *  configurations — and the rollback re-analysis — from
+     *  TraceReplayer.  Either path builds one Giri graph per input
+     *  and configuration under the union of the endpoints' plans; on
+     *  this path the hybrid graph and the first optimistic graph
+     *  share one decode pass per input (replay groups).  All reported
+     *  results are byte-identical to the direct path; only
+     *  interpretedSteps/replayedEvents (and wall-clock time) differ. */
     bool useTraceReplay = true;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording

@@ -135,7 +135,21 @@ GiriSlicer::onEvent(const exec::EventCtx &ctx)
 std::set<InstrId>
 GiriSlicer::slice(InstrId endpoint) const
 {
-    std::set<InstrId> result;
+    return closure(endpoint, nullptr).instrs;
+}
+
+GiriSlicer::EndpointSlice
+GiriSlicer::slice(InstrId endpoint,
+                  const exec::InstrumentationPlan &own) const
+{
+    return closure(endpoint, &own);
+}
+
+GiriSlicer::EndpointSlice
+GiriSlicer::closure(InstrId endpoint,
+                    const exec::InstrumentationPlan *own) const
+{
+    EndpointSlice result;
     auto it = outputs_.find(endpoint);
     if (it == outputs_.end())
         return result;
@@ -151,7 +165,10 @@ GiriSlicer::slice(InstrId endpoint) const
     while (!work.empty()) {
         const std::uint32_t cur = work.back();
         work.pop_back();
-        result.insert(traceInstr_[cur]);
+        const InstrId instr = traceInstr_[cur];
+        result.instrs.insert(instr);
+        if (own && !own->coversInstr(instr))
+            ++result.escapes;
         for (std::uint64_t i = depsOffset_[cur]; i < depsOffset_[cur + 1];
              ++i) {
             const std::uint32_t dep = depsPool_[i];
@@ -162,6 +179,25 @@ GiriSlicer::slice(InstrId endpoint) const
         }
     }
     return result;
+}
+
+std::vector<exec::EventCounts>
+GiriSlicer::entriesUnder(
+    const std::vector<const exec::InstrumentationPlan *> &plans) const
+{
+    std::vector<std::uint64_t> perInstr(module_.numInstrs(), 0);
+    for (const InstrId instr : traceInstr_)
+        ++perInstr[instr];
+    std::vector<exec::EventCounts> out(plans.size());
+    for (InstrId id = 0; id < perInstr.size(); ++id) {
+        if (perInstr[id] == 0)
+            continue;
+        const exec::EventClass cls = exec::eventClassOf(module_.instr(id).op);
+        for (std::size_t p = 0; p < plans.size(); ++p)
+            if (plans[p]->coversInstr(id))
+                out[p][cls] += perInstr[id];
+    }
+    return out;
 }
 
 } // namespace oha::dyn

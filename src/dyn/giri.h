@@ -25,6 +25,14 @@
  * never happens; with a predicated slice it can only happen when a
  * likely invariant was violated, which triggers rollback instead
  * (Figure 2).
+ *
+ * One graph serves several endpoints: attached under the union of
+ * their plans, each endpoint's slice and delivered-event counts are
+ * read off the shared graph against its own plan (slice(endpoint,
+ * own) and entriesUnder()).  A reached entry outside the endpoint's
+ * own plan is an escape: without escapes the slice equals that of a
+ * graph built under the endpoint's plan alone (ALGORITHMS.md, "One
+ * Giri graph per replay group").
  */
 
 #pragma once
@@ -53,6 +61,34 @@ class GiriSlicer : public exec::Tool
     /** Dynamic backward slice (instruction ids) from every dynamic
      *  occurrence of @p endpoint. */
     std::set<InstrId> slice(InstrId endpoint) const;
+
+    /** One endpoint's slice read off a graph built under a plan that
+     *  covers the endpoint's own. */
+    struct EndpointSlice
+    {
+        std::set<InstrId> instrs;
+        /** Reached entries whose instruction @p own does not cover.
+         *  Zero means instrs equals the slice of a graph built under
+         *  @p own alone. */
+        std::uint64_t escapes = 0;
+    };
+
+    /** slice(@p endpoint), counting the reached entries that escape
+     *  the endpoint's own plan @p own. */
+    EndpointSlice slice(InstrId endpoint,
+                        const exec::InstrumentationPlan &own) const;
+
+    /**
+     * Per plan in @p plans, the per-class count of entries whose
+     * instruction the plan covers: the events a GiriSlicer attached
+     * under that plan alone would have been delivered.  Exact for the
+     * Giri plans (dyn/plans.h), which cover no branch, so every
+     * delivered event appends one entry.  One pass over the graph
+     * serves every plan.
+     */
+    std::vector<exec::EventCounts>
+    entriesUnder(
+        const std::vector<const exec::InstrumentationPlan *> &plans) const;
 
     /** Entries recorded (the dominant dynamic cost). */
     std::uint64_t traceLength() const { return traceInstr_.size(); }
@@ -180,6 +216,11 @@ class GiriSlicer : public exec::Tool
 
     /** Append one trace entry with the staged deps; returns its id. */
     std::uint32_t append(InstrId instr);
+
+    /** Closure from @p endpoint's Output entries; escapes are
+     *  counted against @p own when given. */
+    EndpointSlice closure(InstrId endpoint,
+                          const exec::InstrumentationPlan *own) const;
 
     std::uint32_t threadRetOf(ThreadId tid) const;
     void setThreadRet(ThreadId tid, std::uint32_t entry);

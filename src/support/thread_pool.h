@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -220,6 +221,102 @@ runBatch(std::size_t count, Fn &&fn, std::size_t threads = 0)
     pool.wait();
     if (firstError)
         std::rethrow_exception(firstError);
+    return results;
+}
+
+/**
+ * Execute jobs fn(0), fn(1), ... in index order until the first job
+ * whose result satisfies stop(result), and return the results of jobs
+ * 0 .. that job (all @p count of them when none stops).  The returned
+ * prefix is identical at any thread count.
+ *
+ * Jobs start in index order, and no job past a known stopping index
+ * is started.  The serial path calls fn exactly on the returned
+ * prefix.  With T workers a job starts only once every job T or more
+ * places before it has finished, so at most T - 1 jobs beyond the
+ * stopping job are ever started; their results are dropped.  A job
+ * that throws stops the batch like a stopping result, and the
+ * exception of the lowest-index failing job is rethrown unless an
+ * earlier job stopped first.
+ */
+template <typename Fn, typename Stop>
+auto
+runBatchUntil(std::size_t count, Fn &&fn, Stop &&stop,
+              std::size_t threads = 0)
+    -> std::vector<decltype(fn(std::size_t{}))>
+{
+    using Result = decltype(fn(std::size_t{}));
+    std::vector<Result> results;
+    const std::size_t numThreads =
+        std::min(configuredThreads(threads), count);
+    if (numThreads <= 1) {
+        for (std::size_t i = 0; i < count; ++i) {
+            results.push_back(fn(i));
+            if (stop(results.back()))
+                break;
+        }
+        return results;
+    }
+
+    results.resize(count);
+    std::mutex mutex;
+    std::condition_variable advanced;
+    std::vector<std::uint8_t> finished(count, 0);
+    std::size_t next = 0;     // next job to start
+    std::size_t finishedPrefix = 0; // jobs [0, finishedPrefix) are done
+    std::size_t stopAt = count;  // lowest job whose result stopped
+    std::size_t errorAt = count; // lowest job that threw
+    std::exception_ptr error;
+    auto worker = [&] {
+        for (;;) {
+            std::size_t i;
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                advanced.wait(lock, [&] {
+                    return next > std::min(stopAt, errorAt) ||
+                           next >= count ||
+                           next < finishedPrefix + numThreads;
+                });
+                if (next > std::min(stopAt, errorAt) || next >= count)
+                    return;
+                i = next++;
+            }
+            Result result{};
+            bool stops = false;
+            std::exception_ptr thrown;
+            try {
+                result = fn(i);
+                stops = stop(result);
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                results[i] = std::move(result);
+                finished[i] = 1;
+                while (finishedPrefix < count && finished[finishedPrefix])
+                    ++finishedPrefix;
+                if (stops && i < stopAt)
+                    stopAt = i;
+                if (thrown && i < errorAt) {
+                    errorAt = i;
+                    error = thrown;
+                }
+            }
+            advanced.notify_all();
+        }
+    };
+
+    {
+        ThreadPool pool(numThreads);
+        for (std::size_t t = 0; t < numThreads; ++t)
+            pool.submit(worker);
+        pool.wait();
+    }
+    if (errorAt < stopAt)
+        std::rethrow_exception(error);
+    if (stopAt < count)
+        results.resize(stopAt + 1);
     return results;
 }
 

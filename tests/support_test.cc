@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the support layer: sparse bit sets, BDDs, Bloom
- * filters, vector clocks, union-find and the RNG.
+ * filters, vector clocks, union-find, the RNG and runBatchUntil.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "support/bdd.h"
@@ -359,6 +364,108 @@ TEST(ConfiguredThreads, SharesTheEnvValidationContract)
 
     with(nullptr);
     EXPECT_EQ(support::configuredThreads(), 1u);
+}
+
+/** Jobs of the runBatchUntil tests: job i returns i, and stops the
+ *  batch when i is @p stopAt. */
+std::vector<std::size_t>
+untilPrefix(std::size_t count, std::size_t stopAt, std::size_t threads)
+{
+    return support::runBatchUntil(
+        count, [](std::size_t i) { return i; },
+        [stopAt](std::size_t result) { return result == stopAt; }, threads);
+}
+
+TEST(RunBatchUntil, PrefixIsThreadCountInvariant)
+{
+    constexpr std::size_t kJobs = 23;
+    // Stop at the first, a middle and the last job, and never.
+    for (const std::size_t stopAt : {std::size_t{0}, std::size_t{11},
+                                     kJobs - 1, kJobs}) {
+        std::vector<std::size_t> expected;
+        for (std::size_t i = 0; i < std::min(stopAt + 1, kJobs); ++i)
+            expected.push_back(i);
+        for (const std::size_t threads : {1, 2, 4})
+            EXPECT_EQ(untilPrefix(kJobs, stopAt, threads), expected)
+                << "stop " << stopAt << " @" << threads << "t";
+    }
+}
+
+TEST(RunBatchUntil, SerialPathNeverRunsPastTheStop)
+{
+    std::vector<std::size_t> called;
+    const auto results = support::runBatchUntil(
+        10,
+        [&](std::size_t i) {
+            called.push_back(i);
+            return i;
+        },
+        [](std::size_t result) { return result == 4; }, 1);
+    EXPECT_EQ(results, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(called, results);
+}
+
+TEST(RunBatchUntil, ParallelPathStartsAtMostThreadsMinusOneBeyondTheStop)
+{
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kStop = 5;
+    std::atomic<std::size_t> maxStarted{0};
+    const auto results = support::runBatchUntil(
+        64,
+        [&](std::size_t i) {
+            std::size_t seen = maxStarted.load();
+            while (i > seen && !maxStarted.compare_exchange_weak(seen, i)) {
+            }
+            // A slow stopping job gives the other workers time to race
+            // ahead if anything let them.
+            if (i == kStop)
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return i;
+        },
+        [](std::size_t result) { return result == kStop; }, kThreads);
+    EXPECT_EQ(results.size(), kStop + 1);
+    EXPECT_GE(maxStarted.load(), kStop);
+    EXPECT_LE(maxStarted.load(), kStop + kThreads - 1);
+}
+
+TEST(RunBatchUntil, PropagatesTheFirstException)
+{
+    for (const std::size_t threads : {1, 2, 4}) {
+        auto fn = [](std::size_t i) {
+            if (i == 3 || i == 5)
+                throw std::runtime_error("job " + std::to_string(i));
+            return i;
+        };
+        // Nothing stops before job 3: its exception surfaces, never
+        // job 5's.
+        try {
+            support::runBatchUntil(
+                8, fn, [](std::size_t) { return false; }, threads);
+            ADD_FAILURE() << "expected an exception @" << threads << "t";
+        } catch (const std::runtime_error &error) {
+            EXPECT_EQ(std::string(error.what()), "job 3") << threads;
+        }
+        // A stop at job 2 comes first: the failing jobs are never due.
+        const auto results = support::runBatchUntil(
+            8, fn, [](std::size_t result) { return result == 2; }, threads);
+        EXPECT_EQ(results, (std::vector<std::size_t>{0, 1, 2})) << threads;
+    }
+}
+
+TEST(RunBatchUntil, ZeroJobsIsANoOp)
+{
+    for (const std::size_t threads : {1, 4}) {
+        bool called = false;
+        const auto results = support::runBatchUntil(
+            0,
+            [&](std::size_t i) {
+                called = true;
+                return i;
+            },
+            [](std::size_t) { return true; }, threads);
+        EXPECT_TRUE(results.empty());
+        EXPECT_FALSE(called);
+    }
 }
 
 } // namespace

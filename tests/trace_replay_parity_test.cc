@@ -41,6 +41,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "profile/profiler.h"
+#include "service/analysis_service.h"
 #include "service/snapshot.h"
 #include "support/durable_file.h"
 #include "support/thread_pool.h"
@@ -571,12 +572,11 @@ manyOutputWorkload(std::size_t outputs)
 
 TEST(PipelineParity, OptSliceFusedReplayBeyondEightAttachments)
 {
-    // maxEndpoints = 5: nginx has four outputs, so its fused slice
-    // replay carries 4 hybrid + 4 optimistic Giri tools + 1 checker =
-    // 9 attachments, past the old 8-wide dispatch masks; go is
-    // under-profiled and rolls back.  The synthetic 40-endpoint
-    // workload needs two fused passes per input (81 attachments) and
-    // rolls back too.
+    // maxEndpoints = 5: nginx reads all four of its outputs off one
+    // hybrid and one optimistic union graph per input; go is
+    // under-profiled and rolls back.  The synthetic workload reads 40
+    // endpoints off each union graph (still 3 attachments per replay)
+    // and rolls back too, so its repair rounds restart mid-input.
     struct Case
     {
         workloads::Workload workload;
@@ -608,6 +608,39 @@ TEST(PipelineParity, OptSliceFusedReplayBeyondEightAttachments)
                 EXPECT_GT(b.misSpeculations, 0u) << label;
         }
     }
+}
+
+TEST(PipelineParity, OptSliceWithoutOutputReportsZeroSliceSizes)
+{
+    // No Output, so no endpoint: the mean slice sizes are 0, not 0/0,
+    // and every path agrees field by field (NaN would equal nothing).
+    workloads::Workload workload;
+    workload.name = "no-outputs";
+    workload.module = ir::parseModule("func main() {\n  entry:\n"
+                                      "    r0 = input[0]\n"
+                                      "    r1 = r0 + r0\n    ret\n}\n");
+    exec::ExecConfig input;
+    input.input = {3};
+    workload.profilingSet = {input, input};
+    workload.testingSet = {input, input};
+
+    core::OptSliceConfig direct;
+    direct.useTraceReplay = false;
+    const core::OptSliceConfig replay;
+    const auto a = core::runOptSlice(workload, direct);
+    const auto b = core::runOptSlice(workload, replay);
+    EXPECT_EQ(b.endpoints, 0u);
+    EXPECT_EQ(b.soundSliceSize, 0.0);
+    EXPECT_EQ(b.optSliceSize, 0.0);
+    expectEqual(a, b, "direct vs replay");
+
+    service::AnalysisService daemon;
+    service::AnalysisRequest request;
+    request.workload = workload;
+    const service::ServiceRunResult served = daemon.submit(request).get();
+    ASSERT_EQ(served.outcome, service::RequestOutcome::Done);
+    ASSERT_TRUE(served.slice.has_value());
+    expectEqual(*served.slice, b, "service vs batch");
 }
 
 /** Requests an abort through its control on its @p k-th event. */
