@@ -86,18 +86,13 @@ bench-release)
     build_dir=build-ci-release
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
-        microbench_incremental microbench_static microbench_components
+        microbench_static microbench_components
     # Force a low segment threshold so the smoke run exercises the
     # segmented spill-to-disk capture path and the fused-vs-separate
     # replay series end to end (BENCH_microbench_trace.json is
     # uploaded as an artifact by the workflow).
     OHA_BENCH_SMOKE=1 OHA_TRACE_SEGMENT_BYTES=8192 \
         "$build_dir"/bench/microbench_trace
-    # Incremental re-analysis smoke: parity between the patched and
-    # from-scratch solves is asserted even in smoke mode; the 5x
-    # speedup bar is a warning here (shared-runner timing).  The
-    # workflow uploads BENCH_microbench_incremental.json.
-    OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_incremental
     # Static-phase smoke: solver and static-phase series at the
     # pipeline's context and slice-work budgets.  The workflow uploads
     # BENCH_microbench_static.json.
@@ -159,7 +154,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|IncrementalAndersen|ModuleDiff|SharedCacheLineage|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

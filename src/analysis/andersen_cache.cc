@@ -1,6 +1,5 @@
 #include "analysis/andersen_cache.h"
 
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -8,12 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/constraint_diff.h"
 #include "invariants/invariant_set.h"
-#include "ir/module_diff.h"
-#include "ir/printer.h"
 #include "service/shared_cache.h"
-#include "support/env.h"
 
 namespace oha::analysis {
 
@@ -114,11 +109,6 @@ struct Entry
      *  alive until evicted. */
     std::shared_ptr<const ir::Module> module;
     std::shared_ptr<const Result> result;
-    /** Copy of the invariant set the result was computed under (null
-     *  = sound).  Needed when the entry serves as a patch *base* for
-     *  an edited module: lowering the cross-version diff to
-     *  constraints compares the base and next invariant slices. */
-    std::shared_ptr<const inv::InvariantSet> invariants;
     LruList::Handle handle;
 };
 
@@ -129,87 +119,7 @@ struct Section
     std::map<CacheKey, Entry<AndersenResult>> andersen;
     std::map<StaticKey, Entry<StaticRaceResult>> race;
     std::map<StaticKey, Entry<SliceSetResult>> slice;
-    /** Version lineage: fingerprints of recently-inserted module
-     *  versions, most recent first.  A miss for an edited module
-     *  scans this list for a cached ancestor to patch from.  Bounded
-     *  by OHA_LINEAGE_DEPTH; cleared (like every map) on reset, so a
-     *  pre-reset version is never served as a patch base. */
-    std::deque<Fingerprint> lineage;
 };
-
-/** Bounded depth of the version-lineage list (0 disables lineage
- *  patching entirely). */
-std::size_t
-lineageDepth()
-{
-    return support::envSizeBytes("OHA_LINEAGE_DEPTH", 8, 0, 64);
-}
-
-/** Record @p fp as the most recent known module version.  Spine
- *  mutex held. */
-void
-registerLineageLocked(Section &sec, const Fingerprint &fp)
-{
-    const std::size_t depth = lineageDepth();
-    for (auto it = sec.lineage.begin(); it != sec.lineage.end(); ++it) {
-        if (it->primary == fp.primary && it->secondary == fp.secondary) {
-            sec.lineage.erase(it);
-            break;
-        }
-    }
-    sec.lineage.push_front(fp);
-    while (sec.lineage.size() > depth)
-        sec.lineage.pop_back();
-}
-
-/** A cached ancestor version usable as an incremental patch base. */
-struct LineageBase
-{
-    std::shared_ptr<const ir::Module> module;
-    std::shared_ptr<const AndersenResult> result;
-    std::shared_ptr<const inv::InvariantSet> invariants;
-};
-
-/** A cached ancestor detector run, for the race-memo lineage path. */
-struct RaceBase
-{
-    std::shared_ptr<const ir::Module> module;
-    std::shared_ptr<const StaticRaceResult> race;
-    std::shared_ptr<const inv::InvariantSet> invariants;
-};
-
-/**
- * Collect cached Andersen results for ancestor versions of the module
- * with fingerprint @p moduleFp, solved with the same options key.
- * Spine mutex held; the returned shared_ptrs keep the candidates
- * alive after it is released (entries may be evicted concurrently).
- */
-std::vector<LineageBase>
-collectAncestorsLocked(Section &sec, std::uint64_t moduleFp,
-                       std::uint64_t optionsKey)
-{
-    std::vector<LineageBase> out;
-    for (const Fingerprint &fp : sec.lineage) {
-        if (fp.primary == moduleFp)
-            continue;
-        auto it = sec.andersen.lower_bound(CacheKey{fp.primary, 0, 0});
-        for (; it != sec.andersen.end() &&
-               it->first.moduleFp == fp.primary;
-             ++it) {
-            if (it->first.options != optionsKey)
-                continue;
-            if (it->second.verify.module != fp.secondary)
-                continue;
-            // Snapshot-restored entries carry no module object: they
-            // serve verified hits only, never patch bases.
-            if (!it->second.module)
-                continue;
-            out.push_back({it->second.module, it->second.result,
-                           it->second.invariants});
-        }
-    }
-    return out;
-}
 
 /**
  * The section singleton, registered with the shared cache on first
@@ -225,7 +135,6 @@ section()
             s->andersen.clear();
             s->race.clear();
             s->slice.clear();
-            s->lineage.clear();
         });
         return s;
     }();
@@ -276,9 +185,8 @@ std::shared_ptr<const Result>
 insertLocked(SharedCache &sc, Map &map,
              const typename Map::key_type &key, VerifyFps verify,
              std::shared_ptr<const ir::Module> module,
-             std::shared_ptr<const Result> result,
-             std::shared_ptr<const inv::InvariantSet> invariants,
-             std::size_t bytes, std::uint64_t gen)
+             std::shared_ptr<const Result> result, std::size_t bytes,
+             std::uint64_t gen)
 {
     if (gen != sc.generation()) {
         sc.noteStaleDrop();
@@ -297,7 +205,6 @@ insertLocked(SharedCache &sc, Map &map,
     entry.verify = verify;
     entry.module = std::move(module);
     entry.result = std::move(result);
-    entry.invariants = std::move(invariants);
     auto [pos, inserted] = map.emplace(key, std::move(entry));
     OHA_ASSERT(inserted);
     pos->second.handle =
@@ -307,54 +214,6 @@ insertLocked(SharedCache &sc, Map &map,
     // the entry just inserted; `shared` keeps the result valid.
     sc.enforceBudget();
     return shared;
-}
-
-/** Deep-copy the (caller-owned) invariant set for storage in an
- *  entry; null stays null (sound). */
-std::shared_ptr<const inv::InvariantSet>
-copyInvariants(const inv::InvariantSet *invariants)
-{
-    return invariants
-               ? std::make_shared<const inv::InvariantSet>(*invariants)
-               : nullptr;
-}
-
-/** A chosen patch base: the ancestor plus its lowered diff (which
- *  carries the structural diff inside). */
-struct PatchPlan
-{
-    LineageBase base;
-    ConstraintDiff diff;
-};
-
-/**
- * Diff @p module against every cached ancestor and pick the usable
- * candidate with the fewest seed functions (ties: most recent).
- * Runs outside the spine lock — diffing prints modules.  Returns
- * nullptr when no ancestor admits incremental patching.
- */
-std::unique_ptr<PatchPlan>
-planPatch(const std::vector<LineageBase> &ancestors,
-          const std::shared_ptr<const ir::Module> &module,
-          const inv::InvariantSet *nextInvariants)
-{
-    std::unique_ptr<PatchPlan> best;
-    for (const LineageBase &ancestor : ancestors) {
-        ir::ModuleDiff structural =
-            ir::computeModuleDiff(*ancestor.module, *module);
-        ConstraintDiff diff = lowerToConstraints(
-            *ancestor.module, *module, structural,
-            ancestor.invariants.get(), nextInvariants);
-        if (!diff.usable)
-            continue;
-        const std::size_t cost = diff.seedNames().size();
-        if (best && best->diff.seedNames().size() <= cost)
-            continue;
-        best = std::make_unique<PatchPlan>();
-        best->base = ancestor;
-        best->diff = std::move(diff);
-    }
-    return best;
 }
 
 } // namespace
@@ -380,54 +239,25 @@ runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
     verify.invariant = invariantFp.secondary;
 
     std::uint64_t gen = 0;
-    std::vector<LineageBase> ancestors;
     {
         std::lock_guard<std::mutex> lock(sc.mutex());
         gen = sc.generation();
         if (auto hit = probeLocked(sc, sec.andersen, key, verify))
             return hit;
-        // Miss: snapshot cached ancestor versions of this module for
-        // the incremental path (reference-solver runs exist to check
-        // the production solver and always solve from scratch).
-        if (!options.referenceSolver)
-            ancestors = collectAncestorsLocked(sec, moduleFp.primary,
-                                               key.options);
     }
 
     // Solve outside the lock.  Sound CS runs reuse the memoized CI
     // pre-pass instead of recomputing it (runAndersen folds the
     // pre-pass's workUnits into its result; mirror that here so the
     // reported cost model output is identical with or without hits).
-    const std::unique_ptr<PatchPlan> plan =
-        ancestors.empty() ? nullptr
-                          : planPatch(ancestors, module, options.invariants);
-    bool patched = false;
     AndersenResult computed;
     if (options.contextSensitive && !options.invariants) {
         AndersenOptions ciOptions = options;
         ciOptions.contextSensitive = false;
         const std::shared_ptr<const AndersenResult> ci =
             runAndersenMemo(module, ciOptions);
-        if (plan) {
-            IncrementalInput input;
-            input.baseModule = plan->base.module.get();
-            input.base = plan->base.result.get();
-            input.diff = &plan->diff;
-            input.baseInvariants = plan->base.invariants.get();
-            computed = runAndersenIncremental(*module, options, input,
-                                              ci.get(), &patched);
-        } else {
-            computed = runAndersenPrepassed(*module, options, ci.get());
-        }
+        computed = runAndersenPrepassed(*module, options, ci.get());
         computed.workUnits += ci->workUnits;
-    } else if (plan) {
-        IncrementalInput input;
-        input.baseModule = plan->base.module.get();
-        input.base = plan->base.result.get();
-        input.diff = &plan->diff;
-        input.baseInvariants = plan->base.invariants.get();
-        computed = runAndersenIncremental(*module, options, input,
-                                          nullptr, &patched);
     } else {
         computed = runAndersen(*module, options);
     }
@@ -436,13 +266,8 @@ runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
         std::make_shared<const AndersenResult>(std::move(computed));
     const std::size_t bytes = result->byteSizeEstimate();
     std::lock_guard<std::mutex> lock(sc.mutex());
-    if (patched)
-        sc.noteLineageHit();
-    if (gen == sc.generation())
-        registerLineageLocked(sec, moduleFp);
     return insertLocked(sc, sec.andersen, key, verify, module,
-                        std::move(result),
-                        copyInvariants(options.invariants), bytes, gen);
+                        std::move(result), bytes, gen);
 }
 
 std::shared_ptr<const StaticRaceResult>
@@ -467,80 +292,28 @@ runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
     verify.invariant = invariantFp.secondary;
 
     std::uint64_t gen = 0;
-    std::vector<RaceBase> ancestors;
     {
         std::lock_guard<std::mutex> lock(sc.mutex());
         gen = sc.generation();
         if (auto hit = probeLocked(sc, sec.race, key, verify))
             return hit;
-        // Miss: snapshot cached detector runs for ancestor versions.
-        for (const Fingerprint &fp : sec.lineage) {
-            if (fp.primary == moduleFp.primary)
-                continue;
-            auto it = sec.race.lower_bound(StaticKey{fp.primary, 0, 0, 0});
-            for (; it != sec.race.end() &&
-                   it->first.moduleFp == fp.primary;
-                 ++it) {
-                if (it->first.configKey != 0 || it->first.auxFp != 0)
-                    continue;
-                if (it->second.verify.module != fp.secondary)
-                    continue;
-                // Snapshot-restored entries (null module) serve
-                // verified hits only, never patch bases.
-                if (!it->second.module)
-                    continue;
-                ancestors.push_back({it->second.module,
-                                     it->second.result,
-                                     it->second.invariants});
-            }
-        }
     }
 
     // The detector's own points-to solve still goes through the
     // Andersen memo (shared with calibration and the slicer picks).
-    // With a cached ancestor run, the pair matrix itself is patched
-    // per-function instead of recomputed per-module.
-    bool patched = false;
-    std::shared_ptr<const StaticRaceResult> result;
-    for (const RaceBase &ancestor : ancestors) {
-        const ir::ModuleDiff structural =
-            ir::computeModuleDiff(*ancestor.module, *module);
-        const ConstraintDiff diff = lowerToConstraints(
-            *ancestor.module, *module, structural,
-            ancestor.invariants.get(), invariants);
-        if (!diff.usable)
-            continue;
-        RaceIncrementalInput patch;
-        patch.baseModule = ancestor.module;
-        patch.baseRace = ancestor.race;
-        patch.baseInvariants = ancestor.invariants;
-        patch.diff = &diff;
-        result = std::make_shared<const StaticRaceResult>(
-            runStaticRaceDetectorIncremental(module, invariants, patch,
-                                             &patched));
-        break;
-    }
-    if (!result)
-        result = std::make_shared<const StaticRaceResult>(
-            runStaticRaceDetector(*module, invariants, module));
+    auto result = std::make_shared<const StaticRaceResult>(
+        runStaticRaceDetector(*module, invariants, module));
     const std::size_t bytes = byteSizeEstimate(*result);
     std::lock_guard<std::mutex> lock(sc.mutex());
-    if (patched)
-        sc.noteLineageHit();
-    if (gen == sc.generation())
-        registerLineageLocked(sec, moduleFp);
     return insertLocked(sc, sec.race, key, verify, module,
-                        std::move(result), copyInvariants(invariants),
-                        bytes, gen);
+                        std::move(result), bytes, gen);
 }
 
 std::shared_ptr<const SliceSetResult>
 sliceSetMemo(const std::shared_ptr<const ir::Module> &module,
              const inv::InvariantSet *invariants, std::uint64_t configKey,
              const std::vector<InstrId> &endpoints,
-             const std::function<SliceSetResult()> &compute,
-             const std::function<std::optional<SliceSetResult>(
-                 const SliceLineageBase &)> &computeIncremental)
+             const std::function<SliceSetResult()> &compute)
 {
     OHA_ASSERT(module && module->finalized());
 
@@ -562,73 +335,18 @@ sliceSetMemo(const std::shared_ptr<const ir::Module> &module,
     verify.aux = auxFp.secondary;
 
     std::uint64_t gen = 0;
-    std::vector<SliceLineageBase> ancestors;
     {
         std::lock_guard<std::mutex> lock(sc.mutex());
         gen = sc.generation();
         if (auto hit = probeLocked(sc, sec.slice, key, verify))
             return hit;
-        // Miss: snapshot cached slice sets for ancestor versions with
-        // the same slicing configuration (their endpoint aux keys
-        // necessarily differ — ids are reassigned by every edit).
-        if (computeIncremental) {
-            for (const Fingerprint &fp : sec.lineage) {
-                if (fp.primary == moduleFp.primary)
-                    continue;
-                auto it =
-                    sec.slice.lower_bound(StaticKey{fp.primary, 0, 0, 0});
-                for (; it != sec.slice.end() &&
-                       it->first.moduleFp == fp.primary;
-                     ++it) {
-                    if (it->first.configKey != configKey)
-                        continue;
-                    if (it->second.verify.module != fp.secondary)
-                        continue;
-                    // Snapshot-restored entries (null module) serve
-                    // verified hits only, never patch bases.
-                    if (!it->second.module)
-                        continue;
-                    ancestors.push_back({it->second.module,
-                                         it->second.result,
-                                         it->second.invariants, nullptr});
-                }
-            }
-        }
     }
 
-    bool patched = false;
-    SliceSetResult computed;
-    for (SliceLineageBase &ancestor : ancestors) {
-        const ir::ModuleDiff structural =
-            ir::computeModuleDiff(*ancestor.module, *module);
-        const ConstraintDiff diff = lowerToConstraints(
-            *ancestor.module, *module, structural,
-            ancestor.invariants.get(), invariants);
-        if (!diff.usable)
-            continue;
-        ancestor.diff = &diff;
-        if (std::optional<SliceSetResult> out =
-                computeIncremental(ancestor)) {
-            computed = std::move(*out);
-            patched = true;
-            break;
-        }
-    }
-    if (!patched)
-        computed = compute();
-    computed.endpoints = endpoints;
-
-    auto result =
-        std::make_shared<const SliceSetResult>(std::move(computed));
+    auto result = std::make_shared<const SliceSetResult>(compute());
     const std::size_t bytes = byteSizeEstimate(*result);
     std::lock_guard<std::mutex> lock(sc.mutex());
-    if (patched)
-        sc.noteLineageHit();
-    if (gen == sc.generation())
-        registerLineageLocked(sec, moduleFp);
     return insertLocked(sc, sec.slice, key, verify, module,
-                        std::move(result), copyInvariants(invariants),
-                        bytes, gen);
+                        std::move(result), bytes, gen);
 }
 
 std::vector<RaceSectionEntry>
@@ -684,10 +402,8 @@ admitRaceSectionEntry(const RaceSectionEntry &entry)
     verify.invariant = entry.invariantFp.secondary;
     const std::size_t bytes = byteSizeEstimate(*entry.result);
     std::lock_guard<std::mutex> lock(sc.mutex());
-    // Restored entries carry null module/invariants pointers and are
-    // NOT lineage-registered: they serve verified hits only.
-    insertLocked(sc, sec.race, key, verify, nullptr, entry.result,
-                 nullptr, bytes, sc.generation());
+    insertLocked(sc, sec.race, key, verify, nullptr, entry.result, bytes,
+                 sc.generation());
 }
 
 void
@@ -708,8 +424,8 @@ admitSliceSectionEntry(const SliceSectionEntry &entry)
     verify.aux = entry.auxFp.secondary;
     const std::size_t bytes = byteSizeEstimate(*entry.result);
     std::lock_guard<std::mutex> lock(sc.mutex());
-    insertLocked(sc, sec.slice, key, verify, nullptr, entry.result,
-                 nullptr, bytes, sc.generation());
+    insertLocked(sc, sec.slice, key, verify, nullptr, entry.result, bytes,
+                 sc.generation());
 }
 
 AndersenCacheStats
@@ -723,7 +439,6 @@ andersenCacheStats()
     out.verifiedMisses = stats.verifiedMisses;
     out.evictions = stats.evictions;
     out.staleDrops = stats.staleDrops;
-    out.lineageHits = stats.lineageHits;
     out.entries = stats.entries;
     out.bytesCached = stats.bytesCached;
     out.byteBudget = stats.byteBudget;

@@ -3,54 +3,9 @@
 #include <deque>
 #include <unordered_set>
 
-#include "support/bdd.h"
-
 namespace oha::analysis {
 
 namespace {
-
-/** Visited-node set: hashed bitset or ROBDD, behind one interface. */
-class VisitedSet
-{
-  public:
-    VisitedSet(std::uint64_t numNodes, bool useBdd)
-    {
-        if (useBdd) {
-            unsigned bits = 1;
-            while ((1ULL << bits) < numNodes)
-                ++bits;
-            universe_ = std::make_unique<BddSetUniverse>(bits);
-            set_ = universe_->empty();
-        }
-    }
-
-    /** Insert; true if the node was new. */
-    bool
-    insert(std::uint64_t node)
-    {
-        if (universe_) {
-            const std::uint32_t id = static_cast<std::uint32_t>(node);
-            if (universe_->contains(set_, id))
-                return false;
-            set_ = universe_->insert(set_, id);
-            ++count_;
-            return true;
-        }
-        return hashed_.insert(node).second;
-    }
-
-    std::uint64_t
-    size() const
-    {
-        return universe_ ? count_ : hashed_.size();
-    }
-
-  private:
-    std::unordered_set<std::uint64_t> hashed_;
-    std::unique_ptr<BddSetUniverse> universe_;
-    BddRef set_ = 0;
-    std::uint64_t count_ = 0;
-};
 
 std::size_t
 indexInBlock(const ir::Module &module, const ir::Instruction &ins)
@@ -153,8 +108,6 @@ StaticSlicer::slice(InstrId endpoint) const
 {
     StaticSliceResult result;
     const std::uint64_t numInstrs = module_.numInstrs();
-    const std::uint64_t numNodes =
-        2 * numInstrs * andersen_.contexts.size();
 
     // Call instructions play two roles and are tracked as two nodes:
     // as *argument providers* for a callee's parameters (only the
@@ -162,8 +115,7 @@ StaticSlicer::slice(InstrId endpoint) const
     // destination register (the callee's returns matter too).
     // Conflating the roles would drag every target of a hot indirect
     // call site into any slice that crosses one of its callees.
-    VisitedSet visited(std::max<std::uint64_t>(numNodes, 2),
-                       options_.useBddVisitedSet);
+    std::unordered_set<std::uint64_t> visited;
     std::deque<std::tuple<std::uint32_t, InstrId, bool>> work;
 
     auto pushNode = [&](std::uint32_t ctx, InstrId instr,
@@ -173,7 +125,7 @@ StaticSlicer::slice(InstrId endpoint) const
             return;
         const std::uint64_t node =
             (ctx * numInstrs + instr) * 2 + (valueRole ? 1 : 0);
-        if (visited.insert(node)) {
+        if (visited.insert(node).second) {
             work.push_back({ctx, instr, valueRole});
             result.instructions.insert(instr);
         }

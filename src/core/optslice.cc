@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 
 #include "analysis/andersen_cache.h"
-#include "analysis/constraint_diff.h"
 #include "core/recovery.h"
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
@@ -147,102 +145,8 @@ computeAllSlices(const std::shared_ptr<const ir::Module> &module,
         return out;
     };
 
-    // Per-endpoint lineage patching: when the cache holds the slice
-    // set of an ancestor version of this module, endpoints whose base
-    // slice the edit cannot reach keep it (translated across
-    // versions); only the rest are re-sliced.  A translated slice is
-    // exact, not conservative: all its instructions live in clean
-    // functions (equal points-to nodes, identical bodies), so every
-    // dependence edge among them is version-stable, and the closure
-    // cannot have grown — growth would need a slice load newly
-    // aliasing a store in a dirty function, which the
-    // dirty-store-cells intersection check rules out.
-    auto incremental = [&](const analysis::SliceLineageBase &base)
-        -> std::optional<analysis::SliceSetResult> {
-        const analysis::ConstraintDiff &diff = *base.diff;
-        const analysis::SliceSetResult &bs = *base.slices;
-        // Only a complete base set at the same analysis level is a
-        // usable patch base; CS slices additionally need a stable
-        // cross-version context identity.
-        if (!bs.complete || bs.contextSensitive != pickedCs)
-            return std::nullopt;
-        if (pickedCs && diff.hasCallContextsEither)
-            return std::nullopt;
-        if (bs.endpoints.size() != bs.slices.size())
-            return std::nullopt;
-        analysis::AndersenOptions baseOptions;
-        baseOptions.contextSensitive = pickedCs;
-        baseOptions.invariants = base.invariants.get();
-        const std::shared_ptr<const analysis::AndersenResult> basePts =
-            analysis::runAndersenMemo(base.module, baseOptions);
-        if (!basePts->completed || !picked.completed)
-            return std::nullopt;
-
-        const analysis::VersionMap vmap =
-            analysis::buildVersionMap(*base.module, *module);
-        const std::vector<bool> dirty = analysis::unionDirtyClosure(
-            *base.module, *basePts, *module, picked, diff,
-            base.invariants.get(), invariants);
-
-        SparseBitSet dirtyStoreCells;
-        for (InstrId id = 0; id < module->numInstrs(); ++id) {
-            const ir::Instruction &ins = module->instr(id);
-            if (ins.op == ir::Opcode::Store && dirty[ins.func])
-                dirtyStoreCells.unionWith(picked.pointerTargets(id));
-        }
-
-        std::map<InstrId, std::size_t> baseIndexOfEndpoint;
-        for (std::size_t i = 0; i < bs.endpoints.size(); ++i) {
-            const InstrId mapped = vmap.instrMap[bs.endpoints[i]];
-            if (mapped != kNoInstr)
-                baseIndexOfEndpoint[mapped] = i;
-        }
-
-        analysis::SliceSetResult out;
-        out.contextSensitive = pickedCs;
-        out.complete = true;
-        out.slices.resize(endpoints.size());
-        analysis::SlicerOptions options;
-        options.invariants = invariants;
-        options.maxWork = config.sliceWorkBudget;
-        const analysis::StaticSlicer slicer(*module, picked, options);
-        for (std::size_t e = 0; e < endpoints.size(); ++e) {
-            std::set<InstrId> translated;
-            bool reusable = false;
-            const auto at = baseIndexOfEndpoint.find(endpoints[e]);
-            if (at != baseIndexOfEndpoint.end()) {
-                reusable = true;
-                for (const InstrId bid : bs.slices[at->second]) {
-                    const InstrId nid = vmap.instrMap[bid];
-                    if (nid == kNoInstr ||
-                        dirty[module->instr(nid).func] ||
-                        (module->instr(nid).op == ir::Opcode::Load &&
-                         picked.pointerTargets(nid).intersects(
-                             dirtyStoreCells))) {
-                        reusable = false;
-                        break;
-                    }
-                    translated.insert(nid);
-                }
-            }
-            if (reusable) {
-                out.workUnits += translated.size();
-                out.slices[e] = std::move(translated);
-                continue;
-            }
-            analysis::StaticSliceResult fresh =
-                slicer.slice(endpoints[e]);
-            out.workUnits += fresh.workUnits;
-            // Budget blown: bail out to compute()'s full fallback
-            // ladder (CI retry, then pure-Giri surrender).
-            if (!fresh.completed)
-                return std::nullopt;
-            out.slices[e] = std::move(fresh.instructions);
-        }
-        return out;
-    };
     return analysis::sliceSetMemo(module, invariants, configKey,
-                                  endpoints, compute, incremental);
+                                  endpoints, compute);
 }
 
 /** One endpoint's slicing outcome under one configuration. */

@@ -20,10 +20,6 @@ namespace {
 using support::ByteReader;
 using support::ByteWriter;
 
-// Bump when any entry encoding changes; readers reject other
-// versions (recompute, don't guess).
-constexpr std::uint32_t kSnapshotVersion = 1;
-
 // Entry tags (first payload byte of every entry block).
 constexpr std::uint8_t kTagTrace = 1;
 constexpr std::uint8_t kTagObservation = 2;
@@ -112,7 +108,6 @@ serializeRace(ByteWriter &out, const analysis::StaticRaceResult &result)
 {
     putInstrSet(out, result.racyAccesses);
     putPairSet(out, result.racyPairs);
-    putPairSet(out, result.candidatePairs);
     putPairSet(out, result.usedLockAliases);
     putInstrSet(out, result.usedSingletonSites);
     out.u64(result.workUnits);
@@ -125,8 +120,6 @@ deserializeRace(ByteReader &in, analysis::StaticRaceResult &result)
     if (!getInstrSet(in, result.racyAccesses))
         return false;
     if (!getPairSet(in, result.racyPairs))
-        return false;
-    if (!getPairSet(in, result.candidatePairs))
         return false;
     if (!getPairSet(in, result.usedLockAliases))
         return false;
@@ -143,9 +136,6 @@ serializeSlices(ByteWriter &out, const analysis::SliceSetResult &result)
     out.u64(result.slices.size());
     for (const std::set<InstrId> &slice : result.slices)
         putInstrSet(out, slice);
-    out.u64(result.endpoints.size());
-    for (InstrId endpoint : result.endpoints)
-        out.u64(endpoint);
     out.u8(result.contextSensitive ? 1 : 0);
     out.u8(result.complete ? 1 : 0);
     out.u64(result.workUnits);
@@ -162,19 +152,6 @@ deserializeSlices(ByteReader &in, analysis::SliceSetResult &result)
     for (std::set<InstrId> &slice : result.slices)
         if (!getInstrSet(in, slice))
             return false;
-    const std::uint64_t numEndpoints = in.u64();
-    if (numEndpoints > in.remaining() / 8)
-        return false;
-    result.endpoints.reserve(static_cast<std::size_t>(numEndpoints));
-    for (std::uint64_t i = 0; i < numEndpoints && in.ok(); ++i) {
-        const std::uint64_t id = in.u64();
-        if (id > kNoInstr)
-            return false;
-        result.endpoints.push_back(static_cast<InstrId>(id));
-    }
-    // A slice set must map endpoints to slices one-to-one.
-    if (result.endpoints.size() != result.slices.size())
-        return false;
     const std::uint8_t contextSensitive = in.u8();
     const std::uint8_t complete = in.u8();
     if (contextSensitive > 1 || complete > 1)

@@ -19,11 +19,10 @@
  * Restore semantics: every restored entry keeps both fingerprints of
  * every key component, so a post-restart request still performs the
  * full dual-fingerprint verification before a hit is served.  Entries
- * are admitted with null module pointers — they serve verified hits
- * but are excluded from version lineage (never patch bases).  Any
- * entry that fails structural validation is rejected and counted
- * individually; any container-level defect (truncation, bit flip,
- * version skew, wrong kind) rejects the whole file and the daemon
+ * are admitted with null module pointers; they serve verified hits
+ * only.  Any entry that fails structural validation is rejected and
+ * counted individually; any container-level defect (truncation, bit
+ * flip, version skew, wrong kind) rejects the whole file and the daemon
  * simply starts cold.  A snapshot load NEVER crashes the process and
  * NEVER admits unverified data.
  *
@@ -38,6 +37,11 @@
 #include <string>
 
 namespace oha::service {
+
+/** Format version in a snapshot's meta block.  Bump when any entry
+ *  encoding changes; loadSnapshot() rejects every other version
+ *  wholesale (recompute, don't guess). */
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Snapshot-subsystem counters (process-wide, atomically updated). */
 struct SnapshotStats

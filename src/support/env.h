@@ -4,8 +4,8 @@
  *
  * Every tunable the pipeline reads from the environment —
  * OHA_THREADS, OHA_CACHE_BUDGET_MB, OHA_TRACE_SEGMENT_BYTES,
- * OHA_LINEAGE_DEPTH — goes through this one helper
- * with a single contract: garbage never crashes or silently
+ * OHA_SNAPSHOT_INTERVAL — goes through this one helper with a single
+ * contract: garbage never crashes or silently
  * misconfigures (warn + default), out-of-range values are clamped
  * with a warning, and a well-formed value is honored exactly.
  * OHA_THREADS layers a process-wide cache on top (its steady-state

@@ -635,64 +635,6 @@ sliceWorkloadNames()
     return names;
 }
 
-std::shared_ptr<ir::Module>
-makeDispatchSurfaceModule(std::size_t readers)
-{
-    return makeDispatchSurfaceModule(readers, 8, 8);
-}
-
-std::shared_ptr<ir::Module>
-makeDispatchSurfaceModule(std::size_t readers, std::size_t registrars,
-                          std::size_t objectsPerRegistrar)
-{
-    // Width / density knobs: 32 slots each aliasing all registered
-    // objects, eight table reads per reader.  Propagation work is
-    // roughly slots x loads x objects element crossings; the solved
-    // state is a factor ~min(slots, loads) smaller, which is exactly
-    // the gap an incremental re-solve keeps.
-    constexpr int kSlots = 32;
-    constexpr int kLoadsPerReader = 8;
-
-    auto module = std::make_shared<Module>();
-    IRBuilder b(*module);
-    const auto tableG =
-        module->addGlobal("dispatch_table", kSlots);
-
-    // Readers first: "edit the first N% of functions" sweeps then hit
-    // reader bodies, the representative small edit (local code, no
-    // change to the registration structure).
-    std::vector<Function *> parts;
-    for (std::size_t r = 0; r < readers; ++r) {
-        parts.push_back(b.createFunction(
-            "surface_reader_" + std::to_string(r), 1));
-        const Reg arg = 0;
-        const Reg local = b.alloc(1);
-        for (int l = 0; l < kLoadsPerReader; ++l) {
-            const Reg slot = b.gepDyn(b.globalAddr(tableG), arg);
-            b.store(local, b.load(slot));
-        }
-        b.ret(b.constInt(0));
-    }
-    for (std::size_t w = 0; w < registrars; ++w) {
-        parts.push_back(b.createFunction(
-            "surface_registrar_" + std::to_string(w), 1));
-        const Reg arg = 0;
-        for (std::size_t a = 0; a < objectsPerRegistrar; ++a) {
-            const Reg obj = b.alloc(1);
-            b.store(b.gepDyn(b.globalAddr(tableG), arg), obj);
-        }
-        b.ret(b.constInt(0));
-    }
-
-    b.createFunction("main", 0);
-    for (std::size_t i = 0; i < parts.size(); ++i)
-        b.call(parts[i], {b.constInt(std::int64_t(i) % kSlots)});
-    b.ret(b.constInt(0));
-
-    module->finalize();
-    return module;
-}
-
 Workload
 makeSliceWorkload(const std::string &name, std::size_t profileRuns,
                   std::size_t testRuns)

@@ -81,27 +81,4 @@ Workload makeSliceWorkload(const std::string &name,
                            std::size_t profileRuns = 48,
                            std::size_t testRuns = 24);
 
-/**
- * A pointer-dense dispatch surface at analysis-service scale: a wide
- * shared dispatch table populated by a handful of registrar functions
- * and read through variable geps by @p readers reader functions.
- * Every table slot aliases every registered object, so Andersen
- * propagation (cells x readers x objects element flow) dominates
- * constraint construction — the regime where re-analysis cost hurts a
- * service and where incremental patching pays.  Static module only
- * (no input corpora): built for the incremental-analysis benchmark.
- */
-std::shared_ptr<ir::Module>
-makeDispatchSurfaceModule(std::size_t readers);
-
-/** As above with explicit registration density: @p registrars
- *  functions each registering @p objectsPerRegistrar objects.  The
- *  solved sets carry registrars x objectsPerRegistrar elements, so
- *  this knob scales per-node propagation work independently of module
- *  size — the regime the wavefront solver's thread-scaling bench
- *  measures.  The one-argument form is (readers, 8, 8). */
-std::shared_ptr<ir::Module>
-makeDispatchSurfaceModule(std::size_t readers, std::size_t registrars,
-                          std::size_t objectsPerRegistrar);
-
 } // namespace oha::workloads

@@ -85,7 +85,7 @@ TEST(RequestQueue, CloseWakesBlockedProducers)
 // ---------------------------------------------------------------------
 
 service::AnalysisRequest
-raceRequest(const workloads::Workload &workload,
+requestFor(const workloads::Workload &workload,
             std::chrono::milliseconds deadline = {})
 {
     service::AnalysisRequest request;
@@ -104,7 +104,7 @@ TEST(AnalysisService, RunsRequestsAndDrains)
     service::AnalysisService daemon(config);
     EXPECT_EQ(daemon.shards(), 2u);
 
-    auto ftFuture = daemon.submit(raceRequest(race));
+    auto ftFuture = daemon.submit(requestFor(race));
     service::AnalysisRequest sliceRequest;
     sliceRequest.workload = slice;
     auto sliceFuture = daemon.submit(std::move(sliceRequest));
@@ -137,7 +137,7 @@ TEST(AnalysisService, SubmitAfterShutdownIsShed)
     service::AnalysisService daemon;
     daemon.shutdown();
     const auto race = workloads::makeRaceWorkload("raytracer", 2, 1);
-    auto future = daemon.submit(raceRequest(race));
+    auto future = daemon.submit(requestFor(race));
     const auto result = future.get();
     EXPECT_EQ(result.outcome, service::RequestOutcome::Shed);
     EXPECT_EQ(result.error, "service is shut down");
@@ -160,7 +160,7 @@ TEST(AnalysisService, FullQueueShedsUnderShedPolicy)
     // behind them must shed (submission takes microseconds).
     std::vector<std::future<service::ServiceRunResult>> futures;
     for (int i = 0; i < 6; ++i)
-        futures.push_back(daemon.submit(raceRequest(race)));
+        futures.push_back(daemon.submit(requestFor(race)));
     std::size_t done = 0, shed = 0;
     for (auto &future : futures) {
         const auto result = future.get();
@@ -188,9 +188,9 @@ TEST(AnalysisService, QueuedDeadlineExpiresWithoutRunning)
 
     // Request A occupies the only shard for >> 1ms; B's deadline
     // passes while it sits queued behind A.
-    auto slow = daemon.submit(raceRequest(race));
+    auto slow = daemon.submit(requestFor(race));
     auto doomed = daemon.submit(
-        raceRequest(race, std::chrono::milliseconds(1)));
+        requestFor(race, std::chrono::milliseconds(1)));
     daemon.drain();
 
     EXPECT_EQ(slow.get().outcome, service::RequestOutcome::Done);
@@ -322,7 +322,7 @@ TEST(AnalysisService, ResultsMatchBatchModeAtOneAndFourShards)
         std::vector<std::future<service::ServiceRunResult>> ftFutures;
         std::vector<std::future<service::ServiceRunResult>> sliceFutures;
         for (int rep = 0; rep < 2; ++rep) {
-            ftFutures.push_back(daemon.submit(raceRequest(race)));
+            ftFutures.push_back(daemon.submit(requestFor(race)));
             service::AnalysisRequest request;
             request.workload = slice;
             sliceFutures.push_back(daemon.submit(std::move(request)));
@@ -343,6 +343,84 @@ TEST(AnalysisService, ResultsMatchBatchModeAtOneAndFourShards)
             expectEqual(batchSlice, *result.slice, label);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// History independence: a result is a function of its input only
+// ---------------------------------------------------------------------
+
+/** Batch-mode run of the pipeline the workload's kind selects, in the
+ *  daemon's result shape. */
+service::ServiceRunResult
+runBatchMode(const workloads::Workload &workload)
+{
+    service::ServiceRunResult result;
+    if (workload.race)
+        result.ft = core::runOptFt(workload, {});
+    else
+        result.slice = core::runOptSlice(workload, {});
+    return result;
+}
+
+void
+expectEqual(const service::ServiceRunResult &a,
+            const service::ServiceRunResult &b, const std::string &label)
+{
+    ASSERT_EQ(b.outcome, service::RequestOutcome::Done) << label;
+    ASSERT_EQ(a.ft.has_value(), b.ft.has_value()) << label;
+    ASSERT_EQ(a.slice.has_value(), b.slice.has_value()) << label;
+    if (a.ft)
+        expectEqual(*a.ft, *b.ft, label);
+    if (a.slice)
+        expectEqual(*a.slice, *b.slice, label);
+}
+
+/**
+ * For each adjacent pair (A, B) of @p programs, run A and then B on
+ * one fresh cache, once as batch calls and once through a daemon, and
+ * check both results for B against a cold batch run of B.  Whatever
+ * A left in the cache may serve B only exact hits.
+ */
+void
+expectResultsIndependentOfThePreviousProgram(
+    const std::vector<workloads::Workload> &programs)
+{
+    for (std::size_t i = 1; i < programs.size(); ++i) {
+        const workloads::Workload &a = programs[i - 1];
+        const workloads::Workload &b = programs[i];
+        const std::string label = a.name + " then " + b.name;
+
+        analysis::resetAndersenCache();
+        const service::ServiceRunResult cold = runBatchMode(b);
+
+        analysis::resetAndersenCache();
+        runBatchMode(a);
+        expectEqual(cold, runBatchMode(b), label + " (batch)");
+
+        analysis::resetAndersenCache();
+        service::AnalysisService daemon;
+        const auto warmed = daemon.submit(requestFor(a)).get();
+        ASSERT_EQ(warmed.outcome, service::RequestOutcome::Done) << label;
+        expectEqual(cold, daemon.submit(requestFor(b)).get(),
+                    label + " (service)");
+    }
+    analysis::resetAndersenCache();
+}
+
+TEST(AnalysisService, RaceResultsIgnoreThePreviousProgram)
+{
+    std::vector<workloads::Workload> programs;
+    for (const std::string &name : workloads::raceWorkloadNames())
+        programs.push_back(workloads::makeRaceWorkload(name, 4, 2));
+    expectResultsIndependentOfThePreviousProgram(programs);
+}
+
+TEST(AnalysisService, SliceResultsIgnoreThePreviousProgram)
+{
+    std::vector<workloads::Workload> programs;
+    for (const std::string &name : workloads::sliceWorkloadNames())
+        programs.push_back(workloads::makeSliceWorkload(name, 3, 2));
+    expectResultsIndependentOfThePreviousProgram(programs);
 }
 
 } // namespace

@@ -10,20 +10,17 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/andersen_cache.h"
-#include "analysis/constraint_diff.h"
 #include "core/optslice.h"
 #include "exec/trace_cache.h"
 #include "ir/builder.h"
 #include "service/lru.h"
 #include "service/shared_cache.h"
-#include "workloads/edits.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -47,9 +44,8 @@ tinyModule(int variant)
     return module;
 }
 
-/** Flattened per-register points-to sets — the observable identity of
- *  an Andersen result (workUnits deliberately excluded: the lineage
- *  path legitimately reaches the same fixpoint with less effort). */
+/** Flattened per-register points-to sets — with workUnits, the
+ *  observable identity of an Andersen result. */
 std::vector<analysis::CellId>
 ptsSignature(const ir::Module &module,
              const analysis::AndersenResult &result)
@@ -376,213 +372,6 @@ TEST(SharedCache, ColdOptSliceSolvesTheCiPrePassOnce)
 }
 
 // ---------------------------------------------------------------------
-// Version lineage
-// ---------------------------------------------------------------------
-
-TEST(SharedCacheLineage, MissOnEditedModulePatchesFromAncestor)
-{
-    CacheGuard guard;
-    const auto v1 = tinyModule(0);
-    const auto v2 = tinyModule(2);
-    analysis::runAndersenMemo(v1, {});
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 0u);
-
-    // The edited version misses on its own fingerprint but finds v1
-    // in the lineage list and patches its result incrementally.
-    const auto patched = analysis::runAndersenMemo(v2, {});
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 1u);
-    EXPECT_EQ(ptsSignature(*v2, *patched),
-              ptsSignature(*v2, analysis::runAndersen(*v2, {})));
-
-    // The patched result is re-cached under the new fingerprint: a
-    // repeat request is a plain hit, not another lineage patch.
-    const auto again = analysis::runAndersenMemo(v2, {});
-    EXPECT_EQ(again.get(), patched.get());
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 1u);
-}
-
-TEST(SharedCacheLineage, EditedModulePatchesDetectorFromAncestor)
-{
-    CacheGuard guard;
-    const workloads::Workload w = workloads::makeRaceWorkload("sunflow", 1, 3);
-    const std::shared_ptr<const ir::Module> base = w.module;
-
-    // Edit one non-entry, Spawn/Join-free function so the detector's
-    // global structure guards hold and the patched path engages.
-    std::vector<char> hasThreadOp(base->numFunctions(), 0);
-    for (InstrId id = 0; id < base->numInstrs(); ++id) {
-        const ir::Instruction &ins = base->instr(id);
-        if (ins.op == ir::Opcode::Spawn || ins.op == ir::Opcode::Join)
-            hasThreadOp[ins.func] = 1;
-    }
-    std::vector<std::string> names;
-    for (const auto &func : base->functions())
-        if (names.empty() && func->name() != "main" &&
-            !hasThreadOp[func->id()])
-            names.push_back(func->name());
-    ASSERT_FALSE(names.empty());
-    const std::shared_ptr<const ir::Module> next =
-        workloads::editFunctions(*base, names);
-
-    analysis::runStaticRaceDetectorMemo(base, nullptr);
-    const std::uint64_t before = analysis::andersenCacheStats().lineageHits;
-
-    // The edited module misses on its own fingerprint; both the
-    // points-to phase AND the detector's pair matrix are patched from
-    // the cached ancestor (one lineage hit each).
-    const auto patched = analysis::runStaticRaceDetectorMemo(next, nullptr);
-    const std::uint64_t after = analysis::andersenCacheStats().lineageHits;
-    EXPECT_GE(after - before, 2u);
-
-    const analysis::StaticRaceResult fresh =
-        analysis::runStaticRaceDetector(*next, nullptr);
-    EXPECT_EQ(patched->racyPairs, fresh.racyPairs);
-    EXPECT_EQ(patched->racyAccesses, fresh.racyAccesses);
-    EXPECT_EQ(patched->candidatePairs, fresh.candidatePairs);
-    EXPECT_EQ(patched->accessesConsidered, fresh.accessesConsidered);
-
-    // Re-cached under the new fingerprint: a repeat is a plain hit.
-    const auto again = analysis::runStaticRaceDetectorMemo(next, nullptr);
-    EXPECT_EQ(again.get(), patched.get());
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, after);
-}
-
-TEST(SharedCacheLineage, SliceMemoOffersAncestorToIncrementalCallback)
-{
-    CacheGuard guard;
-    const auto outputsOf = [](const ir::Module &module) {
-        std::vector<InstrId> out;
-        for (InstrId id = 0; id < module.numInstrs(); ++id)
-            if (module.instr(id).op == ir::Opcode::Output)
-                out.push_back(id);
-        return out;
-    };
-    const auto v1 = tinyModule(0);
-    const auto v2 = tinyModule(1);
-    const std::vector<InstrId> eps1 = outputsOf(*v1);
-    const std::vector<InstrId> eps2 = outputsOf(*v2);
-
-    // Warm the slice entry for v1 (no callback: cold compute).
-    analysis::sliceSetMemo(v1, nullptr, 7, eps1, [&] {
-        analysis::SliceSetResult r;
-        r.slices.assign(eps1.size(), {});
-        r.complete = true;
-        r.workUnits = 11;
-        return r;
-    });
-
-    // The edited version's miss offers the v1 entry — with its stored
-    // endpoints and a usable lowered diff — to the callback; its
-    // result is cached and counted as a lineage hit.
-    int computeCalls = 0, incrementalCalls = 0;
-    const auto patched = analysis::sliceSetMemo(
-        v2, nullptr, 7, eps2,
-        [&] {
-            ++computeCalls;
-            return analysis::SliceSetResult{};
-        },
-        [&](const analysis::SliceLineageBase &base)
-            -> std::optional<analysis::SliceSetResult> {
-            ++incrementalCalls;
-            EXPECT_EQ(base.slices->workUnits, 11u);
-            EXPECT_EQ(base.slices->endpoints, eps1);
-            EXPECT_TRUE(base.diff && base.diff->usable);
-            analysis::SliceSetResult r;
-            r.slices.assign(eps2.size(), {});
-            r.complete = true;
-            r.workUnits = 5;
-            return r;
-        });
-    EXPECT_EQ(computeCalls, 0);
-    EXPECT_EQ(incrementalCalls, 1);
-    EXPECT_EQ(patched->workUnits, 5u);
-    EXPECT_EQ(patched->endpoints, eps2);
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 1u);
-
-    // A declining callback falls back to the cold compute, uncounted.
-    const auto v3 = tinyModule(2);
-    const auto fresh = analysis::sliceSetMemo(
-        v3, nullptr, 7, outputsOf(*v3),
-        [&] {
-            ++computeCalls;
-            analysis::SliceSetResult r;
-            r.complete = true;
-            return r;
-        },
-        [&](const analysis::SliceLineageBase &)
-            -> std::optional<analysis::SliceSetResult> {
-            ++incrementalCalls;
-            return std::nullopt;
-        });
-    EXPECT_EQ(computeCalls, 1);
-    EXPECT_GE(incrementalCalls, 2); // offered v2, then v1
-    EXPECT_TRUE(fresh->complete);
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 1u);
-}
-
-TEST(SharedCacheLineage, ResetDropsLineageEntriesInsteadOfServingThem)
-{
-    CacheGuard guard;
-    const auto v1 = tinyModule(0);
-    const auto v2 = tinyModule(1);
-    analysis::runAndersenMemo(v1, {});
-    analysis::resetAndersenCache();
-    // The pre-reset version is gone — not a valid patch base.
-    analysis::runAndersenMemo(v2, {});
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 0u);
-}
-
-TEST(SharedCacheLineage, DepthZeroDisablesPatching)
-{
-    CacheGuard guard;
-    setenv("OHA_LINEAGE_DEPTH", "0", 1);
-    const auto v1 = tinyModule(0);
-    const auto v2 = tinyModule(1);
-    analysis::runAndersenMemo(v1, {});
-    analysis::runAndersenMemo(v2, {});
-    unsetenv("OHA_LINEAGE_DEPTH");
-    EXPECT_EQ(analysis::andersenCacheStats().lineageHits, 0u);
-}
-
-/** The stale-generation seam: resets racing in-flight incremental
- *  inserts must never surface a pre-reset base (wrong values) — a
- *  stale lineage entry is dropped, not served.  Meaningful under
- *  TSan; the value check makes it meaningful everywhere. */
-TEST(SharedCacheLineage, ConcurrentResetNeverServesAStaleBase)
-{
-    CacheGuard guard;
-    std::vector<std::shared_ptr<const ir::Module>> modules;
-    for (int v = 0; v < 3; ++v)
-        modules.push_back(tinyModule(v));
-    std::vector<std::vector<analysis::CellId>> expectedPts;
-    for (const auto &module : modules)
-        expectedPts.push_back(
-            ptsSignature(*module, analysis::runAndersen(*module, {})));
-
-    std::atomic<int> wrongResults{0};
-    std::thread resetter([] {
-        for (int i = 0; i < 40; ++i)
-            analysis::resetAndersenCache();
-    });
-    std::vector<std::thread> requesters;
-    for (int t = 0; t < 4; ++t) {
-        requesters.emplace_back([&, t] {
-            for (int it = 0; it < 60; ++it) {
-                const int m = (t + it) % int(modules.size());
-                const auto result =
-                    analysis::runAndersenMemo(modules[m], {});
-                if (ptsSignature(*modules[m], *result) != expectedPts[m])
-                    ++wrongResults;
-            }
-        });
-    }
-    resetter.join();
-    for (std::thread &thread : requesters)
-        thread.join();
-    EXPECT_EQ(wrongResults.load(), 0);
-}
-
-// ---------------------------------------------------------------------
 // Concurrent torture (meaningful under TSan)
 // ---------------------------------------------------------------------
 
@@ -596,14 +385,16 @@ TEST(SharedCacheTorture, ConcurrentMemoResetAndBudgetChanges)
     for (int v = 0; v < 3; ++v)
         modules.push_back(tinyModule(v));
     // Reference solves, for checking that concurrent cache traffic
-    // never serves a wrong result.  Identity is the points-to sets,
-    // not workUnits: the three modules are versions of one another,
-    // so the lineage path may (correctly) patch one result from
-    // another with less effort.
+    // never serves a wrong result: the points-to sets and the solve's
+    // workUnits must both match, whatever was cached before.
     std::vector<std::vector<analysis::CellId>> expectedPts;
-    for (const auto &module : modules)
-        expectedPts.push_back(
-            ptsSignature(*module, analysis::runAndersen(*module, {})));
+    std::vector<std::uint64_t> expectedWork;
+    for (const auto &module : modules) {
+        const analysis::AndersenResult reference =
+            analysis::runAndersen(*module, {});
+        expectedPts.push_back(ptsSignature(*module, reference));
+        expectedWork.push_back(reference.workUnits);
+    }
     std::vector<std::uint64_t> expectedSteps;
     for (const auto &module : modules)
         expectedSteps.push_back(
@@ -617,7 +408,8 @@ TEST(SharedCacheTorture, ConcurrentMemoResetAndBudgetChanges)
               case 0: {
                 const auto result =
                     analysis::runAndersenMemo(modules[m], {});
-                if (ptsSignature(*modules[m], *result) != expectedPts[m])
+                if (ptsSignature(*modules[m], *result) != expectedPts[m] ||
+                    result->workUnits != expectedWork[m])
                     ++wrongResults;
                 break;
               }

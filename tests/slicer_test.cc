@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the static backward slicer: data-flow closure, flow
- * sensitivity, interprocedural edges, context sensitivity, predicated
- * pruning and BDD/bitset visited-set parity.
+ * sensitivity, interprocedural edges, context sensitivity and
+ * predicated pruning.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +43,7 @@ defOf(const Module &module, FuncId func, Reg reg)
 
 StaticSliceResult
 sliceOf(const Module &module, InstrId endpoint, bool cs = false,
-        const inv::InvariantSet *invariants = nullptr, bool bdd = false)
+        const inv::InvariantSet *invariants = nullptr)
 {
     AndersenOptions aopts;
     aopts.contextSensitive = cs;
@@ -51,7 +51,6 @@ sliceOf(const Module &module, InstrId endpoint, bool cs = false,
     const AndersenResult andersen = runAndersen(module, aopts);
     SlicerOptions sopts;
     sopts.invariants = invariants;
-    sopts.useBddVisitedSet = bdd;
     StaticSlicer slicer(module, andersen, sopts);
     return slicer.slice(endpoint);
 }
@@ -322,18 +321,6 @@ TEST(StaticSlicer, CalleeSetsShrinkIcallSlice)
         optimistic.instructions.count(defOf(module, cheap->id(), one)));
     EXPECT_FALSE(
         optimistic.instructions.count(defOf(module, pricey->id(), big)));
-}
-
-TEST(StaticSlicer, BddVisitedSetMatchesBitset)
-{
-    TwoChainProgram prog;
-    buildTwoChains(prog);
-    const auto bitset = sliceOf(prog.module, prog.endpoint, true, nullptr,
-                                /*bdd=*/false);
-    const auto bdd = sliceOf(prog.module, prog.endpoint, true, nullptr,
-                             /*bdd=*/true);
-    EXPECT_EQ(bitset.instructions, bdd.instructions);
-    EXPECT_EQ(bitset.nodesVisited, bdd.nodesVisited);
 }
 
 TEST(StaticSlicer, SliceIsClosedUnderItsOwnDependencies)

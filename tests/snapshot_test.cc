@@ -376,7 +376,7 @@ TEST_F(SnapshotTest, BogusEntryTagRejectedIndividually)
         support::DurableWriter writer(path,
                                       support::kDurableKindSnapshot);
         support::ByteWriter meta;
-        meta.u32(1); // snapshot version
+        meta.u32(service::kSnapshotVersion);
         meta.u64(1); // one entry
         writer.addBlock(meta.data());
         support::ByteWriter entry;
@@ -403,7 +403,7 @@ TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
         support::DurableWriter writer(path,
                                       support::kDurableKindSnapshot);
         support::ByteWriter meta;
-        meta.u32(1);
+        meta.u32(service::kSnapshotVersion);
         meta.u64(2);
         writer.addBlock(meta.data());
         support::ByteWriter entry;
@@ -423,6 +423,74 @@ TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
 // ---------------------------------------------------------------------
 // Write failures: injected I/O faults degrade to in-memory operation.
 // ---------------------------------------------------------------------
+
+TEST_F(SnapshotTest, VersionOneSnapshotRejectedWholesaleAndDaemonBootsCold)
+{
+    const PipelineResults cold = runPipelines();
+
+    // A snapshot of the warmed cache whose container verifies in every
+    // checksum, with its meta block stamped as version 1: the format
+    // whose race and slice entries still carried the fields version 2
+    // dropped.
+    const std::string current = dir_ + "/current.snapshot";
+    std::string error;
+    ASSERT_TRUE(service::writeSnapshot(current, &error)) << error;
+    {
+        auto reader = support::DurableReader::open(
+            current, support::kDurableKindSnapshot, &error);
+        ASSERT_TRUE(reader) << error;
+        ASSERT_GT(reader->numBlocks(), 1u);
+        support::DurableWriter writer(snapshotPath(),
+                                      support::kDurableKindSnapshot);
+        for (std::size_t b = 0; b < reader->numBlocks(); ++b) {
+            std::string block;
+            ASSERT_TRUE(reader->readBlock(b, block));
+            if (b == 0) {
+                support::ByteWriter version;
+                version.u32(1);
+                block.replace(0, version.data().size(), version.data());
+            }
+            writer.addBlock(block);
+        }
+        ASSERT_TRUE(writer.commit(&error)) << error;
+    }
+    coldReset();
+
+    const auto before = service::snapshotStats();
+    EXPECT_FALSE(service::loadSnapshot(snapshotPath(), &error));
+    EXPECT_NE(error.find("unsupported snapshot version"), std::string::npos)
+        << error;
+    const auto afterLoad = service::snapshotStats();
+    EXPECT_EQ(afterLoad.loadRejects, before.loadRejects + 1);
+    EXPECT_EQ(afterLoad.loads, before.loads);
+    EXPECT_EQ(afterLoad.entriesRestored, before.entriesRestored);
+    EXPECT_EQ(service::SharedCache::instance().stats().entries, 0u);
+
+    // A daemon booting from the same state directory rejects the file
+    // the same way, starts cold and matches the cold batch results.
+    service::ServiceConfig config;
+    config.shards = 1;
+    config.stateDir = dir_;
+    service::AnalysisService daemon(config);
+    const auto afterBoot = service::snapshotStats();
+    EXPECT_EQ(afterBoot.loadRejects, afterLoad.loadRejects + 1);
+    EXPECT_EQ(afterBoot.entriesRestored, afterLoad.entriesRestored);
+
+    service::AnalysisRequest ftRequest;
+    ftRequest.workload = workloads::makeRaceWorkload("sor", 3, 2);
+    service::AnalysisRequest sliceRequest;
+    sliceRequest.workload = workloads::makeSliceWorkload("zlib", 3, 2);
+    auto ftFuture = daemon.submit(std::move(ftRequest));
+    auto sliceFuture = daemon.submit(std::move(sliceRequest));
+    const auto ftResponse = ftFuture.get();
+    const auto sliceResponse = sliceFuture.get();
+    ASSERT_EQ(ftResponse.outcome, service::RequestOutcome::Done);
+    ASSERT_EQ(sliceResponse.outcome, service::RequestOutcome::Done);
+    expectEqual(cold.ft, *ftResponse.ft, "version-1 reject optft");
+    expectEqual(cold.slice, *sliceResponse.slice,
+                "version-1 reject optslice");
+    daemon.shutdown();
+}
 
 TEST_F(SnapshotTest, WriteFaultSweepKeepsPreviousSnapshotAndCounts)
 {

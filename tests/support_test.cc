@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the support layer: sparse bit sets, BDDs, Bloom
- * filters, vector clocks, union-find, the RNG and runBatchUntil.
+ * Unit tests for the support layer: sparse bit sets, Bloom filters,
+ * vector clocks, union-find, the RNG and runBatchUntil.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/bdd.h"
 #include "support/bloom_filter.h"
 #include "support/env.h"
 #include "support/rng.h"
@@ -99,64 +98,6 @@ TEST(SparseBitSet, HashDiffersForDifferentSets)
     b.clear();
     b.insert(1);
     EXPECT_EQ(a.hash(), b.hash());
-}
-
-TEST(Bdd, TerminalsAndVariables)
-{
-    BddManager mgr(4);
-    EXPECT_NE(BddManager::trueBdd(), BddManager::falseBdd());
-    const BddRef x0 = mgr.var(0);
-    EXPECT_EQ(mgr.bddAnd(x0, mgr.bddNot(x0)), BddManager::falseBdd());
-    EXPECT_EQ(mgr.bddOr(x0, mgr.bddNot(x0)), BddManager::trueBdd());
-}
-
-TEST(Bdd, SatCount)
-{
-    BddManager mgr(4);
-    EXPECT_DOUBLE_EQ(mgr.satCount(BddManager::trueBdd()), 16.0);
-    EXPECT_DOUBLE_EQ(mgr.satCount(BddManager::falseBdd()), 0.0);
-    EXPECT_DOUBLE_EQ(mgr.satCount(mgr.var(0)), 8.0);
-    const BddRef conj = mgr.bddAnd(mgr.var(0), mgr.var(3));
-    EXPECT_DOUBLE_EQ(mgr.satCount(conj), 4.0);
-}
-
-TEST(Bdd, HashConsingSharesStructure)
-{
-    BddManager mgr(8);
-    const BddRef a = mgr.bddAnd(mgr.var(1), mgr.var(2));
-    const BddRef b = mgr.bddAnd(mgr.var(2), mgr.var(1));
-    EXPECT_EQ(a, b);
-}
-
-TEST(BddSet, InsertContainsCount)
-{
-    BddSetUniverse universe(12);
-    BddRef set = universe.empty();
-    const std::set<std::uint32_t> reference = {0, 1, 7, 100, 4095};
-    for (std::uint32_t id : reference)
-        set = universe.insert(set, id);
-    for (std::uint32_t id : reference)
-        EXPECT_TRUE(universe.contains(set, id));
-    EXPECT_FALSE(universe.contains(set, 2));
-    EXPECT_FALSE(universe.contains(set, 4094));
-    EXPECT_EQ(universe.size(set), reference.size());
-}
-
-TEST(BddSet, UnionIntersect)
-{
-    BddSetUniverse universe(10);
-    BddRef a = universe.empty();
-    BddRef b = universe.empty();
-    for (std::uint32_t i = 0; i < 50; i += 2)
-        a = universe.insert(a, i);
-    for (std::uint32_t i = 0; i < 50; i += 3)
-        b = universe.insert(b, i);
-    const BddRef u = universe.unite(a, b);
-    const BddRef n = universe.intersect(a, b);
-    EXPECT_EQ(universe.size(u), 25u + 17u - 9u);
-    EXPECT_EQ(universe.size(n), 9u); // multiples of 6 below 50
-    EXPECT_TRUE(universe.contains(n, 6));
-    EXPECT_FALSE(universe.contains(n, 2));
 }
 
 TEST(BloomFilter, NoFalseNegatives)

@@ -930,7 +930,7 @@ TEST(TraceReplayEdge, OldFormatCaptureAndSnapshotAreRejected)
         support::DurableWriter writer(snapshot,
                                       support::kDurableKindSnapshot);
         support::ByteWriter meta;
-        meta.u32(1); // snapshot container version
+        meta.u32(service::kSnapshotVersion);
         meta.u64(1); // one entry
         writer.addBlock(meta.data());
         support::ByteWriter entry;
