@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the substrate components:
  * interpreter throughput, FastTrack per-event cost, Giri trace
  * appends, Andersen solving, static slicing, invariant checking,
- * profiling runs and fault-seeded pipeline recovery.
+ * profiling runs, OptFT's fused first round (live or replayed) and
+ * fault-seeded pipeline recovery.
  * These are wall-clock measurements of THIS implementation (not paper
  * reproductions) — useful for tracking regressions in the library
  * itself.
@@ -19,6 +20,7 @@
 #include "analysis/slicer.h"
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
+#include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
 #include "profile/profiler.h"
@@ -107,6 +109,89 @@ BM_RecordRun(benchmark::State &state)
     corpusRun(state, true);
 }
 BENCHMARK(BM_RecordRun)->ArgName("slice")->Arg(0)->Arg(1);
+
+/** One race program prepared for OptFT's first round: its profiled
+ *  invariants, the full, hybrid and optimistic plans, and a capture of
+ *  each testing input. */
+struct FirstRoundProgram
+{
+    const workloads::Workload *workload;
+    inv::InvariantSet invariants;
+    exec::InstrumentationPlan full, hybrid, optimistic;
+    std::vector<exec::RecordedTrace> captures;
+};
+
+const std::vector<FirstRoundProgram> &
+firstRoundPrograms()
+{
+    static const std::vector<FirstRoundProgram> programs = [] {
+        std::vector<FirstRoundProgram> out;
+        for (const workloads::Workload &workload : corpus(false)) {
+            const ir::Module &module = *workload.module;
+            prof::ProfilingCampaign campaign(module, {});
+            campaign.addRunsUntilConverged(workload.profilingSet, 48, 6);
+            inv::InvariantSet invariants = campaign.invariants();
+            const auto sound = analysis::runStaticRaceDetector(module, nullptr);
+            const auto predicated =
+                analysis::runStaticRaceDetector(module, &invariants);
+            FirstRoundProgram program{
+                &workload, invariants, dyn::fullFastTrackPlan(module),
+                dyn::hybridFastTrackPlan(module, sound.racyAccesses),
+                dyn::optimisticFastTrackPlan(module, predicated.racyAccesses,
+                                             invariants),
+                {}};
+            for (const exec::ExecConfig &input : workload.testingSet)
+                program.captures.push_back(exec::recordRun(module, input));
+            out.push_back(std::move(program));
+        }
+        return out;
+    }();
+    return programs;
+}
+
+/**
+ * OptFT's fused first round: every testing input of every race
+ * program through three attachment groups — full FastTrack, hybrid
+ * FastTrack, and optimistic FastTrack with its invariant checker — in
+ * one live run (live:1, the pipeline's default) or one replay of the
+ * input's capture (live:0; the captures are recorded before timing,
+ * so a cold record-once pipeline pays BM_RecordRun on top).  Items
+ * are guest steps.
+ */
+void
+BM_FusedFirstRound(benchmark::State &state)
+{
+    const bool live = state.range(0) != 0;
+    const auto &programs = firstRoundPrograms();
+    dyn::CheckerConfig checkerConfig;
+    checkerConfig.callContexts = false;
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        for (const FirstRoundProgram &program : programs) {
+            const workloads::Workload &workload = *program.workload;
+            for (std::size_t i = 0; i < workload.testingSet.size(); ++i) {
+                dyn::FastTrack full, hybrid, optimistic;
+                dyn::InvariantChecker checker(*workload.module,
+                                              program.invariants,
+                                              checkerConfig);
+                const auto run = exec::openRun(
+                    *workload.module, workload.testingSet[i],
+                    live ? nullptr : &program.captures[i]);
+                run->attach(&full, &program.full);
+                run->attach(run->addGroup(), &hybrid, &program.hybrid);
+                const auto optGroup = run->addGroup();
+                run->attach(optGroup, &optimistic, &program.optimistic);
+                checker.setControl(&run->control(optGroup));
+                run->attach(optGroup, &checker, &checker.plan());
+                const std::vector<exec::RunResult> results = run->runGroups();
+                steps += results[0].steps;
+                benchmark::DoNotOptimize(full.races().size());
+            }
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_FusedFirstRound)->ArgName("live")->Arg(0)->Arg(1);
 
 void
 BM_FastTrackFullInstrumentation(benchmark::State &state)

@@ -1,16 +1,19 @@
 /**
  * @file
  * Record-once/analyze-many microbenchmark: real wall time for the
- * trace capture/replay subsystem, per workload and per path.
+ * trace capture/replay subsystem against live interpretation, per
+ * workload and per path.
  *
- * Two layers of measurement:
+ * Three layers of measurement:
  *
  *  1. Event level (best-of-N): for each workload's first testing
  *     input, the cost of (a) recording the trace once, (b) running a
  *     full-plan analysis on a live interpreter, and (c) replaying the
  *     recorded trace through the same analysis.  Replay skips guest
- *     fetch/decode/eval entirely, so (c) should beat (b) on delivered
- *     events/sec; the `replay_speedup` metric is (b)/(c) wall time.
+ *     evaluation but decodes the stream, which on the pre-decoded
+ *     interpreter costs more than running the program, so (c) is
+ *     slower than (b) even before (a) is paid; the `replay_speedup`
+ *     metric is (b)/(c) wall time.
  *
  *  2. Fused vs separate replay: the three FastTrack configurations
  *     runOptFt analyzes per testing input — full, hybrid, and
@@ -20,18 +23,17 @@
  *     separate/fused wall time.
  *
  *  3. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
- *     runOptSlice (Figure 6 workloads) with useTraceReplay off vs on.
- *     Results are byte-identical by construction (pinned by
- *     trace_replay_parity_test); what changes is interpreter work.
- *     The `interp_step_ratio` metric — direct interpretedSteps over
- *     replay interpretedSteps — is the headline: the direct path
- *     interprets every testing input 3+ times (full, hybrid,
- *     optimistic, plus rollbacks), the replay path exactly once, so
- *     the ratio must be >= 2 (the PR's acceptance bar) and is
- *     architecturally >= 3 on the FastTrack side.  `e2e_speedup` is
- *     the matching wall-clock ratio; its OptFT mean is reported
- *     against the 2x bar of the replay-decode roadmap item (a report,
- *     not a gate).
+ *     runOptSlice (Figure 6 workloads) on the default live path
+ *     (useTraceReplay off: one interpreter pass per input per round,
+ *     every configuration an attachment group of it) vs record-once
+ *     (useTraceReplay on: each input recorded once, every round
+ *     replays the capture).  Results are byte-identical (pinned by
+ *     trace_replay_parity_test).  `interp_step_ratio` is live over
+ *     record-once interpretedSteps: both interpret each input once for
+ *     the first round, and the live path once more per repair round
+ *     that re-runs it, so the ratio is 1 without repairs.
+ *     `e2e_speedup` is record-once over live wall time (above 1: the
+ *     live path is faster).
  *
  * OHA_BENCH_SMOKE=1 shrinks corpora and repetitions for CI smoke
  * runs.  JSON: BENCH_microbench_trace.json.
@@ -145,7 +147,7 @@ main()
             largestName = name;
         }
 
-        const Sample direct = measure(kReps, [&] {
+        const Sample live = measure(kReps, [&] {
             dyn::FastTrack tool;
             exec::Interpreter interp(module, input);
             interp.attach(&tool, &plan);
@@ -154,7 +156,7 @@ main()
                 std::abort();
             return result.delivered[0].total();
         });
-        row(name, "fasttrack-direct", direct);
+        row(name, "fasttrack-live", live);
 
         const exec::RecordedTrace trace = exec::recordRun(module, input);
         const Sample replay = measure(kReps, [&] {
@@ -169,7 +171,7 @@ main()
         row(name, "fasttrack-replay", replay);
 
         const double speedup =
-            replay.bestMs > 0 ? direct.bestMs / replay.bestMs : 0;
+            replay.bestMs > 0 ? live.bestMs / replay.bestMs : 0;
         json.metric(name, "fasttrack", "replay_speedup", speedup);
         replaySpeedups.push_back(speedup);
     }
@@ -180,7 +182,7 @@ main()
         const auto &input = workload.testingSet.front();
         const auto plan = dyn::fullGiriPlan(module);
 
-        const Sample direct = measure(kReps, [&] {
+        const Sample live = measure(kReps, [&] {
             dyn::GiriSlicer tool(module);
             exec::Interpreter interp(module, input);
             interp.attach(&tool, &plan);
@@ -189,7 +191,7 @@ main()
                 std::abort();
             return result.delivered[0].total();
         });
-        row(name, "giri-direct", direct);
+        row(name, "giri-live", live);
 
         const exec::RecordedTrace trace = exec::recordRun(module, input);
         const Sample replay = measure(kReps, [&] {
@@ -204,7 +206,7 @@ main()
         row(name, "giri-replay", replay);
 
         const double speedup =
-            replay.bestMs > 0 ? direct.bestMs / replay.bestMs : 0;
+            replay.bestMs > 0 ? live.bestMs / replay.bestMs : 0;
         json.metric(name, "giri", "replay_speedup", speedup);
         replaySpeedups.push_back(speedup);
     }
@@ -354,8 +356,8 @@ main()
                         spilled.events.sizeBytes()));
     }
 
-    // ---- Pipeline level: execute-once vs execute-per-configuration --
-    TextTable pipeTable({"workload", "pipeline", "direct ms", "replay ms",
+    // ---- Pipeline level: live passes vs record-once ------------------
+    TextTable pipeTable({"workload", "pipeline", "live ms", "replay ms",
                          "interp-step ratio", "e2e speedup"});
     std::vector<double> stepRatios;
     std::vector<double> optFtE2e;
@@ -363,15 +365,14 @@ main()
     for (const std::string &name : raceNames) {
         const auto workload =
             workloads::makeRaceWorkload(name, profileRuns, testRuns);
-        core::OptFtConfig direct = bench::standardOptFtConfig();
-        direct.useTraceReplay = false;
-        core::OptFtConfig replay = bench::standardOptFtConfig();
+        const core::OptFtConfig live = bench::standardOptFtConfig();
+        core::OptFtConfig replay = live;
         replay.useTraceReplay = true;
 
-        core::OptFtResult directResult, replayResult;
-        const Sample directMs = measure(kPipeReps, [&] {
-            directResult = core::runOptFt(workload, direct);
-            return directResult.interpretedSteps;
+        core::OptFtResult liveResult, replayResult;
+        const Sample liveMs = measure(kPipeReps, [&] {
+            liveResult = core::runOptFt(workload, live);
+            return liveResult.interpretedSteps;
         });
         const Sample replayMs = measure(kPipeReps, [&] {
             replayResult = core::runOptFt(workload, replay);
@@ -380,19 +381,18 @@ main()
 
         const double ratio =
             replayResult.interpretedSteps > 0
-                ? double(directResult.interpretedSteps) /
+                ? double(liveResult.interpretedSteps) /
                       double(replayResult.interpretedSteps)
                 : 0;
-        const double e2e = replayMs.bestMs > 0
-                               ? directMs.bestMs / replayMs.bestMs
-                               : 0;
+        const double e2e =
+            liveMs.bestMs > 0 ? replayMs.bestMs / liveMs.bestMs : 0;
         stepRatios.push_back(ratio);
         optFtE2e.push_back(e2e);
-        pipeTable.addRow({name, "optft", fmtDouble(directMs.bestMs, 1),
+        pipeTable.addRow({name, "optft", fmtDouble(liveMs.bestMs, 1),
                           fmtDouble(replayMs.bestMs, 1),
                           fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optft-direct", directMs.bestMs,
-                 directResult.interpretedSteps);
+        json.add(name, "optft-live", liveMs.bestMs,
+                 liveResult.interpretedSteps);
         json.add(name, "optft-replay", replayMs.bestMs,
                  replayResult.interpretedSteps);
         json.metric(name, "optft", "interp_step_ratio", ratio);
@@ -402,15 +402,14 @@ main()
     for (const std::string &name : sliceNames) {
         const auto workload =
             workloads::makeSliceWorkload(name, profileRuns, sliceTestRuns);
-        core::OptSliceConfig direct = bench::standardOptSliceConfig();
-        direct.useTraceReplay = false;
-        core::OptSliceConfig replay = bench::standardOptSliceConfig();
+        const core::OptSliceConfig live = bench::standardOptSliceConfig();
+        core::OptSliceConfig replay = live;
         replay.useTraceReplay = true;
 
-        core::OptSliceResult directResult, replayResult;
-        const Sample directMs = measure(kPipeReps, [&] {
-            directResult = core::runOptSlice(workload, direct);
-            return directResult.interpretedSteps;
+        core::OptSliceResult liveResult, replayResult;
+        const Sample liveMs = measure(kPipeReps, [&] {
+            liveResult = core::runOptSlice(workload, live);
+            return liveResult.interpretedSteps;
         });
         const Sample replayMs = measure(kPipeReps, [&] {
             replayResult = core::runOptSlice(workload, replay);
@@ -419,18 +418,17 @@ main()
 
         const double ratio =
             replayResult.interpretedSteps > 0
-                ? double(directResult.interpretedSteps) /
+                ? double(liveResult.interpretedSteps) /
                       double(replayResult.interpretedSteps)
                 : 0;
-        const double e2e = replayMs.bestMs > 0
-                               ? directMs.bestMs / replayMs.bestMs
-                               : 0;
+        const double e2e =
+            liveMs.bestMs > 0 ? replayMs.bestMs / liveMs.bestMs : 0;
         stepRatios.push_back(ratio);
-        pipeTable.addRow({name, "optslice", fmtDouble(directMs.bestMs, 1),
+        pipeTable.addRow({name, "optslice", fmtDouble(liveMs.bestMs, 1),
                           fmtDouble(replayMs.bestMs, 1),
                           fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optslice-direct", directMs.bestMs,
-                 directResult.interpretedSteps);
+        json.add(name, "optslice-live", liveMs.bestMs,
+                 liveResult.interpretedSteps);
         json.add(name, "optslice-replay", replayMs.bestMs,
                  replayResult.interpretedSteps);
         json.metric(name, "optslice", "interp_step_ratio", ratio);
@@ -442,19 +440,14 @@ main()
     const double meanRatio = bench::mean(stepRatios);
     std::printf("mean replay speedup (single analysis): %.2fx\n",
                 bench::mean(replaySpeedups));
-    std::printf("mean interpreter-work reduction (pipeline): %.2fx\n",
+    std::printf("mean live/record-once interpreted steps (pipeline): "
+                "%.2fx\n",
                 meanRatio);
     json.metric("aggregate", "all", "mean_interp_step_ratio", meanRatio);
-    if (meanRatio < 2.0) {
-        std::printf("WARNING: interpreter-work reduction below the 2x "
-                    "acceptance bar\n");
-    }
-    // Replay-decode roadmap bar: OptFT end to end at least 2x faster
-    // on the replay path.  Reported only; timing on shared hosts is
-    // too noisy to gate on.
+    // Reported only; timing on shared hosts is too noisy to gate on.
     const double meanE2e = bench::mean(optFtE2e);
-    std::printf("mean optft e2e speedup: %.2fx (roadmap bar 2x: %s)\n",
-                meanE2e, meanE2e >= 2.0 ? "met" : "not met");
+    std::printf("mean optft live speedup over record-once: %.2fx\n",
+                meanE2e);
     json.metric("aggregate", "optft", "mean_e2e_speedup", meanE2e);
 
     json.write();

@@ -14,12 +14,14 @@
  *  2. Cold pass: reset the shared cache, submit a mixed corpus of
  *     race + slice requests to a 4-shard daemon, collect per-request
  *     latency (queue + run wall time) and requests/sec.  Every static
- *     solve and trace capture misses.
+ *     solve and profiling observation misses.
  *
  *  3. Warm pass: rebuild every workload from scratch (NEW module
  *     objects — the cache is value-keyed, not pointer-keyed) and
- *     submit the same corpus again.  The static phase and the trace
- *     captures all hit; the acceptance bar is a >= 90% cache hit rate
+ *     submit the same corpus again.  The static phase and the
+ *     profiling observations all hit; the testing inputs run live
+ *     (the requests use the default configuration, which records no
+ *     trace captures).  The acceptance bar is a >= 90% cache hit rate
  *     and a warm p50 latency below 50% of cold p50.
  *
  *  4. Restart-warm pass: a daemon with a state directory snapshots
@@ -197,7 +199,7 @@ main()
 {
     bench::banner(
         "Service throughput: persistent daemon + shared cross-request cache",
-        "amortize predicated static analysis and trace capture across "
+        "amortize predicated static analysis and profiling across "
         "requests instead of paying them per invocation");
 
     const bool smoke = smokeMode();
@@ -214,12 +216,11 @@ main()
                             slice.begin() +
                                 std::min(sliceCount, slice.size()));
         // Small corpora on purpose: the shared cache carries the
-        // static phase, the trace captures and the profiling
-        // observations, but the per-configuration dynamic tools
-        // (FastTrack/Giri over the testing inputs) run live in every
-        // pass — the smaller the testing corpus, the closer the
-        // measurement is to the cacheable share of a steady-state
-        // daemon request.
+        // static phase and the profiling observations, but the
+        // dynamic tools (FastTrack/Giri over the testing inputs) run
+        // live in every pass — the smaller the testing corpus, the
+        // closer the measurement is to the cacheable share of a
+        // steady-state daemon request.
         corpus.profileRuns = smoke ? 2 : 4;
         corpus.raceTestRuns = 2;
         corpus.sliceTestRuns = 2;

@@ -17,8 +17,9 @@
 #                        # repository benchmark's own checks
 #                        # (perfbench/test.py)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
-#                        # recovery tests and the union-graph oracle
-#                        # (GiriUnion) under OHA_FAULT_SEED 1..3,
+#                        # recovery tests, the union-graph oracle
+#                        # (GiriUnion) and the live attachment groups
+#                        # (LiveGroups) under OHA_FAULT_SEED 1..3,
 #                        # each at OHA_THREADS=1 and 4 (seeded faults
 #                        # must repair identically at any thread count),
 #                        # then the I/O fault domain — persist-path
@@ -100,15 +101,18 @@ bench-release)
     # Interpreter floor: plain, recorded and profiled runs over every
     # race (slice:0) and slice (slice:1) workload's inputs, items =
     # steps, so the recorded/plain and profiled/plain ns/step ratios
-    # are tracked.  Recovery: warm, serial, fault-seeded OptFT
+    # are tracked.  OptFT's fused first round (full, hybrid and
+    # optimistic + checker groups) over every race program's testing
+    # inputs, replayed (live:0) or live (live:1), items = steps.
+    # Recovery: warm, serial, fault-seeded OptFT
     # (slice:0) and OptSlice (slice:1) over every program, items =
     # ops.  Leaves BENCH_microbench_components.json.
     "$build_dir"/bench/microbench_components \
-        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FaultedPipeline'
+        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FusedFirstRound|FaultedPipeline'
     # The repository benchmark's own checks: its reference digests
-    # (computed on the direct path) still match, and every workload's
-    # traced run passes and repeats its exact counts — so the fused
-    # replay path is held to the direct-path digests.
+    # still match, and every workload's traced run passes and repeats
+    # its exact counts — so the pipelines' default live path is held
+    # to the reference digests.
     python3 perfbench/test.py
     ;;
 faults)
@@ -121,7 +125,7 @@ faults)
                 "OHA_THREADS=$threads ==="
             OHA_FAULT_SEED="$seed" OHA_THREADS="$threads" \
                 ctest --test-dir "$build_dir" --output-on-failure \
-                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation|GiriUnion'
+                -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation|GiriUnion|LiveGroups'
         done
     done
     # I/O fault domain: every durable-file, capture-persist and
@@ -145,7 +149,8 @@ service)
     # queue, the service itself, the shared cross-request cache
     # (including the torture test), and the segmented-trace / fused-
     # replay paths whose captures and spill files are shared across
-    # concurrent replays.
+    # concurrent replays, and the live attachment groups run
+    # concurrently from worker threads.
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
@@ -154,7 +159,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

@@ -49,53 +49,47 @@ collectFtRun(exec::RunResult result, const dyn::FastTrack &tool,
     return out;
 }
 
-/** Run one execution with a FastTrack tool under @p plan. */
-FtRun
-runFastTrack(const ir::Module &module, const exec::ExecConfig &config,
-             const exec::InstrumentationPlan &plan,
-             dyn::InvariantChecker *checker = nullptr)
-{
-    dyn::FastTrack tool;
-    exec::Interpreter interp(module, config);
-    interp.attach(&tool, &plan);
-    if (checker) {
-        checker->setControl(&interp);
-        interp.attach(checker, &checker->plan());
-    }
-    return collectFtRun(interp.run(), tool, checker);
-}
-
-/** One FastTrack configuration of a fused replay: its plan and, for
- *  a speculative configuration, the invariant checker guarding it. */
+/** One FastTrack configuration of a grouped run: its plan and, for a
+ *  speculative configuration, the invariant checker guarding it. */
 struct FtConfig
 {
     const exec::InstrumentationPlan *plan;
     dyn::InvariantChecker *checker = nullptr;
 };
 
+/** The capture of input @p i, or null on the live path (no captures). */
+const exec::RecordedTrace *
+traceAt(const std::vector<std::shared_ptr<const exec::RecordedTrace>> &traces,
+        std::size_t i)
+{
+    return traces.empty() ? nullptr : traces[i].get();
+}
+
 /**
- * The same analyses driven from a recorded trace instead of a live
- * interpreter (record-once/analyze-many), all in one decode pass:
- * each configuration is its own attachment group, so a checker's
- * abort stops only its own configuration.  Every FtRun is
- * byte-identical to a live run of that configuration alone.
+ * Run every configuration over one pass of @p input — a live run, or
+ * a replay of its capture @p trace when non-null — each configuration
+ * its own attachment group, so a checker's abort stops only its own
+ * configuration.  Every FtRun equals a standalone run of that
+ * configuration alone.
  */
 std::vector<FtRun>
-replayFastTracks(const ir::Module &module, const exec::RecordedTrace &trace,
-                 const std::vector<FtConfig> &configs)
+runFastTracks(const ir::Module &module, const exec::ExecConfig &input,
+              const exec::RecordedTrace *trace,
+              const std::vector<FtConfig> &configs)
 {
-    exec::TraceReplayer replayer(module, trace);
+    const std::unique_ptr<exec::AttachmentGroups> run =
+        exec::openRun(module, input, trace);
     std::vector<dyn::FastTrack> tools(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        const exec::TraceReplayer::GroupId group =
-            c == 0 ? 0 : replayer.addGroup();
-        replayer.attach(group, &tools[c], configs[c].plan);
+        const exec::AttachmentGroups::GroupId group =
+            c == 0 ? 0 : run->addGroup();
+        run->attach(group, &tools[c], configs[c].plan);
         if (dyn::InvariantChecker *checker = configs[c].checker) {
-            checker->setControl(&replayer.control(group));
-            replayer.attach(group, checker, &checker->plan());
+            checker->setControl(&run->control(group));
+            run->attach(group, checker, &checker->plan());
         }
     }
-    std::vector<exec::RunResult> results = replayer.runGroups();
+    std::vector<exec::RunResult> results = run->runGroups();
     std::vector<FtRun> out;
     out.reserve(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c)
@@ -171,21 +165,31 @@ elidableWithUnlocks(const analysis::AndersenResult &andersen,
     return all;
 }
 
+/** What the no-custom-sync calibration decided and executed. */
+struct Calibration
+{
+    /** Lock and unlock sites whose instrumentation is elided. */
+    std::set<InstrId> elided;
+    /** Guest instructions of one run of each calibration input. */
+    std::uint64_t steps = 0;
+};
+
 /**
  * No-custom-sync calibration (Section 4.2.4): propose eliding
  * lock/unlock sites whose critical sections contain no remaining
  * dynamic checks, validate against a sound FastTrack on profiling
  * inputs, and withdraw candidates that produce false races.
  */
-std::set<InstrId>
+Calibration
 calibrateLockElision(const ir::Module &module,
                      const inv::InvariantSet &invariants,
                      const analysis::StaticRaceResult &predicated,
                      const workloads::Workload &workload,
                      std::size_t calibrationRuns, std::size_t threads,
+                     const std::vector<std::uint64_t> &profiledSteps,
                      const std::vector<
                          std::shared_ptr<const exec::RecordedTrace>>
-                         *traces)
+                         &traces)
 {
     // Candidate lock sites: no potentially-racy access holds them.
     // This is the same predicated CI configuration the static race
@@ -205,6 +209,34 @@ calibrateLockElision(const ir::Module &module,
         if (!guardingSites.count(lock))
             candidates.insert(lock);
 
+    const std::size_t runs =
+        std::min(calibrationRuns, workload.profilingSet.size());
+    OHA_ASSERT(traces.empty() || traces.size() >= runs,
+               "calibration traces must cover the calibration runs");
+
+    Calibration out;
+    if (candidates.empty()) {
+        // Nothing to validate, but the cost model prices the
+        // calibration runs all the same.  A calibration input the
+        // campaign profiled took as many steps then (@p profiledSteps
+        // is in profiling-input order); any other is counted on a pass
+        // without tools.
+        const std::vector<std::uint64_t> steps = support::runBatch(
+            runs,
+            [&](std::size_t i) {
+                if (i < profiledSteps.size())
+                    return profiledSteps[i];
+                return exec::openRun(module, workload.profilingSet[i],
+                                     traceAt(traces, i))
+                    ->run()
+                    .steps;
+            },
+            threads);
+        for (std::uint64_t n : steps)
+            out.steps += n;
+        return out;
+    }
+
     // For withdrawing offenders below: which functions each false
     // race implicates, including their direct callees.
     const analysis::CallGraph callgraph(module, andersen, &invariants);
@@ -212,39 +244,19 @@ calibrateLockElision(const ir::Module &module,
     const exec::InstrumentationPlan soundPlan =
         dyn::fullFastTrackPlan(module);
 
-    const std::size_t runs =
-        std::min(calibrationRuns, workload.profilingSet.size());
-    OHA_ASSERT(!traces || traces->size() >= runs,
-               "calibration traces must cover the calibration runs");
-
-    // Each calibration execution comes either from live runs or — in
-    // record-once mode — from one replay of the input's recorded
-    // trace that drives every requested plan, so every round of the
-    // elision loop reuses the same captures.
-    auto calibRaces =
-        [&](std::size_t i,
-            const std::vector<const exec::InstrumentationPlan *> &plans) {
-            std::vector<RacePairs> races;
-            if (traces) {
-                std::vector<FtConfig> configs;
-                for (const exec::InstrumentationPlan *plan : plans)
-                    configs.push_back({plan});
-                for (FtRun &run :
-                     replayFastTracks(module, *(*traces)[i], configs))
-                    races.push_back(std::move(run.races));
-            } else {
-                for (const exec::InstrumentationPlan *plan : plans)
-                    races.push_back(
-                        runFastTrack(module, workload.profilingSet[i],
-                                     *plan)
-                            .races);
-            }
-            return races;
-        };
+    // Every round makes one pass over each calibration input — a live
+    // run, or a replay of its capture in record-once mode — with each
+    // requested plan its own attachment group.
+    auto calibPass = [&](std::size_t i,
+                         const std::vector<FtConfig> &configs) {
+        return runFastTracks(module, workload.profilingSet[i],
+                             traceAt(traces, i), configs);
+    };
 
     // The sound reference races are loop-invariant (the plan never
     // changes across rounds): the first round computes them alongside
-    // its trial, in the same pass over each input.
+    // its trial, in the same pass over each input, and its sound
+    // runs count the calibration steps.
     std::vector<RacePairs> soundRaces;
     while (!candidates.empty()) {
         inv::InvariantSet trial = invariants;
@@ -256,18 +268,20 @@ calibrateLockElision(const ir::Module &module,
 
         // Validate every calibration trial of this round concurrently.
         const bool firstRound = soundRaces.size() < runs;
-        std::vector<std::vector<RacePairs>> roundRaces = support::runBatch(
+        std::vector<std::vector<FtRun>> roundRuns = support::runBatch(
             runs,
             [&](std::size_t i) {
-                return firstRound ? calibRaces(i, {&soundPlan, &optPlan})
-                                  : calibRaces(i, {&optPlan});
+                return firstRound ? calibPass(i, {{&soundPlan}, {&optPlan}})
+                                  : calibPass(i, {{&optPlan}});
             },
             threads);
         std::vector<RacePairs> optRaces;
-        for (std::vector<RacePairs> &races : roundRaces) {
-            if (firstRound)
-                soundRaces.push_back(std::move(races.front()));
-            optRaces.push_back(std::move(races.back()));
+        for (std::vector<FtRun> &passRuns : roundRuns) {
+            if (firstRound) {
+                out.steps += passRuns.front().result.steps;
+                soundRaces.push_back(std::move(passRuns.front().races));
+            }
+            optRaces.push_back(std::move(passRuns.back().races));
         }
 
         std::set<InstrId> falseRaceFuncs;
@@ -310,9 +324,9 @@ calibrateLockElision(const ir::Module &module,
             candidates.erase(std::prev(candidates.end()));
     }
 
-    return candidates.empty()
-               ? std::set<InstrId>{}
-               : elidableWithUnlocks(andersen, sites, candidates);
+    if (!candidates.empty())
+        out.elided = elidableWithUnlocks(andersen, sites, candidates);
+    return out;
 }
 
 /**
@@ -439,11 +453,10 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // ---- Phase 2b: no-custom-sync calibration -------------------------
     const std::size_t calibRuns = std::min(
         config.customSyncCalibrationRuns, workload.profilingSet.size());
-    // In record-once mode each calibration input is executed exactly
-    // once; every elision round then replays the captures.  With
-    // cacheTraceCaptures the captures come from (and feed) the shared
-    // cross-request cache, so a warm service request skips even that
-    // one execution.
+    // Live (the default), every elision round runs each calibration
+    // input once.  In record-once mode each input is recorded once and
+    // every round replays the capture; with cacheTraceCaptures the
+    // captures come from (and feed) the shared cross-request cache.
     auto capture = [&](const exec::ExecConfig &input) {
         return config.cacheTraceCaptures
                    ? exec::recordRunMemo(workload.module, input)
@@ -459,31 +472,17 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             },
             config.threads);
     }
-    std::uint64_t calibrationSteps = 0;
-    invariants.elidableLockSites = calibrateLockElision(
+    Calibration calibration = calibrateLockElision(
         module, invariants, predicated, workload, calibRuns, config.threads,
-        config.useTraceReplay ? &calibTraces : nullptr);
+        campaign.runSteps(), calibTraces);
+    invariants.elidableLockSites = std::move(calibration.elided);
     result.elidedLockSites = invariants.elidableLockSites.size();
-    // Calibration executions count as profiling cost.  The recording
-    // run's step count is the uninstrumented step count, so both modes
-    // price identically.
-    if (config.useTraceReplay) {
-        for (const auto &trace : calibTraces)
-            calibrationSteps += trace->result.steps;
-    } else {
-        const std::vector<std::uint64_t> probeSteps = support::runBatch(
-            calibRuns,
-            [&](std::size_t i) {
-                exec::Interpreter probe(module, workload.profilingSet[i]);
-                return probe.run().steps;
-            },
-            config.threads);
-        for (std::uint64_t steps : probeSteps)
-            calibrationSteps += steps;
-    }
+    // Calibration executions count as profiling cost.  Their step
+    // counts are the uninstrumented ones (the sound plan never aborts),
+    // so both modes price identically.
     result.profileSeconds =
         (double(campaign.profiledSteps()) +
-         2.0 * double(calibrationSteps)) *
+         2.0 * double(calibration.steps)) *
         cost.profilingOverhead / cost.unitsPerSecond * cost.offlineScale;
 
     // ---- Phase 3: dynamic analysis over the testing corpus ------------
@@ -498,9 +497,10 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
 
     const std::size_t numTests = workload.testingSet.size();
 
-    // Record once, analyze many: one uninstrumented execution per
-    // input captures the event stream; every analysis configuration
-    // (and every adaptive re-evaluation) replays it.
+    // Record-once mode: one uninstrumented execution per input
+    // captures the event stream; every analysis configuration (and
+    // every adaptive re-evaluation) replays it.  Live, there are no
+    // captures.
     std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
     if (config.useTraceReplay) {
         traces = support::runBatch(
@@ -543,51 +543,36 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         return eval;
     };
 
-    // In record-once mode each input's capture is decoded once for the
-    // references and the first adaptive round together: full, hybrid
-    // and optimistic FastTrack (with its checker) are three attachment
-    // groups of one replay, so the checker's abort truncates only the
+    // One pass per input — a live run, or a replay of its capture —
+    // serves the references and the first adaptive round together:
+    // full, hybrid and optimistic FastTrack (with its checker) are
+    // three attachment groups, so the checker's abort stops only the
     // optimistic configuration.
+    struct FusedEval
+    {
+        RefEval ref;
+        OptEval opt;
+    };
+    std::vector<FusedEval> fused = support::runBatch(
+        numTests,
+        [&](std::size_t i) {
+            dyn::InvariantChecker checker(module, invariants, checkerConfig);
+            std::vector<FtRun> runs = runFastTracks(
+                module, workload.testingSet[i], traceAt(traces, i),
+                {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
+            FusedEval eval;
+            eval.ref.full = std::move(runs[0]);
+            eval.ref.hybrid = std::move(runs[1]);
+            eval.opt = judge(std::move(runs[2]), checker);
+            return eval;
+        },
+        config.threads);
     std::vector<RefEval> refs(numTests);
     std::vector<OptEval> firstRound;
-    if (config.useTraceReplay) {
-        struct FusedEval
-        {
-            RefEval ref;
-            OptEval opt;
-        };
-        std::vector<FusedEval> fused = support::runBatch(
-            numTests,
-            [&](std::size_t i) {
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                std::vector<FtRun> runs = replayFastTracks(
-                    module, *traces[i],
-                    {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
-                FusedEval eval;
-                eval.ref.full = std::move(runs[0]);
-                eval.ref.hybrid = std::move(runs[1]);
-                eval.opt = judge(std::move(runs[2]), checker);
-                return eval;
-            },
-            config.threads);
-        firstRound.reserve(numTests);
-        for (std::size_t i = 0; i < numTests; ++i) {
-            refs[i] = std::move(fused[i].ref);
-            firstRound.push_back(std::move(fused[i].opt));
-        }
-    } else {
-        refs = support::runBatch(
-            numTests,
-            [&](std::size_t i) {
-                RefEval ref;
-                ref.full =
-                    runFastTrack(module, workload.testingSet[i], fullPlan);
-                ref.hybrid = runFastTrack(module, workload.testingSet[i],
-                                          hybridPlan);
-                return ref;
-            },
-            config.threads);
+    firstRound.reserve(numTests);
+    for (std::size_t i = 0; i < numTests; ++i) {
+        refs[i] = std::move(fused[i].ref);
+        firstRound.push_back(std::move(fused[i].opt));
     }
 
     // Speculative runs, in adaptive rounds.  Each round runs the
@@ -603,9 +588,8 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // degrades the remaining corpus to the sound hybrid configuration
     // when the repair budget or the observed misspeculation rate is
     // exceeded.
-    // In record-once mode the first round came out of the fused
-    // reference pass; later rounds replay only the optimistic
-    // configuration.
+    // The first round came out of the fused reference pass; later
+    // rounds run only the optimistic configuration.
     std::vector<OptEval> opts(numTests);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -627,7 +611,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         }
         const std::size_t start = next;
         const std::vector<OptEval> round =
-            start == 0 && config.useTraceReplay
+            start == 0
                 ? std::move(firstRound)
                 : support::runBatchUntil(
                       numTests - start,
@@ -635,15 +619,12 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                           const std::size_t i = start + k;
                           dyn::InvariantChecker checker(module, invariants,
                                                         checkerConfig);
-                          FtRun run =
-                              config.useTraceReplay
-                                  ? std::move(replayFastTracks(
-                                        module, *traces[i],
-                                        {{&optPlan, &checker}})[0])
-                                  : runFastTrack(module,
-                                                 workload.testingSet[i],
-                                                 optPlan, &checker);
-                          return judge(std::move(run), checker);
+                          return judge(
+                              std::move(runFastTracks(
+                                  module, workload.testingSet[i],
+                                  traceAt(traces, i),
+                                  {{&optPlan, &checker}})[0]),
+                              checker);
                       },
                       [&](const OptEval &eval) {
                           return config.adaptiveRecovery && eval.rolledBack;
@@ -654,6 +635,10 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         for (std::size_t k = 0; k < round.size(); ++k) {
             const std::size_t i = start + k;
             opts[i] = round[k];
+            // A repair round's live run is one more interpretation of
+            // the input.
+            if (start != 0 && !config.useTraceReplay)
+                result.interpretedSteps += opts[i].optimistic.result.steps;
             if (!opts[i].rolledBack)
                 continue;
             ++rollbacksSeen;
@@ -735,18 +720,11 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         if (finalRaces != ref.full.races)
             result.raceReportsMatch = false;
 
-        // Execute-once accounting.  The recording run is event- and
-        // step-identical to the full-plan run's underlying execution,
-        // so pricing from ref.full.result keeps both modes equal.
-        if (config.useTraceReplay) {
-            result.interpretedSteps += traces[i]->result.steps;
-        } else {
-            result.interpretedSteps += ref.full.result.steps +
-                                       ref.hybrid.result.steps +
-                                       opt.optimistic.result.steps;
-            if (opt.rolledBack)
-                result.interpretedSteps += ref.hybrid.result.steps;
-        }
+        // Execute-once accounting.  The fused pass (live, or the
+        // recording) is step-identical to the full-plan run, which
+        // never aborts, so pricing from ref.full.result keeps both
+        // modes equal.
+        result.interpretedSteps += ref.full.result.steps;
         result.recordSeconds +=
             priceTraceRecordSeconds(cost, ref.full.result);
         if (config.useTraceReplay) {

@@ -53,23 +53,22 @@ struct OptFtConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** Record-once/analyze-many: execute each testing (and
-     *  calibration) input once with a TraceRecorder, then drive the
-     *  full/hybrid/optimistic FastTrack configurations — and the
-     *  rollback re-analysis — from TraceReplayer instead of
-     *  re-interpreting.  The full, hybrid and first optimistic
-     *  configurations share one decode pass per input (replay
-     *  groups).  All reported results are byte-identical to the
-     *  direct path; only interpretedSteps/replayedEvents (and
-     *  wall-clock time) differ. */
-    bool useTraceReplay = true;
+    /** How each testing and calibration input is executed.  Off (the
+     *  default): one live interpreter run per input per round drives
+     *  every configuration as its own attachment group — full, hybrid
+     *  and optimistic FastTrack with its checker on the first round,
+     *  the sound and trial plans on a calibration round — with no
+     *  recording.  On (record-once/analyze-many): each input is
+     *  recorded once and every round replays the capture with the same
+     *  groups.  All reported results are identical either way; only
+     *  interpretedSteps/replayedEvents (and wall-clock time) differ. */
+    bool useTraceReplay = false;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
      *  privately.  Captures are value-keyed on (module, exec config),
-     *  so repeated pipeline invocations over a hot corpus — service
-     *  mode's steady state — skip the interpreter entirely.  Results
-     *  are identical either way (a capture is a pure function of its
-     *  key). */
+     *  so repeated pipeline invocations over a hot corpus skip the
+     *  recording run.  Results are identical either way (a capture is
+     *  a pure function of its key).  Ignored on the live path. */
     bool cacheTraceCaptures = true;
     /** Serve per-input profiling observations from the shared
      *  cross-request cache (profile/observation_cache.h).  Like trace
@@ -139,11 +138,14 @@ struct OptFtResult
     double breakEvenVsHybrid = -1.0;
     double breakEvenVsFastTrack = -1.0;
 
-    // Execute-once/replay-many accounting over the testing corpus.
-    // These two deliberately differ between useTraceReplay modes (the
-    // whole point is doing less interpreter work), so parity checks
-    // must exclude them.
-    /** Guest instructions actually pushed through fetch/decode/eval. */
+    // Execution accounting over the testing corpus.  These two
+    // deliberately differ between useTraceReplay modes, so parity
+    // checks must exclude them.
+    /** Guest instructions actually pushed through fetch/decode/eval:
+     *  one run (live pass or recording) per input, plus, live, each
+     *  kept repair-round run.  Evaluations a parallel round discards
+     *  past a rollback are not counted, so the figure does not depend
+     *  on the thread count. */
     std::uint64_t interpretedSteps = 0;
     /** Event records decoded from traces (0 on the direct path). */
     std::uint64_t replayedEvents = 0;

@@ -379,27 +379,6 @@ runOptSlice(const workloads::Workload &workload,
     checkerConfig.guardingLocks = false;
     checkerConfig.singletonThreads = false;
 
-    // Record-once mode: capture every testing input's trace exactly
-    // once, up front.  The traces are immutable afterwards, so the
-    // per-input jobs below replay them concurrently without
-    // synchronization.  With cacheTraceCaptures the captures
-    // come from (and feed) the shared cross-request cache, so a warm
-    // service request skips even the one recording execution.
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
-    if (config.useTraceReplay) {
-        traces = support::runBatch(
-            workload.testingSet.size(),
-            [&](std::size_t i) {
-                return config.cacheTraceCaptures
-                           ? exec::recordRunMemo(moduleSp,
-                                                 workload.testingSet[i])
-                           : std::make_shared<const exec::RecordedTrace>(
-                                 exec::recordRun(module,
-                                                 workload.testingSet[i]));
-            },
-            config.threads);
-    }
-
     // Every (testing input, endpoint) pair is a slicing task, ordered
     // input-major.  An input's endpoints share one Giri graph per
     // configuration, attached under the union of their plans; each
@@ -412,12 +391,51 @@ runOptSlice(const workloads::Workload &workload,
     const std::size_t numInputs = workload.testingSet.size();
     const std::size_t numEndpoints = endpoints.size();
     const std::size_t tasks = numInputs * numEndpoints;
+    const std::size_t refJobs = numEndpoints == 0 ? 0 : numInputs;
+
+    // Record-once mode: capture every testing input's trace exactly
+    // once, up front; every pass below replays it.  The traces are
+    // immutable afterwards, so the per-input jobs replay them
+    // concurrently without synchronization.  With cacheTraceCaptures
+    // the captures come from (and feed) the shared cross-request
+    // cache.  Live, there are no captures.
+    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
+    if (config.useTraceReplay) {
+        traces = support::runBatch(
+            refJobs,
+            [&](std::size_t i) {
+                return config.cacheTraceCaptures
+                           ? exec::recordRunMemo(moduleSp,
+                                                 workload.testingSet[i])
+                           : std::make_shared<const exec::RecordedTrace>(
+                                 exec::recordRun(module,
+                                                 workload.testingSet[i]));
+            },
+            config.threads);
+    }
+    // One pass over @p input: a live run, or a replay of its capture.
+    auto openPass = [&](std::size_t input) {
+        return exec::openRun(module, workload.testingSet[input],
+                             traces.empty() ? nullptr : traces[input].get());
+    };
+
     struct OptEval
     {
         GiriRun optimistic;
         bool rolledBack = false;
         bool degraded = false;
         dyn::Violation violation;
+    };
+    // Attach the optimistic @p graph under @p plan, guarded by
+    // @p checker, as @p group of @p run.
+    auto attachOptimistic = [](exec::AttachmentGroups &run,
+                               exec::AttachmentGroups::GroupId group,
+                               dyn::GiriSlicer &graph,
+                               const exec::InstrumentationPlan &plan,
+                               dyn::InvariantChecker &checker) {
+        run.attach(group, &graph, &plan);
+        checker.setControl(&run.control(group));
+        run.attach(group, &checker, &checker.plan());
     };
     // Judge endpoints [first, E) off one optimistic union graph.  The
     // checker depends only on the invariants, so every endpoint
@@ -437,92 +455,50 @@ runOptSlice(const workloads::Workload &workload,
         }
         return evals;
     };
-
-    // One execution of @p input through @p graph under @p plan (and
-    // @p checker, if any): a replay of its capture in record-once
-    // mode, a live run otherwise.
-    auto execute = [&](std::size_t input, const exec::InstrumentationPlan &plan,
-                       dyn::GiriSlicer &graph,
-                       dyn::InvariantChecker *checker) {
-        auto drive = [&](auto &source) {
-            source.attach(&graph, &plan);
-            if (checker) {
-                checker->setControl(&source);
-                source.attach(checker, &checker->plan());
-            }
-            return source.run();
-        };
-        if (config.useTraceReplay) {
-            exec::TraceReplayer replayer(module, *traces[input]);
-            return drive(replayer);
-        }
-        exec::Interpreter interp(module, workload.testingSet[input]);
-        return drive(interp);
-    };
     // One optimistic evaluation of endpoints [first, E) of @p input
     // under @p plan, the union of their current optimistic plans.
     auto evaluateOptimistic = [&](std::size_t input, std::size_t first,
                                   const exec::InstrumentationPlan &plan) {
         dyn::GiriSlicer graph(module);
         dyn::InvariantChecker checker(module, invariants, checkerConfig);
-        const exec::RunResult run = execute(input, plan, graph, &checker);
-        return judge(run, graph, first, checker);
+        const std::unique_ptr<exec::AttachmentGroups> run = openPass(input);
+        attachOptimistic(*run, 0, graph, plan, checker);
+        return judge(run->run(), graph, first, checker);
     };
 
-    // In record-once mode each input's capture is decoded once for the
-    // references and the first adaptive round together: group 0 holds
-    // the hybrid graph, a second group the optimistic graph and the
-    // checker, whose abort truncates only its own group.
+    // One pass per input serves the references and the first adaptive
+    // round together: group 0 holds the hybrid graph, a second group
+    // the optimistic graph and the checker, whose abort stops only its
+    // own group.
     const exec::InstrumentationPlan hybridUnion =
         unionPlan(module, hybridPlans, 0);
-    const std::size_t refJobs = numEndpoints == 0 ? 0 : numInputs;
+    const exec::InstrumentationPlan firstOptUnion =
+        unionPlan(module, optPlans, 0);
+    auto fused = support::runBatch(
+        refJobs,
+        [&](std::size_t input) {
+            const std::unique_ptr<exec::AttachmentGroups> run = openPass(input);
+            dyn::GiriSlicer hybrid(module);
+            run->attach(&hybrid, &hybridUnion);
+            dyn::GiriSlicer opt(module);
+            dyn::InvariantChecker checker(module, invariants, checkerConfig);
+            attachOptimistic(*run, run->addGroup(), opt, firstOptUnion,
+                             checker);
+            const std::vector<exec::RunResult> results = run->runGroups();
+            return std::pair{readUnionGraph(results[0], hybrid, endpoints,
+                                            hybridPlans, 0, nullptr),
+                             judge(results[1], opt, 0, checker)};
+        },
+        config.threads);
     std::vector<GiriRun> refs;
     refs.reserve(tasks);
     std::vector<std::vector<OptEval>> firstRound;
-    if (config.useTraceReplay) {
-        const exec::InstrumentationPlan optUnion =
-            unionPlan(module, optPlans, 0);
-        auto fused = support::runBatch(
-            refJobs,
-            [&](std::size_t input) {
-                exec::TraceReplayer replayer(module, *traces[input]);
-                dyn::GiriSlicer hybrid(module);
-                replayer.attach(&hybrid, &hybridUnion);
-                const exec::TraceReplayer::GroupId optGroup =
-                    replayer.addGroup();
-                dyn::GiriSlicer opt(module);
-                dyn::InvariantChecker checker(module, invariants,
-                                              checkerConfig);
-                replayer.attach(optGroup, &opt, &optUnion);
-                checker.setControl(&replayer.control(optGroup));
-                replayer.attach(optGroup, &checker, &checker.plan());
-                const std::vector<exec::RunResult> results =
-                    replayer.runGroups();
-                return std::pair{readUnionGraph(results[0], hybrid,
-                                                endpoints, hybridPlans, 0,
-                                                nullptr),
-                                 judge(results[1], opt, 0, checker)};
-            },
-            config.threads);
-        for (auto &[ref, opt] : fused) {
-            std::move(ref.begin(), ref.end(), std::back_inserter(refs));
-            firstRound.push_back(std::move(opt));
-        }
-    } else {
-        auto perInput = support::runBatch(
-            refJobs,
-            [&](std::size_t input) {
-                dyn::GiriSlicer graph(module);
-                const exec::RunResult run =
-                    execute(input, hybridUnion, graph, nullptr);
-                return readUnionGraph(run, graph, endpoints, hybridPlans, 0,
-                                      nullptr);
-            },
-            config.threads);
-        for (auto &ref : perInput) {
-            result.interpretedSteps += ref.front().result.steps;
-            std::move(ref.begin(), ref.end(), std::back_inserter(refs));
-        }
+    for (auto &[ref, opt] : fused) {
+        // The pass (live, or the recording) is step-identical to the
+        // hybrid run, which never aborts.
+        result.interpretedSteps += ref.front().result.steps;
+        std::move(ref.begin(), ref.end(), std::back_inserter(refs));
+        firstRound.push_back(std::move(opt));
     }
 
     // Speculative runs, in adaptive rounds (same repair loop as
@@ -534,8 +510,8 @@ runOptSlice(const workloads::Workload &workload,
     // predicated points-to + slicing phase re-runs through the memo
     // caches, the per-endpoint plans are rebuilt, and the next round
     // restarts at the following task — so results equal the serial
-    // repair loop at any thread count.  In record-once mode the first
-    // round came out of the fused reference pass.
+    // repair loop at any thread count.  The first round came out of the
+    // fused reference pass.
     std::vector<OptEval> opts(tasks);
     const RecoveryBreaker breaker{config.maxRepredications,
                                   config.misspecRateThreshold,
@@ -554,16 +530,11 @@ runOptSlice(const workloads::Workload &workload,
                 opts[task].optimistic = refs[task];
                 opts[task].degraded = true;
             }
-            if (!config.useTraceReplay) {
-                for (std::size_t input = firstInput; input < numInputs;
-                     ++input)
-                    result.interpretedSteps +=
-                        refs[input * numEndpoints].result.steps;
-            }
             break;
         }
+        const bool repairRound = next != 0;
         std::vector<std::vector<OptEval>> round;
-        if (next == 0 && config.useTraceReplay) {
+        if (!repairRound) {
             round = std::move(firstRound);
         } else {
             const exec::InstrumentationPlan optUnion =
@@ -588,16 +559,11 @@ runOptSlice(const workloads::Workload &workload,
         for (std::size_t k = 0; k < round.size() && next == tasks; ++k) {
             const std::size_t input = firstInput + k;
             const std::size_t first = k == 0 ? firstEndpoint : 0;
-            if (!config.useTraceReplay) {
-                // The direct path interprets each kept optimistic run,
-                // and a rollback re-executes the input under the hybrid
-                // plans, as the cost model prices it.
+            // A repair round's live run is one more interpretation of
+            // the input.
+            if (repairRound && !config.useTraceReplay)
                 result.interpretedSteps +=
                     round[k].front().optimistic.result.steps;
-                if (round[k].front().rolledBack)
-                    result.interpretedSteps +=
-                        refs[input * numEndpoints].result.steps;
-            }
             for (std::size_t j = 0; j < round[k].size(); ++j) {
                 const std::size_t task = input * numEndpoints + first + j;
                 opts[task] = std::move(round[k][j]);
@@ -646,13 +612,6 @@ runOptSlice(const workloads::Workload &workload,
                 break;
             }
         }
-    }
-
-    // In record-once mode each input's interpreter work happened once,
-    // at capture time, regardless of how many endpoint tasks share it.
-    if (config.useTraceReplay) {
-        for (const auto &trace : traces)
-            result.interpretedSteps += trace->result.steps;
     }
 
     // Fold serially in task order, so cost accumulation — including

@@ -53,19 +53,19 @@ struct OptSliceConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** Record-once/analyze-many: execute each testing input once with
-     *  a TraceRecorder, then drive the hybrid and optimistic Giri
-     *  configurations — and the rollback re-analysis — from
-     *  TraceReplayer.  Either path builds one Giri graph per input
-     *  and configuration under the union of the endpoints' plans; on
-     *  this path the hybrid graph and the first optimistic graph
-     *  share one decode pass per input (replay groups).  All reported
-     *  results are byte-identical to the direct path; only
+    /** How each testing input is executed.  Off (the default): one
+     *  live interpreter run per input per round, with the hybrid and
+     *  the optimistic union Giri graphs as two attachment groups of
+     *  the first round's run, and no recording.  On
+     *  (record-once/analyze-many): each input is recorded once and
+     *  every round replays the capture with the same groups.  All
+     *  reported results are identical either way; only
      *  interpretedSteps/replayedEvents (and wall-clock time) differ. */
-    bool useTraceReplay = true;
+    bool useTraceReplay = false;
     /** With useTraceReplay: serve captures from the shared
      *  cross-request cache (exec/trace_cache.h) instead of recording
-     *  privately — see OptFtConfig::cacheTraceCaptures. */
+     *  privately — see OptFtConfig::cacheTraceCaptures.  Ignored on the
+     *  live path. */
     bool cacheTraceCaptures = true;
     /** Serve profiling observations from the shared cache — see
      *  OptFtConfig::cacheProfileObservations. */

@@ -36,6 +36,18 @@ binop(Value &dst, const Value &lhs, const Value &rhs)
     return true;
 }
 
+/** @p counts, the events of @p executed steps counted by class except
+ *  Other, with Other filled in: every step either fires exactly one
+ *  event of its class or is a branch, and the block entries are the
+ *  branches plus the calls. */
+EventCounts
+withOther(EventCounts counts, std::uint64_t executed)
+{
+    counts[EventClass::Other] =
+        executed - (counts.total() - counts[EventClass::Call]);
+    return counts;
+}
+
 } // namespace
 
 EventClass
@@ -58,17 +70,10 @@ eventClassOf(ir::Opcode op)
 }
 
 Interpreter::Interpreter(const ir::Module &module, ExecConfig config)
-    : module_(module), decoded_(module.decoded()),
-      config_(std::move(config)), rng_(config_.scheduleSeed)
+    : AttachmentGroups(kMaxAttachments), module_(module),
+      decoded_(module.decoded()), config_(std::move(config)),
+      rng_(config_.scheduleSeed)
 {
-}
-
-void
-Interpreter::attach(Tool *tool, const InstrumentationPlan *plan)
-{
-    OHA_ASSERT(tool && plan);
-    attachments_.push_back({tool, plan});
-    delivered_.emplace_back();
 }
 
 InstrId
@@ -105,32 +110,12 @@ Interpreter::allocObject(InstrId site, std::uint32_t cells)
 }
 
 void
-Interpreter::requestAbort(std::string reason)
-{
-    if (!abortRequested_) {
-        abortRequested_ = true;
-        abortReason_ = std::move(reason);
-    }
-}
-
-void
-Interpreter::requestAbort(std::string reason, const AbortMetadata &meta)
-{
-    if (!abortRequested_) {
-        abortMeta_ = meta;
-        requestAbort(std::move(reason));
-    }
-}
-
-void
 Interpreter::buildDispatchTables()
 {
-    OHA_ASSERT(attachments_.size() <= 8,
-               "dispatch masks hold at most 8 attachments");
     instrMask_.assign(module_.numInstrs(), 0);
     blockMask_.assign(module_.numBlocks(), 0);
-    for (std::size_t i = 0; i < attachments_.size(); ++i) {
-        const InstrumentationPlan &plan = *attachments_[i].plan;
+    for (std::size_t i = 0; i < attachments().size(); ++i) {
+        const InstrumentationPlan &plan = *attachments()[i].plan;
         const auto bit = static_cast<std::uint8_t>(1u << i);
         for (InstrId id = 0; id < instrMask_.size(); ++id)
             if (plan.coversInstr(id))
@@ -142,13 +127,33 @@ Interpreter::buildDispatchTables()
 }
 
 void
+Interpreter::stopAbortedGroupsAt(std::uint64_t executed,
+                                 const EventCounts &counts)
+{
+    Boundary at;
+    at.steps = steps_ + executed;
+    at.totalEvents = totalEvents_;
+    at.totalEvents.add(withOther(counts, executed));
+    at.numThreads = static_cast<std::uint32_t>(threads_.size());
+    at.outputs = outputs_.size();
+    at.schedule = schedule_.size();
+    const auto keep = static_cast<std::uint8_t>(~stopAbortedGroups(at));
+    if (keep == 0xff)
+        return;
+    for (std::uint8_t &mask : instrMask_)
+        mask &= keep;
+    for (std::uint8_t &mask : blockMask_)
+        mask &= keep;
+}
+
+void
 Interpreter::fireEvent(const EventCtx &ctx, std::uint8_t mask,
                        EventClass cls)
 {
     for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         ++delivered_[i][cls];
-        attachments_[i].tool->onEvent(ctx);
+        attachments()[i].tool->onEvent(ctx);
     }
 }
 
@@ -159,7 +164,7 @@ Interpreter::fireBlockEnter(ThreadId tid, BlockId block)
     for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         ++delivered_[i][EventClass::BlockEnter];
-        attachments_[i].tool->onBlockEnter(tid, block);
+        attachments()[i].tool->onBlockEnter(tid, block);
     }
 }
 
@@ -198,8 +203,9 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
         rec = recorder_->open(tid);
         rec.threadStart(step, parent, spawnSite);
     }
-    for (auto &attachment : attachments_)
-        attachment.tool->onThreadStart(tid, parent, spawnSite);
+    for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
+        attachments()[std::countr_zero(mask)].tool->onThreadStart(
+            tid, parent, spawnSite);
 
     const ir::DecodedFunction &entry = decoded_.functions[func];
     const Frame &frame = pushFrame(thread, entry, numArgs, kNoInstr);
@@ -483,8 +489,10 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 if constexpr (kRecord)
                     rec.threadFinish(false);
                 if constexpr (kTools) {
-                    for (auto &attachment : attachments_)
-                        attachment.tool->onThreadFinish(tid);
+                    for (std::uint64_t mask = liveMask(); mask;
+                         mask &= mask - 1)
+                        attachments()[std::countr_zero(mask)]
+                            .tool->onThreadFinish(tid);
                 }
                 for (auto &other : threads_) {
                     if (other.state == ThreadState::BlockedOnJoin &&
@@ -635,8 +643,11 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
         if constexpr (kTools) {
             if (toolsRan) {
                 toolsRan = false;
-                if (abortRequested_)
-                    break;
+                if (abortPending()) {
+                    stopAbortedGroupsAt(budget - left, counts);
+                    if (liveGroups() == 0)
+                        break;
+                }
             }
         }
     }
@@ -646,26 +657,25 @@ out:
         frame->pc = pc;
     const std::uint64_t executed = budget - left;
     steps_ += executed;
-    counts[EventClass::Other] =
-        executed - (counts.total() - counts[EventClass::Call]);
-    totalEvents_.add(counts);
+    totalEvents_.add(withOther(counts, executed));
     if constexpr (kRecord)
         recorder_->commit(rec);
     return fault;
 }
 
-RunResult
-Interpreter::run()
+std::vector<RunResult>
+Interpreter::runGroups()
 {
-    RunResult result;
+    RunResult end;
 
-    if (!attachments_.empty())
+    delivered_.assign(attachments().size(), EventCounts{});
+    if (!attachments().empty())
         buildDispatchTables();
     const char *(Interpreter::*runQuantumFn)(ThreadId, std::uint64_t) =
-        recorder_ ? (attachments_.empty()
+        recorder_ ? (attachments().empty()
                          ? &Interpreter::runQuantum<true, false>
                          : &Interpreter::runQuantum<true, true>)
-                  : (attachments_.empty()
+                  : (attachments().empty()
                          ? &Interpreter::runQuantum<false, false>
                          : &Interpreter::runQuantum<false, true>);
 
@@ -681,14 +691,14 @@ Interpreter::run()
 
     std::vector<std::uint32_t> runnable;
     while (true) {
-        if (abortRequested_) {
-            result.status = RunResult::Status::Aborted;
-            result.abortReason = abortReason_;
-            result.abortMeta = abortMeta_;
+        // Aborts requested outside a quantum's step loop (thread start
+        // and finish callbacks) stop their groups here.
+        if (abortPending())
+            stopAbortedGroupsAt(0, {});
+        if (liveGroups() == 0)
             break;
-        }
         if (steps_ >= config_.maxSteps) {
-            result.status = RunResult::Status::StepLimit;
+            end.status = RunResult::Status::StepLimit;
             break;
         }
 
@@ -701,10 +711,10 @@ Interpreter::run()
                 anyLive = true;
         }
         if (runnable.empty()) {
-            result.status = anyLive ? RunResult::Status::Deadlock
-                                    : RunResult::Status::Finished;
+            end.status = anyLive ? RunResult::Status::Deadlock
+                                 : RunResult::Status::Finished;
             if (anyLive)
-                result.abortReason = "deadlock: all live threads blocked";
+                end.abortReason = "deadlock: all live threads blocked";
             break;
         }
 
@@ -735,19 +745,18 @@ Interpreter::run()
         }
 
         if (const char *fault = (this->*runQuantumFn)(pick, quantum)) {
-            result.status = RunResult::Status::RuntimeError;
-            result.abortReason = fault;
+            end.status = RunResult::Status::RuntimeError;
+            end.abortReason = fault;
             break;
         }
     }
 
-    result.outputs = std::move(outputs_);
-    result.schedule = std::move(schedule_);
-    result.steps = steps_;
-    result.totalEvents = totalEvents_;
-    result.delivered = delivered_;
-    result.numThreads = static_cast<std::uint32_t>(threads_.size());
-    return result;
+    end.outputs = std::move(outputs_);
+    end.schedule = std::move(schedule_);
+    end.steps = steps_;
+    end.totalEvents = totalEvents_;
+    end.numThreads = static_cast<std::uint32_t>(threads_.size());
+    return groupResults(std::move(end), delivered_);
 }
 
 } // namespace oha::exec

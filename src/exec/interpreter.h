@@ -18,24 +18,12 @@
 #include <vector>
 
 #include "exec/event.h"
+#include "exec/groups.h"
 #include "exec/value.h"
 #include "ir/module.h"
 #include "support/rng.h"
 
 namespace oha::exec {
-
-/** One scheduler decision: which thread ran, for how many steps. */
-struct ScheduleStep
-{
-    ThreadId thread;
-    std::uint32_t quantum;
-
-    bool
-    operator==(const ScheduleStep &other) const
-    {
-        return thread == other.thread && quantum == other.quantum;
-    }
-};
 
 /** Inputs that fully determine an execution. */
 struct ExecConfig
@@ -61,55 +49,22 @@ struct ExecConfig
     std::vector<ScheduleStep> replaySchedule;
 };
 
-/** Outcome and accounting of one execution. */
-struct RunResult
-{
-    enum class Status
-    {
-        Finished,     ///< program ran to completion
-        Aborted,      ///< a tool requested abort (invariant violation)
-        RuntimeError, ///< the guest program faulted
-        Deadlock,     ///< all live threads blocked
-        StepLimit,    ///< maxSteps exceeded
-    };
-
-    Status status = Status::Finished;
-    std::string abortReason;
-    /** Structured metadata from the aborting tool (all-zero unless the
-     *  abort came through the metadata-carrying requestAbort). */
-    AbortMetadata abortMeta;
-
-    /** (instruction, value) pairs emitted by Output, in order. */
-    std::vector<std::pair<InstrId, std::int64_t>> outputs;
-
-    /** Total guest instructions executed. */
-    std::uint64_t steps = 0;
-    /** All events that occurred, by class, instrumented or not. */
-    EventCounts totalEvents;
-    /** Events actually delivered, per attached tool. */
-    std::vector<EventCounts> delivered;
-    /** Number of threads ever created (main included). */
-    std::uint32_t numThreads = 0;
-
-    /** Scheduler trace (only when ExecConfig::recordSchedule). */
-    std::vector<ScheduleStep> schedule;
-
-    bool finished() const { return status == Status::Finished; }
-};
-
 class TraceRecorder;
 
-/** Deterministic IR interpreter with instrumentation attachments. */
-class Interpreter : public ExecutionControl
+/**
+ * Deterministic IR interpreter with instrumentation attachments.  The
+ * tools may form several attachment groups (groups.h): one live run
+ * then drives every group, and a group whose tool aborts stops alone,
+ * with the result a standalone run of the group would report.
+ */
+class Interpreter : public AttachmentGroups
 {
   public:
-    Interpreter(const ir::Module &module, ExecConfig config);
+    /** Attachments one run can drive (the width of the per-site
+     *  dispatch masks), across all groups. */
+    static constexpr std::size_t kMaxAttachments = 8;
 
-    /**
-     * Attach a tool filtered by @p plan.  Both must outlive run().
-     * Tools are notified in attachment order.
-     */
-    void attach(Tool *tool, const InstrumentationPlan *plan);
+    Interpreter(const ir::Module &module, ExecConfig config);
 
     /** Attach a trace-capture sink (trace.h).  Unlike a Tool, the
      *  recorder sees every event unconditionally — before plan
@@ -118,13 +73,9 @@ class Interpreter : public ExecutionControl
      *  run(). */
     void setRecorder(TraceRecorder *recorder) { recorder_ = recorder; }
 
-    /** Execute the program to completion (or abort). */
-    RunResult run();
-
-    /** Stop the execution from inside a tool callback. */
-    void requestAbort(std::string reason) override;
-    void requestAbort(std::string reason,
-                      const AbortMetadata &meta) override;
+    /** Execute the program through every group to completion, or
+     *  until every group has aborted. */
+    std::vector<RunResult> runGroups() override;
 
     const ir::Module &module() const { return module_; }
 
@@ -175,12 +126,6 @@ class Interpreter : public ExecutionControl
         std::vector<Value> cells;
     };
 
-    struct Attachment
-    {
-        Tool *tool;
-        const InstrumentationPlan *plan;
-    };
-
     /** Execute up to @p quantum instructions of thread @p tid,
      *  stopping early when it blocks, finishes, faults, aborts, or
      *  hits the step limit.  Specialized on whether a recorder and
@@ -207,6 +152,12 @@ class Interpreter : public ExecutionControl
      *  attachment i).  Built only when tools are attached. */
     void buildDispatchTables();
 
+    /** Stop the groups with a pending abort at the boundary
+     *  @p executed steps into the current quantum, whose events so far
+     *  are @p counts, and clear their tools' dispatch bits. */
+    void stopAbortedGroupsAt(std::uint64_t executed,
+                             const EventCounts &counts);
+
     void fireEvent(const EventCtx &ctx, std::uint8_t mask, EventClass cls);
     void fireBlockEnter(ThreadId tid, BlockId block);
 
@@ -217,7 +168,6 @@ class Interpreter : public ExecutionControl
     ExecConfig config_;
     Rng rng_;
 
-    std::vector<Attachment> attachments_;
     TraceRecorder *recorder_ = nullptr;
     /** Per-instruction and per-block OR of attachment cover bits;
      *  0 = no tool listens and the event path is skipped wholesale. */
@@ -235,10 +185,6 @@ class Interpreter : public ExecutionControl
     EventCounts totalEvents_;
     std::vector<EventCounts> delivered_;
     std::vector<std::pair<InstrId, std::int64_t>> outputs_;
-
-    bool abortRequested_ = false;
-    std::string abortReason_;
-    AbortMetadata abortMeta_;
 };
 
 } // namespace oha::exec

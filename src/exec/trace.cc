@@ -866,91 +866,10 @@ recordRun(const ir::Module &module, const ExecConfig &config,
 
 // ------------------------------------------------------------------ replay
 
-/** One attachment group's abort control, plus the result frozen when
- *  the replay stops the group at an instruction boundary. */
-class TraceReplayer::Group final : public ExecutionControl
-{
-  public:
-    explicit Group(bool *abortPending) : abortPending_(abortPending) {}
-    Group(const Group &) = delete;
-    Group &operator=(const Group &) = delete;
-
-    void
-    requestAbort(std::string reason) override
-    {
-        if (!abortRequested) {
-            abortRequested = true;
-            abortReason = std::move(reason);
-            *abortPending_ = true;
-        }
-    }
-
-    void
-    requestAbort(std::string reason, const AbortMetadata &meta) override
-    {
-        if (!abortRequested) {
-            abortMeta = meta;
-            requestAbort(std::move(reason));
-        }
-    }
-
-    bool abortRequested = false;
-    std::string abortReason;
-    AbortMetadata abortMeta;
-    /** Dispatch-mask bits of this group's attachments. */
-    std::uint64_t bits = 0;
-    bool stopped = false;
-    /** Valid once stopped; outputs are filled in at the end. */
-    RunResult result;
-    std::size_t outputsAtStop = 0;
-
-  private:
-    bool *abortPending_;
-};
-
 TraceReplayer::TraceReplayer(const ir::Module &module,
                              const RecordedTrace &trace)
-    : module_(module), trace_(trace)
+    : AttachmentGroups(kMaxAttachments), module_(module), trace_(trace)
 {
-    addGroup();
-}
-
-TraceReplayer::~TraceReplayer() = default;
-
-TraceReplayer::GroupId
-TraceReplayer::addGroup()
-{
-    groups_.push_back(std::make_unique<Group>(&abortPending_));
-    return groups_.size() - 1;
-}
-
-void
-TraceReplayer::attach(GroupId group, Tool *tool,
-                      const InstrumentationPlan *plan)
-{
-    OHA_ASSERT(tool && plan && group < groups_.size());
-    OHA_ASSERT(attachments_.size() < kMaxAttachments,
-               "dispatch masks hold at most 64 attachments");
-    attachments_.push_back({tool, plan, group});
-}
-
-ExecutionControl &
-TraceReplayer::control(GroupId group)
-{
-    OHA_ASSERT(group < groups_.size());
-    return *groups_[group];
-}
-
-void
-TraceReplayer::requestAbort(std::string reason)
-{
-    groups_[0]->requestAbort(std::move(reason));
-}
-
-void
-TraceReplayer::requestAbort(std::string reason, const AbortMetadata &meta)
-{
-    groups_[0]->requestAbort(std::move(reason), meta);
 }
 
 std::vector<RunResult>
@@ -969,12 +888,10 @@ TraceReplayer::runGroups()
     for (InstrId id = 0; id < numInstrs; ++id)
         dispatch[id] = {0, eventClassOf(module_.instr(id).op)};
     std::vector<std::uint64_t> blockMask(numBlocks, 0);
-    std::uint64_t liveMask = 0;
-    for (std::size_t i = 0; i < attachments_.size(); ++i) {
-        const InstrumentationPlan &plan = *attachments_[i].plan;
+    const std::vector<Attachment> &attachments = this->attachments();
+    for (std::size_t i = 0; i < attachments.size(); ++i) {
+        const InstrumentationPlan &plan = *attachments[i].plan;
         const std::uint64_t bit = std::uint64_t{1} << i;
-        liveMask |= bit;
-        groups_[attachments_[i].group]->bits |= bit;
         for (InstrId id = 0; id < numInstrs; ++id)
             if (plan.coversInstr(id))
                 dispatch[id].mask |= bit;
@@ -982,7 +899,7 @@ TraceReplayer::runGroups()
             if (plan.coversBlock(id))
                 blockMask[id] |= bit;
     }
-    std::vector<EventCounts> delivered(attachments_.size());
+    std::vector<EventCounts> delivered(attachments.size());
 
     // Shadow call stacks: the interpreter assigns frame ids globally
     // sequentially from 1 (main's root first), and the record stream
@@ -1001,34 +918,20 @@ TraceReplayer::runGroups()
     std::vector<std::pair<InstrId, std::int64_t>> outputs;
     std::uint64_t stepsStarted = 0;
     std::uint32_t numThreads = 0;
-    std::size_t liveGroups = groups_.size();
 
     // Freeze every group with a pending abort at the current
-    // instruction boundary — exactly where a standalone replay of the
-    // group would stop — and drop its tools from every dispatch path.
-    const auto stopAbortedGroups = [&] {
-        abortPending_ = false;
-        for (const std::unique_ptr<Group> &group : groups_) {
-            if (group->stopped || !group->abortRequested)
-                continue;
-            group->stopped = true;
-            --liveGroups;
-            RunResult &result = group->result;
-            result.status = RunResult::Status::Aborted;
-            result.abortReason = group->abortReason;
-            result.abortMeta = group->abortMeta;
-            result.steps = stepsStarted;
-            result.totalEvents = totalEvents;
-            result.numThreads = numThreads;
-            group->outputsAtStop = outputs.size();
-            if (group->bits == 0)
-                continue;
-            liveMask &= ~group->bits;
-            for (Site &site : dispatch)
-                site.mask &= ~group->bits;
-            for (std::uint64_t &mask : blockMask)
-                mask &= ~group->bits;
-        }
+    // instruction boundary and drop its tools from every dispatch
+    // path.  A stopped group's schedule is empty, as in a standalone
+    // replay of it.
+    const auto stopAborted = [&] {
+        const std::uint64_t dropped = stopAbortedGroups(
+            {stepsStarted, totalEvents, numThreads, outputs.size(), 0});
+        if (dropped == 0)
+            return;
+        for (Site &site : dispatch)
+            site.mask &= ~dropped;
+        for (std::uint64_t &mask : blockMask)
+            mask &= ~dropped;
     };
 
     // Segments decode standalone (delta chains restart per segment);
@@ -1054,9 +957,9 @@ TraceReplayer::runGroups()
             // deliveries); stopping the group here reproduces that
             // exactly.
             if (header & 4) {
-                if (abortPending_) {
-                    stopAbortedGroups();
-                    if (liveGroups == 0) {
+                if (abortPending()) {
+                    stopAborted();
+                    if (liveGroups() == 0) {
                         allStopped = true;
                         break;
                     }
@@ -1152,7 +1055,7 @@ TraceReplayer::runGroups()
                         const auto i =
                             static_cast<unsigned>(std::countr_zero(mask));
                         ++delivered[i][cls];
-                        attachments_[i].tool->onEvent(ctx);
+                        attachments[i].tool->onEvent(ctx);
                     }
                 }
 
@@ -1176,7 +1079,7 @@ TraceReplayer::runGroups()
                     const auto i =
                         static_cast<unsigned>(std::countr_zero(mask));
                     ++delivered[i][EventClass::BlockEnter];
-                    attachments_[i].tool->onBlockEnter(tid, block);
+                    attachments[i].tool->onBlockEnter(tid, block);
                 }
                 break;
               }
@@ -1191,14 +1094,14 @@ TraceReplayer::runGroups()
                     stacks.resize(tid + 1);
                 stacks[tid].push_back({nextFrameId++, nullptr});
                 ++numThreads;
-                for (std::uint64_t mask = liveMask; mask; mask &= mask - 1)
-                    attachments_[std::countr_zero(mask)]
+                for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
+                    attachments[std::countr_zero(mask)]
                         .tool->onThreadStart(tid, parent, spawnSite);
                 break;
               }
               case TraceRecorder::kThreadFinish: {
-                for (std::uint64_t mask = liveMask; mask; mask &= mask - 1)
-                    attachments_[std::countr_zero(mask)]
+                for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
+                    attachments[std::countr_zero(mask)]
                         .tool->onThreadFinish(tid);
                 break;
               }
@@ -1208,37 +1111,32 @@ TraceReplayer::runGroups()
     // An abort requested by the stream's last instruction has no
     // further boundary to stop at: the group ends aborted, with every
     // step counted.
-    if (abortPending_)
-        stopAbortedGroups();
+    if (abortPending())
+        stopAborted();
 
-    std::vector<RunResult> results;
-    results.reserve(groups_.size());
-    for (const std::unique_ptr<Group> &group : groups_) {
-        RunResult result;
-        if (group->stopped) {
-            result = std::move(group->result);
-            result.outputs.assign(outputs.begin(),
-                                  outputs.begin() +
-                                      static_cast<std::ptrdiff_t>(
-                                          group->outputsAtStop));
-        } else {
-            OHA_ASSERT(stepsStarted == trace_.result.steps,
-                       "trace step flags diverge from recorded step count");
-            result.status = trace_.result.status;
-            result.abortReason = trace_.result.abortReason;
-            result.abortMeta = trace_.result.abortMeta;
-            result.steps = trace_.result.steps;
-            result.schedule = trace_.result.schedule;
-            result.totalEvents = totalEvents;
-            result.numThreads = numThreads;
-            result.outputs = outputs;
-        }
-        for (std::size_t i = 0; i < attachments_.size(); ++i)
-            if (groups_[attachments_[i].group] == group)
-                result.delivered.push_back(delivered[i]);
-        results.push_back(std::move(result));
+    RunResult end;
+    if (liveGroups() != 0) {
+        OHA_ASSERT(stepsStarted == trace_.result.steps,
+                   "trace step flags diverge from recorded step count");
+        end.status = trace_.result.status;
+        end.abortReason = trace_.result.abortReason;
+        end.abortMeta = trace_.result.abortMeta;
+        end.steps = trace_.result.steps;
+        end.schedule = trace_.result.schedule;
+        end.totalEvents = totalEvents;
+        end.numThreads = numThreads;
     }
-    return results;
+    end.outputs = std::move(outputs);
+    return groupResults(std::move(end), delivered);
+}
+
+std::unique_ptr<AttachmentGroups>
+openRun(const ir::Module &module, const ExecConfig &input,
+        const RecordedTrace *trace)
+{
+    if (trace)
+        return std::make_unique<TraceReplayer>(module, *trace);
+    return std::make_unique<Interpreter>(module, input);
 }
 
 // ----------------------------------------------------------------- testing

@@ -8,11 +8,14 @@
  * re-execution under the sound hybrid analysis" (Section 2.3).  Our
  * interpreter already *is* that environment — an execution is a pure
  * function of (module, input, schedule seed) and tools never perturb
- * it — so the pipeline executes an input once with a TraceRecorder
- * sink that captures the complete analysis-relevant event stream,
- * then drives any number of analysis configurations from a
- * TraceReplayer that performs only decode + plan filtering + tool
- * dispatch.
+ * it — so an input can be executed once with a TraceRecorder sink
+ * that captures the complete analysis-relevant event stream, and any
+ * number of analysis configurations driven from a TraceReplayer that
+ * performs only decode + plan filtering + tool dispatch.  The
+ * pipelines do this only with useTraceReplay: decoding costs more
+ * than running the pre-decoded interpreter, so by default they drive
+ * their configurations as attachment groups of one live run
+ * (groups.h).
  *
  * Storage model: the stream is a sequence of immutable *segments*.
  * Capture appends into an open arena-backed TraceBuffer; when the
@@ -74,8 +77,8 @@
  * Replay fidelity: delivered events, ordering, per-tool counts, step
  * counts, outputs and abort semantics are byte-identical to a live
  * run of the same tools under the same plans.  One replay pass can
- * drive several attachment groups at once (see TraceReplayer), so a
- * capture is decoded once however many configurations analyze it.
+ * drive several attachment groups at once (groups.h), so a capture is
+ * decoded once however many configurations analyze it.
  */
 
 #pragma once
@@ -947,83 +950,35 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
  * status — including Aborted/StepLimit when the *recording* itself
  * was truncated.
  *
- * Attachment groups: one pass over the capture can drive several
- * independent analysis configurations.  Each group has its own
- * ExecutionControl (control(group)) and its own RunResult, so an
- * abort requested through one group's control stops only that group:
- * at the next instruction boundary the group's result is frozen —
- * status, steps, totalEvents, outputs, numThreads and its tools'
- * `delivered` counts — and its tools are dropped from the dispatch
- * masks and the thread lifecycle callbacks.  Every group's result is
- * field-identical to a standalone replay of that group's attachments
- * alone; the pass ends early once every group has stopped.  Group 0
- * always exists: attach(tool, plan) joins it, and the replayer's own
- * requestAbort is group 0's control, so single-configuration callers
- * never see groups at all.
+ * Attachment groups (groups.h) work as on the live Interpreter: each
+ * group's result is field-identical to a standalone replay of that
+ * group's attachments alone, and the pass ends early once every group
+ * has stopped.
  */
-class TraceReplayer : public ExecutionControl
+class TraceReplayer : public AttachmentGroups
 {
   public:
-    using GroupId = std::size_t;
-
     /** Attachments one replay can drive (the width of the per-site
      *  dispatch masks), across all groups. */
     static constexpr std::size_t kMaxAttachments = 64;
 
     TraceReplayer(const ir::Module &module, const RecordedTrace &trace);
-    ~TraceReplayer() override;
-    TraceReplayer(const TraceReplayer &) = delete;
-    TraceReplayer &operator=(const TraceReplayer &) = delete;
-
-    /** Attach a tool to group 0, filtered by @p plan (same contract as
-     *  Interpreter::attach). */
-    void attach(Tool *tool, const InstrumentationPlan *plan)
-    {
-        attach(0, tool, plan);
-    }
-
-    /** Open a new, empty attachment group. */
-    GroupId addGroup();
-
-    /** Attach a tool to @p group.  Tools are notified in attachment
-     *  order across all groups; a group's `delivered` vector lists
-     *  its own tools in the order they were attached. */
-    void attach(GroupId group, Tool *tool, const InstrumentationPlan *plan);
-
-    /** The abort control of @p group; group 0's is equivalent to
-     *  the replayer's own requestAbort. */
-    ExecutionControl &control(GroupId group);
-
-    /** Replay the recorded stream through every group; returns group
-     *  0's result. */
-    RunResult run() { return std::move(runGroups().front()); }
 
     /** Replay the recorded stream through every group; one result per
      *  group, indexed by GroupId. */
-    std::vector<RunResult> runGroups();
-
-    void requestAbort(std::string reason) override;
-    void requestAbort(std::string reason,
-                      const AbortMetadata &meta) override;
+    std::vector<RunResult> runGroups() override;
 
   private:
-    class Group;
-
-    struct Attachment
-    {
-        Tool *tool;
-        const InstrumentationPlan *plan;
-        GroupId group;
-    };
-
     const ir::Module &module_;
     const RecordedTrace &trace_;
-    std::vector<Attachment> attachments_;
-    std::vector<std::unique_ptr<Group>> groups_;
-    /** Set by any group's control; cleared once the replay loop has
-     *  stopped the aborting groups at an instruction boundary. */
-    bool abortPending_ = false;
 };
+
+/** One pass over @p input for attachment groups: a live Interpreter,
+ *  or — when @p trace, a capture of @p input, is non-null — a replay
+ *  of the capture.  Either gives every group the same result. */
+std::unique_ptr<AttachmentGroups> openRun(const ir::Module &module,
+                                          const ExecConfig &input,
+                                          const RecordedTrace *trace);
 
 namespace testing {
 

@@ -7,12 +7,11 @@
  * interpreter is deterministic and the recorder captures every event
  * unconditionally, before plan filtering.  So a capture — easily the
  * most expensive per-input step of record-once/analyze-many — is as
- * memoizable as a points-to solve.  Within one pipeline invocation
- * that only deduplicates identical (input, seed) pairs, but in
- * service mode (service/analysis_service.h) it is the difference
- * between a cold and a warm request: repeated analyses of a hot
- * (module, corpus) pair skip the interpreter entirely and replay the
- * cached streams.
+ * memoizable as a points-to solve.  The pipelines consult it only
+ * with useTraceReplay (the default runs every input live and records
+ * nothing); then, in service mode (service/analysis_service.h),
+ * repeated analyses of a hot (module, corpus) pair skip the
+ * recording run and replay the cached streams.
  *
  * Entries share the LRU spine and byte budget of the static-result
  * caches (andersen_cache.h) and inherit the same correctness

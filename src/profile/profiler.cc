@@ -140,7 +140,7 @@ ProfilingCampaign::mergeRun(const RunObservations &run)
     }
 
     profiledSteps_ += run.steps;
-    ++numRuns_;
+    runSteps_.push_back(run.steps);
 
     // Reachable-style invariants: union.  Change is detected from the
     // insert results, and only newly inserted contexts are hashed.
@@ -197,7 +197,7 @@ ProfilingCampaign::addRunsUntilConverged(
     const std::size_t threads = support::configuredThreads(options_.threads);
     std::size_t unchanged = 0;
     std::size_t consumed = 0;
-    while (consumed < inputs.size() && numRuns_ < maxRuns &&
+    while (consumed < inputs.size() && numRuns() < maxRuns &&
            unchanged < convergenceWindow) {
         // Speculatively observe one batch of runs concurrently, then
         // merge them in input order, stopping exactly where the serial
@@ -205,7 +205,7 @@ ProfilingCampaign::addRunsUntilConverged(
         // discarded so the merged state is identical for any thread
         // count.
         const std::size_t batch = std::min(
-            {threads, inputs.size() - consumed, maxRuns - numRuns_});
+            {threads, inputs.size() - consumed, maxRuns - numRuns()});
         const std::size_t base = consumed;
         const auto observations = support::runBatch(
             batch,
@@ -218,13 +218,13 @@ ProfilingCampaign::addRunsUntilConverged(
             },
             threads);
         for (const auto &run : observations) {
-            if (numRuns_ >= maxRuns || unchanged >= convergenceWindow)
+            if (numRuns() >= maxRuns || unchanged >= convergenceWindow)
                 break;
             unchanged = mergeRun(*run) ? 0 : unchanged + 1;
             ++consumed;
         }
     }
-    return numRuns_;
+    return numRuns();
 }
 
 } // namespace oha::prof

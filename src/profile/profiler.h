@@ -125,7 +125,10 @@ class ProfilingCampaign
      *  (profiling cost accounting). */
     std::uint64_t profiledSteps() const { return profiledSteps_; }
 
-    std::size_t numRuns() const { return numRuns_; }
+    std::size_t numRuns() const { return runSteps_.size(); }
+
+    /** Guest instructions of each merged run, in merge order. */
+    const std::vector<std::uint64_t> &runSteps() const { return runSteps_; }
 
   private:
     /** @return true if mustAliasLocks changed. */
@@ -148,7 +151,7 @@ class ProfilingCampaign
     std::map<BlockId, std::uint64_t> blockCounts_;
 
     std::uint64_t profiledSteps_ = 0;
-    std::size_t numRuns_ = 0;
+    std::vector<std::uint64_t> runSteps_;
 };
 
 } // namespace oha::prof

@@ -3,17 +3,19 @@
  * OHA as a service: a persistent analysis daemon core.
  *
  * Batch mode pays the full cost of every pipeline invocation: each
- * runOptFt/runOptSlice call profiles, records, and solves from
+ * runOptFt/runOptSlice call profiles, solves and runs its corpus from
  * scratch, and the process exits with the caches it warmed.  The
  * AnalysisService turns the pipeline into a long-lived server:
  * requests (a workload + pipeline configuration) enter a bounded
  * queue, worker shards drain them through the unmodified pipeline
  * entry points, and the shared cross-request cache
  * (service/shared_cache.h) — static results via analysis/
- * andersen_cache.h, trace captures via exec/trace_cache.h — carries
- * the expensive intermediate state from one request to the next.  A
- * warm request for a hot (module, corpus) pair skips its static phase
- * and its trace captures entirely.
+ * andersen_cache.h, profiling observations via profile/
+ * observation_cache.h, and trace captures via exec/trace_cache.h for
+ * requests run with useTraceReplay — carries the expensive
+ * intermediate state from one request to the next.  A warm request
+ * for a hot (module, corpus) pair skips its static phase and its
+ * profiling runs entirely.
  *
  * Admission control: the queue depth is capped; at the cap a submit
  * either blocks (AdmissionPolicy::Block — back pressure) or fails

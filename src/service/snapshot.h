@@ -5,8 +5,9 @@
  * A long-lived analysis daemon (analysis_service.h) earns its warm
  * hit rate over many requests; a restart used to throw all of that
  * away.  This module persists the *plain-data* sections of the shared
- * cache — recorded trace captures, profiling observations, static
- * race results and slice sets — into one checksummed, atomically
+ * cache — recorded trace captures (present only when requests ran
+ * with useTraceReplay), profiling observations, static race results
+ * and slice sets — into one checksummed, atomically
  * published container (support/durable_file.h, kind Snapshot), and
  * re-admits them at boot.
  *

@@ -280,22 +280,27 @@ expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
 // Every cached intermediate (static results, trace captures,
 // profiling observations) must be indistinguishable from a fresh
 // computation: the fully-cached pipeline and the fully-live pipeline
-// agree field for field.
+// agree field for field.  Both record once, since captures are cached
+// only on that path.
 TEST(AnalysisService, CachedPipelineMatchesLivePipeline)
 {
     const auto race = workloads::makeRaceWorkload("sor", 5, 2);
     const auto slice = workloads::makeSliceWorkload("zlib", 4, 2);
 
-    core::OptFtConfig liveFt;
+    core::OptFtConfig cachedFtConfig;
+    cachedFtConfig.useTraceReplay = true;
+    core::OptSliceConfig cachedSliceConfig;
+    cachedSliceConfig.useTraceReplay = true;
+    core::OptFtConfig liveFt = cachedFtConfig;
     liveFt.cacheTraceCaptures = false;
     liveFt.cacheProfileObservations = false;
-    core::OptSliceConfig liveSlice;
+    core::OptSliceConfig liveSlice = cachedSliceConfig;
     liveSlice.cacheTraceCaptures = false;
     liveSlice.cacheProfileObservations = false;
 
     analysis::resetAndersenCache();
-    const auto cachedFt = core::runOptFt(race, {});
-    const auto cachedSlice = core::runOptSlice(slice, {});
+    const auto cachedFt = core::runOptFt(race, cachedFtConfig);
+    const auto cachedSlice = core::runOptSlice(slice, cachedSliceConfig);
     expectEqual(cachedFt, core::runOptFt(race, liveFt), "optft");
     expectEqual(cachedSlice, core::runOptSlice(slice, liveSlice),
                 "optslice");

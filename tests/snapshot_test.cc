@@ -159,6 +159,24 @@ class SnapshotTest : public ::testing::Test
         analysis::resetAndersenCache();
     }
 
+    /** The fixture's pipeline configurations: record-once, since
+     *  captures are cached (and snapshotted) only on that path. */
+    static core::OptFtConfig
+    ftConfig()
+    {
+        core::OptFtConfig config;
+        config.useTraceReplay = true;
+        return config;
+    }
+
+    static core::OptSliceConfig
+    sliceConfig()
+    {
+        core::OptSliceConfig config;
+        config.useTraceReplay = true;
+        return config;
+    }
+
     /** Run both pipelines on the fixture workloads (warming the
      *  trace, observation, race and slice cache sections). */
     PipelineResults
@@ -166,9 +184,9 @@ class SnapshotTest : public ::testing::Test
     {
         PipelineResults results;
         results.ft = core::runOptFt(
-            workloads::makeRaceWorkload("sor", 3, 2), {});
+            workloads::makeRaceWorkload("sor", 3, 2), ftConfig());
         results.slice = core::runOptSlice(
-            workloads::makeSliceWorkload("zlib", 3, 2), {});
+            workloads::makeSliceWorkload("zlib", 3, 2), sliceConfig());
         return results;
     }
 
@@ -478,8 +496,10 @@ TEST_F(SnapshotTest, VersionOneSnapshotRejectedWholesaleAndDaemonBootsCold)
 
     service::AnalysisRequest ftRequest;
     ftRequest.workload = workloads::makeRaceWorkload("sor", 3, 2);
+    ftRequest.ftConfig = ftConfig();
     service::AnalysisRequest sliceRequest;
     sliceRequest.workload = workloads::makeSliceWorkload("zlib", 3, 2);
+    sliceRequest.sliceConfig = sliceConfig();
     auto ftFuture = daemon.submit(std::move(ftRequest));
     auto sliceFuture = daemon.submit(std::move(sliceRequest));
     const auto ftResponse = ftFuture.get();
@@ -554,8 +574,10 @@ TEST_F(SnapshotTest, ServiceRestartBootsWarmWithIdenticalResults)
         EXPECT_EQ(daemon.stateDir(), dir_);
         service::AnalysisRequest ftRequest;
         ftRequest.workload = race;
+        ftRequest.ftConfig = ftConfig();
         service::AnalysisRequest sliceRequest;
         sliceRequest.workload = slice;
+        sliceRequest.sliceConfig = sliceConfig();
         auto ftFuture = daemon.submit(std::move(ftRequest));
         auto sliceFuture = daemon.submit(std::move(sliceRequest));
         const auto ftResponse = ftFuture.get();
@@ -580,8 +602,10 @@ TEST_F(SnapshotTest, ServiceRestartBootsWarmWithIdenticalResults)
 
         service::AnalysisRequest ftRequest;
         ftRequest.workload = race;
+        ftRequest.ftConfig = ftConfig();
         service::AnalysisRequest sliceRequest;
         sliceRequest.workload = slice;
+        sliceRequest.sliceConfig = sliceConfig();
         auto ftFuture = daemon.submit(std::move(ftRequest));
         auto sliceFuture = daemon.submit(std::move(sliceRequest));
         const auto ftResponse = ftFuture.get();
