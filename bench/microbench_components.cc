@@ -3,7 +3,7 @@
  * google-benchmark microbenchmarks for the substrate components:
  * interpreter throughput, FastTrack per-event cost, Giri trace
  * appends, Andersen solving, static slicing, invariant checking,
- * profiling runs, OptFT's fused first round (live or replayed) and
+ * profiling runs, OptFT's fused first round and
  * fault-seeded pipeline recovery.
  * These are wall-clock measurements of THIS implementation (not paper
  * reproductions) — useful for tracking regressions in the library
@@ -111,14 +111,12 @@ BM_RecordRun(benchmark::State &state)
 BENCHMARK(BM_RecordRun)->ArgName("slice")->Arg(0)->Arg(1);
 
 /** One race program prepared for OptFT's first round: its profiled
- *  invariants, the full, hybrid and optimistic plans, and a capture of
- *  each testing input. */
+ *  invariants and the full, hybrid and optimistic plans. */
 struct FirstRoundProgram
 {
     const workloads::Workload *workload;
     inv::InvariantSet invariants;
     exec::InstrumentationPlan full, hybrid, optimistic;
-    std::vector<exec::RecordedTrace> captures;
 };
 
 const std::vector<FirstRoundProgram> &
@@ -138,10 +136,7 @@ firstRoundPrograms()
                 &workload, invariants, dyn::fullFastTrackPlan(module),
                 dyn::hybridFastTrackPlan(module, sound.racyAccesses),
                 dyn::optimisticFastTrackPlan(module, predicated.racyAccesses,
-                                             invariants),
-                {}};
-            for (const exec::ExecConfig &input : workload.testingSet)
-                program.captures.push_back(exec::recordRun(module, input));
+                                             invariants)};
             out.push_back(std::move(program));
         }
         return out;
@@ -153,15 +148,11 @@ firstRoundPrograms()
  * OptFT's fused first round: every testing input of every race
  * program through three attachment groups — full FastTrack, hybrid
  * FastTrack, and optimistic FastTrack with its invariant checker — in
- * one live run (live:1, the pipeline's default) or one replay of the
- * input's capture (live:0; the captures are recorded before timing,
- * so a cold record-once pipeline pays BM_RecordRun on top).  Items
- * are guest steps.
+ * one live run, as the pipeline runs it.  Items are guest steps.
  */
 void
 BM_FusedFirstRound(benchmark::State &state)
 {
-    const bool live = state.range(0) != 0;
     const auto &programs = firstRoundPrograms();
     dyn::CheckerConfig checkerConfig;
     checkerConfig.callContexts = false;
@@ -174,16 +165,15 @@ BM_FusedFirstRound(benchmark::State &state)
                 dyn::InvariantChecker checker(*workload.module,
                                               program.invariants,
                                               checkerConfig);
-                const auto run = exec::openRun(
-                    *workload.module, workload.testingSet[i],
-                    live ? nullptr : &program.captures[i]);
-                run->attach(&full, &program.full);
-                run->attach(run->addGroup(), &hybrid, &program.hybrid);
-                const auto optGroup = run->addGroup();
-                run->attach(optGroup, &optimistic, &program.optimistic);
-                checker.setControl(&run->control(optGroup));
-                run->attach(optGroup, &checker, &checker.plan());
-                const std::vector<exec::RunResult> results = run->runGroups();
+                exec::Interpreter run(*workload.module,
+                                      workload.testingSet[i]);
+                run.attach(&full, &program.full);
+                run.attach(run.addGroup(), &hybrid, &program.hybrid);
+                const auto optGroup = run.addGroup();
+                run.attach(optGroup, &optimistic, &program.optimistic);
+                checker.setControl(&run.control(optGroup));
+                run.attach(optGroup, &checker, &checker.plan());
+                const std::vector<exec::RunResult> results = run.runGroups();
                 steps += results[0].steps;
                 benchmark::DoNotOptimize(full.races().size());
             }
@@ -191,7 +181,7 @@ BM_FusedFirstRound(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
-BENCHMARK(BM_FusedFirstRound)->ArgName("live")->Arg(0)->Arg(1);
+BENCHMARK(BM_FusedFirstRound);
 
 void
 BM_FastTrackFullInstrumentation(benchmark::State &state)
@@ -344,8 +334,8 @@ BENCHMARK(BM_ProfilingRunAllSites)->ArgName("slice")->Arg(0)->Arg(1);
  * Recovery under faults: OptFT over every race program (arg 0) or
  * OptSlice over every slice program (arg 1), serial, with fault seed 7
  * so the testing corpus mis-speculates and the adaptive repair rounds
- * run.  One untimed pass warms the static, profile and capture caches
- * first, as in a warm daemon request, so replay, the tools and
+ * run.  One untimed pass warms the static and profile caches first,
+ * as in a warm daemon request, so the live runs, the tools and
  * recovery carry the time.  Items are pipeline ops.
  */
 void

@@ -1,10 +1,11 @@
 /**
  * @file
- * Record-once/analyze-many microbenchmark: real wall time for the
- * trace capture/replay subsystem against live interpretation, per
- * workload and per path.
+ * Trace capture/replay microbenchmark: real wall time for the trace
+ * subsystem against live interpretation, per workload and per path.
+ * The pipelines run every input live; these series keep the price of
+ * the capture and replay engines on record.
  *
- * Three layers of measurement:
+ * Two layers of measurement:
  *
  *  1. Event level (best-of-N): for each workload's first testing
  *     input, the cost of (a) recording the trace once, (b) running a
@@ -22,18 +23,8 @@
  *     replays.  Results are identical (checked); `fused_speedup` is
  *     separate/fused wall time.
  *
- *  3. Pipeline level: end-to-end runOptFt (Figure 5 workloads) and
- *     runOptSlice (Figure 6 workloads) on the default live path
- *     (useTraceReplay off: one interpreter pass per input per round,
- *     every configuration an attachment group of it) vs record-once
- *     (useTraceReplay on: each input recorded once, every round
- *     replays the capture).  Results are byte-identical (pinned by
- *     trace_replay_parity_test).  `interp_step_ratio` is live over
- *     record-once interpretedSteps: both interpret each input once for
- *     the first round, and the live path once more per repair round
- *     that re-runs it, so the ratio is 1 without repairs.
- *     `e2e_speedup` is record-once over live wall time (above 1: the
- *     live path is faster).
+ * Plus the spill path: the largest capture forced through ~8 spilled
+ * segments, recorded and replayed through per-segment mmap windows.
  *
  * OHA_BENCH_SMOKE=1 shrinks corpora and repetitions for CI smoke
  * runs.  JSON: BENCH_microbench_trace.json.
@@ -97,17 +88,14 @@ measure(int reps, RunOnce runOnce)
 int
 main()
 {
-    bench::banner("Microbench: record-once / analyze-many trace replay",
+    bench::banner("Microbench: trace capture and replay",
                   "rollback is deterministic re-execution (Section 2.3); "
-                  "capture the event stream once and replay it per "
-                  "analysis instead");
+                  "what capturing the event stream once and replaying "
+                  "it per analysis would cost instead");
 
     const bool smoke = smokeMode();
     const int kReps = smoke ? 2 : 5;
-    const int kPipeReps = smoke ? 1 : 3;
     const std::size_t profileRuns = smoke ? 4 : bench::kRaceProfileRuns;
-    const std::size_t testRuns = smoke ? 2 : bench::kRaceTestRuns;
-    const std::size_t sliceTestRuns = smoke ? 2 : bench::kSliceTestRuns;
 
     bench::JsonReport json("microbench_trace");
     TextTable table({"workload", "variant", "wall ms", "events",
@@ -314,7 +302,7 @@ main()
         // Force the largest capture through the spill path (~8
         // segments) and price both sides: capture with pwrite spill,
         // replay with per-segment mmap windows.  The resident fraction
-        // is what record-once/analyze-many actually holds in RAM.
+        // is what a capture holds in RAM.
         exec::TraceStoreOptions spillOptions;
         spillOptions.segmentBytes = std::max<std::size_t>(
             4096, static_cast<std::size_t>(trace.events.sizeBytes() / 8));
@@ -356,99 +344,8 @@ main()
                         spilled.events.sizeBytes()));
     }
 
-    // ---- Pipeline level: live passes vs record-once ------------------
-    TextTable pipeTable({"workload", "pipeline", "live ms", "replay ms",
-                         "interp-step ratio", "e2e speedup"});
-    std::vector<double> stepRatios;
-    std::vector<double> optFtE2e;
-
-    for (const std::string &name : raceNames) {
-        const auto workload =
-            workloads::makeRaceWorkload(name, profileRuns, testRuns);
-        const core::OptFtConfig live = bench::standardOptFtConfig();
-        core::OptFtConfig replay = live;
-        replay.useTraceReplay = true;
-
-        core::OptFtResult liveResult, replayResult;
-        const Sample liveMs = measure(kPipeReps, [&] {
-            liveResult = core::runOptFt(workload, live);
-            return liveResult.interpretedSteps;
-        });
-        const Sample replayMs = measure(kPipeReps, [&] {
-            replayResult = core::runOptFt(workload, replay);
-            return replayResult.interpretedSteps;
-        });
-
-        const double ratio =
-            replayResult.interpretedSteps > 0
-                ? double(liveResult.interpretedSteps) /
-                      double(replayResult.interpretedSteps)
-                : 0;
-        const double e2e =
-            liveMs.bestMs > 0 ? replayMs.bestMs / liveMs.bestMs : 0;
-        stepRatios.push_back(ratio);
-        optFtE2e.push_back(e2e);
-        pipeTable.addRow({name, "optft", fmtDouble(liveMs.bestMs, 1),
-                          fmtDouble(replayMs.bestMs, 1),
-                          fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optft-live", liveMs.bestMs,
-                 liveResult.interpretedSteps);
-        json.add(name, "optft-replay", replayMs.bestMs,
-                 replayResult.interpretedSteps);
-        json.metric(name, "optft", "interp_step_ratio", ratio);
-        json.metric(name, "optft", "e2e_speedup", e2e);
-    }
-
-    for (const std::string &name : sliceNames) {
-        const auto workload =
-            workloads::makeSliceWorkload(name, profileRuns, sliceTestRuns);
-        const core::OptSliceConfig live = bench::standardOptSliceConfig();
-        core::OptSliceConfig replay = live;
-        replay.useTraceReplay = true;
-
-        core::OptSliceResult liveResult, replayResult;
-        const Sample liveMs = measure(kPipeReps, [&] {
-            liveResult = core::runOptSlice(workload, live);
-            return liveResult.interpretedSteps;
-        });
-        const Sample replayMs = measure(kPipeReps, [&] {
-            replayResult = core::runOptSlice(workload, replay);
-            return replayResult.interpretedSteps;
-        });
-
-        const double ratio =
-            replayResult.interpretedSteps > 0
-                ? double(liveResult.interpretedSteps) /
-                      double(replayResult.interpretedSteps)
-                : 0;
-        const double e2e =
-            liveMs.bestMs > 0 ? replayMs.bestMs / liveMs.bestMs : 0;
-        stepRatios.push_back(ratio);
-        pipeTable.addRow({name, "optslice", fmtDouble(liveMs.bestMs, 1),
-                          fmtDouble(replayMs.bestMs, 1),
-                          fmtDouble(ratio, 2), fmtDouble(e2e, 2)});
-        json.add(name, "optslice-live", liveMs.bestMs,
-                 liveResult.interpretedSteps);
-        json.add(name, "optslice-replay", replayMs.bestMs,
-                 replayResult.interpretedSteps);
-        json.metric(name, "optslice", "interp_step_ratio", ratio);
-        json.metric(name, "optslice", "e2e_speedup", e2e);
-    }
-
-    std::printf("%s\n", pipeTable.str().c_str());
-
-    const double meanRatio = bench::mean(stepRatios);
     std::printf("mean replay speedup (single analysis): %.2fx\n",
                 bench::mean(replaySpeedups));
-    std::printf("mean live/record-once interpreted steps (pipeline): "
-                "%.2fx\n",
-                meanRatio);
-    json.metric("aggregate", "all", "mean_interp_step_ratio", meanRatio);
-    // Reported only; timing on shared hosts is too noisy to gate on.
-    const double meanE2e = bench::mean(optFtE2e);
-    std::printf("mean optft live speedup over record-once: %.2fx\n",
-                meanE2e);
-    json.metric("aggregate", "optft", "mean_e2e_speedup", meanE2e);
 
     json.write();
     return 0;

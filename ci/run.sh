@@ -22,9 +22,9 @@
 #                        # (LiveGroups) under OHA_FAULT_SEED 1..3,
 #                        # each at OHA_THREADS=1 and 4 (seeded faults
 #                        # must repair identically at any thread count),
-#                        # then the I/O fault domain — persist-path
-#                        # fault sweeps, corruption fuzzing and the
-#                        # kill-at-any-write-point crash-recovery
+#                        # then the I/O fault domain — snapshot and
+#                        # spill fault sweeps, corruption fuzzing and
+#                        # the kill-at-any-write-point crash-recovery
 #                        # sweep — at both thread counts
 #   ci/run.sh service    # ThreadSanitizer build of the analysis-daemon
 #                        # stack: the service/shared-cache test suite,
@@ -103,7 +103,7 @@ bench-release)
     # steps, so the recorded/plain and profiled/plain ns/step ratios
     # are tracked.  OptFT's fused first round (full, hybrid and
     # optimistic + checker groups) over every race program's testing
-    # inputs, replayed (live:0) or live (live:1), items = steps.
+    # inputs in one live run each, items = steps.
     # Recovery: warm, serial, fault-seeded OptFT
     # (slice:0) and OptSlice (slice:1) over every program, items =
     # ops.  Leaves BENCH_microbench_components.json.
@@ -111,8 +111,8 @@ bench-release)
         --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FusedFirstRound|FaultedPipeline'
     # The repository benchmark's own checks: its reference digests
     # still match, and every workload's traced run passes and repeats
-    # its exact counts — so the pipelines' default live path is held
-    # to the reference digests.
+    # its exact counts — so the pipelines' live path is held to the
+    # reference digests.
     python3 perfbench/test.py
     ;;
 faults)
@@ -128,16 +128,17 @@ faults)
                 -R 'FaultInjection|FaultInjector|AdaptiveRecovery|Violation|GiriUnion|LiveGroups'
         done
     done
-    # I/O fault domain: every durable-file, capture-persist and
-    # snapshot test injects open/write/fsync/rename/mmap failures,
-    # fuzzes on-disk bytes, and (Snapshot) kills a child process at
-    # every write point.  Determinism bar: the sweep must pass
-    # identically single- and multi-threaded.
+    # I/O fault domain: every durable-file and snapshot test injects
+    # open/write/fsync/rename/mmap failures, fuzzes on-disk bytes, and
+    # (Snapshot) kills a child process at every write point; the
+    # segmented-capture tests include a spill write failing
+    # mid-capture.  Determinism bar: the sweep must pass identically
+    # single- and multi-threaded.
     for threads in 1 4; do
         echo "=== I/O fault sweep: OHA_THREADS=$threads ==="
         OHA_THREADS="$threads" \
             ctest --test-dir "$build_dir" --output-on-failure \
-            -R 'DurableFile|TracePersist|Snapshot'
+            -R 'DurableFile|SegmentedCapture|Snapshot'
     done
     ;;
 service)
@@ -147,10 +148,10 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), and the segmented-trace / fused-
-    # replay paths whose captures and spill files are shared across
-    # concurrent replays, and the live attachment groups run
-    # concurrently from worker threads.
+    # (including the torture test), the segmented-trace / fused-replay
+    # paths whose captures and spill files are shared across concurrent
+    # replays, and the live attachment groups run concurrently from
+    # worker threads.
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
@@ -159,7 +160,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|SegmentedPipeline|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

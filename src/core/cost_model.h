@@ -52,8 +52,8 @@ struct CostModel
     double lockCheck = 0.8;         ///< per checked lock acquisition
     double spawnCheck = 0.8;        ///< per checked spawn
 
-    /** Trace capture: cost of appending one event record during the
-     *  execute-once recording run (record-once/analyze-many mode). */
+    /** Trace capture: cost of appending one event record during a
+     *  recording run (priced by the additive recordSeconds metric). */
     double recordEvent = 0.3;
     /** Trace replay: cost of decoding + dispatching one recorded
      *  event without re-running fetch/decode/eval.  Well under

@@ -7,8 +7,7 @@
 #include "dyn/fasttrack.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
-#include "exec/trace.h"
-#include "exec/trace_cache.h"
+#include "exec/interpreter.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
 #include "support/env.h"
@@ -57,39 +56,28 @@ struct FtConfig
     dyn::InvariantChecker *checker = nullptr;
 };
 
-/** The capture of input @p i, or null on the live path (no captures). */
-const exec::RecordedTrace *
-traceAt(const std::vector<std::shared_ptr<const exec::RecordedTrace>> &traces,
-        std::size_t i)
-{
-    return traces.empty() ? nullptr : traces[i].get();
-}
-
 /**
- * Run every configuration over one pass of @p input — a live run, or
- * a replay of its capture @p trace when non-null — each configuration
- * its own attachment group, so a checker's abort stops only its own
- * configuration.  Every FtRun equals a standalone run of that
- * configuration alone.
+ * Run every configuration over one live run of @p input, each
+ * configuration its own attachment group, so a checker's abort stops
+ * only its own configuration.  Every FtRun equals a standalone run of
+ * that configuration alone.
  */
 std::vector<FtRun>
 runFastTracks(const ir::Module &module, const exec::ExecConfig &input,
-              const exec::RecordedTrace *trace,
               const std::vector<FtConfig> &configs)
 {
-    const std::unique_ptr<exec::AttachmentGroups> run =
-        exec::openRun(module, input, trace);
+    exec::Interpreter run(module, input);
     std::vector<dyn::FastTrack> tools(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        const exec::AttachmentGroups::GroupId group =
-            c == 0 ? 0 : run->addGroup();
-        run->attach(group, &tools[c], configs[c].plan);
+        const exec::Interpreter::GroupId group =
+            c == 0 ? 0 : run.addGroup();
+        run.attach(group, &tools[c], configs[c].plan);
         if (dyn::InvariantChecker *checker = configs[c].checker) {
-            checker->setControl(&run->control(group));
-            run->attach(group, checker, &checker->plan());
+            checker->setControl(&run.control(group));
+            run.attach(group, checker, &checker->plan());
         }
     }
-    std::vector<exec::RunResult> results = run->runGroups();
+    std::vector<exec::RunResult> results = run.runGroups();
     std::vector<FtRun> out;
     out.reserve(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c)
@@ -186,10 +174,7 @@ calibrateLockElision(const ir::Module &module,
                      const analysis::StaticRaceResult &predicated,
                      const workloads::Workload &workload,
                      std::size_t calibrationRuns, std::size_t threads,
-                     const std::vector<std::uint64_t> &profiledSteps,
-                     const std::vector<
-                         std::shared_ptr<const exec::RecordedTrace>>
-                         &traces)
+                     const std::vector<std::uint64_t> &profiledSteps)
 {
     // Candidate lock sites: no potentially-racy access holds them.
     // This is the same predicated CI configuration the static race
@@ -211,8 +196,6 @@ calibrateLockElision(const ir::Module &module,
 
     const std::size_t runs =
         std::min(calibrationRuns, workload.profilingSet.size());
-    OHA_ASSERT(traces.empty() || traces.size() >= runs,
-               "calibration traces must cover the calibration runs");
 
     Calibration out;
     if (candidates.empty()) {
@@ -226,9 +209,8 @@ calibrateLockElision(const ir::Module &module,
             [&](std::size_t i) {
                 if (i < profiledSteps.size())
                     return profiledSteps[i];
-                return exec::openRun(module, workload.profilingSet[i],
-                                     traceAt(traces, i))
-                    ->run()
+                return exec::Interpreter(module, workload.profilingSet[i])
+                    .run()
                     .steps;
             },
             threads);
@@ -244,13 +226,11 @@ calibrateLockElision(const ir::Module &module,
     const exec::InstrumentationPlan soundPlan =
         dyn::fullFastTrackPlan(module);
 
-    // Every round makes one pass over each calibration input — a live
-    // run, or a replay of its capture in record-once mode — with each
-    // requested plan its own attachment group.
+    // Every round makes one live run of each calibration input, with
+    // each requested plan its own attachment group.
     auto calibPass = [&](std::size_t i,
                          const std::vector<FtConfig> &configs) {
-        return runFastTracks(module, workload.profilingSet[i],
-                             traceAt(traces, i), configs);
+        return runFastTracks(module, workload.profilingSet[i], configs);
     };
 
     // The sound reference races are loop-invariant (the plan never
@@ -451,35 +431,16 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     result.predRacyAccesses = predicated.racyAccesses.size();
 
     // ---- Phase 2b: no-custom-sync calibration -------------------------
+    // Every elision round runs each calibration input once, live.
     const std::size_t calibRuns = std::min(
         config.customSyncCalibrationRuns, workload.profilingSet.size());
-    // Live (the default), every elision round runs each calibration
-    // input once.  In record-once mode each input is recorded once and
-    // every round replays the capture; with cacheTraceCaptures the
-    // captures come from (and feed) the shared cross-request cache.
-    auto capture = [&](const exec::ExecConfig &input) {
-        return config.cacheTraceCaptures
-                   ? exec::recordRunMemo(workload.module, input)
-                   : std::make_shared<const exec::RecordedTrace>(
-                         exec::recordRun(module, input));
-    };
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> calibTraces;
-    if (config.useTraceReplay) {
-        calibTraces = support::runBatch(
-            calibRuns,
-            [&](std::size_t i) {
-                return capture(workload.profilingSet[i]);
-            },
-            config.threads);
-    }
     Calibration calibration = calibrateLockElision(
         module, invariants, predicated, workload, calibRuns, config.threads,
-        campaign.runSteps(), calibTraces);
+        campaign.runSteps());
     invariants.elidableLockSites = std::move(calibration.elided);
     result.elidedLockSites = invariants.elidableLockSites.size();
-    // Calibration executions count as profiling cost.  Their step
-    // counts are the uninstrumented ones (the sound plan never aborts),
-    // so both modes price identically.
+    // Calibration executions count as profiling cost, priced at their
+    // uninstrumented step counts (the sound plan never aborts).
     result.profileSeconds =
         (double(campaign.profiledSteps()) +
          2.0 * double(calibration.steps)) *
@@ -496,18 +457,6 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     checkerConfig.callContexts = false;
 
     const std::size_t numTests = workload.testingSet.size();
-
-    // Record-once mode: one uninstrumented execution per input
-    // captures the event stream; every analysis configuration (and
-    // every adaptive re-evaluation) replays it.  Live, there are no
-    // captures.
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
-    if (config.useTraceReplay) {
-        traces = support::runBatch(
-            numTests,
-            [&](std::size_t i) { return capture(workload.testingSet[i]); },
-            config.threads);
-    }
 
     // Reference runs.  Full and hybrid FastTrack do not depend on the
     // speculative plan, so they are evaluated once per input up
@@ -543,11 +492,10 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         return eval;
     };
 
-    // One pass per input — a live run, or a replay of its capture —
-    // serves the references and the first adaptive round together:
-    // full, hybrid and optimistic FastTrack (with its checker) are
-    // three attachment groups, so the checker's abort stops only the
-    // optimistic configuration.
+    // One live run per input serves the references and the first
+    // adaptive round together: full, hybrid and optimistic FastTrack
+    // (with its checker) are three attachment groups, so the checker's
+    // abort stops only the optimistic configuration.
     struct FusedEval
     {
         RefEval ref;
@@ -558,7 +506,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         [&](std::size_t i) {
             dyn::InvariantChecker checker(module, invariants, checkerConfig);
             std::vector<FtRun> runs = runFastTracks(
-                module, workload.testingSet[i], traceAt(traces, i),
+                module, workload.testingSet[i],
                 {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
             FusedEval eval;
             eval.ref.full = std::move(runs[0]);
@@ -622,7 +570,6 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                           return judge(
                               std::move(runFastTracks(
                                   module, workload.testingSet[i],
-                                  traceAt(traces, i),
                                   {{&optPlan, &checker}})[0]),
                               checker);
                       },
@@ -635,9 +582,9 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         for (std::size_t k = 0; k < round.size(); ++k) {
             const std::size_t i = start + k;
             opts[i] = round[k];
-            // A repair round's live run is one more interpretation of
-            // the input.
-            if (start != 0 && !config.useTraceReplay)
+            // A repair round's run is one more interpretation of the
+            // input.
+            if (start != 0)
                 result.interpretedSteps += opts[i].optimistic.result.steps;
             if (!opts[i].rolledBack)
                 continue;
@@ -709,10 +656,8 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                 cost, redo.result, redo.ftDelivered);
             optCost.rollback = redoCost.total();
             finalRaces = redo.races;
-            // Additive metric: what the rollback costs when performed
-            // as a trace replay instead of the re-execution priced
-            // above.  redo.result is identical in both modes, so this
-            // stays parity-comparable.
+            // Additive metric: what the rollback would cost as a trace
+            // replay instead of the re-execution priced above.
             result.replayRollbackSeconds +=
                 priceTraceReplaySeconds(cost, redo.result);
         }
@@ -720,19 +665,11 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         if (finalRaces != ref.full.races)
             result.raceReportsMatch = false;
 
-        // Execute-once accounting.  The fused pass (live, or the
-        // recording) is step-identical to the full-plan run, which
-        // never aborts, so pricing from ref.full.result keeps both
-        // modes equal.
+        // The fused run is step-identical to the full-plan run, which
+        // never aborts.
         result.interpretedSteps += ref.full.result.steps;
         result.recordSeconds +=
             priceTraceRecordSeconds(cost, ref.full.result);
-        if (config.useTraceReplay) {
-            result.replayedEvents +=
-                ref.full.result.totalEvents.total() +
-                ref.hybrid.result.totalEvents.total() +
-                opt.optimistic.result.totalEvents.total();
-        }
     }
 
     result.testRuns = workload.testingSet.size();

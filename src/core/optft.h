@@ -53,29 +53,18 @@ struct OptFtConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** How each testing and calibration input is executed.  Off (the
-     *  default): one live interpreter run per input per round drives
-     *  every configuration as its own attachment group — full, hybrid
-     *  and optimistic FastTrack with its checker on the first round,
-     *  the sound and trial plans on a calibration round — with no
-     *  recording.  On (record-once/analyze-many): each input is
-     *  recorded once and every round replays the capture with the same
-     *  groups.  All reported results are identical either way; only
-     *  interpretedSteps/replayedEvents (and wall-clock time) differ. */
+    /** No effect; kept only because perfbench/ops.cc assigns it.
+     *  Delete with the next benchmark change. */
     bool useTraceReplay = false;
-    /** With useTraceReplay: serve captures from the shared
-     *  cross-request cache (exec/trace_cache.h) instead of recording
-     *  privately.  Captures are value-keyed on (module, exec config),
-     *  so repeated pipeline invocations over a hot corpus skip the
-     *  recording run.  Results are identical either way (a capture is
-     *  a pure function of its key).  Ignored on the live path. */
+    /** No effect; kept only because perfbench/ops.cc assigns it.
+     *  Delete with the next benchmark change. */
     bool cacheTraceCaptures = true;
     /** Serve per-input profiling observations from the shared
-     *  cross-request cache (profile/observation_cache.h).  Like trace
-     *  captures, an observation is a pure function of (module, input),
-     *  so the merged invariant set — and everything downstream — is
-     *  identical either way; a warm service request skips the live
-     *  profiling interpreter entirely. */
+     *  cross-request cache (profile/observation_cache.h).  An
+     *  observation is a pure function of (module, input), so the
+     *  merged invariant set — and everything downstream — is identical
+     *  either way; a warm service request skips the live profiling
+     *  interpreter entirely. */
     bool cacheProfileObservations = true;
     /** Adaptive misspeculation recovery (Section 2.3's rollback, made
      *  a loop): after a rollback, demote the violated invariant,
@@ -138,24 +127,18 @@ struct OptFtResult
     double breakEvenVsHybrid = -1.0;
     double breakEvenVsFastTrack = -1.0;
 
-    // Execution accounting over the testing corpus.  These two
-    // deliberately differ between useTraceReplay modes, so parity
-    // checks must exclude them.
-    /** Guest instructions actually pushed through fetch/decode/eval:
-     *  one run (live pass or recording) per input, plus, live, each
-     *  kept repair-round run.  Evaluations a parallel round discards
-     *  past a rollback are not counted, so the figure does not depend
-     *  on the thread count. */
+    /** Guest instructions interpreted over the testing corpus: one
+     *  live run per input in the fused first round, plus each kept
+     *  repair-round run.  Evaluations a parallel round discards past a
+     *  rollback are not counted, so the figure does not depend on the
+     *  thread count. */
     std::uint64_t interpretedSteps = 0;
-    /** Event records decoded from traces (0 on the direct path). */
-    std::uint64_t replayedEvents = 0;
 
     // Modeled record/replay costs (seconds).  Additive metrics only:
     // the headline fastTrack/hybridFt/optFt figures keep pricing
     // rollback as a full re-execution so Figure 5 stays comparable to
-    // the paper; these report what the replay-based paths cost
-    // instead.  Both are derived from run results that are identical
-    // in either mode, so they are parity-comparable.
+    // the paper; these report what a record-once/replay design would
+    // cost instead.
     /** Modeled cost of capturing each testing input's trace once. */
     double recordSeconds = 0;
     /** Modeled cost of the rollback re-analyses when performed as

@@ -8,8 +8,7 @@
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
-#include "exec/trace.h"
-#include "exec/trace_cache.h"
+#include "exec/interpreter.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
 #include "support/thread_pool.h"
@@ -152,7 +151,7 @@ computeAllSlices(const std::shared_ptr<const ir::Module> &module,
 /** One endpoint's slicing outcome under one configuration. */
 struct GiriRun
 {
-    /** The run of the endpoint's replay group (shared by every
+    /** The run of the endpoint's attachment group (shared by every
      *  endpoint read off the same graph). */
     exec::RunResult result;
     std::set<InstrId> slice;
@@ -393,32 +392,6 @@ runOptSlice(const workloads::Workload &workload,
     const std::size_t tasks = numInputs * numEndpoints;
     const std::size_t refJobs = numEndpoints == 0 ? 0 : numInputs;
 
-    // Record-once mode: capture every testing input's trace exactly
-    // once, up front; every pass below replays it.  The traces are
-    // immutable afterwards, so the per-input jobs replay them
-    // concurrently without synchronization.  With cacheTraceCaptures
-    // the captures come from (and feed) the shared cross-request
-    // cache.  Live, there are no captures.
-    std::vector<std::shared_ptr<const exec::RecordedTrace>> traces;
-    if (config.useTraceReplay) {
-        traces = support::runBatch(
-            refJobs,
-            [&](std::size_t i) {
-                return config.cacheTraceCaptures
-                           ? exec::recordRunMemo(moduleSp,
-                                                 workload.testingSet[i])
-                           : std::make_shared<const exec::RecordedTrace>(
-                                 exec::recordRun(module,
-                                                 workload.testingSet[i]));
-            },
-            config.threads);
-    }
-    // One pass over @p input: a live run, or a replay of its capture.
-    auto openPass = [&](std::size_t input) {
-        return exec::openRun(module, workload.testingSet[input],
-                             traces.empty() ? nullptr : traces[input].get());
-    };
-
     struct OptEval
     {
         GiriRun optimistic;
@@ -428,8 +401,8 @@ runOptSlice(const workloads::Workload &workload,
     };
     // Attach the optimistic @p graph under @p plan, guarded by
     // @p checker, as @p group of @p run.
-    auto attachOptimistic = [](exec::AttachmentGroups &run,
-                               exec::AttachmentGroups::GroupId group,
+    auto attachOptimistic = [](exec::Interpreter &run,
+                               exec::Interpreter::GroupId group,
                                dyn::GiriSlicer &graph,
                                const exec::InstrumentationPlan &plan,
                                dyn::InvariantChecker &checker) {
@@ -461,15 +434,15 @@ runOptSlice(const workloads::Workload &workload,
                                   const exec::InstrumentationPlan &plan) {
         dyn::GiriSlicer graph(module);
         dyn::InvariantChecker checker(module, invariants, checkerConfig);
-        const std::unique_ptr<exec::AttachmentGroups> run = openPass(input);
-        attachOptimistic(*run, 0, graph, plan, checker);
-        return judge(run->run(), graph, first, checker);
+        exec::Interpreter run(module, workload.testingSet[input]);
+        attachOptimistic(run, 0, graph, plan, checker);
+        return judge(run.run(), graph, first, checker);
     };
 
-    // One pass per input serves the references and the first adaptive
-    // round together: group 0 holds the hybrid graph, a second group
-    // the optimistic graph and the checker, whose abort stops only its
-    // own group.
+    // One live run per input serves the references and the first
+    // adaptive round together: group 0 holds the hybrid graph, a second
+    // group the optimistic graph and the checker, whose abort stops
+    // only its own group.
     const exec::InstrumentationPlan hybridUnion =
         unionPlan(module, hybridPlans, 0);
     const exec::InstrumentationPlan firstOptUnion =
@@ -477,14 +450,14 @@ runOptSlice(const workloads::Workload &workload,
     auto fused = support::runBatch(
         refJobs,
         [&](std::size_t input) {
-            const std::unique_ptr<exec::AttachmentGroups> run = openPass(input);
+            exec::Interpreter run(module, workload.testingSet[input]);
             dyn::GiriSlicer hybrid(module);
-            run->attach(&hybrid, &hybridUnion);
+            run.attach(&hybrid, &hybridUnion);
             dyn::GiriSlicer opt(module);
             dyn::InvariantChecker checker(module, invariants, checkerConfig);
-            attachOptimistic(*run, run->addGroup(), opt, firstOptUnion,
+            attachOptimistic(run, run.addGroup(), opt, firstOptUnion,
                              checker);
-            const std::vector<exec::RunResult> results = run->runGroups();
+            const std::vector<exec::RunResult> results = run.runGroups();
             return std::pair{readUnionGraph(results[0], hybrid, endpoints,
                                             hybridPlans, 0, nullptr),
                              judge(results[1], opt, 0, checker)};
@@ -494,8 +467,8 @@ runOptSlice(const workloads::Workload &workload,
     refs.reserve(tasks);
     std::vector<std::vector<OptEval>> firstRound;
     for (auto &[ref, opt] : fused) {
-        // The pass (live, or the recording) is step-identical to the
-        // hybrid run, which never aborts.
+        // The run is step-identical to the hybrid run, which never
+        // aborts.
         result.interpretedSteps += ref.front().result.steps;
         std::move(ref.begin(), ref.end(), std::back_inserter(refs));
         firstRound.push_back(std::move(opt));
@@ -559,9 +532,9 @@ runOptSlice(const workloads::Workload &workload,
         for (std::size_t k = 0; k < round.size() && next == tasks; ++k) {
             const std::size_t input = firstInput + k;
             const std::size_t first = k == 0 ? firstEndpoint : 0;
-            // A repair round's live run is one more interpretation of
-            // the input.
-            if (repairRound && !config.useTraceReplay)
+            // A repair round's run is one more interpretation of the
+            // input.
+            if (repairRound)
                 result.interpretedSteps +=
                     round[k].front().optimistic.result.steps;
             for (std::size_t j = 0; j < round[k].size(); ++j) {
@@ -634,18 +607,11 @@ runOptSlice(const workloads::Workload &workload,
             optCost.rollback =
                 priceGiriRun(cost, hybrid.result, hybrid.delivered)
                     .total();
-            // Additive metric; hybrid.result is identical in both
-            // modes, so it stays parity-comparable.
+            // Additive metric: the rollback priced as a trace replay.
             result.replayRollbackSeconds +=
                 priceTraceReplaySeconds(cost, hybrid.result);
         }
         result.optimistic.add(optCost);
-
-        if (config.useTraceReplay) {
-            result.replayedEvents +=
-                hybrid.result.totalEvents.total() +
-                opt.optimistic.result.totalEvents.total();
-        }
 
         // Soundness: the recovered optimistic slice must equal the
         // traditional hybrid slice.  A run that kept its speculation
@@ -658,9 +624,8 @@ runOptSlice(const workloads::Workload &workload,
     }
 
     // One modeled capture per testing input.  The hybrid run's steps
-    // and event totals are plan-independent, so this prices the same
-    // in either mode (the first endpoint task of each input stands in
-    // for the input's execution).
+    // and event totals are plan-independent (the first endpoint task
+    // of each input stands in for the input's execution).
     if (!endpoints.empty()) {
         for (std::size_t i = 0; i < workload.testingSet.size(); ++i) {
             result.recordSeconds += priceTraceRecordSeconds(

@@ -53,19 +53,11 @@ struct OptSliceConfig
      *  merged in input-index order, so they are identical for any
      *  value — only wall-clock time changes. */
     std::size_t threads = 0;
-    /** How each testing input is executed.  Off (the default): one
-     *  live interpreter run per input per round, with the hybrid and
-     *  the optimistic union Giri graphs as two attachment groups of
-     *  the first round's run, and no recording.  On
-     *  (record-once/analyze-many): each input is recorded once and
-     *  every round replays the capture with the same groups.  All
-     *  reported results are identical either way; only
-     *  interpretedSteps/replayedEvents (and wall-clock time) differ. */
+    /** No effect; kept only because perfbench/ops.cc assigns it.
+     *  Delete with the next benchmark change. */
     bool useTraceReplay = false;
-    /** With useTraceReplay: serve captures from the shared
-     *  cross-request cache (exec/trace_cache.h) instead of recording
-     *  privately — see OptFtConfig::cacheTraceCaptures.  Ignored on the
-     *  live path. */
+    /** No effect; kept only because perfbench/ops.cc assigns it.
+     *  Delete with the next benchmark change. */
     bool cacheTraceCaptures = true;
     /** Serve profiling observations from the shared cache — see
      *  OptFtConfig::cacheProfileObservations. */
@@ -129,11 +121,8 @@ struct OptSliceResult
      *  0 means optimistic is cheaper from the very first run. */
     double breakEven = -1.0;
 
-    // Execute-once/replay-many accounting over the testing corpus
-    // (see OptFtResult for the parity rules: the first two differ
-    // between modes by design, the seconds metrics do not).
+    // Execution accounting over the testing corpus (see OptFtResult).
     std::uint64_t interpretedSteps = 0;
-    std::uint64_t replayedEvents = 0;
     double recordSeconds = 0;
     double replayRollbackSeconds = 0;
 

@@ -393,7 +393,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             regs[op.dest] = value;
             ++counts[EventClass::Load];
             if constexpr (kRecord)
-                rec.memAccess(true, pc, obj, off, value);
+                rec.access(true, pc, obj, off);
             deliver(pc, EventClass::Load, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -412,7 +412,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             *cell = value;
             ++counts[EventClass::Store];
             if constexpr (kRecord)
-                rec.memAccess(true, pc, obj, off, value);
+                rec.access(true, pc, obj, off);
             deliver(pc, EventClass::Store, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -549,7 +549,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 lock ? EventClass::Lock : EventClass::Unlock;
             ++counts[cls];
             if constexpr (kRecord)
-                rec.lockOp(true, pc, obj, off);
+                rec.access(true, pc, obj, off);
             deliver(pc, cls, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;

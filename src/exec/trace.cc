@@ -117,16 +117,6 @@ SpillFile::create(int *errnoOut)
     return std::shared_ptr<SpillFile>(new SpillFile(fd));
 }
 
-std::shared_ptr<SpillFile>
-SpillFile::adoptReadOnly(int fd, std::uint64_t size)
-{
-    OHA_ASSERT(fd >= 0);
-    auto file = std::shared_ptr<SpillFile>(new SpillFile(fd));
-    file->size_ = size;
-    file->readOnly_ = true;
-    return file;
-}
-
 SpillFile::~SpillFile()
 {
     ::close(fd_);
@@ -135,7 +125,6 @@ SpillFile::~SpillFile()
 bool
 SpillFile::writeAll(const std::uint8_t *data, std::size_t len)
 {
-    OHA_ASSERT(!readOnly_, "append to a read-only (adopted) SpillFile");
     while (len > 0) {
         const long n = support::io::pwriteFd(fd_, data, len, size_);
         if (n < 0) {
@@ -172,20 +161,6 @@ SpillFile::append(const TraceBuffer &buffer, std::uint64_t &offsetOut)
     return true;
 }
 
-bool
-SpillFile::append(const void *data, std::size_t len,
-                  std::uint64_t &offsetOut)
-{
-    const std::uint64_t start = size_;
-    if (!writeAll(static_cast<const std::uint8_t *>(data), len)) {
-        if (::ftruncate(fd_, static_cast<::off_t>(start)) == 0)
-            size_ = start;
-        return false;
-    }
-    offsetOut = start;
-    return true;
-}
-
 std::shared_ptr<const SpillFile::Mapping>
 SpillFile::map(std::uint64_t offset, std::size_t length) const
 {
@@ -207,8 +182,7 @@ SpillFile::map(std::uint64_t offset, std::size_t length) const
 
 TraceStore::TraceStore(const TraceStoreOptions &options)
     : segmentBytes_(options.segmentBytes != 0 ? options.segmentBytes
-                                              : configuredSegmentBytes()),
-      captureValues_(options.captureValues)
+                                              : configuredSegmentBytes())
 {
 }
 
@@ -223,8 +197,6 @@ TraceStore::closeOpenSegment()
     Segment segment;
     segment.header = openHeader_;
     segment.header.bytes = bytes;
-    if (captureValues_)
-        segment.header.flags |= SegmentHeader::kFlagHasValues;
 
     if (!file_ && !spillFailed_) {
         int createErrno = 0;
@@ -279,8 +251,6 @@ TraceStore::finish()
         Segment segment;
         segment.header = openHeader_;
         segment.header.bytes = bytes;
-        if (captureValues_)
-            segment.header.flags |= SegmentHeader::kFlagHasValues;
         segment.buffer = std::make_unique<TraceBuffer>(std::move(open_));
         residentClosed_ += bytes;
         totalBytes_ += bytes;
@@ -313,437 +283,6 @@ TraceStore::cursor(std::size_t i) const
         cursor.keepAlive_ = std::move(mapping);
     }
     return cursor;
-}
-
-// ------------------------------------------------------------- persistence
-
-bool
-TraceStore::forEachSegmentBytes(
-    std::size_t i,
-    const std::function<void(const std::uint8_t *, std::size_t)> &fn) const
-{
-    OHA_ASSERT(i < segments_.size());
-    const Segment &segment = segments_[i];
-    if (segment.buffer) {
-        segment.buffer->forEachSpan(fn);
-        return true;
-    }
-    auto mapping = file_->map(segment.fileOffset,
-                              static_cast<std::size_t>(
-                                  segment.header.bytes));
-    if (!mapping)
-        return false;
-    fn(mapping->data(), static_cast<std::size_t>(segment.header.bytes));
-    return true;
-}
-
-namespace {
-
-// Capture meta encoding, shared between the capture-file meta block
-// and the snapshot-embedded blob form.  Bump when any serialized
-// field changes; readers reject other versions (recompute, don't
-// guess).  Version 2 dropped the per-segment sidecar index.
-constexpr std::uint32_t kTraceMetaVersion = 2;
-
-void
-serializeRunResult(support::ByteWriter &out, const RunResult &result)
-{
-    out.u32(static_cast<std::uint32_t>(result.status));
-    out.str(result.abortReason);
-    out.u32(result.abortMeta.kind);
-    out.u64(result.abortMeta.site);
-    out.u64(result.abortMeta.aux);
-    out.u64(result.abortMeta.observed);
-    out.u32(result.abortMeta.thread);
-    out.u64(result.outputs.size());
-    for (const auto &[instr, value] : result.outputs) {
-        out.u64(instr);
-        out.u64(static_cast<std::uint64_t>(value));
-    }
-    out.u64(result.steps);
-    for (std::uint64_t count : result.totalEvents.counts)
-        out.u64(count);
-    out.u64(result.delivered.size());
-    for (const EventCounts &counts : result.delivered)
-        for (std::uint64_t count : counts.counts)
-            out.u64(count);
-    out.u32(result.numThreads);
-    out.u64(result.schedule.size());
-    for (const ScheduleStep &step : result.schedule) {
-        out.u32(step.thread);
-        out.u32(step.quantum);
-    }
-}
-
-bool
-deserializeRunResult(support::ByteReader &in, RunResult &result)
-{
-    const std::uint32_t status = in.u32();
-    if (status > static_cast<std::uint32_t>(RunResult::Status::StepLimit))
-        return false;
-    result.status = static_cast<RunResult::Status>(status);
-    result.abortReason = in.str();
-    result.abortMeta.kind = in.u32();
-    result.abortMeta.site = in.u64();
-    result.abortMeta.aux = in.u64();
-    result.abortMeta.observed = in.u64();
-    result.abortMeta.thread = in.u32();
-    const std::uint64_t numOutputs = in.u64();
-    if (numOutputs > in.remaining() / 16)
-        return false;
-    result.outputs.reserve(static_cast<std::size_t>(numOutputs));
-    for (std::uint64_t i = 0; i < numOutputs && in.ok(); ++i) {
-        const std::uint64_t instr = in.u64();
-        const auto value = static_cast<std::int64_t>(in.u64());
-        if (instr > kNoInstr)
-            return false;
-        result.outputs.push_back({static_cast<InstrId>(instr), value});
-    }
-    result.steps = in.u64();
-    for (std::uint64_t &count : result.totalEvents.counts)
-        count = in.u64();
-    const std::uint64_t numDelivered = in.u64();
-    if (numDelivered > in.remaining() / (8 * kNumEventClasses))
-        return false;
-    result.delivered.resize(static_cast<std::size_t>(numDelivered));
-    for (EventCounts &counts : result.delivered)
-        for (std::uint64_t &count : counts.counts)
-            count = in.u64();
-    result.numThreads = in.u32();
-    const std::uint64_t numSchedule = in.u64();
-    if (numSchedule > in.remaining() / 8)
-        return false;
-    result.schedule.reserve(static_cast<std::size_t>(numSchedule));
-    for (std::uint64_t i = 0; i < numSchedule && in.ok(); ++i) {
-        const auto thread = static_cast<ThreadId>(in.u32());
-        const std::uint32_t quantum = in.u32();
-        result.schedule.push_back({thread, quantum});
-    }
-    return in.ok();
-}
-
-void
-serializeSegmentHeader(support::ByteWriter &out, const SegmentHeader &header)
-{
-    out.u64(header.records);
-    out.u64(header.steps);
-    out.u64(header.tidBitmap);
-    out.u64(header.firstInstr);
-    out.u64(header.lastInstr);
-    out.u64(header.bytes);
-    out.u8(header.flags);
-}
-
-bool
-deserializeSegmentHeader(support::ByteReader &in, SegmentHeader &header)
-{
-    header.records = in.u64();
-    header.steps = in.u64();
-    header.tidBitmap = in.u64();
-    const std::uint64_t firstInstr = in.u64();
-    const std::uint64_t lastInstr = in.u64();
-    header.bytes = in.u64();
-    header.flags = in.u8();
-    if (firstInstr > kNoInstr || lastInstr > kNoInstr)
-        return false;
-    header.firstInstr = static_cast<InstrId>(firstInstr);
-    header.lastInstr = static_cast<InstrId>(lastInstr);
-    // Unknown flag bits mean a writer newer than this reader: reject
-    // rather than misinterpret.
-    if (header.flags & ~(SegmentHeader::kFlagHasValues |
-                         SegmentHeader::kFlagSpilled))
-        return false;
-    return in.ok();
-}
-
-/** Meta prologue shared by the capture file and the snapshot blob:
- *  version, capture knobs, segment count, run result, header table. */
-void
-serializeTraceMeta(support::ByteWriter &out, const TraceStore &store,
-                   const RunResult &result, std::uint64_t numSegments,
-                   const std::function<const SegmentHeader &(std::size_t)>
-                       &headerAt)
-{
-    out.u32(kTraceMetaVersion);
-    out.u8(store.capturesValues() ? 1 : 0);
-    out.u64(store.segmentBytesThreshold());
-    out.u64(numSegments);
-    serializeRunResult(out, result);
-    for (std::uint64_t i = 0; i < numSegments; ++i)
-        serializeSegmentHeader(out, headerAt(static_cast<std::size_t>(i)));
-}
-
-struct TraceMeta
-{
-    bool captureValues = false;
-    std::uint64_t segmentBytes = 0;
-    std::vector<SegmentHeader> headers;
-    RunResult result;
-};
-
-bool
-deserializeTraceMeta(support::ByteReader &in, TraceMeta &meta)
-{
-    if (in.u32() != kTraceMetaVersion)
-        return false;
-    const std::uint8_t captureValues = in.u8();
-    if (captureValues > 1)
-        return false;
-    meta.captureValues = captureValues != 0;
-    meta.segmentBytes = in.u64();
-    if (meta.segmentBytes == 0)
-        return false;
-    const std::uint64_t numSegments = in.u64();
-    if (!deserializeRunResult(in, meta.result))
-        return false;
-    // 49 bytes per serialized header.
-    if (numSegments > in.remaining() / 49)
-        return false;
-    meta.headers.resize(static_cast<std::size_t>(numSegments));
-    std::uint64_t stepSum = 0;
-    for (SegmentHeader &header : meta.headers) {
-        if (!deserializeSegmentHeader(in, header))
-            return false;
-        if (header.bytes == 0)
-            return false; // empty segments are never stored
-        stepSum += header.steps;
-    }
-    // The replay loop asserts that step flags reproduce the recorded
-    // step count; validate it here so a corrupt capture is rejected
-    // instead of tripping the assert mid-replay.
-    if (stepSum != meta.result.steps)
-        return false;
-    return in.ok();
-}
-
-} // namespace
-
-bool
-persistTrace(const RecordedTrace &trace, const std::string &path,
-             std::string *errorOut)
-{
-    const TraceStore &store = trace.events;
-    OHA_ASSERT(store.finished_, "persistTrace before finish()");
-
-    support::DurableWriter writer(path, support::kDurableKindCapture);
-    support::ByteWriter meta;
-    serializeTraceMeta(meta, store, trace.result, store.numSegments(),
-                       [&](std::size_t i) -> const SegmentHeader & {
-                           return store.header(i);
-                       });
-    writer.addBlock(meta.data());
-
-    for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        writer.beginBlock();
-        const bool ok = store.forEachSegmentBytes(
-            i, [&](const std::uint8_t *data, std::size_t len) {
-                writer.writeChunk(data, len);
-            });
-        writer.endBlock();
-        if (!ok) {
-            if (errorOut)
-                *errorOut = path + ": cannot map spilled segment " +
-                            std::to_string(i);
-            OHA_WARN("trace persist to %s failed: segment %zu unmappable",
-                     path.c_str(), i);
-            return false;
-        }
-    }
-
-    std::string error;
-    if (!writer.commit(&error)) {
-        if (errorOut)
-            *errorOut = error;
-        OHA_WARN("trace persist failed: %s", error.c_str());
-        return false;
-    }
-    return true;
-}
-
-std::shared_ptr<RecordedTrace>
-loadTrace(const std::string &path, std::string *errorOut)
-{
-    const auto reject = [&](const std::string &reason)
-        -> std::shared_ptr<RecordedTrace> {
-        if (errorOut)
-            *errorOut = path + ": " + reason;
-        OHA_WARN("rejecting capture file %s: %s", path.c_str(),
-                 reason.c_str());
-        return nullptr;
-    };
-
-    std::string error;
-    auto reader = support::DurableReader::open(
-        path, support::kDurableKindCapture, &error);
-    if (!reader) {
-        if (errorOut)
-            *errorOut = error;
-        OHA_WARN("rejecting capture file: %s", error.c_str());
-        return nullptr;
-    }
-
-    if (reader->numBlocks() < 1)
-        return reject("no meta block");
-    std::string metaBytes;
-    if (!reader->readBlock(0, metaBytes))
-        return reject("meta block unreadable");
-    support::ByteReader metaIn(metaBytes);
-    TraceMeta meta;
-    if (!deserializeTraceMeta(metaIn, meta) || metaIn.remaining() != 0)
-        return reject("corrupt meta block");
-    if (reader->numBlocks() != 1 + meta.headers.size())
-        return reject("block count does not match segment table");
-
-    // Cross-check every segment block length against the header table
-    // before adopting anything.
-    for (std::size_t i = 0; i < meta.headers.size(); ++i) {
-        if (reader->blockLength(1 + i) != meta.headers[i].bytes)
-            return reject("segment " + std::to_string(i) +
-                          " length mismatch");
-    }
-
-    auto trace = std::make_shared<RecordedTrace>();
-    trace->result = std::move(meta.result);
-
-    TraceStoreOptions options;
-    options.segmentBytes = static_cast<std::size_t>(meta.segmentBytes);
-    options.captureValues = meta.captureValues;
-    TraceStore store(options);
-
-    const std::uint64_t fileSize = reader->fileSize();
-    std::vector<std::uint64_t> offsets;
-    offsets.reserve(meta.headers.size());
-    for (std::size_t i = 0; i < meta.headers.size(); ++i)
-        offsets.push_back(reader->blockOffset(1 + i));
-    store.file_ = SpillFile::adoptReadOnly(reader->releaseFd(), fileSize);
-
-    for (std::size_t i = 0; i < meta.headers.size(); ++i) {
-        TraceStore::Segment segment;
-        segment.header = meta.headers[i];
-        // Every loaded segment replays through an mmap window of the
-        // capture file, whether or not it was spilled at record time.
-        segment.header.flags |= SegmentHeader::kFlagSpilled;
-        segment.fileOffset = offsets[i];
-        store.totalBytes_ +=
-            static_cast<std::size_t>(segment.header.bytes);
-        ++store.spillStats_.spilledSegments;
-        store.segments_.push_back(std::move(segment));
-    }
-    store.finished_ = true;
-
-    // Verification map pass: prove every window the replayers will
-    // need is mappable now, so a load under injected mmap faults is
-    // rejected here instead of tripping the replay-time assert.
-    for (std::size_t i = 0; i < store.segments_.size(); ++i) {
-        const TraceStore::Segment &segment = store.segments_[i];
-        if (!store.file_->map(segment.fileOffset,
-                              static_cast<std::size_t>(
-                                  segment.header.bytes)))
-            return reject("segment " + std::to_string(i) +
-                          " unmappable");
-    }
-
-    trace->events = std::move(store);
-    return trace;
-}
-
-bool
-serializeRecordedTrace(const RecordedTrace &trace, support::ByteWriter &out)
-{
-    const TraceStore &store = trace.events;
-    OHA_ASSERT(store.finished_, "serializeRecordedTrace before finish()");
-    serializeTraceMeta(out, store, trace.result, store.numSegments(),
-                       [&](std::size_t i) -> const SegmentHeader & {
-                           return store.header(i);
-                       });
-    for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        const bool ok = store.forEachSegmentBytes(
-            i, [&](const std::uint8_t *data, std::size_t len) {
-                out.bytes(data, len);
-            });
-        if (!ok)
-            return false;
-    }
-    return true;
-}
-
-std::shared_ptr<RecordedTrace>
-deserializeRecordedTrace(support::ByteReader &in)
-{
-    TraceMeta meta;
-    if (!deserializeTraceMeta(in, meta))
-        return nullptr;
-    // The remaining payload must hold every segment.
-    std::uint64_t needed = 0;
-    for (const SegmentHeader &header : meta.headers)
-        needed += header.bytes;
-    if (needed > in.remaining())
-        return nullptr;
-
-    auto trace = std::make_shared<RecordedTrace>();
-    trace->result = std::move(meta.result);
-
-    TraceStoreOptions options;
-    options.segmentBytes = static_cast<std::size_t>(meta.segmentBytes);
-    options.captureValues = meta.captureValues;
-    TraceStore store(options);
-
-    for (const SegmentHeader &header : meta.headers) {
-        const auto bytes = static_cast<std::size_t>(header.bytes);
-        const std::uint8_t *payload = in.bytes(bytes);
-        if (!payload)
-            return nullptr;
-        TraceStore::Segment segment;
-        segment.header = header;
-        const bool wasSpilled =
-            header.flags & SegmentHeader::kFlagSpilled;
-        segment.header.flags &=
-            static_cast<std::uint8_t>(~SegmentHeader::kFlagSpilled);
-
-        bool onDisk = false;
-        if (wasSpilled) {
-            // Re-spill segments that lived on disk originally, so a
-            // restored big capture does not balloon RAM.  Failure
-            // falls back to RAM exactly like live capture does.
-            if (!store.file_ && !store.spillFailed_) {
-                int createErrno = 0;
-                store.file_ = SpillFile::create(&createErrno);
-                if (!store.file_) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno = createErrno;
-                }
-            }
-            if (store.file_ && !store.spillFailed_) {
-                onDisk = store.file_->append(payload, bytes,
-                                             segment.fileOffset);
-                if (!onDisk) {
-                    store.spillFailed_ = true;
-                    store.spillStats_.lastErrno =
-                        store.file_->lastErrno();
-                    if (store.spillStats_.spilledSegments == 0)
-                        store.file_.reset();
-                }
-            }
-        }
-        if (onDisk) {
-            segment.header.flags |= SegmentHeader::kFlagSpilled;
-            ++store.spillStats_.spilledSegments;
-        } else {
-            auto buffer = std::make_unique<TraceBuffer>();
-            buffer->putBytes(payload, bytes);
-            segment.buffer = std::move(buffer);
-            store.residentClosed_ += bytes;
-            if (wasSpilled)
-                ++store.spillStats_.ramFallbackSegments;
-        }
-        store.totalBytes_ += bytes;
-        store.segments_.push_back(std::move(segment));
-    }
-    store.finished_ = true;
-    if (!in.ok())
-        return nullptr;
-    trace->events = std::move(store);
-    return trace;
 }
 
 // ----------------------------------------------------------------- capture
@@ -941,8 +480,6 @@ TraceReplayer::runGroups()
     bool allStopped = false;
     for (std::size_t seg = 0; seg < store.numSegments() && !allStopped;
          ++seg) {
-        const bool hasValues =
-            store.header(seg).flags & SegmentHeader::kFlagHasValues;
         SegmentCursor reader = store.cursor(seg);
         std::int64_t prevInstr = 0;
         std::int64_t prevObj = 0;
@@ -989,16 +526,9 @@ TraceReplayer::runGroups()
                 std::uint32_t off = 0;
                 FuncId callee = kNoFunc;
                 ThreadId otherTid = 0;
-                Value value;
                 switch (ins.op) {
                   case ir::Opcode::Load:
                   case ir::Opcode::Store:
-                    prevObj += reader.zigzag();
-                    obj = static_cast<ObjectId>(prevObj);
-                    off = static_cast<std::uint32_t>(reader.varint());
-                    if (hasValues)
-                        value = decodeTraceValue(reader);
-                    break;
                   case ir::Opcode::Lock:
                   case ir::Opcode::Unlock:
                     prevObj += reader.zigzag();
@@ -1032,7 +562,6 @@ TraceReplayer::runGroups()
                     ctx.off = off;
                     ctx.calleeResolved = callee;
                     ctx.otherTid = otherTid;
-                    ctx.value = value;
                     switch (ins.op) {
                       case ir::Opcode::Call:
                       case ir::Opcode::ICall:
@@ -1130,15 +659,6 @@ TraceReplayer::runGroups()
     return groupResults(std::move(end), delivered);
 }
 
-std::unique_ptr<AttachmentGroups>
-openRun(const ir::Module &module, const ExecConfig &input,
-        const RecordedTrace *trace)
-{
-    if (trace)
-        return std::make_unique<TraceReplayer>(module, *trace);
-    return std::make_unique<Interpreter>(module, input);
-}
-
 // ----------------------------------------------------------------- testing
 
 namespace testing {
@@ -1153,8 +673,6 @@ byteOffsetAfterStep(const ir::Module &module, const TraceStore &store,
     std::size_t base = 0;
     std::uint64_t steps = 0;
     for (std::size_t seg = 0; seg < store.numSegments(); ++seg) {
-        const bool hasValues =
-            store.header(seg).flags & SegmentHeader::kFlagHasValues;
         SegmentCursor reader = store.cursor(seg);
         std::int64_t prevInstr = 0;
         while (!reader.atEnd()) {
@@ -1172,11 +690,6 @@ byteOffsetAfterStep(const ir::Module &module, const TraceStore &store,
                 switch (ins.op) {
                   case ir::Opcode::Load:
                   case ir::Opcode::Store:
-                    reader.zigzag();
-                    reader.varint();
-                    if (hasValues)
-                        decodeTraceValue(reader);
-                    break;
                   case ir::Opcode::Lock:
                   case ir::Opcode::Unlock:
                     reader.zigzag();

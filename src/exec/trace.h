@@ -1,21 +1,22 @@
 /**
  * @file
- * Deterministic event-trace capture and replay (record once, analyze
- * many), at billion-event scale.
+ * Deterministic event-trace capture and replay, at billion-event
+ * scale.
  *
  * The paper assumes a deterministic record/replay environment:
  * rollback after an invariant violation is "deterministic
  * re-execution under the sound hybrid analysis" (Section 2.3).  Our
  * interpreter already *is* that environment — an execution is a pure
  * function of (module, input, schedule seed) and tools never perturb
- * it — so an input can be executed once with a TraceRecorder sink
- * that captures the complete analysis-relevant event stream, and any
- * number of analysis configurations driven from a TraceReplayer that
- * performs only decode + plan filtering + tool dispatch.  The
- * pipelines do this only with useTraceReplay: decoding costs more
- * than running the pre-decoded interpreter, so by default they drive
- * their configurations as attachment groups of one live run
- * (groups.h).
+ * it — so the pipelines simply re-execute: they drive their
+ * configurations as attachment groups of one live run (groups.h),
+ * because decoding a capture costs more than running the pre-decoded
+ * interpreter.  This file keeps the capture side (a TraceRecorder
+ * sink that records the complete analysis-relevant event stream) and
+ * a TraceReplayer that drives tools from a capture with only decode +
+ * plan filtering + tool dispatch.  They serve the repository
+ * benchmark's traced sweep, the trace microbenchmarks and the tests
+ * that check a live grouped run against a grouped replay.
  *
  * Storage model: the stream is a sequence of immutable *segments*.
  * Capture appends into an open arena-backed TraceBuffer; when the
@@ -55,16 +56,6 @@
  *   thread start: varint parent tid + varint spawn site (+1; 0 means
  *                 kNoInstr, i.e. the main thread).
  *
- * Optional value payload: when a capture is recorded with
- * `TraceStoreOptions::captureValues`, every Load/Store record is
- * followed by the loaded/stored Value (kind byte + kind-dependent
- * varints), and the segment header carries
- * SegmentHeader::kFlagHasValues so replayers know to decode it.  The
- * record header byte has no spare bits (2 kind + 1 step + 5 tid), so
- * the flag is stream-level, carried per segment.  Value-consuming
- * tools can then replay instead of forcing a live run; payload-free
- * captures remain byte-identical to the original encoding.
- *
  * Delta chains (instr/obj/block) reset at every segment boundary, so
  * each segment decodes standalone — a seek never needs the previous
  * segment's tail state.
@@ -83,21 +74,12 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/interpreter.h"
 #include "support/arena.h"
-
-namespace oha::support {
-class ByteWriter;
-class ByteReader;
-} // namespace oha::support
 
 namespace oha::exec {
 
@@ -112,23 +94,6 @@ class TraceBuffer
 
     TraceBuffer(TraceBuffer &&) = default;
     TraceBuffer &operator=(TraceBuffer &&) = default;
-
-    /** Bulk append (persistence loaders refilling a segment). */
-    void
-    putBytes(const void *data, std::size_t len)
-    {
-        const auto *bytes = static_cast<const std::uint8_t *>(data);
-        while (len > 0) {
-            if (wptr_ == wend_)
-                newChunk();
-            const auto n = std::min(
-                len, static_cast<std::size_t>(wend_ - wptr_));
-            std::memcpy(wptr_, bytes, n);
-            wptr_ += n;
-            bytes += n;
-            len -= n;
-        }
-    }
 
     /** At least @p n contiguous writable bytes at the cursor, starting
      *  a fresh chunk when the current one is shorter (its unused tail
@@ -237,8 +202,6 @@ struct SegmentHeader
     std::uint64_t bytes = 0;     ///< encoded payload length
     std::uint8_t flags = 0;
 
-    /** Load/Store records carry a trailing value payload. */
-    static constexpr std::uint8_t kFlagHasValues = 1;
     /** Segment lives in the spill file, not in RAM. */
     static constexpr std::uint8_t kFlagSpilled = 2;
 };
@@ -281,13 +244,6 @@ class SpillFile
      *  segments in RAM. */
     static std::shared_ptr<SpillFile> create(int *errnoOut = nullptr);
 
-    /** Named-file mode: wrap an already-open, fully-verified capture
-     *  file descriptor for read-only segment mapping (the load side
-     *  of persistTrace).  The adopted fd is closed with the last
-     *  handle; append() is forbidden. */
-    static std::shared_ptr<SpillFile> adoptReadOnly(int fd,
-                                                    std::uint64_t size);
-
     ~SpillFile();
     SpillFile(const SpillFile &) = delete;
     SpillFile &operator=(const SpillFile &) = delete;
@@ -300,11 +256,6 @@ class SpillFile
 
     /** errno of the most recent failed write/create (0 = none). */
     int lastErrno() const { return lastErrno_; }
-
-    /** Append @p len raw bytes (re-spilling a restored segment).
-     *  Same failure contract as the buffer overload. */
-    bool append(const void *data, std::size_t len,
-                std::uint64_t &offsetOut);
 
     /** Map @p length bytes at @p offset read-only.  Null on mmap
      *  failure. */
@@ -320,7 +271,6 @@ class SpillFile
 
     int fd_;
     std::uint64_t size_ = 0;
-    bool readOnly_ = false;
     int lastErrno_ = 0;
 };
 
@@ -404,28 +354,6 @@ class SegmentCursor
     std::size_t before_ = 0;
 };
 
-/** Decode a trace value payload (kind byte + kind-dependent
- *  varints, as TraceRecorder::Writer writes it). */
-inline Value
-decodeTraceValue(SegmentCursor &in)
-{
-    switch (static_cast<ValueKind>(in.byte())) {
-      case ValueKind::Scalar:
-        return Value::scalar(in.zigzag());
-      case ValueKind::Pointer: {
-        const auto obj = static_cast<ObjectId>(in.varint());
-        const auto off = static_cast<std::uint32_t>(in.varint());
-        return Value::pointer(obj, off);
-      }
-      case ValueKind::FuncPtr:
-        return Value::funcPtr(static_cast<FuncId>(in.varint()));
-      case ValueKind::Thread:
-        return Value::thread(static_cast<ThreadId>(in.varint()));
-    }
-    OHA_ASSERT(false, "corrupt trace value payload");
-    return {};
-}
-
 /** Capture knobs for one TraceStore. */
 struct TraceStoreOptions
 {
@@ -434,15 +362,11 @@ struct TraceStoreOptions
      *  64 MiB).  Small traces never cross the threshold and stay
      *  entirely in RAM, single-segment. */
     std::size_t segmentBytes = 0;
-    /** Append a value payload to every Load/Store record. */
-    bool captureValues = false;
 };
 
 /** OHA_TRACE_SEGMENT_BYTES with validation/clamping (see
  *  support::envSizeBytes); re-read on every call. */
 std::size_t configuredSegmentBytes();
-
-struct RecordedTrace;
 
 /**
  * The segmented trace store: one open TraceBuffer receiving records
@@ -531,18 +455,8 @@ class TraceStore
     }
 
     std::size_t segmentBytesThreshold() const { return segmentBytes_; }
-    bool capturesValues() const { return captureValues_; }
 
   private:
-    friend bool persistTrace(const RecordedTrace &, const std::string &,
-                             std::string *);
-    friend std::shared_ptr<RecordedTrace> loadTrace(const std::string &,
-                                                    std::string *);
-    friend bool serializeRecordedTrace(const RecordedTrace &,
-                                       support::ByteWriter &);
-    friend std::shared_ptr<RecordedTrace>
-    deserializeRecordedTrace(support::ByteReader &);
-
     struct Segment
     {
         SegmentHeader header;
@@ -552,16 +466,7 @@ class TraceStore
         std::uint64_t fileOffset = 0;
     };
 
-    /** Visit segment @p i's encoded payload bytes in stream order
-     *  (serialization; maps spilled segments for the call).  False on
-     *  map failure. */
-    bool forEachSegmentBytes(
-        std::size_t i,
-        const std::function<void(const std::uint8_t *, std::size_t)> &fn)
-        const;
-
     std::size_t segmentBytes_;
-    bool captureValues_;
     bool finished_ = false;
     bool spillFailed_ = false; ///< warn once, then keep RAM fallback
     TraceBuffer open_;
@@ -615,21 +520,9 @@ class TraceRecorder
             end(instrHeader(step, id), step);
         }
 
-        /** Load/Store: resolved address, plus the value when the
-         *  capture records values. */
+        /** Load/Store/Lock/Unlock: the resolved address. */
         void
-        memAccess(bool step, InstrId id, ObjectId obj, std::uint32_t off,
-                  const Value &value)
-        {
-            std::uint8_t *out = address(instrHeader(step, id), obj, off);
-            if (owner_->store_.capturesValues())
-                out = putValue(out, value);
-            end(out, step);
-        }
-
-        /** Lock/Unlock: the resolved lock address. */
-        void
-        lockOp(bool step, InstrId id, ObjectId obj, std::uint32_t off)
+        access(bool step, InstrId id, ObjectId obj, std::uint32_t off)
         {
             end(address(instrHeader(step, id), obj, off), step);
         }
@@ -748,24 +641,6 @@ class TraceRecorder
             return TraceBuffer::writeVarint(out, off);
         }
 
-        static std::uint8_t *
-        putValue(std::uint8_t *out, const Value &value)
-        {
-            *out++ = static_cast<std::uint8_t>(value.kind);
-            switch (value.kind) {
-              case ValueKind::Scalar:
-                return TraceBuffer::writeVarint(out,
-                                                TraceBuffer::zigzag(value.num));
-              case ValueKind::Pointer:
-                out = TraceBuffer::writeVarint(out, value.obj);
-                return TraceBuffer::writeVarint(out, value.off);
-              case ValueKind::FuncPtr:
-              case ValueKind::Thread:
-                return TraceBuffer::writeVarint(out, value.idx);
-            }
-            return out;
-        }
-
         /** Close one record: tally it, then take the out-of-line path
          *  when the chunk is nearly full or the segment is due to
          *  close. */
@@ -840,8 +715,8 @@ class TraceRecorder
     static constexpr std::uint8_t kThreadFinish = 3;
     /** Header tid field value meaning "varint tid follows". */
     static constexpr std::uint8_t kTidEscape = 31;
-    /** Upper bound on one encoded record (Load with an escaped tid,
-     *  maximal deltas and a value payload is 42 bytes). */
+    /** Upper bound on one encoded record (a Load with an escaped tid
+     *  and maximal deltas is 21 bytes). */
     static constexpr std::size_t kMaxRecordBytes = 64;
 
   private:
@@ -889,49 +764,10 @@ struct RecordedTrace
     RunResult result;
 };
 
-/**
- * Persist a finished capture to @p path as a checksummed, atomically
- * published file (support::DurableWriter, kind Capture): segment
- * payloads as raw blocks plus a meta block
- * carrying the SegmentHeader table and the RunResult.  False (with
- * @p errorOut and a warning) on any I/O failure — the previously
- * published file, if any, is untouched.
- */
-bool persistTrace(const RecordedTrace &trace, const std::string &path,
-                  std::string *errorOut = nullptr);
-
-/**
- * Reload a capture persisted by persistTrace.  The file is fully
- * checksum-verified and semantically validated (segment/block counts,
- * byte lengths, step totals); segments replay through the same mmap
- * windows as live spilled segments — the loaded fd is adopted as a
- * read-only SpillFile, so load cost is O(metadata), not O(trace).
- * Null (with @p errorOut and a warning) on any defect: truncation,
- * bit flips, version skew, wrong kind — never a crash, never
- * corrupt events served.
- */
-std::shared_ptr<RecordedTrace> loadTrace(const std::string &path,
-                                         std::string *errorOut = nullptr);
-
-/** Blob form of persistTrace for embedding a capture inside another
- *  container (cache snapshots): same meta encoding, segment payloads
- *  inline.  Spilled segments are read back through mmap windows;
- *  false (nothing appended beyond a possibly-partial blob — discard
- *  @p out) when a window cannot be mapped. */
-bool serializeRecordedTrace(const RecordedTrace &trace,
-                            support::ByteWriter &out);
-
-/** Inverse of serializeRecordedTrace; bounds-checked and validated
- *  like loadTrace.  Originally-spilled segments are re-spilled to a
- *  fresh unlinked SpillFile (RAM fallback when unavailable).  Null on
- *  any defect. */
-std::shared_ptr<RecordedTrace>
-deserializeRecordedTrace(support::ByteReader &in);
-
 /** Execute @p config once, uninstrumented, capturing its trace. */
 RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config);
 
-/** Same, with explicit capture knobs (spill threshold, values). */
+/** Same, with an explicit spill threshold. */
 RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
                         const TraceStoreOptions &options);
 
@@ -972,13 +808,6 @@ class TraceReplayer : public AttachmentGroups
     const ir::Module &module_;
     const RecordedTrace &trace_;
 };
-
-/** One pass over @p input for attachment groups: a live Interpreter,
- *  or — when @p trace, a capture of @p input, is non-null — a replay
- *  of the capture.  Either gives every group the same result. */
-std::unique_ptr<AttachmentGroups> openRun(const ir::Module &module,
-                                          const ExecConfig &input,
-                                          const RecordedTrace *trace);
 
 namespace testing {
 

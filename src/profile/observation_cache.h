@@ -44,8 +44,10 @@ observeRunMemo(const std::shared_ptr<const ir::Module> &module,
                const exec::ExecConfig &config);
 
 /** Snapshot-portable view of one cached observation (both
- *  fingerprints of each key component + the plain-data result); see
- *  exec::TraceSectionEntry for the restore semantics. */
+ *  fingerprints of each key component + the plain-data result).  Used
+ *  by the warm-start snapshot (service/snapshot.cc); restored entries
+ *  are admitted without a module object — a request brings its own
+ *  module, the entry only needs to verify fingerprints. */
 struct ObservationSectionEntry
 {
     service::Fingerprint moduleFp;

@@ -10,12 +10,11 @@
  * queue, worker shards drain them through the unmodified pipeline
  * entry points, and the shared cross-request cache
  * (service/shared_cache.h) — static results via analysis/
- * andersen_cache.h, profiling observations via profile/
- * observation_cache.h, and trace captures via exec/trace_cache.h for
- * requests run with useTraceReplay — carries the expensive
- * intermediate state from one request to the next.  A warm request
- * for a hot (module, corpus) pair skips its static phase and its
- * profiling runs entirely.
+ * andersen_cache.h and profiling observations via profile/
+ * observation_cache.h — carries the expensive intermediate state from
+ * one request to the next.  A warm request for a hot (module, corpus)
+ * pair skips its static phase and its profiling runs entirely; its
+ * testing and calibration inputs still run live.
  *
  * Admission control: the queue depth is capped; at the cap a submit
  * either blocks (AdmissionPolicy::Block — back pressure) or fails

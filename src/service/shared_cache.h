@@ -3,10 +3,10 @@
  * Process-wide spine of the cross-request analysis cache.
  *
  * The analysis daemon (service/analysis_service.h) serves many
- * requests from one process, so the memoized static artifacts —
- * Andersen results, whole static-race results, slice sets
- * (analysis/andersen_cache.h) and recorded traces
- * (exec/trace_cache.h) — live in one shared cache: each subsystem
+ * requests from one process, so the memoized artifacts — Andersen
+ * results, whole static-race results, slice sets
+ * (analysis/andersen_cache.h) and profiling observations
+ * (profile/observation_cache.h) — live in one shared cache: each subsystem
  * keeps its own typed key->entry map (a "section"), while this spine
  * owns everything the sections share:
  *

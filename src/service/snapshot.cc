@@ -9,7 +9,6 @@
 #include <sys/stat.h>
 
 #include "analysis/andersen_cache.h"
-#include "exec/trace_cache.h"
 #include "profile/observation_cache.h"
 #include "support/durable_file.h"
 
@@ -20,8 +19,9 @@ namespace {
 using support::ByteReader;
 using support::ByteWriter;
 
-// Entry tags (first payload byte of every entry block).
-constexpr std::uint8_t kTagTrace = 1;
+// Entry tags (first payload byte of every entry block).  Tag 1 held
+// trace captures in older snapshots: never reuse it, so such an entry
+// is rejected as an unknown tag.
 constexpr std::uint8_t kTagObservation = 2;
 constexpr std::uint8_t kTagRace = 3;
 constexpr std::uint8_t kTagSlice = 4;
@@ -306,18 +306,6 @@ restoreEntry(const std::string &payload)
     ByteReader in(payload);
     const std::uint8_t tag = in.u8();
     switch (tag) {
-      case kTagTrace: {
-        exec::TraceSectionEntry entry;
-        entry.moduleFp = getFingerprint(in);
-        entry.configFp = getFingerprint(in);
-        if (!in.ok())
-            return false;
-        entry.trace = exec::deserializeRecordedTrace(in);
-        if (!entry.trace || in.remaining() != 0)
-            return false;
-        exec::admitTraceSectionEntry(entry);
-        return true;
-      }
       case kTagObservation: {
         prof::ObservationSectionEntry entry;
         entry.moduleFp = getFingerprint(in);
@@ -403,26 +391,12 @@ writeSnapshot(const std::string &path, std::string *errorOut)
     // Export under the spine lock (each export takes it once), then
     // serialize outside it — entries are immutable shared_ptrs, so
     // requests keep flowing while the snapshot is written.
-    const auto traces = exec::exportTraceSection();
     const auto observations = prof::exportObservationSection();
     const auto races = analysis::exportRaceSection();
     const auto slices = analysis::exportSliceSection();
 
     std::vector<std::string> blocks;
-    blocks.reserve(traces.size() + observations.size() + races.size() +
-                   slices.size());
-    std::size_t skipped = 0;
-    for (const auto &entry : traces) {
-        ByteWriter out;
-        out.u8(kTagTrace);
-        putFingerprint(out, entry.moduleFp);
-        putFingerprint(out, entry.configFp);
-        if (!exec::serializeRecordedTrace(*entry.trace, out)) {
-            ++skipped; // unmappable spilled segment: skip this entry
-            continue;
-        }
-        blocks.push_back(out.take());
-    }
+    blocks.reserve(observations.size() + races.size() + slices.size());
     for (const auto &entry : observations) {
         ByteWriter out;
         out.u8(kTagObservation);
@@ -449,9 +423,6 @@ writeSnapshot(const std::string &path, std::string *errorOut)
         serializeSlices(out, *entry.result);
         blocks.push_back(out.take());
     }
-    if (skipped > 0)
-        OHA_WARN("snapshot to %s: skipped %zu unreadable cache entries",
-                 path.c_str(), skipped);
 
     support::DurableWriter writer(path, support::kDurableKindSnapshot);
     ByteWriter meta;

@@ -5,11 +5,9 @@
  * A long-lived analysis daemon (analysis_service.h) earns its warm
  * hit rate over many requests; a restart used to throw all of that
  * away.  This module persists the *plain-data* sections of the shared
- * cache — recorded trace captures (present only when requests ran
- * with useTraceReplay), profiling observations, static race results
- * and slice sets — into one checksummed, atomically
- * published container (support/durable_file.h, kind Snapshot), and
- * re-admits them at boot.
+ * cache — profiling observations, static race results and slice sets
+ * — into one checksummed, atomically published container
+ * (support/durable_file.h, kind Snapshot), and re-admits them at boot.
  *
  * What is deliberately NOT persisted: Andersen points-to results.
  * They are opaque (hash-consed pools, live module references), so
@@ -73,11 +71,10 @@ std::string defaultSnapshotPath(const std::string &stateDir);
 
 /**
  * Serialize the shared cache's plain-data sections to @p path using
- * the atomic temp+fsync+rename protocol.  Entries whose payload
- * cannot be read back (e.g. an unmappable spilled segment) are
- * skipped with a warning; an I/O failure anywhere aborts the write,
- * counts a writeFailure and leaves any previously published snapshot
- * untouched.  False on failure (with @p errorOut set).
+ * the atomic temp+fsync+rename protocol.  An I/O failure anywhere
+ * aborts the write, counts a writeFailure and leaves any previously
+ * published snapshot untouched.  False on failure (with @p errorOut
+ * set).
  */
 bool writeSnapshot(const std::string &path,
                    std::string *errorOut = nullptr);

@@ -548,14 +548,6 @@ DurableReader::readBlock(std::size_t i, std::string &out) const
     return preadAll(fd_, out.data(), out.size(), blocks_[i].offset);
 }
 
-int
-DurableReader::releaseFd()
-{
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-}
-
 // ------------------------------------------------------------- plain files
 
 bool

@@ -1,9 +1,8 @@
 /**
  * @file
- * Crash-consistent on-disk containers for captures and snapshots.
+ * Crash-consistent on-disk containers for snapshots.
  *
- * Everything the pipeline persists — trace capture files
- * (exec::persistTrace) and warm-start cache snapshots
+ * Everything the pipeline persists — warm-start cache snapshots
  * (service/snapshot.h) — goes through one checksummed block-container
  * format and one atomic-publish protocol:
  *
@@ -265,10 +264,10 @@ class ByteReader
 // ------------------------------------------------------------- containers
 
 /** Container kinds (header field; a reader asked for one kind rejects
- *  the other, so a capture file is never parsed as a snapshot). */
+ *  every other).  The values are on-disk format: 1 marked trace-capture
+ *  files, so it stays unused and a snapshot keeps 2. */
 enum : std::uint32_t
 {
-    kDurableKindCapture = 1,
     kDurableKindSnapshot = 2,
 };
 
@@ -355,16 +354,11 @@ class DurableReader
     {
         return blocks_[i].length;
     }
-    std::uint64_t fileSize() const { return fileSize_; }
 
     /** Copy block @p i's payload out (empty + false on read error —
      *  possible despite open-time verification if the medium fails
      *  between open and read). */
     bool readBlock(std::size_t i, std::string &out) const;
-
-    /** Hand the fd to the caller (e.g. exec::SpillFile read-only
-     *  adoption for mmap replay); the reader no longer closes it. */
-    int releaseFd();
 
   private:
     DurableReader() = default;

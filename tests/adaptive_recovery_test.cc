@@ -252,22 +252,6 @@ TEST(AdaptiveRecovery, RepairSequenceIsThreadCountInvariant)
     EXPECT_DOUBLE_EQ(a.repredStaticSeconds, b.repredStaticSeconds);
 }
 
-TEST(AdaptiveRecovery, LiveAndReplayModesAgree)
-{
-    const auto workload = multiViolationWorkload();
-    OptFtConfig replay, live;
-    replay.maxRepredications = live.maxRepredications = 8;
-    replay.useTraceReplay = true;
-    live.useTraceReplay = false;
-    const auto a = runOptFt(workload, replay);
-    const auto b = runOptFt(workload, live);
-    EXPECT_EQ(a.demotions, b.demotions);
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations);
-    EXPECT_EQ(a.repredications, b.repredications);
-    EXPECT_EQ(a.raceReportsMatch, b.raceReportsMatch);
-    EXPECT_DOUBLE_EQ(a.optFt.normalized(), b.optFt.normalized());
-}
-
 TEST(AdaptiveRecovery, OptSliceRepairReducesMisSpeculation)
 {
     // go is tuned for unstable behaviour: with a tiny profiling set,

@@ -241,7 +241,6 @@ expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
     EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
     EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
@@ -270,32 +269,26 @@ expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
     EXPECT_EQ(a.dynSpeedup, b.dynSpeedup) << label;
     EXPECT_EQ(a.breakEven, b.breakEven) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
     EXPECT_EQ(a.circuitBroken, b.circuitBroken) << label;
 }
 
-// Every cached intermediate (static results, trace captures,
-// profiling observations) must be indistinguishable from a fresh
-// computation: the fully-cached pipeline and the fully-live pipeline
-// agree field for field.  Both record once, since captures are cached
-// only on that path.
+// Every cached intermediate (static results, profiling observations)
+// must be indistinguishable from a fresh computation: the
+// fully-cached pipeline and the fully-live pipeline agree field for
+// field.
 TEST(AnalysisService, CachedPipelineMatchesLivePipeline)
 {
     const auto race = workloads::makeRaceWorkload("sor", 5, 2);
     const auto slice = workloads::makeSliceWorkload("zlib", 4, 2);
 
-    core::OptFtConfig cachedFtConfig;
-    cachedFtConfig.useTraceReplay = true;
-    core::OptSliceConfig cachedSliceConfig;
-    cachedSliceConfig.useTraceReplay = true;
+    const core::OptFtConfig cachedFtConfig;
+    const core::OptSliceConfig cachedSliceConfig;
     core::OptFtConfig liveFt = cachedFtConfig;
-    liveFt.cacheTraceCaptures = false;
     liveFt.cacheProfileObservations = false;
     core::OptSliceConfig liveSlice = cachedSliceConfig;
-    liveSlice.cacheTraceCaptures = false;
     liveSlice.cacheProfileObservations = false;
 
     analysis::resetAndersenCache();

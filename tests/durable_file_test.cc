@@ -39,6 +39,10 @@ using support::ByteWriter;
 using support::DurableReader;
 using support::DurableWriter;
 
+/** Container kind of the sample files: any kind but a snapshot's, so
+ *  opening one as a snapshot must fail on the kind check. */
+constexpr std::uint32_t kSampleKind = 1;
+
 /** Per-test scratch directory under the working directory. */
 class DurableFileTest : public ::testing::Test
 {
@@ -120,7 +124,7 @@ sampleBlocks()
 bool
 writeSample(const std::string &path)
 {
-    DurableWriter writer(path, support::kDurableKindCapture);
+    DurableWriter writer(path, kSampleKind);
     for (const std::string &block : sampleBlocks())
         writer.addBlock(block);
     return writer.commit();
@@ -146,7 +150,7 @@ TEST_F(DurableFileTest, RoundTripsBlocksWithAlignedOffsets)
 
     std::string error;
     auto reader =
-        DurableReader::open(file, support::kDurableKindCapture, &error);
+        DurableReader::open(file, kSampleKind, &error);
     ASSERT_TRUE(reader) << error;
     ASSERT_EQ(reader->numBlocks(), sampleBlocks().size());
     EXPECT_EQ(readAllBlocks(*reader), sampleBlocks());
@@ -201,7 +205,7 @@ TEST_F(DurableFileTest, RejectsTruncationAtEveryLength)
         writeFileRaw(file, bytes.substr(0, len));
         std::string error;
         auto reader = DurableReader::open(
-            file, support::kDurableKindCapture, &error);
+            file, kSampleKind, &error);
         EXPECT_FALSE(reader)
             << "accepted a file truncated to " << len << " bytes";
         EXPECT_FALSE(error.empty());
@@ -221,7 +225,7 @@ TEST_F(DurableFileTest, BitFlipSweepRejectsOrReadsIdentical)
         mutated[at] = static_cast<char>(mutated[at] ^ 0x40);
         writeFileRaw(file, mutated);
         auto reader =
-            DurableReader::open(file, support::kDurableKindCapture);
+            DurableReader::open(file, kSampleKind);
         if (!reader)
             continue; // rejected: the common, correct outcome
         // Accepted: the flip can only have hit never-checksummed
@@ -251,7 +255,7 @@ TEST_F(DurableFileTest, RejectsVersionSkewMagicAndKind)
         writeFileRaw(file, mutated);
         std::string error;
         EXPECT_FALSE(DurableReader::open(
-            file, support::kDurableKindCapture, &error));
+            file, kSampleKind, &error));
         EXPECT_NE(error.find("version"), std::string::npos) << error;
     }
     // Wrong magic.
@@ -261,10 +265,10 @@ TEST_F(DurableFileTest, RejectsVersionSkewMagicAndKind)
         writeFileRaw(file, mutated);
         std::string error;
         EXPECT_FALSE(DurableReader::open(
-            file, support::kDurableKindCapture, &error));
+            file, kSampleKind, &error));
     }
-    // Right file, wrong expected kind: a capture never parses as a
-    // snapshot.
+    // Right file, wrong expected kind: a sample container never parses
+    // as a snapshot.
     {
         writeFileRaw(file, bytes);
         std::string error;
@@ -283,7 +287,7 @@ TEST_F(DurableFileTest, WriterFaultSweepNeverClobbersPublishedFile)
     const std::string previous = readFile(file);
 
     const std::uint64_t ops = dyn::countIoOps([&] {
-        DurableWriter writer(file, support::kDurableKindCapture);
+        DurableWriter writer(file, kSampleKind);
         writer.addBlock(std::string("second generation"));
         ASSERT_TRUE(writer.commit());
     });
@@ -302,7 +306,7 @@ TEST_F(DurableFileTest, WriterFaultSweepNeverClobbersPublishedFile)
         int error = 0;
         {
             dyn::ScopedIoFault fault(point);
-            DurableWriter writer(file, support::kDurableKindCapture);
+            DurableWriter writer(file, kSampleKind);
             writer.addBlock(std::string("second generation"));
             ok = writer.commit();
             error = writer.error();

@@ -8,9 +8,8 @@
  * and every testing input, one digest per run kind covers:
  *  - plain: the RunResult of an uninstrumented run (schedule on);
  *  - observer: the profiler's RunObservations under its narrow plan;
- *  - record / record4k / record4kValues: recordRun's trace bytes,
- *    segment headers and result at the default segment size and at
- *    4096-byte segments without and with value capture;
+ *  - record / record4k: recordRun's trace bytes, segment headers and
+ *    result at the default segment size and at 4096-byte segments;
  *  - spyAll / spySparse: a spy tool hashing every EventCtx field and
  *    lifecycle callback, under an all-sites plan alone, and under a
  *    sparse plan (every 3rd instruction, every 2nd block) attached
@@ -306,11 +305,9 @@ computeDigests(const workloads::Workload &workload)
     defaultSegments.segmentBytes = std::size_t{64} << 20;
     exec::TraceStoreOptions small;
     small.segmentBytes = 4096;
-    exec::TraceStoreOptions smallValues = small;
-    smallValues.captureValues = true;
 
-    Hasher plain, observer, record, record4k, record4kValues, spyAll,
-        spySparse, abort, maxSteps;
+    Hasher plain, observer, record, record4k, spyAll, spySparse, abort,
+        maxSteps;
     for (const exec::ExecConfig &config : inputs) {
         {
             exec::Interpreter interp(module, config);
@@ -319,7 +316,6 @@ computeDigests(const workloads::Workload &workload)
         observer.add(campaign.observeRun(config));
         hashRecording(record, module, config, defaultSegments);
         hashRecording(record4k, module, config, small);
-        hashRecording(record4kValues, module, config, smallValues);
 
         std::uint64_t events = 0;
         {
@@ -367,7 +363,6 @@ computeDigests(const workloads::Workload &workload)
         {"observer", observer.h},
         {"record", record.h},
         {"record4k", record4k.h},
-        {"record4kValues", record4kValues.h},
         {"spyAll", spyAll.h},
         {"spySparse", spySparse.h},
         {"abort", abort.h},

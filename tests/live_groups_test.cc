@@ -121,6 +121,17 @@ expectEqual(const GroupOutcome &expected, const GroupOutcome &actual,
     EXPECT_EQ(expected.threadCallbacks, actual.threadCallbacks) << label;
 }
 
+/** One pass over @p input: a live run, or a replay of @p trace when it
+ *  is non-null. */
+std::unique_ptr<exec::AttachmentGroups>
+openPass(const ir::Module &module, const exec::ExecConfig &input,
+         const exec::RecordedTrace *trace)
+{
+    if (trace)
+        return std::make_unique<exec::TraceReplayer>(module, *trace);
+    return std::make_unique<exec::Interpreter>(module, input);
+}
+
 /** Drive @p specs over @p input: all as groups of one pass (@p grouped)
  *  or each alone in its own pass; live, or replaying @p trace when it
  *  is non-null.  One outcome per spec either way. */
@@ -152,13 +163,13 @@ runSpecs(const Analysis &analysis, const exec::ExecConfig &input,
 
     std::vector<exec::RunResult> results;
     if (grouped) {
-        const auto run = exec::openRun(module, input, trace);
+        const auto run = openPass(module, input, trace);
         for (std::size_t g = 0; g < specs.size(); ++g)
             attachSpec(*run, g, g == 0 ? 0 : run->addGroup());
         results = run->runGroups();
     } else {
         for (std::size_t g = 0; g < specs.size(); ++g) {
-            const auto run = exec::openRun(module, input, trace);
+            const auto run = openPass(module, input, trace);
             attachSpec(*run, g, 0);
             results.push_back(run->run());
         }

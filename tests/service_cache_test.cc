@@ -17,8 +17,8 @@
 
 #include "analysis/andersen_cache.h"
 #include "core/optslice.h"
-#include "exec/trace_cache.h"
 #include "ir/builder.h"
+#include "profile/observation_cache.h"
 #include "service/lru.h"
 #include "service/shared_cache.h"
 #include "workloads/workloads.h"
@@ -274,11 +274,11 @@ TEST(SharedCache, PrimaryFingerprintCollisionIsVerifiedNotServed)
     EXPECT_EQ(analysis::andersenCacheStats().verifiedMisses, 2u);
     EXPECT_EQ(a2->workUnits, a->workUnits);
 
-    // Trace captures verify through the same machinery.
+    // Profiling observations verify through the same machinery.
     exec::ExecConfig input;
-    const auto traceA = exec::recordRunMemo(moduleA, input);
-    const auto traceB = exec::recordRunMemo(moduleB, input);
-    EXPECT_NE(traceA->result.steps, traceB->result.steps);
+    const auto observedA = prof::observeRunMemo(moduleA, {}, input);
+    const auto observedB = prof::observeRunMemo(moduleB, {}, input);
+    EXPECT_NE(observedA->steps, observedB->steps);
     EXPECT_GE(analysis::andersenCacheStats().verifiedMisses, 3u);
 }
 
@@ -359,7 +359,6 @@ TEST(SharedCache, ColdOptSliceSolvesTheCiPrePassOnce)
     const auto workload = workloads::makeSliceWorkload("nginx", 4, 1);
     core::OptSliceConfig config;
     config.threads = 1;
-    config.cacheTraceCaptures = false;
     config.cacheProfileObservations = false;
     config.adaptiveRecovery = false;
     const core::OptSliceResult result = core::runOptSlice(workload, config);
@@ -397,8 +396,9 @@ TEST(SharedCacheTorture, ConcurrentMemoResetAndBudgetChanges)
     }
     std::vector<std::uint64_t> expectedSteps;
     for (const auto &module : modules)
-        expectedSteps.push_back(
-            exec::recordRun(*module, exec::ExecConfig{}).result.steps);
+        expectedSteps.push_back(prof::ProfilingCampaign(*module, {})
+                                    .observeRun(exec::ExecConfig{})
+                                    .steps);
 
     std::atomic<int> wrongResults{0};
     auto worker = [&](int tid) {
@@ -423,9 +423,9 @@ TEST(SharedCacheTorture, ConcurrentMemoResetAndBudgetChanges)
                 break;
               }
               case 2: {
-                const auto trace =
-                    exec::recordRunMemo(modules[m], exec::ExecConfig{});
-                if (trace->result.steps != expectedSteps[m])
+                const auto observed = prof::observeRunMemo(
+                    modules[m], {}, exec::ExecConfig{});
+                if (observed->steps != expectedSteps[m])
                     ++wrongResults;
                 break;
               }

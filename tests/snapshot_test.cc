@@ -84,7 +84,6 @@ expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
     EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
     EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
@@ -113,7 +112,6 @@ expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
     EXPECT_EQ(a.dynSpeedup, b.dynSpeedup) << label;
     EXPECT_EQ(a.breakEven, b.breakEven) << label;
     EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.replayedEvents, b.replayedEvents) << label;
     EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
     EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
     EXPECT_EQ(a.repredications, b.repredications) << label;
@@ -159,34 +157,16 @@ class SnapshotTest : public ::testing::Test
         analysis::resetAndersenCache();
     }
 
-    /** The fixture's pipeline configurations: record-once, since
-     *  captures are cached (and snapshotted) only on that path. */
-    static core::OptFtConfig
-    ftConfig()
-    {
-        core::OptFtConfig config;
-        config.useTraceReplay = true;
-        return config;
-    }
-
-    static core::OptSliceConfig
-    sliceConfig()
-    {
-        core::OptSliceConfig config;
-        config.useTraceReplay = true;
-        return config;
-    }
-
     /** Run both pipelines on the fixture workloads (warming the
-     *  trace, observation, race and slice cache sections). */
+     *  observation, race and slice cache sections). */
     PipelineResults
     runPipelines() const
     {
         PipelineResults results;
-        results.ft = core::runOptFt(
-            workloads::makeRaceWorkload("sor", 3, 2), ftConfig());
-        results.slice = core::runOptSlice(
-            workloads::makeSliceWorkload("zlib", 3, 2), sliceConfig());
+        results.ft =
+            core::runOptFt(workloads::makeRaceWorkload("sor", 3, 2));
+        results.slice =
+            core::runOptSlice(workloads::makeSliceWorkload("zlib", 3, 2));
         return results;
     }
 
@@ -320,10 +300,10 @@ TEST_F(SnapshotTest, TruncationSweepRejectsWholesale)
     ASSERT_GT(golden.size(), 32u);
 
     const std::string victim = dir_ + "/truncated.snapshot";
-    // A real snapshot is megabytes; sample truncation lengths instead
-    // of sweeping every one (the byte-exhaustive sweep lives in the
-    // capture-file tests — the formats share the container layer).
-    // The header and first-block region is covered densely.
+    // Sample truncation lengths instead of sweeping every one (the
+    // byte-exhaustive sweep lives in the container-layer tests,
+    // DurableFileTest).  The header and first-block region is covered
+    // densely.
     std::vector<std::size_t> lengths;
     for (std::size_t len = 0; len < 64 && len < golden.size(); ++len)
         lengths.push_back(len);
@@ -384,33 +364,86 @@ TEST_F(SnapshotTest, BitFlipSweepRejectsOrRestoresVerifiedState)
     EXPECT_LT(accepted, samples / 4 + 1);
 }
 
+/** A trace-capture entry (tag 1) in the layout snapshots carried
+ *  while captures were cached: fingerprints, then a capture of an
+ *  empty run with no segments (meta version 2, no value payload, a
+ *  64 MiB spill threshold). */
+std::string
+traceCaptureEntry()
+{
+    support::ByteWriter entry;
+    entry.u8(1);
+    for (int i = 0; i < 4; ++i)
+        entry.u64(0); // module + config fingerprints
+    entry.u32(2);     // capture meta version
+    entry.u8(0);      // no value payload
+    entry.u64(std::uint64_t{64} << 20);
+    entry.u64(0); // segments
+    // RunResult: status, abort reason and metadata, outputs, steps,
+    // event totals, delivered counts, threads, schedule.
+    entry.u32(0);
+    entry.str("");
+    entry.u32(0);
+    for (int i = 0; i < 3; ++i)
+        entry.u64(0);
+    entry.u32(0);
+    entry.u64(0);
+    entry.u64(0);
+    for (std::size_t i = 0; i < exec::kNumEventClasses; ++i)
+        entry.u64(0);
+    entry.u64(0);
+    entry.u32(0);
+    entry.u64(0);
+    return entry.take();
+}
+
 TEST_F(SnapshotTest, BogusEntryTagRejectedIndividually)
 {
-    // Hand-build a structurally valid container whose single entry
-    // has an unknown tag: the container verifies (load succeeds) but
-    // the entry is individually rejected and counted.
-    const std::string path = dir_ + "/bogus.snapshot";
-    {
-        support::DurableWriter writer(path,
-                                      support::kDurableKindSnapshot);
-        support::ByteWriter meta;
-        meta.u32(service::kSnapshotVersion);
-        meta.u64(1); // one entry
-        writer.addBlock(meta.data());
-        support::ByteWriter entry;
-        entry.u8(200); // no such tag
-        writer.addBlock(entry.data());
-        std::string error;
-        ASSERT_TRUE(writer.commit(&error)) << error;
-    }
-
-    const auto before = service::snapshotStats();
+    // A real snapshot's entries plus one with a tag this version does
+    // not know — made up (200), or the retired trace-capture entry
+    // (1): the container verifies (load succeeds), the bogus entry is
+    // individually rejected and counted, and every other entry
+    // restores.
+    runPipelines();
     std::string error;
-    EXPECT_TRUE(service::loadSnapshot(path, &error)) << error;
-    const auto after = service::snapshotStats();
-    EXPECT_EQ(after.loads, before.loads + 1);
-    EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
-    EXPECT_EQ(after.entriesRestored, before.entriesRestored);
+    ASSERT_TRUE(service::writeSnapshot(snapshotPath(), &error)) << error;
+    std::vector<std::string> entries;
+    {
+        const auto reader = support::DurableReader::open(
+            snapshotPath(), support::kDurableKindSnapshot, &error);
+        ASSERT_TRUE(reader) << error;
+        for (std::size_t b = 1; b < reader->numBlocks(); ++b)
+            ASSERT_TRUE(reader->readBlock(b, entries.emplace_back()));
+    }
+    ASSERT_FALSE(entries.empty());
+
+    support::ByteWriter unknownTag;
+    unknownTag.u8(200);
+    for (const std::string &bogus :
+         {unknownTag.take(), traceCaptureEntry()}) {
+        const std::string path = dir_ + "/bogus.snapshot";
+        {
+            support::DurableWriter writer(path,
+                                          support::kDurableKindSnapshot);
+            support::ByteWriter meta;
+            meta.u32(service::kSnapshotVersion);
+            meta.u64(entries.size() + 1);
+            writer.addBlock(meta.data());
+            writer.addBlock(bogus);
+            for (const std::string &entry : entries)
+                writer.addBlock(entry);
+            ASSERT_TRUE(writer.commit(&error)) << error;
+        }
+
+        coldReset();
+        const auto before = service::snapshotStats();
+        EXPECT_TRUE(service::loadSnapshot(path, &error)) << error;
+        const auto after = service::snapshotStats();
+        EXPECT_EQ(after.loads, before.loads + 1);
+        EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
+        EXPECT_EQ(after.entriesRestored,
+                  before.entriesRestored + entries.size());
+    }
 }
 
 TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
@@ -496,10 +529,8 @@ TEST_F(SnapshotTest, VersionOneSnapshotRejectedWholesaleAndDaemonBootsCold)
 
     service::AnalysisRequest ftRequest;
     ftRequest.workload = workloads::makeRaceWorkload("sor", 3, 2);
-    ftRequest.ftConfig = ftConfig();
     service::AnalysisRequest sliceRequest;
     sliceRequest.workload = workloads::makeSliceWorkload("zlib", 3, 2);
-    sliceRequest.sliceConfig = sliceConfig();
     auto ftFuture = daemon.submit(std::move(ftRequest));
     auto sliceFuture = daemon.submit(std::move(sliceRequest));
     const auto ftResponse = ftFuture.get();
@@ -574,10 +605,8 @@ TEST_F(SnapshotTest, ServiceRestartBootsWarmWithIdenticalResults)
         EXPECT_EQ(daemon.stateDir(), dir_);
         service::AnalysisRequest ftRequest;
         ftRequest.workload = race;
-        ftRequest.ftConfig = ftConfig();
         service::AnalysisRequest sliceRequest;
         sliceRequest.workload = slice;
-        sliceRequest.sliceConfig = sliceConfig();
         auto ftFuture = daemon.submit(std::move(ftRequest));
         auto sliceFuture = daemon.submit(std::move(sliceRequest));
         const auto ftResponse = ftFuture.get();
@@ -602,10 +631,8 @@ TEST_F(SnapshotTest, ServiceRestartBootsWarmWithIdenticalResults)
 
         service::AnalysisRequest ftRequest;
         ftRequest.workload = race;
-        ftRequest.ftConfig = ftConfig();
         service::AnalysisRequest sliceRequest;
         sliceRequest.workload = slice;
-        sliceRequest.sliceConfig = sliceConfig();
         auto ftFuture = daemon.submit(std::move(ftRequest));
         auto sliceFuture = daemon.submit(std::move(sliceRequest));
         const auto ftResponse = ftFuture.get();

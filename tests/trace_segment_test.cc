@@ -10,21 +10,21 @@
  * a final segment that would be empty is dropped; spill-disabled
  * captures keep the single-segment in-RAM behavior; and peak
  * mmap-resident trace bytes during replay are bounded by
- * O(segment size × concurrent replays), not O(trace size).  The
- * pipeline-level parity (direct vs replay over spilled captures) is
- * checked at 1 and 4 worker threads.
+ * O(segment size × concurrent replays), not O(trace size); and a
+ * spill failure mid-capture degrades to RAM segments that still replay
+ * exactly.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cerrno>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/optft.h"
 #include "dyn/fasttrack.h"
+#include "dyn/fault_injector.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
@@ -400,72 +400,54 @@ TEST(SegmentedCapture, ReplayMappedBytesBoundedBySegmentTimesShards)
     EXPECT_EQ(exec::testing::mappedTraceBytesNow(), 0u);
 }
 
-void
-expectEqual(const core::RunCost &a, const core::RunCost &b,
-            const std::string &label)
+TEST(SegmentedCapture, MidCaptureSpillFailurePreservesAndCounts)
 {
-    EXPECT_EQ(a.base, b.base) << label;
-    EXPECT_EQ(a.framework, b.framework) << label;
-    EXPECT_EQ(a.analysis, b.analysis) << label;
-    EXPECT_EQ(a.invariants, b.invariants) << label;
-    EXPECT_EQ(a.rollback, b.rollback) << label;
-}
+    // ENOSPC on the spill file mid-capture degrades the later segments
+    // to RAM, with the fallback counted and the errno recorded, and
+    // the capture still replays exactly.
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    const ir::Module &module = *workload.module;
+    const exec::ExecConfig &config = workload.testingSet.front();
+    exec::TraceStoreOptions options;
+    options.segmentBytes = kTinySegment;
+    const exec::RecordedTrace healthy =
+        exec::recordRun(module, config, options);
+    ASSERT_GT(healthy.events.spillStats().spilledSegments, 1u)
+        << "workload too small: need several spilled segments";
 
-/** Field-by-field OptFtResult equality, excluding interpretedSteps /
- *  replayedEvents (their divergence is the optimization itself). */
-void
-expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
-            const std::string &label)
-{
-    EXPECT_EQ(a.name, b.name) << label;
-    EXPECT_EQ(a.staticallyRaceFree, b.staticallyRaceFree) << label;
-    EXPECT_EQ(a.soundStaticSeconds, b.soundStaticSeconds) << label;
-    EXPECT_EQ(a.predStaticSeconds, b.predStaticSeconds) << label;
-    EXPECT_EQ(a.profileSeconds, b.profileSeconds) << label;
-    EXPECT_EQ(a.profileRunsUsed, b.profileRunsUsed) << label;
-    EXPECT_EQ(a.testRuns, b.testRuns) << label;
-    EXPECT_EQ(a.baselineSeconds, b.baselineSeconds) << label;
-    expectEqual(a.fastTrack, b.fastTrack, label + " fastTrack");
-    expectEqual(a.hybridFt, b.hybridFt, label + " hybridFt");
-    expectEqual(a.optFt, b.optFt, label + " optFt");
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations) << label;
-    EXPECT_EQ(a.raceReportsMatch, b.raceReportsMatch) << label;
-    EXPECT_EQ(a.racesObserved, b.racesObserved) << label;
-    EXPECT_EQ(a.soundRacyAccesses, b.soundRacyAccesses) << label;
-    EXPECT_EQ(a.predRacyAccesses, b.predRacyAccesses) << label;
-    EXPECT_EQ(a.elidedLockSites, b.elidedLockSites) << label;
-    EXPECT_EQ(a.speedupVsFastTrack, b.speedupVsFastTrack) << label;
-    EXPECT_EQ(a.speedupVsHybrid, b.speedupVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
-    EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
-    EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
-}
+    // Let a couple of segment spills succeed, then hit ENOSPC on
+    // every later write.  kIoWrite keeps the fault away from the
+    // capture-unrelated open of the spill file itself.
+    const std::uint64_t writesPerSegment =
+        dyn::countIoOps([&] { exec::recordRun(module, config, options); }) /
+        healthy.events.spillStats().spilledSegments;
+    dyn::IoFaultPoint point;
+    point.failAfter = writesPerSegment + 1;
+    point.opMask = support::kIoWrite;
+    point.error = ENOSPC;
 
-TEST(SegmentedPipeline, SpilledReplayFieldExactVsLiveAt1And4Threads)
-{
-    // Force every capture in the pipeline through the spill path and
-    // compare the whole OptFT result against the direct (live
-    // interpreter) evaluation, serial and at 4 worker threads.
-    ASSERT_EQ(setenv("OHA_TRACE_SEGMENT_BYTES", "4096", 1), 0);
-    const auto workload = workloads::makeRaceWorkload("raytracer", 8, 4);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        core::OptFtConfig direct;
-        direct.useTraceReplay = false;
-        direct.threads = threads;
-        core::OptFtConfig replay;
-        replay.useTraceReplay = true;
-        replay.threads = threads;
-        // Private captures: the shared cache must not serve a trace
-        // recorded by another test under a different threshold.
-        replay.cacheTraceCaptures = false;
+    const exec::RecordedTrace faulted = [&] {
+        dyn::ScopedIoFault fault(point);
+        return exec::recordRun(module, config, options);
+    }();
 
-        const auto a = core::runOptFt(workload, direct);
-        const auto b = core::runOptFt(workload, replay);
-        expectEqual(a, b,
-                    "spilled pipeline @" + std::to_string(threads) + "t");
-    }
-    unsetenv("OHA_TRACE_SEGMENT_BYTES");
+    const exec::TraceStore::SpillStats &stats =
+        faulted.events.spillStats();
+    EXPECT_GT(stats.spilledSegments, 0u)
+        << "fault fired before any segment spilled";
+    EXPECT_GT(stats.ramFallbackSegments, 0u)
+        << "fault never fired mid-capture";
+    EXPECT_EQ(stats.lastErrno, ENOSPC);
+    EXPECT_EQ(stats.spilledSegments + stats.ramFallbackSegments +
+                  1 /* trailing open segment stays in RAM */,
+              healthy.events.numSegments());
+
+    // Degraded storage, identical events.
+    const auto invariants = profiled(module, workload.profilingSet);
+    const auto plan = dyn::fullFastTrackPlan(module);
+    expectEqual(ftSnapshot(module, invariants, plan, &config, nullptr),
+                ftSnapshot(module, invariants, plan, nullptr, &faulted),
+                "ENOSPC mid-capture");
 }
 
 } // namespace
