@@ -17,6 +17,7 @@
 #include "analysis/andersen_cache.h"
 #include "core/optft.h"
 #include "core/optslice.h"
+#include "pipeline_result_eq.h"
 #include "service/analysis_service.h"
 #include "service/request_queue.h"
 #include "workloads/workloads.h"
@@ -203,77 +204,6 @@ TEST(AnalysisService, QueuedDeadlineExpiresWithoutRunning)
 // ---------------------------------------------------------------------
 // Determinism contract: service == batch, field for field
 // ---------------------------------------------------------------------
-
-void
-expectEqual(const core::RunCost &a, const core::RunCost &b,
-            const std::string &label)
-{
-    EXPECT_EQ(a.base, b.base) << label;
-    EXPECT_EQ(a.framework, b.framework) << label;
-    EXPECT_EQ(a.analysis, b.analysis) << label;
-    EXPECT_EQ(a.invariants, b.invariants) << label;
-    EXPECT_EQ(a.rollback, b.rollback) << label;
-}
-
-void
-expectEqual(const core::OptFtResult &a, const core::OptFtResult &b,
-            const std::string &label)
-{
-    EXPECT_EQ(a.name, b.name) << label;
-    EXPECT_EQ(a.staticallyRaceFree, b.staticallyRaceFree) << label;
-    EXPECT_EQ(a.soundStaticSeconds, b.soundStaticSeconds) << label;
-    EXPECT_EQ(a.predStaticSeconds, b.predStaticSeconds) << label;
-    EXPECT_EQ(a.profileSeconds, b.profileSeconds) << label;
-    EXPECT_EQ(a.profileRunsUsed, b.profileRunsUsed) << label;
-    EXPECT_EQ(a.testRuns, b.testRuns) << label;
-    EXPECT_EQ(a.baselineSeconds, b.baselineSeconds) << label;
-    expectEqual(a.fastTrack, b.fastTrack, label + " fastTrack");
-    expectEqual(a.hybridFt, b.hybridFt, label + " hybridFt");
-    expectEqual(a.optFt, b.optFt, label + " optFt");
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations) << label;
-    EXPECT_EQ(a.raceReportsMatch, b.raceReportsMatch) << label;
-    EXPECT_EQ(a.racesObserved, b.racesObserved) << label;
-    EXPECT_EQ(a.soundRacyAccesses, b.soundRacyAccesses) << label;
-    EXPECT_EQ(a.predRacyAccesses, b.predRacyAccesses) << label;
-    EXPECT_EQ(a.elidedLockSites, b.elidedLockSites) << label;
-    EXPECT_EQ(a.speedupVsFastTrack, b.speedupVsFastTrack) << label;
-    EXPECT_EQ(a.speedupVsHybrid, b.speedupVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
-    EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
-    EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
-    EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
-    EXPECT_EQ(a.repredications, b.repredications) << label;
-    EXPECT_EQ(a.repredStaticSeconds, b.repredStaticSeconds) << label;
-    EXPECT_EQ(a.circuitBroken, b.circuitBroken) << label;
-}
-
-void
-expectEqual(const core::OptSliceResult &a, const core::OptSliceResult &b,
-            const std::string &label)
-{
-    EXPECT_EQ(a.name, b.name) << label;
-    EXPECT_EQ(a.profileSeconds, b.profileSeconds) << label;
-    EXPECT_EQ(a.profileRunsUsed, b.profileRunsUsed) << label;
-    EXPECT_EQ(a.endpoints, b.endpoints) << label;
-    EXPECT_EQ(a.testRuns, b.testRuns) << label;
-    EXPECT_EQ(a.baselineSeconds, b.baselineSeconds) << label;
-    expectEqual(a.hybrid, b.hybrid, label + " hybrid");
-    expectEqual(a.optimistic, b.optimistic, label + " optimistic");
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations) << label;
-    EXPECT_EQ(a.sliceResultsMatch, b.sliceResultsMatch) << label;
-    EXPECT_EQ(a.soundSliceSize, b.soundSliceSize) << label;
-    EXPECT_EQ(a.optSliceSize, b.optSliceSize) << label;
-    EXPECT_EQ(a.soundAliasRate, b.soundAliasRate) << label;
-    EXPECT_EQ(a.optAliasRate, b.optAliasRate) << label;
-    EXPECT_EQ(a.dynSpeedup, b.dynSpeedup) << label;
-    EXPECT_EQ(a.breakEven, b.breakEven) << label;
-    EXPECT_EQ(a.interpretedSteps, b.interpretedSteps) << label;
-    EXPECT_EQ(a.recordSeconds, b.recordSeconds) << label;
-    EXPECT_EQ(a.replayRollbackSeconds, b.replayRollbackSeconds) << label;
-    EXPECT_EQ(a.repredications, b.repredications) << label;
-    EXPECT_EQ(a.circuitBroken, b.circuitBroken) << label;
-}
 
 // Every cached intermediate (static results, profiling observations)
 // must be indistinguishable from a fresh computation: the
