@@ -23,9 +23,6 @@
  *     replays.  Results are identical (checked); `fused_speedup` is
  *     separate/fused wall time.
  *
- * Plus the spill path: the largest capture forced through ~8 spilled
- * segments, recorded and replayed through per-segment mmap windows.
- *
  * OHA_BENCH_SMOKE=1 shrinks corpora and repetitions for CI smoke
  * runs.  JSON: BENCH_microbench_trace.json.
  */
@@ -117,8 +114,6 @@ main()
     }
 
     std::vector<double> replaySpeedups;
-    std::string largestName;
-    std::uint64_t largestEvents = 0;
     for (const std::string &name : raceNames) {
         const auto workload = workloads::makeRaceWorkload(name, 1, 1);
         const ir::Module &module = *workload.module;
@@ -130,10 +125,6 @@ main()
             return trace.result.totalEvents.total();
         });
         row(name, "record", record);
-        if (record.events > largestEvents) {
-            largestEvents = record.events;
-            largestName = name;
-        }
 
         const Sample live = measure(kReps, [&] {
             dyn::FastTrack tool;
@@ -290,59 +281,6 @@ main()
                 bench::mean(fusedSpeedups));
     json.metric("aggregate", "fasttrack", "mean_fused_speedup",
                 bench::mean(fusedSpeedups));
-
-    if (!largestName.empty()) {
-        const auto workload = workloads::makeRaceWorkload(largestName, 1, 1);
-        const ir::Module &module = *workload.module;
-        const auto &input = workload.testingSet.front();
-        const auto plan = dyn::fullFastTrackPlan(module);
-        const exec::RecordedTrace trace = exec::recordRun(module, input);
-
-        // ---- Segmented spill capture + mmap-backed replay -----------
-        // Force the largest capture through the spill path (~8
-        // segments) and price both sides: capture with pwrite spill,
-        // replay with per-segment mmap windows.  The resident fraction
-        // is what a capture holds in RAM.
-        exec::TraceStoreOptions spillOptions;
-        spillOptions.segmentBytes = std::max<std::size_t>(
-            4096, static_cast<std::size_t>(trace.events.sizeBytes() / 8));
-        const Sample spillRecord = measure(kReps, [&] {
-            const auto spilled =
-                exec::recordRun(module, input, spillOptions);
-            if (!spilled.events.spilled())
-                std::abort(); // the spill path must actually engage
-            return spilled.result.totalEvents.total();
-        });
-        row(largestName, "record-spilled", spillRecord);
-
-        const exec::RecordedTrace spilled =
-            exec::recordRun(module, input, spillOptions);
-        const Sample spillReplay = measure(kReps, [&] {
-            dyn::FastTrack tool;
-            exec::TraceReplayer replayer(module, spilled);
-            replayer.attach(&tool, &plan);
-            const auto result = replayer.run();
-            if (tool.races().size() > 1u << 20)
-                std::abort();
-            return result.delivered[0].total();
-        });
-        row(largestName, "fasttrack-replay-spilled", spillReplay);
-
-        const double residentFrac =
-            spilled.events.sizeBytes() > 0
-                ? double(spilled.events.residentBytes()) /
-                      double(spilled.events.sizeBytes())
-                : 0;
-        json.metric(largestName, "trace", "spill_segments",
-                    double(spilled.events.numSegments()));
-        json.metric(largestName, "trace", "spill_resident_fraction",
-                    residentFrac);
-        std::printf("spill: %zu segments, %.1f%% of %llu trace bytes "
-                    "resident after capture\n\n",
-                    spilled.events.numSegments(), 100.0 * residentFrac,
-                    static_cast<unsigned long long>(
-                        spilled.events.sizeBytes()));
-    }
 
     std::printf("mean replay speedup (single analysis): %.2fx\n",
                 bench::mean(replaySpeedups));

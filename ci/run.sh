@@ -22,10 +22,10 @@
 #                        # (LiveGroups) under OHA_FAULT_SEED 1..3,
 #                        # each at OHA_THREADS=1 and 4 (seeded faults
 #                        # must repair identically at any thread count),
-#                        # then the I/O fault domain — snapshot and
-#                        # spill fault sweeps, corruption fuzzing and
-#                        # the kill-at-any-write-point crash-recovery
-#                        # sweep — at both thread counts
+#                        # then the I/O fault domain — durable-file
+#                        # and snapshot fault sweeps, corruption
+#                        # fuzzing and the kill-at-any-write-point
+#                        # crash-recovery sweep — at both thread counts
 #   ci/run.sh service    # ThreadSanitizer build of the analysis-daemon
 #                        # stack: the service/shared-cache test suite,
 #                        # then a smoke run of the service_throughput
@@ -88,12 +88,10 @@ bench-release)
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
         microbench_static microbench_components
-    # Force a low segment threshold so the smoke run exercises the
-    # segmented spill-to-disk capture path and the fused-vs-separate
-    # replay series end to end (BENCH_microbench_trace.json is
-    # uploaded as an artifact by the workflow).
-    OHA_BENCH_SMOKE=1 OHA_TRACE_SEGMENT_BYTES=8192 \
-        "$build_dir"/bench/microbench_trace
+    # Capture, replay and fused-vs-separate replay series end to end
+    # (BENCH_microbench_trace.json is uploaded as an artifact by the
+    # workflow).
+    OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_trace
     # Static-phase smoke: solver and static-phase series at the
     # pipeline's context and slice-work budgets.  The workflow uploads
     # BENCH_microbench_static.json.
@@ -130,15 +128,14 @@ faults)
     done
     # I/O fault domain: every durable-file and snapshot test injects
     # open/write/fsync/rename/mmap failures, fuzzes on-disk bytes, and
-    # (Snapshot) kills a child process at every write point; the
-    # segmented-capture tests include a spill write failing
-    # mid-capture.  Determinism bar: the sweep must pass identically
-    # single- and multi-threaded.
+    # (Snapshot) kills a child process at every write point.
+    # Determinism bar: the sweep must pass identically single- and
+    # multi-threaded.
     for threads in 1 4; do
         echo "=== I/O fault sweep: OHA_THREADS=$threads ==="
         OHA_THREADS="$threads" \
             ctest --test-dir "$build_dir" --output-on-failure \
-            -R 'DurableFile|SegmentedCapture|Snapshot'
+            -R 'DurableFile|Snapshot'
     done
     ;;
 service)
@@ -148,10 +145,9 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), the segmented-trace / fused-replay
-    # paths whose captures and spill files are shared across concurrent
-    # replays, and the live attachment groups run concurrently from
-    # worker threads.
+    # (including the torture test), the trace codec and the fused
+    # replays whose captures are shared across concurrent replays, and
+    # the live attachment groups run concurrently from worker threads.
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic/final snapshot writers racing
@@ -160,7 +156,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|SegmentedCapture|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every

@@ -1,7 +1,6 @@
 /**
  * @file
- * Deterministic event-trace capture and replay, at billion-event
- * scale.
+ * Deterministic event-trace capture and replay.
  *
  * The paper assumes a deterministic record/replay environment:
  * rollback after an invariant violation is "deterministic
@@ -18,19 +17,9 @@
  * benchmark's traced sweep, the trace microbenchmarks and the tests
  * that check a live grouped run against a grouped replay.
  *
- * Storage model: the stream is a sequence of immutable *segments*.
- * Capture appends into an open arena-backed TraceBuffer; when the
- * open segment crosses `OHA_TRACE_SEGMENT_BYTES` (default 64 MiB —
- * small traces never spill and stay all-in-RAM exactly as before) it
- * is closed at a record boundary and its bytes are written to an
- * unlinked temp file.  Each closed segment carries a SegmentHeader
- * (record/step counts, per-tid presence bitmap, first/last
- * instruction ids, byte length, flags) so replayers can skip or seek
- * without decoding.  Replay reads spilled segments through per-cursor
- * read-only mmap windows — one segment mapped at a time per replay —
- * so peak resident trace bytes are O(segment size × concurrent
- * replays), not O(trace size).  Segments are immutable after close:
- * any number of replays may read one capture concurrently.
+ * Storage: a capture is one in-RAM stream, an arena-backed
+ * TraceBuffer the recorder appends to.  It is immutable once recorded,
+ * so any number of replays may read one capture concurrently.
  *
  * Encoding (varint/zigzag-delta, one record per fired event):
  *
@@ -56,9 +45,8 @@
  *   thread start: varint parent tid + varint spawn site (+1; 0 means
  *                 kNoInstr, i.e. the main thread).
  *
- * Delta chains (instr/obj/block) reset at every segment boundary, so
- * each segment decodes standalone — a seek never needs the previous
- * segment's tail state.
+ * The delta chains (instr/obj/block) start from 0 at the head of
+ * the stream.
  *
  * Frame identifiers are *not* encoded: the interpreter assigns them
  * globally sequentially from 1, so the replayer reconstructs
@@ -83,10 +71,10 @@
 
 namespace oha::exec {
 
-/** Arena-backed append-only byte stream.  One TraceBuffer holds one
- *  (open or closed-in-RAM) segment.  The stream is the concatenation
- *  of its chunks' used bytes; a chunk may end short when the recorder
- *  asks for contiguous room (room()). */
+/** Arena-backed append-only byte stream: one capture's encoded
+ *  records.  The stream is the concatenation of its chunks' used
+ *  bytes; a chunk may end short when the recorder asks for contiguous
+ *  room (room()). */
 class TraceBuffer
 {
   public:
@@ -190,98 +178,19 @@ class TraceBuffer
     std::size_t filled_ = 0;       ///< used bytes of all earlier chunks
 };
 
-/** Per-segment index entry, filled during capture so replay can skip
- *  or seek without decoding the payload. */
-struct SegmentHeader
-{
-    std::uint64_t records = 0;   ///< records of any kind
-    std::uint64_t steps = 0;     ///< records carrying the step flag
-    std::uint64_t tidBitmap = 0; ///< bit min(tid, 63) per present tid
-    InstrId firstInstr = kNoInstr; ///< first instr-event site (or kNoInstr)
-    InstrId lastInstr = kNoInstr;  ///< last instr-event site (or kNoInstr)
-    std::uint64_t bytes = 0;     ///< encoded payload length
-    std::uint8_t flags = 0;
-
-    /** Segment lives in the spill file, not in RAM. */
-    static constexpr std::uint8_t kFlagSpilled = 2;
-};
-
-/**
- * Unlinked on-disk overflow file shared by all spilled segments of
- * one capture.  Append-only during recording; immutable and
- * mmap-readable afterwards.  The file is unlinked at creation, so it
- * vanishes with the last handle even on crash.
- */
-class SpillFile
+/** Sequential decoder over a TraceBuffer's chunk spans.  The buffer
+ *  must outlive the cursor and not be appended to meanwhile.
+ *  Concurrent cursors over one buffer are safe (reads only). */
+class TraceCursor
 {
   public:
-    /** Read-only mmap window over one segment.  Mapped bytes are
-     *  accounted in the global counters exposed under
-     *  exec::testing so tests can assert the resident-bytes bound. */
-    class Mapping
+    explicit TraceCursor(const TraceBuffer &buffer)
     {
-      public:
-        Mapping(void *base, std::size_t mapLen, std::size_t headSlack);
-        ~Mapping();
-        Mapping(const Mapping &) = delete;
-        Mapping &operator=(const Mapping &) = delete;
+        buffer.forEachSpan([this](const std::uint8_t *data, std::size_t len) {
+            spans_.push_back({data, len});
+        });
+    }
 
-        const std::uint8_t *
-        data() const
-        {
-            return static_cast<const std::uint8_t *>(base_) + headSlack_;
-        }
-
-      private:
-        void *base_;
-        std::size_t mapLen_;
-        std::size_t headSlack_; ///< offset round-down to page boundary
-    };
-
-    /** Create an unlinked temp file under $TMPDIR (default /tmp).
-     *  Returns null (with a warning, and the errno in @p errnoOut)
-     *  when the directory is not writable — callers then keep
-     *  segments in RAM. */
-    static std::shared_ptr<SpillFile> create(int *errnoOut = nullptr);
-
-    ~SpillFile();
-    SpillFile(const SpillFile &) = delete;
-    SpillFile &operator=(const SpillFile &) = delete;
-
-    /** Append the buffer's bytes; on success stores the segment's
-     *  starting offset in @p offsetOut.  A short write (disk full)
-     *  warns and returns false with the file truncated back, so the
-     *  caller can fall back to RAM. */
-    bool append(const TraceBuffer &buffer, std::uint64_t &offsetOut);
-
-    /** errno of the most recent failed write/create (0 = none). */
-    int lastErrno() const { return lastErrno_; }
-
-    /** Map @p length bytes at @p offset read-only.  Null on mmap
-     *  failure. */
-    std::shared_ptr<const Mapping> map(std::uint64_t offset,
-                                       std::size_t length) const;
-
-  private:
-    explicit SpillFile(int fd) : fd_(fd) {}
-
-    /** pwrite loop at the current tail; advances size_.  False (with
-     *  a warning) on unrecoverable write failure. */
-    bool writeAll(const std::uint8_t *data, std::size_t len);
-
-    int fd_;
-    std::uint64_t size_ = 0;
-    int lastErrno_ = 0;
-};
-
-/** Sequential decoder over one segment's byte spans (buffer chunks
- *  for in-RAM segments, a single mmap window for spilled ones).  The
- *  owning TraceStore must outlive the cursor; the cursor itself keeps
- *  the mmap window alive.  Concurrent cursors over one segment are
- *  safe (reads only). */
-class SegmentCursor
-{
-  public:
     bool
     atEnd() const
     {
@@ -292,7 +201,7 @@ class SegmentCursor
     byte()
     {
         // Hot path: one pointer compare + deref.  Span hops only
-        // every chunk (64 KiB) or never (mmap).
+        // every chunk (64 KiB).
         if (ptr_ == end_)
             loadNextSpan();
         return *ptr_++;
@@ -320,16 +229,7 @@ class SegmentCursor
                -static_cast<std::int64_t>(raw & 1);
     }
 
-    /** Bytes consumed so far within this segment. */
-    std::size_t
-    consumed() const
-    {
-        return before_ + static_cast<std::size_t>(ptr_ - begin_);
-    }
-
   private:
-    friend class TraceStore;
-
     struct Span
     {
         const std::uint8_t *data;
@@ -339,143 +239,15 @@ class SegmentCursor
     void
     loadNextSpan()
     {
-        before_ += static_cast<std::size_t>(end_ - begin_);
         const Span &span = spans_[next_++];
-        begin_ = ptr_ = span.data;
+        ptr_ = span.data;
         end_ = span.data + span.size;
     }
 
     std::vector<Span> spans_;
-    std::shared_ptr<const void> keepAlive_; ///< mmap window, if any
-    const std::uint8_t *begin_ = nullptr;
     const std::uint8_t *ptr_ = nullptr;
     const std::uint8_t *end_ = nullptr;
     std::size_t next_ = 0;
-    std::size_t before_ = 0;
-};
-
-/** Capture knobs for one TraceStore. */
-struct TraceStoreOptions
-{
-    /** Close + spill the open segment once it reaches this many
-     *  bytes.  0 means "read OHA_TRACE_SEGMENT_BYTES" (default
-     *  64 MiB).  Small traces never cross the threshold and stay
-     *  entirely in RAM, single-segment. */
-    std::size_t segmentBytes = 0;
-};
-
-/** OHA_TRACE_SEGMENT_BYTES with validation/clamping (see
- *  support::envSizeBytes); re-read on every call. */
-std::size_t configuredSegmentBytes();
-
-/**
- * The segmented trace store: one open TraceBuffer receiving records
- * plus a list of closed, immutable segments (spilled to the overflow
- * file, or kept in RAM when spilling is unavailable).  The recording
- * side is driven by TraceRecorder; after finish() the store is
- * read-only and safe to share across concurrent replays.
- */
-class TraceStore
-{
-  public:
-    TraceStore() : TraceStore(TraceStoreOptions{}) {}
-    explicit TraceStore(const TraceStoreOptions &options);
-
-    TraceStore(TraceStore &&) = default;
-    TraceStore &operator=(TraceStore &&) = default;
-
-    // ---- recording side (TraceRecorder only) ----
-
-    /** The open segment's byte stream. */
-    TraceBuffer &open() { return open_; }
-
-    /** The open segment's header; the recorder folds its record
-     *  counts in whenever it syncs. */
-    SegmentHeader &openHeader() { return openHeader_; }
-
-    /** Should the open segment close?  Checked at record boundaries
-     *  only, so segments close between records, never inside one. */
-    bool openOverThreshold() const
-    {
-        return open_.sizeBytes() >= segmentBytes_;
-    }
-
-    /** Close the open segment: spill it to the overflow file (kept
-     *  in RAM with a warning when spilling fails) and start a fresh
-     *  open segment.  The caller must reset its delta chains. */
-    void closeOpenSegment();
-
-    /** End recording: the open segment (below the spill threshold by
-     *  construction) becomes a final in-RAM segment, or is dropped
-     *  when empty.  The store is read-only afterwards. */
-    void finish();
-
-    // ---- read side ----
-
-    std::size_t numSegments() const { return segments_.size(); }
-
-    const SegmentHeader &
-    header(std::size_t i) const
-    {
-        return segments_[i].header;
-    }
-
-    /** Decoder positioned at the start of segment @p i.  Spilled
-     *  segments are mapped for the cursor's lifetime; in-RAM
-     *  segments borrow the store's chunks. */
-    SegmentCursor cursor(std::size_t i) const;
-
-    /** Did any segment reach the overflow file? */
-    bool spilled() const { return file_ != nullptr; }
-
-    /** Spill-path health for one capture: how many segments reached
-     *  disk, how many fell back to RAM after a spill failure (disk
-     *  full, unwritable $TMPDIR), and the errno of the most recent
-     *  failure.  Surfaced so callers can distinguish "small trace,
-     *  never spilled" from "spill failed, RAM kept growing". */
-    struct SpillStats
-    {
-        std::uint64_t spilledSegments = 0;
-        std::uint64_t ramFallbackSegments = 0;
-        int lastErrno = 0;
-    };
-
-    const SpillStats &spillStats() const { return spillStats_; }
-
-    /** Total encoded payload bytes across all segments. */
-    std::size_t sizeBytes() const { return totalBytes_; }
-
-    /** Bytes held in RAM (open segment + unspilled closed segments);
-     *  excludes spilled bytes, which cost only an mmap window during
-     *  replay. */
-    std::size_t
-    residentBytes() const
-    {
-        return open_.sizeBytes() + residentClosed_;
-    }
-
-    std::size_t segmentBytesThreshold() const { return segmentBytes_; }
-
-  private:
-    struct Segment
-    {
-        SegmentHeader header;
-        /** In-RAM payload; null when spilled (then fileOffset is
-         *  valid). */
-        std::unique_ptr<TraceBuffer> buffer;
-        std::uint64_t fileOffset = 0;
-    };
-
-    std::size_t segmentBytes_;
-    bool finished_ = false;
-    bool spillFailed_ = false; ///< warn once, then keep RAM fallback
-    TraceBuffer open_;
-    SegmentHeader openHeader_;
-    std::vector<Segment> segments_;
-    std::shared_ptr<SpillFile> file_;
-    std::size_t totalBytes_ = 0;
-    std::size_t residentClosed_ = 0;
-    SpillStats spillStats_;
 };
 
 /**
@@ -486,22 +258,13 @@ class TraceStore
  * Records are appended through a Writer: a small by-value cursor over
  * one thread's records, which the interpreter keeps in locals for a
  * whole scheduling quantum.  A typed call writes one record straight
- * into the open segment's chunk and bumps one tally; the segment
- * header (record and step counts, tid bitmap, first/last instruction)
- * is only brought up to date when the writer syncs — commit(), or the
- * out-of-line overflow path when a chunk fills or the segment crosses
- * its threshold.  The threshold is still tested after every record,
- * so segments close at exactly the record boundaries they always did.
+ * into the buffer's current chunk; the recorder only takes over again
+ * when the writer syncs — commit(), or the out-of-line path when the
+ * chunk is nearly full.
  */
 class TraceRecorder
 {
   public:
-    TraceRecorder() : TraceRecorder(TraceStoreOptions{}) {}
-    explicit TraceRecorder(const TraceStoreOptions &options)
-        : store_(options)
-    {
-    }
-
     /**
      * Append cursor for one thread's records.  `step` marks the first
      * record of an executed guest instruction (header bit 2), which
@@ -517,30 +280,28 @@ class TraceRecorder
         void
         instr(bool step, InstrId id)
         {
-            end(instrHeader(step, id), step);
+            end(instrHeader(step, id));
         }
 
         /** Load/Store/Lock/Unlock: the resolved address. */
         void
         access(bool step, InstrId id, ObjectId obj, std::uint32_t off)
         {
-            end(address(instrHeader(step, id), obj, off), step);
+            end(address(instrHeader(step, id), obj, off));
         }
 
         /** ICall: the resolved callee. */
         void
         icall(bool step, InstrId id, FuncId callee)
         {
-            end(TraceBuffer::writeVarint(instrHeader(step, id), callee),
-                step);
+            end(TraceBuffer::writeVarint(instrHeader(step, id), callee));
         }
 
         /** Spawn/Join: the child / joined thread. */
         void
         threadOp(bool step, InstrId id, ThreadId other)
         {
-            end(TraceBuffer::writeVarint(instrHeader(step, id), other),
-                step);
+            end(TraceBuffer::writeVarint(instrHeader(step, id), other));
         }
 
         /** Output: the emitted value, as Interpreter::encodeValue. */
@@ -548,8 +309,7 @@ class TraceRecorder
         output(bool step, InstrId id, std::int64_t encoded)
         {
             end(TraceBuffer::writeVarint(instrHeader(step, id),
-                                         TraceBuffer::zigzag(encoded)),
-                step);
+                                         TraceBuffer::zigzag(encoded)));
         }
 
         void
@@ -557,7 +317,7 @@ class TraceRecorder
         {
             const std::int64_t delta = std::int64_t{block} - prevBlock_;
             prevBlock_ = block;
-            end(headerAndDelta(kBlockEnter, step, delta), step);
+            end(headerAndDelta(kBlockEnter, step, delta));
         }
 
         void
@@ -568,22 +328,17 @@ class TraceRecorder
             out = TraceBuffer::writeVarint(
                 out, spawnSite == kNoInstr ? 0
                                            : std::uint64_t{spawnSite} + 1);
-            end(out, step);
+            end(out);
         }
 
         void
         threadFinish(bool step)
         {
-            end(header(kThreadFinish, step), step);
+            end(header(kThreadFinish, step));
         }
 
       private:
         friend class TraceRecorder;
-
-        /** Tally increments: records in the low half, step-flagged
-         *  records in the high half, so one add counts both. */
-        static constexpr std::uint64_t kRecord = 1;
-        static constexpr std::uint64_t kStepRecord = 1 + (1ull << 32);
 
         std::uint8_t
         headerByte(std::uint8_t kind, bool step) const
@@ -641,17 +396,15 @@ class TraceRecorder
             return TraceBuffer::writeVarint(out, off);
         }
 
-        /** Close one record: tally it, then take the out-of-line path
-         *  when the chunk is nearly full or the segment is due to
-         *  close. */
+        /** Close one record, taking the out-of-line path when the
+         *  chunk is nearly full. */
         void
-        end(std::uint8_t *out, bool step)
+        end(std::uint8_t *out)
         {
             ptr_ = out;
-            tally_ += step ? kStepRecord : kRecord;
             if (ptr_ >= limit_) {
                 owner_->commit(*this);
-                owner_->overflow();
+                owner_->prepare();
                 owner_->resume(*this);
             }
         }
@@ -661,12 +414,11 @@ class TraceRecorder
         TraceRecorder *owner_ = nullptr;
         std::uint8_t *ptr_ = nullptr;
         /** ptr_ >= limit_: fewer than kMaxRecordBytes left in the
-         *  chunk, or the segment reached its threshold. */
+         *  chunk. */
         std::uint8_t *limit_ = nullptr;
         std::int64_t prevInstr_ = 0;
         std::int64_t prevObj_ = 0;
         std::int64_t prevBlock_ = 0;
-        std::uint64_t tally_ = 0;
         /** tid << 3, or the escape marker when the tid follows as a
          *  varint. */
         std::uint64_t tidBits_ = 0;
@@ -699,14 +451,9 @@ class TraceRecorder
      *  spent; open() a new one to continue. */
     void commit(Writer writer);
 
-    /** Finish and move the segmented store out (recorder is spent
+    /** Move the recorded stream out (the recorder is spent
      *  afterwards). */
-    TraceStore
-    take()
-    {
-        store_.finish();
-        return std::move(store_);
-    }
+    TraceBuffer take() { return std::move(buffer_); }
 
     // Record kinds (header bits 0-1).
     static constexpr std::uint8_t kInstrEvent = 0;
@@ -724,40 +471,32 @@ class TraceRecorder
     void
     resume(Writer &writer)
     {
-        writer.ptr_ = writerStart_ = store_.open().cursor();
+        writer.ptr_ = buffer_.cursor();
         writer.limit_ = limit_;
         writer.prevInstr_ = prevInstr_;
         writer.prevObj_ = prevObj_;
         writer.prevBlock_ = prevBlock_;
-        writer.tally_ = 0;
     }
-
-    /** After a commit at the writer's limit: close the segment if it
-     *  crossed the threshold (restarting the delta chains so the next
-     *  one decodes standalone) and make room for the next record. */
-    void overflow();
 
     /** Make room for one record at the cursor and recompute limit_. */
     void prepare();
 
-    TraceStore store_;
+    TraceBuffer buffer_;
     /** The writers' limit at the current cursor (see Writer). */
     std::uint8_t *limit_ = nullptr;
-    /** The open writer's thread, and where its records begin (all of
-     *  them sit in one chunk, up to its cursor). */
+    /** The open writer's thread (its escaped tid is written out). */
     ThreadId writerTid_ = 0;
-    std::uint8_t *writerStart_ = nullptr;
     std::int64_t prevInstr_ = 0;
     std::int64_t prevObj_ = 0;
     std::int64_t prevBlock_ = 0;
 };
 
-/** One recorded execution: the segmented event stream plus the plain
- *  run's outcome.  Immutable after recording; safe to share
- *  read-only across concurrent replays. */
+/** One recorded execution: the event stream plus the plain run's
+ *  outcome.  Immutable after recording; safe to share read-only
+ *  across concurrent replays. */
 struct RecordedTrace
 {
-    TraceStore events;
+    TraceBuffer events;
     /** Result of the recording run (no tools attached, so
      *  `delivered` is empty and the status/steps are those of the
      *  uninstrumented execution). */
@@ -766,10 +505,6 @@ struct RecordedTrace
 
 /** Execute @p config once, uninstrumented, capturing its trace. */
 RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config);
-
-/** Same, with an explicit spill threshold. */
-RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config,
-                        const TraceStoreOptions &options);
 
 /**
  * Drives attached tools from a recorded trace without re-running
@@ -808,23 +543,5 @@ class TraceReplayer : public AttachmentGroups
     const ir::Module &module_;
     const RecordedTrace &trace_;
 };
-
-namespace testing {
-
-/** Trace bytes currently mmap'd across all replays (this process). */
-std::size_t mappedTraceBytesNow();
-/** High-water mark of mappedTraceBytesNow() since the last reset. */
-std::size_t mappedTraceBytesPeak();
-void resetMappedTraceBytesPeak();
-
-/** Byte offset within the concatenated encoded stream immediately
- *  after the last record of 1-based step @p step — i.e. a spill
- *  threshold of exactly this value makes the first segment end on
- *  that step's boundary.  Decodes the stream (test-only pace). */
-std::size_t byteOffsetAfterStep(const ir::Module &module,
-                                const TraceStore &store,
-                                std::uint64_t step);
-
-} // namespace testing
 
 } // namespace oha::exec

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -146,17 +145,6 @@ renamePath(const char *from, const char *to)
         return -1;
     }
     return ::rename(from, to);
-}
-
-void *
-mmapFd(std::size_t length, int fd, std::uint64_t offset)
-{
-    if (faultHere(kIoMmap)) {
-        errno = g_error.load(std::memory_order_relaxed);
-        return MAP_FAILED;
-    }
-    return ::mmap(nullptr, length, PROT_READ, MAP_PRIVATE, fd,
-                  static_cast<::off_t>(offset));
 }
 
 } // namespace io

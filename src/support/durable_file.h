@@ -34,11 +34,11 @@
  * header, 16-byte block headers, padded payloads), so an mmap of a
  * block lands naturally aligned.
  *
- * I/O fault injection: every syscall these writers (and
- * exec::SpillFile) issue goes through the armable wrappers below, so
- * tests and the CI fault sweep can fail or crash the process at the
- * k-th open/write/fsync/rename/mmap and assert that every persist
- * path degrades cleanly and every load path rejects-or-recovers.
+ * I/O fault injection: every syscall these writers issue goes
+ * through the armable wrappers below, so tests and the CI fault sweep
+ * can fail or crash the process at the k-th open/write/fsync/rename
+ * and assert that every persist path degrades cleanly and every load
+ * path rejects-or-recovers.
  */
 
 #pragma once
@@ -65,8 +65,7 @@ enum : std::uint32_t
     kIoWrite = 1u << 1,
     kIoFsync = 1u << 2,
     kIoRename = 1u << 3,
-    kIoMmap = 1u << 4,
-    kIoAllOps = (1u << 5) - 1,
+    kIoAllOps = (1u << 4) - 1,
 };
 
 /**
@@ -108,7 +107,6 @@ long pwriteFd(int fd, const void *data, std::size_t len,
               std::uint64_t offset);
 int fsyncFd(int fd);
 int renamePath(const char *from, const char *to);
-void *mmapFd(std::size_t length, int fd, std::uint64_t offset);
 
 } // namespace io
 

@@ -3,11 +3,11 @@
  * Validated environment-variable parsing for size/count knobs.
  *
  * Every tunable the pipeline reads from the environment —
- * OHA_THREADS, OHA_CACHE_BUDGET_MB, OHA_TRACE_SEGMENT_BYTES,
- * OHA_SNAPSHOT_INTERVAL — goes through this one helper with a single
- * contract: garbage never crashes or silently
- * misconfigures (warn + default), out-of-range values are clamped
- * with a warning, and a well-formed value is honored exactly.
+ * OHA_THREADS, OHA_CACHE_BUDGET_MB, OHA_SNAPSHOT_INTERVAL — goes
+ * through this one helper with a single contract: garbage never
+ * crashes or silently misconfigures (warn + default), out-of-range
+ * values are clamped with a warning, and a well-formed value is
+ * honored exactly.
  * OHA_THREADS layers a process-wide cache on top (its steady-state
  * callers must never touch getenv; see refreshConfiguredThreads() in
  * thread_pool.h) but the parse itself is this helper's.

@@ -17,16 +17,14 @@
 namespace oha {
 namespace {
 
-/** Drain every byte of every segment, in stream order. */
+/** Drain every byte of the stream, in order. */
 std::vector<std::uint8_t>
-allBytes(const exec::TraceStore &store)
+allBytes(const exec::TraceBuffer &stream)
 {
     std::vector<std::uint8_t> bytes;
-    for (std::size_t i = 0; i < store.numSegments(); ++i) {
-        exec::SegmentCursor cursor = store.cursor(i);
-        while (!cursor.atEnd())
-            bytes.push_back(cursor.byte());
-    }
+    exec::TraceCursor cursor(stream);
+    while (!cursor.atEnd())
+        bytes.push_back(cursor.byte());
     return bytes;
 }
 
@@ -45,7 +43,7 @@ TEST(TraceCodec, PayloadFreeEncodingIsByteStable)
     child.threadFinish(false);
     recorder.commit(child);
 
-    const exec::TraceStore store = recorder.take();
+    const exec::TraceBuffer stream = recorder.take();
     const std::vector<std::uint8_t> expected = {
         // thread start, step flag, tid 0: parent 0, site kNoInstr
         0x06, 0x00, 0x00,
@@ -58,19 +56,8 @@ TEST(TraceCodec, PayloadFreeEncodingIsByteStable)
         // thread finish, tid 1
         0x0B,
     };
-    EXPECT_EQ(allBytes(store), expected);
-
-    ASSERT_EQ(store.numSegments(), 1u);
-    const exec::SegmentHeader &header = store.header(0);
-    EXPECT_EQ(header.records, 5u);
-    EXPECT_EQ(header.steps, 3u);
-    EXPECT_EQ(header.tidBitmap, 0b11u);
-    EXPECT_EQ(header.firstInstr, 5u);
-    EXPECT_EQ(header.lastInstr, 6u);
-    EXPECT_EQ(header.bytes, expected.size());
-    EXPECT_EQ(header.flags, 0);
-    EXPECT_FALSE(store.spilled());
-    EXPECT_EQ(store.sizeBytes(), expected.size());
+    EXPECT_EQ(allBytes(stream), expected);
+    EXPECT_EQ(stream.sizeBytes(), expected.size());
 }
 
 TEST(TraceCodec, EscapeTidRoundTrips)
@@ -84,13 +71,13 @@ TEST(TraceCodec, EscapeTidRoundTrips)
         writer.threadFinish(false);
         recorder.commit(writer);
     }
-    const exec::TraceStore store = recorder.take();
+    const exec::TraceBuffer stream = recorder.take();
 
     // 30 -> 1 header byte; 31 and 32 -> header + 1 varint byte;
     // 300 -> header + 2 varint bytes.
-    EXPECT_EQ(store.sizeBytes(), 1u + 2u + 2u + 3u);
+    EXPECT_EQ(stream.sizeBytes(), 1u + 2u + 2u + 3u);
 
-    exec::SegmentCursor cursor = store.cursor(0);
+    exec::TraceCursor cursor(stream);
     for (const ThreadId expected : tids) {
         const std::uint8_t header = cursor.byte();
         EXPECT_EQ(header & 3, exec::TraceRecorder::kThreadFinish);
