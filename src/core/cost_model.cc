@@ -74,19 +74,4 @@ priceGiriRun(const CostModel &model, const exec::RunResult &run,
     return cost;
 }
 
-double
-priceTraceRecordSeconds(const CostModel &model, const exec::RunResult &run)
-{
-    return (double(run.steps) * model.baseInstr +
-            double(run.totalEvents.total()) * model.recordEvent) /
-           model.unitsPerSecond;
-}
-
-double
-priceTraceReplaySeconds(const CostModel &model, const exec::RunResult &run)
-{
-    return double(run.totalEvents.total()) * model.replayEvent /
-           model.unitsPerSecond;
-}
-
 } // namespace oha::core

@@ -52,15 +52,6 @@ struct CostModel
     double lockCheck = 0.8;         ///< per checked lock acquisition
     double spawnCheck = 0.8;        ///< per checked spawn
 
-    /** Trace capture: cost of appending one event record during a
-     *  recording run (priced by the additive recordSeconds metric). */
-    double recordEvent = 0.3;
-    /** Trace replay: cost of decoding + dispatching one recorded
-     *  event without re-running fetch/decode/eval.  Well under
-     *  baseInstr + framework per event, which is where replay-based
-     *  rollback wins over re-execution. */
-    double replayEvent = 0.8;
-
     /** Modeled interpreter speed: units per modeled second. */
     double unitsPerSecond = 60e6;
     /** Static-analysis solver speed: work units per modeled second. */
@@ -124,16 +115,5 @@ RunCost priceGiriRun(const CostModel &model, const exec::RunResult &run,
                      const exec::EventCounts &giriDelivered,
                      const exec::EventCounts *checker = nullptr,
                      std::uint64_t slowContextChecks = 0);
-
-/** Modeled seconds to capture @p run's trace once: the uninstrumented
- *  execution plus the per-event append cost. */
-double priceTraceRecordSeconds(const CostModel &model,
-                               const exec::RunResult &run);
-
-/** Modeled seconds to replay @p run's recorded event stream through
- *  one analysis configuration (decode + dispatch only; no guest
- *  fetch/decode/eval). */
-double priceTraceReplaySeconds(const CostModel &model,
-                               const exec::RunResult &run);
 
 } // namespace oha::core

@@ -656,10 +656,6 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                 cost, redo.result, redo.ftDelivered);
             optCost.rollback = redoCost.total();
             finalRaces = redo.races;
-            // Additive metric: what the rollback would cost as a trace
-            // replay instead of the re-execution priced above.
-            result.replayRollbackSeconds +=
-                priceTraceReplaySeconds(cost, redo.result);
         }
         result.optFt.add(optCost);
         if (finalRaces != ref.full.races)
@@ -668,8 +664,6 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         // The fused run is step-identical to the full-plan run, which
         // never aborts.
         result.interpretedSteps += ref.full.result.steps;
-        result.recordSeconds +=
-            priceTraceRecordSeconds(cost, ref.full.result);
     }
 
     result.testRuns = workload.testingSet.size();

@@ -134,25 +134,14 @@ struct OptFtResult
      *  thread count. */
     std::uint64_t interpretedSteps = 0;
 
-    // Modeled record/replay costs (seconds).  Additive metrics only:
-    // the headline fastTrack/hybridFt/optFt figures keep pricing
-    // rollback as a full re-execution so Figure 5 stays comparable to
-    // the paper; these report what a record-once/replay design would
-    // cost instead.
-    /** Modeled cost of capturing each testing input's trace once. */
-    double recordSeconds = 0;
-    /** Modeled cost of the rollback re-analyses when performed as
-     *  trace replays rather than re-executions. */
-    double replayRollbackSeconds = 0;
-
     // Adaptive-recovery accounting (all zero when adaptiveRecovery is
     // off or nothing mis-speculated).
     /** Demote + re-predicate repair cycles performed. */
     std::size_t repredications = 0;
     /** Modeled cost of the repair-time static re-analyses.  Additive
-     *  metric, like recordSeconds: not folded into predStaticSeconds,
-     *  so the headline upfront figures stay comparable to the
-     *  non-adaptive pipeline. */
+     *  metric: not folded into predStaticSeconds, so the headline
+     *  upfront figures stay comparable to the non-adaptive
+     *  pipeline. */
     double repredStaticSeconds = 0;
     /** The circuit breaker degraded the remaining corpus to hybrid. */
     bool circuitBroken = false;

@@ -607,9 +607,6 @@ runOptSlice(const workloads::Workload &workload,
             optCost.rollback =
                 priceGiriRun(cost, hybrid.result, hybrid.delivered)
                     .total();
-            // Additive metric: the rollback priced as a trace replay.
-            result.replayRollbackSeconds +=
-                priceTraceReplaySeconds(cost, hybrid.result);
         }
         result.optimistic.add(optCost);
 
@@ -621,16 +618,6 @@ runOptSlice(const workloads::Workload &workload,
         if (!opt.rolledBack && (opt.optimistic.escaped ||
                                 opt.optimistic.slice != hybrid.slice))
             result.sliceResultsMatch = false;
-    }
-
-    // One modeled capture per testing input.  The hybrid run's steps
-    // and event totals are plan-independent (the first endpoint task
-    // of each input stands in for the input's execution).
-    if (!endpoints.empty()) {
-        for (std::size_t i = 0; i < workload.testingSet.size(); ++i) {
-            result.recordSeconds += priceTraceRecordSeconds(
-                cost, refs[i * endpoints.size()].result);
-        }
     }
 
     result.testRuns = workload.testingSet.size();

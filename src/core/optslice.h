@@ -123,8 +123,6 @@ struct OptSliceResult
 
     // Execution accounting over the testing corpus (see OptFtResult).
     std::uint64_t interpretedSteps = 0;
-    double recordSeconds = 0;
-    double replayRollbackSeconds = 0;
 
     // Adaptive-recovery accounting (see OptFtResult).
     std::size_t repredications = 0;
