@@ -196,6 +196,41 @@ TEST_F(SnapshotTest, WriteLoadRestoresWarmEquivalentResults)
     EXPECT_GT(statsAfter.hits, statsBefore.hits);
 }
 
+/** FNV-1a-64 of @p bytes. */
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes)
+        hash = (hash ^ c) * 0x100000001b3ULL;
+    return hash;
+}
+
+// The on-disk encoding is a compatibility contract: a fixed warm-up
+// must produce the same snapshot bytes (tags, key fields, entry
+// order), whatever the cache's in-memory layout.
+TEST_F(SnapshotTest, SnapshotBytesArePinned)
+{
+    for (std::uint64_t seed : {0, 7}) {
+        core::OptFtConfig ft;
+        ft.threads = 1;
+        ft.faultSeed = seed;
+        for (const char *name : {"sor", "crypt"})
+            core::runOptFt(workloads::makeRaceWorkload(name, 3, 2), ft);
+        core::OptSliceConfig slice;
+        slice.threads = 1;
+        slice.faultSeed = seed;
+        for (const char *name : {"zlib", "nginx"})
+            core::runOptSlice(workloads::makeSliceWorkload(name, 3, 2),
+                              slice);
+    }
+    std::string error;
+    ASSERT_TRUE(service::writeSnapshot(snapshotPath(), &error)) << error;
+    const std::string bytes = readFile(snapshotPath());
+    EXPECT_EQ(bytes.size(), 42296u);
+    EXPECT_EQ(fnv1a64(bytes), 0x49ee19099de1fba3ULL);
+}
+
 TEST_F(SnapshotTest, MissingSnapshotIsQuietColdStart)
 {
     const auto before = service::snapshotStats();
