@@ -45,7 +45,9 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 case "$job" in
 plain)
     build_dir=build-ci
-    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    # -Werror: a new compiler warning fails the tier-1 job.
+    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-Werror
     cmake --build "$build_dir" -j "$jobs"
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
     ;;

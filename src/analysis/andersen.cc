@@ -45,25 +45,26 @@ AndersenResult &
 AndersenResult::operator=(AndersenResult &&) noexcept = default;
 
 std::size_t
-AndersenResult::byteSizeEstimate() const
+byteSizeEstimate(const AndersenResult &result)
 {
     // Deliberately rough: the point is that big results charge the
     // shared cache budget in proportion to their real footprint, not
     // byte-exact accounting.  The hash-consed pts pool dominates.
-    std::size_t bytes = sizeof(*this);
-    bytes += regBase_.capacity() * sizeof(std::uint32_t);
-    bytes += ptsIdx_.capacity() * sizeof(std::uint32_t);
-    bytes += repr_.capacity() * sizeof(std::uint32_t);
-    for (const SparseBitSet &set : ptsPool_)
+    std::size_t bytes = sizeof(result);
+    bytes += result.regBase_.capacity() * sizeof(std::uint32_t);
+    bytes += result.ptsIdx_.capacity() * sizeof(std::uint32_t);
+    bytes += result.repr_.capacity() * sizeof(std::uint32_t);
+    for (const SparseBitSet &set : result.ptsPool_)
         bytes += set.byteSizeEstimate();
-    for (const std::vector<std::uint32_t> &instances : funcInstances_)
+    for (const std::vector<std::uint32_t> &instances :
+         result.funcInstances_)
         bytes += sizeof(instances) +
                  instances.capacity() * sizeof(std::uint32_t);
     // Red-black tree node overhead on top of the payload.
-    bytes += callEdges_.size() *
+    bytes += result.callEdges_.size() *
              (sizeof(std::tuple<std::uint32_t, InstrId, FuncId>) +
               sizeof(std::uint32_t) + 48);
-    for (const ContextInstance &ctx : contexts)
+    for (const ContextInstance &ctx : result.contexts)
         bytes += sizeof(ctx) + ctx.chain.size() * sizeof(InstrId);
     return bytes;
 }

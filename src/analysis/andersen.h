@@ -160,7 +160,7 @@ class AndersenResult
 
     /** Approximate heap footprint (excluding the module and the
      *  lazily-filled query cache), for cache byte budgeting. */
-    std::size_t byteSizeEstimate() const;
+    friend std::size_t byteSizeEstimate(const AndersenResult &result);
 
   private:
     friend class AndersenSolver;

@@ -28,7 +28,8 @@
  * is LRU-evicting against a configurable byte budget, so a long-lived
  * daemon's memory is bounded.
  *
- * Correctness properties of the cache layer:
+ * Each result type is one service::MemoSection, which gives every
+ * section the same correctness properties:
  *  - every hit verifies a second, independent fingerprint stored in
  *    the entry, so a 64-bit key collision degrades to a counted
  *    verified-miss + fresh solve instead of silently returning the
@@ -55,22 +56,8 @@
 
 namespace oha::analysis {
 
-/** Cache counters for bench reporting (a view of the shared cache's
- *  counters — see service::SharedCacheStats for field semantics). */
-struct AndersenCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    /** Primary-fingerprint hits rejected by the secondary-fingerprint
-     *  verification (real collisions, served as fresh solves). */
-    std::uint64_t verifiedMisses = 0;
-    std::uint64_t evictions = 0;
-    /** Inserts dropped because a reset intervened mid-solve. */
-    std::uint64_t staleDrops = 0;
-    std::size_t entries = 0;
-    std::size_t bytesCached = 0;
-    std::size_t byteBudget = 0;
-};
+/** Cache counters for bench reporting: the shared cache's own. */
+using AndersenCacheStats = service::SharedCacheStats;
 
 /**
  * Memoized runAndersen.  @p module must be the module the options'
@@ -130,44 +117,6 @@ sliceSetMemo(const std::shared_ptr<const ir::Module> &module,
              const std::vector<InstrId> &endpoints,
              const std::function<SliceSetResult()> &compute);
 
-/**
- * Snapshot-portable view of one cached detector run: both
- * fingerprints of each key component plus the plain-data result.
- * Restored entries are admitted without a module object and serve
- * dual-fingerprint-verified hits.  Opaque
- * AndersenResult entries are deliberately NOT exportable — points-to
- * graphs reference hash-consed pools and the live module and are
- * recomputed after a restart.
- */
-struct RaceSectionEntry
-{
-    service::Fingerprint moduleFp;
-    service::Fingerprint invariantFp;
-    std::shared_ptr<const StaticRaceResult> result;
-};
-
-/** Slice-set twin of RaceSectionEntry (adds the slicing config key
- *  and the endpoint-list fingerprint). */
-struct SliceSectionEntry
-{
-    service::Fingerprint moduleFp;
-    service::Fingerprint invariantFp;
-    std::uint64_t configKey = 0;
-    service::Fingerprint auxFp;
-    std::shared_ptr<const SliceSetResult> result;
-};
-
-/** Copy the cached detector / slice-set entries out for snapshotting
- *  (service/snapshot.cc).  Safe to call concurrently with requests. */
-std::vector<RaceSectionEntry> exportRaceSection();
-std::vector<SliceSectionEntry> exportSliceSection();
-
-/** Re-admit a restored entry (warm start).  First insert wins: a live
- *  entry for the same key is never displaced.  The entry joins the
- *  LRU spine with its byte estimate charged against the budget. */
-void admitRaceSectionEntry(const RaceSectionEntry &entry);
-void admitSliceSectionEntry(const SliceSectionEntry &entry);
-
 /** Process-wide cache counters since start / last reset. */
 AndersenCacheStats andersenCacheStats();
 
@@ -176,8 +125,8 @@ AndersenCacheStats andersenCacheStats();
 void setStaticCacheByteBudget(std::size_t bytes);
 std::size_t staticCacheByteBudget();
 
-/** Drop all cached results (static results AND recorded traces — the
- *  whole shared cache) and zero the counters (tests, benchmarks). */
+/** Drop every cached result (the whole shared cache, profiling
+ *  observations included) and zero the counters (tests, benchmarks). */
 void resetAndersenCache();
 
 } // namespace oha::analysis

@@ -8,8 +8,6 @@
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/interpreter.h"
-#include "profile/observation_cache.h"
-#include "profile/profiler.h"
 #include "support/env.h"
 #include "support/thread_pool.h"
 
@@ -369,40 +367,12 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     OptFtResult result;
     result.name = workload.name;
 
-    // ---- Phase 1: likely-invariant profiling -------------------------
-    prof::ProfileOptions profOptions;
-    profOptions.threads = config.threads;
-    prof::ProfilingCampaign campaign(module, profOptions);
-    prof::Observer observer;
-    if (config.cacheProfileObservations)
-        observer = [&](const exec::ExecConfig &input) {
-            return prof::observeRunMemo(workload.module, profOptions,
-                                        input);
-        };
-    campaign.addRunsUntilConverged(workload.profilingSet,
-                                   config.maxProfileRuns,
-                                   config.convergenceWindow, observer);
-    inv::InvariantSet invariants =
-        config.aggressiveLucMinVisits > 1
-            ? campaign.invariantsWithAggressiveLuc(
-                  config.aggressiveLucMinVisits)
-            : campaign.invariants();
-    result.profileRunsUsed = campaign.numRuns();
-
-    // ---- Phase 1b: optional fault injection ---------------------------
-    // Perturb the profiled invariants so the testing corpus provably
-    // mis-speculates — exercises the rollback/demotion/circuit-breaker
-    // machinery below on demand (tests, CI seed sweeps).  The corpus
-    // is observed through the campaign's observer, so with cached
-    // observations a warm request does not re-profile it.
-    if (config.faultSeed != 0) {
-        dyn::FaultInjectorOptions injectOptions;
-        injectOptions.seed = config.faultSeed;
-        const dyn::FaultInjector injector(module, injectOptions);
-        OHA_ASSERT(injector.wantsCallContexts() == profOptions.callContexts);
-        result.injectedFaults =
-            injector.inject(invariants, workload.testingSet, observer);
-    }
+    // ---- Phases 1 and 1b: profiling, optional fault injection --------
+    ProfilePhase profiled =
+        runProfilePhase(workload, config, /*callContexts=*/false);
+    inv::InvariantSet &invariants = profiled.invariants;
+    result.profileRunsUsed = profiled.runSteps.size();
+    result.injectedFaults = std::move(profiled.injectedFaults);
 
     // ---- Phase 2: static analyses -------------------------------------
     // Sound and predicated detectors are independent; run them
@@ -436,13 +406,13 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         config.customSyncCalibrationRuns, workload.profilingSet.size());
     Calibration calibration = calibrateLockElision(
         module, invariants, predicated, workload, calibRuns, config.threads,
-        campaign.runSteps());
+        profiled.runSteps);
     invariants.elidableLockSites = std::move(calibration.elided);
     result.elidedLockSites = invariants.elidableLockSites.size();
     // Calibration executions count as profiling cost, priced at their
     // uninstrumented step counts (the sound plan never aborts).
     result.profileSeconds =
-        (double(campaign.profiledSteps()) +
+        (double(profiled.profiledSteps) +
          2.0 * double(calibration.steps)) *
         cost.profilingOverhead / cost.unitsPerSecond * cost.offlineScale;
 

@@ -9,8 +9,6 @@
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/interpreter.h"
-#include "profile/observation_cache.h"
-#include "profile/profiler.h"
 #include "support/thread_pool.h"
 
 namespace oha::core {
@@ -233,48 +231,21 @@ runOptSlice(const workloads::Workload &workload,
     OptSliceResult result;
     result.name = workload.name;
 
-    // ---- Phase 1: profiling -------------------------------------------
-    prof::ProfileOptions profOptions;
-    profOptions.callContexts = true;
-    profOptions.threads = config.threads;
-    prof::ProfilingCampaign campaign(module, profOptions);
-    prof::Observer observer;
-    if (config.cacheProfileObservations)
-        observer = [&](const exec::ExecConfig &input) {
-            return prof::observeRunMemo(workload.module, profOptions,
-                                        input);
-        };
-    campaign.addRunsUntilConverged(workload.profilingSet,
-                                   config.maxProfileRuns,
-                                   config.convergenceWindow, observer);
-    inv::InvariantSet invariants =
-        config.aggressiveLucMinVisits > 1
-            ? campaign.invariantsWithAggressiveLuc(
-                  config.aggressiveLucMinVisits)
-            : campaign.invariants();
-    result.profileRunsUsed = campaign.numRuns();
-    result.profileSeconds = double(campaign.profiledSteps()) *
-                            cost.profilingOverhead / cost.unitsPerSecond * cost.offlineScale;
-
-    // ---- Phase 1b: optional fault injection ---------------------------
-    // Perturb the profiled invariants so the testing corpus provably
-    // mis-speculates (tests, CI seed sweeps).  Only the families the
-    // OptSlice checker configuration watches are injectable here: lock
-    // and spawn invariants are race-detection machinery the slicing
-    // checker never arms (guardingLocks/singletonThreads below).  The
-    // corpus is observed through the campaign's observer, as in
-    // runOptFt.
-    if (config.faultSeed != 0) {
-        dyn::FaultInjectorOptions injectOptions;
-        injectOptions.seed = config.faultSeed;
-        injectOptions.families = {dyn::ViolationFamily::UnreachableBlock,
-                                  dyn::ViolationFamily::CalleeSet,
-                                  dyn::ViolationFamily::CallContext};
-        const dyn::FaultInjector injector(module, injectOptions);
-        OHA_ASSERT(injector.wantsCallContexts() == profOptions.callContexts);
-        result.injectedFaults =
-            injector.inject(invariants, workload.testingSet, observer);
-    }
+    // ---- Phases 1 and 1b: profiling, optional fault injection --------
+    // Only the families the OptSlice checker configuration watches are
+    // injectable here: lock and spawn invariants are race-detection
+    // machinery the slicing checker never arms (guardingLocks /
+    // singletonThreads below).
+    ProfilePhase profiled = runProfilePhase(
+        workload, config, /*callContexts=*/true,
+        {dyn::ViolationFamily::UnreachableBlock,
+         dyn::ViolationFamily::CalleeSet, dyn::ViolationFamily::CallContext});
+    inv::InvariantSet &invariants = profiled.invariants;
+    result.profileRunsUsed = profiled.runSteps.size();
+    result.profileSeconds = double(profiled.profiledSteps) *
+                            cost.profilingOverhead / cost.unitsPerSecond *
+                            cost.offlineScale;
+    result.injectedFaults = std::move(profiled.injectedFaults);
 
     // ---- Phase 2: static analyses --------------------------------------
     // The sound and predicated configurations are independent solves;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Circuit-breaker policy for adaptive misspeculation recovery.
+ * The profiling phase both pipelines share, and the circuit-breaker
+ * policy for adaptive misspeculation recovery.
  *
  * Adaptive recovery (runOptFt/runOptSlice with
  * config.adaptiveRecovery) repairs the optimistic plan after every
@@ -23,8 +24,48 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
+
+#include "dyn/fault_injector.h"
+#include "invariants/invariant_set.h"
+#include "workloads/workloads.h"
 
 namespace oha::core {
+
+/** What Phases 1 and 1b hand to the rest of a pipeline. */
+struct ProfilePhase
+{
+    /** The profiled invariants, perturbed when a fault seed is set. */
+    inv::InvariantSet invariants;
+    /** Guest instructions of each merged profiling run, in merge
+     *  order, and their total. */
+    std::vector<std::uint64_t> runSteps;
+    std::uint64_t profiledSteps = 0;
+    /** Faults injected when config.faultSeed is non-zero. */
+    std::vector<dyn::FaultInjection> injectedFaults;
+};
+
+/**
+ * Phases 1 and 1b of runOptFt and runOptSlice (`Config` is
+ * OptFtConfig or OptSliceConfig):
+ *  1. profile the workload's profiling set until the learned
+ *     invariants converge, through the shared observation cache when
+ *     config.cacheProfileObservations is set, and take the
+ *     invariants (with aggressive likely-unreachable code when
+ *     config.aggressiveLucMinVisits > 1);
+ *  1b. when config.faultSeed is non-zero, perturb the invariants in
+ *     the @p families so the testing corpus provably mis-speculates
+ *     (tests, CI seed sweeps).  The corpus is observed through the
+ *     same observer, so a warm request does not re-profile it.
+ * @p callContexts selects call-context profiling; it must match
+ * whether @p families asks for the CallContext family.
+ */
+template <typename Config>
+ProfilePhase
+runProfilePhase(const workloads::Workload &workload, const Config &config,
+                bool callContexts,
+                std::vector<dyn::ViolationFamily> families =
+                    dyn::FaultInjectorOptions{}.families);
 
 /** Decides when adaptive recovery must degrade to the hybrid plan. */
 struct RecoveryBreaker

@@ -1,9 +1,6 @@
 #include "profile/observation_cache.h"
 
-#include <map>
-#include <mutex>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "service/shared_cache.h"
@@ -11,10 +8,6 @@
 namespace oha::prof {
 
 namespace {
-
-using service::Fingerprint;
-using service::LruList;
-using service::SharedCache;
 
 void
 appendU64(std::string &out, std::uint64_t value)
@@ -25,7 +18,7 @@ appendU64(std::string &out, std::uint64_t value)
 
 /** Every ExecConfig field plus the observation-relevant profile
  *  option, packed for fingerprinting. */
-Fingerprint
+service::Fingerprint
 observationFingerprint(const ProfileOptions &options,
                        const exec::ExecConfig &config)
 {
@@ -48,44 +41,6 @@ observationFingerprint(const ProfileOptions &options,
         appendU64(packed, step.quantum);
     }
     return service::fingerprintText(packed);
-}
-
-struct ObservationKey
-{
-    std::uint64_t moduleFp;
-    std::uint64_t observationFp;
-
-    bool
-    operator<(const ObservationKey &other) const
-    {
-        return std::tie(moduleFp, observationFp) <
-               std::tie(other.moduleFp, other.observationFp);
-    }
-};
-
-struct Entry
-{
-    std::uint64_t moduleSecondary = 0;
-    std::uint64_t observationSecondary = 0;
-    std::shared_ptr<const ir::Module> module;
-    std::shared_ptr<const RunObservations> observations;
-    LruList::Handle handle;
-};
-
-using ObservationMap = std::map<ObservationKey, Entry>;
-
-/** The profiling section of the shared cache, registered on first
- *  use.  Callers MUST materialize this before taking the spine
- *  mutex. */
-ObservationMap &
-section()
-{
-    static ObservationMap *instance = [] {
-        auto *map = new ObservationMap;
-        SharedCache::instance().registerSection([map] { map->clear(); });
-        return map;
-    }();
-    return *instance;
 }
 
 } // namespace
@@ -118,111 +73,13 @@ observeRunMemo(const std::shared_ptr<const ir::Module> &module,
                const exec::ExecConfig &config)
 {
     OHA_ASSERT(module && module->finalized());
-
-    ObservationMap &map = section();
-    SharedCache &sc = SharedCache::instance();
-
-    const Fingerprint moduleFp = service::fingerprintModule(module);
-    const Fingerprint observationFp =
-        observationFingerprint(options, config);
-    const ObservationKey key{moduleFp.primary, observationFp.primary};
-
-    std::uint64_t gen = 0;
-    {
-        std::lock_guard<std::mutex> lock(sc.mutex());
-        gen = sc.generation();
-        auto it = map.find(key);
-        if (it != map.end()) {
-            if (it->second.moduleSecondary == moduleFp.secondary &&
-                it->second.observationSecondary ==
-                    observationFp.secondary) {
-                sc.noteHit();
-                sc.lru().touch(it->second.handle);
-                return it->second.observations;
-            }
-            // 64-bit collision: evict the wrong-keyed entry, observe
-            // fresh (counted, never silently served).
-            sc.noteVerifiedMiss();
-            sc.lru().remove(it->second.handle);
-            map.erase(it);
-        } else {
-            sc.noteMiss();
-        }
-    }
-
-    // The profiled run happens outside the lock.
-    ProfilingCampaign scratch(*module, options);
-    auto observations = std::make_shared<const RunObservations>(
-        scratch.observeRun(config));
-    const std::size_t bytes = byteSizeEstimate(*observations);
-
-    std::lock_guard<std::mutex> lock(sc.mutex());
-    if (gen != sc.generation()) {
-        sc.noteStaleDrop();
-        return observations;
-    }
-    auto it = map.find(key);
-    if (it != map.end()) {
-        if (it->second.moduleSecondary == moduleFp.secondary &&
-            it->second.observationSecondary == observationFp.secondary)
-            return it->second.observations; // first insert wins
-        sc.lru().remove(it->second.handle);
-        map.erase(it);
-    }
-    Entry entry;
-    entry.moduleSecondary = moduleFp.secondary;
-    entry.observationSecondary = observationFp.secondary;
-    entry.module = module;
-    entry.observations = std::move(observations);
-    auto [pos, inserted] = map.emplace(key, std::move(entry));
-    OHA_ASSERT(inserted);
-    pos->second.handle =
-        sc.lru().insert(bytes, [&map, key] { map.erase(key); });
-    std::shared_ptr<const RunObservations> shared =
-        pos->second.observations;
-    sc.enforceBudget();
-    return shared;
-}
-
-std::vector<ObservationSectionEntry>
-exportObservationSection()
-{
-    ObservationMap &map = section();
-    SharedCache &sc = SharedCache::instance();
-    std::vector<ObservationSectionEntry> out;
-    std::lock_guard<std::mutex> lock(sc.mutex());
-    out.reserve(map.size());
-    for (const auto &[key, entry] : map) {
-        out.push_back({{key.moduleFp, entry.moduleSecondary},
-                       {key.observationFp, entry.observationSecondary},
-                       entry.observations});
-    }
-    return out;
-}
-
-void
-admitObservationSectionEntry(const ObservationSectionEntry &entry)
-{
-    if (!entry.observations)
-        return;
-    ObservationMap &map = section();
-    SharedCache &sc = SharedCache::instance();
-    const ObservationKey key{entry.moduleFp.primary,
-                             entry.observationFp.primary};
-    const std::size_t bytes = byteSizeEstimate(*entry.observations);
-    std::lock_guard<std::mutex> lock(sc.mutex());
-    if (map.find(key) != map.end())
-        return; // first insert wins: never displace a live entry
-    Entry stored;
-    stored.moduleSecondary = entry.moduleFp.secondary;
-    stored.observationSecondary = entry.observationFp.secondary;
-    // No module object: restored entries verify fingerprints only.
-    stored.observations = entry.observations;
-    auto [pos, inserted] = map.emplace(key, std::move(stored));
-    OHA_ASSERT(inserted);
-    pos->second.handle =
-        sc.lru().insert(bytes, [&map, key] { map.erase(key); });
-    sc.enforceBudget();
+    const service::CacheKey key{service::fingerprintModule(module),
+                                observationFingerprint(options, config),
+                                0, {}};
+    return service::MemoSection<RunObservations>::instance().getOrCompute(
+        key, module, [&] {
+            return ProfilingCampaign(*module, options).observeRun(config);
+        });
 }
 
 } // namespace oha::prof

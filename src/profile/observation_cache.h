@@ -4,26 +4,25 @@
  *
  * observeRun() is a pure function of (module, exec config, profile
  * options): the raw observations of a profiled run carry no campaign
- * state (merging them is where the statefulness lives).  That makes
- * each observation exactly as memoizable as a trace capture — and in
- * service mode the profiling campaign is the dominant *uncached* cost
- * of a warm request, so caching observations is what lets a repeated
+ * state (merging them is where the statefulness lives), so each one
+ * can be memoized like a static result.  In service mode the
+ * profiling campaign is the dominant *uncached* cost of a warm
+ * request, so caching observations is what lets a repeated
  * (module, corpus) request skip the interpreter entirely.
  *
- * Entries live in the process-wide shared cross-request cache
- * (service/shared_cache.h): dual-fingerprint verified, LRU-evicted
- * under the global byte budget, dropped wholesale on
- * analysis::resetAndersenCache().
+ * Entries live in the shared cross-request cache's
+ * MemoSection<RunObservations> (service/shared_cache.h), keyed on
+ * (module fingerprint, run-configuration fingerprint):
+ * dual-fingerprint verified, LRU-evicted under the global byte
+ * budget, dropped wholesale on analysis::resetAndersenCache().
  */
 
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "ir/module.h"
 #include "profile/profiler.h"
-#include "service/shared_cache.h"
 
 namespace oha::prof {
 
@@ -42,24 +41,5 @@ std::shared_ptr<const RunObservations>
 observeRunMemo(const std::shared_ptr<const ir::Module> &module,
                const ProfileOptions &options,
                const exec::ExecConfig &config);
-
-/** Snapshot-portable view of one cached observation (both
- *  fingerprints of each key component + the plain-data result).  Used
- *  by the warm-start snapshot (service/snapshot.cc); restored entries
- *  are admitted without a module object — a request brings its own
- *  module, the entry only needs to verify fingerprints. */
-struct ObservationSectionEntry
-{
-    service::Fingerprint moduleFp;
-    service::Fingerprint observationFp;
-    std::shared_ptr<const RunObservations> observations;
-};
-
-/** Copy the cached observations out for snapshotting. */
-std::vector<ObservationSectionEntry> exportObservationSection();
-
-/** Re-admit a restored observation (warm start).  First insert wins;
- *  the entry joins the LRU spine with its byte estimate charged. */
-void admitObservationSectionEntry(const ObservationSectionEntry &entry);
 
 } // namespace oha::prof

@@ -3,9 +3,9 @@
  * Byte-budgeted least-recently-used eviction engine.
  *
  * The shared analysis cache holds heterogeneous entries (points-to
- * results, whole static-race results, slice sets, recorded traces) in
- * per-kind maps, but evicts across all of them against one byte
- * budget.  LruList is the kind-agnostic spine: each cached entry
+ * results, whole static-race results, slice sets, profiling
+ * observations) in per-type maps, but evicts across all of them
+ * against one byte budget.  LruList is the kind-agnostic spine: each cached entry
  * registers a node carrying its byte estimate and an erase callback
  * that removes the entry from its owning map; eviction pops nodes
  * from the cold end and runs the callbacks.

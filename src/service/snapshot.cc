@@ -297,7 +297,69 @@ deserializeObservations(ByteReader &in,
     return in.ok();
 }
 
-// ------------------------------------------------------ entry restore
+// ------------------------------------------------------ entry blocks
+
+/** Key fields an entry carries: observation and race entries key on
+ *  (module, subject) alone; slice entries add the config word and the
+ *  endpoint fingerprint. */
+void
+putKey(ByteWriter &out, std::uint8_t tag, const CacheKey &key)
+{
+    putFingerprint(out, key.module);
+    putFingerprint(out, key.subject);
+    if (tag == kTagSlice) {
+        out.u64(key.config);
+        putFingerprint(out, key.aux);
+    }
+}
+
+CacheKey
+getKey(ByteReader &in, std::uint8_t tag)
+{
+    CacheKey key;
+    key.module = getFingerprint(in);
+    key.subject = getFingerprint(in);
+    if (tag == kTagSlice) {
+        key.config = in.u64();
+        key.aux = getFingerprint(in);
+    }
+    return key;
+}
+
+/** Append one block per entry of Result's section, in key order.  The
+ *  export takes the spine lock once; serialization runs outside it
+ *  (entries are immutable shared_ptrs), so requests keep flowing. */
+template <typename Result>
+void
+appendBlocks(std::vector<std::string> &blocks, std::uint8_t tag,
+             void (*serialize)(ByteWriter &, const Result &))
+{
+    for (const MemoEntry<Result> &entry :
+         MemoSection<Result>::instance().exportEntries()) {
+        ByteWriter out;
+        out.u8(tag);
+        putKey(out, tag, entry.key);
+        serialize(out, *entry.result);
+        blocks.push_back(out.take());
+    }
+}
+
+/** Decode the rest of a @p tag block and admit it into Result's
+ *  section; false = semantically invalid. */
+template <typename Result>
+bool
+admitBlock(ByteReader &in, std::uint8_t tag,
+           bool (*deserialize)(ByteReader &, Result &))
+{
+    MemoEntry<Result> entry;
+    entry.key = getKey(in, tag);
+    auto result = std::make_shared<Result>();
+    if (!in.ok() || !deserialize(in, *result) || in.remaining() != 0)
+        return false;
+    entry.result = std::move(result);
+    MemoSection<Result>::instance().admit(entry);
+    return true;
+}
 
 /** Decode and admit one entry block; false = semantically invalid. */
 bool
@@ -306,44 +368,12 @@ restoreEntry(const std::string &payload)
     ByteReader in(payload);
     const std::uint8_t tag = in.u8();
     switch (tag) {
-      case kTagObservation: {
-        prof::ObservationSectionEntry entry;
-        entry.moduleFp = getFingerprint(in);
-        entry.observationFp = getFingerprint(in);
-        auto observations = std::make_shared<prof::RunObservations>();
-        if (!in.ok() || !deserializeObservations(in, *observations) ||
-            in.remaining() != 0)
-            return false;
-        entry.observations = std::move(observations);
-        prof::admitObservationSectionEntry(entry);
-        return true;
-      }
-      case kTagRace: {
-        analysis::RaceSectionEntry entry;
-        entry.moduleFp = getFingerprint(in);
-        entry.invariantFp = getFingerprint(in);
-        auto result = std::make_shared<analysis::StaticRaceResult>();
-        if (!in.ok() || !deserializeRace(in, *result) ||
-            in.remaining() != 0)
-            return false;
-        entry.result = std::move(result);
-        analysis::admitRaceSectionEntry(entry);
-        return true;
-      }
-      case kTagSlice: {
-        analysis::SliceSectionEntry entry;
-        entry.moduleFp = getFingerprint(in);
-        entry.invariantFp = getFingerprint(in);
-        entry.configKey = in.u64();
-        entry.auxFp = getFingerprint(in);
-        auto result = std::make_shared<analysis::SliceSetResult>();
-        if (!in.ok() || !deserializeSlices(in, *result) ||
-            in.remaining() != 0)
-            return false;
-        entry.result = std::move(result);
-        analysis::admitSliceSectionEntry(entry);
-        return true;
-      }
+      case kTagObservation:
+        return admitBlock(in, tag, &deserializeObservations);
+      case kTagRace:
+        return admitBlock(in, tag, &deserializeRace);
+      case kTagSlice:
+        return admitBlock(in, tag, &deserializeSlices);
       default:
         return false; // unknown tag: written by a newer version
     }
@@ -388,41 +418,10 @@ defaultSnapshotPath(const std::string &stateDir)
 bool
 writeSnapshot(const std::string &path, std::string *errorOut)
 {
-    // Export under the spine lock (each export takes it once), then
-    // serialize outside it — entries are immutable shared_ptrs, so
-    // requests keep flowing while the snapshot is written.
-    const auto observations = prof::exportObservationSection();
-    const auto races = analysis::exportRaceSection();
-    const auto slices = analysis::exportSliceSection();
-
     std::vector<std::string> blocks;
-    blocks.reserve(observations.size() + races.size() + slices.size());
-    for (const auto &entry : observations) {
-        ByteWriter out;
-        out.u8(kTagObservation);
-        putFingerprint(out, entry.moduleFp);
-        putFingerprint(out, entry.observationFp);
-        serializeObservations(out, *entry.observations);
-        blocks.push_back(out.take());
-    }
-    for (const auto &entry : races) {
-        ByteWriter out;
-        out.u8(kTagRace);
-        putFingerprint(out, entry.moduleFp);
-        putFingerprint(out, entry.invariantFp);
-        serializeRace(out, *entry.result);
-        blocks.push_back(out.take());
-    }
-    for (const auto &entry : slices) {
-        ByteWriter out;
-        out.u8(kTagSlice);
-        putFingerprint(out, entry.moduleFp);
-        putFingerprint(out, entry.invariantFp);
-        out.u64(entry.configKey);
-        putFingerprint(out, entry.auxFp);
-        serializeSlices(out, *entry.result);
-        blocks.push_back(out.take());
-    }
+    appendBlocks(blocks, kTagObservation, &serializeObservations);
+    appendBlocks(blocks, kTagRace, &serializeRace);
+    appendBlocks(blocks, kTagSlice, &serializeSlices);
 
     support::DurableWriter writer(path, support::kDurableKindSnapshot);
     ByteWriter meta;

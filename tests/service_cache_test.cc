@@ -15,12 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/andersen_cache.h"
 #include "core/optslice.h"
 #include "ir/builder.h"
 #include "profile/observation_cache.h"
 #include "service/lru.h"
 #include "service/shared_cache.h"
+#include "service/snapshot.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -280,6 +283,61 @@ TEST(SharedCache, PrimaryFingerprintCollisionIsVerifiedNotServed)
     const auto observedB = prof::observeRunMemo(moduleB, {}, input);
     EXPECT_NE(observedA->steps, observedB->steps);
     EXPECT_GE(analysis::andersenCacheStats().verifiedMisses, 3u);
+}
+
+TEST(SharedCache, RestoredEntryNeverDisplacesALiveCollidingEntry)
+{
+    // A warm-start load must never evict what the cache already
+    // serves.  With every primary fingerprint colliding, each restored
+    // entry (module B) shares its key with a live entry (module A) in
+    // the observation, race and slice sections.
+    CacheGuard guard;
+    service::testing::forcePrimaryFingerprintCollisions(true);
+    const auto moduleA = tinyModule(1);
+    const auto moduleB = tinyModule(5);
+
+    struct Served
+    {
+        std::shared_ptr<const prof::RunObservations> observations;
+        std::shared_ptr<const analysis::StaticRaceResult> race;
+        std::shared_ptr<const analysis::SliceSetResult> slices;
+    };
+    auto serve = [](const std::shared_ptr<const ir::Module> &module,
+                    std::uint64_t tag) {
+        Served served;
+        served.observations =
+            prof::observeRunMemo(module, {}, exec::ExecConfig{});
+        served.race = analysis::runStaticRaceDetectorMemo(module, nullptr);
+        served.slices = analysis::sliceSetMemo(
+            module, nullptr, 1, {InstrId(1)},
+            [tag] { return fabricatedSlices(tag); });
+        return served;
+    };
+
+    serve(moduleB, 5);
+    const std::string path =
+        "shared_cache_test_" + std::to_string(::getpid()) + ".snapshot";
+    std::string error;
+    ASSERT_TRUE(service::writeSnapshot(path, &error)) << error;
+    analysis::resetAndersenCache();
+
+    const Served live = serve(moduleA, 1);
+    const auto beforeLoad = analysis::andersenCacheStats();
+    const bool loaded = service::loadSnapshot(path, &error);
+    ::unlink(path.c_str());
+    ASSERT_TRUE(loaded) << error;
+    EXPECT_EQ(analysis::andersenCacheStats().entries, beforeLoad.entries)
+        << "a restored entry displaced or joined a live one";
+
+    // The live entries still serve hits, with no verified miss.
+    const Served again = serve(moduleA, 1);
+    const auto after = analysis::andersenCacheStats();
+    EXPECT_EQ(after.hits, beforeLoad.hits + 3);
+    EXPECT_EQ(after.verifiedMisses, beforeLoad.verifiedMisses);
+    EXPECT_EQ(again.observations.get(), live.observations.get());
+    EXPECT_EQ(again.race.get(), live.race.get());
+    EXPECT_EQ(again.slices.get(), live.slices.get());
+    EXPECT_EQ(again.slices->workUnits, 1u);
 }
 
 // ---------------------------------------------------------------------
