@@ -12,7 +12,8 @@
  * (pipeline_golden.inc), which was generated while the pipelines could
  * still replay captures and pins that both paths gave these results:
  * all 21 programs, clean and fault-seeded, plus many-endpoint,
- * no-output and empty-corpus cases.
+ * no-output and empty-corpus cases, and every program fault-seeded
+ * without repair and with a one-repair budget.
  *
  * Fused replay: one pass driving several attachment groups must give
  * every group the result of a standalone replay of that group, at any
@@ -616,6 +617,78 @@ TEST(PipelineParity, OptSliceReplayMatchesDirectAt1And4Threads)
         }
     }
     EXPECT_GT(rollbacks, 0u) << "no case exercised rollback";
+}
+
+/** The round loop's branches the default config leaves unpinned. */
+struct RecoveryBranch
+{
+    const char *label;
+    bool adaptiveRecovery;
+    std::size_t maxRepredications;
+};
+
+/** No repair (every rollback keeps the plan), and a one-repair budget
+ *  (the next rollback degrades the rest of the corpus, mid-input for
+ *  OptSlice). */
+constexpr RecoveryBranch kRecoveryBranches[] = {
+    {"noadapt", false, 4},
+    {"maxrepred1", true, 1},
+};
+
+TEST(PipelineParity, RecoveryBranchesMatchGolden)
+{
+    // Every program at the mis-speculating fault seed, under each
+    // branch, against rows generated before the two pipelines shared
+    // one round loop.
+    constexpr std::uint64_t kSeed = 7;
+    std::uint64_t unrepairedRollbacks = 0;
+    std::size_t degraded = 0;
+    auto tally = [&](const RecoveryBranch &branch, const auto &result) {
+        if (!branch.adaptiveRecovery) {
+            unrepairedRollbacks += result.misSpeculations;
+            EXPECT_EQ(result.repredications, 0u) << branch.label;
+            EXPECT_FALSE(result.circuitBroken) << branch.label;
+        }
+        EXPECT_LE(result.repredications, branch.maxRepredications)
+            << branch.label;
+        degraded += result.circuitBroken;
+    };
+    for (const RecoveryBranch &branch : kRecoveryBranches) {
+        for (const std::string &name : workloads::raceWorkloadNames()) {
+            const auto workload = workloads::makeRaceWorkload(name, 8, 4);
+            core::OptFtConfig config;
+            config.faultSeed = kSeed;
+            config.adaptiveRecovery = branch.adaptiveRecovery;
+            config.maxRepredications = branch.maxRepredications;
+            const std::string label = "optft/" + name + "/seed7/" +
+                                      branch.label;
+            const auto result =
+                expectPinned(label, config, [&](const auto &c) {
+                    return runFt(workload, c);
+                });
+            expectExecutionAccounting(result, plainCorpusSteps(workload),
+                                      label);
+            tally(branch, result);
+        }
+        for (const std::string &name : workloads::sliceWorkloadNames()) {
+            const auto workload = workloads::makeSliceWorkload(name, 4, 6);
+            core::OptSliceConfig config;
+            config.faultSeed = kSeed;
+            config.adaptiveRecovery = branch.adaptiveRecovery;
+            config.maxRepredications = branch.maxRepredications;
+            const std::string label = "optslice/" + name + "/seed7/" +
+                                      branch.label;
+            const auto result =
+                expectPinned(label, config, [&](const auto &c) {
+                    return runSlice(workload, c);
+                });
+            expectExecutionAccounting(result, plainCorpusSteps(workload),
+                                      label);
+            tally(branch, result);
+        }
+    }
+    EXPECT_GT(unrepairedRollbacks, 0u) << "no unrepaired rollback";
+    EXPECT_GT(degraded, 0u) << "no case degraded to hybrid";
 }
 
 /** A slicing workload with @p outputs Output endpoints; testing
