@@ -279,16 +279,19 @@ class MemoSection
 
     /** Admit a restored entry (warm start) without a module: it serves
      *  verified hits only.  A live entry under the same key is never
-     *  displaced, whatever its secondary hashes. */
-    void
+     *  displaced, whatever its secondary hashes.  True when the entry
+     *  was linked; false when it was dropped. */
+    bool
     admit(const MemoEntry<Result> &entry)
     {
         if (!entry.result)
-            return;
+            return false;
         const std::size_t bytes = byteSizeEstimate(*entry.result);
         std::lock_guard<std::mutex> lock(SharedCache::instance().mutex());
-        if (map_.count(entry.key) == 0)
-            linkLocked(entry.key, nullptr, entry.result, bytes);
+        if (map_.count(entry.key) != 0)
+            return false;
+        linkLocked(entry.key, nullptr, entry.result, bytes);
+        return true;
     }
 
   private:

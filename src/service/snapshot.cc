@@ -344,10 +344,18 @@ appendBlocks(std::vector<std::string> &blocks, std::uint8_t tag,
     }
 }
 
+/** What became of one entry block at load. */
+enum class Restore
+{
+    Linked,   ///< admitted into its section
+    KeptLive, ///< valid, but a live entry already holds its key
+    Invalid,  ///< semantically invalid (or an unknown tag)
+};
+
 /** Decode the rest of a @p tag block and admit it into Result's
- *  section; false = semantically invalid. */
+ *  section. */
 template <typename Result>
-bool
+Restore
 admitBlock(ByteReader &in, std::uint8_t tag,
            bool (*deserialize)(ByteReader &, Result &))
 {
@@ -355,14 +363,14 @@ admitBlock(ByteReader &in, std::uint8_t tag,
     entry.key = getKey(in, tag);
     auto result = std::make_shared<Result>();
     if (!in.ok() || !deserialize(in, *result) || in.remaining() != 0)
-        return false;
+        return Restore::Invalid;
     entry.result = std::move(result);
-    MemoSection<Result>::instance().admit(entry);
-    return true;
+    return MemoSection<Result>::instance().admit(entry) ? Restore::Linked
+                                                        : Restore::KeptLive;
 }
 
-/** Decode and admit one entry block; false = semantically invalid. */
-bool
+/** Decode and admit one entry block. */
+Restore
 restoreEntry(const std::string &payload)
 {
     ByteReader in(payload);
@@ -375,7 +383,7 @@ restoreEntry(const std::string &payload)
       case kTagSlice:
         return admitBlock(in, tag, &deserializeSlices);
       default:
-        return false; // unknown tag: written by a newer version
+        return Restore::Invalid; // unknown tag: written by a newer version
     }
 }
 
@@ -499,10 +507,16 @@ loadSnapshot(const std::string &path, std::string *errorOut)
             ++rejected;
             continue;
         }
-        if (restoreEntry(payload))
+        switch (restoreEntry(payload)) {
+          case Restore::Linked:
             ++restored;
-        else
+            break;
+          case Restore::KeptLive:
+            break; // the live entry keeps serving; nothing is wrong
+          case Restore::Invalid:
             ++rejected;
+            break;
+        }
     }
     g_loads.fetch_add(1, std::memory_order_relaxed);
     g_entriesRestored.fetch_add(restored, std::memory_order_relaxed);

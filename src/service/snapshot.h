@@ -55,7 +55,9 @@ struct SnapshotStats
     /** loadSnapshot() calls rejected wholesale (missing file is NOT
      *  counted — only defective ones). */
     std::uint64_t loadRejects = 0;
-    /** Entries admitted across all loads. */
+    /** Entries linked into the cache across all loads.  A valid entry
+     *  dropped because a live entry already holds its key counts as
+     *  neither restored nor rejected. */
     std::uint64_t entriesRestored = 0;
     /** Entries individually rejected by semantic validation. */
     std::uint64_t entriesRejected = 0;

@@ -323,11 +323,17 @@ TEST(SharedCache, RestoredEntryNeverDisplacesALiveCollidingEntry)
 
     const Served live = serve(moduleA, 1);
     const auto beforeLoad = analysis::andersenCacheStats();
+    const auto snapshotBefore = service::snapshotStats();
     const bool loaded = service::loadSnapshot(path, &error);
     ::unlink(path.c_str());
     ASSERT_TRUE(loaded) << error;
     EXPECT_EQ(analysis::andersenCacheStats().entries, beforeLoad.entries)
         << "a restored entry displaced or joined a live one";
+    // The three dropped entries were valid: neither restored nor
+    // rejected.
+    const auto snapshotAfter = service::snapshotStats();
+    EXPECT_EQ(snapshotAfter.entriesRestored, snapshotBefore.entriesRestored);
+    EXPECT_EQ(snapshotAfter.entriesRejected, snapshotBefore.entriesRejected);
 
     // The live entries still serve hits, with no verified miss.
     const Served again = serve(moduleA, 1);
