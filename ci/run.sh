@@ -129,7 +129,7 @@ faults)
         done
     done
     # I/O fault domain: every durable-file and snapshot test injects
-    # open/write/fsync/rename/mmap failures, fuzzes on-disk bytes, and
+    # open/write/fsync/rename failures, fuzzes on-disk bytes, and
     # (Snapshot) kills a child process at every write point.
     # Determinism bar: the sweep must pass identically single- and
     # multi-threaded.

@@ -290,9 +290,16 @@ DurableWriter::write(const void *data, std::size_t len)
 void
 DurableWriter::addBlock(const void *data, std::size_t len)
 {
-    beginBlock();
-    writeChunk(data, len);
-    endBlock();
+    std::uint8_t header[kBlockHeaderBytes];
+    putU64(header, len);
+    putU64(header + 8, fnv1a64(data, len));
+    write(header, sizeof(header));
+    write(data, len);
+    static constexpr std::uint8_t zeros[8] = {};
+    const auto pad = static_cast<std::size_t>((8 - len % 8) % 8);
+    if (pad)
+        write(zeros, pad);
+    ++blockCount_;
 }
 
 void
@@ -301,52 +308,10 @@ DurableWriter::addBlock(const std::string &payload)
     addBlock(payload.data(), payload.size());
 }
 
-void
-DurableWriter::beginBlock()
-{
-    OHA_ASSERT(!inBlock_);
-    inBlock_ = true;
-    blockHeaderAt_ = offset_;
-    blockLen_ = 0;
-    blockSum_ = 14695981039346656037ull;
-    std::uint8_t header[kBlockHeaderBytes] = {};
-    write(header, sizeof(header));
-}
-
-void
-DurableWriter::writeChunk(const void *data, std::size_t len)
-{
-    OHA_ASSERT(inBlock_);
-    blockSum_ = fnv1a64(data, len, blockSum_);
-    blockLen_ += len;
-    write(data, len);
-}
-
-void
-DurableWriter::endBlock()
-{
-    OHA_ASSERT(inBlock_);
-    inBlock_ = false;
-    ++blockCount_;
-    static constexpr std::uint8_t zeros[8] = {};
-    const auto pad = static_cast<std::size_t>((8 - blockLen_ % 8) % 8);
-    if (pad)
-        write(zeros, pad);
-    // Back-patch the block header now the length/checksum are known.
-    std::uint8_t header[kBlockHeaderBytes];
-    putU64(header, blockLen_);
-    putU64(header + 8, blockSum_);
-    const std::uint64_t restore = offset_;
-    offset_ = blockHeaderAt_;
-    write(header, sizeof(header));
-    if (fd_ >= 0)
-        offset_ = restore;
-}
-
 bool
 DurableWriter::commit(std::string *errorOut)
 {
-    OHA_ASSERT(!inBlock_ && !committed_);
+    OHA_ASSERT(!committed_);
     std::uint8_t header[kHeaderBytes];
     encodeHeader(header, kind_, blockCount_);
     const std::uint64_t restore = offset_;

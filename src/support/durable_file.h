@@ -31,8 +31,7 @@
  * never served.
  *
  * Block payload offsets are 8-aligned by construction (32-byte
- * header, 16-byte block headers, padded payloads), so an mmap of a
- * block lands naturally aligned.
+ * header, 16-byte block headers, payloads padded to 8 bytes).
  *
  * I/O fault injection: every syscall these writers issue goes
  * through the armable wrappers below, so tests and the CI fault sweep
@@ -289,15 +288,9 @@ class DurableWriter
     /** errno of the first failure (0 while ok). */
     int error() const { return error_; }
 
-    /** Append one whole block. */
+    /** Append one block: its header, payload and padding. */
     void addBlock(const void *data, std::size_t len);
     void addBlock(const std::string &payload);
-
-    /** Streaming block: begin, any number of chunks, end (the block
-     *  header is back-patched with the final length/checksum). */
-    void beginBlock();
-    void writeChunk(const void *data, std::size_t len);
-    void endBlock();
 
     /** Finalize the header, fsync, rename into place, fsync the
      *  directory.  False (with @p errorOut set) on any failure —
@@ -317,11 +310,6 @@ class DurableWriter
     std::uint64_t offset_ = 0;
     std::uint64_t blockCount_ = 0;
     bool committed_ = false;
-    // streaming-block state
-    bool inBlock_ = false;
-    std::uint64_t blockHeaderAt_ = 0;
-    std::uint64_t blockLen_ = 0;
-    std::uint64_t blockSum_ = 0;
 };
 
 /**
@@ -342,16 +330,6 @@ class DurableReader
     DurableReader &operator=(const DurableReader &) = delete;
 
     std::size_t numBlocks() const { return blocks_.size(); }
-    std::uint64_t
-    blockOffset(std::size_t i) const
-    {
-        return blocks_[i].offset;
-    }
-    std::uint64_t
-    blockLength(std::size_t i) const
-    {
-        return blocks_[i].length;
-    }
 
     /** Copy block @p i's payload out (empty + false on read error —
      *  possible despite open-time verification if the medium fails
