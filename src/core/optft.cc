@@ -438,16 +438,9 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         FtRun full;
         FtRun hybrid;
     };
-    struct OptEval
-    {
-        FtRun optimistic;
-        bool rolledBack = false;
-        bool degraded = false;
-        dyn::Violation violation;
-    };
     // Judge one optimistic run under the current invariants.
     auto judge = [&](FtRun run, const dyn::InvariantChecker &checker) {
-        OptEval eval;
+        SpeculativeEval<FtRun> eval;
         eval.optimistic = std::move(run);
         if (optFtShouldRollBack(eval.optimistic.violated,
                                 !eval.optimistic.races.empty(),
@@ -469,7 +462,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     struct FusedEval
     {
         RefEval ref;
-        OptEval opt;
+        SpeculativeEval<FtRun> opt;
     };
     std::vector<FusedEval> fused = support::runBatch(
         numTests,
@@ -486,115 +479,47 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         },
         config.threads);
     std::vector<RefEval> refs(numTests);
-    std::vector<OptEval> firstRound;
+    std::vector<std::vector<SpeculativeEval<FtRun>>> firstRound;
     firstRound.reserve(numTests);
     for (std::size_t i = 0; i < numTests; ++i) {
         refs[i] = std::move(fused[i].ref);
-        firstRound.push_back(std::move(fused[i].opt));
+        firstRound.emplace_back().push_back(std::move(fused[i].opt));
     }
 
-    // Speculative runs, in adaptive rounds.  Each round runs the
-    // remaining inputs in order under the current optimistic plan and
-    // starts no input past the first rollback (runBatchUntil), then
-    // scans the outcomes serially in input-index order.  At the first
-    // rollback the round stops: the lying invariant is demoted, the
-    // predicated static phase re-runs through the memo cache, the
-    // plan is rebuilt, and the next round restarts at the following
-    // input — so results are exactly those of the serial repair loop
-    // at any thread count (evaluations a parallel round started past
-    // the rollback are discarded, not folded).  A circuit breaker
-    // degrades the remaining corpus to the sound hybrid configuration
-    // when the repair budget or the observed misspeculation rate is
-    // exceeded.
-    // The first round came out of the fused reference pass; later
-    // rounds run only the optimistic configuration.
-    std::vector<OptEval> opts(numTests);
-    const RecoveryBreaker breaker{config.maxRepredications,
-                                  config.misspecRateThreshold,
-                                  config.minRunsForMisspecRate};
-    std::uint64_t rollbacksSeen = 0;
-    bool degraded = false;
-    std::size_t next = 0;
-    while (next < numTests) {
-        if (degraded) {
-            // Sound fallback: the rest of the corpus runs the hybrid
-            // configuration (no speculation, no checker).  By
-            // determinism that evaluation is identical to the hybrid
-            // reference, so reuse it.
-            for (std::size_t i = next; i < numTests; ++i) {
-                opts[i].optimistic = refs[i].hybrid;
-                opts[i].degraded = true;
+    // Speculative runs, in adaptive rounds (runAdaptiveRounds), one
+    // task per input.  The first round came out of the fused reference
+    // pass; repair rounds run only the optimistic configuration.
+    const std::vector<SpeculativeEval<FtRun>> opts = runAdaptiveRounds(
+        config, numTests, /*endpoints=*/1, std::move(firstRound),
+        invariants,
+        [&](std::size_t i, std::size_t) {
+            dyn::InvariantChecker checker(module, invariants, checkerConfig);
+            std::vector<SpeculativeEval<FtRun>> evals;
+            evals.push_back(
+                judge(std::move(runFastTracks(module, workload.testingSet[i],
+                                              {{&optPlan, &checker}})[0]),
+                      checker));
+            return evals;
+        },
+        [&](const dyn::Violation &violation) {
+            double seconds = 0;
+            if (violation.family != dyn::ViolationFamily::ElidedLockRace) {
+                // Re-predicate on the repaired invariants.  The memo
+                // keys on the invariant text, so repeated repairs of
+                // converging sets are incremental in practice.
+                predicatedSp = analysis::runStaticRaceDetectorMemo(
+                    workload.module, &invariants);
+                seconds = double(predicatedSp->workUnits) /
+                          cost.staticUnitsPerSecond * cost.offlineScale;
+                invariants.elidableLockSites = refilterElidableLocks(
+                    workload.module, invariants, *predicatedSp);
             }
-            break;
-        }
-        const std::size_t start = next;
-        const std::vector<OptEval> round =
-            start == 0
-                ? std::move(firstRound)
-                : support::runBatchUntil(
-                      numTests - start,
-                      [&](std::size_t k) {
-                          const std::size_t i = start + k;
-                          dyn::InvariantChecker checker(module, invariants,
-                                                        checkerConfig);
-                          return judge(
-                              std::move(runFastTracks(
-                                  module, workload.testingSet[i],
-                                  {{&optPlan, &checker}})[0]),
-                              checker);
-                      },
-                      [&](const OptEval &eval) {
-                          return config.adaptiveRecovery && eval.rolledBack;
-                      },
-                      config.threads);
-
-        next = numTests;
-        for (std::size_t k = 0; k < round.size(); ++k) {
-            const std::size_t i = start + k;
-            opts[i] = round[k];
-            // A repair round's run is one more interpretation of the
-            // input.
-            if (start != 0)
-                result.interpretedSteps += opts[i].optimistic.result.steps;
-            if (!opts[i].rolledBack)
-                continue;
-            ++rollbacksSeen;
-            if (!config.adaptiveRecovery)
-                continue; // historical behavior: plan never changes
-            const dyn::Violation &violation = opts[i].violation;
-            if (breaker.tripped(result.repredications, rollbacksSeen,
-                                i + 1)) {
-                degraded = true;
-                result.circuitBroken = true;
-            } else if (!invariants.demote(violation)) {
-                // Defensive: an unrepairable violation (nothing left
-                // to remove) must degrade rather than spin.
-                degraded = true;
-                result.circuitBroken = true;
-            } else {
-                result.demotions.push_back(violation);
-                ++result.repredications;
-                if (violation.family !=
-                    dyn::ViolationFamily::ElidedLockRace) {
-                    // Re-predicate on the repaired invariants.  The
-                    // memo keys on the invariant text, so repeated
-                    // repairs of converging sets are incremental in
-                    // practice.
-                    predicatedSp = analysis::runStaticRaceDetectorMemo(
-                        workload.module, &invariants);
-                    result.repredStaticSeconds +=
-                        double(predicatedSp->workUnits) /
-                        cost.staticUnitsPerSecond * cost.offlineScale;
-                    invariants.elidableLockSites = refilterElidableLocks(
-                        workload.module, invariants, *predicatedSp);
-                }
-                optPlan = dyn::optimisticFastTrackPlan(
-                    module, predicatedSp->racyAccesses, invariants);
-            }
-            next = i + 1; // discard this round's later evaluations
-            break;
-        }
-    }
+            optPlan = dyn::optimisticFastTrackPlan(
+                module, predicatedSp->racyAccesses, invariants);
+            return seconds;
+        },
+        [&](std::size_t i) -> const FtRun & { return refs[i].hybrid; },
+        result);
 
     // Fold the outcomes serially in input-index order, so
     // accumulation — including floating-point cost sums — is
@@ -602,7 +527,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     std::set<std::pair<InstrId, InstrId>> allRaces;
     for (std::size_t i = 0; i < numTests; ++i) {
         const RefEval &ref = refs[i];
-        const OptEval &opt = opts[i];
+        const SpeculativeEval<FtRun> &opt = opts[i];
         result.fastTrack.add(priceFastTrackRun(cost, ref.full.result,
                                                ref.full.ftDelivered));
         allRaces.insert(ref.full.races.begin(), ref.full.races.end());

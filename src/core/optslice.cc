@@ -180,6 +180,18 @@ unionPlan(const ir::Module &module,
     return plan;
 }
 
+/** One Giri plan per endpoint: its static slice, or full
+ *  instrumentation when static slicing failed (pure Giri). */
+std::vector<exec::InstrumentationPlan>
+giriPlans(const ir::Module &module, const analysis::SliceSetResult &slices)
+{
+    std::vector<exec::InstrumentationPlan> plans;
+    for (const std::set<InstrId> &slice : slices.slices)
+        plans.push_back(slices.complete ? dyn::sliceGiriPlan(module, slice)
+                                        : dyn::fullGiriPlan(module));
+    return plans;
+}
+
 /**
  * Read endpoints [@p first, E) off @p graph, built under the union of
  * their @p plans: each endpoint's slice is the closure from its Output
@@ -318,17 +330,12 @@ runOptSlice(const workloads::Workload &workload,
     result.optSlice.seconds =
         double(optSlices.workUnits) / cost.staticUnitsPerSecond * cost.offlineScale;
 
-    std::vector<exec::InstrumentationPlan> hybridPlans, optPlans;
+    const std::vector<exec::InstrumentationPlan> hybridPlans =
+        giriPlans(module, soundSlices);
+    std::vector<exec::InstrumentationPlan> optPlans =
+        giriPlans(module, optSlices);
     double soundSizeSum = 0, optSizeSum = 0;
     for (std::size_t e = 0; e < endpoints.size(); ++e) {
-        hybridPlans.push_back(
-            soundSlices.complete
-                ? dyn::sliceGiriPlan(module, soundSlices.slices[e])
-                : dyn::fullGiriPlan(module));
-        optPlans.push_back(
-            optSlices.complete
-                ? dyn::sliceGiriPlan(module, optSlices.slices[e])
-                : dyn::fullGiriPlan(module));
         soundSizeSum += double(soundSlices.slices[e].size());
         optSizeSum += double(optSlices.slices[e].size());
     }
@@ -363,13 +370,6 @@ runOptSlice(const workloads::Workload &workload,
     const std::size_t tasks = numInputs * numEndpoints;
     const std::size_t refJobs = numEndpoints == 0 ? 0 : numInputs;
 
-    struct OptEval
-    {
-        GiriRun optimistic;
-        bool rolledBack = false;
-        bool degraded = false;
-        dyn::Violation violation;
-    };
     // Attach the optimistic @p graph under @p plan, guarded by
     // @p checker, as @p group of @p run.
     auto attachOptimistic = [](exec::Interpreter &run,
@@ -387,10 +387,10 @@ runOptSlice(const workloads::Workload &workload,
     auto judge = [&](const exec::RunResult &run,
                      const dyn::GiriSlicer &graph, std::size_t first,
                      const dyn::InvariantChecker &checker) {
-        std::vector<OptEval> evals;
+        std::vector<SpeculativeEval<GiriRun>> evals;
         for (GiriRun &endpoint : readUnionGraph(run, graph, endpoints,
                                                 optPlans, first, &checker)) {
-            OptEval &eval = evals.emplace_back();
+            SpeculativeEval<GiriRun> &eval = evals.emplace_back();
             eval.optimistic = std::move(endpoint);
             if (eval.optimistic.violated) {
                 eval.rolledBack = true;
@@ -416,8 +416,9 @@ runOptSlice(const workloads::Workload &workload,
     // only its own group.
     const exec::InstrumentationPlan hybridUnion =
         unionPlan(module, hybridPlans, 0);
-    const exec::InstrumentationPlan firstOptUnion =
-        unionPlan(module, optPlans, 0);
+    // The union of the current optimistic plans, rebuilt on each
+    // repair.
+    exec::InstrumentationPlan optUnion = unionPlan(module, optPlans, 0);
     auto fused = support::runBatch(
         refJobs,
         [&](std::size_t input) {
@@ -426,8 +427,7 @@ runOptSlice(const workloads::Workload &workload,
             run.attach(&hybrid, &hybridUnion);
             dyn::GiriSlicer opt(module);
             dyn::InvariantChecker checker(module, invariants, checkerConfig);
-            attachOptimistic(run, run.addGroup(), opt, firstOptUnion,
-                             checker);
+            attachOptimistic(run, run.addGroup(), opt, optUnion, checker);
             const std::vector<exec::RunResult> results = run.runGroups();
             return std::pair{readUnionGraph(results[0], hybrid, endpoints,
                                             hybridPlans, 0, nullptr),
@@ -436,7 +436,7 @@ runOptSlice(const workloads::Workload &workload,
         config.threads);
     std::vector<GiriRun> refs;
     refs.reserve(tasks);
-    std::vector<std::vector<OptEval>> firstRound;
+    std::vector<std::vector<SpeculativeEval<GiriRun>>> firstRound;
     for (auto &[ref, opt] : fused) {
         // The run is step-identical to the hybrid run, which never
         // aborts.
@@ -445,124 +445,43 @@ runOptSlice(const workloads::Workload &workload,
         firstRound.push_back(std::move(opt));
     }
 
-    // Speculative runs, in adaptive rounds (same repair loop as
-    // runOptFt).  A round evaluates the remaining inputs in order under
-    // the current optimistic plans, starting at the task after the
-    // last repair, and starts no input past the first rollback
-    // (runBatchUntil).  The outcomes are scanned serially in task
-    // order; at the first rollback the lying invariant is demoted, the
-    // predicated points-to + slicing phase re-runs through the memo
-    // caches, the per-endpoint plans are rebuilt, and the next round
-    // restarts at the following task — so results equal the serial
-    // repair loop at any thread count.  The first round came out of the
-    // fused reference pass.
-    std::vector<OptEval> opts(tasks);
-    const RecoveryBreaker breaker{config.maxRepredications,
-                                  config.misspecRateThreshold,
-                                  config.minRunsForMisspecRate};
-    std::uint64_t rollbacksSeen = 0;
-    bool degraded = false;
-    std::size_t next = 0;
-    while (next < tasks) {
-        const std::size_t firstInput = next / numEndpoints;
-        const std::size_t firstEndpoint = next % numEndpoints;
-        if (degraded) {
-            // Sound fallback: the rest of the corpus runs the hybrid
-            // plans (no speculation, no checker).  By determinism that
-            // evaluation is identical to the hybrid reference.
-            for (std::size_t task = next; task < tasks; ++task) {
-                opts[task].optimistic = refs[task];
-                opts[task].degraded = true;
-            }
-            break;
-        }
-        const bool repairRound = next != 0;
-        std::vector<std::vector<OptEval>> round;
-        if (!repairRound) {
-            round = std::move(firstRound);
-        } else {
-            const exec::InstrumentationPlan optUnion =
-                unionPlan(module, optPlans, 0);
-            round = support::runBatchUntil(
-                numInputs - firstInput,
-                [&](std::size_t k) {
-                    if (k == 0 && firstEndpoint != 0)
-                        return evaluateOptimistic(
-                            firstInput, firstEndpoint,
-                            unionPlan(module, optPlans, firstEndpoint));
-                    return evaluateOptimistic(firstInput + k, 0, optUnion);
-                },
-                [&](const std::vector<OptEval> &evals) {
-                    return config.adaptiveRecovery &&
-                           evals.front().rolledBack;
-                },
-                config.threads);
-        }
-
-        next = tasks;
-        for (std::size_t k = 0; k < round.size() && next == tasks; ++k) {
-            const std::size_t input = firstInput + k;
-            const std::size_t first = k == 0 ? firstEndpoint : 0;
-            // A repair round's run is one more interpretation of the
-            // input.
-            if (repairRound)
-                result.interpretedSteps +=
-                    round[k].front().optimistic.result.steps;
-            for (std::size_t j = 0; j < round[k].size(); ++j) {
-                const std::size_t task = input * numEndpoints + first + j;
-                opts[task] = std::move(round[k][j]);
-                if (!opts[task].rolledBack)
-                    continue;
-                ++rollbacksSeen;
-                if (!config.adaptiveRecovery)
-                    continue; // historical behavior: plans never change
-                const dyn::Violation &violation = opts[task].violation;
-                if (breaker.tripped(result.repredications, rollbacksSeen,
-                                    task + 1)) {
-                    degraded = true;
-                    result.circuitBroken = true;
-                } else if (!invariants.demote(violation)) {
-                    // Defensive: an unrepairable violation must degrade
-                    // rather than spin.
-                    degraded = true;
-                    result.circuitBroken = true;
-                } else {
-                    result.demotions.push_back(violation);
-                    ++result.repredications;
-                    // Re-predicate points-to and slicing on the
-                    // repaired invariants; both routes are memoized,
-                    // so repeated repairs of converging sets are
-                    // incremental.
-                    const PickedAndersen repredPts =
-                        pickAndersen(moduleSp, &invariants, config);
-                    const std::shared_ptr<const analysis::SliceSetResult>
-                        repredSlices = computeAllSlices(
-                            moduleSp, endpoints, &invariants, config,
-                            *repredPts.result,
-                            repredPts.pick.contextSensitive);
-                    result.repredStaticSeconds +=
-                        repredPts.pick.seconds +
-                        double(repredSlices->workUnits) /
-                            cost.staticUnitsPerSecond * cost.offlineScale;
-                    for (std::size_t e = 0; e < endpoints.size(); ++e) {
-                        optPlans[e] =
-                            repredSlices->complete
-                                ? dyn::sliceGiriPlan(module,
-                                                     repredSlices->slices[e])
-                                : dyn::fullGiriPlan(module);
-                    }
-                }
-                next = task + 1; // discard this round's later evaluations
-                break;
-            }
-        }
-    }
+    // Speculative runs, in adaptive rounds (runAdaptiveRounds), one
+    // task per (input, endpoint).  The first round came out of the
+    // fused reference pass; a repair round that restarts mid-input
+    // reads that input's remaining endpoints off one graph under the
+    // union of their plans.
+    const std::vector<SpeculativeEval<GiriRun>> opts = runAdaptiveRounds(
+        config, numInputs, numEndpoints, std::move(firstRound), invariants,
+        [&](std::size_t input, std::size_t first) {
+            if (first == 0)
+                return evaluateOptimistic(input, 0, optUnion);
+            return evaluateOptimistic(input, first,
+                                      unionPlan(module, optPlans, first));
+        },
+        [&](const dyn::Violation &) {
+            // Re-predicate points-to and slicing on the repaired
+            // invariants; both routes are memoized, so repeated repairs
+            // of converging sets are incremental.
+            const PickedAndersen repredPts =
+                pickAndersen(moduleSp, &invariants, config);
+            const std::shared_ptr<const analysis::SliceSetResult>
+                repredSlices = computeAllSlices(
+                    moduleSp, endpoints, &invariants, config,
+                    *repredPts.result, repredPts.pick.contextSensitive);
+            optPlans = giriPlans(module, *repredSlices);
+            optUnion = unionPlan(module, optPlans, 0);
+            return repredPts.pick.seconds +
+                   double(repredSlices->workUnits) /
+                       cost.staticUnitsPerSecond * cost.offlineScale;
+        },
+        [&](std::size_t task) -> const GiriRun & { return refs[task]; },
+        result);
 
     // Fold serially in task order, so cost accumulation — including
     // floating-point sums — is identical for any thread count.
     for (std::size_t task = 0; task < tasks; ++task) {
         const GiriRun &hybrid = refs[task];
-        const OptEval &opt = opts[task];
+        const SpeculativeEval<GiriRun> &opt = opts[task];
         result.hybrid.add(
             priceGiriRun(cost, hybrid.result, hybrid.delivered));
 

@@ -2,17 +2,15 @@
 
 #include <utility>
 
-#include "core/optft.h"
-#include "core/optslice.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
 
 namespace oha::core {
 
-template <typename Config>
 ProfilePhase
-runProfilePhase(const workloads::Workload &workload, const Config &config,
-                bool callContexts, std::vector<dyn::ViolationFamily> families)
+runProfilePhase(const workloads::Workload &workload,
+                const PipelineConfig &config, bool callContexts,
+                std::vector<dyn::ViolationFamily> families)
 {
     const ir::Module &module = *workload.module;
     prof::ProfileOptions profOptions;
@@ -48,12 +46,5 @@ runProfilePhase(const workloads::Workload &workload, const Config &config,
     }
     return out;
 }
-
-template ProfilePhase
-runProfilePhase(const workloads::Workload &, const OptFtConfig &, bool,
-                std::vector<dyn::ViolationFamily>);
-template ProfilePhase
-runProfilePhase(const workloads::Workload &, const OptSliceConfig &, bool,
-                std::vector<dyn::ViolationFamily>);
 
 } // namespace oha::core
