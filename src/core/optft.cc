@@ -459,31 +459,25 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // adaptive round together: full, hybrid and optimistic FastTrack
     // (with its checker) are three attachment groups, so the checker's
     // abort stops only the optimistic configuration.
-    struct FusedEval
-    {
-        RefEval ref;
-        SpeculativeEval<FtRun> opt;
-    };
-    std::vector<FusedEval> fused = support::runBatch(
+    auto fused = support::runBatch(
         numTests,
         [&](std::size_t i) {
             dyn::InvariantChecker checker(module, invariants, checkerConfig);
             std::vector<FtRun> runs = runFastTracks(
                 module, workload.testingSet[i],
                 {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
-            FusedEval eval;
-            eval.ref.full = std::move(runs[0]);
-            eval.ref.hybrid = std::move(runs[1]);
-            eval.opt = judge(std::move(runs[2]), checker);
-            return eval;
+            std::vector<SpeculativeEval<FtRun>> opt;
+            opt.push_back(judge(std::move(runs[2]), checker));
+            return std::pair{RefEval{std::move(runs[0]), std::move(runs[1])},
+                             std::move(opt)};
         },
         config.threads);
-    std::vector<RefEval> refs(numTests);
+    std::vector<RefEval> refs;
+    refs.reserve(numTests);
     std::vector<std::vector<SpeculativeEval<FtRun>>> firstRound;
-    firstRound.reserve(numTests);
-    for (std::size_t i = 0; i < numTests; ++i) {
-        refs[i] = std::move(fused[i].ref);
-        firstRound.emplace_back().push_back(std::move(fused[i].opt));
+    for (auto &[ref, opt] : fused) {
+        refs.push_back(std::move(ref));
+        firstRound.push_back(std::move(opt));
     }
 
     // Speculative runs, in adaptive rounds (runAdaptiveRounds), one
