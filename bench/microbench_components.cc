@@ -111,12 +111,12 @@ BM_RecordRun(benchmark::State &state)
 BENCHMARK(BM_RecordRun)->ArgName("slice")->Arg(0)->Arg(1);
 
 /** One race program prepared for OptFT's first round: its profiled
- *  invariants and the full, hybrid and optimistic plans. */
+ *  invariants and the hybrid and optimistic plans. */
 struct FirstRoundProgram
 {
     const workloads::Workload *workload;
     inv::InvariantSet invariants;
-    exec::InstrumentationPlan full, hybrid, optimistic;
+    exec::InstrumentationPlan hybrid, optimistic;
 };
 
 const std::vector<FirstRoundProgram> &
@@ -133,7 +133,7 @@ firstRoundPrograms()
             const auto predicated =
                 analysis::runStaticRaceDetector(module, &invariants);
             FirstRoundProgram program{
-                &workload, invariants, dyn::fullFastTrackPlan(module),
+                &workload, invariants,
                 dyn::hybridFastTrackPlan(module, sound.racyAccesses),
                 dyn::optimisticFastTrackPlan(module, predicated.racyAccesses,
                                              invariants)};
@@ -146,9 +146,9 @@ firstRoundPrograms()
 
 /**
  * OptFT's fused first round: every testing input of every race
- * program through three attachment groups — full FastTrack, hybrid
- * FastTrack, and optimistic FastTrack with its invariant checker — in
- * one live run, as the pipeline runs it.  Items are guest steps.
+ * program through two attachment groups — hybrid FastTrack, and
+ * optimistic FastTrack with its invariant checker — in one live run,
+ * as the pipeline runs it.  Items are guest steps.
  */
 void
 BM_FusedFirstRound(benchmark::State &state)
@@ -161,21 +161,20 @@ BM_FusedFirstRound(benchmark::State &state)
         for (const FirstRoundProgram &program : programs) {
             const workloads::Workload &workload = *program.workload;
             for (std::size_t i = 0; i < workload.testingSet.size(); ++i) {
-                dyn::FastTrack full, hybrid, optimistic;
+                dyn::FastTrack hybrid, optimistic;
                 dyn::InvariantChecker checker(*workload.module,
                                               program.invariants,
                                               checkerConfig);
                 exec::Interpreter run(*workload.module,
                                       workload.testingSet[i]);
-                run.attach(&full, &program.full);
-                run.attach(run.addGroup(), &hybrid, &program.hybrid);
+                run.attach(&hybrid, &program.hybrid);
                 const auto optGroup = run.addGroup();
                 run.attach(optGroup, &optimistic, &program.optimistic);
                 checker.setControl(&run.control(optGroup));
                 run.attach(optGroup, &checker, &checker.plan());
                 const std::vector<exec::RunResult> results = run.runGroups();
                 steps += results[0].steps;
-                benchmark::DoNotOptimize(full.races().size());
+                benchmark::DoNotOptimize(hybrid.races().size());
             }
         }
     }

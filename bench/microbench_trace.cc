@@ -16,9 +16,9 @@
  *     slower than (b) even before (a) is paid; the `replay_speedup`
  *     metric is (b)/(c) wall time.
  *
- *  2. Fused vs separate replay: the three FastTrack configurations
- *     runOptFt analyzes per testing input — full, hybrid, and
- *     optimistic with its invariant checker — replayed as three
+ *  2. Fused vs separate replay: three FastTrack configurations of
+ *     one testing input — full, hybrid, and optimistic with its
+ *     invariant checker — replayed as three
  *     attachment groups of one decode pass versus three separate
  *     replays.  Results are identical (checked); `fused_speedup` is
  *     separate/fused wall time.
@@ -193,8 +193,8 @@ main()
     std::printf("%s\n", table.str().c_str());
 
     // ---- Fused vs separate replay: one decode, three configurations -
-    // The per-input shape of runOptFt's reference pass: full, hybrid
-    // and optimistic (+ checker) FastTrack over one capture.
+    // Full, hybrid and optimistic (+ checker) FastTrack over one
+    // capture.
     TextTable fusedTable({"workload", "separate ms", "fused ms",
                           "fused speedup"});
     std::vector<double> fusedSpeedups;

@@ -161,37 +161,6 @@ runPass(const Corpus &corpus, std::size_t shards,
     return stats;
 }
 
-bool
-sameFtResult(const core::OptFtResult &a, const core::OptFtResult &b)
-{
-    return a.name == b.name && a.testRuns == b.testRuns &&
-           a.soundStaticSeconds == b.soundStaticSeconds &&
-           a.predStaticSeconds == b.predStaticSeconds &&
-           a.misSpeculations == b.misSpeculations &&
-           a.racesObserved == b.racesObserved &&
-           a.raceReportsMatch == b.raceReportsMatch &&
-           a.speedupVsFastTrack == b.speedupVsFastTrack &&
-           a.speedupVsHybrid == b.speedupVsHybrid &&
-           a.interpretedSteps == b.interpretedSteps &&
-           a.optFt.total() == b.optFt.total() &&
-           a.hybridFt.total() == b.hybridFt.total();
-}
-
-bool
-sameSliceResult(const core::OptSliceResult &a, const core::OptSliceResult &b)
-{
-    return a.name == b.name && a.testRuns == b.testRuns &&
-           a.endpoints == b.endpoints &&
-           a.misSpeculations == b.misSpeculations &&
-           a.sliceResultsMatch == b.sliceResultsMatch &&
-           a.soundSliceSize == b.soundSliceSize &&
-           a.optSliceSize == b.optSliceSize &&
-           a.dynSpeedup == b.dynSpeedup &&
-           a.interpretedSteps == b.interpretedSteps &&
-           a.optimistic.total() == b.optimistic.total() &&
-           a.hybrid.total() == b.hybrid.total();
-}
-
 } // namespace
 
 int
@@ -253,8 +222,7 @@ main()
             ft.outcome == service::RequestOutcome::Done &&
             slice.outcome == service::RequestOutcome::Done &&
             ft.ft.has_value() && slice.slice.has_value() &&
-            sameFtResult(batchFt, *ft.ft) &&
-            sameSliceResult(batchSlice, *slice.slice);
+            batchFt == *ft.ft && batchSlice == *slice.slice;
         parityOk = parityOk && ok;
         json.metric("parity", "shards_" + std::to_string(shards),
                     "matches_batch", ok ? 1 : 0);

@@ -101,7 +101,7 @@ bench-release)
     # Interpreter floor: plain, recorded and profiled runs over every
     # race (slice:0) and slice (slice:1) workload's inputs, items =
     # steps, so the recorded/plain and profiled/plain ns/step ratios
-    # are tracked.  OptFT's fused first round (full, hybrid and
+    # are tracked.  OptFT's fused first round (hybrid and
     # optimistic + checker groups) over every race program's testing
     # inputs in one live run each, items = steps.
     # Recovery: warm, serial, fault-seeded OptFT

@@ -97,6 +97,8 @@ struct RunCost
         invariants += other.invariants;
         rollback += other.rollback;
     }
+
+    bool operator==(const RunCost &other) const = default;
 };
 
 /** Price a FastTrack-family run from its event accounting.

@@ -163,12 +163,14 @@ struct Calibration
 /**
  * No-custom-sync calibration (Section 4.2.4): propose eliding
  * lock/unlock sites whose critical sections contain no remaining
- * dynamic checks, validate against a sound FastTrack on profiling
- * inputs, and withdraw candidates that produce false races.
+ * dynamic checks, validate against the sound hybrid FastTrack (plan
+ * from @p sound) on profiling inputs, and withdraw candidates that
+ * produce false races.
  */
 Calibration
 calibrateLockElision(const ir::Module &module,
                      const inv::InvariantSet &invariants,
+                     const analysis::StaticRaceResult &sound,
                      const analysis::StaticRaceResult &predicated,
                      const workloads::Workload &workload,
                      std::size_t calibrationRuns, std::size_t threads,
@@ -222,7 +224,7 @@ calibrateLockElision(const ir::Module &module,
     const analysis::CallGraph callgraph(module, andersen, &invariants);
 
     const exec::InstrumentationPlan soundPlan =
-        dyn::fullFastTrackPlan(module);
+        dyn::hybridFastTrackPlan(module, sound.racyAccesses);
 
     // Every round makes one live run of each calibration input, with
     // each requested plan its own attachment group.
@@ -405,19 +407,20 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     const std::size_t calibRuns = std::min(
         config.customSyncCalibrationRuns, workload.profilingSet.size());
     Calibration calibration = calibrateLockElision(
-        module, invariants, predicated, workload, calibRuns, config.threads,
-        profiled.runSteps);
+        module, invariants, sound, predicated, workload, calibRuns,
+        config.threads, profiled.runSteps);
     invariants.elidableLockSites = std::move(calibration.elided);
     result.elidedLockSites = invariants.elidableLockSites.size();
     // Calibration executions count as profiling cost, priced at their
-    // uninstrumented step counts (the sound plan never aborts).
+    // uninstrumented step counts: calibration.steps come from the sound
+    // runs, which carry no checker and so always run to completion (or,
+    // with nothing to validate, from profiling or tool-free runs).
     result.profileSeconds =
         (double(profiled.profiledSteps) +
          2.0 * double(calibration.steps)) *
         cost.profilingOverhead / cost.unitsPerSecond * cost.offlineScale;
 
     // ---- Phase 3: dynamic analysis over the testing corpus ------------
-    const auto fullPlan = dyn::fullFastTrackPlan(module);
     const auto hybridPlan =
         dyn::hybridFastTrackPlan(module, sound.racyAccesses);
     exec::InstrumentationPlan optPlan = dyn::optimisticFastTrackPlan(
@@ -428,16 +431,6 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
 
     const std::size_t numTests = workload.testingSet.size();
 
-    // Reference runs.  Full and hybrid FastTrack do not depend on the
-    // speculative plan, so they are evaluated once per input up
-    // front; the hybrid result doubles as the deterministic rollback
-    // re-analysis (identical by determinism) and as the degraded
-    // configuration once the circuit breaker trips.
-    struct RefEval
-    {
-        FtRun full;
-        FtRun hybrid;
-    };
     // Judge one optimistic run under the current invariants.
     auto judge = [&](FtRun run, const dyn::InvariantChecker &checker) {
         SpeculativeEval<FtRun> eval;
@@ -455,24 +448,28 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
         return eval;
     };
 
-    // One live run per input serves the references and the first
-    // adaptive round together: full, hybrid and optimistic FastTrack
-    // (with its checker) are three attachment groups, so the checker's
-    // abort stops only the optimistic configuration.
+    // Reference runs.  Hybrid FastTrack does not depend on the
+    // speculative plan, so it is evaluated once per input up front; its
+    // result doubles as the deterministic rollback re-analysis
+    // (identical by determinism), as the degraded configuration once
+    // the circuit breaker trips, and as the reference race set.  One
+    // live run per input serves the reference and the first adaptive
+    // round together: hybrid and optimistic FastTrack (with its
+    // checker) are two attachment groups, so the checker's abort stops
+    // only the optimistic configuration.
     auto fused = support::runBatch(
         numTests,
         [&](std::size_t i) {
             dyn::InvariantChecker checker(module, invariants, checkerConfig);
-            std::vector<FtRun> runs = runFastTracks(
-                module, workload.testingSet[i],
-                {{&fullPlan}, {&hybridPlan}, {&optPlan, &checker}});
+            std::vector<FtRun> runs =
+                runFastTracks(module, workload.testingSet[i],
+                              {{&hybridPlan}, {&optPlan, &checker}});
             std::vector<SpeculativeEval<FtRun>> opt;
-            opt.push_back(judge(std::move(runs[2]), checker));
-            return std::pair{RefEval{std::move(runs[0]), std::move(runs[1])},
-                             std::move(opt)};
+            opt.push_back(judge(std::move(runs[1]), checker));
+            return std::pair{std::move(runs[0]), std::move(opt)};
         },
         config.threads);
-    std::vector<RefEval> refs;
+    std::vector<FtRun> refs;
     refs.reserve(numTests);
     std::vector<std::vector<SpeculativeEval<FtRun>>> firstRound;
     for (auto &[ref, opt] : fused) {
@@ -512,7 +509,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                 module, predicatedSp->racyAccesses, invariants);
             return seconds;
         },
-        [&](std::size_t i) -> const FtRun & { return refs[i].hybrid; },
+        [&](std::size_t i) -> const FtRun & { return refs[i]; },
         result);
 
     // Fold the outcomes serially in input-index order, so
@@ -520,16 +517,20 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // identical for any thread count.
     std::set<std::pair<InstrId, InstrId>> allRaces;
     for (std::size_t i = 0; i < numTests; ++i) {
-        const RefEval &ref = refs[i];
+        const FtRun &hybrid = refs[i];
         const SpeculativeEval<FtRun> &opt = opts[i];
-        result.fastTrack.add(priceFastTrackRun(cost, ref.full.result,
-                                               ref.full.ftDelivered));
-        allRaces.insert(ref.full.races.begin(), ref.full.races.end());
+        // Full FastTrack is priced, not run: its plan instruments every
+        // load, store and synchronization op, so its tool would be
+        // delivered exactly the run's totalEvents of those classes, and
+        // it would report the hybrid run's races, since the sound
+        // static detector keeps every access that can race.
+        result.fastTrack.add(priceFastTrackRun(cost, hybrid.result,
+                                               hybrid.result.totalEvents));
+        allRaces.insert(hybrid.races.begin(), hybrid.races.end());
 
-        result.hybridFt.add(priceFastTrackRun(cost, ref.hybrid.result,
-                                              ref.hybrid.ftDelivered));
-        if (ref.hybrid.races != ref.full.races)
-            result.raceReportsMatch = false;
+        const RunCost hybridCost =
+            priceFastTrackRun(cost, hybrid.result, hybrid.ftDelivered);
+        result.hybridFt.add(hybridCost);
 
         RunCost optCost = priceFastTrackRun(
             cost, opt.optimistic.result, opt.optimistic.ftDelivered,
@@ -540,19 +541,16 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
             // Roll back: deterministic re-analysis under the sound
             // hybrid configuration (Section 2.3) — identical to the
             // hybrid reference by determinism, so reuse it.
-            const FtRun &redo = ref.hybrid;
-            const RunCost redoCost = priceFastTrackRun(
-                cost, redo.result, redo.ftDelivered);
-            optCost.rollback = redoCost.total();
-            finalRaces = redo.races;
+            optCost.rollback = hybridCost.total();
+            finalRaces = hybrid.races;
         }
         result.optFt.add(optCost);
-        if (finalRaces != ref.full.races)
+        if (finalRaces != hybrid.races)
             result.raceReportsMatch = false;
 
-        // The fused run is step-identical to the full-plan run, which
-        // never aborts.
-        result.interpretedSteps += ref.full.result.steps;
+        // The fused run is step-identical to the hybrid run, which
+        // carries no checker and so never aborts.
+        result.interpretedSteps += hybrid.result.steps;
     }
 
     result.testRuns = workload.testingSet.size();

@@ -14,14 +14,17 @@
  *  2b. no-custom-synchronization calibration, which reads the
  *     predicated result of phase 2: optimistically elide lock
  *     instrumentation around check-free critical sections, then
- *     verify against a sound detector on profiling inputs and restore
- *     offending locks (Section 4.2.4);
- *  3. run the testing corpus under full FastTrack, hybrid FastTrack
- *     and OptFT; OptFT executes speculatively, rolling back to the
- *     sound hybrid configuration on invariant violations (and on race
- *     reports when lock elision is active, which must be treated as
- *     potential mis-speculations), with adaptive recovery
- *     (runAdaptiveRounds) repairing the plan after each rollback.
+ *     verify against the sound hybrid FastTrack on profiling inputs
+ *     and restore offending locks (Section 4.2.4);
+ *  3. run the testing corpus under hybrid FastTrack and OptFT; OptFT
+ *     executes speculatively, rolling back to the sound hybrid
+ *     configuration on invariant violations (and on race reports when
+ *     lock elision is active, which must be treated as potential
+ *     mis-speculations), with adaptive recovery (runAdaptiveRounds)
+ *     repairing the plan after each rollback.  Full FastTrack, the
+ *     baseline, is not run: it is priced from each run's totalEvents,
+ *     and its races are the hybrid run's (the sound static detector
+ *     keeps every access that can race).
  */
 
 #pragma once
@@ -51,9 +54,11 @@ struct OptFtResult : PipelineResult
     RunCost hybridFt;  ///< sound-hybrid FastTrack
     RunCost optFt;     ///< OptFT (speculative)
 
-    /** Optimistic reports equal to sound reports on every test run. */
+    /** Optimistic reports (after recovery) equal the sound hybrid
+     *  reports on every test run. */
     bool raceReportsMatch = true;
-    /** Races seen across the corpus (after recovery), full detector. */
+    /** Distinct races the sound hybrid detector reports across the
+     *  corpus (the full detector's, by soundness). */
     std::size_t racesObserved = 0;
 
     std::size_t soundRacyAccesses = 0;
@@ -67,6 +72,8 @@ struct OptFtResult : PipelineResult
     /** Break-even baseline-seconds; negative = never. */
     double breakEvenVsHybrid = -1.0;
     double breakEvenVsFastTrack = -1.0;
+
+    bool operator==(const OptFtResult &other) const = default;
 };
 
 /**

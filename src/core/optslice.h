@@ -47,6 +47,8 @@ struct AnalysisPick
 {
     bool contextSensitive = false;
     double seconds = 0;
+
+    bool operator==(const AnalysisPick &other) const = default;
 };
 
 /** End-to-end result for one benchmark (Figure 6 / Table 2 row). */
@@ -71,6 +73,8 @@ struct OptSliceResult : PipelineResult
     /** Break-even baseline-seconds vs. traditional hybrid; <0 never;
      *  0 means optimistic is cheaper from the very first run. */
     double breakEven = -1.0;
+
+    bool operator==(const OptSliceResult &other) const = default;
 };
 
 /** Run the whole OptSlice pipeline on @p workload. */

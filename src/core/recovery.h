@@ -142,6 +142,10 @@ struct PipelineResult
     std::vector<dyn::Violation> demotions;
     /** Faults injected when config.faultSeed is non-zero. */
     std::vector<dyn::FaultInjection> injectedFaults;
+
+    /** Every field equal (doubles bit-for-bit, as the pipelines are
+     *  deterministic). */
+    bool operator==(const PipelineResult &other) const = default;
 };
 
 /** What Phases 1 and 1b hand to the rest of a pipeline. */

@@ -4,23 +4,29 @@
  * injectable violation family actually trips the runtime checker on
  * the corpus it was derived from, selection is seed-deterministic,
  * structured violation metadata is identical between live and
- * replayed runs, and the end-to-end pipelines stay sound under
- * injection.
+ * replayed runs, the end-to-end pipelines stay sound under
+ * injection, and OptFT's full-FastTrack figures, which it prices
+ * without running that plan, equal those of standalone full runs.
  */
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "analysis/andersen_cache.h"
 #include "core/optft.h"
 #include "core/optslice.h"
+#include "dyn/fasttrack.h"
 #include "dyn/fault_injector.h"
 #include "dyn/invariant_checker.h"
+#include "dyn/plans.h"
 #include "exec/trace.h"
 #include "ir/builder.h"
+#include "pipeline_result_eq.h"
 #include "profile/observation_cache.h"
 #include "profile/profiler.h"
 #include "service/shared_cache.h"
@@ -420,6 +426,42 @@ TEST(FaultInjection, OptFtInjectionParityAcrossThreadsAndSeeds)
         EXPECT_EQ(a.demotions, b.demotions) << "seed " << seed;
         EXPECT_EQ(a.raceReportsMatch, b.raceReportsMatch)
             << "seed " << seed;
+    }
+}
+
+TEST(FaultInjection, OptFtFullFastTrackFiguresEqualStandaloneFullRuns)
+{
+    // runOptFt prices full FastTrack from the hybrid run's totalEvents
+    // and counts racesObserved from the hybrid races.  Both must equal
+    // the figures of standalone full-plan runs, clean and at seed 7,
+    // whose rollbacks drive the golden table's recovery rows.
+    const core::CostModel cost;
+    for (const std::string &name : workloads::raceWorkloadNames()) {
+        const auto workload = workloads::makeRaceWorkload(name, 8, 4);
+        const ir::Module &module = *workload.module;
+        const auto fullPlan = fullFastTrackPlan(module);
+        core::RunCost expected;
+        std::set<std::pair<InstrId, InstrId>> races;
+        for (const exec::ExecConfig &input : workload.testingSet) {
+            FastTrack tool;
+            exec::Interpreter run(module, input);
+            run.attach(&tool, &fullPlan);
+            const exec::RunResult result = run.run();
+            expected.add(
+                core::priceFastTrackRun(cost, result, result.delivered[0]));
+            const auto pairs = tool.racePairs();
+            races.insert(pairs.begin(), pairs.end());
+        }
+        for (const std::uint64_t seed :
+             {std::uint64_t{0}, std::uint64_t{7}, sweepSeed()}) {
+            core::OptFtConfig config;
+            config.faultSeed = seed;
+            const auto result = core::runOptFt(workload, config);
+            const std::string label = name + " seed " + std::to_string(seed);
+            core::expectEqual(result.fastTrack, expected, label);
+            EXPECT_EQ(result.racesObserved, races.size()) << label;
+            EXPECT_TRUE(result.raceReportsMatch) << label;
+        }
     }
 }
 

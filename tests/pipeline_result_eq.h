@@ -68,6 +68,8 @@ expectEqual(const OptFtResult &a, const OptFtResult &b,
     EXPECT_EQ(a.speedupVsHybrid, b.speedupVsHybrid) << label;
     EXPECT_EQ(a.breakEvenVsHybrid, b.breakEvenVsHybrid) << label;
     EXPECT_EQ(a.breakEvenVsFastTrack, b.breakEvenVsFastTrack) << label;
+    // Also fails on a field the lines above do not name.
+    EXPECT_TRUE(a == b) << label;
 }
 
 inline void
@@ -85,6 +87,9 @@ expectEqual(const OptSliceResult &a, const OptSliceResult &b,
     EXPECT_EQ(a.optAliasRate, b.optAliasRate) << label;
     EXPECT_EQ(a.dynSpeedup, b.dynSpeedup) << label;
     EXPECT_EQ(a.breakEven, b.breakEven) << label;
+    // Also fails on a field the lines above do not name (the analysis
+    // picks).
+    EXPECT_TRUE(a == b) << label;
 }
 
 } // namespace oha::core
