@@ -2,13 +2,21 @@
  * @file
  * Tests for the static backward slicer: data-flow closure, flow
  * sensitivity, interprocedural edges, context sensitivity and
- * predicated pruning.
+ * predicated pruning, plus a golden table (slicer_golden.inc) that
+ * pins every slice of the seven slice workloads.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "analysis/slicer.h"
+#include "core/optslice.h"
 #include "ir/builder.h"
+#include "profile/profiler.h"
+#include "workloads/workloads.h"
 
 namespace oha::analysis {
 namespace {
@@ -343,6 +351,146 @@ TEST(StaticSlicer, SliceIsClosedUnderItsOwnDependencies)
         }
     }
 }
+
+/** One pinned slice (slicer_golden.inc). */
+struct SliceGoldenRow
+{
+    const char *label;
+    bool completed;
+    std::uint64_t workUnits;
+    std::uint64_t size;
+    std::uint64_t digest;
+};
+
+const SliceGoldenRow kSliceGolden[] = {
+#include "slicer_golden.inc"
+};
+
+std::uint64_t
+digestOf(const std::set<InstrId> &instructions)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const InstrId id : instructions) {
+        h ^= id;
+        h *= 0x100000001b3ull;
+        h ^= h >> 29;
+    }
+    return h;
+}
+
+/** Checks @p slice against the row named @p label; a mismatch or a
+ *  missing row prints the current row in the table's format. */
+void
+checkRow(const std::string &label, const StaticSliceResult &slice)
+{
+    const SliceGoldenRow current{label.c_str(), slice.completed,
+                                 slice.workUnits,
+                                 slice.instructions.size(),
+                                 digestOf(slice.instructions)};
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "{\"%s\", %d, %llu, %llu, 0x%016llxull},",
+                  current.label, current.completed ? 1 : 0,
+                  static_cast<unsigned long long>(current.workUnits),
+                  static_cast<unsigned long long>(current.size),
+                  static_cast<unsigned long long>(current.digest));
+    for (const SliceGoldenRow &row : kSliceGolden) {
+        if (label != row.label)
+            continue;
+        EXPECT_TRUE(row.completed == current.completed &&
+                    row.workUnits == current.workUnits &&
+                    row.size == current.size &&
+                    row.digest == current.digest)
+            << "current row:\n" << line;
+        return;
+    }
+    ADD_FAILURE() << "no golden row; current row:\n" << line;
+}
+
+/**
+ * Every Output of a slice workload, sliced under sound CI, sound CS
+ * and predicated CS points-to at the pipeline's work budget, plus one
+ * sound CI slice cut off halfway through its walk, so the traversal
+ * order at an abort is pinned too.
+ */
+class SlicerGolden : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(SlicerGolden, SlicesMatchTable)
+{
+    const workloads::Workload workload =
+        workloads::makeSliceWorkload(GetParam(), 48, 0);
+    const Module &module = *workload.module;
+    const core::OptSliceConfig defaults;
+
+    prof::ProfileOptions profOptions;
+    profOptions.callContexts = true;
+    prof::ProfilingCampaign campaign(module, profOptions);
+    campaign.addRunsUntilConverged(workload.profilingSet,
+                                   defaults.maxProfileRuns,
+                                   defaults.convergenceWindow);
+    const inv::InvariantSet invariants = campaign.invariants();
+
+    std::vector<InstrId> outputs;
+    for (InstrId id = 0; id < module.numInstrs(); ++id)
+        if (module.instr(id).op == Opcode::Output)
+            outputs.push_back(id);
+    ASSERT_FALSE(outputs.empty());
+
+    struct Variant
+    {
+        const char *name;
+        bool contextSensitive;
+        const inv::InvariantSet *invariants;
+    };
+    const Variant variants[] = {{"ci", false, nullptr},
+                                {"cs", true, nullptr},
+                                {"cs-pred", true, &invariants}};
+    for (const Variant &variant : variants) {
+        AndersenOptions aopts;
+        aopts.contextSensitive = variant.contextSensitive;
+        aopts.invariants = variant.invariants;
+        const AndersenResult andersen = runAndersen(module, aopts);
+        const std::string prefix = workload.name + "/" + variant.name;
+        if (!andersen.completed) {
+            StaticSliceResult none;
+            none.completed = false;
+            checkRow(prefix + "/pts-incomplete", none);
+            continue;
+        }
+        SlicerOptions sopts;
+        sopts.invariants = variant.invariants;
+        sopts.maxWork = defaults.sliceWorkBudget;
+        const StaticSlicer slicer(module, andersen, sopts);
+        StaticSliceResult largest;
+        InstrId largestAt = kNoInstr;
+        for (const InstrId endpoint : outputs) {
+            StaticSliceResult slice = slicer.slice(endpoint);
+            checkRow(prefix + "/" + std::to_string(endpoint), slice);
+            if (largestAt == kNoInstr ||
+                slice.workUnits > largest.workUnits) {
+                largest = std::move(slice);
+                largestAt = endpoint;
+            }
+        }
+        if (variant.contextSensitive)
+            continue;
+        sopts.maxWork = largest.workUnits / 2;
+        const StaticSlicer cut(module, andersen, sopts);
+        const StaticSliceResult aborted = cut.slice(largestAt);
+        EXPECT_FALSE(aborted.completed);
+        checkRow(prefix + "/" + std::to_string(largestAt) + "/maxWork=" +
+                     std::to_string(sopts.maxWork),
+                 aborted);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SliceWorkloads, SlicerGolden,
+    ::testing::ValuesIn(workloads::sliceWorkloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 } // namespace
 } // namespace oha::analysis
