@@ -260,20 +260,51 @@ BM_StaticRaceDetector(benchmark::State &state)
 }
 BENCHMARK(BM_StaticRaceDetector);
 
+/**
+ * The static slicer as the pipelines run it: build a slicer, then
+ * slice every Output, for each slice program, over CS points-to (CI
+ * where the CS solve exceeds even a raised context budget), at the
+ * pipeline's slice-work budget.  Items are slices.
+ */
 void
 BM_StaticSlice(benchmark::State &state)
 {
-    const auto &workload = sliceWorkload();
-    const auto pts = analysis::runAndersen(*workload.module, {});
-    const analysis::StaticSlicer slicer(*workload.module, pts, {});
-    InstrId endpoint = kNoInstr;
-    for (InstrId id = 0; id < workload.module->numInstrs(); ++id)
-        if (workload.module->instr(id).op == ir::Opcode::Output)
-            endpoint = id;
-    for (auto _ : state) {
-        const auto slice = slicer.slice(endpoint);
-        benchmark::DoNotOptimize(slice.instructions.size());
+    struct Program
+    {
+        const ir::Module *module = nullptr;
+        analysis::AndersenResult pts;
+        std::vector<InstrId> outputs;
+    };
+    std::vector<Program> programs;
+    for (const workloads::Workload &workload : corpus(true)) {
+        Program program;
+        program.module = workload.module.get();
+        analysis::AndersenOptions options;
+        options.contextSensitive = true;
+        options.maxContexts = 20000;
+        program.pts = analysis::runAndersen(*program.module, options);
+        if (!program.pts.completed)
+            program.pts = analysis::runAndersen(*program.module, {});
+        for (InstrId id = 0; id < program.module->numInstrs(); ++id)
+            if (program.module->instr(id).op == ir::Opcode::Output)
+                program.outputs.push_back(id);
+        programs.push_back(std::move(program));
     }
+    analysis::SlicerOptions options;
+    options.maxWork = core::OptSliceConfig::sliceWorkBudget;
+    std::size_t slices = 0;
+    for (auto _ : state) {
+        for (const Program &program : programs) {
+            const analysis::StaticSlicer slicer(*program.module,
+                                                program.pts, options);
+            for (const InstrId endpoint : program.outputs) {
+                const auto slice = slicer.slice(endpoint);
+                benchmark::DoNotOptimize(slice.instructions.size());
+            }
+            slices += program.outputs.size();
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(slices));
 }
 BENCHMARK(BM_StaticSlice);
 

@@ -106,9 +106,11 @@ bench-release)
     # inputs in one live run each, items = steps.
     # Recovery: warm, serial, fault-seeded OptFT
     # (slice:0) and OptSlice (slice:1) over every program, items =
-    # ops.  Leaves BENCH_microbench_components.json.
+    # ops.  The static slicer: build it and slice every Output of
+    # each slice program over CS points-to, items = slices.  Leaves
+    # BENCH_microbench_components.json.
     "$build_dir"/bench/microbench_components \
-        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FusedFirstRound|FaultedPipeline'
+        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FusedFirstRound|FaultedPipeline|StaticSlice'
     # The repository benchmark's own checks: its reference digests
     # still match, and every workload's traced run passes and repeats
     # its exact counts — so the pipelines' live path is held to the

@@ -4,18 +4,6 @@
 
 namespace oha::analysis {
 
-namespace {
-
-/** Index of @p instr within its block (ids are dense per block). */
-std::size_t
-indexInBlock(const ir::Module &module, const ir::Instruction &ins)
-{
-    const ir::BasicBlock *block = module.block(ins.block);
-    return ins.id - block->instructions().front().id;
-}
-
-} // namespace
-
 MhpAnalysis::MhpAnalysis(const ir::Module &module,
                          const AndersenResult &andersen,
                          const CallGraph &callGraph,
@@ -113,25 +101,12 @@ MhpAnalysis::MhpAnalysis(const ir::Module &module,
     for (InstrId site : spawnSites_) {
         const ir::Instruction &spawn = module_.instr(site);
         if (spawn.func == orderingFunc_ &&
-            !cfgOf(spawn.func).reaches(spawn.block, spawn.block)) {
+            !module_.cfg(spawn.func).reaches(spawn.block, spawn.block)) {
             singleton_.insert(site);
         }
         if (invariants && invariants->singletonSpawnSites.count(site))
             singleton_.insert(site);
     }
-}
-
-const ir::Cfg &
-MhpAnalysis::cfgOf(FuncId func) const
-{
-    std::lock_guard<std::mutex> lock(cfgMutex_);
-    auto it = cfgs_.find(func);
-    if (it == cfgs_.end()) {
-        it = cfgs_.emplace(func, std::make_unique<ir::Cfg>(
-                                     *module_.function(func)))
-                 .first;
-    }
-    return *it->second;
 }
 
 bool
@@ -143,16 +118,9 @@ MhpAnalysis::mustPrecedeInFunction(InstrId a, InstrId b) const
     // function runs its "earlier" instructions again, after b.
     if (ia.func != ib.func || ia.func != orderingFunc_)
         return false;
-    const ir::Cfg &cfg = cfgOf(ia.func);
-    // "a can never execute after b": rule out b-to-a control flow.
-    if (cfg.reaches(ib.block, ia.block))
-        return false;
-    if (ia.block == ib.block) {
-        if (cfg.reaches(ia.block, ia.block))
-            return false; // shared loop block: either order possible
-        return indexInBlock(module_, ia) < indexInBlock(module_, ib);
-    }
-    return true;
+    // "a can never execute after b": rule out b-to-a control flow
+    // (a shared loop block allows either order).
+    return a != b && !module_.cfg(ia.func).mayPrecede(ib, ia);
 }
 
 bool
@@ -163,8 +131,8 @@ MhpAnalysis::dominatesInFunction(InstrId a, InstrId b) const
     if (ia.func != ib.func)
         return false;
     if (ia.block == ib.block)
-        return indexInBlock(module_, ia) < indexInBlock(module_, ib);
-    return cfgOf(ia.func).dominates(ia.block, ib.block);
+        return a < b; // ids ascend within a block
+    return module_.cfg(ia.func).dominates(ia.block, ib.block);
 }
 
 bool

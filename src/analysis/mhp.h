@@ -21,13 +21,10 @@
 #pragma once
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
 #include "analysis/callgraph.h"
-#include "ir/cfg.h"
 
 namespace oha::analysis {
 
@@ -61,7 +58,6 @@ class MhpAnalysis
                         InstrId ib) const;
     bool mustPrecedeInFunction(InstrId a, InstrId b) const;
     bool dominatesInFunction(InstrId a, InstrId b) const;
-    const ir::Cfg &cfgOf(FuncId func) const;
 
     const ir::Module &module_;
     /** The single-invocation function where before-spawn ordering is
@@ -72,10 +68,6 @@ class MhpAnalysis
     std::vector<std::set<RegionId>> funcRegions_;
     std::set<InstrId> singleton_;
     std::map<InstrId, InstrId> joinOf_;
-    /** Lazily-built per-function CFGs; the mutex makes concurrent
-     *  const MHP queries (the batched race-pair loop) safe. */
-    mutable std::mutex cfgMutex_;
-    mutable std::map<FuncId, std::unique_ptr<ir::Cfg>> cfgs_;
 };
 
 } // namespace oha::analysis

@@ -1,19 +1,29 @@
 #include "analysis/slicer.h"
 
-#include <deque>
-#include <unordered_set>
+#include <algorithm>
+#include <tuple>
 
 namespace oha::analysis {
 
-namespace {
-
-std::size_t
-indexInBlock(const ir::Module &module, const ir::Instruction &ins)
+template <typename T>
+StaticSlicer::FlatLists<T>
+StaticSlicer::FlatLists<T>::group(
+    std::size_t numKeys,
+    const std::vector<std::pair<std::uint32_t, T>> &pairs)
 {
-    return ins.id - module.block(ins.block)->instructions().front().id;
+    FlatLists lists;
+    lists.offsets.assign(numKeys + 1, 0);
+    for (const auto &[key, item] : pairs)
+        ++lists.offsets[key + 1];
+    for (std::size_t k = 0; k < numKeys; ++k)
+        lists.offsets[k + 1] += lists.offsets[k];
+    lists.items.resize(pairs.size());
+    std::vector<std::uint32_t> next(lists.offsets.begin(),
+                                    lists.offsets.end() - 1);
+    for (const auto &[key, item] : pairs)
+        lists.items[next[key]++] = item;
+    return lists;
 }
-
-} // namespace
 
 StaticSlicer::StaticSlicer(const ir::Module &module,
                            const AndersenResult &andersen,
@@ -23,46 +33,79 @@ StaticSlicer::StaticSlicer(const ir::Module &module,
     OHA_ASSERT(andersen.completed,
                "slicer requires a completed points-to result");
 
-    defs_.resize(module.numFunctions());
-    retsOf_.resize(module.numFunctions());
+    live_.resize(module.numInstrs());
+    for (InstrId id = 0; id < module.numInstrs(); ++id) {
+        live_[id] = !options_.invariants ||
+                    options_.invariants->blockVisited(module.instr(id).block);
+    }
 
+    // finalize() numbers a function's instructions consecutively,
+    // from its entry block on, so (func, instr) packs densely as
+    // instr - funcFirst_[func].
+    const std::size_t numFuncs = module.numFunctions();
+    funcFirst_.assign(numFuncs, 0);
+    std::vector<std::size_t> funcSize(numFuncs, 0);
+    regBase_.assign(numFuncs + 1, 0);
+    std::vector<std::pair<std::uint32_t, InstrId>> defs, rets;
     for (const auto &func : module.functions()) {
+        const FuncId f = func->id();
+        funcFirst_[f] = func->entry()->instructions().front().id;
+        regBase_[f + 1] = regBase_[f] + func->numRegs();
         for (const auto &block : func->blocks()) {
-            if (!live(block->id()))
-                continue;
             for (const ir::Instruction &ins : block->instructions()) {
+                ++funcSize[f];
+                if (!live_[ins.id])
+                    continue;
                 if (ins.dest != ir::kNoReg)
-                    defs_[func->id()][ins.dest].push_back(ins.id);
+                    defs.push_back({regBase_[f] + ins.dest, ins.id});
                 if (ins.op == ir::Opcode::Ret)
-                    retsOf_[func->id()].push_back(ins.id);
+                    rets.push_back({f, ins.id});
                 if (ins.op == ir::Opcode::Spawn)
                     spawnSites_.push_back(ins.id);
             }
         }
     }
+    defs_ = FlatLists<InstrId>::group(regBase_[numFuncs], defs);
+    retsOf_ = FlatLists<InstrId>::group(numFuncs, rets);
+
+    const std::size_t numCtx = andersen.contexts.size();
+    ctxBase_.resize(numCtx);
+    for (const ContextInstance &inst : andersen.contexts) {
+        ctxBase_[inst.id] = numNodes_;
+        numNodes_ += 2 * funcSize[inst.func];
+    }
 
     // Stores indexed by target cell, per context instance.
+    std::vector<std::pair<CellId, CtxInstr>> stores;
     for (const ContextInstance &inst : andersen.contexts) {
         const ir::Function *func = module.function(inst.func);
         for (const auto &block : func->blocks()) {
-            if (!live(block->id()))
-                continue;
             for (const ir::Instruction &ins : block->instructions()) {
-                if (ins.op != ir::Opcode::Store)
+                if (ins.op != ir::Opcode::Store || !live_[ins.id])
                     continue;
                 andersen.pts(inst.id, ins.a).forEach([&](CellId cell) {
-                    cellStores_[cell].push_back({inst.id, ins.id});
+                    stores.push_back({cell, {inst.id, ins.id}});
                 });
             }
         }
     }
+    cellStores_ =
+        FlatLists<CtxInstr>::group(andersen.memory.numCells(), stores);
 
+    // callEdges() is ordered by (callerCtx, site, callee), so each
+    // caller's forward list comes out sorted by site.
+    std::vector<std::pair<std::uint32_t, CtxInstr>> reverse;
+    std::vector<std::pair<std::uint32_t, std::pair<InstrId, std::uint32_t>>>
+        forward;
     for (const auto &[key, calleeCtx] : andersen.callEdges()) {
         const auto &[callerCtx, site, callee] = key;
         (void)callee;
-        reverseCalls_[calleeCtx].push_back({callerCtx, site});
-        forwardCalls_[{callerCtx, site}].push_back(calleeCtx);
+        reverse.push_back({calleeCtx, {callerCtx, site}});
+        forward.push_back({callerCtx, {site, calleeCtx}});
     }
+    reverseCalls_ = FlatLists<CtxInstr>::group(numCtx, reverse);
+    forwardCalls_ =
+        FlatLists<std::pair<InstrId, std::uint32_t>>::group(numCtx, forward);
 
     // Flow-sensitive load/store filtering is only sound in a function
     // that executes at most once per analyzed run: in a re-entered
@@ -84,30 +127,10 @@ StaticSlicer::StaticSlicer(const ir::Module &module,
     }
 }
 
-bool
-StaticSlicer::live(BlockId block) const
-{
-    return !options_.invariants || options_.invariants->blockVisited(block);
-}
-
-const ir::Cfg &
-StaticSlicer::cfgOf(FuncId func) const
-{
-    std::lock_guard<std::mutex> lock(cfgMutex_);
-    auto it = cfgs_.find(func);
-    if (it == cfgs_.end()) {
-        it = cfgs_.emplace(func, std::make_unique<ir::Cfg>(
-                                     *module_.function(func)))
-                 .first;
-    }
-    return *it->second;
-}
-
 StaticSliceResult
 StaticSlicer::slice(InstrId endpoint) const
 {
     StaticSliceResult result;
-    const std::uint64_t numInstrs = module_.numInstrs();
 
     // Call instructions play two roles and are tracked as two nodes:
     // as *argument providers* for a callee's parameters (only the
@@ -115,20 +138,38 @@ StaticSlicer::slice(InstrId endpoint) const
     // destination register (the callee's returns matter too).
     // Conflating the roles would drag every target of a hot indirect
     // call site into any slice that crosses one of its callees.
-    std::unordered_set<std::uint64_t> visited;
-    std::deque<std::tuple<std::uint32_t, InstrId, bool>> work;
+    std::vector<bool> visited(numNodes_);
+    std::vector<bool> inSlice(module_.numInstrs());
+    // FIFO worklist: a vector read from the front, since every node
+    // is pushed at most once.
+    std::vector<std::tuple<std::uint32_t, InstrId, bool>> work;
+    std::size_t head = 0;
 
     auto pushNode = [&](std::uint32_t ctx, InstrId instr,
                         bool valueRole) {
-        const ir::Instruction &ins = module_.instr(instr);
-        if (!live(ins.block))
+        if (!live_[instr])
             return;
-        const std::uint64_t node =
-            (ctx * numInstrs + instr) * 2 + (valueRole ? 1 : 0);
-        if (visited.insert(node).second) {
-            work.push_back({ctx, instr, valueRole});
-            result.instructions.insert(instr);
-        }
+        const std::size_t node =
+            ctxBase_[ctx] +
+            2 * (instr - funcFirst_[module_.instr(instr).func]) +
+            (valueRole ? 1 : 0);
+        if (visited[node])
+            return;
+        visited[node] = true;
+        work.push_back({ctx, instr, valueRole});
+        inSlice[instr] = true;
+    };
+
+    // Callee instances reached from @p ctx through call site @p site.
+    auto calleesAt = [&](std::uint32_t ctx, InstrId site) {
+        const auto edges = forwardCalls_[ctx];
+        const auto first = std::lower_bound(
+            edges.begin(), edges.end(), site,
+            [](const auto &edge, InstrId s) { return edge.first < s; });
+        auto last = first;
+        while (last != edges.end() && last->first == site)
+            ++last;
+        return std::span(first, last);
     };
 
     // The endpoint exists once per context instance of its function.
@@ -137,13 +178,12 @@ StaticSlicer::slice(InstrId endpoint) const
         pushNode(ctx, endpoint, true);
 
     std::vector<ir::Reg> uses;
-    while (!work.empty()) {
+    while (head < work.size()) {
         if (result.workUnits > options_.maxWork) {
             result.completed = false;
             break;
         }
-        const auto [ctx, instrId, valueRole] = work.front();
-        work.pop_front();
+        const auto [ctx, instrId, valueRole] = work[head++];
         const ir::Instruction &ins = module_.instr(instrId);
         const ir::Function *func = module_.function(ins.func);
 
@@ -151,17 +191,11 @@ StaticSlicer::slice(InstrId endpoint) const
         ins.usedRegs(uses);
         for (ir::Reg reg : uses) {
             ++result.workUnits;
-            auto defIt = defs_[ins.func].find(reg);
-            if (defIt != defs_[ins.func].end()) {
-                for (InstrId def : defIt->second)
-                    pushNode(ctx, def, true);
-            }
+            for (InstrId def : defs_[regBase_[ins.func] + reg])
+                pushNode(ctx, def, true);
             if (reg < func->numParams()) {
-                auto rcIt = reverseCalls_.find(ctx);
-                if (rcIt != reverseCalls_.end()) {
-                    for (const auto &[callerCtx, site] : rcIt->second)
-                        pushNode(callerCtx, site, false);
-                }
+                for (const auto &[callerCtx, site] : reverseCalls_[ctx])
+                    pushNode(callerCtx, site, false);
             }
         }
 
@@ -169,10 +203,7 @@ StaticSlicer::slice(InstrId endpoint) const
         switch (ins.op) {
           case ir::Opcode::Load: {
             andersen_.pts(ctx, ins.a).forEach([&](CellId cell) {
-                auto it = cellStores_.find(cell);
-                if (it == cellStores_.end())
-                    return;
-                for (const auto &[sctx, sid] : it->second) {
+                for (const auto &[sctx, sid] : cellStores_[cell]) {
                     ++result.workUnits;
                     const ir::Instruction &store = module_.instr(sid);
                     if (sctx == ctx && store.func == ins.func &&
@@ -180,11 +211,8 @@ StaticSlicer::slice(InstrId endpoint) const
                         // Flow-sensitive filter (single-invocation
                         // function only): the store must be able to
                         // precede the load.
-                        if (!cfgOf(ins.func).mayPrecede(
-                                store.block, indexInBlock(module_, store),
-                                ins.block, indexInBlock(module_, ins))) {
+                        if (!module_.cfg(ins.func).mayPrecede(store, ins))
                             continue;
-                        }
                     }
                     pushNode(sctx, sid, true);
                 }
@@ -196,14 +224,11 @@ StaticSlicer::slice(InstrId endpoint) const
             if (!valueRole)
                 break; // argument-provider role: args only
             // The call's value comes from the callee's returns.
-            auto it = forwardCalls_.find({ctx, instrId});
-            if (it != forwardCalls_.end()) {
-                for (std::uint32_t calleeCtx : it->second) {
-                    const FuncId callee =
-                        andersen_.contexts[calleeCtx].func;
-                    for (InstrId ret : retsOf_[callee])
-                        pushNode(calleeCtx, ret, true);
-                }
+            for (const auto &[site, calleeCtx] : calleesAt(ctx, instrId)) {
+                (void)site;
+                const FuncId callee = andersen_.contexts[calleeCtx].func;
+                for (InstrId ret : retsOf_[callee])
+                    pushNode(calleeCtx, ret, true);
             }
             break;
           }
@@ -213,12 +238,12 @@ StaticSlicer::slice(InstrId endpoint) const
                 const ir::Instruction &spawn = module_.instr(site);
                 for (std::uint32_t spawnerCtx :
                      andersen_.instancesOf(spawn.func)) {
-                    auto it = forwardCalls_.find({spawnerCtx, site});
-                    if (it == forwardCalls_.end())
-                        continue;
-                    for (std::uint32_t rootCtx : it->second)
+                    for (const auto &[s, rootCtx] :
+                         calleesAt(spawnerCtx, site)) {
+                        (void)s;
                         for (InstrId ret : retsOf_[spawn.callee])
                             pushNode(rootCtx, ret, true);
+                    }
                 }
             }
             break;
@@ -228,7 +253,9 @@ StaticSlicer::slice(InstrId endpoint) const
         }
     }
 
-    result.nodesVisited = visited.size();
+    for (InstrId id = 0; id < inSlice.size(); ++id)
+        if (inSlice[id])
+            result.instructions.insert(result.instructions.end(), id);
     return result;
 }
 

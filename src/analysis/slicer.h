@@ -13,8 +13,10 @@
  *  - joins to the returns of spawned thread functions.
  *
  * Context sensitivity comes for free from the Andersen context
- * instances.  The visited set is a hashed set of node ids; the
- * paper's BDD sets [6, 9] measured 15-60x slower on the slice
+ * instances.  Every edge table is a flat array indexed by a dense key
+ * (register, cell, context), built once per slicer, and the visited
+ * set is a dense bitset over the node ids the constructor lays out;
+ * the paper's BDD sets [6, 9] measured 15-60x slower on the slice
  * workloads.  Predicated slicing (invariants present in the Andersen
  * result's construction) simply never sees pruned blocks/contexts
  * because the underlying DUG lacks them.
@@ -22,14 +24,13 @@
 
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/andersen.h"
-#include "ir/cfg.h"
 
 namespace oha::analysis {
 
@@ -49,13 +50,13 @@ struct StaticSliceResult
     /** Instructions in the slice (projected over contexts). */
     std::set<InstrId> instructions;
     std::uint64_t workUnits = 0;
-    std::uint64_t nodesVisited = 0;
 };
 
 /**
  * Reusable slicer over one (module, points-to result) pair.  Whether
  * slicing is context-sensitive / predicated is inherited from how
- * @p andersen was computed.
+ * @p andersen was computed.  slice() is const and may run
+ * concurrently.
  */
 class StaticSlicer
 {
@@ -67,37 +68,60 @@ class StaticSlicer
     StaticSliceResult slice(InstrId endpoint) const;
 
   private:
-    bool live(BlockId block) const;
-    const ir::Cfg &cfgOf(FuncId func) const;
+    /** Lists of T keyed by a dense index, stored flat. */
+    template <typename T>
+    struct FlatLists
+    {
+        /** Items of key k are items[offsets[k], offsets[k + 1]). */
+        std::vector<std::uint32_t> offsets;
+        std::vector<T> items;
+
+        /** Groups (key, item) pairs by key, keeping their order. */
+        static FlatLists
+        group(std::size_t numKeys,
+              const std::vector<std::pair<std::uint32_t, T>> &pairs);
+
+        std::span<const T>
+        operator[](std::size_t key) const
+        {
+            return {items.data() + offsets[key],
+                    items.data() + offsets[key + 1]};
+        }
+    };
+
+    /** A (context instance, instruction) pair. */
+    using CtxInstr = std::pair<std::uint32_t, InstrId>;
 
     const ir::Module &module_;
     const AndersenResult &andersen_;
     SlicerOptions options_;
 
-    /** defs[func][reg] = live instructions defining reg. */
-    std::vector<std::map<ir::Reg, std::vector<InstrId>>> defs_;
+    /** live_[instr]: the instruction's block is assumed reachable. */
+    std::vector<bool> live_;
+    /** First register key of each function in defs_. */
+    std::vector<std::uint32_t> regBase_;
+    /** defs_[regBase_[func] + reg] = live instructions defining reg. */
+    FlatLists<InstrId> defs_;
     /** cell -> (ctx, store) pairs that may write it. */
-    std::map<CellId, std::vector<std::pair<std::uint32_t, InstrId>>>
-        cellStores_;
+    FlatLists<CtxInstr> cellStores_;
     /** calleeCtx -> (callerCtx, call site). */
-    std::map<std::uint32_t,
-             std::vector<std::pair<std::uint32_t, InstrId>>>
-        reverseCalls_;
-    /** (ctx, call site) -> callee ctx instances. */
-    std::map<std::pair<std::uint32_t, InstrId>, std::vector<std::uint32_t>>
-        forwardCalls_;
+    FlatLists<CtxInstr> reverseCalls_;
+    /** callerCtx -> (call site, callee ctx), sorted by site. */
+    FlatLists<std::pair<InstrId, std::uint32_t>> forwardCalls_;
     /** Live Ret instructions per function. */
-    std::vector<std::vector<InstrId>> retsOf_;
+    FlatLists<InstrId> retsOf_;
     /** Live Spawn sites. */
     std::vector<InstrId> spawnSites_;
     /** The only function where intra-procedural flow-sensitive
      *  load/store filtering is sound (runs at most once), or kNoFunc. */
     FuncId flowSensitiveFunc_ = kNoFunc;
 
-    /** Lazily-built per-function CFGs; the mutex makes concurrent
-     *  const slice() calls (batched per-endpoint slicing) safe. */
-    mutable std::mutex cfgMutex_;
-    mutable std::map<FuncId, std::unique_ptr<ir::Cfg>> cfgs_;
+    /** Node layout of the visited bitset: context ctx's nodes start
+     *  at ctxBase_[ctx], two (one per role) per instruction of its
+     *  function, counted from funcFirst_[func]. */
+    std::vector<std::size_t> ctxBase_;
+    std::vector<InstrId> funcFirst_;
+    std::size_t numNodes_ = 0;
 };
 
 } // namespace oha::analysis

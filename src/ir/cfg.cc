@@ -1,18 +1,27 @@
 #include "ir/cfg.h"
 
-#include <queue>
+#include <algorithm>
 
 namespace oha::ir {
 
-Cfg::Cfg(const Function &func) : func_(func)
+Cfg::Cfg(const Function &func)
 {
     const std::size_t n = func.blocks().size();
     succs_.resize(n);
     preds_.resize(n);
-    reach_.resize(n);
 
+    // Local indices by block id, over the span of the function's ids
+    // (its blocks are normally numbered consecutively).
+    if (n > 0) {
+        const auto [lo, hi] = std::minmax_element(
+            func.blocks().begin(), func.blocks().end(),
+            [](const auto &a, const auto &b) { return a->id() < b->id(); });
+        firstBlock_ = (*lo)->id();
+        local_.assign((*hi)->id() - firstBlock_ + 1, kNoLocal);
+    }
     for (std::size_t i = 0; i < n; ++i)
-        local_.emplace(func.blocks()[i]->id(), i);
+        local_[func.blocks()[i]->id() - firstBlock_] =
+            static_cast<std::uint32_t>(i);
 
     for (std::size_t i = 0; i < n; ++i) {
         succs_[i] = func.blocks()[i]->successors();
@@ -20,52 +29,63 @@ Cfg::Cfg(const Function &func) : func_(func)
             preds_[localIndex(succ)].push_back(func.blocks()[i]->id());
     }
 
-    // Transitive closure by per-block BFS.  Functions in this IR are
-    // small (tens of blocks), so the quadratic closure is cheap and
-    // the bitset answers are O(1) afterwards.
+    // Transitive closure by a search from each block.  Functions in
+    // this IR are small (tens of blocks), so the quadratic closure is
+    // cheap and the bit-matrix answers are O(1) afterwards.
+    rowWords_ = (n + 63) / 64;
+    reach_.assign(n * rowWords_, 0);
+    std::vector<std::size_t> work;
     for (std::size_t i = 0; i < n; ++i) {
-        std::queue<std::size_t> work;
-        for (BlockId succ : succs_[i]) {
-            const std::size_t si = localIndex(succ);
-            if (reach_[i].insert(static_cast<std::uint32_t>(si)))
-                work.push(si);
-        }
-        while (!work.empty()) {
-            const std::size_t cur = work.front();
-            work.pop();
-            for (BlockId succ : succs_[cur]) {
+        std::uint64_t *row = reach_.data() + i * rowWords_;
+        auto visitSuccessors = [&](std::size_t from) {
+            for (BlockId succ : succs_[from]) {
                 const std::size_t si = localIndex(succ);
-                if (reach_[i].insert(static_cast<std::uint32_t>(si)))
-                    work.push(si);
+                const std::uint64_t bit = 1ULL << (si % 64);
+                if (!(row[si / 64] & bit)) {
+                    row[si / 64] |= bit;
+                    work.push_back(si);
+                }
             }
+        };
+        visitSuccessors(i);
+        while (!work.empty()) {
+            const std::size_t cur = work.back();
+            work.pop_back();
+            visitSuccessors(cur);
         }
     }
 
     // Iterative dominator computation: dom(entry) = {entry},
     // dom(b) = {b} ∪ ⋂_{p ∈ preds(b)} dom(p).
-    dom_.resize(n);
-    SparseBitSet all;
+    std::vector<std::uint64_t> all(rowWords_, ~0ULL);
+    if (n % 64 != 0)
+        all.back() = (1ULL << (n % 64)) - 1;
+    dom_.reserve(n * rowWords_);
     for (std::size_t i = 0; i < n; ++i)
-        all.insert(static_cast<std::uint32_t>(i));
-    for (std::size_t i = 0; i < n; ++i)
-        dom_[i] = all;
-    dom_[0].clear();
-    dom_[0].insert(0);
+        dom_.insert(dom_.end(), all.begin(), all.end());
+    if (n > 0) {
+        std::fill_n(dom_.begin(), rowWords_, 0);
+        dom_[0] = 1;
+    }
+    std::vector<std::uint64_t> next(rowWords_);
     bool changed = true;
     while (changed) {
         changed = false;
         for (std::size_t i = 1; i < n; ++i) {
-            SparseBitSet next = all;
-            bool anyPred = false;
+            if (preds_[i].empty())
+                std::fill(next.begin(), next.end(), 0); // unreachable
+            else
+                next = all;
             for (BlockId pred : preds_[i]) {
-                next.intersectWith(dom_[localIndex(pred)]);
-                anyPred = true;
+                const std::uint64_t *predRow =
+                    dom_.data() + localIndex(pred) * rowWords_;
+                for (std::size_t w = 0; w < rowWords_; ++w)
+                    next[w] &= predRow[w];
             }
-            if (!anyPred)
-                next.clear(); // unreachable block
-            next.insert(static_cast<std::uint32_t>(i));
-            if (!(next == dom_[i])) {
-                dom_[i] = std::move(next);
+            next[i / 64] |= 1ULL << (i % 64);
+            const auto row = dom_.begin() + i * rowWords_;
+            if (!std::equal(next.begin(), next.end(), row)) {
+                std::copy(next.begin(), next.end(), row);
                 changed = true;
             }
         }
@@ -73,18 +93,19 @@ Cfg::Cfg(const Function &func) : func_(func)
 
     // fromEntry_ is exposed publicly, so it stores BlockIds (not the
     // local indices reach_ uses internally).
-    fromEntry_.insert(func.blocks()[0]->id());
-    reach_[0].forEach([&](std::uint32_t li) {
-        fromEntry_.insert(func.blocks()[li]->id());
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        if (i == 0 || bit(reach_, 0, i))
+            fromEntry_.insert(func.blocks()[i]->id());
 }
 
 std::size_t
 Cfg::localIndex(BlockId block) const
 {
-    auto it = local_.find(block);
-    OHA_ASSERT(it != local_.end(), "block not in this function");
-    return it->second;
+    const BlockId slot = block - firstBlock_; // wraps below the span
+    const std::uint32_t local =
+        slot < local_.size() ? local_[slot] : kNoLocal;
+    OHA_ASSERT(local != kNoLocal, "block not in this function");
+    return local;
 }
 
 const std::vector<BlockId> &
@@ -102,15 +123,13 @@ Cfg::predecessors(BlockId block) const
 bool
 Cfg::reaches(BlockId from, BlockId to) const
 {
-    return reach_[localIndex(from)].contains(
-        static_cast<std::uint32_t>(localIndex(to)));
+    return bit(reach_, localIndex(from), localIndex(to));
 }
 
 bool
 Cfg::dominates(BlockId from, BlockId to) const
 {
-    return dom_[localIndex(to)].contains(
-        static_cast<std::uint32_t>(localIndex(from)));
+    return bit(dom_, localIndex(to), localIndex(from));
 }
 
 } // namespace oha::ir

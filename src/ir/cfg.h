@@ -5,13 +5,13 @@
  *
  * The static slicer (Section 5.1.1) is flow-sensitive when resolving
  * load/store edges: a store only feeds a load if the store's block may
- * precede the load's block on some CFG path.  Cfg::reaches() answers
- * that query.
+ * precede the load's block on some CFG path.  Cfg::mayPrecede()
+ * answers that query.  Module::finalize() builds one Cfg per function
+ * (Module::cfg()), which every analysis shares.
  */
 
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -49,30 +49,43 @@ class Cfg
     bool dominates(BlockId from, BlockId to) const;
 
     /**
-     * True if a store at (storeBlock, storeIdx) may execute before a
-     * load at (loadBlock, loadIdx) in some run of the function.
+     * True if @p first may execute before @p second in some run of
+     * the function: earlier in the same block, or in a block that may
+     * reach the other's.  Both belong to this function, in a finalized
+     * module (instruction ids ascend within a block).
      */
     bool
-    mayPrecede(BlockId storeBlock, std::size_t storeIdx, BlockId loadBlock,
-               std::size_t loadIdx) const
+    mayPrecede(const Instruction &first, const Instruction &second) const
     {
-        if (storeBlock == loadBlock) {
-            return storeIdx < loadIdx || reaches(storeBlock, loadBlock);
-        }
-        return reaches(storeBlock, loadBlock);
+        if (first.block == second.block && first.id < second.id)
+            return true;
+        return reaches(first.block, second.block);
     }
 
   private:
     std::size_t localIndex(BlockId block) const;
 
-    const Function &func_;
-    std::unordered_map<BlockId, std::size_t> local_;
+    /** Bit @p col of row @p row of the n x n bit matrix @p matrix. */
+    bool
+    bit(const std::vector<std::uint64_t> &matrix, std::size_t row,
+        std::size_t col) const
+    {
+        return (matrix[row * rowWords_ + col / 64] >> (col % 64)) & 1;
+    }
+
+    /** local_[block - firstBlock_] = the block's index in the
+     *  function, or kNoLocal for blocks of other functions. */
+    static constexpr std::uint32_t kNoLocal = ~std::uint32_t{0};
+    BlockId firstBlock_ = 0;
+    std::vector<std::uint32_t> local_;
     std::vector<std::vector<BlockId>> succs_;
     std::vector<std::vector<BlockId>> preds_;
-    /** reach_[i] = set of local indices reachable from block i. */
-    std::vector<SparseBitSet> reach_;
-    /** dom_[i] = set of local indices dominating block i. */
-    std::vector<SparseBitSet> dom_;
+    /** Words per row of the reach_ and dom_ bit matrices. */
+    std::size_t rowWords_ = 0;
+    /** Row i of reach_: local indices reachable from block i. */
+    std::vector<std::uint64_t> reach_;
+    /** Row i of dom_: local indices dominating block i. */
+    std::vector<std::uint64_t> dom_;
     SparseBitSet fromEntry_;
 };
 

@@ -25,6 +25,9 @@ Module::finalize()
 
     finalized_ = true;
     verifyModule(*this);
+    cfgs_.reserve(funcs_.size());
+    for (const auto &func : funcs_)
+        cfgs_.emplace_back(*func);
     decoded_ = decodeModule(*this);
 }
 

@@ -4,11 +4,11 @@
  *
  * A module is built through IRBuilder, then sealed with finalize(),
  * which assigns module-unique instruction ids, builds flat id ->
- * object indexes and verifies the IR.  Function and block ids are
- * assigned eagerly at creation so branch targets can be encoded as
- * final BlockIds while building.  After finalize() the module is
- * immutable; analyses and the interpreter rely on stable pointers
- * into it.
+ * object indexes, verifies the IR and builds each function's CFG.
+ * Function and block ids are assigned eagerly at creation so branch
+ * targets can be encoded as final BlockIds while building.  After
+ * finalize() the module is immutable; analyses and the interpreter
+ * rely on stable pointers into it.
  */
 
 #pragma once
@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/cfg.h"
 #include "ir/decoded.h"
 #include "ir/function.h"
 #include "support/common.h"
@@ -132,6 +133,14 @@ class Module
         return funcs_[id].get();
     }
 
+    /** The CFG of function @p id (available after finalize()). */
+    const Cfg &
+    cfg(FuncId id) const
+    {
+        OHA_ASSERT(finalized_ && id < cfgs_.size());
+        return cfgs_[id];
+    }
+
     /** The interpreter's op table (available after finalize()). */
     const DecodedModule &
     decoded() const
@@ -147,6 +156,8 @@ class Module
     std::unordered_map<std::string, Function *> byName_;
     std::vector<const Instruction *> instrById_;
     std::vector<BasicBlock *> blockById_;
+    /** One CFG per function, indexed by FuncId. */
+    std::vector<Cfg> cfgs_;
     DecodedModule decoded_;
 };
 

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "ir/builder.h"
 #include "ir/cfg.h"
 #include "ir/printer.h"
+#include "support/rng.h"
+#include "workloads/workloads.h"
 
 namespace oha::ir {
 namespace {
@@ -202,7 +205,8 @@ TEST(Cfg, LoopIsSelfReaching)
 
     Cfg cfg(*main);
     EXPECT_TRUE(cfg.reaches(loop->id(), loop->id()));
-    EXPECT_TRUE(cfg.mayPrecede(loop->id(), 1, loop->id(), 0));
+    const auto &body = loop->instructions();
+    EXPECT_TRUE(cfg.mayPrecede(body[1], body[0]));
     EXPECT_FALSE(cfg.reaches(exit->id(), exit->id()));
 }
 
@@ -217,9 +221,130 @@ TEST(Cfg, MayPrecedeWithinBlockRespectsOrder)
     module.finalize();
 
     Cfg cfg(*main);
-    const BlockId entry = main->entry()->id();
-    EXPECT_TRUE(cfg.mayPrecede(entry, 0, entry, 1));
-    EXPECT_FALSE(cfg.mayPrecede(entry, 1, entry, 0));
+    const auto &entry = main->entry()->instructions();
+    EXPECT_TRUE(cfg.mayPrecede(entry[0], entry[1]));
+    EXPECT_FALSE(cfg.mayPrecede(entry[1], entry[0]));
+}
+
+TEST(Cfg, MatchesSearchOnRandomGraphs)
+{
+    // Random functions of up to 150 blocks (bit-matrix rows of several
+    // words, loops, unreachable blocks) against plain graph searches:
+    // reaches(a, b) is a search from a's successors, and for a block
+    // b reachable from the entry, a dominates b when b is a, or when
+    // the entry no longer reaches b once a is removed.  Dominance is
+    // checked only where no unreachable block reaches b: the iterative
+    // computation lets an unreachable predecessor shrink b's dominator
+    // set, which only ever answers "does not dominate".
+    Rng rng(11);
+    for (int trial = 0; trial < 40; ++trial) {
+        Module module;
+        IRBuilder builder(module);
+        Function *main = builder.createFunction("main", 0);
+        const std::size_t n = 1 + rng.below(150);
+        std::vector<BasicBlock *> blocks{main->entry()};
+        while (blocks.size() < n)
+            blocks.push_back(builder.createBlock(main, "b"));
+        for (BasicBlock *block : blocks) {
+            builder.setInsertPoint(block);
+            switch (rng.below(4)) {
+              case 0:
+                builder.ret();
+                break;
+              case 1:
+                builder.br(blocks[rng.below(n)]);
+                break;
+              default:
+                builder.condBr(builder.input(0), blocks[rng.below(n)],
+                               blocks[rng.below(n)]);
+            }
+        }
+        module.finalize();
+        const Cfg &cfg = module.cfg(main->id());
+
+        // Blocks (by position) reachable in one or more steps from the
+        // successors of @p from, never entering @p removed.
+        auto search = [&](std::size_t from, std::size_t removed) {
+            std::vector<bool> seen(n);
+            std::vector<std::size_t> work{from};
+            while (!work.empty()) {
+                const std::size_t cur = work.back();
+                work.pop_back();
+                for (BlockId succ : blocks[cur]->successors()) {
+                    const std::size_t s = succ - blocks[0]->id();
+                    if (s != removed && !seen[s]) {
+                        seen[s] = true;
+                        work.push_back(s);
+                    }
+                }
+            }
+            return seen;
+        };
+        std::vector<bool> live = search(0, n);
+        live[0] = true;
+        std::vector<bool> checkDominance = live;
+        for (std::size_t d = 0; d < n; ++d) {
+            if (live[d])
+                continue;
+            const std::vector<bool> fromDead = search(d, n);
+            for (std::size_t b = 0; b < n; ++b)
+                if (fromDead[b])
+                    checkDominance[b] = false;
+        }
+        for (std::size_t a = 0; a < n; ++a) {
+            const std::vector<bool> fromA = search(a, n);
+            const std::vector<bool> withoutA = search(0, a);
+            for (std::size_t b = 0; b < n; ++b) {
+                const BlockId ia = blocks[a]->id(), ib = blocks[b]->id();
+                ASSERT_EQ(cfg.reaches(ia, ib), fromA[b]) << a << "->" << b;
+                if (checkDominance[b]) {
+                    const bool avoidsA = b == 0 || withoutA[b];
+                    ASSERT_EQ(cfg.dominates(ia, ib),
+                              a == b || a == 0 || !avoidsA)
+                        << a << " dom " << b;
+                }
+            }
+        }
+        EXPECT_EQ(cfg.reachableFromEntry().size(),
+                  static_cast<std::size_t>(
+                      std::count(live.begin(), live.end(), true)));
+    }
+}
+
+TEST(Cfg, ModuleTableMatchesFreshCfgs)
+{
+    // Module::cfg() is built once at finalize(); every analysis reads
+    // it in place of a CFG of its own, so it must answer exactly as a
+    // freshly built Cfg over every block pair of every workload.
+    std::vector<workloads::Workload> all;
+    for (const std::string &name : workloads::raceWorkloadNames())
+        all.push_back(workloads::makeRaceWorkload(name, 1, 1));
+    for (const std::string &name : workloads::sliceWorkloadNames())
+        all.push_back(workloads::makeSliceWorkload(name, 1, 1));
+    ASSERT_EQ(all.size(), 21u);
+    for (const workloads::Workload &workload : all) {
+        const Module &module = *workload.module;
+        for (const auto &func : module.functions()) {
+            const Cfg &shared = module.cfg(func->id());
+            const Cfg fresh(*func);
+            EXPECT_TRUE(shared.reachableFromEntry() ==
+                        fresh.reachableFromEntry());
+            for (const auto &from : func->blocks()) {
+                EXPECT_EQ(shared.successors(from->id()),
+                          fresh.successors(from->id()));
+                EXPECT_EQ(shared.predecessors(from->id()),
+                          fresh.predecessors(from->id()));
+                for (const auto &to : func->blocks()) {
+                    ASSERT_EQ(shared.reaches(from->id(), to->id()),
+                              fresh.reaches(from->id(), to->id()))
+                        << workload.name << " " << func->name();
+                    ASSERT_EQ(shared.dominates(from->id(), to->id()),
+                              fresh.dominates(from->id(), to->id()))
+                        << workload.name << " " << func->name();
+                }
+            }
+        }
+    }
 }
 
 TEST(IrPrinter, PrintsRecognizableText)
