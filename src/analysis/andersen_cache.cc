@@ -1,6 +1,5 @@
 #include "analysis/andersen_cache.h"
 
-#include <string>
 #include <vector>
 
 #include "invariants/invariant_set.h"
@@ -28,35 +27,19 @@ optionsKey(const AndersenOptions &options)
     return key;
 }
 
+/** Every fact of @p invariants (the context hashes are derived from
+ *  the contexts, so left out). */
 Fingerprint
 invariantFingerprint(const inv::InvariantSet *invariants)
 {
-    return invariants ? service::fingerprintText(invariants->saveText())
-                      : Fingerprint{};
-}
-
-Fingerprint
-endpointsFingerprint(const std::vector<InstrId> &endpoints)
-{
-    std::string packed;
-    packed.reserve(endpoints.size() * sizeof(InstrId));
-    for (InstrId endpoint : endpoints) {
-        for (unsigned shift = 0; shift < 32; shift += 8)
-            packed.push_back(
-                static_cast<char>((endpoint >> shift) & 0xff));
-    }
-    return service::fingerprintText(packed);
-}
-
-/** The key shared by the three sections: module and invariant set,
- *  plus the section's own config word and aux fingerprint. */
-service::CacheKey
-staticKey(const std::shared_ptr<const ir::Module> &module,
-          const inv::InvariantSet *invariants, std::uint64_t config = 0,
-          Fingerprint aux = {})
-{
-    return {service::fingerprintModule(module),
-            invariantFingerprint(invariants), config, aux};
+    if (!invariants)
+        return {};
+    return support::FingerprintHasher()
+        .add(invariants->numBlocks, invariants->visitedBlocks.toVector(),
+             invariants->calleeSets, invariants->hasCallContexts,
+             invariants->callContexts, invariants->mustAliasLocks,
+             invariants->singletonSpawnSites, invariants->elidableLockSites)
+        .finish();
 }
 
 } // namespace
@@ -67,7 +50,8 @@ runAndersenMemo(const std::shared_ptr<const ir::Module> &module,
 {
     OHA_ASSERT(module && module->finalized());
     return MemoSection<AndersenResult>::instance().getOrCompute(
-        staticKey(module, options.invariants, optionsKey(options)), module,
+        service::cacheKey(*module, invariantFingerprint(options.invariants),
+                          optionsKey(options)), module,
         [&] {
             // Sound CS runs reuse the memoized CI pre-pass instead of
             // recomputing it (runAndersen folds the pre-pass's
@@ -95,9 +79,8 @@ runStaticRaceDetectorMemo(const std::shared_ptr<const ir::Module> &module,
     // The detector's own points-to solve still goes through the
     // Andersen memo (shared with calibration and the slicer picks).
     return MemoSection<StaticRaceResult>::instance().getOrCompute(
-        staticKey(module, invariants), module, [&] {
-            return runStaticRaceDetector(*module, invariants, module);
-        });
+        service::cacheKey(*module, invariantFingerprint(invariants)), module,
+        [&] { return runStaticRaceDetector(*module, invariants, module); });
 }
 
 std::shared_ptr<const SliceSetResult>
@@ -108,8 +91,9 @@ sliceSetMemo(const std::shared_ptr<const ir::Module> &module,
 {
     OHA_ASSERT(module && module->finalized());
     return MemoSection<SliceSetResult>::instance().getOrCompute(
-        staticKey(module, invariants, configKey,
-                  endpointsFingerprint(endpoints)),
+        service::cacheKey(
+            *module, invariantFingerprint(invariants), configKey,
+            support::FingerprintHasher().add(endpoints).finish()),
         module, compute);
 }
 

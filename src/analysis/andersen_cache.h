@@ -16,17 +16,13 @@
  * skips its static phase entirely.
  *
  * Results are immutable after solving, so they are cached
- * process-wide, keyed by
- *
- *   (module fingerprint, invariant-set fingerprint, solver options)
- *
- * where the fingerprints hash the module's printed form and the
- * invariant set's canonical text serialization — value identity, not
- * object identity, so sweeps (and requests) that rebuild equal
- * workloads still hit.  Entries hold the module alive (results
- * reference it internally) until they are evicted: the shared cache
- * is LRU-evicting against a configurable byte budget, so a long-lived
- * daemon's memory is bounded.
+ * process-wide, keyed by (module fingerprint, invariant-set
+ * fingerprint, solver options).  The fingerprints are structural
+ * hashes of the values (Module::fingerprint(), taken by finalize(),
+ * and the invariant set's containers), so sweeps and requests that
+ * rebuild equal workloads still hit.  Entries hold the module alive
+ * (results reference it internally) until the LRU byte budget evicts
+ * them.
  *
  * Each result type is one service::MemoSection, which gives every
  * section the same correctness properties:

@@ -22,6 +22,7 @@
 #include "ir/decoded.h"
 #include "ir/function.h"
 #include "support/common.h"
+#include "support/fingerprint.h"
 
 namespace oha::ir {
 
@@ -76,12 +77,21 @@ class Module
     }
 
     /**
-     * Seal the module: assign instruction ids, build indexes, and
-     * verify structural well-formedness.  Fatal on malformed IR.
+     * Seal the module: assign instruction ids, build indexes, verify
+     * structural well-formedness and take the fingerprint.  Fatal on
+     * malformed IR.
      */
     void finalize();
 
     bool finalized() const { return finalized_; }
+
+    /** Value identity, the caches' key (available after finalize()). */
+    const support::Fingerprint &
+    fingerprint() const
+    {
+        OHA_ASSERT(finalized_);
+        return fingerprint_;
+    }
 
     const std::vector<std::unique_ptr<Function>> &
     functions() const
@@ -159,6 +169,11 @@ class Module
     /** One CFG per function, indexed by FuncId. */
     std::vector<Cfg> cfgs_;
     DecodedModule decoded_;
+    support::Fingerprint fingerprint_;
 };
+
+/** Hash every field that defines @p module, never a pointer;
+ *  finalize() stores the result as Module::fingerprint(). */
+support::Fingerprint computeFingerprint(const Module &module);
 
 } // namespace oha::ir

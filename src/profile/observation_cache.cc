@@ -1,6 +1,5 @@
 #include "profile/observation_cache.h"
 
-#include <string>
 #include <utility>
 
 #include "service/shared_cache.h"
@@ -9,38 +8,19 @@ namespace oha::prof {
 
 namespace {
 
-void
-appendU64(std::string &out, std::uint64_t value)
-{
-    for (unsigned shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((value >> shift) & 0xff));
-}
-
 /** Every ExecConfig field plus the observation-relevant profile
- *  option, packed for fingerprinting. */
+ *  option. */
 service::Fingerprint
 observationFingerprint(const ProfileOptions &options,
                        const exec::ExecConfig &config)
 {
-    std::string packed;
-    packed.reserve((config.input.size() + config.replaySchedule.size() +
-                    9) *
-                   sizeof(std::uint64_t));
-    appendU64(packed, options.callContexts ? 1 : 0);
-    appendU64(packed, config.input.size());
-    for (std::int64_t word : config.input)
-        appendU64(packed, static_cast<std::uint64_t>(word));
-    appendU64(packed, config.scheduleSeed);
-    appendU64(packed, config.maxSteps);
-    appendU64(packed, config.minQuantum);
-    appendU64(packed, config.maxQuantum);
-    appendU64(packed, config.recordSchedule ? 1 : 0);
-    appendU64(packed, config.replaySchedule.size());
-    for (const exec::ScheduleStep &step : config.replaySchedule) {
-        appendU64(packed, step.thread);
-        appendU64(packed, step.quantum);
-    }
-    return service::fingerprintText(packed);
+    support::FingerprintHasher hasher;
+    hasher.add(options.callContexts, config.input, config.scheduleSeed,
+               config.maxSteps, config.minQuantum, config.maxQuantum,
+               config.recordSchedule, config.replaySchedule.size());
+    for (const exec::ScheduleStep &step : config.replaySchedule)
+        hasher.add(step.thread, step.quantum);
+    return hasher.finish();
 }
 
 } // namespace
@@ -73,11 +53,9 @@ observeRunMemo(const std::shared_ptr<const ir::Module> &module,
                const exec::ExecConfig &config)
 {
     OHA_ASSERT(module && module->finalized());
-    const service::CacheKey key{service::fingerprintModule(module),
-                                observationFingerprint(options, config),
-                                0, {}};
     return service::MemoSection<RunObservations>::instance().getOrCompute(
-        key, module, [&] {
+        service::cacheKey(*module, observationFingerprint(options, config)),
+        module, [&] {
             return ProfilingCampaign(*module, options).observeRun(config);
         });
 }

@@ -1,11 +1,8 @@
 #include "service/shared_cache.h"
 
-#include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "ir/module.h"
-#include "ir/printer.h"
 #include "support/env.h"
 
 namespace oha::service {
@@ -25,92 +22,20 @@ defaultByteBudget()
                                  /*unit=*/std::size_t{1} << 20);
 }
 
-/**
- * Module-fingerprint memo, keyed by object identity.  Weak entries:
- * an expired slot means the module died (and its address may have
- * been reused), so it is recomputed.  Bounded by opportunistic
- * pruning — the memo must never be the thing that makes a daemon's
- * memory grow with its uptime.
- */
-struct ModuleFpMemo
-{
-    std::mutex mutex;
-    std::map<const ir::Module *,
-             std::pair<std::weak_ptr<const ir::Module>, Fingerprint>>
-        entries;
-
-    void
-    pruneExpiredLocked()
-    {
-        for (auto it = entries.begin(); it != entries.end();) {
-            if (it->second.first.expired())
-                it = entries.erase(it);
-            else
-                ++it;
-        }
-    }
-};
-
-ModuleFpMemo &
-moduleFpMemo()
-{
-    static ModuleFpMemo memo;
-    return memo;
-}
-
 } // namespace
 
-Fingerprint
-fingerprintText(const std::string &text)
+CacheKey
+cacheKey(const ir::Module &module, Fingerprint subject, std::uint64_t config,
+         Fingerprint aux)
 {
-    // Two structurally different hashes over one pass: FNV-1a and a
-    // multiply-add polynomial with a splitmix64 finalizer.  A text
-    // pair colliding on both is vanishingly unlikely, and the entry
-    // verification turns a primary collision into a fresh solve
-    // rather than a wrong result.
-    std::uint64_t fnv = 0xcbf29ce484222325ULL;
-    std::uint64_t poly = 0x9e3779b97f4a7c15ULL;
-    for (unsigned char c : text) {
-        fnv = (fnv ^ c) * 0x100000001b3ULL;
-        poly = poly * 0x9e3779b97f4a7c15ULL + c + 1;
+    CacheKey key{module.fingerprint(), subject, config, aux};
+    if (forceCollisions.load(std::memory_order_relaxed)) {
+        // Unused (zero) components stay zero, as snapshots store them.
+        for (Fingerprint *fp : {&key.module, &key.subject, &key.aux})
+            if (*fp != Fingerprint{})
+                fp->primary = 0xC011151055ULL;
     }
-    // splitmix64 finalization decorrelates the polynomial state.
-    poly ^= poly >> 30;
-    poly *= 0xbf58476d1ce4e5b9ULL;
-    poly ^= poly >> 27;
-    poly *= 0x94d049bb133111ebULL;
-    poly ^= poly >> 31;
-
-    Fingerprint fp;
-    fp.primary = forceCollisions.load(std::memory_order_relaxed)
-                     ? 0xC011151055ULL
-                     : fnv;
-    fp.secondary = poly;
-    return fp;
-}
-
-Fingerprint
-fingerprintModule(const std::shared_ptr<const ir::Module> &module)
-{
-    OHA_ASSERT(module);
-    ModuleFpMemo &memo = moduleFpMemo();
-    {
-        std::lock_guard<std::mutex> lock(memo.mutex);
-        auto it = memo.entries.find(module.get());
-        if (it != memo.entries.end()) {
-            if (!it->second.first.expired())
-                return it->second.second;
-            // The previous occupant of this address died; recompute.
-            memo.entries.erase(it);
-        }
-    }
-    // Print outside the lock (it dominates the cost).
-    const Fingerprint fp = fingerprintText(ir::printModule(*module));
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    if (memo.entries.size() >= 256)
-        memo.pruneExpiredLocked();
-    memo.entries[module.get()] = {module, fp};
-    return fp;
+    return key;
 }
 
 SharedCache::SharedCache() : byteBudget_(defaultByteBudget())
@@ -142,12 +67,6 @@ SharedCache::reset()
     lru_.clear();
     stats_ = {};
     stats_.byteBudget = byteBudget_;
-    // The module-fingerprint memo holds no results, but clearing it
-    // keeps reset() a full return-to-cold (and lets tests toggle the
-    // collision seam between generations).
-    ModuleFpMemo &memo = moduleFpMemo();
-    std::lock_guard<std::mutex> memoLock(memo.mutex);
-    memo.entries.clear();
 }
 
 void

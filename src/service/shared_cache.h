@@ -19,11 +19,14 @@
  *    its pre-reset result afterwards);
  *  - hit/miss/eviction accounting.
  *
- * Fingerprints are value identity: two independent 64-bit hashes of
- * the canonical text.  The primary hash is the map key; the secondary
- * is stored per entry and verified on every hit, so a primary-hash
- * collision degrades to a verified miss + fresh solve instead of
- * silently returning another module's result.
+ * Keys are structural fingerprints (support/fingerprint.h) of the
+ * key's inputs, hashed field by field (a module's once, by
+ * ir::Module::finalize()), so equal values built independently, or
+ * restored from another process's snapshot, share entries.  The
+ * primary hash is the map key; the secondary is stored per entry and
+ * verified on every hit, so a primary-hash collision degrades to a
+ * verified miss + fresh solve instead of silently returning another
+ * module's result.
  */
 
 #pragma once
@@ -34,12 +37,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "service/lru.h"
+#include "support/fingerprint.h"
 
 namespace oha::ir {
 class Module;
@@ -47,35 +50,7 @@ class Module;
 
 namespace oha::service {
 
-/** Two independent 64-bit hashes of one canonical text. */
-struct Fingerprint
-{
-    std::uint64_t primary = 0;
-    std::uint64_t secondary = 0;
-
-    bool
-    operator==(const Fingerprint &other) const
-    {
-        return primary == other.primary && secondary == other.secondary;
-    }
-    bool operator!=(const Fingerprint &other) const
-    {
-        return !(*this == other);
-    }
-};
-
-/** Hash @p text with both fingerprint functions in one pass. */
-Fingerprint fingerprintText(const std::string &text);
-
-/**
- * Fingerprint of a module's printed form.  Printing is expensive, so
- * results are memoized by object identity in a bounded side map; the
- * memo holds only weak references — it never keeps a module alive
- * (cache *entries* pin the modules their results reference, and
- * release them on eviction).
- */
-Fingerprint
-fingerprintModule(const std::shared_ptr<const ir::Module> &module);
+using support::Fingerprint;
 
 /** Counters since process start / last reset(). */
 struct SharedCacheStats
@@ -181,6 +156,11 @@ struct CacheKey
     /** Extra input, e.g. a slice set's endpoint list. */
     Fingerprint aux;
 };
+
+/** The key of a result derived from @p module (its finalize()-time
+ *  fingerprint) and the section's other inputs. */
+CacheKey cacheKey(const ir::Module &module, Fingerprint subject,
+                  std::uint64_t config = 0, Fingerprint aux = {});
 
 /** One cached result with its full key (snapshot export / restore). */
 template <typename Result>
@@ -352,10 +332,11 @@ class MemoSection
 namespace testing {
 
 /**
- * Test seam for the collision-verification path: while enabled, every
- * text fingerprint gets the SAME primary hash (the secondary stays
- * real), so any two distinct modules/invariant sets collide on the
- * cache key.  Callers should reset the cache around toggling.
+ * Test seam for the collision-verification path: while enabled,
+ * cacheKey() gives every used fingerprint component the SAME primary
+ * hash (the secondaries stay real), so any two distinct modules or
+ * invariant sets collide on the cache key.  Callers should reset the
+ * cache around toggling.
  */
 void forcePrimaryFingerprintCollisions(bool enabled);
 

@@ -38,9 +38,9 @@
 namespace oha::service {
 
 /** Format version in a snapshot's meta block.  Bump when any entry
- *  encoding changes; loadSnapshot() rejects every other version
- *  wholesale (recompute, don't guess). */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+ *  encoding or key changes (3: structural keys); loadSnapshot()
+ *  rejects every other version wholesale (recompute, don't guess). */
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Snapshot-subsystem counters (process-wide, atomically updated). */
 struct SnapshotStats

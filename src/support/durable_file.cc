@@ -11,18 +11,6 @@
 
 namespace oha::support {
 
-std::uint64_t
-fnv1a64(const void *data, std::size_t len, std::uint64_t seed)
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
 // -------------------------------------------------------- fault injection
 
 namespace {
@@ -455,7 +443,7 @@ DurableReader::open(const std::string &path, std::uint32_t expectKind,
             setError(errorOut, path, "block overruns file");
             return nullptr;
         }
-        std::uint64_t hash = 14695981039346656037ull;
+        std::uint64_t hash = kFnv1a64Basis;
         std::uint64_t left = len;
         std::uint64_t at = payloadAt;
         while (left > 0) {

@@ -48,12 +48,9 @@
 #include <vector>
 
 #include "support/common.h"
+#include "support/fingerprint.h"
 
 namespace oha::support {
-
-/** FNV-1a-64 over @p len bytes, continuing from @p seed. */
-std::uint64_t fnv1a64(const void *data, std::size_t len,
-                      std::uint64_t seed = 14695981039346656037ull);
 
 // -------------------------------------------------------- fault injection
 

@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "support/fingerprint.h"
 #include "support/rng.h"
 #include "workloads/builder_util.h"
 
@@ -30,10 +31,7 @@ constexpr std::int64_t kRaceRequest = 555;
 std::uint64_t
 nameSeed(const std::string &name)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    return h;
+    return support::fnv1a64(name.data(), name.size());
 }
 
 /** Thread/benchmark structure knobs for the server-style generator. */

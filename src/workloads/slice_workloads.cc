@@ -21,6 +21,7 @@
 
 #include <map>
 
+#include "support/fingerprint.h"
 #include "support/rng.h"
 #include "workloads/builder_util.h"
 
@@ -40,10 +41,7 @@ constexpr std::int64_t kColdArg = 4095;
 std::uint64_t
 nameSeed(const std::string &name)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    return h ^ 0x5eed;
+    return support::fnv1a64(name.data(), name.size()) ^ 0x5eed;
 }
 
 /** Knobs for the slicing applications. */

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "analysis/race_detector.h"
 #include "analysis/slicer.h"
@@ -299,6 +300,36 @@ TEST_P(RandomProgram, PrintParseRoundTrip)
     exec::Interpreter a(*module_, config_);
     exec::Interpreter b(*reparsed, config_);
     EXPECT_EQ(a.run().outputs, b.run().outputs);
+}
+
+TEST(RandomProgramFingerprint, EqualExactlyWhenPrintedTextsAreEqual)
+{
+    // Forty seeded modules, each built twice (even seeds multithreaded):
+    // two fingerprints are equal exactly when the printed texts are,
+    // and a module parsed back from its text has the original's.
+    std::vector<std::string> texts;
+    std::vector<support::Fingerprint> fingerprints;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        for (int build = 0; build < 2; ++build) {
+            ProgramGen gen(seed);
+            const auto module = gen.generate(seed % 2 == 0);
+            texts.push_back(ir::printModule(*module));
+            fingerprints.push_back(module->fingerprint());
+            EXPECT_EQ(ir::parseModule(texts.back())->fingerprint(),
+                      fingerprints.back())
+                << "seed " << seed;
+        }
+    }
+    EXPECT_EQ(std::set<std::string>(texts.begin(), texts.end()).size(), 40u);
+    for (std::size_t i = 0; i < texts.size(); ++i)
+        for (std::size_t j = 0; j < texts.size(); ++j) {
+            ASSERT_EQ(fingerprints[i].primary == fingerprints[j].primary,
+                      texts[i] == texts[j])
+                << i << " vs " << j;
+            ASSERT_EQ(fingerprints[i].secondary == fingerprints[j].secondary,
+                      texts[i] == texts[j])
+                << i << " vs " << j;
+        }
 }
 
 TEST_P(RandomProgram, DynamicAccessesWithinPointsTo)
