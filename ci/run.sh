@@ -154,8 +154,9 @@ service)
     # the live attachment groups run concurrently from worker threads.
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
-    # boot-time warm start, the periodic/final snapshot writers racing
-    # request shards, and the crash-recovery sweep.  FaultInjector and
+    # boot-time warm start, the periodic snapshot writer racing request
+    # shards (PeriodicSnapshotPublishesWhileRequestsRun), the final
+    # snapshot at shutdown, and the crash-recovery sweep.  FaultInjector and
     # Profiler cover the profiling observer and the fault injector,
     # which reads and fills the shared observation cache from request
     # shards.
