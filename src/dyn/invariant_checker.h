@@ -62,10 +62,10 @@ class InvariantChecker : public exec::Tool
     /** The plan covering exactly this checker's check sites. */
     const exec::InstrumentationPlan &plan() const { return plan_; }
 
-    /** Must be set before the run so violations can abort it.  Takes
-     *  the event source's control surface — a live Interpreter or a
-     *  TraceReplayer — so speculation checking works identically on
-     *  recorded traces. */
+    /** Must be set before the run so violations can abort it: the
+     *  Interpreter, or the control(group) of the attachment group the
+     *  checker joins.  Without a control, a violation is only
+     *  recorded (violated()) and the run goes on. */
     void setControl(exec::ExecutionControl *control) { control_ = control; }
 
     void onEvent(const exec::EventCtx &ctx) override;

@@ -47,11 +47,10 @@ struct AbortMetadata
 };
 
 /**
- * The control surface an event source offers to its tools.  Both the
- * live Interpreter and the TraceReplayer (trace.h) implement it, so a
- * tool that needs to stop the execution — the invariant checker on a
- * violated speculation — works identically whether its events come
- * from a live run or from a recorded trace.
+ * The control surface an execution offers to its tools: the live
+ * Interpreter and each of its attachment groups (interpreter.h)
+ * implement it, so a tool that needs to stop the execution — the
+ * invariant checker on a violated speculation — stops its own group.
  */
 class ExecutionControl
 {

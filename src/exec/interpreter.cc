@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 #include <utility>
 
 #include "exec/trace.h"
@@ -69,11 +70,97 @@ eventClassOf(ir::Opcode op)
     }
 }
 
-Interpreter::Interpreter(const ir::Module &module, ExecConfig config)
-    : AttachmentGroups(kMaxAttachments), module_(module),
-      decoded_(module.decoded()), config_(std::move(config)),
-      rng_(config_.scheduleSeed)
+/** One attachment group's abort control, plus the result frozen when
+ *  the interpreter stops the group at an instruction boundary. */
+class Interpreter::Group final : public ExecutionControl
 {
+  public:
+    explicit Group(bool *abortPending) : abortPending_(abortPending) {}
+    Group(const Group &) = delete;
+    Group &operator=(const Group &) = delete;
+
+    void
+    requestAbort(std::string reason) override
+    {
+        if (!abortRequested) {
+            abortRequested = true;
+            abortReason = std::move(reason);
+            *abortPending_ = true;
+        }
+    }
+
+    void
+    requestAbort(std::string reason, const AbortMetadata &meta) override
+    {
+        if (!abortRequested) {
+            abortMeta = meta;
+            requestAbort(std::move(reason));
+        }
+    }
+
+    bool abortRequested = false;
+    std::string abortReason;
+    AbortMetadata abortMeta;
+    /** Dispatch-mask bits of this group's attachments. */
+    std::uint8_t bits = 0;
+    bool stopped = false;
+    /** Valid once stopped; outputs and schedule are filled in at the
+     *  end, from the logged prefix lengths. */
+    RunResult result;
+    std::size_t outputsAtStop = 0;
+    std::size_t scheduleAtStop = 0;
+
+  private:
+    bool *abortPending_;
+};
+
+Interpreter::Interpreter(const ir::Module &module, ExecConfig config)
+    : module_(module), decoded_(module.decoded()),
+      config_(std::move(config)), rng_(config_.scheduleSeed)
+{
+    addGroup();
+}
+
+Interpreter::~Interpreter() = default;
+
+Interpreter::GroupId
+Interpreter::addGroup()
+{
+    groups_.push_back(std::make_unique<Group>(&abortPending_));
+    ++liveGroups_;
+    return groups_.size() - 1;
+}
+
+void
+Interpreter::attach(GroupId group, Tool *tool,
+                    const InstrumentationPlan *plan)
+{
+    OHA_ASSERT(tool && plan && group < groups_.size());
+    OHA_ASSERT(attachments_.size() < kMaxAttachments,
+               "more attachments than the dispatch masks hold");
+    const auto bit = static_cast<std::uint8_t>(1u << attachments_.size());
+    groups_[group]->bits |= bit;
+    liveMask_ |= bit;
+    attachments_.push_back({tool, plan, group});
+}
+
+ExecutionControl &
+Interpreter::control(GroupId group)
+{
+    OHA_ASSERT(group < groups_.size());
+    return *groups_[group];
+}
+
+void
+Interpreter::requestAbort(std::string reason)
+{
+    groups_[0]->requestAbort(std::move(reason));
+}
+
+void
+Interpreter::requestAbort(std::string reason, const AbortMetadata &meta)
+{
+    groups_[0]->requestAbort(std::move(reason), meta);
 }
 
 InstrId
@@ -114,8 +201,8 @@ Interpreter::buildDispatchTables()
 {
     instrMask_.assign(module_.numInstrs(), 0);
     blockMask_.assign(module_.numBlocks(), 0);
-    for (std::size_t i = 0; i < attachments().size(); ++i) {
-        const InstrumentationPlan &plan = *attachments()[i].plan;
+    for (std::size_t i = 0; i < attachments_.size(); ++i) {
+        const InstrumentationPlan &plan = *attachments_[i].plan;
         const auto bit = static_cast<std::uint8_t>(1u << i);
         for (InstrId id = 0; id < instrMask_.size(); ++id)
             if (plan.coversInstr(id))
@@ -127,23 +214,69 @@ Interpreter::buildDispatchTables()
 }
 
 void
-Interpreter::stopAbortedGroupsAt(std::uint64_t executed,
-                                 const EventCounts &counts)
+Interpreter::stopAbortedGroups(std::uint64_t executed,
+                               const EventCounts &counts)
 {
-    Boundary at;
-    at.steps = steps_ + executed;
-    at.totalEvents = totalEvents_;
-    at.totalEvents.add(withOther(counts, executed));
-    at.numThreads = static_cast<std::uint32_t>(threads_.size());
-    at.outputs = outputs_.size();
-    at.schedule = schedule_.size();
-    const auto keep = static_cast<std::uint8_t>(~stopAbortedGroups(at));
-    if (keep == 0xff)
+    abortPending_ = false;
+    std::uint8_t dropped = 0;
+    for (const std::unique_ptr<Group> &group : groups_) {
+        if (group->stopped || !group->abortRequested)
+            continue;
+        group->stopped = true;
+        --liveGroups_;
+        RunResult &result = group->result;
+        result.status = RunResult::Status::Aborted;
+        result.abortReason = group->abortReason;
+        result.abortMeta = group->abortMeta;
+        result.steps = steps_ + executed;
+        result.totalEvents = totalEvents_;
+        result.totalEvents.add(withOther(counts, executed));
+        result.numThreads = static_cast<std::uint32_t>(threads_.size());
+        group->outputsAtStop = outputs_.size();
+        group->scheduleAtStop = schedule_.size();
+        dropped |= group->bits;
+    }
+    if (dropped == 0)
         return;
+    const auto keep = static_cast<std::uint8_t>(~dropped);
+    liveMask_ &= keep;
     for (std::uint8_t &mask : instrMask_)
         mask &= keep;
     for (std::uint8_t &mask : blockMask_)
         mask &= keep;
+}
+
+std::vector<RunResult>
+Interpreter::groupResults(RunResult end) const
+{
+    std::size_t lastLive = groups_.size();
+    for (std::size_t g = 0; g < groups_.size(); ++g)
+        if (!groups_[g]->stopped)
+            lastLive = g;
+
+    std::vector<RunResult> results(groups_.size());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const Group &group = *groups_[g];
+        RunResult &result = results[g];
+        if (group.stopped) {
+            result = group.result;
+            const auto prefix = [](const auto &log, std::size_t n) {
+                return std::decay_t<decltype(log)>(
+                    log.begin(), log.begin() + static_cast<std::ptrdiff_t>(n));
+            };
+            result.outputs = prefix(end.outputs, group.outputsAtStop);
+            result.schedule = prefix(end.schedule, group.scheduleAtStop);
+        } else if (g != lastLive) {
+            result = end;
+        }
+    }
+    // The last live group takes the end state itself (no copy).
+    if (lastLive < groups_.size())
+        results[lastLive] = std::move(end);
+
+    for (std::size_t i = 0; i < attachments_.size(); ++i)
+        results[attachments_[i].group].delivered.push_back(delivered_[i]);
+    return results;
 }
 
 void
@@ -153,7 +286,7 @@ Interpreter::fireEvent(const EventCtx &ctx, std::uint8_t mask,
     for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         ++delivered_[i][cls];
-        attachments()[i].tool->onEvent(ctx);
+        attachments_[i].tool->onEvent(ctx);
     }
 }
 
@@ -164,7 +297,7 @@ Interpreter::fireBlockEnter(ThreadId tid, BlockId block)
     for (; mask; mask &= static_cast<std::uint8_t>(mask - 1)) {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         ++delivered_[i][EventClass::BlockEnter];
-        attachments()[i].tool->onBlockEnter(tid, block);
+        attachments_[i].tool->onBlockEnter(tid, block);
     }
 }
 
@@ -203,8 +336,8 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
         rec = recorder_->open(tid);
         rec.threadStart(step, parent, spawnSite);
     }
-    for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
-        attachments()[std::countr_zero(mask)].tool->onThreadStart(
+    for (std::uint64_t mask = liveMask_; mask; mask &= mask - 1)
+        attachments_[std::countr_zero(mask)].tool->onThreadStart(
             tid, parent, spawnSite);
 
     const ir::DecodedFunction &entry = decoded_.functions[func];
@@ -489,9 +622,9 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 if constexpr (kRecord)
                     rec.threadFinish(false);
                 if constexpr (kTools) {
-                    for (std::uint64_t mask = liveMask(); mask;
+                    for (std::uint64_t mask = liveMask_; mask;
                          mask &= mask - 1)
-                        attachments()[std::countr_zero(mask)]
+                        attachments_[std::countr_zero(mask)]
                             .tool->onThreadFinish(tid);
                 }
                 for (auto &other : threads_) {
@@ -643,9 +776,9 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
         if constexpr (kTools) {
             if (toolsRan) {
                 toolsRan = false;
-                if (abortPending()) {
-                    stopAbortedGroupsAt(budget - left, counts);
-                    if (liveGroups() == 0)
+                if (abortPending_) {
+                    stopAbortedGroups(budget - left, counts);
+                    if (liveGroups_ == 0)
                         break;
                 }
             }
@@ -668,14 +801,14 @@ Interpreter::runGroups()
 {
     RunResult end;
 
-    delivered_.assign(attachments().size(), EventCounts{});
-    if (!attachments().empty())
+    delivered_.assign(attachments_.size(), EventCounts{});
+    if (!attachments_.empty())
         buildDispatchTables();
     const char *(Interpreter::*runQuantumFn)(ThreadId, std::uint64_t) =
-        recorder_ ? (attachments().empty()
+        recorder_ ? (attachments_.empty()
                          ? &Interpreter::runQuantum<true, false>
                          : &Interpreter::runQuantum<true, true>)
-                  : (attachments().empty()
+                  : (attachments_.empty()
                          ? &Interpreter::runQuantum<false, false>
                          : &Interpreter::runQuantum<false, true>);
 
@@ -693,9 +826,9 @@ Interpreter::runGroups()
     while (true) {
         // Aborts requested outside a quantum's step loop (thread start
         // and finish callbacks) stop their groups here.
-        if (abortPending())
-            stopAbortedGroupsAt(0, {});
-        if (liveGroups() == 0)
+        if (abortPending_)
+            stopAbortedGroups(0, {});
+        if (liveGroups_ == 0)
             break;
         if (steps_ >= config_.maxSteps) {
             end.status = RunResult::Status::StepLimit;
@@ -756,7 +889,7 @@ Interpreter::runGroups()
     end.steps = steps_;
     end.totalEvents = totalEvents_;
     end.numThreads = static_cast<std::uint32_t>(threads_.size());
-    return groupResults(std::move(end), delivered_);
+    return groupResults(std::move(end));
 }
 
 } // namespace oha::exec

@@ -7,8 +7,24 @@
  * an execution is a pure function of (module, input, schedule seed),
  * so "roll back and re-execute with traditional hybrid analysis"
  * (Section 2.3) is exact — the sound re-analysis sees the very same
- * interleaving the optimistic run mis-speculated on.  This plays the
- * role of the record/replay system the paper assumes.
+ * interleaving the optimistic run mis-speculated on.  Seeded
+ * re-execution plays the role of the record/replay system the paper
+ * assumes.
+ *
+ * The interpreter is also the one engine that runs attachment groups.
+ * An attachment group is a set of tools that stop together.  One run
+ * can drive several independent analysis configurations, each its own
+ * group with its own ExecutionControl (control(group)) and its own
+ * RunResult, so an abort requested through one group's control stops
+ * only that group: at the next instruction boundary the group's
+ * result is frozen — status, steps, totalEvents, outputs, schedule,
+ * numThreads and its tools' `delivered` counts — and its tools are
+ * dropped from the dispatch masks and the thread lifecycle callbacks.
+ * Every group's result is field-identical to a standalone run of that
+ * group's attachments alone; the run ends early once every group has
+ * stopped.  Group 0 always exists: attach(tool, plan) joins it, and
+ * the interpreter's own requestAbort is group 0's control, so
+ * single-configuration callers never see groups at all.
  */
 
 #pragma once
@@ -18,12 +34,60 @@
 #include <vector>
 
 #include "exec/event.h"
-#include "exec/groups.h"
 #include "exec/value.h"
 #include "ir/module.h"
 #include "support/rng.h"
 
 namespace oha::exec {
+
+/** One scheduler decision: which thread ran, for how many steps. */
+struct ScheduleStep
+{
+    ThreadId thread;
+    std::uint32_t quantum;
+
+    bool
+    operator==(const ScheduleStep &other) const
+    {
+        return thread == other.thread && quantum == other.quantum;
+    }
+};
+
+/** Outcome and accounting of one execution. */
+struct RunResult
+{
+    enum class Status
+    {
+        Finished,     ///< program ran to completion
+        Aborted,      ///< a tool requested abort (invariant violation)
+        RuntimeError, ///< the guest program faulted
+        Deadlock,     ///< all live threads blocked
+        StepLimit,    ///< maxSteps exceeded
+    };
+
+    Status status = Status::Finished;
+    std::string abortReason;
+    /** Structured metadata from the aborting tool (all-zero unless the
+     *  abort came through the metadata-carrying requestAbort). */
+    AbortMetadata abortMeta;
+
+    /** (instruction, value) pairs emitted by Output, in order. */
+    std::vector<std::pair<InstrId, std::int64_t>> outputs;
+
+    /** Total guest instructions executed. */
+    std::uint64_t steps = 0;
+    /** All events that occurred, by class, instrumented or not. */
+    EventCounts totalEvents;
+    /** Events actually delivered, per attached tool. */
+    std::vector<EventCounts> delivered;
+    /** Number of threads ever created (main included). */
+    std::uint32_t numThreads = 0;
+
+    /** Scheduler trace (only when ExecConfig::recordSchedule). */
+    std::vector<ScheduleStep> schedule;
+
+    bool finished() const { return status == Status::Finished; }
+};
 
 /** Inputs that fully determine an execution. */
 struct ExecConfig
@@ -52,19 +116,22 @@ struct ExecConfig
 class TraceRecorder;
 
 /**
- * Deterministic IR interpreter with instrumentation attachments.  The
- * tools may form several attachment groups (groups.h): one live run
- * then drives every group, and a group whose tool aborts stops alone,
- * with the result a standalone run of the group would report.
+ * Deterministic IR interpreter with instrumentation attachments,
+ * grouped into attachment groups (see the file comment).
  */
-class Interpreter : public AttachmentGroups
+class Interpreter : public ExecutionControl
 {
   public:
+    using GroupId = std::size_t;
+
     /** Attachments one run can drive (the width of the per-site
      *  dispatch masks), across all groups. */
     static constexpr std::size_t kMaxAttachments = 8;
 
     Interpreter(const ir::Module &module, ExecConfig config);
+    Interpreter(const Interpreter &) = delete;
+    Interpreter &operator=(const Interpreter &) = delete;
+    ~Interpreter() override;
 
     /** Attach a trace-capture sink (trace.h).  Unlike a Tool, the
      *  recorder sees every event unconditionally — before plan
@@ -73,9 +140,36 @@ class Interpreter : public AttachmentGroups
      *  run(). */
     void setRecorder(TraceRecorder *recorder) { recorder_ = recorder; }
 
+    /** Attach a tool to group 0, filtered by @p plan.  Both must
+     *  outlive the run. */
+    void attach(Tool *tool, const InstrumentationPlan *plan)
+    {
+        attach(0, tool, plan);
+    }
+
+    /** Open a new, empty attachment group. */
+    GroupId addGroup();
+
+    /** Attach a tool to @p group.  Tools are notified in attachment
+     *  order across all groups; a group's `delivered` vector lists
+     *  its own tools in the order they were attached. */
+    void attach(GroupId group, Tool *tool, const InstrumentationPlan *plan);
+
+    /** The abort control of @p group; group 0's is equivalent to the
+     *  interpreter's own requestAbort. */
+    ExecutionControl &control(GroupId group);
+
     /** Execute the program through every group to completion, or
-     *  until every group has aborted. */
-    std::vector<RunResult> runGroups() override;
+     *  until every group has aborted; one result per group, indexed
+     *  by GroupId. */
+    std::vector<RunResult> runGroups();
+
+    /** Run every group; returns group 0's result. */
+    RunResult run() { return std::move(runGroups().front()); }
+
+    void requestAbort(std::string reason) override;
+    void requestAbort(std::string reason,
+                      const AbortMetadata &meta) override;
 
     const ir::Module &module() const { return module_; }
 
@@ -86,6 +180,15 @@ class Interpreter : public AttachmentGroups
     static std::int64_t encodeValue(const Value &value);
 
   private:
+    struct Attachment
+    {
+        Tool *tool;
+        const InstrumentationPlan *plan;
+        GroupId group;
+    };
+
+    class Group;
+
     /** One activation.  Its registers are the window
      *  [regBase, regEnd) of the thread's register stack. */
     struct Frame
@@ -152,11 +255,18 @@ class Interpreter : public AttachmentGroups
      *  attachment i).  Built only when tools are attached. */
     void buildDispatchTables();
 
-    /** Stop the groups with a pending abort at the boundary
+    /** Freeze every group with a pending abort at the boundary
      *  @p executed steps into the current quantum, whose events so far
-     *  are @p counts, and clear their tools' dispatch bits. */
-    void stopAbortedGroupsAt(std::uint64_t executed,
-                             const EventCounts &counts);
+     *  are @p counts — exactly where a standalone run of the group
+     *  would stop — and drop its tools from liveMask_ and the
+     *  dispatch tables. */
+    void stopAbortedGroups(std::uint64_t executed,
+                           const EventCounts &counts);
+
+    /** One result per group: a stopped group's frozen result, with
+     *  the prefixes of @p end's outputs and schedule it saw; a live
+     *  group @p end itself, with its tools' delivery counts. */
+    std::vector<RunResult> groupResults(RunResult end) const;
 
     void fireEvent(const EventCtx &ctx, std::uint8_t mask, EventClass cls);
     void fireBlockEnter(ThreadId tid, BlockId block);
@@ -169,6 +279,14 @@ class Interpreter : public AttachmentGroups
     Rng rng_;
 
     TraceRecorder *recorder_ = nullptr;
+    std::vector<Attachment> attachments_;
+    std::vector<std::unique_ptr<Group>> groups_;
+    /** Some group has requested an abort that is not yet honoured. */
+    bool abortPending_ = false;
+    /** Groups not yet stopped (groups without tools included). */
+    std::size_t liveGroups_ = 0;
+    /** Mask bits (bit i = attachment i) of the tools of live groups. */
+    std::uint8_t liveMask_ = 0;
     /** Per-instruction and per-block OR of attachment cover bits;
      *  0 = no tool listens and the event path is skipped wholesale. */
     std::vector<std::uint8_t> instrMask_;

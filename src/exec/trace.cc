@@ -43,15 +43,23 @@ recordRun(const ir::Module &module, const ExecConfig &config)
 
 TraceReplayer::TraceReplayer(const ir::Module &module,
                              const RecordedTrace &trace)
-    : AttachmentGroups(kMaxAttachments), module_(module), trace_(trace)
+    : module_(module), trace_(trace)
 {
 }
 
-std::vector<RunResult>
-TraceReplayer::runGroups()
+void
+TraceReplayer::attach(Tool *tool, const InstrumentationPlan *plan)
 {
-    // Same per-site dispatch snapshot as Interpreter::run(), widened
-    // to one bit per attachment across all groups.
+    OHA_ASSERT(tool && plan);
+    OHA_ASSERT(tools_.size() < 64, "dispatch masks are 64 bits wide");
+    tools_.push_back({tool, plan});
+}
+
+RunResult
+TraceReplayer::run()
+{
+    // Per-site dispatch snapshot (bit i = attached tool i), as on the
+    // live Interpreter.
     struct Site
     {
         std::uint64_t mask;
@@ -63,9 +71,8 @@ TraceReplayer::runGroups()
     for (InstrId id = 0; id < numInstrs; ++id)
         dispatch[id] = {0, eventClassOf(module_.instr(id).op)};
     std::vector<std::uint64_t> blockMask(numBlocks, 0);
-    const std::vector<Attachment> &attachments = this->attachments();
-    for (std::size_t i = 0; i < attachments.size(); ++i) {
-        const InstrumentationPlan &plan = *attachments[i].plan;
+    for (std::size_t i = 0; i < tools_.size(); ++i) {
+        const InstrumentationPlan &plan = *tools_[i].second;
         const std::uint64_t bit = std::uint64_t{1} << i;
         for (InstrId id = 0; id < numInstrs; ++id)
             if (plan.coversInstr(id))
@@ -74,7 +81,8 @@ TraceReplayer::runGroups()
             if (plan.coversBlock(id))
                 blockMask[id] |= bit;
     }
-    std::vector<EventCounts> delivered(attachments.size());
+    RunResult result;
+    result.delivered.resize(tools_.size());
 
     // Shadow call stacks: the interpreter assigns frame ids globally
     // sequentially from 1 (main's root first), and the record stream
@@ -87,26 +95,7 @@ TraceReplayer::runGroups()
     };
     std::vector<std::vector<SimFrame>> stacks;
     std::uint64_t nextFrameId = 1;
-
-    EventCounts totalEvents;
-    std::vector<std::pair<InstrId, std::int64_t>> outputs;
     std::uint64_t stepsStarted = 0;
-    std::uint32_t numThreads = 0;
-
-    // Freeze every group with a pending abort at the current
-    // instruction boundary and drop its tools from every dispatch
-    // path.  A stopped group's schedule is empty, as in a standalone
-    // replay of it.
-    const auto stopAborted = [&] {
-        const std::uint64_t dropped = stopAbortedGroups(
-            {stepsStarted, totalEvents, numThreads, outputs.size(), 0});
-        if (dropped == 0)
-            return;
-        for (Site &site : dispatch)
-            site.mask &= ~dropped;
-        for (std::uint64_t &mask : blockMask)
-            mask &= ~dropped;
-    };
 
     TraceCursor reader(trace_.events);
     std::int64_t prevInstr = 0;
@@ -115,18 +104,9 @@ TraceReplayer::runGroups()
     while (!reader.atEnd()) {
         const std::uint8_t header = reader.byte();
         const std::uint8_t kind = header & 3;
-        // Step flag: this record begins a new guest instruction.  A
-        // live run honours an abort at the next instruction boundary
-        // (the aborting instruction completes all its deliveries);
-        // stopping the group here reproduces that exactly.
-        if (header & 4) {
-            if (abortPending()) {
-                stopAborted();
-                if (liveGroups() == 0)
-                    break;
-            }
+        // Step flag: this record begins a new guest instruction.
+        if (header & 4)
             ++stepsStarted;
-        }
         ThreadId tid = header >> 3;
         if (tid == TraceRecorder::kTidEscape)
             tid = static_cast<ThreadId>(reader.varint());
@@ -138,7 +118,7 @@ TraceReplayer::runGroups()
             const ir::Instruction &ins = module_.instr(id);
             const Site &site = dispatch[id];
             const EventClass cls = site.cls;
-            ++totalEvents[cls];
+            ++result.totalEvents[cls];
 
             // Decode the payload into locals first: most records
             // are not covered by any attached plan, and for those
@@ -170,7 +150,7 @@ TraceReplayer::runGroups()
                 otherTid = static_cast<ThreadId>(reader.varint());
                 break;
               case ir::Opcode::Output:
-                outputs.push_back({ins.id, reader.zigzag()});
+                result.outputs.push_back({ins.id, reader.zigzag()});
                 break;
               default:
                 break;
@@ -207,8 +187,8 @@ TraceReplayer::runGroups()
                      mask &= mask - 1) {
                     const auto i =
                         static_cast<unsigned>(std::countr_zero(mask));
-                    ++delivered[i][cls];
-                    attachments[i].tool->onEvent(ctx);
+                    ++result.delivered[i][cls];
+                    tools_[i].first->onEvent(ctx);
                 }
             }
 
@@ -226,13 +206,13 @@ TraceReplayer::runGroups()
           case TraceRecorder::kBlockEnter: {
             prevBlock += reader.zigzag();
             const auto block = static_cast<BlockId>(prevBlock);
-            ++totalEvents[EventClass::BlockEnter];
+            ++result.totalEvents[EventClass::BlockEnter];
             for (std::uint64_t mask = blockMask[block]; mask;
                  mask &= mask - 1) {
                 const auto i =
                     static_cast<unsigned>(std::countr_zero(mask));
-                ++delivered[i][EventClass::BlockEnter];
-                attachments[i].tool->onBlockEnter(tid, block);
+                ++result.delivered[i][EventClass::BlockEnter];
+                tools_[i].first->onBlockEnter(tid, block);
             }
             break;
           }
@@ -246,40 +226,26 @@ TraceReplayer::runGroups()
             if (tid >= stacks.size())
                 stacks.resize(tid + 1);
             stacks[tid].push_back({nextFrameId++, nullptr});
-            ++numThreads;
-            for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
-                attachments[std::countr_zero(mask)]
-                    .tool->onThreadStart(tid, parent, spawnSite);
+            ++result.numThreads;
+            for (const auto &[tool, plan] : tools_)
+                tool->onThreadStart(tid, parent, spawnSite);
             break;
           }
           case TraceRecorder::kThreadFinish: {
-            for (std::uint64_t mask = liveMask(); mask; mask &= mask - 1)
-                attachments[std::countr_zero(mask)]
-                    .tool->onThreadFinish(tid);
+            for (const auto &[tool, plan] : tools_)
+                tool->onThreadFinish(tid);
             break;
           }
         }
     }
-    // An abort requested by the stream's last instruction has no
-    // further boundary to stop at: the group ends aborted, with every
-    // step counted.
-    if (abortPending())
-        stopAborted();
-
-    RunResult end;
-    if (liveGroups() != 0) {
-        OHA_ASSERT(stepsStarted == trace_.result.steps,
-                   "trace step flags diverge from recorded step count");
-        end.status = trace_.result.status;
-        end.abortReason = trace_.result.abortReason;
-        end.abortMeta = trace_.result.abortMeta;
-        end.steps = trace_.result.steps;
-        end.schedule = trace_.result.schedule;
-        end.totalEvents = totalEvents;
-        end.numThreads = numThreads;
-    }
-    end.outputs = std::move(outputs);
-    return groupResults(std::move(end), delivered);
+    OHA_ASSERT(stepsStarted == trace_.result.steps,
+               "trace step flags diverge from recorded step count");
+    result.status = trace_.result.status;
+    result.abortReason = trace_.result.abortReason;
+    result.abortMeta = trace_.result.abortMeta;
+    result.steps = trace_.result.steps;
+    result.schedule = trace_.result.schedule;
+    return result;
 }
 
 } // namespace oha::exec

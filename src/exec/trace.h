@@ -7,15 +7,14 @@
  * re-execution under the sound hybrid analysis" (Section 2.3).  Our
  * interpreter already *is* that environment — an execution is a pure
  * function of (module, input, schedule seed) and tools never perturb
- * it — so the pipelines simply re-execute: they drive their
- * configurations as attachment groups of one live run (groups.h),
- * because decoding a capture costs more than running the pre-decoded
- * interpreter.  This file keeps the capture side (a TraceRecorder
+ * it — so the pipelines simply re-execute, live, driving their
+ * configurations as attachment groups of one Interpreter run
+ * (interpreter.h).  This file keeps the capture side (a TraceRecorder
  * sink that records the complete analysis-relevant event stream) and
- * a TraceReplayer that drives tools from a capture with only decode +
- * plan filtering + tool dispatch.  They serve the repository
- * benchmark's traced sweep, the trace microbenchmarks and the tests
- * that check a live grouped run against a grouped replay.
+ * a TraceReplayer that drives one tool configuration from a capture
+ * with only decode + plan filtering + tool dispatch.  They serve the
+ * repository benchmark's traced sweep, the trace microbenchmark and
+ * the replay-parity tests.
  *
  * Storage: a capture is one in-RAM stream, an arena-backed
  * TraceBuffer the recorder appends to.  It is immutable once recorded,
@@ -27,9 +26,8 @@
  *                           thread start / thread finish)
  *                 bit 2     step flag — set on the first record of
  *                           each executed instruction, so the
- *                           replayer can reconstruct the step count
- *                           and stop exactly at the instruction
- *                           boundary where a live run would abort
+ *                           replayer can reconstruct and check the
+ *                           step count
  *                 bits 3-7  thread id (31 = escape, varint follows)
  *
  *   instr event:  zigzag delta of the instruction id vs. the previous
@@ -54,10 +52,9 @@
  * with a per-thread shadow call stack.
  *
  * Replay fidelity: delivered events, ordering, per-tool counts, step
- * counts, outputs and abort semantics are byte-identical to a live
- * run of the same tools under the same plans.  One replay pass can
- * drive several attachment groups at once (groups.h), so a capture is
- * decoded once however many configurations analyze it.
+ * counts and outputs are byte-identical to a live run of the same
+ * tools under the same plans, as long as no tool aborts the live run
+ * (a replay has no abort control).
  */
 
 #pragma once
@@ -268,10 +265,10 @@ class TraceRecorder
     /**
      * Append cursor for one thread's records.  `step` marks the first
      * record of an executed guest instruction (header bit 2), which
-     * the replayer counts to rebuild step numbers and abort
-     * boundaries.  Valid until the next commit() or open() on its
-     * recorder; writers pass by value throughout, so one held in a
-     * caller's locals can live in registers.
+     * the replayer counts to rebuild and check the step count.
+     * Valid until the next commit() or open() on its recorder;
+     * writers pass by value throughout, so one held in a caller's
+     * locals can live in registers.
      */
     class Writer
     {
@@ -508,40 +505,30 @@ RecordedTrace recordRun(const ir::Module &module, const ExecConfig &config);
 
 /**
  * Drives attached tools from a recorded trace without re-running
- * fetch/decode/eval.  The attach/run/requestAbort surface mirrors
- * Interpreter, and the resulting RunResult (status, steps, outputs,
- * event accounting, per-tool delivery counts) is byte-identical to a
- * live run of the same tools under the same plans on the same input.
- *
- * Aborts (the invariant checker on a violation) truncate the replay
- * at the same instruction boundary a live run would stop at: the
- * aborting instruction's remaining records are still delivered, then
- * the replay ends with Status::Aborted and the step count of the live
- * aborted run.  A full (un-aborted) replay reports the recorded run's
- * status — including Aborted/StepLimit when the *recording* itself
- * was truncated.
- *
- * Attachment groups (groups.h) work as on the live Interpreter: each
- * group's result is field-identical to a standalone replay of that
- * group's attachments alone, and the pass ends early once every group
- * has stopped.
+ * fetch/decode/eval: decode, plan filtering and tool dispatch only.
+ * The resulting RunResult (status, steps, outputs, event accounting,
+ * per-tool delivery counts, schedule) is byte-identical to a live run
+ * of the same tools under the same plans on the same input, as long
+ * as no tool aborts the live run: a replay has no abort control and
+ * always delivers the whole recorded stream, reporting the recorded
+ * run's status — including Aborted/StepLimit when the *recording*
+ * itself was truncated.
  */
-class TraceReplayer : public AttachmentGroups
+class TraceReplayer
 {
   public:
-    /** Attachments one replay can drive (the width of the per-site
-     *  dispatch masks), across all groups. */
-    static constexpr std::size_t kMaxAttachments = 64;
-
     TraceReplayer(const ir::Module &module, const RecordedTrace &trace);
 
-    /** Replay the recorded stream through every group; one result per
-     *  group, indexed by GroupId. */
-    std::vector<RunResult> runGroups() override;
+    /** Attach a tool filtered by @p plan.  Both must outlive run(). */
+    void attach(Tool *tool, const InstrumentationPlan *plan);
+
+    /** Replay the recorded stream through the attached tools. */
+    RunResult run();
 
   private:
     const ir::Module &module_;
     const RecordedTrace &trace_;
+    std::vector<std::pair<Tool *, const InstrumentationPlan *>> tools_;
 };
 
 } // namespace oha::exec

@@ -30,7 +30,7 @@
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
-#include "exec/trace.h"
+#include "exec/interpreter.h"
 #include "profile/profiler.h"
 #include "workloads/workloads.h"
 
@@ -147,18 +147,18 @@ struct GraphRun
     bool violated = false;
 };
 
-/** Replay @p trace through one Giri graph under @p plan; with
+/** Run @p input live through one Giri graph under @p plan; with
  *  @p checked, an invariant checker (the OptSlice configuration)
  *  shares the run; @p abortAt > 0 forces an abort at that event. */
 GraphRun
-replay(const ir::Module &module, const exec::RecordedTrace &trace,
-       const exec::InstrumentationPlan &plan,
-       const inv::InvariantSet *checked, std::uint64_t abortAt)
+runGraph(const ir::Module &module, const exec::ExecConfig &input,
+         const exec::InstrumentationPlan &plan,
+         const inv::InvariantSet *checked, std::uint64_t abortAt)
 {
     GraphRun run;
     run.graph = std::make_unique<GiriSlicer>(module);
-    exec::TraceReplayer replayer(module, trace);
-    replayer.attach(run.graph.get(), &plan);
+    exec::Interpreter interp(module, input);
+    interp.attach(run.graph.get(), &plan);
     std::optional<InvariantChecker> checker;
     if (checked) {
         CheckerConfig config;
@@ -166,14 +166,14 @@ replay(const ir::Module &module, const exec::RecordedTrace &trace,
         config.guardingLocks = false;
         config.singletonThreads = false;
         checker.emplace(module, *checked, config);
-        checker->setControl(&replayer);
-        replayer.attach(&*checker, &checker->plan());
+        checker->setControl(&interp);
+        interp.attach(&*checker, &checker->plan());
     }
-    AbortAtEvent stopper(abortAt, replayer);
+    AbortAtEvent stopper(abortAt, interp);
     const auto all = exec::InstrumentationPlan::all(module);
     if (abortAt != 0)
-        replayer.attach(&stopper, &all);
-    run.result = replayer.run();
+        interp.attach(&stopper, &all);
+    run.result = interp.run();
     run.violated = checker && checker->violated();
     return run;
 }
@@ -198,9 +198,9 @@ TEST_P(GiriUnion, EveryEndpointReadsItsOwnGraphOffTheUnion)
     ASSERT_FALSE(plans.endpoints.empty());
 
     for (std::size_t input = 0; input < workload.testingSet.size(); ++input) {
-        const exec::RecordedTrace trace =
-            exec::recordRun(module, workload.testingSet[input]);
-        const std::uint64_t steps = trace.result.steps;
+        const exec::ExecConfig &config = workload.testingSet[input];
+        const std::uint64_t steps =
+            exec::Interpreter(module, config).run().steps;
         for (const bool optimistic : {false, true}) {
             const std::vector<exec::InstrumentationPlan> &own =
                 optimistic ? plans.optimistic : plans.hybrid;
@@ -210,7 +210,7 @@ TEST_P(GiriUnion, EveryEndpointReadsItsOwnGraphOffTheUnion)
             for (const std::uint64_t abortAt :
                  {std::uint64_t{0}, std::uint64_t{1}, steps / 3, steps / 2}) {
                 const GraphRun shared =
-                    replay(module, trace, unionPlan, checked, abortAt);
+                    runGraph(module, config, unionPlan, checked, abortAt);
                 std::vector<const exec::InstrumentationPlan *> ownPtrs;
                 for (const exec::InstrumentationPlan &plan : own)
                     ownPtrs.push_back(&plan);
@@ -223,7 +223,7 @@ TEST_P(GiriUnion, EveryEndpointReadsItsOwnGraphOffTheUnion)
                         " endpoint " + std::to_string(e) + " abortAt " +
                         std::to_string(abortAt);
                     const GraphRun alone =
-                        replay(module, trace, own[e], checked, abortAt);
+                        runGraph(module, config, own[e], checked, abortAt);
                     ASSERT_EQ(shared.result.steps, alone.result.steps)
                         << label;
                     ASSERT_EQ(shared.result.status, alone.result.status)
@@ -255,15 +255,14 @@ TEST_P(GiriUnion, APlanMissingAProducerReportsAnEscape)
     const auto workload = workloads::makeSliceWorkload(GetParam(), 48, 4);
     const ir::Module &module = *workload.module;
     const PipelinePlans plans = pipelinePlans(workload);
-    const exec::RecordedTrace trace =
-        exec::recordRun(module, workload.testingSet.front());
+    const exec::ExecConfig &input = workload.testingSet.front();
     std::size_t checked = 0;
     for (std::size_t e = 0; e < plans.endpoints.size(); ++e) {
         const InstrId endpoint = plans.endpoints[e];
         // The graph under the sound plan stands in for a union that
         // covers the producer; the endpoint's own plan loses it.
         const GraphRun full =
-            replay(module, trace, plans.hybrid[e], nullptr, 0);
+            runGraph(module, input, plans.hybrid[e], nullptr, 0);
         const std::set<InstrId> dynamicSlice = full.graph->slice(endpoint);
         auto producer = std::find_if(
             dynamicSlice.begin(), dynamicSlice.end(),
@@ -280,7 +279,7 @@ TEST_P(GiriUnion, APlanMissingAProducerReportsAnEscape)
             << label;
         EXPECT_GT(full.graph->slice(endpoint, open).escapes, 0u) << label;
         // A graph under the open plan alone would silently lose it.
-        const GraphRun alone = replay(module, trace, open, nullptr, 0);
+        const GraphRun alone = runGraph(module, input, open, nullptr, 0);
         EXPECT_EQ(alone.graph->slice(endpoint).count(*producer), 0u)
             << label;
         ++checked;

@@ -2,8 +2,7 @@
  * @file
  * Attachment groups on the live interpreter: one grouped live run must
  * give every group exactly what a standalone live run of that group
- * reports, and what the grouped replay of the same capture reports —
- * status, abort reason and metadata, outputs, steps, event totals,
+ * reports — status, abort reason and metadata, outputs, steps, event totals,
  * per-tool delivery counts, thread count and the tools' own results.
  * Covered: aborts on the first, a middle and the last event beside a
  * group that never aborts; every group aborting, group 0 included; a
@@ -22,7 +21,7 @@
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
 #include "dyn/plans.h"
-#include "exec/trace.h"
+#include "exec/interpreter.h"
 #include "ir/parser.h"
 #include "support/thread_pool.h"
 #include "workloads/workloads.h"
@@ -98,7 +97,7 @@ eventVec(const exec::EventCounts &counts)
 
 void
 expectEqual(const GroupOutcome &expected, const GroupOutcome &actual,
-            bool withSchedule, const std::string &label)
+            const std::string &label)
 {
     const exec::RunResult &a = expected.result;
     const exec::RunResult &b = actual.result;
@@ -113,31 +112,17 @@ expectEqual(const GroupOutcome &expected, const GroupOutcome &actual,
         EXPECT_EQ(eventVec(a.delivered[i]), eventVec(b.delivered[i]))
             << label << " tool " << i;
     EXPECT_EQ(a.numThreads, b.numThreads) << label;
-    if (withSchedule) {
-        EXPECT_EQ(a.schedule, b.schedule) << label;
-    }
+    EXPECT_EQ(a.schedule, b.schedule) << label;
     EXPECT_EQ(expected.races, actual.races) << label;
     EXPECT_EQ(expected.slices, actual.slices) << label;
     EXPECT_EQ(expected.threadCallbacks, actual.threadCallbacks) << label;
 }
 
-/** One pass over @p input: a live run, or a replay of @p trace when it
- *  is non-null. */
-std::unique_ptr<exec::AttachmentGroups>
-openPass(const ir::Module &module, const exec::ExecConfig &input,
-         const exec::RecordedTrace *trace)
-{
-    if (trace)
-        return std::make_unique<exec::TraceReplayer>(module, *trace);
-    return std::make_unique<exec::Interpreter>(module, input);
-}
-
-/** Drive @p specs over @p input: all as groups of one pass (@p grouped)
- *  or each alone in its own pass; live, or replaying @p trace when it
- *  is non-null.  One outcome per spec either way. */
+/** Drive @p specs over @p input live: all as groups of one run
+ *  (@p grouped) or each alone in its own run.  One outcome per spec
+ *  either way. */
 std::vector<GroupOutcome>
 runSpecs(const Analysis &analysis, const exec::ExecConfig &input,
-         const exec::RecordedTrace *trace,
          const std::vector<GroupSpec> &specs, bool grouped)
 {
     const ir::Module &module = *analysis.module;
@@ -152,8 +137,8 @@ runSpecs(const Analysis &analysis, const exec::ExecConfig &input,
     }
     const exec::InstrumentationPlan all =
         exec::InstrumentationPlan::all(module);
-    auto attachSpec = [&](exec::AttachmentGroups &run, std::size_t g,
-                          exec::AttachmentGroups::GroupId group) {
+    auto attachSpec = [&](exec::Interpreter &run, std::size_t g,
+                          exec::Interpreter::GroupId group) {
         run.attach(group, tools[g].get(), specs[g].plan);
         if (specs[g].abortAt != 0) {
             aborters[g].setControl(&run.control(group));
@@ -163,15 +148,15 @@ runSpecs(const Analysis &analysis, const exec::ExecConfig &input,
 
     std::vector<exec::RunResult> results;
     if (grouped) {
-        const auto run = openPass(module, input, trace);
+        exec::Interpreter run(module, input);
         for (std::size_t g = 0; g < specs.size(); ++g)
-            attachSpec(*run, g, g == 0 ? 0 : run->addGroup());
-        results = run->runGroups();
+            attachSpec(run, g, g == 0 ? 0 : run.addGroup());
+        results = run.runGroups();
     } else {
         for (std::size_t g = 0; g < specs.size(); ++g) {
-            const auto run = openPass(module, input, trace);
-            attachSpec(*run, g, 0);
-            results.push_back(run->run());
+            exec::Interpreter run(module, input);
+            attachSpec(run, g, 0);
+            results.push_back(run.run());
         }
     }
 
@@ -196,38 +181,27 @@ runSpecs(const Analysis &analysis, const exec::ExecConfig &input,
 }
 
 /** Per scenario and group: the grouped live run equals a standalone
- *  live run and the grouped replay of @p input's capture, with the
- *  grouped live runs of all scenarios executing concurrently on
- *  @p threads workers.  Returns the grouped live outcomes. */
+ *  live run, with the grouped runs of all scenarios executing
+ *  concurrently on @p threads workers.  Returns the grouped
+ *  outcomes. */
 std::vector<std::vector<GroupOutcome>>
 checkScenarios(const Analysis &analysis, const exec::ExecConfig &input,
                const std::vector<std::vector<GroupSpec>> &scenarios,
                std::size_t threads, const std::string &name)
 {
-    const exec::RecordedTrace trace =
-        exec::recordRun(*analysis.module, input);
     const auto live = support::runBatch(
         scenarios.size(),
         [&](std::size_t s) {
-            return runSpecs(analysis, input, nullptr, scenarios[s], true);
+            return runSpecs(analysis, input, scenarios[s], true);
         },
         threads);
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const auto alone =
-            runSpecs(analysis, input, nullptr, scenarios[s], false);
-        const auto replayed =
-            runSpecs(analysis, input, &trace, scenarios[s], true);
-        for (std::size_t g = 0; g < scenarios[s].size(); ++g) {
-            const std::string label = name + " scenario " +
-                                      std::to_string(s) + " group " +
-                                      std::to_string(g) + " @" +
-                                      std::to_string(threads) + "t";
-            expectEqual(alone[g], live[s][g], true, label + " vs alone");
-            // A stopped group of a replay reports no schedule (the
-            // capture holds only the whole run's).
-            expectEqual(replayed[g], live[s][g], false,
-                        label + " vs replay");
-        }
+        const auto alone = runSpecs(analysis, input, scenarios[s], false);
+        for (std::size_t g = 0; g < scenarios[s].size(); ++g)
+            expectEqual(alone[g], live[s][g],
+                        name + " scenario " + std::to_string(s) +
+                            " group " + std::to_string(g) + " @" +
+                            std::to_string(threads) + "t");
     }
     return live;
 }
@@ -280,7 +254,7 @@ checkAbortPoints(const Analysis &analysis, const exec::ExecConfig &base,
     }
 }
 
-TEST(LiveGroups, RaceWorkloadsMatchStandaloneAndReplayAt1And4Threads)
+TEST(LiveGroups, RaceWorkloadsMatchStandaloneRunsAt1And4Threads)
 {
     for (const char *name : {"raytracer", "pmd", "lusearch", "moldyn"}) {
         const auto workload = workloads::makeRaceWorkload(name, 1, 2);
@@ -292,7 +266,7 @@ TEST(LiveGroups, RaceWorkloadsMatchStandaloneAndReplayAt1And4Threads)
     }
 }
 
-TEST(LiveGroups, SliceWorkloadsMatchStandaloneAndReplayAt1And4Threads)
+TEST(LiveGroups, SliceWorkloadsMatchStandaloneRunsAt1And4Threads)
 {
     for (const char *name : {"go", "nginx", "zlib"}) {
         const auto workload = workloads::makeSliceWorkload(name, 1, 2);

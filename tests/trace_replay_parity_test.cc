@@ -4,8 +4,8 @@
  * from a TraceReplayer must be byte-identical to running the same
  * tools on a live Interpreter — race reports, slice sets,
  * delivered-event accounting, step counts, outputs, thread counts and
- * abort semantics — on every workload, including runs the checker
- * aborts mid-execution.
+ * the checker's verdict — on every workload, including runs that
+ * violate an invariant.
  *
  * Pipeline parity: every field of runOptFt and runOptSlice is the
  * same at 1 and 4 worker threads and equals the golden table
@@ -14,10 +14,6 @@
  * all 21 programs, clean and fault-seeded, plus many-endpoint,
  * no-output and empty-corpus cases, and every program fault-seeded
  * without repair and with a one-repair budget.
- *
- * Fused replay: one pass driving several attachment groups must give
- * every group the result of a standalone replay of that group, at any
- * abort point, including when every group aborts early.
  *
  * Also covers the capture/replay edge cases: recordings truncated by
  * an abort or a step limit, and snapshots holding a trace entry in an
@@ -50,7 +46,6 @@
 #include "service/analysis_service.h"
 #include "service/snapshot.h"
 #include "support/durable_file.h"
-#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -131,7 +126,8 @@ outputInstrs(const ir::Module &module)
     return out;
 }
 
-/** FastTrack + invariant checker, live or replayed. */
+/** FastTrack + invariant checker (no abort control, as a replay has
+ *  none), live or replayed. */
 RunSnapshot
 ftSnapshot(const ir::Module &module, const inv::InvariantSet &invariants,
            const exec::InstrumentationPlan &plan,
@@ -145,13 +141,11 @@ ftSnapshot(const ir::Module &module, const inv::InvariantSet &invariants,
     if (trace) {
         exec::TraceReplayer replayer(module, *trace);
         replayer.attach(&tool, &plan);
-        checker.setControl(&replayer);
         replayer.attach(&checker, &checker.plan());
         result = replayer.run();
     } else {
         exec::Interpreter interp(module, *config);
         interp.attach(&tool, &plan);
-        checker.setControl(&interp);
         interp.attach(&checker, &checker.plan());
         result = interp.run();
     }
@@ -162,7 +156,7 @@ ftSnapshot(const ir::Module &module, const inv::InvariantSet &invariants,
     return snap;
 }
 
-/** Giri + invariant checker, live or replayed. */
+/** Giri + invariant checker (no abort control), live or replayed. */
 RunSnapshot
 giriSnapshot(const ir::Module &module,
              const inv::InvariantSet &invariants,
@@ -178,13 +172,11 @@ giriSnapshot(const ir::Module &module,
     if (trace) {
         exec::TraceReplayer replayer(module, *trace);
         replayer.attach(&tool, &plan);
-        checker.setControl(&replayer);
         replayer.attach(&checker, &checker.plan());
         result = replayer.run();
     } else {
         exec::Interpreter interp(module, *config);
         interp.attach(&tool, &plan);
-        checker.setControl(&interp);
         interp.attach(&checker, &checker.plan());
         result = interp.run();
     }
@@ -199,12 +191,13 @@ giriSnapshot(const ir::Module &module,
 TEST(TraceReplayParity, FastTrackIdenticalOnAllRaceWorkloads)
 {
     std::size_t totalRaces = 0;
-    std::size_t aborted = 0;
+    std::size_t violated = 0;
     for (const auto &name : workloads::raceWorkloadNames()) {
         const auto workload = workloads::makeRaceWorkload(name, 2, 3);
         const ir::Module &module = *workload.module;
         // Deliberately under-profiled so some testing inputs violate
-        // invariants and exercise the abort path of the replayer.
+        // invariants: the checker must see the same violations on
+        // both paths.
         const auto invariants =
             profiled(module, workload.profilingSet);
         const auto plan = dyn::fullFastTrackPlan(module);
@@ -218,13 +211,13 @@ TEST(TraceReplayParity, FastTrackIdenticalOnAllRaceWorkloads)
             expectEqual(live, replayed, name);
             totalRaces += live.races.size();
             if (live.violated)
-                ++aborted;
+                ++violated;
         }
     }
     // The comparisons must not be vacuous.
     EXPECT_GT(totalRaces, 0u);
-    EXPECT_GT(aborted, 0u)
-        << "no under-profiled run aborted; the abort path is untested";
+    EXPECT_GT(violated, 0u)
+        << "no under-profiled run violated an invariant";
 }
 
 TEST(TraceReplayParity, GiriIdenticalOnAllSliceWorkloads)
@@ -250,48 +243,6 @@ TEST(TraceReplayParity, GiriIdenticalOnAllSliceWorkloads)
         }
     }
     EXPECT_GT(totalSliceInstrs, 0u);
-}
-
-TEST(TraceReplayParity, AbortedReplayStopsAtTheLiveBoundary)
-{
-    using namespace ir;
-    Module module;
-    IRBuilder b(module);
-    Function *main = b.createFunction("main", 0);
-    BasicBlock *cold = b.createBlock(main, "cold");
-    BasicBlock *done = b.createBlock(main, "done");
-    b.condBr(b.input(0), cold, done);
-    b.setInsertPoint(cold);
-    b.output(b.constInt(13));
-    b.br(done);
-    b.setInsertPoint(done);
-    b.output(b.constInt(7));
-    b.ret();
-    module.finalize();
-
-    exec::ExecConfig trained;
-    trained.input = {0};
-    exec::ExecConfig violating;
-    violating.input = {1};
-    const auto invariants = profiled(module, {trained});
-    const auto plan = dyn::fullFastTrackPlan(module);
-
-    const exec::RecordedTrace trace = exec::recordRun(module, violating);
-    // The uninstrumented recording runs to completion...
-    ASSERT_EQ(trace.result.status, exec::RunResult::Status::Finished);
-
-    const RunSnapshot live =
-        ftSnapshot(module, invariants, plan, &violating, nullptr);
-    const RunSnapshot replayed =
-        ftSnapshot(module, invariants, plan, nullptr, &trace);
-    // ...but the checked replay aborts exactly where the live checked
-    // run does: before the cold block's Output executes.
-    ASSERT_TRUE(replayed.violated);
-    EXPECT_EQ(replayed.status,
-              static_cast<int>(exec::RunResult::Status::Aborted));
-    EXPECT_TRUE(replayed.outputs.empty());
-    EXPECT_LT(replayed.steps, trace.result.steps);
-    expectEqual(live, replayed, "aborted LUC run");
 }
 
 TEST(TraceReplayEdge, TruncatedRecordingReplaysTheRecordedOutcome)
@@ -820,171 +771,6 @@ TEST(TraceReplayEdge, EmptyTestingSetsAreHandled)
     EXPECT_EQ(sl.misSpeculations, 0u);
     EXPECT_EQ(sl.interpretedSteps, 0u);
     EXPECT_TRUE(sl.sliceResultsMatch);
-}
-
-/** Requests an abort through its control on its @p k-th event. */
-class AbortAtEvent : public exec::Tool
-{
-  public:
-    explicit AbortAtEvent(std::uint64_t k) : k_(k) {}
-
-    void setControl(exec::ExecutionControl *control) { control_ = control; }
-
-    void
-    onEvent(const exec::EventCtx &ctx) override
-    {
-        if (++seen_ == k_)
-            control_->requestAbort("abort at event " + std::to_string(k_),
-                                   {7, ctx.instr->id, 0, k_, ctx.tid});
-    }
-
-  private:
-    std::uint64_t k_;
-    std::uint64_t seen_ = 0;
-    exec::ExecutionControl *control_ = nullptr;
-};
-
-/** One attachment group of a fused replay: FastTrack under @p plan,
- *  optionally followed by a tool aborting at its abortAt-th event
- *  (0 = no abort). */
-struct GroupSpec
-{
-    const exec::InstrumentationPlan *plan;
-    std::uint64_t abortAt = 0;
-};
-
-struct GroupOutcome
-{
-    exec::RunResult result;
-    std::set<std::pair<InstrId, InstrId>> races;
-};
-
-void
-expectEqual(const GroupOutcome &separate, const GroupOutcome &fused,
-            const std::string &label)
-{
-    const exec::RunResult &a = separate.result;
-    const exec::RunResult &b = fused.result;
-    EXPECT_EQ(a.status, b.status) << label;
-    EXPECT_EQ(a.abortReason, b.abortReason) << label;
-    EXPECT_EQ(a.abortMeta, b.abortMeta) << label;
-    EXPECT_EQ(a.outputs, b.outputs) << label;
-    EXPECT_EQ(a.steps, b.steps) << label;
-    EXPECT_EQ(eventVec(a.totalEvents), eventVec(b.totalEvents)) << label;
-    ASSERT_EQ(a.delivered.size(), b.delivered.size()) << label;
-    for (std::size_t i = 0; i < a.delivered.size(); ++i)
-        EXPECT_EQ(eventVec(a.delivered[i]), eventVec(b.delivered[i]))
-            << label << " tool " << i;
-    EXPECT_EQ(a.numThreads, b.numThreads) << label;
-    EXPECT_EQ(a.schedule, b.schedule) << label;
-    EXPECT_EQ(separate.races, fused.races) << label;
-}
-
-/** Replay @p trace once with every spec as its own group (fused), or
- *  once per spec (separate); one outcome per spec either way. */
-std::vector<GroupOutcome>
-replayGroups(const ir::Module &module, const exec::RecordedTrace &trace,
-             const std::vector<GroupSpec> &specs, bool fused)
-{
-    std::vector<dyn::FastTrack> tools(specs.size());
-    std::vector<AbortAtEvent> aborters;
-    for (const GroupSpec &spec : specs)
-        aborters.emplace_back(spec.abortAt);
-    const exec::InstrumentationPlan all =
-        exec::InstrumentationPlan::all(module);
-
-    std::vector<exec::RunResult> results;
-    auto attachSpec = [&](exec::TraceReplayer &replayer, std::size_t g,
-                          exec::TraceReplayer::GroupId group) {
-        replayer.attach(group, &tools[g], specs[g].plan);
-        if (specs[g].abortAt != 0) {
-            aborters[g].setControl(&replayer.control(group));
-            replayer.attach(group, &aborters[g], &all);
-        }
-    };
-    if (fused) {
-        exec::TraceReplayer replayer(module, trace);
-        for (std::size_t g = 0; g < specs.size(); ++g)
-            attachSpec(replayer, g, g == 0 ? 0 : replayer.addGroup());
-        results = replayer.runGroups();
-    } else {
-        for (std::size_t g = 0; g < specs.size(); ++g) {
-            exec::TraceReplayer replayer(module, trace);
-            attachSpec(replayer, g, 0);
-            results.push_back(replayer.run());
-        }
-    }
-    std::vector<GroupOutcome> out(specs.size());
-    for (std::size_t g = 0; g < specs.size(); ++g) {
-        out[g].result = std::move(results[g]);
-        out[g].races = tools[g].racePairs();
-    }
-    return out;
-}
-
-TEST(FusedReplay, GroupsMatchSeparateReplaysAtEveryAbortPoint)
-{
-    // Per group, one fused pass must equal a standalone replay of
-    // that group: aborts on the first, a middle and the last event,
-    // groups that never abort, and every group aborting early, with
-    // the fused replays of one capture running concurrently at 1 and
-    // 4 workers.
-    for (const char *name : {"raytracer", "pmd", "lusearch"}) {
-        const auto workload = workloads::makeRaceWorkload(name, 1, 2);
-        const ir::Module &module = *workload.module;
-        const auto fullPlan = dyn::fullFastTrackPlan(module);
-        const auto none = exec::InstrumentationPlan::none(module);
-        for (const exec::ExecConfig &config : workload.testingSet) {
-            const exec::RecordedTrace trace =
-                exec::recordRun(module, config);
-            const std::uint64_t steps = trace.result.steps;
-            const std::uint64_t events =
-                trace.result.totalEvents.total() -
-                trace.result.totalEvents[exec::EventClass::BlockEnter];
-            const std::vector<std::vector<GroupSpec>> scenarios = {
-                // Aborts on the first, a middle and the last event
-                // beside a group that runs to the end.
-                {{&fullPlan}, {&fullPlan, 1}, {&fullPlan, events / 2},
-                 {&fullPlan, events}},
-                // Every group aborts early, group 0 included.
-                {{&fullPlan, events / 3}, {&none, events / 4},
-                 {&fullPlan, 2}, {&fullPlan, events / 3}},
-            };
-            for (const std::size_t threads :
-                 {std::size_t{1}, std::size_t{4}}) {
-                const auto fused = support::runBatch(
-                    scenarios.size(),
-                    [&](std::size_t s) {
-                        return replayGroups(module, trace, scenarios[s],
-                                            true);
-                    },
-                    threads);
-                for (std::size_t s = 0; s < scenarios.size(); ++s) {
-                    const auto separate =
-                        replayGroups(module, trace, scenarios[s], false);
-                    for (std::size_t g = 0; g < separate.size(); ++g)
-                        expectEqual(separate[g], fused[s][g],
-                                    std::string(name) + " scenario " +
-                                        std::to_string(s) + " group " +
-                                        std::to_string(g) + " @" +
-                                        std::to_string(threads) + "t");
-                }
-                // The aborting groups really were truncated, and the
-                // abort on the last step still counts every step.
-                EXPECT_EQ(fused[0][0].result.status,
-                          exec::RunResult::Status::Finished);
-                EXPECT_LT(fused[0][1].result.steps, steps / 100);
-                EXPECT_EQ(fused[0][3].result.status,
-                          exec::RunResult::Status::Aborted);
-                EXPECT_EQ(fused[0][3].result.steps, steps);
-                for (const GroupOutcome &group : fused[1]) {
-                    EXPECT_EQ(group.result.status,
-                              exec::RunResult::Status::Aborted);
-                    EXPECT_LT(group.result.steps, steps / 2) << name;
-                }
-            }
-        }
-    }
 }
 
 TEST(TraceReplayEdge, OldFormatCaptureAndSnapshotAreRejected)
