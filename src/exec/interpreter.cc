@@ -851,27 +851,10 @@ Interpreter::runGroups()
             break;
         }
 
-        std::uint32_t pick;
-        std::uint64_t quantum;
-        if (scheduleCursor_ < config_.replaySchedule.size()) {
-            // Replay mode: take the recorded decision verbatim.
-            const ScheduleStep &step =
-                config_.replaySchedule[scheduleCursor_++];
-            pick = step.thread;
-            quantum = step.quantum;
-            if (pick >= threads_.size() ||
-                threads_[pick].state != ThreadState::Runnable) {
-                OHA_FATAL("schedule replay diverged: thread %u not "
-                          "runnable",
-                          pick);
-            }
-        } else {
-            pick = static_cast<std::uint32_t>(
-                runnable[rng_.below(runnable.size())]);
-            quantum = config_.minQuantum +
-                      rng_.below(config_.maxQuantum -
-                                 config_.minQuantum + 1);
-        }
+        const std::uint32_t pick = runnable[rng_.below(runnable.size())];
+        const std::uint64_t quantum =
+            config_.minQuantum +
+            rng_.below(config_.maxQuantum - config_.minQuantum + 1);
         if (config_.recordSchedule) {
             schedule_.push_back(
                 {pick, static_cast<std::uint32_t>(quantum)});

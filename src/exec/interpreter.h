@@ -102,15 +102,10 @@ struct ExecConfig
     std::uint32_t minQuantum = 16;
     std::uint32_t maxQuantum = 64;
 
-    /** Capture the scheduler's decisions in RunResult::schedule.
-     *  The seed already makes runs replayable; an explicit trace
-     *  additionally allows replay under a *different* seed (classic
-     *  record/replay, as rollback systems assume — Section 2.3). */
+    /** Capture the scheduler's decisions in RunResult::schedule (the
+     *  seed alone already makes a run repeatable; the trace lets
+     *  tests pin the interleaving). */
     bool recordSchedule = false;
-    /** When non-empty, scheduling decisions are taken from this trace
-     *  instead of the seeded RNG (the trace must come from a recorded
-     *  run of the same module + input). */
-    std::vector<ScheduleStep> replaySchedule;
 };
 
 class TraceRecorder;
@@ -298,7 +293,6 @@ class Interpreter : public ExecutionControl
 
     std::uint64_t nextFrameId_ = 1;
     std::uint64_t steps_ = 0;
-    std::size_t scheduleCursor_ = 0;
     std::vector<ScheduleStep> schedule_;
     EventCounts totalEvents_;
     std::vector<EventCounts> delivered_;

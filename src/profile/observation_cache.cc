@@ -17,9 +17,7 @@ observationFingerprint(const ProfileOptions &options,
     support::FingerprintHasher hasher;
     hasher.add(options.callContexts, config.input, config.scheduleSeed,
                config.maxSteps, config.minQuantum, config.maxQuantum,
-               config.recordSchedule, config.replaySchedule.size());
-    for (const exec::ScheduleStep &step : config.replaySchedule)
-        hasher.add(step.thread, step.quantum);
+               config.recordSchedule);
     return hasher.finish();
 }
 

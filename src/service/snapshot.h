@@ -38,9 +38,10 @@
 namespace oha::service {
 
 /** Format version in a snapshot's meta block.  Bump when any entry
- *  encoding or key changes (3: structural keys); loadSnapshot()
- *  rejects every other version wholesale (recompute, don't guess). */
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+ *  encoding or key changes (3: structural keys; 4: observation keys
+ *  without a schedule-replay field); loadSnapshot() rejects every
+ *  other version wholesale (recompute, don't guess). */
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /** Snapshot-subsystem counters (process-wide, atomically updated). */
 struct SnapshotStats

@@ -267,39 +267,6 @@ TEST(Interpreter, ReplayIsDeterministic)
     }
 }
 
-TEST(Interpreter, ScheduleTraceReplaysUnderDifferentSeed)
-{
-    Module module;
-    buildCounterProgram(module, 3, 20);
-    module.finalize();
-
-    // Record the schedule of a run under seed A.
-    ExecConfig record;
-    record.scheduleSeed = 17;
-    record.recordSchedule = true;
-    Interpreter recorder(module, record);
-    const RunResult original = recorder.run();
-    ASSERT_TRUE(original.finished());
-    ASSERT_FALSE(original.schedule.empty());
-
-    // Replay the trace with a completely different seed: the
-    // interleaving (and hence every event count) must be identical.
-    ExecConfig replay;
-    replay.scheduleSeed = 999999;
-    replay.replaySchedule = original.schedule;
-    replay.recordSchedule = true;
-    Interpreter replayer(module, replay);
-    const RunResult replayed = replayer.run();
-    ASSERT_TRUE(replayed.finished());
-    EXPECT_EQ(replayed.steps, original.steps);
-    EXPECT_EQ(replayed.outputs, original.outputs);
-    EXPECT_EQ(replayed.schedule, original.schedule);
-    for (std::size_t i = 0; i < kNumEventClasses; ++i) {
-        EXPECT_EQ(replayed.totalEvents.counts[i],
-                  original.totalEvents.counts[i]);
-    }
-}
-
 TEST(Interpreter, DifferentSeedsInterleaveDifferently)
 {
     Module module;

@@ -222,7 +222,7 @@ TEST_F(SnapshotTest, SnapshotBytesArePinned)
     const std::string bytes = readFile(snapshotPath());
     EXPECT_EQ(bytes.size(), 42296u);
     EXPECT_EQ(support::fnv1a64(bytes.data(), bytes.size()),
-              0x9d58570744fe3621ULL);
+              0x28389861b0ca6a98ULL);
 }
 
 TEST_F(SnapshotTest, MissingSnapshotIsQuietColdStart)
