@@ -64,6 +64,22 @@ struct CostModel
      *  are scaled so the break-even analysis of Tables 1/2 plays out
      *  on the paper's minutes-scale axis. */
     double offlineScale = 400.0;
+
+    /** Modeled seconds of a static analysis that did @p workUnits of
+     *  solver work, scaled like every offline cost. */
+    double
+    staticSeconds(std::uint64_t workUnits) const
+    {
+        return double(workUnits) / staticUnitsPerSecond * offlineScale;
+    }
+
+    /** Modeled seconds of profiling @p steps guest instructions,
+     *  scaled like every offline cost. */
+    double
+    profileSeconds(double steps) const
+    {
+        return steps * profilingOverhead / unitsPerSecond * offlineScale;
+    }
 };
 
 /** Cost breakdown of one dynamic-analysis run (or a corpus of runs). */

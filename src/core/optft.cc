@@ -394,10 +394,8 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     std::shared_ptr<const analysis::StaticRaceResult> predicatedSp =
         detectors[1];
     const analysis::StaticRaceResult &predicated = *predicatedSp;
-    result.soundStaticSeconds =
-        double(sound.workUnits) / cost.staticUnitsPerSecond * cost.offlineScale;
-    result.predStaticSeconds =
-        double(predicated.workUnits) / cost.staticUnitsPerSecond * cost.offlineScale;
+    result.soundStaticSeconds = cost.staticSeconds(sound.workUnits);
+    result.predStaticSeconds = cost.staticSeconds(predicated.workUnits);
     result.staticallyRaceFree = sound.racyAccesses.empty();
     result.soundRacyAccesses = sound.racyAccesses.size();
     result.predRacyAccesses = predicated.racyAccesses.size();
@@ -415,10 +413,8 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
     // uninstrumented step counts: calibration.steps come from the sound
     // runs, which carry no checker and so always run to completion (or,
     // with nothing to validate, from profiling or tool-free runs).
-    result.profileSeconds =
-        (double(profiled.profiledSteps) +
-         2.0 * double(calibration.steps)) *
-        cost.profilingOverhead / cost.unitsPerSecond * cost.offlineScale;
+    result.profileSeconds = cost.profileSeconds(
+        double(profiled.profiledSteps) + 2.0 * double(calibration.steps));
 
     // ---- Phase 3: dynamic analysis over the testing corpus ------------
     const auto hybridPlan =
@@ -500,8 +496,7 @@ runOptFt(const workloads::Workload &workload, const OptFtConfig &config)
                 // converging sets are incremental in practice.
                 predicatedSp = analysis::runStaticRaceDetectorMemo(
                     workload.module, &invariants);
-                seconds = double(predicatedSp->workUnits) /
-                          cost.staticUnitsPerSecond * cost.offlineScale;
+                seconds = cost.staticSeconds(predicatedSp->workUnits);
                 invariants.elidableLockSites = refilterElidableLocks(
                     workload.module, invariants, *predicatedSp);
             }

@@ -254,9 +254,8 @@ runOptSlice(const workloads::Workload &workload,
          dyn::ViolationFamily::CalleeSet, dyn::ViolationFamily::CallContext});
     inv::InvariantSet &invariants = profiled.invariants;
     result.profileRunsUsed = profiled.runSteps.size();
-    result.profileSeconds = double(profiled.profiledSteps) *
-                            cost.profilingOverhead / cost.unitsPerSecond *
-                            cost.offlineScale;
+    result.profileSeconds =
+        cost.profileSeconds(double(profiled.profiledSteps));
     result.injectedFaults = std::move(profiled.injectedFaults);
 
     // ---- Phase 2: static analyses --------------------------------------
@@ -325,10 +324,8 @@ runOptSlice(const workloads::Workload &workload,
     const analysis::SliceSetResult &optSlices = *optSlicesSp;
     result.soundSlice.contextSensitive = soundSlices.contextSensitive;
     result.optSlice.contextSensitive = optSlices.contextSensitive;
-    result.soundSlice.seconds =
-        double(soundSlices.workUnits) / cost.staticUnitsPerSecond * cost.offlineScale;
-    result.optSlice.seconds =
-        double(optSlices.workUnits) / cost.staticUnitsPerSecond * cost.offlineScale;
+    result.soundSlice.seconds = cost.staticSeconds(soundSlices.workUnits);
+    result.optSlice.seconds = cost.staticSeconds(optSlices.workUnits);
 
     const std::vector<exec::InstrumentationPlan> hybridPlans =
         giriPlans(module, soundSlices);
@@ -471,8 +468,7 @@ runOptSlice(const workloads::Workload &workload,
             optPlans = giriPlans(module, *repredSlices);
             optUnion = unionPlan(module, optPlans, 0);
             return repredPts.pick.seconds +
-                   double(repredSlices->workUnits) /
-                       cost.staticUnitsPerSecond * cost.offlineScale;
+                   cost.staticSeconds(repredSlices->workUnits);
         },
         [&](std::size_t task) -> const GiriRun & { return refs[task]; },
         result);
