@@ -47,9 +47,8 @@ pickAndersen(const std::shared_ptr<const ir::Module> &module,
         picked.result = analysis::runAndersenMemo(module, options);
         picked.pick.contextSensitive = false;
     }
-    picked.pick.seconds =
-        double(picked.result->workUnits + picked.wastedUnits) /
-        config.cost.staticUnitsPerSecond;
+    picked.pick.seconds = config.cost.staticSeconds(picked.result->workUnits +
+                                                    picked.wastedUnits);
     return picked;
 }
 
