@@ -44,16 +44,6 @@ FaultInjector::FaultInjector(const ir::Module &module,
 {
 }
 
-std::string
-IoFaultPoint::describe() const
-{
-    std::string out = crash ? "crash at io op " : "fail io op ";
-    out += std::to_string(failAfter);
-    out += " (mask " + std::to_string(opMask) + ", errno " +
-           std::to_string(error) + ")";
-    return out;
-}
-
 std::uint64_t
 countIoOps(const std::function<void()> &body)
 {
@@ -63,11 +53,11 @@ countIoOps(const std::function<void()> &body)
     return support::ioOpCount();
 }
 
-std::vector<IoFaultPoint>
+std::vector<support::IoFaultPlan>
 pickIoFaultPoints(std::uint64_t opCount, std::size_t maxPoints,
                   std::uint64_t seed, std::uint32_t opMask, bool crash)
 {
-    std::vector<IoFaultPoint> points;
+    std::vector<support::IoFaultPlan> points;
     if (opCount == 0 || maxPoints == 0)
         return points;
 
@@ -85,7 +75,7 @@ pickIoFaultPoints(std::uint64_t opCount, std::size_t maxPoints,
     }
     points.reserve(chosen.size());
     for (std::uint64_t k : chosen) {
-        IoFaultPoint point;
+        support::IoFaultPlan point;
         point.failAfter = k;
         point.opMask = opMask;
         point.crash = crash;

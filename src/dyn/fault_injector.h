@@ -77,19 +77,6 @@ std::uint64_t faultSeedFromEnv();
 
 // ------------------------------------------------------ I/O fault domain
 
-/** One point in an I/O fault sweep: the @p failAfter-th operation
- *  matching @p opMask fails with @p error — or, with @p crash, the
- *  process _exit()s there (support::kIoCrashExitCode). */
-struct IoFaultPoint
-{
-    std::uint64_t failAfter = 0;
-    std::uint32_t opMask = support::kIoAllOps;
-    int error = 5; ///< EIO
-    bool crash = false;
-
-    std::string describe() const;
-};
-
 /** Run @p body with faults disarmed and return how many faultable
  *  I/O operations (all classes) it performed — the sweep's op-count
  *  baseline.  With a restricted opMask, points past the matching-op
@@ -97,29 +84,26 @@ struct IoFaultPoint
 std::uint64_t countIoOps(const std::function<void()> &body);
 
 /**
- * Seed-deterministic fault points covering an op-count of @p opCount:
+ * Seed-deterministic fault plans (one per sweep point, failing with
+ * the default error, or crashing with @p crash) covering an op-count
+ * of @p opCount:
  * exhaustive when opCount <= maxPoints, otherwise a seeded sample
  * that always includes the first and last operation (the two edges
  * where partial state is most asymmetric).  Empty when opCount is 0.
  */
-std::vector<IoFaultPoint>
+std::vector<support::IoFaultPlan>
 pickIoFaultPoints(std::uint64_t opCount, std::size_t maxPoints,
                   std::uint64_t seed,
                   std::uint32_t opMask = support::kIoAllOps,
                   bool crash = false);
 
-/** Arms one fault point for the current scope; disarms (and leaves
+/** Arms one fault plan for the current scope; disarms (and leaves
  *  the op counter readable) on destruction. */
 class ScopedIoFault
 {
   public:
-    explicit ScopedIoFault(const IoFaultPoint &point)
+    explicit ScopedIoFault(const support::IoFaultPlan &plan)
     {
-        support::IoFaultPlan plan;
-        plan.failAfter = point.failAfter;
-        plan.opMask = point.opMask;
-        plan.error = point.error;
-        plan.crash = point.crash;
         support::resetIoOpCount();
         support::armIoFault(plan);
     }

@@ -57,6 +57,16 @@ faultHere(std::uint32_t op)
 
 } // namespace
 
+std::string
+IoFaultPlan::describe() const
+{
+    std::string out = crash ? "crash at io op " : "fail io op ";
+    out += std::to_string(failAfter);
+    out += " (mask " + std::to_string(opMask) + ", errno " +
+           std::to_string(error) + ")";
+    return out;
+}
+
 void
 armIoFault(const IoFaultPlan &plan)
 {

@@ -78,6 +78,8 @@ struct IoFaultPlan
     std::uint32_t opMask = kIoAllOps;
     int error = 5; ///< EIO
     bool crash = false;
+
+    std::string describe() const;
 };
 
 /** Exit code used by crash-mode faults (child-process tests wait for

@@ -268,7 +268,7 @@ TEST_F(DurableFileTest, WriterFaultSweepNeverClobbersPublishedFile)
     // leave either the previous generation or (only once the rename
     // happened) the complete new one — never a hybrid, never litter.
     for (std::uint64_t k = 0; k < ops; ++k) {
-        dyn::IoFaultPoint point;
+        support::IoFaultPlan point;
         point.failAfter = k;
         point.error = ENOSPC;
         bool ok = true;
@@ -303,7 +303,7 @@ TEST_F(DurableFileTest, AtomicWriteFileFaultsKeepPreviousContent)
     ASSERT_TRUE(support::atomicWriteFile(file, "first\n"));
 
     for (std::uint64_t k = 0; k < ops; ++k) {
-        dyn::IoFaultPoint point;
+        support::IoFaultPlan point;
         point.failAfter = k;
         point.error = EIO;
         std::string error;

@@ -509,10 +509,10 @@ TEST_F(SnapshotTest, WriteFaultSweepKeepsPreviousSnapshotAndCounts)
     ASSERT_GT(ops, 0u);
     const std::string committed = readFile(snapshotPath());
 
-    for (const auto &point :
+    for (support::IoFaultPlan point :
          dyn::pickIoFaultPoints(ops, 16, /*seed=*/23)) {
-        dyn::ScopedIoFault fault({point.failAfter, support::kIoAllOps,
-                                  ENOSPC, /*crash=*/false});
+        point.error = ENOSPC;
+        dyn::ScopedIoFault fault(point);
         const auto before = service::snapshotStats();
         std::string sweepError;
         EXPECT_FALSE(service::writeSnapshot(snapshotPath(), &sweepError))
@@ -688,8 +688,7 @@ TEST_F(SnapshotTest, CrashAtEveryWritePointRecoversToColdIdentical)
             // fault killed us mid-write, 0 when the point was past
             // the path's op count and the write committed.
             support::resetIoOpCount();
-            support::armIoFault({point.failAfter, point.opMask,
-                                 point.error, /*crash=*/true});
+            support::armIoFault(point);
             service::writeSnapshot(snapshotPath());
             support::disarmIoFault();
             ::_exit(0);
