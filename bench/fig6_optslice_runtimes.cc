@@ -57,13 +57,19 @@ main()
     });
 
     bench::JsonReport json("fig6_optslice_runtimes");
+    // Cost-model totals are units; the JSON records them as modeled
+    // milliseconds, never as wall time.
+    const double msPerUnit =
+        1e3 / bench::standardOptSliceConfig().cost.unitsPerSecond;
     std::vector<double> speedups;
     for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string &name = names[i];
         const core::OptSliceResult &result = rows[i].result;
 
-        json.add(name, "hybrid", result.hybrid.total() * 1e3);
-        json.add(name, "optslice", result.optimistic.total() * 1e3);
+        json.metric(name, "hybrid", "modeled_ms",
+                    result.hybrid.total() * msPerUnit);
+        json.metric(name, "optslice", "modeled_ms",
+                    result.optimistic.total() * msPerUnit);
         json.metric(name, "optslice", "dyn_speedup", result.dynSpeedup);
         json.metric(name, "optslice", "rollbacks",
                     double(result.misSpeculations));
