@@ -90,7 +90,7 @@ bench-release)
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
         microbench_static microbench_components
-    # Capture, replay and fused-vs-separate replay series end to end
+    # Capture, live and single-configuration replay series end to end
     # (BENCH_microbench_trace.json is uploaded as an artifact by the
     # workflow).
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_trace
@@ -149,9 +149,8 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), the trace codec and the fused
-    # replays whose captures are shared across concurrent replays, and
-    # the live attachment groups run concurrently from worker threads.
+    # (including the torture test), the trace codec, and the live
+    # attachment groups run concurrently from worker threads.
     # RunBatch covers the batch primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic snapshot writer racing request
@@ -161,7 +160,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|FusedReplay|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every
