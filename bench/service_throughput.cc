@@ -300,7 +300,7 @@ main()
     }
 
     // ---- 2. Pass sets: cold, warm and restart-warm -----------------
-    const std::size_t numSets = smoke ? 5 : 7;
+    const std::size_t numSets = 7;
     const std::string stateDir = "oha-bench-state";
     ::mkdir(stateDir.c_str(), 0755);
     std::vector<PassSet> sets;
