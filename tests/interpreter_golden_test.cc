@@ -8,17 +8,13 @@
  * and every testing input, one digest per run kind covers:
  *  - plain: the RunResult of an uninstrumented run (schedule on);
  *  - observer: the profiler's RunObservations under its narrow plan;
- *  - record: recordRun's result, capture size and payload bytes;
  *  - spyAll / spySparse: a spy tool hashing every EventCtx field and
  *    lifecycle callback, under an all-sites plan alone, and under a
  *    sparse plan (every 3rd instruction, every 2nd block) attached
  *    next to an all-sites spy;
  *  - abort: a tool aborting at the 1st, ~1/3, ~1/2 and last delivered
- *    event, with a recorder attached;
- *  - maxSteps: step limits of 1, 100 and 777, plain and recorded.
- *
- * A capture is hashed as its size and payload bytes only, so the
- * digests pin the encoding and nothing about how it is stored.
+ *    event;
+ *  - maxSteps: plain runs under step limits of 1, 100 and 777.
  *
  * Everything is hashed field by field, never as raw struct bytes:
  * AbortMetadata and pair<BlockId, uint64_t> carry padding whose
@@ -36,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/trace.h"
+#include "exec/interpreter.h"
 #include "profile/profiler.h"
 #include "workloads/workloads.h"
 
@@ -167,16 +163,6 @@ struct Hasher
         add(run.steps);
         add(static_cast<std::uint64_t>(run.status));
     }
-
-    /** A capture's size and payload bytes, in stream order. */
-    void
-    add(const exec::TraceBuffer &stream)
-    {
-        add(stream.sizeBytes());
-        exec::TraceCursor cursor(stream);
-        while (!cursor.atEnd())
-            add(cursor.byte());
-    }
 };
 
 /** Hashes every callback and every EventCtx field it is shown. */
@@ -272,15 +258,6 @@ sparsePlan(const ir::Module &module)
     return plan;
 }
 
-void
-hashRecording(Hasher &hash, const ir::Module &module,
-              const exec::ExecConfig &config)
-{
-    const exec::RecordedTrace trace = exec::recordRun(module, config);
-    hash.add(trace.result);
-    hash.add(trace.events);
-}
-
 std::vector<std::pair<std::string, std::uint64_t>>
 computeDigests(const workloads::Workload &workload)
 {
@@ -301,14 +278,13 @@ computeDigests(const workloads::Workload &workload)
         exec::InstrumentationPlan::all(module);
     const exec::InstrumentationPlan sparse = sparsePlan(module);
 
-    Hasher plain, observer, record, spyAll, spySparse, abort, maxSteps;
+    Hasher plain, observer, spyAll, spySparse, abort, maxSteps;
     for (const exec::ExecConfig &config : inputs) {
         {
             exec::Interpreter interp(module, config);
             plain.add(interp.run());
         }
         observer.add(campaign.observeRun(config));
-        hashRecording(record, module, config);
 
         std::uint64_t events = 0;
         {
@@ -334,13 +310,10 @@ computeDigests(const workloads::Workload &workload)
             std::max<std::uint64_t>(1, events / 2), events};
         for (const std::uint64_t target : targets) {
             SpyTool spy(abort);
-            exec::TraceRecorder recorder;
             exec::Interpreter interp(module, config);
-            interp.setRecorder(&recorder);
             interp.attach(&spy, &all);
             spy.abortAt(&interp, target);
             abort.add(interp.run());
-            abort.add(recorder.take());
         }
 
         for (const std::uint64_t limit : {1, 100, 777}) {
@@ -348,13 +321,11 @@ computeDigests(const workloads::Workload &workload)
             limited.maxSteps = limit;
             exec::Interpreter interp(module, limited);
             maxSteps.add(interp.run());
-            hashRecording(maxSteps, module, limited);
         }
     }
     return {
         {"plain", plain.h},
         {"observer", observer.h},
-        {"record", record.h},
         {"spyAll", spyAll.h},
         {"spySparse", spySparse.h},
         {"abort", abort.h},
