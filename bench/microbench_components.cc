@@ -22,7 +22,6 @@
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
-#include "exec/trace.h"
 #include "profile/profiler.h"
 #include "profile/profilers.h"
 #include "workloads/workloads.h"
@@ -67,48 +66,27 @@ corpus(bool slice)
 
 /**
  * The interpreter floor: every testing input of every race (arg 0)
- * or slice (arg 1) workload, run plain or recorded.  Items are
- * interpreter steps, so the two series read directly as ns/step and
- * their ratio is the cost of trace capture.
+ * or slice (arg 1) workload, run plain.  Items are interpreter steps,
+ * so the series reads directly as ns/step.
  */
 void
-corpusRun(benchmark::State &state, bool record)
+BM_InterpreterPlain(benchmark::State &state)
 {
     const auto &workloads = corpus(state.range(0) != 0);
     std::uint64_t steps = 0;
     for (auto _ : state) {
         for (const workloads::Workload &workload : workloads) {
             for (const exec::ExecConfig &config : workload.testingSet) {
-                if (record) {
-                    const exec::RecordedTrace trace =
-                        exec::recordRun(*workload.module, config);
-                    steps += trace.result.steps;
-                    benchmark::DoNotOptimize(trace.events.sizeBytes());
-                } else {
-                    exec::Interpreter interp(*workload.module, config);
-                    const auto result = interp.run();
-                    steps += result.steps;
-                    benchmark::DoNotOptimize(result.steps);
-                }
+                exec::Interpreter interp(*workload.module, config);
+                const auto result = interp.run();
+                steps += result.steps;
+                benchmark::DoNotOptimize(result.steps);
             }
         }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
-
-void
-BM_InterpreterPlain(benchmark::State &state)
-{
-    corpusRun(state, false);
-}
 BENCHMARK(BM_InterpreterPlain)->ArgName("slice")->Arg(0)->Arg(1);
-
-void
-BM_RecordRun(benchmark::State &state)
-{
-    corpusRun(state, true);
-}
-BENCHMARK(BM_RecordRun)->ArgName("slice")->Arg(0)->Arg(1);
 
 /** One race program prepared for OptFT's first round: its profiled
  *  invariants and the hybrid and optimistic plans. */

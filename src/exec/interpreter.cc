@@ -5,8 +5,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "exec/trace.h"
-
 namespace oha::exec {
 
 namespace {
@@ -323,7 +321,7 @@ Interpreter::pushFrame(ThreadCtx &thread, const ir::DecodedFunction &func,
 ThreadId
 Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
                          std::uint32_t numArgs, InstrId spawnSite,
-                         ThreadId parent, bool step)
+                         ThreadId parent)
 {
     const ThreadId tid = static_cast<ThreadId>(threads_.size());
     threads_.emplace_back();
@@ -331,11 +329,6 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
     thread.tid = tid;
     thread.spawnSite = spawnSite;
 
-    TraceRecorder::Writer rec;
-    if (recorder_) {
-        rec = recorder_->open(tid);
-        rec.threadStart(step, parent, spawnSite);
-    }
     for (std::uint64_t mask = liveMask_; mask; mask &= mask - 1)
         attachments_[std::countr_zero(mask)].tool->onThreadStart(
             tid, parent, spawnSite);
@@ -351,15 +344,11 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
     }
 
     ++totalEvents_[EventClass::BlockEnter];
-    if (recorder_) {
-        rec.blockEnter(false, entry.entry.block);
-        recorder_->commit(rec);
-    }
     fireBlockEnter(tid, entry.entry.block);
     return tid;
 }
 
-template <bool kRecord, bool kTools>
+template <bool kTools>
 const char *
 Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
 {
@@ -385,10 +374,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
     // A tool ran during this step, so the abort flag may have moved.
     bool toolsRan = false;
 
-    TraceRecorder::Writer rec;
-    if constexpr (kRecord)
-        rec = recorder_->open(tid);
-
     // Deliver the event of the op at `site` to every covering tool;
     // `fill` sets the opcode-specific context fields.  No context is
     // built for a site no tool covers: eliding a check really does
@@ -408,10 +393,8 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             }
         }
     };
-    auto enterBlock = [&](bool step, BlockId block) {
+    auto enterBlock = [&](BlockId block) {
         ++counts[EventClass::BlockEnter];
-        if constexpr (kRecord)
-            rec.blockEnter(step, block);
         if constexpr (kTools) {
             if (blockMask_[block] != 0) {
                 fireBlockEnter(tid, block);
@@ -525,8 +508,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const std::uint32_t off = regs[op.a].off;
             regs[op.dest] = value;
             ++counts[EventClass::Load];
-            if constexpr (kRecord)
-                rec.access(true, pc, obj, off);
             deliver(pc, EventClass::Load, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -544,8 +525,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const std::uint32_t off = regs[op.a].off;
             *cell = value;
             ++counts[EventClass::Store];
-            if constexpr (kRecord)
-                rec.access(true, pc, obj, off);
             deliver(pc, EventClass::Store, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -582,16 +561,10 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             for (std::uint32_t i = 0; i < op.call.argCount; ++i)
                 regs[i] = stack[callerBase + args[i]];
             pc = func.entry.pc;
-            // The callee's entry is the step's first record; the Call
-            // event follows it.
-            enterBlock(true, func.entry.block);
+            // The callee's entry block is announced before the Call
+            // event.
+            enterBlock(func.entry.block);
             ++counts[EventClass::Call];
-            if constexpr (kRecord) {
-                if (op.op == Op::ICall)
-                    rec.icall(false, site, callee);
-                else
-                    rec.instr(false, site);
-            }
             deliver(site, EventClass::Call, [&](EventCtx &ctx) {
                 ctx.frameId = callerFrameId;
                 ctx.calleeResolved = callee;
@@ -603,8 +576,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const Value retVal =
                 op.a != ir::kNoReg ? regs[op.a] : Value::scalar(0);
             ++counts[EventClass::Ret];
-            if constexpr (kRecord)
-                rec.instr(true, pc);
             deliver(pc, EventClass::Ret, [&](EventCtx &ctx) {
                 const std::size_t depth = thread->frames.size();
                 if (depth > 1) {
@@ -619,8 +590,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 // Thread root returned: the thread is finished.
                 thread->retVal = retVal;
                 thread->state = ThreadState::Finished;
-                if constexpr (kRecord)
-                    rec.threadFinish(false);
                 if constexpr (kTools) {
                     for (std::uint64_t mask = liveMask_; mask;
                          mask &= mask - 1)
@@ -645,13 +614,13 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
           }
           case Op::Br:
             pc = op.targets[0].pc;
-            enterBlock(true, op.targets[0].block);
+            enterBlock(op.targets[0].block);
             goto next;
           case Op::CondBr: {
             const ir::DecodedTarget &target =
                 op.targets[regs[op.a].truthy() ? 0 : 1];
             pc = target.pc;
-            enterBlock(true, target.block);
+            enterBlock(target.block);
             goto next;
           }
           case Op::Lock:
@@ -681,8 +650,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const EventClass cls =
                 lock ? EventClass::Lock : EventClass::Unlock;
             ++counts[cls];
-            if constexpr (kRecord)
-                rec.access(true, pc, obj, off);
             deliver(pc, cls, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -703,13 +670,9 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const InstrId site = pc;
             const std::uint64_t callerFrameId = frame->frameId;
             frame->pc = pc + 1;
-            if constexpr (kRecord)
-                recorder_->commit(rec);
             const ThreadId child =
                 spawnThread(op.call.callee, argRegs + op.call.argBegin,
-                            op.call.argCount, site, tid, true);
-            if constexpr (kRecord)
-                rec = recorder_->open(tid);
+                            op.call.argCount, site, tid);
             toolsRan = kTools;
             thread = &threads_[tid];
             frame = &thread->frames.back();
@@ -717,8 +680,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             if (op.dest != ir::kNoReg)
                 regs[op.dest] = Value::thread(child);
             ++counts[EventClass::Spawn];
-            if constexpr (kRecord)
-                rec.threadOp(false, site, child);
             deliver(site, EventClass::Spawn, [&](EventCtx &ctx) {
                 ctx.frameId = callerFrameId;
                 ctx.otherTid = child;
@@ -743,8 +704,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             if (op.dest != ir::kNoReg)
                 regs[op.dest] = value;
             ++counts[EventClass::Join];
-            if constexpr (kRecord)
-                rec.threadOp(true, pc, joined);
             deliver(pc, EventClass::Join, [&](EventCtx &ctx) {
                 ctx.otherTid = joined;
                 ctx.value = value;
@@ -757,8 +716,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const std::int64_t encoded = encodeValue(value);
             outputs_.push_back({pc, encoded});
             ++counts[EventClass::Output];
-            if constexpr (kRecord)
-                rec.output(true, pc, encoded);
             deliver(pc, EventClass::Output,
                     [&](EventCtx &ctx) { ctx.value = value; });
             ++pc;
@@ -767,8 +724,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
         }
       other:
         // The op fired an event of class Other and falls through.
-        if constexpr (kRecord)
-            rec.instr(true, pc);
         deliver(pc, EventClass::Other, noFields);
         ++pc;
       next:
@@ -791,8 +746,6 @@ out:
     const std::uint64_t executed = budget - left;
     steps_ += executed;
     totalEvents_.add(withOther(counts, executed));
-    if constexpr (kRecord)
-        recorder_->commit(rec);
     return fault;
 }
 
@@ -805,12 +758,8 @@ Interpreter::runGroups()
     if (!attachments_.empty())
         buildDispatchTables();
     const char *(Interpreter::*runQuantumFn)(ThreadId, std::uint64_t) =
-        recorder_ ? (attachments_.empty()
-                         ? &Interpreter::runQuantum<true, false>
-                         : &Interpreter::runQuantum<true, true>)
-                  : (attachments_.empty()
-                         ? &Interpreter::runQuantum<false, false>
-                         : &Interpreter::runQuantum<false, true>);
+        attachments_.empty() ? &Interpreter::runQuantum<false>
+                             : &Interpreter::runQuantum<true>;
 
     // Globals become heap objects [0, numGlobals) so GlobalAddr can
     // use the global id directly as the object id.
@@ -820,7 +769,7 @@ Interpreter::runGroups()
     const ir::Function *mainFunc = module_.entryFunction();
     if (mainFunc->numParams() != 0)
         OHA_FATAL("main() must take no parameters");
-    spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0, false);
+    spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0);
 
     std::vector<std::uint32_t> runnable;
     while (true) {

@@ -9,7 +9,8 @@
  * (Section 2.3) is exact — the sound re-analysis sees the very same
  * interleaving the optimistic run mis-speculated on.  Seeded
  * re-execution plays the role of the record/replay system the paper
- * assumes.
+ * assumes: nothing is captured, and a replay (trace.h) is a re-run of
+ * the recorded input.
  *
  * The interpreter is also the one engine that runs attachment groups.
  * An attachment group is a set of tools that stop together.  One run
@@ -108,8 +109,6 @@ struct ExecConfig
     bool recordSchedule = false;
 };
 
-class TraceRecorder;
-
 /**
  * Deterministic IR interpreter with instrumentation attachments,
  * grouped into attachment groups (see the file comment).
@@ -127,13 +126,6 @@ class Interpreter : public ExecutionControl
     Interpreter(const Interpreter &) = delete;
     Interpreter &operator=(const Interpreter &) = delete;
     ~Interpreter() override;
-
-    /** Attach a trace-capture sink (trace.h).  Unlike a Tool, the
-     *  recorder sees every event unconditionally — before plan
-     *  filtering — plus instruction-boundary markers, so the recorded
-     *  stream can later be replayed under any plan.  Must outlive
-     *  run(). */
-    void setRecorder(TraceRecorder *recorder) { recorder_ = recorder; }
 
     /** Attach a tool to group 0, filtered by @p plan.  Both must
      *  outlive the run. */
@@ -171,7 +163,7 @@ class Interpreter : public ExecutionControl
     /** Allocation site of a heap object, or kNoInstr for globals. */
     InstrId objectAllocSite(ObjectId obj) const;
 
-    /** Encode a value as a 64-bit observable (for Output records). */
+    /** Encode a value as a 64-bit observable (RunResult::outputs). */
     static std::int64_t encodeValue(const Value &value);
 
   private:
@@ -226,10 +218,10 @@ class Interpreter : public ExecutionControl
 
     /** Execute up to @p quantum instructions of thread @p tid,
      *  stopping early when it blocks, finishes, faults, aborts, or
-     *  hits the step limit.  Specialized on whether a recorder and
-     *  tools are attached, so a plain run carries no instrumentation
-     *  test at all.  Returns the guest-fault message, or null. */
-    template <bool kRecord, bool kTools>
+     *  hits the step limit.  Specialized on whether tools are
+     *  attached, so a plain run carries no instrumentation test at
+     *  all.  Returns the guest-fault message, or null. */
+    template <bool kTools>
     const char *runQuantum(ThreadId tid, std::uint64_t quantum);
 
     /** Push a frame for @p func on @p thread with a zeroed register
@@ -239,12 +231,11 @@ class Interpreter : public ExecutionControl
                      std::uint32_t numArgs, InstrId callSite);
 
     /** Create a thread running @p func with the arguments @p argRegs
-     *  of @p parent's current frame; records and announces it and its
-     *  entry block.  Its ThreadStart is the first record of the
-     *  spawning step, so it takes the step flag @p step. */
+     *  of @p parent's current frame; announces it and its entry
+     *  block. */
     ThreadId spawnThread(FuncId func, const ir::Reg *argRegs,
                          std::uint32_t numArgs, InstrId spawnSite,
-                         ThreadId parent, bool step);
+                         ThreadId parent);
 
     /** Merge the attachments' plans into per-site masks (bit i =
      *  attachment i).  Built only when tools are attached. */
@@ -273,7 +264,6 @@ class Interpreter : public ExecutionControl
     ExecConfig config_;
     Rng rng_;
 
-    TraceRecorder *recorder_ = nullptr;
     std::vector<Attachment> attachments_;
     std::vector<std::unique_ptr<Group>> groups_;
     /** Some group has requested an abort that is not yet honoured. */

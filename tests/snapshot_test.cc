@@ -400,6 +400,34 @@ TEST_F(SnapshotTest, BogusEntryTagRejectedIndividually)
     }
 }
 
+TEST_F(SnapshotTest, OldFormatTraceEntryIsRejected)
+{
+    // A snapshot written while captures were cached may hold a trace
+    // entry (tag 1) — here one in the older meta-version-1 layout.
+    // The container verifies; that entry alone is rejected.
+    const std::string path = dir_ + "/v1-trace.snapshot";
+    {
+        support::DurableWriter writer(path, support::kDurableKindSnapshot);
+        support::ByteWriter meta;
+        meta.u32(service::kSnapshotVersion);
+        meta.u64(1); // one entry
+        writer.addBlock(meta.data());
+        support::ByteWriter entry;
+        entry.u8(1); // trace entry
+        for (int i = 0; i < 4; ++i)
+            entry.u64(0); // module + config fingerprints
+        entry.u32(1);     // capture meta version 1
+        writer.addBlock(entry.data());
+        ASSERT_TRUE(writer.commit());
+    }
+    const service::SnapshotStats before = service::snapshotStats();
+    std::string error;
+    EXPECT_TRUE(service::loadSnapshot(path, &error)) << error;
+    const service::SnapshotStats after = service::snapshotStats();
+    EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
+    EXPECT_EQ(after.entriesRestored, before.entriesRestored);
+}
+
 TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
 {
     // Meta promises two entries, container carries one.

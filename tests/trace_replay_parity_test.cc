@@ -7,30 +7,23 @@
  * the checker's verdict — on every workload, including runs that
  * violate an invariant.
  *
- * Also covers the capture/replay edge cases: recordings truncated by
- * an abort or a step limit, and snapshots holding a trace entry in an
- * older format.
+ * Also covers a recording truncated by a step limit, and a replay
+ * that diverges from its recording.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "dyn/fasttrack.h"
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
 #include "exec/trace.h"
-#include "ir/builder.h"
 #include "profile/profiler.h"
-#include "service/snapshot.h"
-#include "support/durable_file.h"
 #include "workloads/workloads.h"
 
 namespace oha {
@@ -230,61 +223,6 @@ TEST(TraceReplayParity, GiriIdenticalOnAllSliceWorkloads)
     EXPECT_GT(totalSliceInstrs, 0u);
 }
 
-TEST(TraceReplayEdge, TruncatedRecordingReplaysTheRecordedOutcome)
-{
-    using namespace ir;
-    Module module;
-    IRBuilder b(module);
-    Function *main = b.createFunction("main", 0);
-    BasicBlock *cold = b.createBlock(main, "cold");
-    BasicBlock *done = b.createBlock(main, "done");
-    b.condBr(b.input(0), cold, done);
-    b.setInsertPoint(cold);
-    b.output(b.constInt(13));
-    b.br(done);
-    b.setInsertPoint(done);
-    b.output(b.constInt(7));
-    b.ret();
-    module.finalize();
-
-    exec::ExecConfig trained;
-    trained.input = {0};
-    exec::ExecConfig violating;
-    violating.input = {1};
-    const auto invariants = profiled(module, {trained});
-
-    // Record *with* a checker attached, so the recording itself is
-    // aborted mid-trace (an invariant violation during capture).
-    exec::RecordedTrace trace;
-    {
-        dyn::InvariantChecker checker(module, invariants, {});
-        exec::TraceRecorder recorder;
-        exec::Interpreter interp(module, violating);
-        interp.setRecorder(&recorder);
-        checker.setControl(&interp);
-        interp.attach(&checker, &checker.plan());
-        trace.result = interp.run();
-        trace.events = recorder.take();
-        ASSERT_TRUE(checker.violated());
-    }
-    ASSERT_EQ(trace.result.status, exec::RunResult::Status::Aborted);
-
-    // A full replay of the truncated trace reports the recorded
-    // outcome — status, reason, step count — and delivers exactly the
-    // events that happened before the abort.
-    const auto plan = dyn::fullFastTrackPlan(module);
-    dyn::FastTrack tool;
-    exec::TraceReplayer replayer(module, trace);
-    replayer.attach(&tool, &plan);
-    const exec::RunResult result = replayer.run();
-    EXPECT_EQ(result.status, exec::RunResult::Status::Aborted);
-    EXPECT_EQ(result.abortReason, trace.result.abortReason);
-    EXPECT_EQ(result.steps, trace.result.steps);
-    EXPECT_TRUE(result.outputs.empty());
-    EXPECT_EQ(eventVec(result.totalEvents),
-              eventVec(trace.result.totalEvents));
-}
-
 TEST(TraceReplayEdge, StepLimitTruncationReplaysIdentically)
 {
     const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
@@ -306,35 +244,14 @@ TEST(TraceReplayEdge, StepLimitTruncationReplaysIdentically)
     expectEqual(live, replayed, "step-limited run");
 }
 
-TEST(TraceReplayEdge, OldFormatCaptureAndSnapshotAreRejected)
+TEST(TraceReplayEdgeDeathTest, DivergentReplayDies)
 {
-    // A snapshot written while captures were cached may hold a trace
-    // entry (tag 1) — here one in the older meta-version-1 layout.
-    // The container verifies; that entry alone is rejected.
-    const std::string snapshot = ::testing::TempDir() + "/oha-v1-" +
-                                 std::to_string(::getpid()) + ".snapshot";
-    {
-        support::DurableWriter writer(snapshot,
-                                      support::kDurableKindSnapshot);
-        support::ByteWriter meta;
-        meta.u32(service::kSnapshotVersion);
-        meta.u64(1); // one entry
-        writer.addBlock(meta.data());
-        support::ByteWriter entry;
-        entry.u8(1); // trace entry
-        for (int i = 0; i < 4; ++i)
-            entry.u64(0); // module + config fingerprints
-        entry.u32(1);     // capture meta version 1
-        writer.addBlock(entry.data());
-        ASSERT_TRUE(writer.commit());
-    }
-    const service::SnapshotStats before = service::snapshotStats();
-    std::string error;
-    EXPECT_TRUE(service::loadSnapshot(snapshot, &error)) << error;
-    const service::SnapshotStats after = service::snapshotStats();
-    EXPECT_EQ(after.entriesRejected, before.entriesRejected + 1);
-    EXPECT_EQ(after.entriesRestored, before.entriesRestored);
-    std::remove(snapshot.c_str());
+    const auto workload = workloads::makeRaceWorkload("raytracer", 1, 1);
+    exec::RecordedTrace trace =
+        exec::recordRun(*workload.module, workload.testingSet.front());
+    ++trace.result.steps;
+    exec::TraceReplayer replayer(*workload.module, trace);
+    EXPECT_DEATH(replayer.run(), "assertion failed");
 }
 
 } // namespace
