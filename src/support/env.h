@@ -26,11 +26,10 @@ namespace oha::support {
  * Clamp @p value to [@p minValue, @p maxValue], warning when the
  * clamp engages.  This is THE range contract for every count/size
  * knob: envSizeBytes() routes parsed environment values through it,
- * and the thread-count paths (support::configuredThreads explicit
- * requests, ThreadPool's constructor) use it directly — one
- * validate/warn/clamp implementation, no per-caller copies.
- * @p origin names the knob in the warning ("OHA_THREADS",
- * "requested", "ThreadPool").
+ * and support::configuredThreads() uses it directly for explicit
+ * thread-count requests — one validate/warn/clamp implementation, no
+ * per-caller copies.  @p origin names the knob in the warning
+ * ("OHA_THREADS", "requested thread").
  */
 inline std::size_t
 clampCount(const char *origin, std::size_t value, std::size_t minValue,

@@ -1,7 +1,7 @@
 /**
  * @file
- * A small fixed-size thread pool and the run-batching helper that
- * executes independent interpreter runs concurrently.
+ * The run-batching helpers that execute independent interpreter runs
+ * concurrently, each batch on its own short-lived worker threads.
  *
  * Every execution the OHA pipeline performs — profiling runs,
  * no-custom-sync calibration trials, testing-corpus evaluations — is a
@@ -20,9 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,94 +41,6 @@ maxSaneThreads()
     return std::size_t{4} * std::max(1u, hw);
 }
 
-/** Fixed-size pool of worker threads draining a shared task queue. */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(std::size_t numThreads)
-    {
-        // Same range contract as every other thread-count knob
-        // (support/env.h): [1, 4x hardware_concurrency].  Callers
-        // going through configuredThreads() arrive pre-clamped and
-        // pass through silently.
-        const std::size_t n =
-            clampCount("ThreadPool", numThreads, 1, maxSaneThreads());
-        workers_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            workers_.emplace_back([this] { workerLoop(); });
-        }
-    }
-
-    ~ThreadPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stopping_ = true;
-        }
-        wake_.notify_all();
-        for (std::thread &worker : workers_)
-            worker.join();
-    }
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    std::size_t numThreads() const { return workers_.size(); }
-
-    /** Enqueue @p task to run on some worker thread. */
-    void
-    submit(std::function<void()> task)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            OHA_ASSERT(!stopping_);
-            queue_.push_back(std::move(task));
-            ++pending_;
-        }
-        wake_.notify_one();
-    }
-
-    /** Block until every submitted task has finished executing. */
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock, [this] { return pending_ == 0; });
-    }
-
-  private:
-    void
-    workerLoop()
-    {
-        for (;;) {
-            std::function<void()> task;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                wake_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-                if (queue_.empty())
-                    return; // stopping, queue drained
-                task = std::move(queue_.front());
-                queue_.pop_front();
-            }
-            task();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (--pending_ == 0)
-                    idle_.notify_all();
-            }
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable idle_;
-    std::deque<std::function<void()>> queue_;
-    std::size_t pending_ = 0;
-    bool stopping_ = false;
-    std::vector<std::thread> workers_;
-};
-
 namespace detail {
 
 /** Cached OHA_THREADS value; 0 = not parsed yet. */
@@ -139,6 +49,19 @@ cachedEnvThreads()
 {
     static std::atomic<std::size_t> cached{0};
     return cached;
+}
+
+/** Run @p worker on @p numThreads new threads and join them all. */
+template <typename Worker>
+void
+runOnThreads(std::size_t numThreads, const Worker &worker)
+{
+    std::vector<std::thread> threads;
+    threads.reserve(numThreads);
+    for (std::size_t t = 0; t < numThreads; ++t)
+        threads.emplace_back([&worker] { worker(); });
+    for (std::thread &thread : threads)
+        thread.join();
 }
 
 } // namespace detail
@@ -187,7 +110,10 @@ configuredThreads(std::size_t requested = 0)
  * index order.  Jobs must be mutually independent; because results
  * are collected by index (not completion order), callers that merge
  * them serially observe byte-identical outputs for any thread count.
- * With one effective thread the jobs run inline on the caller.
+ * With one effective thread the jobs run inline on the caller;
+ * otherwise each worker pulls the next job as soon as it is free.
+ * Every job runs; if any throw, the lowest-index failing job's
+ * exception is rethrown.
  */
 template <typename Fn>
 auto
@@ -204,23 +130,28 @@ runBatch(std::size_t count, Fn &&fn, std::size_t threads = 0)
         return results;
     }
 
-    ThreadPool pool(numThreads);
+    std::atomic<std::size_t> next{0};
     std::mutex errorMutex;
-    std::exception_ptr firstError;
-    for (std::size_t i = 0; i < count; ++i) {
-        pool.submit([&results, &fn, &errorMutex, &firstError, i] {
+    std::size_t errorAt = count; // lowest job that threw
+    std::exception_ptr error;
+    detail::runOnThreads(numThreads, [&] {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= count)
+                return;
             try {
                 results[i] = fn(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
+                if (i < errorAt) {
+                    errorAt = i;
+                    error = std::current_exception();
+                }
             }
-        });
-    }
-    pool.wait();
-    if (firstError)
-        std::rethrow_exception(firstError);
+        }
+    });
+    if (error)
+        std::rethrow_exception(error);
     return results;
 }
 
@@ -307,12 +238,7 @@ runBatchUntil(std::size_t count, Fn &&fn, Stop &&stop,
         }
     };
 
-    {
-        ThreadPool pool(numThreads);
-        for (std::size_t t = 0; t < numThreads; ++t)
-            pool.submit(worker);
-        pool.wait();
-    }
+    detail::runOnThreads(numThreads, worker);
     if (errorAt < stopAt)
         std::rethrow_exception(error);
     if (stopAt < count)
