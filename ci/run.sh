@@ -10,10 +10,11 @@
 #                        # leaving BENCH_*.json in the repo root
 #   ci/run.sh bench-release
 #                        # Release (-O2, no asserts) build + smoke run of
-#                        # the trace capture/replay microbenchmark
+#                        # the static-phase microbenchmark
 #                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus),
-#                        # the interpreter per-step probes (plain,
-#                        # recorded and profiled ns/step), then the
+#                        # the component probes (plain and profiled
+#                        # interpreter ns/step, OptFT's fused first
+#                        # round, recovery, static slicing), then the
 #                        # repository benchmark's own checks
 #                        # (perfbench/test.py)
 #   ci/run.sh faults     # fault-injection sweep: the misspeculation
@@ -34,8 +35,8 @@
 #
 # All test jobs run the same ctest suite; the sanitizer jobs exist to
 # catch memory errors, data races and undefined behavior in the
-# parallel static-phase and run-batching paths, so they force a
-# multi-threaded worker pool.
+# parallel static-phase and run-batching paths, so they force
+# several batch worker threads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,29 +89,24 @@ bench)
 bench-release)
     build_dir=build-ci-release
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$build_dir" -j "$jobs" --target microbench_trace \
+    cmake --build "$build_dir" -j "$jobs" --target \
         microbench_static microbench_components
-    # Capture, live and single-configuration replay series end to end
-    # (BENCH_microbench_trace.json is uploaded as an artifact by the
-    # workflow).
-    OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_trace
     # Static-phase smoke: solver and static-phase series at the
     # pipeline's context and slice-work budgets.  The workflow uploads
     # BENCH_microbench_static.json.
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_static
-    # Interpreter floor: plain, recorded and profiled runs over every
-    # race (slice:0) and slice (slice:1) workload's inputs, items =
-    # steps, so the recorded/plain and profiled/plain ns/step ratios
-    # are tracked.  OptFT's fused first round (hybrid and
-    # optimistic + checker groups) over every race program's testing
-    # inputs in one live run each, items = steps.
-    # Recovery: warm, serial, fault-seeded OptFT
-    # (slice:0) and OptSlice (slice:1) over every program, items =
-    # ops.  The static slicer: build it and slice every Output of
-    # each slice program over CS points-to, items = slices.  Leaves
+    # Interpreter floor: plain and profiled runs over every race
+    # (slice:0) and slice (slice:1) workload's inputs, items = steps,
+    # so the profiled/plain ns/step ratio is tracked.  OptFT's fused
+    # first round (hybrid and optimistic + checker groups) over every
+    # race program's testing inputs in one live run each, items =
+    # steps.  Recovery: warm, serial, fault-seeded OptFT (slice:0) and
+    # OptSlice (slice:1) over every program, items = ops.  The static
+    # slicer: build it and slice every Output of each slice program
+    # over CS points-to, items = slices.  Leaves
     # BENCH_microbench_components.json.
     "$build_dir"/bench/microbench_components \
-        --benchmark_filter='InterpreterPlain|RecordRun|ProfilingRun|FusedFirstRound|FaultedPipeline|StaticSlice'
+        --benchmark_filter='InterpreterPlain|ProfilingRun|FusedFirstRound|FaultedPipeline|StaticSlice'
     # The repository benchmark's own checks: its reference digests
     # still match, and every workload's traced run passes and repeats
     # its exact counts — so the pipelines' live path is held to the
@@ -149,9 +145,9 @@ service)
     cmake --build "$build_dir" -j "$jobs"
     # The concurrent pieces of the daemon under TSan: the request
     # queue, the service itself, the shared cross-request cache
-    # (including the torture test), the trace codec, and the live
-    # attachment groups run concurrently from worker threads.
-    # RunBatch covers the batch primitive every parallel stage uses.
+    # (including the torture test), and the live attachment groups run
+    # concurrently from worker threads.  RunBatch covers the batch
+    # primitive every parallel stage uses.
     # Snapshot covers the durability layer under TSan as well: the
     # boot-time warm start, the periodic snapshot writer racing request
     # shards (PeriodicSnapshotPublishesWhileRequestsRun), the final
@@ -160,7 +156,7 @@ service)
     # which reads and fills the shared observation cache from request
     # shards.
     OHA_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|TraceCodec|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
+        -R 'RequestQueue|AnalysisService|LruList|SharedCache|ConfiguredThreads|LiveGroups|EnvSizeBytes|RunBatch|Snapshot|FaultInjector|Profiler'
     # Smoke throughput run; the binary exits non-zero if the parity,
     # warm-hit-rate, warm-latency, or restart-warm acceptance bars
     # fail (the restart-warm series persists a snapshot, clears every
