@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/common.h"
 #include "support/env.h"
 
 namespace oha::support {
@@ -58,8 +57,16 @@ runOnThreads(std::size_t numThreads, const Worker &worker)
 {
     std::vector<std::thread> threads;
     threads.reserve(numThreads);
-    for (std::size_t t = 0; t < numThreads; ++t)
-        threads.emplace_back([&worker] { worker(); });
+    try {
+        for (std::size_t t = 0; t < numThreads; ++t)
+            threads.emplace_back([&worker] { worker(); });
+    } catch (...) {
+        // A thread failed to start.  The running workers still finish
+        // every job; join them before the batch's state unwinds.
+        for (std::thread &thread : threads)
+            thread.join();
+        throw;
+    }
     for (std::thread &thread : threads)
         thread.join();
 }
