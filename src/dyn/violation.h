@@ -12,9 +12,9 @@
  *  - the adaptive drivers (core/optft, core/optslice) can re-run the
  *    predicated static phase and continue the corpus under a
  *    repaired plan;
- *  - recorded-trace replays can be checked field-for-field against
- *    live runs (the metadata round-trips through
- *    exec::AbortMetadata).
+ *  - an aborted run's RunResult::abortMeta carries a plain-data
+ *    image of it (exec::AbortMetadata), so a grouped run's abort can
+ *    be checked field for field against a standalone run's.
  */
 
 #pragma once
