@@ -713,8 +713,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
           }
           case Op::Output: {
             const Value value = regs[op.a];
-            const std::int64_t encoded = encodeValue(value);
-            outputs_.push_back({pc, encoded});
+            outputs_.push_back({pc, encodeValue(value)});
             ++counts[EventClass::Output];
             deliver(pc, EventClass::Output,
                     [&](EventCtx &ctx) { ctx.value = value; });
