@@ -9,8 +9,9 @@
 #   ci/run.sh bench      # build + run the wall-time microbenchmarks,
 #                        # leaving BENCH_*.json in the repo root
 #   ci/run.sh bench-release
-#                        # Release (-O2, no asserts) build + smoke run of
-#                        # the static-phase microbenchmark
+#                        # Release (-O3 -DNDEBUG; OHA_ASSERT stays
+#                        # active) build + smoke run of the static-phase
+#                        # microbenchmark
 #                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus),
 #                        # the component probes (plain and profiled
 #                        # interpreter ns/step, OptFT's fused first

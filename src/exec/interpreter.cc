@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -35,15 +36,25 @@ binop(Value &dst, const Value &lhs, const Value &rhs)
     return true;
 }
 
-/** @p counts, the events of @p executed steps counted by class except
- *  Other, with Other filled in: every step either fires exactly one
- *  event of its class or is a branch, and the block entries are the
- *  branches plus the calls. */
+/** A register read as an index: its scalar, or 0 for any other kind
+ *  (whose `num` aliases a pointer's payload). */
+inline std::int64_t
+scalarOrZero(const Value &value)
+{
+    return value.isScalar() ? value.num : 0;
+}
+
+/** @p counts, the events of a run of @p steps steps that created
+ *  @p numThreads threads, counted by class except Other, with Other
+ *  filled in: every step either fires exactly one event of its class
+ *  or is a branch, and the block entries are the branches, the calls
+ *  and one entry block per thread, which spawnThread announces
+ *  outside any step. */
 EventCounts
-withOther(EventCounts counts, std::uint64_t executed)
+withOther(EventCounts counts, std::uint64_t steps, std::uint32_t numThreads)
 {
     counts[EventClass::Other] =
-        executed - (counts.total() - counts[EventClass::Call]);
+        steps - (counts.total() - counts[EventClass::Call] - numThreads);
     return counts;
 }
 
@@ -189,7 +200,8 @@ ObjectId
 Interpreter::allocObject(InstrId site, std::uint32_t cells)
 {
     const ObjectId obj = static_cast<ObjectId>(heap_.size());
-    heap_.push_back({site, std::vector<Value>(cells)});
+    heap_.push_back({cells_.size(), cells, site});
+    cells_.resize(cells_.size() + cells);
     lockOwner_.push_back(0);
     return obj;
 }
@@ -212,8 +224,7 @@ Interpreter::buildDispatchTables()
 }
 
 void
-Interpreter::stopAbortedGroups(std::uint64_t executed,
-                               const EventCounts &counts)
+Interpreter::stopAbortedGroups(std::uint64_t executed)
 {
     abortPending_ = false;
     std::uint8_t dropped = 0;
@@ -227,9 +238,9 @@ Interpreter::stopAbortedGroups(std::uint64_t executed,
         result.abortReason = group->abortReason;
         result.abortMeta = group->abortMeta;
         result.steps = steps_ + executed;
-        result.totalEvents = totalEvents_;
-        result.totalEvents.add(withOther(counts, executed));
         result.numThreads = static_cast<std::uint32_t>(threads_.size());
+        result.totalEvents =
+            withOther(totalEvents_, result.steps, result.numThreads);
         group->outputsAtStop = outputs_.size();
         group->scheduleAtStop = schedule_.size();
         dropped |= group->bits;
@@ -365,11 +376,6 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
     const std::uint64_t budget =
         std::min(quantum, config_.maxSteps - steps_);
     std::uint64_t left = budget;
-    // Per-class event counts.  Other is derived when the quantum
-    // ends: every step either fires exactly one event of its class or
-    // is a branch, and the loop's block entries are its branches plus
-    // its calls.
-    EventCounts counts;
     const char *fault = nullptr;
     // A tool ran during this step, so the abort flag may have moved.
     bool toolsRan = false;
@@ -394,7 +400,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
         }
     };
     auto enterBlock = [&](BlockId block) {
-        ++counts[EventClass::BlockEnter];
+        ++totalEvents_[EventClass::BlockEnter];
         if constexpr (kTools) {
             if (blockMask_[block] != 0) {
                 fireBlockEnter(tid, block);
@@ -409,12 +415,11 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             fault = kNonPointer;
             return nullptr;
         }
-        if (ptr.obj >= heap_.size() ||
-            ptr.off >= heap_[ptr.obj].cells.size()) {
+        if (ptr.obj >= heap_.size() || ptr.off >= heap_[ptr.obj].size) {
             fault = kOutOfBounds;
             return nullptr;
         }
-        return &heap_[ptr.obj].cells[ptr.off];
+        return &cells_[heap_[ptr.obj].base + ptr.off];
     };
 
     while (left != 0) {
@@ -469,9 +474,9 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 fault = kNonPointer;
                 goto out;
             }
-            // A register index is read as .num whatever its kind.
+            // A non-scalar register index reads as 0.
             const std::int64_t field =
-                op.op == Op::GepReg ? regs[op.b].num : op.imm;
+                op.op == Op::GepReg ? scalarOrZero(regs[op.b]) : op.imm;
             std::int64_t off;
             if (__builtin_add_overflow(static_cast<std::int64_t>(base.off),
                                        field, &off)) {
@@ -482,14 +487,21 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 fault = "negative pointer offset";
                 goto out;
             }
+            if (off > std::numeric_limits<std::uint32_t>::max()) {
+                fault = "pointer offset out of range";
+                goto out;
+            }
             regs[op.dest] =
                 Value::pointer(base.obj, static_cast<std::uint32_t>(off));
             goto other;
           }
           case Op::Input: {
             std::int64_t index = op.imm;
+            // Wraps like evalBinOp's Add; a non-scalar reads as 0.
             if (op.b != ir::kNoReg)
-                index += regs[op.b].num;
+                index = static_cast<std::int64_t>(
+                    static_cast<std::uint64_t>(index) +
+                    static_cast<std::uint64_t>(scalarOrZero(regs[op.b])));
             std::int64_t value = 0;
             if (!config_.input.empty()) {
                 const auto n = static_cast<std::int64_t>(config_.input.size());
@@ -507,7 +519,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const ObjectId obj = regs[op.a].obj;
             const std::uint32_t off = regs[op.a].off;
             regs[op.dest] = value;
-            ++counts[EventClass::Load];
+            ++totalEvents_[EventClass::Load];
             deliver(pc, EventClass::Load, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -524,7 +536,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const ObjectId obj = regs[op.a].obj;
             const std::uint32_t off = regs[op.a].off;
             *cell = value;
-            ++counts[EventClass::Store];
+            ++totalEvents_[EventClass::Store];
             deliver(pc, EventClass::Store, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -564,7 +576,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             // The callee's entry block is announced before the Call
             // event.
             enterBlock(func.entry.block);
-            ++counts[EventClass::Call];
+            ++totalEvents_[EventClass::Call];
             deliver(site, EventClass::Call, [&](EventCtx &ctx) {
                 ctx.frameId = callerFrameId;
                 ctx.calleeResolved = callee;
@@ -575,7 +587,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
           case Op::Ret: {
             const Value retVal =
                 op.a != ir::kNoReg ? regs[op.a] : Value::scalar(0);
-            ++counts[EventClass::Ret];
+            ++totalEvents_[EventClass::Ret];
             deliver(pc, EventClass::Ret, [&](EventCtx &ctx) {
                 const std::size_t depth = thread->frames.size();
                 if (depth > 1) {
@@ -649,7 +661,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             }
             const EventClass cls =
                 lock ? EventClass::Lock : EventClass::Unlock;
-            ++counts[cls];
+            ++totalEvents_[cls];
             deliver(pc, cls, [&](EventCtx &ctx) {
                 ctx.obj = obj;
                 ctx.off = off;
@@ -679,7 +691,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             regs = thread->regs.data() + frame->regBase;
             if (op.dest != ir::kNoReg)
                 regs[op.dest] = Value::thread(child);
-            ++counts[EventClass::Spawn];
+            ++totalEvents_[EventClass::Spawn];
             deliver(site, EventClass::Spawn, [&](EventCtx &ctx) {
                 ctx.frameId = callerFrameId;
                 ctx.otherTid = child;
@@ -703,7 +715,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             const Value value = threads_[joined].retVal;
             if (op.dest != ir::kNoReg)
                 regs[op.dest] = value;
-            ++counts[EventClass::Join];
+            ++totalEvents_[EventClass::Join];
             deliver(pc, EventClass::Join, [&](EventCtx &ctx) {
                 ctx.otherTid = joined;
                 ctx.value = value;
@@ -714,7 +726,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
           case Op::Output: {
             const Value value = regs[op.a];
             outputs_.push_back({pc, encodeValue(value)});
-            ++counts[EventClass::Output];
+            ++totalEvents_[EventClass::Output];
             deliver(pc, EventClass::Output,
                     [&](EventCtx &ctx) { ctx.value = value; });
             ++pc;
@@ -731,7 +743,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             if (toolsRan) {
                 toolsRan = false;
                 if (abortPending_) {
-                    stopAbortedGroups(budget - left, counts);
+                    stopAbortedGroups(budget - left);
                     if (liveGroups_ == 0)
                         break;
                 }
@@ -742,9 +754,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
 out:
     if (!thread->frames.empty())
         frame->pc = pc;
-    const std::uint64_t executed = budget - left;
-    steps_ += executed;
-    totalEvents_.add(withOther(counts, executed));
+    steps_ += budget - left;
     return fault;
 }
 
@@ -775,7 +785,7 @@ Interpreter::runGroups()
         // Aborts requested outside a quantum's step loop (thread start
         // and finish callbacks) stop their groups here.
         if (abortPending_)
-            stopAbortedGroups(0, {});
+            stopAbortedGroups(0);
         if (liveGroups_ == 0)
             break;
         if (steps_ >= config_.maxSteps) {
@@ -818,8 +828,8 @@ Interpreter::runGroups()
     end.outputs = std::move(outputs_);
     end.schedule = std::move(schedule_);
     end.steps = steps_;
-    end.totalEvents = totalEvents_;
     end.numThreads = static_cast<std::uint32_t>(threads_.size());
+    end.totalEvents = withOther(totalEvents_, end.steps, end.numThreads);
     return groupResults(std::move(end));
 }
 

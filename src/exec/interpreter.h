@@ -210,10 +210,12 @@ class Interpreter : public ExecutionControl
         InstrId spawnSite = kNoInstr;
     };
 
+    /** An object's cells are [base, base + size) of cells_. */
     struct HeapObject
     {
+        std::size_t base = 0;
+        std::uint32_t size = 0;
         InstrId allocSite = kNoInstr;
-        std::vector<Value> cells;
     };
 
     /** Execute up to @p quantum instructions of thread @p tid,
@@ -242,12 +244,10 @@ class Interpreter : public ExecutionControl
     void buildDispatchTables();
 
     /** Freeze every group with a pending abort at the boundary
-     *  @p executed steps into the current quantum, whose events so far
-     *  are @p counts — exactly where a standalone run of the group
-     *  would stop — and drop its tools from liveMask_ and the
-     *  dispatch tables. */
-    void stopAbortedGroups(std::uint64_t executed,
-                           const EventCounts &counts);
+     *  @p executed steps into the current quantum — exactly where a
+     *  standalone run of the group would stop — and drop its tools
+     *  from liveMask_ and the dispatch tables. */
+    void stopAbortedGroups(std::uint64_t executed);
 
     /** One result per group: a stopped group's frozen result, with
      *  the prefixes of @p end's outputs and schedule it saw; a live
@@ -278,12 +278,17 @@ class Interpreter : public ExecutionControl
     std::vector<std::uint8_t> blockMask_;
     std::vector<ThreadCtx> threads_;
     std::vector<HeapObject> heap_;
+    /** Every object's cells, in allocation order.  It may reallocate
+     *  on an Alloc, so a cell pointer is not held across one. */
+    std::vector<Value> cells_;
     /** obj -> owning thread + 1, or 0 when free. */
     std::vector<std::uint32_t> lockOwner_;
 
     std::uint64_t nextFrameId_ = 1;
     std::uint64_t steps_ = 0;
     std::vector<ScheduleStep> schedule_;
+    /** Events so far by class, except Other, which withOther derives
+     *  when a result is made. */
     EventCounts totalEvents_;
     std::vector<EventCounts> delivered_;
     std::vector<std::pair<InstrId, std::int64_t>> outputs_;

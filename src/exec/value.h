@@ -6,6 +6,12 @@
  * cell offset), function pointer, or thread handle.  Tagging keeps
  * the interpreter memory-safe: dereferencing a non-pointer is a
  * detected runtime error rather than undefined behaviour.
+ *
+ * A Value is 16 bytes: the kind and the FuncPtr/Thread index, then a
+ * union of the scalar with the pointer's (object, offset) pair.  Only
+ * the payload a kind defines may be read; the interpreter reads a
+ * register's scalar as `isScalar() ? num : 0` where the kind is not
+ * checked first.
  */
 
 #pragma once
@@ -32,10 +38,16 @@ using ObjectId = std::uint32_t;
 struct Value
 {
     ValueKind kind = ValueKind::Scalar;
-    std::int64_t num = 0;      ///< Scalar payload
-    ObjectId obj = 0;          ///< Pointer payload: object id
-    std::uint32_t off = 0;     ///< Pointer payload: cell offset
     std::uint32_t idx = 0;     ///< FuncPtr: FuncId; Thread: ThreadId
+    union
+    {
+        std::int64_t num = 0;  ///< Scalar payload
+        struct
+        {
+            ObjectId obj;      ///< Pointer payload: object id
+            std::uint32_t off; ///< Pointer payload: cell offset
+        };
+    };
 
     static Value
     scalar(std::int64_t v)
@@ -102,5 +114,7 @@ struct Value
         return false;
     }
 };
+
+static_assert(sizeof(Value) == 16);
 
 } // namespace oha::exec

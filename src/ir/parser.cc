@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -147,7 +148,8 @@ class Parser
                 const std::string name = s.ident();
                 std::int64_t size = 1;
                 if (s.eat("[")) {
-                    if (!s.number(size) || !s.eat("]"))
+                    if (!s.number(size) || !s.eat("]") || size < 0 ||
+                        size > std::numeric_limits<std::uint32_t>::max())
                         fail(src_, "bad global size");
                 }
                 if (name.empty())

@@ -1,5 +1,6 @@
 #include "ir/verifier.h"
 
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -78,6 +79,12 @@ verifyFunction(const Module &module, const Function &func)
                 }
                 break;
               }
+              case Opcode::Alloc:
+                if (instr.imm < 0 ||
+                    instr.imm > std::numeric_limits<std::uint32_t>::max())
+                    OHA_FATAL("alloc size out of range in '%s'",
+                              func.name().c_str());
+                break;
               case Opcode::GlobalAddr:
                 if (instr.globalId >= module.globals().size())
                     OHA_FATAL("bad global id in '%s'", func.name().c_str());

@@ -212,6 +212,84 @@ TEST(ExecSemantics, DynamicGepOverflowFaults)
     expectGuestFault(module, "pointer offset out of range", 3);
 }
 
+TEST(ExecSemantics, GepPastOffsetWidthFaults)
+{
+    // An offset that fits int64 but not a pointer's 32-bit offset.
+    {
+        Module module;
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        b.gep(b.alloc(2), std::int64_t{1} << 32);
+        b.ret();
+        module.finalize();
+        expectGuestFault(module, "pointer offset out of range", 1);
+    }
+    {
+        Module module;
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        const Reg buf = b.alloc(2);
+        b.gepDyn(buf, b.constInt(std::int64_t{1} << 32));
+        b.ret();
+        module.finalize();
+        expectGuestFault(module, "pointer offset out of range", 2);
+    }
+}
+
+TEST(ExecSemantics, DynamicInputIndexWraps)
+{
+    // INT64_MAX + 1 wraps to INT64_MIN, which is 1 modulo 3.
+    Module module;
+    IRBuilder b(module);
+    b.createFunction("main", 0);
+    b.output(b.inputDyn(b.constInt(INT64_MAX), 1));
+    b.ret();
+    module.finalize();
+
+    ExecConfig config;
+    config.input = {5, 6, 7};
+    const auto result = run(module, config);
+    ASSERT_TRUE(result.finished());
+    ASSERT_EQ(result.outputs.size(), 1u);
+    EXPECT_EQ(result.outputs[0].second, 6);
+}
+
+TEST(ExecSemantics, NonScalarIndexReadsZero)
+{
+    // A GEP or Input index register that holds a pointer, a function
+    // pointer or a thread handle reads as index 0.  The pointer is
+    // (object 1, offset 3), so reading its payload as a scalar would
+    // not give 0.
+    Module module;
+    IRBuilder b(module);
+    Function *worker = b.createFunction("worker", 0);
+    b.ret();
+    b.createFunction("main", 0);
+    const Reg buf = b.alloc(4);
+    b.store(b.gep(buf, 0), b.constInt(11));
+    b.store(b.gep(buf, 1), b.constInt(22));
+    const Reg ptr = b.gep(b.alloc(4), 3);
+    const Reg func = b.funcAddr(worker);
+    const Reg handle = b.spawn(worker);
+    for (const Reg index : {ptr, func, handle}) {
+        b.output(b.load(b.gepDyn(buf, index)));
+        b.output(b.inputDyn(index, 1));
+    }
+    b.join(handle);
+    b.ret();
+    module.finalize();
+
+    ExecConfig config;
+    config.input = {5, 6, 7};
+    const auto result = run(module, config);
+    ASSERT_TRUE(result.finished());
+    ASSERT_EQ(result.outputs.size(), 6u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(result.outputs[2 * i].second, 11);
+        EXPECT_EQ(result.outputs[2 * i + 1].second, 6);
+    }
+}
+
 TEST(ExecSemantics, EventClassMapping)
 {
     EXPECT_EQ(eventClassOf(Opcode::Load), EventClass::Load);

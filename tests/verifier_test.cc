@@ -106,6 +106,42 @@ TEST(Verifier, RejectsOutOfRangeRegister)
     EXPECT_EXIT(build(), ::testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(Verifier, RejectsAllocSizeOutOfRange)
+{
+    // Checked at parse time only: running such a module would ask for
+    // gigabytes of cells.
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n    r0 = alloc -1\n"
+                            "    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "alloc size out of range");
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n"
+                            "    r0 = alloc 4294967297\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "alloc size out of range");
+    auto build = [] {
+        Module module;
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        Instruction alloc;
+        alloc.op = Opcode::Alloc;
+        alloc.imm = std::int64_t{1} << 32;
+        alloc.dest = b.currentFunction()->allocReg();
+        b.insertBlock()->instructions().push_back(alloc);
+        b.ret();
+        module.finalize();
+    };
+    EXPECT_EXIT(build(), ::testing::ExitedWithCode(1),
+                "alloc size out of range");
+}
+
+TEST(ParserDiagnostics, RejectsGlobalSizeOutOfRange)
+{
+    EXPECT_EXIT(parseModule("global g[-1]\nfunc main() {\n  entry:\n"
+                            "    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "bad global size");
+    EXPECT_EXIT(parseModule("global g[4294967296]\nfunc main() {\n"
+                            "  entry:\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "bad global size");
+}
+
 TEST(ParserDiagnostics, ReportsLineNumbers)
 {
     EXPECT_EXIT(parseModule("func main() {\n  entry:\n    r0 = @\n}\n"),
