@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared scaffolding for the per-figure/per-table benchmark
- * harnesses.  Each binary in bench/ regenerates one table or figure
- * from the paper's evaluation section (see DESIGN.md's experiment
+ * Shared scaffolding for the benchmark harnesses that regenerate the
+ * paper's evaluation tables and figures (see DESIGN.md's experiment
  * index); this header pins the corpus sizes and provides the
  * formatting helpers so the outputs line up run over run.
  */

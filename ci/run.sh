@@ -7,7 +7,14 @@
 #   ci/run.sh ubsan      # UndefinedBehaviorSanitizer build, tests under
 #                        # OHA_THREADS=4; the first report fails the job
 #   ci/run.sh bench      # build + run the wall-time microbenchmarks,
-#                        # leaving BENCH_*.json in the repo root
+#                        # leaving BENCH_microbench_*.json in the repo
+#                        # root, then check the committed paper-figure
+#                        # files: paper_figures and
+#                        # fig7_misspec_vs_profiling rerun in a
+#                        # temporary directory at OHA_THREADS=1, and
+#                        # every BENCH_*.json they write must equal the
+#                        # committed copy (the host's
+#                        # "hardware_concurrency" line aside)
 #   ci/run.sh bench-release
 #                        # Release (-O3 -DNDEBUG; OHA_ASSERT stays
 #                        # active) build + smoke run of the static-phase
@@ -83,9 +90,33 @@ bench)
     build_dir=build-ci
     cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$build_dir" -j "$jobs" --target \
-        microbench_static microbench_shadow
+        microbench_static microbench_shadow paper_figures \
+        fig7_misspec_vs_profiling
     "$build_dir"/bench/microbench_static
     "$build_dir"/bench/microbench_shadow
+    # The committed figure files must match the code.  One thread: the
+    # static-memo cache counts depend on how the slice runs interleave.
+    repo="$PWD"
+    figures="$(mktemp -d)"
+    trap 'rm -rf "$figures"' EXIT
+    (cd "$figures" &&
+        OHA_THREADS=1 "$repo/$build_dir"/bench/paper_figures &&
+        OHA_THREADS=1 "$repo/$build_dir"/bench/fig7_misspec_vs_profiling) \
+        >/dev/null
+    stale=0
+    for written in "$figures"/BENCH_*.json; do
+        name="$(basename "$written")"
+        if [[ ! -f "$name" ]]; then
+            echo "figure check: $name is not committed" >&2
+            stale=1
+        elif ! diff -u --label "committed $name" --label "regenerated" \
+            <(grep -v '"hardware_concurrency"' "$name") \
+            <(grep -v '"hardware_concurrency"' "$written"); then
+            echo "figure check: $name differs from the code's output" >&2
+            stale=1
+        fi
+    done
+    exit "$stale"
     ;;
 bench-release)
     build_dir=build-ci-release

@@ -15,6 +15,7 @@ using ir::Op;
 
 constexpr const char *kNonPointer = "dereference of non-pointer value";
 constexpr const char *kOutOfBounds = "out-of-bounds memory access";
+constexpr const char *kHeapLimit = "heap limit";
 
 /** dst = lhs K rhs; false when the operands fault.  Scalars take the
  *  fast path; Eq/Ne also compare non-scalars structurally. */
@@ -451,6 +452,10 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
           OHA_BINOP(Ne)
 #undef OHA_BINOP
           case Op::Alloc:
+            if (!heapFits(static_cast<std::uint64_t>(op.imm))) {
+                fault = kHeapLimit;
+                goto out;
+            }
             regs[op.dest] = Value::pointer(
                 allocObject(pc, static_cast<std::uint32_t>(op.imm)), 0);
             goto other;
@@ -772,16 +777,23 @@ Interpreter::runGroups()
 
     // Globals become heap objects [0, numGlobals) so GlobalAddr can
     // use the global id directly as the object id.
-    for (const auto &global : module_.globals())
+    const char *fault = nullptr;
+    for (const auto &global : module_.globals()) {
+        if (!heapFits(global.size)) {
+            fault = kHeapLimit;
+            break;
+        }
         allocObject(kNoInstr, global.size);
+    }
 
     const ir::Function *mainFunc = module_.entryFunction();
     if (mainFunc->numParams() != 0)
         OHA_FATAL("main() must take no parameters");
-    spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0);
+    if (!fault)
+        spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0);
 
     std::vector<std::uint32_t> runnable;
-    while (true) {
+    while (!fault) {
         // Aborts requested outside a quantum's step loop (thread start
         // and finish callbacks) stop their groups here.
         if (abortPending_)
@@ -818,11 +830,11 @@ Interpreter::runGroups()
                 {pick, static_cast<std::uint32_t>(quantum)});
         }
 
-        if (const char *fault = (this->*runQuantumFn)(pick, quantum)) {
-            end.status = RunResult::Status::RuntimeError;
-            end.abortReason = fault;
-            break;
-        }
+        fault = (this->*runQuantumFn)(pick, quantum);
+    }
+    if (fault) {
+        end.status = RunResult::Status::RuntimeError;
+        end.abortReason = fault;
     }
 
     end.outputs = std::move(outputs_);

@@ -122,6 +122,11 @@ class Interpreter : public ExecutionControl
      *  dispatch masks), across all groups. */
     static constexpr std::size_t kMaxAttachments = 8;
 
+    /** Heap cells one run may hold, globals included (16 bytes each,
+     *  so 256 MiB).  An allocation past it faults with "heap limit"
+     *  and allocates nothing. */
+    static constexpr std::size_t kHeapLimitCells = std::size_t{1} << 24;
+
     Interpreter(const ir::Module &module, ExecConfig config);
     Interpreter(const Interpreter &) = delete;
     Interpreter &operator=(const Interpreter &) = delete;
@@ -256,6 +261,13 @@ class Interpreter : public ExecutionControl
 
     void fireEvent(const EventCtx &ctx, std::uint8_t mask, EventClass cls);
     void fireBlockEnter(ThreadId tid, BlockId block);
+
+    /** Whether @p cells more cells keep the heap within
+     *  kHeapLimitCells; allocObject's callers check it first. */
+    bool heapFits(std::uint64_t cells) const
+    {
+        return cells <= kHeapLimitCells - cells_.size();
+    }
 
     ObjectId allocObject(InstrId site, std::uint32_t cells);
 

@@ -31,8 +31,8 @@ InvariantSet::demote(const dyn::Violation &violation)
       }
       case ViolationFamily::CallContext: {
         // Admit the offending chain plus every prefix — the same
-        // closure the profiler maintains, so saveText/loadText and
-        // the checker's incremental hashes stay consistent.
+        // closure the profiler maintains, so the checker's
+        // incremental hashes stay consistent.
         bool changed = false;
         CallContext prefix;
         prefix.reserve(violation.contextChain.size());
@@ -131,64 +131,6 @@ InvariantSet::saveText() const
         os << "elidable-lock " << site << "\n";
 
     return os.str();
-}
-
-InvariantSet
-InvariantSet::loadText(const std::string &text)
-{
-    InvariantSet set;
-    std::istringstream is(text);
-    std::string line;
-
-    if (!std::getline(is, line) || line != "oha-invariants v1")
-        OHA_FATAL("bad invariant file header");
-
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::string kind;
-        ls >> kind;
-        if (kind == "numblocks") {
-            ls >> set.numBlocks;
-        } else if (kind == "visited") {
-            std::uint32_t b;
-            while (ls >> b)
-                set.visitedBlocks.insert(b);
-        } else if (kind == "callees") {
-            InstrId site;
-            ls >> site;
-            auto &callees = set.calleeSets[site];
-            FuncId f;
-            while (ls >> f)
-                callees.insert(f);
-        } else if (kind == "contexts-profiled") {
-            set.hasCallContexts = true;
-        } else if (kind == "context") {
-            CallContext context;
-            InstrId site;
-            while (ls >> site)
-                context.push_back(site);
-            set.callContexts.insert(std::move(context));
-        } else if (kind == "lockalias") {
-            InstrId a, b;
-            ls >> a >> b;
-            set.mustAliasLocks.insert({a, b});
-        } else if (kind == "singleton") {
-            InstrId site;
-            ls >> site;
-            set.singletonSpawnSites.insert(site);
-        } else if (kind == "elidable-lock") {
-            InstrId site;
-            ls >> site;
-            set.elidableLockSites.insert(site);
-        } else {
-            OHA_FATAL("bad invariant line kind '%s'", kind.c_str());
-        }
-    }
-
-    set.rehashContexts();
-    return set;
 }
 
 bool

@@ -150,9 +150,6 @@ struct InvariantSet
     /** Serialize to the paper's text-file format. */
     std::string saveText() const;
 
-    /** Parse the text-file format; fatal on malformed input. */
-    static InvariantSet loadText(const std::string &text);
-
     bool operator==(const InvariantSet &other) const;
 };
 

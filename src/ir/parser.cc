@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -52,13 +53,17 @@ fail(const Source &src, const std::string &message)
               src.done() ? "<eof>" : src.peek().c_str());
 }
 
-/** In-place token scanner over one instruction line. */
+/** In-place token scanner over the source's current line. */
 struct Scanner
 {
+    const Source &src;
     const std::string &text;
     std::size_t pos = 0;
 
-    explicit Scanner(const std::string &line) : text(line) {}
+    explicit Scanner(const Source &source)
+        : src(source), text(source.peek())
+    {
+    }
 
     void
     skipSpace()
@@ -99,6 +104,8 @@ struct Scanner
         return text.substr(start, pos - start);
     }
 
+    /** Signed decimal literal: false if none starts here, a parse
+     *  error if it does not fit in 64 bits. */
     bool
     number(std::int64_t &out)
     {
@@ -114,7 +121,10 @@ struct Scanner
             pos = start;
             return false;
         }
-        out = std::stoll(text.substr(start, pos - start));
+        // from_chars takes a '-' sign but not a '+'.
+        const char *first = text.data() + start + (text[start] == '+');
+        if (std::from_chars(first, text.data() + pos, out).ec != std::errc{})
+            fail(src, "bad integer literal");
         return true;
     }
 };
@@ -143,7 +153,7 @@ class Parser
         for (src_.cursor = 0; !src_.done(); ++src_.cursor) {
             const std::string &line = src_.peek();
             if (line.rfind("global ", 0) == 0) {
-                Scanner s(line);
+                Scanner s(src_);
                 s.eat("global");
                 const std::string name = s.ident();
                 std::int64_t size = 1;
@@ -157,7 +167,7 @@ class Parser
                 globals_[name] = module_->addGlobal(
                     name, static_cast<std::uint32_t>(size));
             } else if (line.rfind("func ", 0) == 0) {
-                Scanner s(line);
+                Scanner s(src_);
                 s.eat("func");
                 const std::string name = s.ident();
                 if (name.empty() || !s.eat("("))
@@ -181,7 +191,7 @@ class Parser
         for (src_.cursor = 0; !src_.done(); ++src_.cursor) {
             if (src_.peek().rfind("func ", 0) != 0)
                 continue;
-            Scanner s(src_.peek());
+            Scanner s(src_);
             s.eat("func");
             parseFunctionBody(funcs_.at(s.ident()));
         }
@@ -224,7 +234,7 @@ class Parser
             }
             if (!current)
                 fail(src_, "instruction before any block label");
-            current->instructions().push_back(parseInstruction(line));
+            current->instructions().push_back(parseInstruction());
         }
         func->reserveRegs(maxReg_);
     }
@@ -238,7 +248,7 @@ class Parser
         if (!s.eat("r"))
             fail(src_, "expected register");
         std::int64_t n;
-        if (!s.number(n) || n < 0)
+        if (!s.number(n) || n < 0 || n >= kNoReg)
             fail(src_, "bad register number");
         maxReg_ = std::max(maxReg_, static_cast<unsigned>(n) + 1);
         return static_cast<Reg>(n);
@@ -300,9 +310,9 @@ class Parser
     }
 
     Instruction
-    parseInstruction(const std::string &line)
+    parseInstruction()
     {
-        Scanner s(line);
+        Scanner s(src_);
         Instruction ins;
 
         // ---- void statements ---------------------------------------

@@ -236,6 +236,42 @@ TEST(ExecSemantics, GepPastOffsetWidthFaults)
     }
 }
 
+TEST(ExecSemantics, HeapPastLimitFaultsWithoutAllocating)
+{
+    // The largest alloc the verifier admits: 2^32 - 1 cells, 64 GiB.
+    {
+        Module module;
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        b.alloc(UINT32_MAX);
+        b.ret();
+        module.finalize();
+        expectGuestFault(module, "heap limit", 0);
+    }
+    // Globals count: beside one global cell, the whole limit does not
+    // fit.
+    {
+        Module module;
+        module.addGlobal("g", 1);
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        b.alloc(Interpreter::kHeapLimitCells);
+        b.ret();
+        module.finalize();
+        expectGuestFault(module, "heap limit", 0);
+    }
+    // A global past the limit faults before main starts.
+    {
+        Module module;
+        module.addGlobal("g", UINT32_MAX);
+        IRBuilder b(module);
+        b.createFunction("main", 0);
+        b.ret();
+        module.finalize();
+        expectGuestFault(module, "heap limit", 0);
+    }
+}
+
 TEST(ExecSemantics, DynamicInputIndexWraps)
 {
     // INT64_MAX + 1 wraps to INT64_MIN, which is 1 modulo 3.

@@ -116,6 +116,10 @@ TEST(Verifier, RejectsAllocSizeOutOfRange)
     EXPECT_EXIT(parseModule("func main() {\n  entry:\n"
                             "    r0 = alloc 4294967297\n    ret\n}\n"),
                 ::testing::ExitedWithCode(1), "alloc size out of range");
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n"
+                            "    r0 = alloc 99999999999999999999\n"
+                            "    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "line 3: bad integer literal");
     auto build = [] {
         Module module;
         IRBuilder b(module);
@@ -140,12 +144,30 @@ TEST(ParserDiagnostics, RejectsGlobalSizeOutOfRange)
     EXPECT_EXIT(parseModule("global g[4294967296]\nfunc main() {\n"
                             "  entry:\n    ret\n}\n"),
                 ::testing::ExitedWithCode(1), "bad global size");
+    EXPECT_EXIT(parseModule("global g[99999999999999999999]\n"
+                            "func main() {\n  entry:\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "line 1: bad integer literal");
 }
 
 TEST(ParserDiagnostics, ReportsLineNumbers)
 {
     EXPECT_EXIT(parseModule("func main() {\n  entry:\n    r0 = @\n}\n"),
                 ::testing::ExitedWithCode(1), "line 3");
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n"
+                            "    r0 = -99999999999999999999\n"
+                            "    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "line 3: bad integer literal");
+}
+
+TEST(ParserDiagnostics, RejectsRegisterPastRange)
+{
+    // r4294967295 is kNoReg, and r4294967296 would truncate to r0.
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n"
+                            "    output r4294967295\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "bad register number");
+    EXPECT_EXIT(parseModule("func main() {\n  entry:\n    r0 = 7\n"
+                            "    output r4294967296\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "bad register number");
 }
 
 TEST(ParserDiagnostics, RejectsUnknownBlockLabel)
