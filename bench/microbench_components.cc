@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the substrate components:
- * interpreter throughput, FastTrack per-event cost, Giri trace
- * appends, Andersen solving, static slicing, invariant checking,
- * profiling runs, OptFT's fused first round and
- * fault-seeded pipeline recovery.
+ * interpreter throughput, the scheduler's per-quantum cost, FastTrack
+ * per-event cost, Giri trace appends, Andersen solving, static
+ * slicing, invariant checking, profiling runs, OptFT's fused first
+ * round and fault-seeded pipeline recovery.
  * These are wall-clock measurements of THIS implementation (not paper
  * reproductions) — useful for tracking regressions in the library
  * itself.
@@ -22,6 +22,7 @@
 #include "dyn/giri.h"
 #include "dyn/invariant_checker.h"
 #include "dyn/plans.h"
+#include "ir/parser.h"
 #include "profile/profiler.h"
 #include "profile/profilers.h"
 #include "workloads/workloads.h"
@@ -87,6 +88,47 @@ BM_InterpreterPlain(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(steps));
 }
 BENCHMARK(BM_InterpreterPlain)->ArgName("slice")->Arg(0)->Arg(1);
+
+/**
+ * The scheduler's cost per quantum: a one-thread counting loop run
+ * with the default quanta (arg 0) and as one quantum (arg 1,
+ * minQuantum = maxQuantum = 2^30).  Items are steps; the ns/step gap
+ * between the two series, times the mean quantum of 40 steps, is what
+ * the loop around runQuantum costs each quantum.
+ */
+void
+BM_QuantumLoop(benchmark::State &state)
+{
+    static const auto module = ir::parseModule(R"(func main() {
+  entry:
+    r0 = 0
+    r1 = 1
+    r2 = 100000
+    br loop
+  loop:
+    r0 = r0 + r1
+    r3 = r0 < r2
+    condbr r3, loop, done
+  done:
+    output r0
+    ret
+}
+)");
+    exec::ExecConfig config;
+    if (state.range(0) != 0) {
+        config.minQuantum = std::uint32_t{1} << 30;
+        config.maxQuantum = std::uint32_t{1} << 30;
+    }
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        exec::Interpreter interp(*module, config);
+        const auto result = interp.run();
+        steps += result.steps;
+        benchmark::DoNotOptimize(result.steps);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_QuantumLoop)->ArgName("one_quantum")->Arg(0)->Arg(1);
 
 /** One race program prepared for OptFT's first round: its profiled
  *  invariants and the hybrid and optimistic plans. */

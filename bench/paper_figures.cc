@@ -8,10 +8,9 @@
  *
  * Exits 1 on a "SOUNDNESS VIOLATION" (optimistic race reports or
  * slices differ from the sound ones) or a "REGRESSION" (an optimistic
- * alias rate above the sound one).  The static-memo cache counts of
- * Table 2 and Figure 9 depend on how the slice runs interleave, so
- * they are read at OHA_THREADS=1; every other number is the same at
- * any thread count.
+ * alias rate above the sound one).  Every number, the static-memo
+ * cache counts of Table 2 and Figure 9 included, is the same at any
+ * thread count.
  */
 
 #include "bench_common.h"

@@ -10,8 +10,8 @@
 #                        # leaving BENCH_microbench_*.json in the repo
 #                        # root, then check the committed paper-figure
 #                        # files: paper_figures and
-#                        # fig7_misspec_vs_profiling rerun in a
-#                        # temporary directory at OHA_THREADS=1, and
+#                        # fig7_misspec_vs_profiling rerun in temporary
+#                        # directories at OHA_THREADS=1 and 4, and
 #                        # every BENCH_*.json they write must equal the
 #                        # committed copy (the host's
 #                        # "hardware_concurrency" line aside)
@@ -21,7 +21,8 @@
 #                        # microbenchmark
 #                        # (OHA_BENCH_SMOKE=1: reduced reps and corpus),
 #                        # the component probes (plain and profiled
-#                        # interpreter ns/step, OptFT's fused first
+#                        # interpreter ns/step, the per-quantum
+#                        # scheduler cost, OptFT's fused first
 #                        # round, recovery, static slicing), then the
 #                        # repository benchmark's own checks
 #                        # (perfbench/test.py)
@@ -94,27 +95,33 @@ bench)
         fig7_misspec_vs_profiling
     "$build_dir"/bench/microbench_static
     "$build_dir"/bench/microbench_shadow
-    # The committed figure files must match the code.  One thread: the
-    # static-memo cache counts depend on how the slice runs interleave.
+    # The committed figure files must match the code, at one thread
+    # and at four.
     repo="$PWD"
     figures="$(mktemp -d)"
     trap 'rm -rf "$figures"' EXIT
-    (cd "$figures" &&
-        OHA_THREADS=1 "$repo/$build_dir"/bench/paper_figures &&
-        OHA_THREADS=1 "$repo/$build_dir"/bench/fig7_misspec_vs_profiling) \
-        >/dev/null
     stale=0
-    for written in "$figures"/BENCH_*.json; do
-        name="$(basename "$written")"
-        if [[ ! -f "$name" ]]; then
-            echo "figure check: $name is not committed" >&2
-            stale=1
-        elif ! diff -u --label "committed $name" --label "regenerated" \
-            <(grep -v '"hardware_concurrency"' "$name") \
-            <(grep -v '"hardware_concurrency"' "$written"); then
-            echo "figure check: $name differs from the code's output" >&2
-            stale=1
-        fi
+    for threads in 1 4; do
+        mkdir "$figures/$threads"
+        (cd "$figures/$threads" &&
+            OHA_THREADS="$threads" "$repo/$build_dir"/bench/paper_figures &&
+            OHA_THREADS="$threads" \
+                "$repo/$build_dir"/bench/fig7_misspec_vs_profiling) \
+            >/dev/null
+        for written in "$figures/$threads"/BENCH_*.json; do
+            name="$(basename "$written")"
+            if [[ ! -f "$name" ]]; then
+                echo "figure check: $name is not committed" >&2
+                stale=1
+            elif ! diff -u --label "committed $name" \
+                --label "regenerated at OHA_THREADS=$threads" \
+                <(grep -v '"hardware_concurrency"' "$name") \
+                <(grep -v '"hardware_concurrency"' "$written"); then
+                echo "figure check: $name differs from the code's" \
+                    "output at OHA_THREADS=$threads" >&2
+                stale=1
+            fi
+        done
     done
     exit "$stale"
     ;;
@@ -129,7 +136,10 @@ bench-release)
     OHA_BENCH_SMOKE=1 "$build_dir"/bench/microbench_static
     # Interpreter floor: plain and profiled runs over every race
     # (slice:0) and slice (slice:1) workload's inputs, items = steps,
-    # so the profiled/plain ns/step ratio is tracked.  OptFT's fused
+    # so the profiled/plain ns/step ratio is tracked.  The scheduler's
+    # per-quantum cost: a one-thread counting loop at the default
+    # quanta (one_quantum:0) and as one quantum (one_quantum:1),
+    # items = steps; the ns/step gap is the loop's cost.  OptFT's fused
     # first round (hybrid and optimistic + checker groups) over every
     # race program's testing inputs in one live run each, items =
     # steps.  Recovery: warm, serial, fault-seeded OptFT (slice:0) and
@@ -138,7 +148,7 @@ bench-release)
     # over CS points-to, items = slices.  Leaves
     # BENCH_microbench_components.json.
     "$build_dir"/bench/microbench_components \
-        --benchmark_filter='InterpreterPlain|ProfilingRun|FusedFirstRound|FaultedPipeline|StaticSlice'
+        --benchmark_filter='InterpreterPlain|QuantumLoop|ProfilingRun|FusedFirstRound|FaultedPipeline|StaticSlice'
     # The repository benchmark's own checks: its reference digests
     # still match, and every workload's traced run passes and repeats
     # its exact counts — so the pipelines' live path is held to the

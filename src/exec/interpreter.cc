@@ -340,6 +340,9 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
     ThreadCtx &thread = threads_.back();
     thread.tid = tid;
     thread.spawnSite = spawnSite;
+    // The newest tid is the largest, so the list stays ascending.
+    runnable_.push_back(tid);
+    ++liveThreads_;
 
     for (std::uint64_t mask = liveMask_; mask; mask &= mask - 1)
         attachments_[std::countr_zero(mask)].tool->onThreadStart(
@@ -358,6 +361,25 @@ Interpreter::spawnThread(FuncId func, const ir::Reg *argRegs,
     ++totalEvents_[EventClass::BlockEnter];
     fireBlockEnter(tid, entry.entry.block);
     return tid;
+}
+
+void
+Interpreter::suspend(ThreadCtx &thread, ThreadState state)
+{
+    thread.state = state;
+    runnable_.erase(
+        std::lower_bound(runnable_.begin(), runnable_.end(), thread.tid));
+    if (state == ThreadState::Finished)
+        --liveThreads_;
+}
+
+void
+Interpreter::wake(ThreadCtx &thread)
+{
+    thread.state = ThreadState::Runnable;
+    runnable_.insert(
+        std::lower_bound(runnable_.begin(), runnable_.end(), thread.tid),
+        thread.tid);
 }
 
 template <bool kTools>
@@ -606,7 +628,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             if (thread->frames.empty()) {
                 // Thread root returned: the thread is finished.
                 thread->retVal = retVal;
-                thread->state = ThreadState::Finished;
+                suspend(*thread, ThreadState::Finished);
                 if constexpr (kTools) {
                     for (std::uint64_t mask = liveMask_; mask;
                          mask &= mask - 1)
@@ -615,9 +637,8 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 }
                 for (auto &other : threads_) {
                     if (other.state == ThreadState::BlockedOnJoin &&
-                        other.waitTid == tid) {
-                        other.state = ThreadState::Runnable;
-                    }
+                        other.waitTid == tid)
+                        wake(other);
                 }
                 --left;
                 goto out;
@@ -655,7 +676,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 }
                 if (owner != 0) {
                     // Blocked: not a step; the Lock reruns when woken.
-                    thread->state = ThreadState::BlockedOnLock;
+                    suspend(*thread, ThreadState::BlockedOnLock);
                     thread->waitObj = obj;
                     goto out;
                 }
@@ -676,9 +697,8 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
                 lockOwner_[obj] = 0;
                 for (auto &other : threads_) {
                     if (other.state == ThreadState::BlockedOnLock &&
-                        other.waitObj == obj) {
-                        other.state = ThreadState::Runnable;
-                    }
+                        other.waitObj == obj)
+                        wake(other);
                 }
             }
             goto next;
@@ -713,7 +733,7 @@ Interpreter::runQuantum(const ThreadId tid, const std::uint64_t quantum)
             }
             const ThreadId joined = handle.idx;
             if (threads_[joined].state != ThreadState::Finished) {
-                thread->state = ThreadState::BlockedOnJoin;
+                suspend(*thread, ThreadState::BlockedOnJoin);
                 thread->waitTid = joined;
                 goto out;
             }
@@ -763,6 +783,50 @@ out:
     return fault;
 }
 
+template <bool kTools>
+const char *
+Interpreter::runQuanta(RunResult &end)
+{
+    // Two draws a quantum, in this order: the thread, then the
+    // quantum length.  The length's span is fixed for the run, so it
+    // is reduced without a divide.
+    const FastMod quantumDraw(config_.maxQuantum - config_.minQuantum + 1);
+    for (;;) {
+        // Aborts requested outside a quantum's step loop (thread start
+        // and finish callbacks) stop their groups here.
+        if (abortPending_)
+            stopAbortedGroups(0);
+        if (liveGroups_ == 0)
+            return nullptr;
+        if (steps_ >= config_.maxSteps) {
+            end.status = RunResult::Status::StepLimit;
+            return nullptr;
+        }
+        if (runnable_.empty()) {
+            if (liveThreads_ != 0) {
+                end.status = RunResult::Status::Deadlock;
+                end.abortReason = "deadlock: all live threads blocked";
+            }
+            return nullptr;
+        }
+
+        // A lone runnable thread still consumes its draw.
+        const std::uint64_t pickDraw = rng_.next();
+        const ThreadId pick = runnable_.size() == 1
+                                  ? runnable_.front()
+                                  : runnable_[pickDraw % runnable_.size()];
+        const std::uint64_t quantum =
+            config_.minQuantum + quantumDraw(rng_.next());
+        if (config_.recordSchedule) {
+            schedule_.push_back(
+                {pick, static_cast<std::uint32_t>(quantum)});
+        }
+
+        if (const char *fault = runQuantum<kTools>(pick, quantum))
+            return fault;
+    }
+}
+
 std::vector<RunResult>
 Interpreter::runGroups()
 {
@@ -771,9 +835,6 @@ Interpreter::runGroups()
     delivered_.assign(attachments_.size(), EventCounts{});
     if (!attachments_.empty())
         buildDispatchTables();
-    const char *(Interpreter::*runQuantumFn)(ThreadId, std::uint64_t) =
-        attachments_.empty() ? &Interpreter::runQuantum<false>
-                             : &Interpreter::runQuantum<true>;
 
     // Globals become heap objects [0, numGlobals) so GlobalAddr can
     // use the global id directly as the object id.
@@ -789,48 +850,10 @@ Interpreter::runGroups()
     const ir::Function *mainFunc = module_.entryFunction();
     if (mainFunc->numParams() != 0)
         OHA_FATAL("main() must take no parameters");
-    if (!fault)
+    if (!fault) {
         spawnThread(mainFunc->id(), nullptr, 0, kNoInstr, 0);
-
-    std::vector<std::uint32_t> runnable;
-    while (!fault) {
-        // Aborts requested outside a quantum's step loop (thread start
-        // and finish callbacks) stop their groups here.
-        if (abortPending_)
-            stopAbortedGroups(0);
-        if (liveGroups_ == 0)
-            break;
-        if (steps_ >= config_.maxSteps) {
-            end.status = RunResult::Status::StepLimit;
-            break;
-        }
-
-        runnable.clear();
-        bool anyLive = false;
-        for (std::uint32_t i = 0; i < threads_.size(); ++i) {
-            if (threads_[i].state == ThreadState::Runnable)
-                runnable.push_back(i);
-            if (threads_[i].state != ThreadState::Finished)
-                anyLive = true;
-        }
-        if (runnable.empty()) {
-            end.status = anyLive ? RunResult::Status::Deadlock
-                                 : RunResult::Status::Finished;
-            if (anyLive)
-                end.abortReason = "deadlock: all live threads blocked";
-            break;
-        }
-
-        const std::uint32_t pick = runnable[rng_.below(runnable.size())];
-        const std::uint64_t quantum =
-            config_.minQuantum +
-            rng_.below(config_.maxQuantum - config_.minQuantum + 1);
-        if (config_.recordSchedule) {
-            schedule_.push_back(
-                {pick, static_cast<std::uint32_t>(quantum)});
-        }
-
-        fault = (this->*runQuantumFn)(pick, quantum);
+        fault = attachments_.empty() ? runQuanta<false>(end)
+                                     : runQuanta<true>(end);
     }
     if (fault) {
         end.status = RunResult::Status::RuntimeError;

@@ -231,6 +231,20 @@ class Interpreter : public ExecutionControl
     template <bool kTools>
     const char *runQuantum(ThreadId tid, std::uint64_t quantum);
 
+    /** Run quanta until the program ends, deadlocks, hits the step
+     *  limit or every group stops, setting @p end's status; the
+     *  scheduler loop of runGroups.  Returns the guest-fault message,
+     *  or null. */
+    template <bool kTools>
+    const char *runQuanta(RunResult &end);
+
+    /** Move the running @p thread out of runnable_ into @p state
+     *  (blocked or Finished). */
+    void suspend(ThreadCtx &thread, ThreadState state);
+
+    /** Make the blocked @p thread Runnable again. */
+    void wake(ThreadCtx &thread);
+
     /** Push a frame for @p func on @p thread with a zeroed register
      *  window, except for the first @p numArgs slots, which the
      *  caller fills.  May grow the thread's register stack. */
@@ -289,6 +303,12 @@ class Interpreter : public ExecutionControl
     std::vector<std::uint8_t> instrMask_;
     std::vector<std::uint8_t> blockMask_;
     std::vector<ThreadCtx> threads_;
+    /** Tids of the Runnable threads, ascending: the scheduler picks
+     *  from it, so it changes only where a thread's state does. */
+    std::vector<ThreadId> runnable_;
+    /** Threads not yet Finished; with runnable_ empty, nonzero means
+     *  deadlock. */
+    std::uint32_t liveThreads_ = 0;
     std::vector<HeapObject> heap_;
     /** Every object's cells, in allocation order.  It may reallocate
      *  on an Alloc, so a cell pointer is not held across one. */

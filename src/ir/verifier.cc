@@ -19,6 +19,9 @@ verifyFunction(const Module &module, const Function &func)
 
     if (func.blocks().empty())
         OHA_FATAL("function '%s' has no blocks", func.name().c_str());
+    if (func.numRegs() > kMaxRegisters)
+        OHA_FATAL("too many registers in '%s' (%u, limit %u)",
+                  func.name().c_str(), func.numRegs(), kMaxRegisters);
 
     std::vector<Reg> uses;
     for (const auto &block : func.blocks()) {

@@ -9,11 +9,17 @@ namespace oha::ir {
 
 class Module;
 
+/** Registers one function may use.  Every frame of a function gets a
+ *  window of numRegs() registers (16 bytes each, so 1 MiB here); the
+ *  workloads use at most 149. */
+inline constexpr unsigned kMaxRegisters = 1u << 16;
+
 /**
  * Check that @p module is structurally well-formed: every block ends
  * with exactly one terminator, branch targets stay within their
- * function, register operands are in range, and call arities match
- * their callees.  Fatal on the first violation.
+ * function, no function uses more than kMaxRegisters registers,
+ * register operands are in range, and call arities match their
+ * callees.  Fatal on the first violation.
  */
 void verifyModule(const Module &module);
 

@@ -199,13 +199,13 @@ ProfilingCampaign::addRunsUntilConverged(
     std::size_t consumed = 0;
     while (consumed < inputs.size() && numRuns() < maxRuns &&
            unchanged < convergenceWindow) {
-        // Speculatively observe one batch of runs concurrently, then
-        // merge them in input order, stopping exactly where the serial
-        // loop would; surplus observations past that point are
-        // discarded so the merged state is identical for any thread
-        // count.
-        const std::size_t batch = std::min(
-            {threads, inputs.size() - consumed, maxRuns - numRuns()});
+        // Observe one batch of runs concurrently, then merge them in
+        // input order.  The batch never reaches past the convergence
+        // point: the window can close only on its last run, so every
+        // observed run is merged, at any thread count.
+        const std::size_t batch =
+            std::min({threads, inputs.size() - consumed,
+                      maxRuns - numRuns(), convergenceWindow - unchanged});
         const std::size_t base = consumed;
         const auto observations = support::runBatch(
             batch,
@@ -217,12 +217,9 @@ ProfilingCampaign::addRunsUntilConverged(
                                      observeRun(input));
             },
             threads);
-        for (const auto &run : observations) {
-            if (numRuns() >= maxRuns || unchanged >= convergenceWindow)
-                break;
+        for (const auto &run : observations)
             unchanged = mergeRun(*run) ? 0 : unchanged + 1;
-            ++consumed;
-        }
+        consumed += batch;
     }
     return numRuns();
 }

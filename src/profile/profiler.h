@@ -86,10 +86,11 @@ class ProfilingCampaign
      * Profile @p inputs in order until the invariant set has been
      * stable for @p convergenceWindow consecutive runs or @p maxRuns
      * runs merged, executing up to ProfileOptions::threads runs
-     * concurrently.  Observations are merged in input-index order and
-     * speculative surplus runs past the convergence point are
-     * discarded, so the merged invariants, profiled-step total and
-     * run count are byte-identical to the serial loop.
+     * concurrently.  A batch never extends past the run that could
+     * close the window or reach @p maxRuns, and observations are
+     * merged in input-index order, so every observed run is merged
+     * and the merged invariants, profiled-step total and run count
+     * are byte-identical to the serial loop.
      *
      * When @p observe is set it replaces observeRun as the source of
      * each input's observations (e.g. the shared observation cache);

@@ -90,4 +90,40 @@ class Rng
     std::uint64_t state_[4];
 };
 
+/**
+ * `n % d` for a divisor fixed in advance, without a divide: Lemire's
+ * fastmod with a 128-bit multiplier M = ceil(2^128 / d), so that
+ * n mod d = hi64(lo128(M * n) * d).  Exact for every 64-bit n and
+ * every d >= 1 (Lemire, Kaser and Kurz, "Faster Remainder by Direct
+ * Computation", 2019).
+ */
+class FastMod
+{
+  public:
+    /** Precompute the multiplier for @p divisor, which must be
+     *  nonzero. */
+    explicit FastMod(std::uint64_t divisor)
+        : divisor_(divisor), multiplier_(~Wide{0} / divisor + 1)
+    {
+    }
+
+    /** @p n modulo the divisor. */
+    std::uint64_t
+    operator()(std::uint64_t n) const
+    {
+        const Wide low = multiplier_ * n;
+        // The top 64 of the 192-bit product low * divisor, summed from
+        // its two 64-bit halves.
+        const Wide bottom = (low & ~std::uint64_t{0}) * divisor_ >> 64;
+        const Wide top = (low >> 64) * divisor_;
+        return static_cast<std::uint64_t>((bottom + top) >> 64);
+    }
+
+  private:
+    using Wide = unsigned __int128;
+
+    std::uint64_t divisor_;
+    Wide multiplier_;
+};
+
 } // namespace oha

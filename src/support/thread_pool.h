@@ -1,7 +1,8 @@
 /**
  * @file
  * The run-batching helpers that execute independent interpreter runs
- * concurrently, each batch on its own short-lived worker threads.
+ * concurrently: a batch over T workers runs on the calling thread plus
+ * T - 1 short-lived threads started for that batch.
  *
  * Every execution the OHA pipeline performs — profiling runs,
  * no-custom-sync calibration trials, testing-corpus evaluations — is a
@@ -50,25 +51,22 @@ cachedEnvThreads()
     return cached;
 }
 
-/** Run @p worker on @p numThreads new threads and join them all. */
+/** Run @p worker on @p numThreads threads: numThreads - 1 new ones
+ *  and the calling thread, then join the new ones.  Every started
+ *  thread is joined on every exit path (a std::jthread joins when
+ *  destroyed), so the batch's state outlives its workers.  If a
+ *  thread fails to start, the caller does not run its copy: the
+ *  running workers finish every job, and the start failure is
+ *  rethrown once they are joined. */
 template <typename Worker>
 void
 runOnThreads(std::size_t numThreads, const Worker &worker)
 {
-    std::vector<std::thread> threads;
-    threads.reserve(numThreads);
-    try {
-        for (std::size_t t = 0; t < numThreads; ++t)
-            threads.emplace_back([&worker] { worker(); });
-    } catch (...) {
-        // A thread failed to start.  The running workers still finish
-        // every job; join them before the batch's state unwinds.
-        for (std::thread &thread : threads)
-            thread.join();
-        throw;
-    }
-    for (std::thread &thread : threads)
-        thread.join();
+    std::vector<std::jthread> started;
+    started.reserve(numThreads - 1);
+    for (std::size_t t = 1; t < numThreads; ++t)
+        started.emplace_back([&worker] { worker(); });
+    worker();
 }
 
 } // namespace detail
@@ -118,7 +116,8 @@ configuredThreads(std::size_t requested = 0)
  * are collected by index (not completion order), callers that merge
  * them serially observe byte-identical outputs for any thread count.
  * With one effective thread the jobs run inline on the caller;
- * otherwise each worker pulls the next job as soon as it is free.
+ * otherwise the caller is one of the workers, and each worker pulls
+ * the next job as soon as it is free.
  * Every job runs; if any throw, the lowest-index failing job's
  * exception is rethrown.
  */

@@ -12,6 +12,7 @@
 #include "exec/interpreter.h"
 #include "guest_fault.h"
 #include "ir/builder.h"
+#include "ir/parser.h"
 
 namespace oha::exec {
 namespace {
@@ -377,6 +378,150 @@ TEST(Interpreter, DeadlockDetected)
     module.finalize();
 
     EXPECT_EQ(runPlain(module).status, RunResult::Status::Deadlock);
+}
+
+/** FNV-1a-style digest of the schedule, steps, status and outputs of
+ *  @p module's runs at schedule seeds 1-8, each run's status also
+ *  checked against @p status. */
+std::uint64_t
+scheduleDigest(const Module &module, RunResult::Status status)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto add = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        ExecConfig config;
+        config.scheduleSeed = seed;
+        config.recordSchedule = true;
+        const RunResult result = runPlain(module, config);
+        EXPECT_EQ(result.status, status) << "seed " << seed;
+        add(static_cast<std::uint64_t>(result.status));
+        add(result.steps);
+        add(result.schedule.size());
+        for (const ScheduleStep &step : result.schedule) {
+            add(step.thread);
+            add(step.quantum);
+        }
+        add(result.outputs.size());
+        for (const auto &[instr, value] : result.outputs) {
+            add(instr);
+            add(static_cast<std::uint64_t>(value));
+        }
+    }
+    return h;
+}
+
+TEST(Interpreter, SchedulePinnedUnderLockContentionAndJoins)
+{
+    // Four workers each hold one lock across a 120-step spin, longer
+    // than any quantum, so the others block on it and one unlock wakes
+    // several waiters; main joins them newest first, so it blocks on
+    // threads that are still running.
+    const auto contended = ir::parseModule(R"(global m[1]
+global total[1]
+
+func worker(r0) {
+  entry:
+    r1 = 0
+    r2 = &m
+    r3 = &total
+    r6 = 1
+    r7 = 5
+    r10 = 40
+    br loop
+  loop:
+    lock r2
+    r8 = 0
+    br spin
+  spin:
+    r8 = r8 + r6
+    r9 = r8 < r10
+    condbr r9, spin, leave
+  leave:
+    r4 = *r3
+    r5 = r4 + r0
+    *r3 = r5
+    output r5
+    unlock r2
+    r1 = r1 + r6
+    r11 = r1 < r7
+    condbr r11, loop, done
+  done:
+    ret r1
+}
+
+func main() {
+  entry:
+    r0 = 1
+    r1 = spawn worker(r0)
+    r2 = 2
+    r3 = spawn worker(r2)
+    r4 = 3
+    r5 = spawn worker(r4)
+    r6 = 4
+    r7 = spawn worker(r6)
+    r8 = join r7
+    output r8
+    r9 = join r5
+    output r9
+    r10 = join r3
+    output r10
+    r11 = join r1
+    output r11
+    r12 = &total
+    r13 = *r12
+    output r13
+    ret
+}
+)");
+    // main holds `a` and joins `grab`, which holds `b` and waits for
+    // `a`: every seed deadlocks once the two `busy` threads finish.
+    const auto deadlocked = ir::parseModule(R"(global a[1]
+global b[1]
+
+func busy(r0) {
+  entry:
+    r1 = 0
+    r2 = 1
+    br loop
+  loop:
+    output r1
+    r1 = r1 + r2
+    r3 = r1 < r0
+    condbr r3, loop, done
+  done:
+    ret r1
+}
+
+func grab() {
+  entry:
+    r0 = &b
+    r1 = &a
+    lock r0
+    lock r1
+    unlock r1
+    unlock r0
+    ret
+}
+
+func main() {
+  entry:
+    r0 = &a
+    r1 = 30
+    r2 = spawn busy(r1)
+    lock r0
+    r3 = spawn grab()
+    r4 = spawn busy(r1)
+    r5 = join r3
+    ret
+}
+)");
+    EXPECT_EQ(scheduleDigest(*contended, RunResult::Status::Finished),
+              0xc4615eadbdc50d2eull);
+    EXPECT_EQ(scheduleDigest(*deadlocked, RunResult::Status::Deadlock),
+              0xd15bcdec07edec9full);
 }
 
 TEST(Interpreter, StepLimitStopsRunawayLoop)

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+
 #include "core/optft.h"
 #include "core/optslice.h"
 #include "profile/profiler.h"
@@ -50,9 +54,9 @@ TEST(ParallelProfiling, ConvergedCampaignMatchesSerialAddRunLoop)
 
 TEST(ParallelProfiling, SurplusSpeculativeRunsAreDiscarded)
 {
-    // With more workers than the convergence window, a batch can
-    // finish runs past the convergence point; they must not leak into
-    // the run count or the step total.
+    // With more workers than the convergence window, runs past the
+    // convergence point must not leak into the run count or the step
+    // total.
     const auto workload = workloads::makeRaceWorkload("lusearch", 16, 2);
     prof::ProfileOptions serialOptions;
     serialOptions.threads = 1;
@@ -67,6 +71,34 @@ TEST(ParallelProfiling, SurplusSpeculativeRunsAreDiscarded)
     EXPECT_EQ(wide.numRuns(), serial.numRuns());
     EXPECT_EQ(wide.profiledSteps(), serial.profiledSteps());
     EXPECT_EQ(wide.invariants().saveText(), serial.invariants().saveText());
+}
+
+TEST(ParallelProfiling, ObserverRunsOnlyTheMergedRuns)
+{
+    // A batch stops at the run that could close the convergence
+    // window, so no run past it is observed (or cached by an
+    // observation-cache observer) at any thread count.
+    const auto workload = workloads::makeRaceWorkload("lusearch", 16, 2);
+    std::string serialInvariants;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        prof::ProfileOptions options;
+        options.threads = threads;
+        prof::ProfilingCampaign campaign(*workload.module, options);
+        std::atomic<std::size_t> calls{0};
+        campaign.addRunsUntilConverged(
+            workload.profilingSet, 16, 2,
+            [&](const exec::ExecConfig &input) {
+                ++calls;
+                return std::make_shared<const prof::RunObservations>(
+                    campaign.observeRun(input));
+            });
+        EXPECT_EQ(calls.load(), campaign.numRuns()) << threads;
+        if (threads == 1)
+            serialInvariants = campaign.invariants().saveText();
+        EXPECT_EQ(campaign.invariants().saveText(), serialInvariants)
+            << threads;
+    }
 }
 
 TEST(ParallelOptFt, ThreadCountNeverChangesTheResult)

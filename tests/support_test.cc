@@ -203,6 +203,26 @@ TEST(Rng, BelowAndRangeInBounds)
     }
 }
 
+TEST(FastMod, MatchesModuloOnEdgesAndDraws)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    for (const std::uint64_t d :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+          std::uint64_t{7}, std::uint64_t{49}, std::uint64_t{4000},
+          std::uint64_t{0xffffffff}, kMax}) {
+        const FastMod mod(d);
+        for (const std::uint64_t n :
+             {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, d + 1, kMax,
+              kMax - 1})
+            EXPECT_EQ(mod(n), n % d) << n << " mod " << d;
+        Rng rng(d);
+        for (int i = 0; i < 10000; ++i) {
+            const std::uint64_t n = rng.next();
+            ASSERT_EQ(mod(n), n % d) << n << " mod " << d;
+        }
+    }
+}
+
 TEST(TextTable, AlignsColumns)
 {
     TextTable table({"name", "value"});

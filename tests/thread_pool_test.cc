@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -76,6 +78,30 @@ TEST(RunBatch, SingleJobRunsInlineEvenWithManyThreads)
         1, [](std::size_t) { return std::this_thread::get_id(); }, 8);
     ASSERT_EQ(ids.size(), 1u);
     EXPECT_EQ(ids[0], caller);
+}
+
+TEST(RunBatch, CallerIsOneOfTheWorkers)
+{
+    // The two jobs meet before either returns, so two workers must run
+    // them at once; at two threads the caller has to be one of them.
+    std::mutex mutex;
+    std::condition_variable met;
+    int arrived = 0;
+    const std::thread::id caller = std::this_thread::get_id();
+    const auto ids = support::runBatch(
+        2,
+        [&](std::size_t) {
+            std::unique_lock<std::mutex> lock(mutex);
+            ++arrived;
+            met.notify_all();
+            EXPECT_TRUE(met.wait_for(lock, std::chrono::seconds(10),
+                                     [&] { return arrived == 2; }));
+            return std::this_thread::get_id();
+        },
+        2);
+    ASSERT_EQ(ids.size(), 2u);
+    EXPECT_NE(ids[0], ids[1]);
+    EXPECT_TRUE(ids[0] == caller || ids[1] == caller);
 }
 
 TEST(RunBatch, JobsActuallyOverlap)

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/builder.h"
 #include "ir/parser.h"
+#include "ir/verifier.h"
 
 namespace oha::ir {
 namespace {
@@ -134,6 +137,24 @@ TEST(Verifier, RejectsAllocSizeOutOfRange)
     };
     EXPECT_EXIT(build(), ::testing::ExitedWithCode(1),
                 "alloc size out of range");
+}
+
+TEST(Verifier, RejectsTooManyRegisters)
+{
+    // Checked at parse time only: each frame of such a function would
+    // get a window of 16 bytes a register, 1.6 GB for r99999999.
+    auto assigning = [](unsigned reg) {
+        return "func main() {\n  entry:\n    r" + std::to_string(reg) +
+               " = 7\n    ret\n}\n";
+    };
+    EXPECT_EXIT(parseModule(assigning(99999999)),
+                ::testing::ExitedWithCode(1), "too many registers");
+    EXPECT_EXIT(parseModule(assigning(kMaxRegisters)),
+                ::testing::ExitedWithCode(1), "too many registers");
+    EXPECT_EQ(parseModule(assigning(kMaxRegisters - 1))
+                  ->entryFunction()
+                  ->numRegs(),
+              kMaxRegisters);
 }
 
 TEST(ParserDiagnostics, RejectsGlobalSizeOutOfRange)
