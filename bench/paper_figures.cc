@@ -8,14 +8,15 @@
  *
  * Exits 1 on a "SOUNDNESS VIOLATION" (optimistic race reports or
  * slices differ from the sound ones) or a "REGRESSION" (an optimistic
- * alias rate above the sound one).  Every number, the static-memo
- * cache counts of Table 2 and Figure 9 included, is the same at any
- * thread count.
+ * alias rate above the sound one).  Every number, the shared-cache
+ * counts of Table 2 and Figure 9 (every memo section, not Andersen
+ * alone) included, is the same at any thread count.
  */
 
 #include "bench_common.h"
 
 #include "analysis/andersen_cache.h"
+#include "service/shared_cache.h"
 
 using namespace oha;
 
@@ -245,17 +246,20 @@ figure6(const SliceRows &rows)
     return true;
 }
 
-/** Record and print the Andersen cache counts of the slice pass. */
+/** Record and print the slice pass's shared-cache counts: every memo
+ *  section (profile observations, static race results, Andersen
+ *  solves, slice sets), not Andersen alone. */
 void
-staticMemo(bench::JsonReport &json, const analysis::AndersenCacheStats &memo)
+sharedCacheCounts(bench::JsonReport &json,
+                  const service::SharedCacheStats &cache)
 {
-    json.metric("aggregate", "static-memo", "cache_hits",
-                double(memo.hits));
-    json.metric("aggregate", "static-memo", "cache_misses",
-                double(memo.misses));
-    std::printf("static-memo cache: %llu hits, %llu misses\n",
-                static_cast<unsigned long long>(memo.hits),
-                static_cast<unsigned long long>(memo.misses));
+    json.metric("aggregate", "shared-cache", "cache_hits",
+                double(cache.hits));
+    json.metric("aggregate", "shared-cache", "cache_misses",
+                double(cache.misses));
+    std::printf("shared cache (all sections): %llu hits, %llu misses\n",
+                static_cast<unsigned long long>(cache.hits),
+                static_cast<unsigned long long>(cache.misses));
 }
 
 /**
@@ -267,7 +271,7 @@ staticMemo(bench::JsonReport &json, const analysis::AndersenCacheStats &memo)
  * minutes everywhere.
  */
 void
-table2(const SliceRows &rows, const analysis::AndersenCacheStats &memo)
+table2(const SliceRows &rows, const service::SharedCacheStats &cache)
 {
     bench::banner(
         "Table 2: OptSlice end-to-end analysis times and break-even",
@@ -309,7 +313,7 @@ table2(const SliceRows &rows, const analysis::AndersenCacheStats &memo)
     std::printf("%s\n", table.str().c_str());
     std::printf("(AT = analysis type: the most accurate of CS/CI that "
                 "completes within budget; times are modeled seconds)\n");
-    staticMemo(json, memo);
+    sharedCacheCounts(json, cache);
     json.write();
 }
 
@@ -321,7 +325,7 @@ table2(const SliceRows &rows, const analysis::AndersenCacheStats &memo)
  * several benchmarks (vim 0.12 -> 0.002) and never raises them.
  */
 bool
-figure9(const SliceRows &rows, const analysis::AndersenCacheStats &memo)
+figure9(const SliceRows &rows, const service::SharedCacheStats &cache)
 {
     bench::banner("Figure 9: points-to alias rates, base vs optimistic",
                   "optimistic alias rates drop, never rise");
@@ -354,7 +358,7 @@ figure9(const SliceRows &rows, const analysis::AndersenCacheStats &memo)
     std::printf("%s\n", table.str().c_str());
     std::printf("(alias rate = probability a random load/store pair "
                 "may alias, over the optimistic access set)\n");
-    staticMemo(json, memo);
+    sharedCacheCounts(json, cache);
     json.write();
     return true;
 }
@@ -408,7 +412,7 @@ main()
                 workload.paperBaselineSeconds,
                 core::runOptFt(workload, bench::standardOptFtConfig())};
         });
-    // The static-memo counts cover the slice pass alone.
+    // The shared-cache counts cover the slice pass alone.
     analysis::resetAndersenCache();
     const SliceRows slice = bench::evalCorpus(
         workloads::sliceWorkloadNames(), [](const std::string &name) {
@@ -419,16 +423,16 @@ main()
                 core::runOptSlice(workload,
                                   bench::standardOptSliceConfig())};
         });
-    const analysis::AndersenCacheStats memo =
-        analysis::andersenCacheStats();
+    const service::SharedCacheStats cache =
+        service::SharedCache::instance().stats();
 
     if (!figure5(race))
         return 1;
     table1(race);
     if (!figure6(slice))
         return 1;
-    table2(slice, memo);
-    if (!figure9(slice, memo))
+    table2(slice, cache);
+    if (!figure9(slice, cache))
         return 1;
     figure10(slice);
     return 0;

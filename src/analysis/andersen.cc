@@ -5,18 +5,11 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "support/flat_map.h"
 #include "support/union_find.h"
 
 namespace oha::analysis {
-
-namespace {
-
-/** Marker call-site used in the chain of fallback instances. */
-constexpr InstrId kFallbackMarker = kNoInstr;
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // AndersenResult queries
@@ -64,8 +57,7 @@ byteSizeEstimate(const AndersenResult &result)
     bytes += result.callEdges_.size() *
              (sizeof(std::tuple<std::uint32_t, InstrId, FuncId>) +
               sizeof(std::uint32_t) + 48);
-    for (const ContextInstance &ctx : result.contexts)
-        bytes += sizeof(ctx) + ctx.chain.size() * sizeof(InstrId);
+    bytes += result.contexts.capacity() * sizeof(ContextInstance);
     return bytes;
 }
 
@@ -202,11 +194,11 @@ class AndersenSolver
 
     // -- construction ------------------------------------------------
     bool blockLive(BlockId block) const;
-    bool contextObserved(const inv::CallContext &chain) const;
-    std::uint32_t makeInstance(FuncId func, inv::CallContext chain,
-                               std::uint32_t parent, InstrId site,
-                               bool fallback);
-    std::uint32_t fallbackInstance(FuncId func);
+    bool contextObserved(std::uint32_t chain, InstrId site) const;
+    /** The instance of @p func under @p chain (kNone: its
+     *  context-insensitive fallback), made if new. */
+    std::uint32_t instance(FuncId func, std::uint32_t chain,
+                           std::uint32_t parent, InstrId site);
     std::vector<FuncId> staticCallees(std::uint32_t ctx,
                                       const ir::Instruction &ins) const;
     bool buildContexts();
@@ -249,8 +241,10 @@ class AndersenSolver
     MemoryModel memory_;
     std::vector<ContextInstance> contexts_;
     std::vector<std::vector<std::uint32_t>> funcInstances_;
-    std::map<std::pair<FuncId, inv::CallContext>, std::uint32_t> instanceKey_;
-    std::vector<std::uint32_t> fallback_;
+    /** The call-site chains of the CS instances. */
+    inv::ContextTable chains_;
+    /** (func << 32 | chain id) -> instance id. */
+    support::FlatMap<std::uint32_t> instanceKey_;
     std::map<std::tuple<std::uint32_t, InstrId, FuncId>, std::uint32_t>
         callEdges_;
     /** (allocSite, ctx) -> abstract object. */
@@ -304,41 +298,32 @@ AndersenSolver::blockLive(BlockId block) const
 }
 
 bool
-AndersenSolver::contextObserved(const inv::CallContext &chain) const
+AndersenSolver::contextObserved(std::uint32_t chain, InstrId site) const
 {
     if (!options_.invariants || !options_.invariants->hasCallContexts)
         return true;
-    return options_.invariants->callContexts.count(chain) > 0;
+    inv::CallContext context = chains_.chain(chain);
+    context.push_back(site);
+    return options_.invariants->callContexts.contains(context);
 }
 
 std::uint32_t
-AndersenSolver::makeInstance(FuncId func, inv::CallContext chain,
-                             std::uint32_t parent, InstrId site,
-                             bool fallback)
+AndersenSolver::instance(FuncId func, std::uint32_t chain,
+                         std::uint32_t parent, InstrId site)
 {
+    const std::uint64_t key = (std::uint64_t{func} << 32) | chain;
+    if (const std::uint32_t *known = instanceKey_.find(key))
+        return *known;
     ContextInstance inst;
     inst.id = static_cast<std::uint32_t>(contexts_.size());
     inst.func = func;
-    inst.chain = std::move(chain);
+    inst.chain = chain;
     inst.parent = parent;
     inst.callSite = site;
-    inst.fallback = fallback;
+    inst.fallback = chain == inv::ContextTable::kNone;
     contexts_.push_back(inst);
     funcInstances_[func].push_back(inst.id);
-    instanceKey_.emplace(std::make_pair(func, contexts_.back().chain),
-                         inst.id);
-    return inst.id;
-}
-
-std::uint32_t
-AndersenSolver::fallbackInstance(FuncId func)
-{
-    if (fallback_[func] != static_cast<std::uint32_t>(-1))
-        return fallback_[func];
-    const std::uint32_t inst = makeInstance(
-        func, inv::CallContext{kFallbackMarker}, 0, kNoInstr, true);
-    fallback_[func] = inst;
-    return inst;
+    return instanceKey_[key] = inst.id;
 }
 
 std::vector<FuncId>
@@ -379,12 +364,11 @@ AndersenSolver::buildContexts()
 {
     const std::size_t numFuncs = module_.numFunctions();
     funcInstances_.assign(numFuncs, {});
-    fallback_.assign(numFuncs, static_cast<std::uint32_t>(-1));
 
     if (!options_.contextSensitive) {
         // CI: exactly one instance per function, empty chain.
         for (FuncId f = 0; f < numFuncs; ++f)
-            makeInstance(f, {}, 0, kNoInstr, false);
+            instance(f, inv::ContextTable::kRoot, 0, kNoInstr);
         // Call edges are still recorded so clients can navigate.
         for (FuncId f = 0; f < numFuncs; ++f) {
             for (const auto &block : module_.function(f)->blocks()) {
@@ -400,14 +384,9 @@ AndersenSolver::buildContexts()
     }
 
     // CS: BFS expansion from main (and from every spawn site).
-    struct WorkItem
-    {
-        std::uint32_t ctx;
-    };
-    std::deque<WorkItem> work;
-
+    std::deque<std::uint32_t> work;
     const FuncId mainId = module_.entryFunction()->id();
-    work.push_back({makeInstance(mainId, {}, 0, kNoInstr, false)});
+    work.push_back(instance(mainId, inv::ContextTable::kRoot, 0, kNoInstr));
 
     // Track per-instance ancestor functions for recursion folding.
     auto ancestorWithFunc = [&](std::uint32_t ctx,
@@ -416,7 +395,8 @@ AndersenSolver::buildContexts()
         while (true) {
             if (contexts_[cur].func == func)
                 return cur;
-            if (contexts_[cur].chain.empty() || contexts_[cur].fallback)
+            if (contexts_[cur].chain == inv::ContextTable::kRoot ||
+                contexts_[cur].fallback)
                 return static_cast<std::uint32_t>(-1);
             cur = contexts_[cur].parent;
         }
@@ -428,7 +408,7 @@ AndersenSolver::buildContexts()
             budgetExceeded_ = true;
             return false;
         }
-        const std::uint32_t ctx = work.front().ctx;
+        const std::uint32_t ctx = work.front();
         work.pop_front();
         if (!expanded.insert(ctx).second)
             continue;
@@ -442,17 +422,10 @@ AndersenSolver::buildContexts()
                 if (ins.op == ir::Opcode::Spawn) {
                     // Thread roots restart the context chain, matching
                     // the profiler's per-thread call stacks.
-                    const FuncId callee = ins.callee;
-                    auto it = instanceKey_.find({callee, {}});
-                    std::uint32_t calleeCtx;
-                    if (it != instanceKey_.end()) {
-                        calleeCtx = it->second;
-                    } else {
-                        calleeCtx = makeInstance(callee, {}, ctx, ins.id,
-                                                 false);
-                        work.push_back({calleeCtx});
-                    }
-                    callEdges_[{ctx, ins.id, callee}] = calleeCtx;
+                    const std::uint32_t calleeCtx = instance(
+                        ins.callee, inv::ContextTable::kRoot, ctx, ins.id);
+                    work.push_back(calleeCtx); // skipped if expanded
+                    callEdges_[{ctx, ins.id, ins.callee}] = calleeCtx;
                     continue;
                 }
                 if (ins.op != ir::Opcode::Call &&
@@ -467,29 +440,23 @@ AndersenSolver::buildContexts()
                         callEdges_[{ctx, ins.id, callee}] = anc;
                         continue;
                     }
-                    if (inst.fallback ||
-                        inst.chain.size() >= options_.maxContextDepth) {
-                        const std::uint32_t fb = fallbackInstance(callee);
+                    if (inst.fallback || chains_.depth(inst.chain) >=
+                                             options_.maxContextDepth) {
+                        const std::uint32_t fb = instance(
+                            callee, inv::ContextTable::kNone, 0, kNoInstr);
                         callEdges_[{ctx, ins.id, callee}] = fb;
-                        work.push_back({fb});
+                        work.push_back(fb);
                         continue;
                     }
-                    inv::CallContext chain = inst.chain;
-                    chain.push_back(ins.id);
-                    if (!contextObserved(chain)) {
+                    if (!contextObserved(inst.chain, ins.id)) {
                         // Likely-unused call context: prune entirely
                         // (Figure 3, right).
                         continue;
                     }
-                    auto it = instanceKey_.find({callee, chain});
-                    std::uint32_t calleeCtx;
-                    if (it != instanceKey_.end()) {
-                        calleeCtx = it->second;
-                    } else {
-                        calleeCtx = makeInstance(callee, std::move(chain),
-                                                 ctx, ins.id, false);
-                        work.push_back({calleeCtx});
-                    }
+                    const std::uint32_t calleeCtx =
+                        instance(callee, chains_.insert(inst.chain, ins.id),
+                                 ctx, ins.id);
+                    work.push_back(calleeCtx);
                     callEdges_[{ctx, ins.id, callee}] = calleeCtx;
                 }
             }

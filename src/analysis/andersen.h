@@ -39,10 +39,10 @@ struct ContextInstance
 {
     std::uint32_t id = 0;
     FuncId func = kNoFunc;
-    /** Chain of call-site instruction ids from the root (empty for
-     *  main; [spawnSite] for thread roots; truncated at the
-     *  fallback). */
-    inv::CallContext chain;
+    /** Id of the call-site chain from the root in the solver's own
+     *  ContextTable: the empty chain (0) for main, thread roots and CI
+     *  instances, kNone for the fallbacks. */
+    std::uint32_t chain = inv::ContextTable::kRoot;
     std::uint32_t parent = 0;
     InstrId callSite = kNoInstr;
     /** True for the per-function context-insensitive fallback

@@ -27,8 +27,7 @@ optionsKey(const AndersenOptions &options)
     return key;
 }
 
-/** Every fact of @p invariants (the context hashes are derived from
- *  the contexts, so left out). */
+/** Every fact of @p invariants, the contexts as their sorted chains. */
 Fingerprint
 invariantFingerprint(const inv::InvariantSet *invariants)
 {
@@ -37,7 +36,7 @@ invariantFingerprint(const inv::InvariantSet *invariants)
     return support::FingerprintHasher()
         .add(invariants->numBlocks, invariants->visitedBlocks.toVector(),
              invariants->calleeSets, invariants->hasCallContexts,
-             invariants->callContexts, invariants->mustAliasLocks,
+             invariants->callContexts.chains(), invariants->mustAliasLocks,
              invariants->singletonSpawnSites, invariants->elidableLockSites)
         .finish();
 }

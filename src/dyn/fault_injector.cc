@@ -91,7 +91,7 @@ struct CorpusObservations
 {
     std::set<BlockId> blocks;
     std::map<InstrId, std::set<FuncId>> calleeTargets;
-    std::set<inv::CallContext> contexts;
+    inv::ContextTable contexts;
     /** Sites binding >= 2 distinct objects within a single run. */
     std::set<InstrId> rebindSites;
     /** Normalized (a < b) site pairs observed bound to different
@@ -123,8 +123,7 @@ observeCorpus(const ir::Module &module, bool wantContexts,
                 out.blocks.insert(block);
         for (const auto &[site, targets] : run.calleeSets)
             out.calleeTargets[site].insert(targets.begin(), targets.end());
-        out.contexts.insert(run.callContexts.begin(),
-                            run.callContexts.end());
+        out.contexts.merge(run.callContexts);
 
         // Per-run single-object bindings feed the divergence pairs;
         // multi-object sites are rebinds in their own right.
@@ -222,17 +221,15 @@ FaultInjector::inject(inv::InvariantSet &invariants,
           case ViolationFamily::CallContext: {
             // Forget a context the corpus pushes.  Only chains the
             // invariant set actually holds are viable (the checker
-            // compares against the profiled hashes).
+            // probes the profiled table).
             if (!invariants.hasCallContexts)
                 break;
             std::vector<inv::CallContext> candidates;
-            for (const inv::CallContext &context : seen.contexts)
-                if (!context.empty() &&
-                    invariants.callContexts.count(context))
+            for (const inv::CallContext &context : seen.contexts.chains())
+                if (invariants.callContexts.contains(context))
                     candidates.push_back(context);
             if (const inv::CallContext *context = pick(candidates, rng)) {
                 invariants.callContexts.erase(*context);
-                invariants.rehashContexts();
                 applied.push_back({family, context->back(), kNoInstr,
                                    inv::contextHash(*context)});
             }

@@ -1,13 +1,11 @@
 #include "dyn/invariant_checker.h"
 
-#include <algorithm>
-
 namespace oha::dyn {
 
 InvariantChecker::InvariantChecker(const ir::Module &module,
                                    const inv::InvariantSet &invariants,
                                    CheckerConfig config)
-    : module_(module), invariants_(invariants), config_(config),
+    : invariants_(invariants), config_(config),
       plan_(exec::InstrumentationPlan::none(module))
 {
     // Likely-unreachable code: hook entries of unvisited blocks only —
@@ -74,10 +72,8 @@ InvariantChecker::InvariantChecker(const ir::Module &module,
         boundLockObject_.reserve(pairSites_.size());
     }
 
-    if (config_.callContexts) {
-        for (std::uint64_t hash : invariants.contextHashes)
-            contextBloom_.insert(hash);
-    }
+    if (config_.callContexts)
+        confirmed_.assign(invariants.callContexts.numIds(), false);
 }
 
 void
@@ -107,11 +103,8 @@ InvariantChecker::onBlockEnter(ThreadId tid, BlockId block)
 void
 InvariantChecker::onThreadStart(ThreadId tid, ThreadId, InstrId)
 {
-    if (config_.callContexts) {
-        ThreadCtxState &state = ctxState_[tid];
-        state.hashStack.clear();
-        state.siteStack.clear();
-    }
+    if (config_.callContexts)
+        contextStack(tid).clear();
 }
 
 void
@@ -136,48 +129,42 @@ InvariantChecker::onEvent(const exec::EventCtx &ctx)
             }
         }
         if (config_.callContexts) {
-            ThreadCtxState &state = ctxState_[ctx.tid];
-            const std::uint64_t parent =
-                state.hashStack.empty() ? 0x51ed270b0a1f39c1ULL
-                                        : state.hashStack.back();
-            const std::uint64_t hash =
-                inv::contextHashPush(parent, ins.id);
-            state.hashStack.push_back(hash);
-            state.siteStack.push_back(ins.id);
+            using Id = inv::ContextTable::Id;
+            const inv::ContextTable &contexts = invariants_.callContexts;
+            std::vector<Id> &ids = contextStack(ctx.tid);
+            const Id top =
+                ids.empty() ? inv::ContextTable::kRoot : ids.back();
             // Contexts deeper than the profiler records are exempt
             // (the profiler skips them symmetrically, by sharing
-            // inv::kMaxContextDepth).
-            if (state.hashStack.size() <= inv::kMaxContextDepth &&
-                !confirmedContexts_.count(hash)) {
-                const bool mayContain = contextBloom_.mayContain(hash);
-                bool confirmed = false;
-                if (mayContain) {
-                    // Bloom positive: confirm against the exact set.
-                    ++slowChecks_;
-                    confirmed = invariants_.contextHashes.count(hash) > 0;
-                }
-                if (!confirmed) {
-                    Violation v;
-                    v.family = ViolationFamily::CallContext;
-                    v.site = ins.id;
-                    v.observed = hash;
-                    v.thread = ctx.tid;
-                    v.contextChain = state.siteStack;
-                    violate(std::move(v));
-                    return;
-                }
-                confirmedContexts_.insert(hash);
+            // inv::kMaxContextDepth).  Below a kNone frame nothing is
+            // known: a miss there has already violated.
+            if (top == inv::ContextTable::kNone ||
+                ids.size() >= inv::kMaxContextDepth) {
+                ids.push_back(inv::ContextTable::kNone);
+                break;
             }
+            const Id id = contexts.find(top, ins.id);
+            ids.push_back(id);
+            if (id == inv::ContextTable::kNone || !contexts.present(id)) {
+                Violation v;
+                v.family = ViolationFamily::CallContext;
+                v.site = ins.id;
+                v.contextChain = contexts.chain(top);
+                v.contextChain.push_back(ins.id);
+                v.observed = inv::contextHash(v.contextChain);
+                v.thread = ctx.tid;
+                violate(std::move(v));
+                return;
+            }
+            confirmed_[id] = true;
         }
         break;
       }
       case ir::Opcode::Ret: {
         if (config_.callContexts) {
-            ThreadCtxState &state = ctxState_[ctx.tid];
-            if (!state.hashStack.empty()) {
-                state.hashStack.pop_back();
-                state.siteStack.pop_back();
-            }
+            std::vector<inv::ContextTable::Id> &ids = contextStack(ctx.tid);
+            if (!ids.empty())
+                ids.pop_back();
         }
         break;
       }

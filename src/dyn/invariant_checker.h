@@ -7,9 +7,10 @@
  * Its InstrumentationPlan covers exactly the cheap check sites:
  *  - entries of likely-unreachable blocks (a bare violation call);
  *  - indirect call sites with likely callee sets;
- *  - all call/return sites when call-context checking is on, with a
- *    per-thread incremental context hash, a confirmed-context cache,
- *    and a Bloom filter in front of the exact set (Section 5.2.3);
+ *  - all call/return sites when call-context checking is on: each
+ *    thread keeps a stack of context ids in the invariants'
+ *    ContextTable, and each call is one exact find(top, site)
+ *    (Section 5.2.3);
  *  - lock sites involved in must-alias pairs;
  *  - likely-singleton spawn sites.
  *
@@ -26,17 +27,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dyn/violation.h"
 #include "exec/interpreter.h"
 #include "invariants/invariant_set.h"
-#include "support/bloom_filter.h"
 #include "support/flat_map.h"
 
 namespace oha::dyn {
@@ -79,28 +77,36 @@ class InvariantChecker : public exec::Tool
     /** The typed first violation (family None when !violated()). */
     const Violation &violation() const { return violation_; }
 
-    /** Exact-set context probes that the Bloom filter + confirmed
-     *  cache could not elide (the expensive path of Section 5.2.3). */
-    std::uint64_t slowContextChecks() const { return slowChecks_; }
+    /** Distinct call contexts this checker confirmed: the exact-set
+     *  probes the paper's Bloom filter cannot elide (Section 5.2.3),
+     *  priced by CostModel::contextCheckSlow. */
+    std::uint64_t
+    slowContextChecks() const
+    {
+        return std::count(confirmed_.begin(), confirmed_.end(), true);
+    }
 
   private:
     void violate(Violation violation);
 
-    const ir::Module &module_;
+    std::vector<inv::ContextTable::Id> &
+    contextStack(ThreadId tid)
+    {
+        if (tid >= ctxStacks_.size())
+            ctxStacks_.resize(std::size_t{tid} + 1);
+        return ctxStacks_[tid];
+    }
+
     const inv::InvariantSet &invariants_;
     CheckerConfig config_;
     exec::InstrumentationPlan plan_;
     exec::ExecutionControl *control_ = nullptr;
 
-    // Call-context tracking.
-    struct ThreadCtxState
-    {
-        std::vector<std::uint64_t> hashStack; ///< hash per depth
-        std::vector<InstrId> siteStack;       ///< call site per depth
-    };
-    std::unordered_map<ThreadId, ThreadCtxState> ctxState_;
-    BloomFilter contextBloom_;
-    std::unordered_set<std::uint64_t> confirmedContexts_;
+    // Call-context tracking: per-thread stacks of ids in
+    // invariants_.callContexts (kNone past a miss or the depth cap),
+    // indexed by thread id, and one confirmed bit per id.
+    std::vector<std::vector<inv::ContextTable::Id>> ctxStacks_;
+    std::vector<bool> confirmed_;
 
     // Guarding-lock tracking: first object each checked site locked.
     support::FlatMap<exec::ObjectId> boundLockObject_;
@@ -118,7 +124,6 @@ class InvariantChecker : public exec::Tool
     bool violated_ = false;
     std::string reason_;
     Violation violation_;
-    std::uint64_t slowChecks_ = 0;
 };
 
 } // namespace oha::dyn

@@ -29,22 +29,10 @@ InvariantSet::demote(const dyn::Violation &violation)
         return it->second.insert(static_cast<FuncId>(violation.observed))
             .second;
       }
-      case ViolationFamily::CallContext: {
+      case ViolationFamily::CallContext:
         // Admit the offending chain plus every prefix — the same
-        // closure the profiler maintains, so the checker's
-        // incremental hashes stay consistent.
-        bool changed = false;
-        CallContext prefix;
-        prefix.reserve(violation.contextChain.size());
-        for (InstrId site : violation.contextChain) {
-            prefix.push_back(site);
-            if (callContexts.insert(prefix).second) {
-                contextHashes.insert(contextHash(prefix));
-                changed = true;
-            }
-        }
-        return changed;
-      }
+        // closure the profiler maintains.
+        return callContexts.insert(violation.contextChain);
       case ViolationFamily::MustAliasLock: {
         if (violation.partner == violation.site) {
             // The site itself is not single-object: no pair that
@@ -114,7 +102,7 @@ InvariantSet::saveText() const
 
     if (hasCallContexts)
         os << "contexts-profiled\n";
-    for (const CallContext &context : callContexts) {
+    for (const CallContext &context : callContexts.chains()) {
         os << "context";
         for (InstrId site : context)
             os << " " << site;

@@ -18,8 +18,8 @@
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "invariants/context_table.h"
 #include "support/common.h"
 #include "support/sparse_bit_set.h"
 
@@ -28,39 +28,6 @@ struct Violation;
 } // namespace oha::dyn
 
 namespace oha::inv {
-
-/** A call context: chain of call-site instruction ids, outermost first. */
-using CallContext = std::vector<InstrId>;
-
-/**
- * Call stacks deeper than this are exempt from the call-context
- * invariant: the profiler stops recording them and the runtime
- * checker skips checking them.  Both sides must use this one constant
- * — if the caps ever diverged, deep recursion would mis-speculate on
- * contexts the profiler never had a chance to record.
- */
-constexpr std::size_t kMaxContextDepth = 64;
-
-/** Incremental hash of a call context (push one call site at a time). */
-inline std::uint64_t
-contextHashPush(std::uint64_t parent, InstrId site)
-{
-    std::uint64_t x = parent ^ (site + 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    return x;
-}
-
-/** Hash a full call context from the root. */
-inline std::uint64_t
-contextHash(const CallContext &context)
-{
-    std::uint64_t h = 0x51ed270b0a1f39c1ULL;
-    for (InstrId site : context)
-        h = contextHashPush(h, site);
-    return h;
-}
 
 /** The merged likely-invariant artifact consumed by predicated
  *  static analysis and the runtime invariant checker. */
@@ -79,10 +46,7 @@ struct InvariantSet
 
     /** Observed call contexts including every prefix
      *  (Section 5.2.3).  Union across runs. */
-    std::set<CallContext> callContexts;
-
-    /** Hashes of callContexts, for the cheap runtime check. */
-    std::set<std::uint64_t> contextHashes;
+    ContextTable callContexts;
 
     /** Lock-site pairs (a <= b, reflexive included) observed to
      *  always lock one and the same dynamic object (Section 4.2.2). */
@@ -114,15 +78,6 @@ struct InvariantSet
         if (a > b)
             std::swap(a, b);
         return mustAliasLocks.count({a, b}) > 0;
-    }
-
-    /** Rebuild contextHashes from callContexts. */
-    void
-    rehashContexts()
-    {
-        contextHashes.clear();
-        for (const CallContext &context : callContexts)
-            contextHashes.insert(contextHash(context));
     }
 
     /**

@@ -3,34 +3,6 @@
 namespace oha::ir {
 
 const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::Alloc: return "alloc";
-      case Opcode::ConstInt: return "const";
-      case Opcode::Assign: return "assign";
-      case Opcode::BinOp: return "binop";
-      case Opcode::GlobalAddr: return "gaddr";
-      case Opcode::FuncAddr: return "faddr";
-      case Opcode::Gep: return "gep";
-      case Opcode::Load: return "load";
-      case Opcode::Store: return "store";
-      case Opcode::Call: return "call";
-      case Opcode::ICall: return "icall";
-      case Opcode::Ret: return "ret";
-      case Opcode::Br: return "br";
-      case Opcode::CondBr: return "condbr";
-      case Opcode::Lock: return "lock";
-      case Opcode::Unlock: return "unlock";
-      case Opcode::Spawn: return "spawn";
-      case Opcode::Join: return "join";
-      case Opcode::Output: return "output";
-      case Opcode::Input: return "input";
-    }
-    return "?";
-}
-
-const char *
 binopName(BinOpKind kind)
 {
     switch (kind) {

@@ -101,13 +101,6 @@ struct Instruction
         return op == Opcode::Load || op == Opcode::Store;
     }
 
-    /** True for any direct or indirect call (not Spawn). */
-    bool
-    isCall() const
-    {
-        return op == Opcode::Call || op == Opcode::ICall;
-    }
-
     /** Collect the registers this instruction reads. */
     void
     usedRegs(std::vector<Reg> &out) const
@@ -158,13 +151,7 @@ struct Instruction
             break;
         }
     }
-
-    /** Register this instruction defines, or kNoReg. */
-    Reg definedReg() const { return dest; }
 };
-
-/** Printable mnemonic for @p op. */
-const char *opcodeName(Opcode op);
 
 /** Printable symbol for @p kind ("+", "<=", ...). */
 const char *binopName(BinOpKind kind);

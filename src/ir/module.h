@@ -109,7 +109,8 @@ class Module
         return it == byName_.end() ? nullptr : it->second;
     }
 
-    /** The entry function ("main"); fatal if absent. */
+    /** The entry function ("main"); verifyModule rejects a module
+     *  without one. */
     Function *
     entryFunction() const
     {

@@ -105,6 +105,8 @@ void
 verifyModule(const Module &module)
 {
     OHA_ASSERT(module.finalized(), "verify requires a finalized module");
+    if (!module.functionByName("main"))
+        OHA_FATAL("module has no main()");
     for (const auto &func : module.functions())
         verifyFunction(module, *func);
 }

@@ -33,9 +33,8 @@ byteSizeEstimate(const RunObservations &observations)
              sizeof(std::pair<InstrId, std::vector<FuncId>>);
     for (const auto &[instr, callees] : observations.calleeSets)
         bytes += callees.capacity() * sizeof(FuncId);
-    // std::set node overhead plus the context vector payload.
-    for (const inv::CallContext &context : observations.callContexts)
-        bytes += 64 + context.capacity() * sizeof(InstrId);
+    // Per context node: its 16-byte record and two 12-byte index slots.
+    bytes += observations.callContexts.numIds() * 40;
     bytes += observations.lockObjects.capacity() *
              sizeof(std::pair<InstrId, std::vector<exec::ObjectId>>);
     for (const auto &[instr, objects] : observations.lockObjects)

@@ -143,7 +143,7 @@ ProfilingCampaign::mergeRun(const RunObservations &run)
     runSteps_.push_back(run.steps);
 
     // Reachable-style invariants: union.  Change is detected from the
-    // insert results, and only newly inserted contexts are hashed.
+    // insert results.
     bool changed = false;
     for (const auto &[block, count] : run.blockCounts) {
         changed |= invariants_.visitedBlocks.insert(block);
@@ -154,14 +154,8 @@ ProfilingCampaign::mergeRun(const RunObservations &run)
         for (FuncId func : funcs)
             changed |= known.insert(func).second;
     }
-    if (options_.callContexts) {
-        for (const auto &context : run.callContexts) {
-            if (invariants_.callContexts.insert(context).second) {
-                invariants_.contextHashes.insert(inv::contextHash(context));
-                changed = true;
-            }
-        }
-    }
+    if (options_.callContexts)
+        changed |= invariants_.callContexts.merge(run.callContexts);
 
     // Constraint-style invariants: survive only if never violated.
     changed |= mergeLockObservations(run.lockObjects);

@@ -51,7 +51,7 @@ struct RunObservations
     // allocations on the profiling hot path.
     std::vector<std::pair<BlockId, std::uint64_t>> blockCounts;
     std::vector<std::pair<InstrId, std::vector<FuncId>>> calleeSets;
-    std::set<inv::CallContext> callContexts;
+    inv::ContextTable callContexts;
     std::vector<std::pair<InstrId, std::vector<exec::ObjectId>>>
         lockObjects;
     std::vector<std::pair<InstrId, std::uint64_t>> spawnCounts;

@@ -7,8 +7,8 @@
  * execution, every behaviour a likely invariant is learned from:
  *  - block visit counts (likely-unreachable code);
  *  - the targets of each indirect call (likely callee sets);
- *  - every distinct call stack, as a chain of call-site ids
- *    (likely-unused call contexts; OptSlice only);
+ *  - every distinct call stack, as a chain of call-site ids interned
+ *    in a ContextTable (likely-unused call contexts; OptSlice only);
  *  - the dynamic objects locked at each lock site (likely guarding
  *    locks);
  *  - the threads created at each spawn site (likely singleton
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "exec/event.h"
@@ -49,10 +48,6 @@ namespace oha::prof {
 class RunObserver : public exec::Tool
 {
   public:
-    /** Context recording cap, shared with the runtime checker's
-     *  exemption: deeper stacks are not recorded. */
-    static constexpr std::size_t kMaxDepth = inv::kMaxContextDepth;
-
     explicit RunObserver(bool callContexts) : callContexts_(callContexts)
     {
     }
@@ -115,7 +110,7 @@ class RunObserver : public exec::Tool
             values.insert(it, value);
     }
 
-    inv::CallContext &
+    std::vector<inv::ContextTable::Id> &
     stack(ThreadId tid)
     {
         if (tid >= stacks_.size())
@@ -128,19 +123,24 @@ class RunObserver : public exec::Tool
     {
         if (!callContexts_)
             return;
-        inv::CallContext &chain = stack(ctx.tid);
-        chain.push_back(ctx.instr->id);
-        if (chain.size() <= kMaxDepth)
-            contexts_.insert(chain);
+        // Past inv::kMaxContextDepth, the checker's exemption cap, a
+        // sentinel stands in for the frame so that returns pop in
+        // step; nothing deeper is recorded.
+        std::vector<inv::ContextTable::Id> &ids = stack(ctx.tid);
+        const inv::ContextTable::Id top =
+            ids.empty() ? inv::ContextTable::kRoot : ids.back();
+        ids.push_back(ids.size() < inv::kMaxContextDepth
+                          ? contexts_.insert(top, ctx.instr->id)
+                          : inv::ContextTable::kNone);
     }
 
     bool callContexts_;
     /** Dense visit counts indexed by block id. */
     std::vector<std::uint64_t> blockCounts_;
     support::FlatMap<std::vector<FuncId>> callees_;
-    /** Per-thread call-site chain, indexed by thread id. */
-    std::vector<inv::CallContext> stacks_;
-    std::set<inv::CallContext> contexts_;
+    /** Per-thread stack of context ids, indexed by thread id. */
+    std::vector<std::vector<inv::ContextTable::Id>> stacks_;
+    inv::ContextTable contexts_;
     support::FlatMap<std::vector<exec::ObjectId>> objects_;
     support::FlatMap<std::uint64_t> spawns_;
 };

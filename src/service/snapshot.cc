@@ -179,7 +179,8 @@ serializeObservations(ByteWriter &out,
             out.u64(callee);
     }
     out.u64(observations.callContexts.size());
-    for (const inv::CallContext &context : observations.callContexts) {
+    for (const inv::CallContext &context :
+         observations.callContexts.chains()) {
         out.u64(context.size());
         for (InstrId site : context)
             out.u64(site);
@@ -238,12 +239,17 @@ deserializeObservations(ByteReader &in,
         observations.calleeSets.push_back(
             {static_cast<InstrId>(instr), std::move(callees)});
     }
+    // Contexts come as the profiler writes them: sorted, distinct,
+    // closed under prefixes and within the depth cap, so each chain
+    // adds exactly one new chain to the table.
     const std::uint64_t numContexts = in.u64();
     if (numContexts > in.remaining() / 8)
         return false;
+    inv::CallContext previous;
     for (std::uint64_t i = 0; i < numContexts && in.ok(); ++i) {
         const std::uint64_t length = in.u64();
-        if (length > in.remaining() / 8)
+        if (length == 0 || length > inv::kMaxContextDepth ||
+            length > in.remaining() / 8)
             return false;
         inv::CallContext context;
         context.reserve(static_cast<std::size_t>(length));
@@ -253,7 +259,12 @@ deserializeObservations(ByteReader &in,
                 return false;
             context.push_back(static_cast<InstrId>(site));
         }
-        observations.callContexts.insert(std::move(context));
+        const std::size_t before = observations.callContexts.size();
+        observations.callContexts.insert(context);
+        if (!(previous < context) ||
+            observations.callContexts.size() != before + 1)
+            return false;
+        previous = std::move(context);
     }
     const std::uint64_t numLocks = in.u64();
     if (numLocks > in.remaining() / 16)
@@ -403,18 +414,6 @@ snapshotStats()
         g_entriesRejected.load(std::memory_order_relaxed);
     stats.lastErrno = g_lastErrno.load(std::memory_order_relaxed);
     return stats;
-}
-
-void
-resetSnapshotStats()
-{
-    g_writes.store(0, std::memory_order_relaxed);
-    g_writeFailures.store(0, std::memory_order_relaxed);
-    g_loads.store(0, std::memory_order_relaxed);
-    g_loadRejects.store(0, std::memory_order_relaxed);
-    g_entriesRestored.store(0, std::memory_order_relaxed);
-    g_entriesRejected.store(0, std::memory_order_relaxed);
-    g_lastErrno.store(0, std::memory_order_relaxed);
 }
 
 std::string

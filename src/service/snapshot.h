@@ -67,7 +67,6 @@ struct SnapshotStats
 };
 
 SnapshotStats snapshotStats();
-void resetSnapshotStats();
 
 /** Canonical snapshot path under a state directory. */
 std::string defaultSnapshotPath(const std::string &stateDir);

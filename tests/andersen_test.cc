@@ -372,7 +372,6 @@ TEST(Andersen, PredicatedContextPruningShrinksCsAnalysis)
         invariants.visitedBlocks.insert(blk);
     invariants.hasCallContexts = true;
     invariants.callContexts.insert({firstCall});
-    invariants.rehashContexts();
 
     AndersenOptions options;
     options.contextSensitive = true;

@@ -310,7 +310,6 @@ TEST(FaultInjector, MemoBackedInjectionMatchesLive)
             const std::string where = name + " seed " + std::to_string(seed);
             EXPECT_EQ(liveFaults, memoFaults) << where;
             EXPECT_EQ(live, memo) << where;
-            EXPECT_EQ(live.contextHashes, memo.contextHashes) << where;
             injected += liveFaults.size();
         }
     }

@@ -143,7 +143,7 @@ struct Hasher
                 add(func);
         }
         add(run.callContexts.size());
-        for (const auto &context : run.callContexts) {
+        for (const inv::CallContext &context : run.callContexts.chains()) {
             add(context.size());
             for (const InstrId site : context)
                 add(site);

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the runtime invariant checker: every invariant family's
- * violation path, the Bloom-filtered call-context fast path, and the
- * zero-false-negative property of the checks (Section 2.3).
+ * violation path, the exact call-context probe and its confirmed
+ * bits, and the zero-false-negative property of the checks
+ * (Section 2.3).
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "dyn/invariant_checker.h"
 #include "ir/builder.h"
@@ -177,6 +180,69 @@ TEST(InvariantChecker, ContextViolationOnNovelCallChain)
     const auto bad = runChecked(module, inv, oneInput(5), config);
     EXPECT_TRUE(bad.violated);
     EXPECT_NE(bad.reason.find("call context"), std::string::npos);
+}
+
+TEST(InvariantChecker, ForgottenChainViolatesAtItsOwnDepth)
+{
+    // main -> a -> b -> c.  Forgetting [main>a, a>b] while its
+    // extension [main>a, a>b, b>c] stays present (as the fault
+    // injector does) must trip at the forgotten depth, with that
+    // chain, not at the call below it.
+    Module module;
+    IRBuilder b(module);
+    Function *c = b.createFunction("c", 0);
+    b.ret(b.constInt(0));
+    Function *bf = b.createFunction("b", 0);
+    b.call(c, {});
+    b.ret(b.constInt(0));
+    Function *a = b.createFunction("a", 0);
+    b.call(bf, {});
+    b.ret(b.constInt(0));
+    Function *main = b.createFunction("main", 0);
+    b.call(a, {});
+    b.ret();
+    module.finalize();
+    std::map<FuncId, InstrId> callIn;
+    for (InstrId id = 0; id < module.numInstrs(); ++id)
+        if (module.instr(id).op == ir::Opcode::Call)
+            callIn[module.instr(id).func] = id;
+    const inv::CallContext forgotten = {callIn.at(main->id()),
+                                        callIn.at(a->id())};
+    inv::CallContext deepest = forgotten;
+    deepest.push_back(callIn.at(bf->id()));
+
+    inv::InvariantSet inv = profiled(module, {{}}, /*contexts=*/true);
+    ASSERT_EQ(inv.callContexts.size(), 3u);
+    CheckerConfig config;
+    config.callContexts = true;
+    EXPECT_FALSE(runChecked(module, inv, {}, config).violated);
+
+    ASSERT_TRUE(inv.callContexts.erase(forgotten));
+    ASSERT_TRUE(inv.callContexts.contains(deepest));
+    {
+        InvariantChecker checker(module, inv, config);
+        exec::Interpreter interp(module, {});
+        checker.setControl(&interp);
+        interp.attach(&checker, &checker.plan());
+        EXPECT_FALSE(interp.run().finished());
+        ASSERT_TRUE(checker.violated());
+        const Violation &v = checker.violation();
+        EXPECT_EQ(v.family, ViolationFamily::CallContext);
+        EXPECT_EQ(v.site, forgotten.back());
+        EXPECT_EQ(v.contextChain, forgotten);
+        EXPECT_EQ(v.observed, inv::contextHash(forgotten));
+    }
+    {
+        // Without a control the run goes on: the present extension is
+        // still confirmed below the forgotten frame.
+        InvariantChecker checker(module, inv, config);
+        exec::Interpreter interp(module, {});
+        interp.attach(&checker, &checker.plan());
+        EXPECT_TRUE(interp.run().finished());
+        EXPECT_EQ(checker.violation().contextChain, forgotten);
+        EXPECT_EQ(checker.slowContextChecks(), 2u)
+            << "[main>a] and the extension";
+    }
 }
 
 TEST(InvariantChecker, DeepRecursionBeyondCapNeverMisspeculates)

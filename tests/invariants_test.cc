@@ -29,7 +29,6 @@ sample()
     set.mustAliasLocks.insert({11, 23});
     set.singletonSpawnSites.insert(31);
     set.elidableLockSites.insert(11);
-    set.rehashContexts();
     return set;
 }
 
@@ -59,28 +58,11 @@ TEST(InvariantSet, LocksMustAliasIsOrderNormalized)
     EXPECT_FALSE(set.locksMustAlias(23, 23));
 }
 
-TEST(InvariantSet, ContextHashIsIncremental)
-{
-    const CallContext context = {4, 8, 15};
-    std::uint64_t h = 0x51ed270b0a1f39c1ULL;
-    for (InstrId site : context)
-        h = contextHashPush(h, site);
-    EXPECT_EQ(h, contextHash(context));
-}
-
 TEST(InvariantSet, ContextHashesDistinguishOrderAndDepth)
 {
     EXPECT_NE(contextHash({1, 2}), contextHash({2, 1}));
     EXPECT_NE(contextHash({1}), contextHash({1, 1}));
     EXPECT_NE(contextHash({}), contextHash({0}));
-}
-
-TEST(InvariantSet, RehashMatchesStoredContexts)
-{
-    InvariantSet set = sample();
-    for (const CallContext &context : set.callContexts)
-        EXPECT_TRUE(set.contextHashes.count(contextHash(context)));
-    EXPECT_EQ(set.contextHashes.size(), set.callContexts.size());
 }
 
 TEST(InvariantSet, BlockVisitedOutOfRangeIsFalse)
@@ -140,13 +122,11 @@ TEST(InvariantDemotion, CallContextInsertsChainAndPrefixes)
     dyn::Violation v =
         violation(dyn::ViolationFamily::CallContext, 9);
     v.contextChain = {5, 9, 13};
-    ASSERT_FALSE(set.callContexts.count({5, 9, 13}));
+    ASSERT_FALSE(set.callContexts.contains({5, 9, 13}));
     EXPECT_TRUE(set.demote(v));
-    EXPECT_TRUE(set.callContexts.count({5, 9, 13}));
-    EXPECT_TRUE(set.callContexts.count({5, 9})) << "prefixes too";
-    EXPECT_TRUE(set.contextHashes.count(contextHash({5, 9, 13})))
-        << "hash index updated incrementally";
-    EXPECT_EQ(set.contextHashes.size(), set.callContexts.size());
+    EXPECT_TRUE(set.callContexts.contains({5, 9, 13}));
+    EXPECT_TRUE(set.callContexts.contains({5, 9})) << "prefixes too";
+    EXPECT_EQ(set.callContexts.size(), 3u);
     EXPECT_FALSE(set.demote(v)) << "chain already admitted";
 }
 

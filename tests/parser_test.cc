@@ -3,17 +3,27 @@
  * Tests for the IR text parser: hand-written programs, semantics of
  * parsed modules, error-free round-trips with the printer — including
  * a parameterized print->parse->print round-trip over every benchmark
- * workload module.
+ * workload module, and a seeded mutation sweep over the printed
+ * workloads that must end in a clean exit, never a signal.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "exec/interpreter.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "support/rng.h"
 #include "workloads/workloads.h"
 
 namespace oha::ir {
@@ -297,6 +307,148 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+/** The seeded mutations of the sweep below. */
+enum class Mutation
+{
+    DigitRun,      ///< a digit run replaced by a boundary value
+    TokenSwap,     ///< two whitespace-separated tokens swapped
+    DropLine,      ///< one line removed
+    DuplicateLine, ///< one line repeated
+    ByteFlip,      ///< one bit of one byte inverted
+    Count
+};
+
+/** @p text with one @p kind mutation drawn from @p rng. */
+std::string
+mutate(std::string text, Mutation kind, Rng &rng)
+{
+    auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.below(n));
+    };
+    auto isDigit = [&](std::size_t i) {
+        return std::isdigit(static_cast<unsigned char>(text[i])) != 0;
+    };
+    auto isSpace = [&](std::size_t i) {
+        return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> spans; // [begin, end)
+    switch (kind) {
+      case Mutation::DigitRun: {
+        static const char *const kRuns[] = {
+            "99999999999999999999", "18446744073709551615", "4294967296",
+            "4294967295", "65536", "-1", "0"};
+        for (std::size_t i = 0; i < text.size(); ++i)
+            if (isDigit(i) && (i == 0 || !isDigit(i - 1))) {
+                std::size_t end = i;
+                while (end < text.size() && isDigit(end))
+                    ++end;
+                spans.push_back({i, end});
+            }
+        const auto [begin, end] = spans[pick(spans.size())];
+        return text.replace(begin, end - begin,
+                            kRuns[pick(std::size(kRuns))]);
+      }
+      case Mutation::TokenSwap: {
+        for (std::size_t i = 0; i < text.size(); ++i)
+            if (!isSpace(i) && (i == 0 || isSpace(i - 1))) {
+                std::size_t end = i;
+                while (end < text.size() && !isSpace(end))
+                    ++end;
+                spans.push_back({i, end});
+            }
+        std::size_t a = pick(spans.size());
+        std::size_t b = pick(spans.size());
+        if (a > b)
+            std::swap(a, b);
+        const auto [a0, a1] = spans[a];
+        const auto [b0, b1] = spans[b];
+        return text.substr(0, a0) + text.substr(b0, b1 - b0) +
+               text.substr(a1, b0 - a1) + text.substr(a0, a1 - a0) +
+               text.substr(b1);
+      }
+      case Mutation::DropLine:
+      case Mutation::DuplicateLine: {
+        for (std::size_t i = 0; i < text.size();) {
+            const std::size_t end = text.find('\n', i) + 1;
+            spans.push_back({i, end});
+            i = end;
+        }
+        const auto [begin, end] = spans[pick(spans.size())];
+        return kind == Mutation::DropLine
+                   ? text.erase(begin, end - begin)
+                   : text.insert(begin, text.substr(begin, end - begin));
+      }
+      case Mutation::ByteFlip:
+        text[pick(text.size())] ^= static_cast<char>(1u << pick(8));
+        return text;
+      case Mutation::Count:
+        break;
+    }
+    return text;
+}
+
+/** Parse, verify and run @p text under @p config in a forked child
+ *  whose output is discarded; @return its wait status. */
+int
+parseAndRunInChild(const std::string &text, const exec::ExecConfig &config)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int devNull = ::open("/dev/null", O_WRONLY);
+        ::dup2(devNull, STDOUT_FILENO);
+        ::dup2(devNull, STDERR_FILENO);
+        const auto module = parseModule(text); // finalize() verifies
+        exec::Interpreter(*module, config).run();
+        ::_exit(0);
+    }
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    return status;
+}
+
+TEST(IrMutationSweep, EveryMutantExitsCleanly)
+{
+    // Each mutant of each printed workload either parses, verifies and
+    // runs (exit 0, whatever the run's status), or is rejected with a
+    // diagnostic (exit 1).  A signal — an assertion, an uncaught
+    // exception, a fault — fails the sweep.  Three cases of each kind
+    // per workload keep the sweep near a second.
+    constexpr int kCasesPerKind = 3;
+    std::size_t exits[2] = {0, 0};
+    const std::vector<std::string> names = allWorkloadNames();
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const bool race = w < workloads::raceWorkloadNames().size();
+        const auto workload =
+            race ? workloads::makeRaceWorkload(names[w], 1, 1)
+                 : workloads::makeSliceWorkload(names[w], 1, 1);
+        const std::string printed = printModule(*workload.module);
+        exec::ExecConfig config = workload.testingSet.front();
+        config.maxSteps = 20'000;
+        for (int kind = 0; kind < static_cast<int>(Mutation::Count);
+             ++kind) {
+            for (int c = 0; c < kCasesPerKind; ++c) {
+                Rng rng(w * 1000 + kind * 10 + c + 1);
+                const std::string mutant =
+                    mutate(printed, static_cast<Mutation>(kind), rng);
+                const int status = parseAndRunInChild(mutant, config);
+                const std::string where = names[w] + " kind " +
+                                          std::to_string(kind) + " case " +
+                                          std::to_string(c);
+                ASSERT_TRUE(WIFEXITED(status))
+                    << where << ": signal " << WTERMSIG(status);
+                const int code = WEXITSTATUS(status);
+                ASSERT_TRUE(code == 0 || code == 1)
+                    << where << ": exit " << code;
+                ++exits[code];
+            }
+        }
+    }
+    // Both outcomes occur, so the mutations neither all break the
+    // text nor all leave it intact.
+    EXPECT_GT(exits[0], 0u);
+    EXPECT_GT(exits[1], 0u);
+}
 
 } // namespace
 } // namespace oha::ir

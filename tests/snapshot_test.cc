@@ -428,6 +428,71 @@ TEST_F(SnapshotTest, OldFormatTraceEntryIsRejected)
     EXPECT_EQ(after.entriesRestored, before.entriesRestored);
 }
 
+/** An observation entry (tag 2) for subject @p subject whose only
+ *  observations are @p contexts, laid out as the writer lays out a
+ *  run's observations. */
+std::string
+contextObservationEntry(std::uint64_t subject,
+                        const std::vector<inv::CallContext> &contexts)
+{
+    support::ByteWriter entry;
+    entry.u8(2);
+    entry.u64(0); // module fingerprint
+    entry.u64(0);
+    entry.u64(subject); // subject fingerprint
+    entry.u64(subject);
+    entry.u64(0); // block counts
+    entry.u64(0); // callee sets
+    entry.u64(contexts.size());
+    for (const inv::CallContext &context : contexts) {
+        entry.u64(context.size());
+        for (const InstrId site : context)
+            entry.u64(site);
+    }
+    entry.u64(0); // lock objects
+    entry.u64(0); // spawn counts
+    entry.u64(0); // steps
+    entry.u32(0); // status: finished
+    return entry.take();
+}
+
+TEST_F(SnapshotTest, NonCanonicalContextObservationsRejectedIndividually)
+{
+    // The writer emits a run's contexts sorted, distinct, closed under
+    // prefixes and within inv::kMaxContextDepth.  An entry that breaks
+    // any of these is rejected alone and counted; the canonical entry
+    // beside them restores.
+    std::vector<inv::CallContext> tooDeep;
+    for (std::size_t n = 1; n <= inv::kMaxContextDepth + 1; ++n)
+        tooDeep.push_back(inv::CallContext(n, 7));
+    const std::vector<std::vector<inv::CallContext>> bad = {
+        {{2}, {1}},       // unsorted
+        {{1}, {1}},       // duplicated
+        {{1}, {1, 2, 3}}, // [1, 2] missing
+        {{}, {1}},        // the empty chain
+        tooDeep,
+    };
+    const std::string path = dir_ + "/contexts.snapshot";
+    {
+        support::DurableWriter writer(path, support::kDurableKindSnapshot);
+        support::ByteWriter meta;
+        meta.u32(service::kSnapshotVersion);
+        meta.u64(1 + bad.size());
+        writer.addBlock(meta.data());
+        writer.addBlock(contextObservationEntry(1, {{1}, {1, 2}, {3}}));
+        for (std::size_t i = 0; i < bad.size(); ++i)
+            writer.addBlock(contextObservationEntry(2 + i, bad[i]));
+        std::string error;
+        ASSERT_TRUE(writer.commit(&error)) << error;
+    }
+    const service::SnapshotStats before = service::snapshotStats();
+    std::string error;
+    EXPECT_TRUE(service::loadSnapshot(path, &error)) << error;
+    const service::SnapshotStats after = service::snapshotStats();
+    EXPECT_EQ(after.entriesRejected, before.entriesRejected + bad.size());
+    EXPECT_EQ(after.entriesRestored, before.entriesRestored + 1);
+}
+
 TEST_F(SnapshotTest, EntryCountMismatchRejectsWholesale)
 {
     // Meta promises two entries, container carries one.

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/bloom_filter.h"
 #include "support/env.h"
 #include "support/rng.h"
 #include "support/sparse_bit_set.h"
@@ -98,31 +97,6 @@ TEST(SparseBitSet, HashDiffersForDifferentSets)
     b.clear();
     b.insert(1);
     EXPECT_EQ(a.hash(), b.hash());
-}
-
-TEST(BloomFilter, NoFalseNegatives)
-{
-    BloomFilter filter(12);
-    Rng rng(7);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < 200; ++i)
-        keys.push_back(rng.next());
-    for (std::uint64_t k : keys)
-        filter.insert(k);
-    for (std::uint64_t k : keys)
-        EXPECT_TRUE(filter.mayContain(k));
-}
-
-TEST(BloomFilter, MostlyRejectsAbsentKeys)
-{
-    BloomFilter filter(16);
-    Rng rng(11);
-    for (int i = 0; i < 500; ++i)
-        filter.insert(rng.next());
-    int falsePositives = 0;
-    for (int i = 0; i < 2000; ++i)
-        falsePositives += filter.mayContain(rng.next() | (1ULL << 63));
-    EXPECT_LT(falsePositives, 100);
 }
 
 TEST(VectorClock, JoinAndCovers)

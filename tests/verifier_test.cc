@@ -157,6 +157,14 @@ TEST(Verifier, RejectsTooManyRegisters)
               kMaxRegisters);
 }
 
+TEST(Verifier, RejectsModuleWithoutMain)
+{
+    // A run starts at main(): a module without one must stop at parse
+    // time, not abort in the interpreter.
+    EXPECT_EXIT(parseModule("func foo() {\n  entry:\n    ret\n}\n"),
+                ::testing::ExitedWithCode(1), "module has no main");
+}
+
 TEST(ParserDiagnostics, RejectsGlobalSizeOutOfRange)
 {
     EXPECT_EXIT(parseModule("global g[-1]\nfunc main() {\n  entry:\n"
